@@ -49,39 +49,34 @@
 #                tolerance for all gates). Refuses to compare runs whose
 #                index_enabled states differ; skips loudly when HEAD has
 #                no artifact or one predating the compared schema fields.
-#   determinism  briq-align over the same seeded page corpus five times:
+#   determinism  briq-align over the same seeded page corpus four times:
 #                --jobs 1, --jobs $(nproc or 8), --jobs 1 with
-#                BRIQ_NO_PRUNE=1 (bound-based pruning disabled), --jobs 1
-#                with --trace/--metrics (observability recording on), and
-#                --jobs 1 with BRIQ_NO_INDEX=1 (exhaustive candidate
-#                pairing, no retrieval index); fails unless alignment
-#                stdout and the diagnostics JSONL (which carries no
-#                timings) are byte-for-byte identical across all five —
-#                worker count, pruning, tracing, AND the retrieval index
-#                must be unobservable in the output. The traced run's
-#                trace file must also be non-empty valid-ish JSON.
-#   kernels      briq-align --json over the same seeded corpus three
-#                times: default (CSR walk + lane traversal), BRIQ_NO_CSR=1
-#                (dense adjacency RWR oracle), and BRIQ_NO_LANES=1
-#                (row-at-a-time forest oracle); alignment stdout and the
-#                diagnostics JSONL must be byte-for-byte identical, so
-#                both fast-path kernels are provably unobservable in real
-#                output, not just in unit proptests
+#                --trace/--metrics (observability recording on), and
+#                --jobs 1 with --oracle (every stage on its reference
+#                path: exhaustive classification with no retrieval, dedup,
+#                or pruning; the dense RWR walk; no store); fails unless
+#                alignment stdout and the diagnostics JSONL (which carries
+#                no timings) are byte-for-byte identical across all four —
+#                worker count, tracing, AND the production path must be
+#                unobservable in the output. The traced run's trace file
+#                must also be non-empty valid-ish JSON. Per-kernel
+#                equivalence (CSR vs dense walk, lanes vs block forest)
+#                is proven by the proptest suites the test stage runs.
 #   store        incremental-vs-oracle equivalence of the versioned
 #                alignment store (DESIGN.md §15). Two checks on a seeded
 #                corpus: (a) unchanged corpus — briq-align --repeat 2
-#                against one warm store must byte-match a BRIQ_NO_STORE=1
+#                against one warm store must byte-match an --oracle
 #                full recompute in stdout and diagnostics JSONL, and the
 #                warm repetition's stderr line must report hit_rate 1.000
 #                (every document served from cache); (b) mutated corpus —
 #                warm the store from the pristine corpus (--warm-from),
 #                rewrite digits in a few pages, and the incremental run
-#                over the mutated directory must byte-match the full
+#                over the mutated directory must byte-match the --oracle
 #                recompute while reporting >= 1 store hit AND >= 1
 #                invalidation (both cache service and re-alignment
 #                actually happened).
 #   persist      durability gate for the on-disk store (DESIGN.md §16).
-#                Byte-compares a cold BRIQ_NO_STORE=1 oracle against (1) a
+#                Byte-compares a cold --oracle run against (1) a
 #                fresh --store-dir run, (2) a restart-warmed run in a new
 #                process over the same directory (which must recover every
 #                entry and report hit_rate 1.000 / mentions_realigned 0),
@@ -118,7 +113,7 @@ NPROC="$(nproc 2>/dev/null || echo 1)"
 SPEEDUP_MIN="${SPEEDUP_MIN:-2.0}"
 BENCH_DOCS="${BENCH_DOCS:-60}"
 BENCH_SEED="${BENCH_SEED:-20190408}"
-ALL_STAGES=(fmt clippy build test docs bench-smoke perf-trend determinism kernels store persist serve)
+ALL_STAGES=(fmt clippy build test docs bench-smoke perf-trend determinism store persist serve)
 
 # Set once bench-smoke has written a fresh BENCH_throughput.json, so a
 # later perf-trend stage in the same invocation reuses it instead of
@@ -161,7 +156,7 @@ stage_bench_smoke() {
     cpm="$(awk -F': ' '/"candidates_per_mention"/ {gsub(/,/, "", $2); print $2; exit}' BENCH_throughput.json)"
     cells="$(awk -F': ' '/"cells_per_mention"/ {gsub(/,/, "", $2); print $2; exit}' BENCH_throughput.json)"
     if [ "$idx_on" != "true" ]; then
-        echo "bench-smoke: retrieval index is off (BRIQ_NO_INDEX set?); the smoke must measure the indexed path" >&2
+        echo "bench-smoke: retrieval index is off; the smoke must measure the indexed path" >&2
         return 1
     fi
     awk -v r="$recall" 'BEGIN { exit !(r == 1) }' || {
@@ -223,79 +218,65 @@ stage_perf_trend() {
     fi
 }
 
+# Run briq-align --json as run <name> in <dir>: alignments to
+# out_<name>.json, diagnostics JSONL to diag_<name>.jsonl, stderr to
+# err_<name>.txt, exit code to rc_<name>.
+align_run() { # dir name briq-align-args...
+    local dir="$1" name="$2"
+    shift 2
+    ./target/release/briq-align "$@" --json --diagnostics "$dir/diag_$name.jsonl" \
+        > "$dir/out_$name.json" 2> "$dir/err_$name.txt"
+    echo "$?" > "$dir/rc_$name"
+}
+
+# Fail unless files <a> and <b> are byte-identical, showing the first
+# lines of the diff otherwise.
+same_file() { # stage a b what
+    cmp -s "$2" "$3" && return 0
+    echo "$1: $4 differs" >&2
+    diff "$2" "$3" | head -20 >&2
+    return 1
+}
+
+# Fail unless run <run> reproduces run <ref> (both made by align_run in
+# <dir>) byte for byte: the same exit code, which must be 0 (clean) or
+# 2 (degraded-but-complete), identical alignment stdout, and identical
+# diagnostics JSONL.
+same_run() { # stage dir ref run
+    local stage="$1" dir="$2" ref="$3" run="$4" rc_ref rc_run
+    rc_ref="$(cat "$dir/rc_$ref")"
+    rc_run="$(cat "$dir/rc_$run")"
+    if [ "$rc_ref" != "$rc_run" ] || { [ "$rc_ref" -ne 0 ] && [ "$rc_ref" -ne 2 ]; }; then
+        echo "$stage: exit codes diverged or failed ($ref: $rc_ref, $run: $rc_run)" >&2
+        return 1
+    fi
+    same_file "$stage" "$dir/out_$ref.json" "$dir/out_$run.json" \
+        "alignment output of run $run (vs $ref)" || return 1
+    same_file "$stage" "$dir/diag_$ref.jsonl" "$dir/diag_$run.jsonl" \
+        "diagnostics JSONL of run $run (vs $ref)"
+}
+
 stage_determinism() {
     cargo build --offline --release -q -p briq-bench || return 1
-    local dir jobs_hi rc1 rc2 rc_np
+    local dir jobs_hi run
     dir="$(mktemp -d)"
     trap 'rm -rf "$dir"' RETURN
     jobs_hi=$(( NPROC > 1 ? NPROC : 8 ))
     ./target/release/briq-align --gen-corpus "$dir/corpus" \
         --docs "$BENCH_DOCS" --seed "$BENCH_SEED" || return 1
 
-    ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json \
-        --diagnostics "$dir/diag_1.jsonl" > "$dir/out_1.json"
-    rc1=$?
-    ./target/release/briq-align --batch "$dir/corpus" --jobs "$jobs_hi" --json \
-        --diagnostics "$dir/diag_n.jsonl" > "$dir/out_n.json"
-    rc2=$?
-    # 0 (clean) and 2 (degraded-but-complete) are both valid outcomes, but
-    # they must agree across worker counts like everything else.
-    if [ "$rc1" -ne "$rc2" ] || { [ "$rc1" -ne 0 ] && [ "$rc1" -ne 2 ]; }; then
-        echo "determinism: exit codes diverged or failed (jobs 1: $rc1, jobs $jobs_hi: $rc2)" >&2
-        return 1
-    fi
-    cmp -s "$dir/out_1.json" "$dir/out_n.json" || {
-        echo "determinism: alignment output differs between --jobs 1 and --jobs $jobs_hi" >&2
-        diff "$dir/out_1.json" "$dir/out_n.json" | head -20 >&2
-        return 1
-    }
-    cmp -s "$dir/diag_1.jsonl" "$dir/diag_n.jsonl" || {
-        echo "determinism: diagnostics JSONL differs between --jobs 1 and --jobs $jobs_hi" >&2
-        diff "$dir/diag_1.jsonl" "$dir/diag_n.jsonl" | head -20 >&2
-        return 1
-    }
-    # Third run with bound-based pruning disabled: the pruning engine must
-    # be unobservable in the output, not just across worker counts.
-    BRIQ_NO_PRUNE=1 ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json \
-        --diagnostics "$dir/diag_np.jsonl" > "$dir/out_np.json"
-    rc_np=$?
-    if [ "$rc_np" -ne "$rc1" ]; then
-        echo "determinism: exit code diverged with BRIQ_NO_PRUNE=1 ($rc_np vs $rc1)" >&2
-        return 1
-    fi
-    cmp -s "$dir/out_1.json" "$dir/out_np.json" || {
-        echo "determinism: alignment output differs with BRIQ_NO_PRUNE=1" >&2
-        diff "$dir/out_1.json" "$dir/out_np.json" | head -20 >&2
-        return 1
-    }
-    cmp -s "$dir/diag_1.jsonl" "$dir/diag_np.jsonl" || {
-        echo "determinism: diagnostics JSONL differs with BRIQ_NO_PRUNE=1" >&2
-        diff "$dir/diag_1.jsonl" "$dir/diag_np.jsonl" | head -20 >&2
-        return 1
-    }
-    # Fourth run with observability recording on: spans/metrics are
-    # observation-only, so the traced run must match byte for byte too,
-    # and must actually produce the trace and metrics artifacts.
-    local rc_tr
-    ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json \
-        --diagnostics "$dir/diag_tr.jsonl" \
-        --trace "$dir/trace.json" --metrics "$dir/metrics.jsonl" \
-        > "$dir/out_tr.json" 2> /dev/null
-    rc_tr=$?
-    if [ "$rc_tr" -ne "$rc1" ]; then
-        echo "determinism: exit code diverged with --trace/--metrics ($rc_tr vs $rc1)" >&2
-        return 1
-    fi
-    cmp -s "$dir/out_1.json" "$dir/out_tr.json" || {
-        echo "determinism: alignment output differs with --trace/--metrics on" >&2
-        diff "$dir/out_1.json" "$dir/out_tr.json" | head -20 >&2
-        return 1
-    }
-    cmp -s "$dir/diag_1.jsonl" "$dir/diag_tr.jsonl" || {
-        echo "determinism: diagnostics JSONL differs with --trace/--metrics on" >&2
-        diff "$dir/diag_1.jsonl" "$dir/diag_tr.jsonl" | head -20 >&2
-        return 1
-    }
+    align_run "$dir" 1 --batch "$dir/corpus" --jobs 1
+    # Worker count, observability recording, and the production path
+    # itself must all be unobservable in the output: the parallel run,
+    # the traced run, and the reference run (--oracle: exhaustive
+    # classification, dense walks, no store) must match --jobs 1.
+    align_run "$dir" n --batch "$dir/corpus" --jobs "$jobs_hi"
+    align_run "$dir" traced --batch "$dir/corpus" --jobs 1 \
+        --trace "$dir/trace.json" --metrics "$dir/metrics.jsonl"
+    align_run "$dir" oracle --batch "$dir/corpus" --jobs 1 --oracle
+    for run in n traced oracle; do
+        same_run determinism "$dir" 1 "$run" || return 1
+    done
     grep -q '"traceEvents"' "$dir/trace.json" || {
         echo "determinism: trace file missing traceEvents" >&2
         return 1
@@ -304,117 +285,24 @@ stage_determinism() {
         echo "determinism: metrics JSONL missing pairs_scored" >&2
         return 1
     }
-    # Fifth run with the retrieval index disabled: the exhaustive oracle
-    # must produce byte-identical alignments and diagnostics, so the
-    # index is provably unobservable in output (same discipline as the
-    # BRIQ_NO_PRUNE cross-check).
-    local rc_ni
-    BRIQ_NO_INDEX=1 ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json \
-        --diagnostics "$dir/diag_ni.jsonl" > "$dir/out_ni.json"
-    rc_ni=$?
-    if [ "$rc_ni" -ne "$rc1" ]; then
-        echo "determinism: exit code diverged with BRIQ_NO_INDEX=1 ($rc_ni vs $rc1)" >&2
-        return 1
-    fi
-    cmp -s "$dir/out_1.json" "$dir/out_ni.json" || {
-        echo "determinism: alignment output differs with BRIQ_NO_INDEX=1" >&2
-        diff "$dir/out_1.json" "$dir/out_ni.json" | head -20 >&2
-        return 1
-    }
-    cmp -s "$dir/diag_1.jsonl" "$dir/diag_ni.jsonl" || {
-        echo "determinism: diagnostics JSONL differs with BRIQ_NO_INDEX=1" >&2
-        diff "$dir/diag_1.jsonl" "$dir/diag_ni.jsonl" | head -20 >&2
-        return 1
-    }
-    echo "determinism: --jobs 1, --jobs $jobs_hi, BRIQ_NO_PRUNE=1, --trace/--metrics, and BRIQ_NO_INDEX=1 byte-identical ($(wc -c < "$dir/out_1.json") bytes of alignments)"
-}
-
-stage_kernels() {
-    cargo build --offline --release -q -p briq-bench || return 1
-    local dir rc_def rc_nc rc_nl
-    dir="$(mktemp -d)"
-    trap 'rm -rf "$dir"' RETURN
-    ./target/release/briq-align --gen-corpus "$dir/corpus" \
-        --docs "$BENCH_DOCS" --seed "$BENCH_SEED" || return 1
-
-    ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json \
-        --diagnostics "$dir/diag_def.jsonl" > "$dir/out_def.json"
-    rc_def=$?
-    if [ "$rc_def" -ne 0 ] && [ "$rc_def" -ne 2 ]; then
-        echo "kernels: default run failed (exit $rc_def)" >&2
-        return 1
-    fi
-    # CSR oracle: the dense adjacency random walk must be byte-identical.
-    BRIQ_NO_CSR=1 ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json \
-        --diagnostics "$dir/diag_nc.jsonl" > "$dir/out_nc.json"
-    rc_nc=$?
-    if [ "$rc_nc" -ne "$rc_def" ]; then
-        echo "kernels: exit code diverged with BRIQ_NO_CSR=1 ($rc_nc vs $rc_def)" >&2
-        return 1
-    fi
-    cmp -s "$dir/out_def.json" "$dir/out_nc.json" || {
-        echo "kernels: alignment output differs with BRIQ_NO_CSR=1" >&2
-        diff "$dir/out_def.json" "$dir/out_nc.json" | head -20 >&2
-        return 1
-    }
-    cmp -s "$dir/diag_def.jsonl" "$dir/diag_nc.jsonl" || {
-        echo "kernels: diagnostics JSONL differs with BRIQ_NO_CSR=1" >&2
-        diff "$dir/diag_def.jsonl" "$dir/diag_nc.jsonl" | head -20 >&2
-        return 1
-    }
-    # Lane oracle: row-at-a-time forest traversal must be byte-identical.
-    BRIQ_NO_LANES=1 ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json \
-        --diagnostics "$dir/diag_nl.jsonl" > "$dir/out_nl.json"
-    rc_nl=$?
-    if [ "$rc_nl" -ne "$rc_def" ]; then
-        echo "kernels: exit code diverged with BRIQ_NO_LANES=1 ($rc_nl vs $rc_def)" >&2
-        return 1
-    fi
-    cmp -s "$dir/out_def.json" "$dir/out_nl.json" || {
-        echo "kernels: alignment output differs with BRIQ_NO_LANES=1" >&2
-        diff "$dir/out_def.json" "$dir/out_nl.json" | head -20 >&2
-        return 1
-    }
-    cmp -s "$dir/diag_def.jsonl" "$dir/diag_nl.jsonl" || {
-        echo "kernels: diagnostics JSONL differs with BRIQ_NO_LANES=1" >&2
-        diff "$dir/diag_def.jsonl" "$dir/diag_nl.jsonl" | head -20 >&2
-        return 1
-    }
-    echo "kernels: default, BRIQ_NO_CSR=1, and BRIQ_NO_LANES=1 byte-identical ($(wc -c < "$dir/out_def.json") bytes of alignments)"
+    echo "determinism: --jobs 1, --jobs $jobs_hi, --trace/--metrics, and --oracle byte-identical ($(wc -c < "$dir/out_1.json") bytes of alignments)"
 }
 
 stage_store() {
     cargo build --offline --release -q -p briq-bench || return 1
-    local dir rc_st rc_ns rc_inc rc_full
+    local dir
     dir="$(mktemp -d)"
     trap 'rm -rf "$dir"' RETURN
     ./target/release/briq-align --gen-corpus "$dir/corpus" \
         --docs "$BENCH_DOCS" --seed "$BENCH_SEED" || return 1
 
     # (a) Unchanged corpus: two repetitions against one warm store vs the
-    # BRIQ_NO_STORE=1 full-recompute oracle. Stdout and diagnostics must
-    # be byte-identical, and the second repetition must be served
-    # entirely from cache (hit rate exactly 1.000, zero realignments).
-    ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json --repeat 2 \
-        --diagnostics "$dir/diag_st.jsonl" > "$dir/out_st.json" 2> "$dir/err_st.txt"
-    rc_st=$?
-    BRIQ_NO_STORE=1 ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json \
-        --diagnostics "$dir/diag_ns.jsonl" > "$dir/out_ns.json"
-    rc_ns=$?
-    if [ "$rc_st" -ne "$rc_ns" ] || { [ "$rc_st" -ne 0 ] && [ "$rc_st" -ne 2 ]; }; then
-        echo "store: exit codes diverged or failed (store: $rc_st, BRIQ_NO_STORE=1: $rc_ns)" >&2
-        return 1
-    fi
-    cmp -s "$dir/out_st.json" "$dir/out_ns.json" || {
-        echo "store: alignment output differs between warm store and BRIQ_NO_STORE=1" >&2
-        diff "$dir/out_st.json" "$dir/out_ns.json" | head -20 >&2
-        return 1
-    }
-    cmp -s "$dir/diag_st.jsonl" "$dir/diag_ns.jsonl" || {
-        echo "store: diagnostics JSONL differs between warm store and BRIQ_NO_STORE=1" >&2
-        diff "$dir/diag_st.jsonl" "$dir/diag_ns.jsonl" | head -20 >&2
-        return 1
-    }
+    # --oracle full recompute. Stdout and diagnostics must be
+    # byte-identical, and the second repetition must be served entirely
+    # from cache (hit rate exactly 1.000, zero realignments).
+    align_run "$dir" st --batch "$dir/corpus" --jobs 1 --repeat 2
+    align_run "$dir" oracle --batch "$dir/corpus" --jobs 1 --oracle
+    same_run store "$dir" oracle st || return 1
     grep -q 'store: repeat 2/2 .* hit_rate 1\.000 .* mentions_realigned 0$' "$dir/err_st.txt" || {
         echo "store: warm repetition was not served entirely from cache:" >&2
         grep '^store:' "$dir/err_st.txt" >&2
@@ -423,7 +311,7 @@ stage_store() {
 
     # (b) Mutated corpus: warm from the pristine pages, rewrite every
     # digit in the first three pages, then compare the incremental run
-    # to the full recompute — and require that the run both served
+    # to the --oracle recompute — and require that the run both served
     # cached documents (hits >= 1) and invalidated the mutated ones
     # (invalidations >= 1), so the equivalence really exercised the
     # incremental path rather than degenerating to all-cold or all-warm.
@@ -434,27 +322,9 @@ stage_store() {
         n=$((n + 1))
         [ "$n" -ge 3 ] && break
     done
-    ./target/release/briq-align --warm-from "$dir/corpus" --batch "$dir/mutated" \
-        --jobs 1 --json --diagnostics "$dir/diag_inc.jsonl" \
-        > "$dir/out_inc.json" 2> "$dir/err_inc.txt"
-    rc_inc=$?
-    BRIQ_NO_STORE=1 ./target/release/briq-align --batch "$dir/mutated" --jobs 1 --json \
-        --diagnostics "$dir/diag_full.jsonl" > "$dir/out_full.json"
-    rc_full=$?
-    if [ "$rc_inc" -ne "$rc_full" ]; then
-        echo "store: exit codes diverged on the mutated corpus (incremental: $rc_inc, full: $rc_full)" >&2
-        return 1
-    fi
-    cmp -s "$dir/out_inc.json" "$dir/out_full.json" || {
-        echo "store: incremental re-alignment differs from full recompute on the mutated corpus" >&2
-        diff "$dir/out_inc.json" "$dir/out_full.json" | head -20 >&2
-        return 1
-    }
-    cmp -s "$dir/diag_inc.jsonl" "$dir/diag_full.jsonl" || {
-        echo "store: diagnostics JSONL differs from full recompute on the mutated corpus" >&2
-        diff "$dir/diag_inc.jsonl" "$dir/diag_full.jsonl" | head -20 >&2
-        return 1
-    }
+    align_run "$dir" inc --warm-from "$dir/corpus" --batch "$dir/mutated" --jobs 1
+    align_run "$dir" full --batch "$dir/mutated" --jobs 1 --oracle
+    same_run store "$dir" full inc || return 1
     awk '/^store: repeat 1\/1 / {
         for (i = 1; i <= NF; i++) {
             if ($i == "hits") hits = $(i + 1)
@@ -467,7 +337,7 @@ stage_store() {
         grep '^store:' "$dir/err_inc.txt" >&2
         return 1
     }
-    echo "store: warm-unchanged and mutated-incremental runs byte-identical to BRIQ_NO_STORE=1 ($(grep -c 'store: repeat' "$dir/err_st.txt" "$dir/err_inc.txt" | awk -F: '{s+=$NF} END {print s}') store reports checked)"
+    echo "store: warm-unchanged and mutated-incremental runs byte-identical to --oracle ($(grep -c 'store: repeat' "$dir/err_st.txt" "$dir/err_inc.txt" | awk -F: '{s+=$NF} END {print s}') store reports checked)"
 }
 
 # Send one JSONL request to the server at $1 over bash's /dev/tcp and
@@ -483,41 +353,20 @@ serve_request() {
 
 stage_persist() {
     cargo build --offline --release -q -p briq-bench || return 1
-    local dir rc_cold rc_run health metrics recovered hits pages
+    local dir health metrics recovered hits pages
     dir="$(mktemp -d)"
     trap 'rm -rf "$dir"; [ -n "${SERVE_PID:-}" ] && kill -9 "$SERVE_PID" 2>/dev/null' RETURN
     ./target/release/briq-align --gen-corpus "$dir/corpus" \
         --docs "$BENCH_DOCS" --seed "$BENCH_SEED" || return 1
 
-    # (a) Cold full-recompute oracle: the store disabled entirely, so no
+    # (a) Cold reference run: --oracle disables the store entirely, so no
     # cached or recovered state can possibly contribute to this output.
-    BRIQ_NO_STORE=1 ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json \
-        --diagnostics "$dir/diag_cold.jsonl" > "$dir/out_cold.json"
-    rc_cold=$?
-    if [ "$rc_cold" -ne 0 ] && [ "$rc_cold" -ne 2 ]; then
-        echo "persist: cold oracle run failed (exit $rc_cold)" >&2
-        return 1
-    fi
+    align_run "$dir" cold --batch "$dir/corpus" --jobs 1 --oracle
 
     # (b) First durable run into an empty --store-dir: byte-identical to
     # the oracle, and it must actually persist its entries on exit.
-    ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json \
-        --store-dir "$dir/store" --diagnostics "$dir/diag_first.jsonl" \
-        > "$dir/out_first.json" 2> "$dir/err_first.txt"
-    rc_run=$?
-    if [ "$rc_run" -ne "$rc_cold" ]; then
-        echo "persist: exit code diverged on the first durable run ($rc_run vs $rc_cold)" >&2
-        return 1
-    fi
-    cmp -s "$dir/out_first.json" "$dir/out_cold.json" || {
-        echo "persist: first durable run differs from the BRIQ_NO_STORE=1 oracle" >&2
-        diff "$dir/out_first.json" "$dir/out_cold.json" | head -20 >&2
-        return 1
-    }
-    cmp -s "$dir/diag_first.jsonl" "$dir/diag_cold.jsonl" || {
-        echo "persist: diagnostics differ on the first durable run" >&2
-        return 1
-    }
+    align_run "$dir" first --batch "$dir/corpus" --jobs 1 --store-dir "$dir/store"
+    same_run persist "$dir" cold first || return 1
     grep -q '^store: persisted ' "$dir/err_first.txt" || {
         echo "persist: first durable run reported no persisted snapshot:" >&2
         grep '^store:' "$dir/err_first.txt" >&2
@@ -527,23 +376,8 @@ stage_persist() {
     # (c) Restart-warmed run in a NEW process over the same directory:
     # must recover every entry, serve the unchanged corpus entirely from
     # cache, and still byte-match the cold oracle.
-    ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json \
-        --store-dir "$dir/store" --diagnostics "$dir/diag_warm.jsonl" \
-        > "$dir/out_warm.json" 2> "$dir/err_warm.txt"
-    rc_run=$?
-    if [ "$rc_run" -ne "$rc_cold" ]; then
-        echo "persist: exit code diverged on the restart-warmed run ($rc_run vs $rc_cold)" >&2
-        return 1
-    fi
-    cmp -s "$dir/out_warm.json" "$dir/out_cold.json" || {
-        echo "persist: restart-warmed output differs from the BRIQ_NO_STORE=1 oracle" >&2
-        diff "$dir/out_warm.json" "$dir/out_cold.json" | head -20 >&2
-        return 1
-    }
-    cmp -s "$dir/diag_warm.jsonl" "$dir/diag_cold.jsonl" || {
-        echo "persist: diagnostics differ on the restart-warmed run" >&2
-        return 1
-    }
+    align_run "$dir" warm --batch "$dir/corpus" --jobs 1 --store-dir "$dir/store"
+    same_run persist "$dir" cold warm || return 1
     grep -q '^store: recovered ' "$dir/err_warm.txt" || {
         echo "persist: restart-warmed run reported no recovery:" >&2
         grep '^store:' "$dir/err_warm.txt" >&2
@@ -559,19 +393,8 @@ stage_persist() {
     # run must truncate the torn tail, recompute whatever was lost, and
     # still byte-match the oracle — corruption costs time, never bits.
     printf 'torn-tail-garbage-not-a-frame' >> "$dir/store/novelty.log"
-    ./target/release/briq-align --batch "$dir/corpus" --jobs 1 --json \
-        --store-dir "$dir/store" --diagnostics "$dir/diag_torn.jsonl" \
-        > "$dir/out_torn.json" 2> "$dir/err_torn.txt"
-    rc_run=$?
-    if [ "$rc_run" -ne "$rc_cold" ]; then
-        echo "persist: exit code diverged after log corruption ($rc_run vs $rc_cold)" >&2
-        return 1
-    fi
-    cmp -s "$dir/out_torn.json" "$dir/out_cold.json" || {
-        echo "persist: output differs after torn-tail log corruption" >&2
-        diff "$dir/out_torn.json" "$dir/out_cold.json" | head -20 >&2
-        return 1
-    }
+    align_run "$dir" torn --batch "$dir/corpus" --jobs 1 --store-dir "$dir/store"
+    same_run persist "$dir" cold torn || return 1
     grep -q 'torn tail truncated' "$dir/err_torn.txt" || {
         echo "persist: corrupted log was not reported as truncated:" >&2
         grep '^store:' "$dir/err_torn.txt" >&2
@@ -582,23 +405,20 @@ stage_persist() {
     # no drain (only the incrementally-appended log survives), reboot it
     # on the same --store-dir, and require full recovery: /health
     # reports the recovered entries, the unchanged re-drive is served
-    # entirely from cache, the wire output byte-matches a cold
-    # BRIQ_NO_STORE=1 batch run, and the clean drain persists a snapshot.
+    # entirely from cache, the wire output byte-matches an --oracle
+    # batch run, and the clean drain persists a snapshot.
     # Note: --docs counts documents, not page files; the store caches
     # per document, so the expected hit count is the document count.
     pages=12
     ./target/release/briq-align --gen-corpus "$dir/pages" \
         --docs "$pages" --seed "$BENCH_SEED" || return 1
-    BRIQ_NO_STORE=1 ./target/release/briq-align --json "$dir/pages"/*.html \
+    ./target/release/briq-align --oracle --json "$dir/pages"/*.html \
         > "$dir/out_batch.json" 2> /dev/null
     boot_server "$dir/serve1.log" --store-dir "$dir/sstore" || return 1
     ./target/release/briq-serve drive --addr "$SERVE_ADDR" "$dir/pages"/*.html \
         > "$dir/out_drive1.json" 2> /dev/null
-    cmp -s "$dir/out_drive1.json" "$dir/out_batch.json" || {
-        echo "persist: durable server wire output differs from the cold batch run" >&2
-        diff "$dir/out_drive1.json" "$dir/out_batch.json" | head -20 >&2
-        return 1
-    }
+    same_file persist "$dir/out_batch.json" "$dir/out_drive1.json" \
+        "durable server wire output (vs the --oracle batch run)" || return 1
     kill -9 "$SERVE_PID"
     wait "$SERVE_PID" 2> /dev/null
     SERVE_PID=""
@@ -615,11 +435,8 @@ stage_persist() {
     }
     ./target/release/briq-serve drive --addr "$SERVE_ADDR" "$dir/pages"/*.html \
         > "$dir/out_drive2.json" 2> /dev/null
-    cmp -s "$dir/out_drive2.json" "$dir/out_batch.json" || {
-        echo "persist: recovered server wire output differs from the cold batch run" >&2
-        diff "$dir/out_drive2.json" "$dir/out_batch.json" | head -20 >&2
-        return 1
-    }
+    same_file persist "$dir/out_batch.json" "$dir/out_drive2.json" \
+        "recovered server wire output (vs the --oracle batch run)" || return 1
     metrics="$(serve_request "$SERVE_ADDR" '{"op":"metrics"}')"
     hits="$(printf '%s' "$metrics" | grep -o '"store_hits":[0-9][0-9.]*' | cut -d: -f2)"
     awk -v h="${hits:-0}" -v n="$pages" 'BEGIN { exit !(h == n) }' || {
@@ -699,18 +516,14 @@ stage_serve() {
     ./target/release/briq-serve drive --addr "$SERVE_ADDR" "$dir/corpus"/*.html \
         > "$dir/out_serve.json" 2> "$dir/drive.err"
     rc_drive=$?
-    ./target/release/briq-align --json "$dir/corpus"/*.html \
-        --diagnostics "$dir/diag_batch.jsonl" > "$dir/out_batch.json" 2> /dev/null
-    rc_batch=$?
+    align_run "$dir" batch "$dir/corpus"/*.html
+    rc_batch="$(cat "$dir/rc_batch")"
     if [ "$rc_drive" -ne "$rc_batch" ] || { [ "$rc_drive" -ne 0 ] && [ "$rc_drive" -ne 2 ]; }; then
         echo "serve: exit codes diverged or failed (drive: $rc_drive, batch: $rc_batch)" >&2
         return 1
     fi
-    cmp -s "$dir/out_serve.json" "$dir/out_batch.json" || {
-        echo "serve: wire output differs from briq-align --json" >&2
-        diff "$dir/out_serve.json" "$dir/out_batch.json" | head -20 >&2
-        return 1
-    }
+    same_file serve "$dir/out_batch.json" "$dir/out_serve.json" \
+        "wire output (vs briq-align --json)" || return 1
 
     # 2. Chaos against the healthy server: malformed JSONL, oversized
     # payloads, half-closed connections, slow writers, request floods.

@@ -12,6 +12,8 @@
 use briq_core::classifier::PairClassifier;
 use briq_core::features::{feature_vector, FeatureMask, PairFeaturizer, FEATURE_COUNT};
 use briq_core::pipeline::{heuristic_prior, heuristic_prior_masked, Briq, BriqConfig};
+use briq_core::retrieval::{CandidateIndex, RetrievalScratch};
+use briq_core::scoring::ScoringEngine;
 use briq_corpus::corpus::{generate_corpus, CorpusConfig};
 use briq_ml::{Dataset, RandomForestConfig};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -191,10 +193,11 @@ fn throughput_summary(_c: &mut Criterion) {
     );
 
     // Trained-forest comparison: the dense block path (every row through
-    // the flat forest) against the batched engine (dedup cache + exact
-    // bound-based pruning). Scores agree where both compute; the engine
-    // just skips work filtering provably discards. Non-gating — the line
-    // exists so CI logs carry the dedup/prune yield per PR.
+    // the flat forest) against the production path (retrieval index, then
+    // the batched engine's dedup cache + exact bound-based pruning).
+    // Scores agree where both compute; the production path just skips
+    // work filtering provably discards. Non-gating — the line exists so
+    // CI logs carry the dedup/prune yield per PR.
     let clf = trained_classifier(FeatureMask::all());
     let fcfg = briq_core::filtering::FilterConfig::default();
     let dense_s = time(&mut || {
@@ -211,27 +214,25 @@ fn throughput_summary(_c: &mut Criterion) {
         }
         acc
     });
-    let engine_s = time(&mut || {
+    let engine_pass = || {
         let mut fz = PairFeaturizer::new(&sd.mentions, &sd.targets, &sd.ctx);
-        let mut engine = briq_core::scoring::ScoringEngine::new();
+        let index = CandidateIndex::build(&sd.targets, fcfg.value_diff_threshold);
+        let mut scratch = RetrievalScratch::default();
+        let mut engine = ScoringEngine::new();
         let mut acc = 0.0;
         for (mi, x) in sd.mentions.iter().enumerate() {
-            engine.fill_rows(&mut fz, mi);
-            engine.score_trained(x, &sd.targets, &sd.tags[mi], &clf, &fcfg, true);
+            let tags = &sd.tags[mi];
+            index.retrieve(x.quantity.value, x.quantity.unit, tags, &mut scratch);
+            engine.fill_rows_selected(&mut fz, mi, &scratch.near, &scratch.far);
+            engine.score_trained_selected(x, &sd.targets, tags, &clf, &fcfg);
             acc += engine.computed().iter().map(|&(_, s)| s).sum::<f64>();
         }
-        acc
-    });
-    // One untimed pass to report the engine's work-avoidance counters.
-    let (deduped, pruned) = {
-        let mut fz = PairFeaturizer::new(&sd.mentions, &sd.targets, &sd.ctx);
-        let mut engine = briq_core::scoring::ScoringEngine::new();
-        for (mi, x) in sd.mentions.iter().enumerate() {
-            engine.fill_rows(&mut fz, mi);
-            engine.score_trained(x, &sd.targets, &sd.tags[mi], &clf, &fcfg, true);
-        }
-        (engine.rows_deduped(), engine.pairs_pruned())
+        (acc, engine)
     };
+    let engine_s = time(&mut || engine_pass().0);
+    // One untimed pass to report the engine's work-avoidance counters.
+    let engine = engine_pass().1;
+    let (deduped, pruned) = (engine.rows_deduped(), engine.pairs_pruned());
     println!(
         "classifier-throughput-deduped pairs={pairs} rows_deduped={deduped} pairs_pruned={pruned} dense_pairs_per_sec={:.0} engine_pairs_per_sec={:.0} speedup={:.2}x",
         pps(dense_s),

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! briq-align <page.html>... [--batch dir] [--jobs N] [--model model.json]
-//!            [--json] [--no-index] [--no-csr] [--no-store]
+//!            [--json] [--oracle]
 //!            [--repeat N] [--warm-from dir] [--diagnostics diag.jsonl]
 //!            [--trace trace.json] [--metrics metrics.jsonl]
 //! briq-align --train-demo model.json       # train on a synthetic corpus
@@ -33,9 +33,13 @@
 //! `--warm-from <dir>` pre-warms the store from another page directory
 //! (output discarded) before the real batch — CI's store stage warms
 //! from a pristine corpus and aligns a mutated copy to exercise
-//! incremental re-alignment. `--no-store` (or `BRIQ_NO_STORE=1`) is the
-//! full-recompute oracle; stdout is bit-identical either way
-//! (DESIGN.md §15).
+//! incremental re-alignment.
+//!
+//! `--oracle` runs every stage on its reference path
+//! ([`BriqConfig::reference`]): exhaustive classification, the dense RWR
+//! walk, and no store (`--store-dir` is ignored). It is what CI
+//! byte-compares the production path against; stdout and the
+//! diagnostics JSONL are bit-identical either way (DESIGN.md §13–§15).
 //!
 //! `--trace <file>` writes a Chrome `trace_event` JSON file (open it in
 //! `chrome://tracing` or <https://ui.perfetto.dev>) with one track per
@@ -68,7 +72,7 @@ use std::process::ExitCode;
 const EXIT_DEGRADED: u8 = 2;
 
 const USAGE: &str = "usage: briq-align <page.html>... [--batch dir] [--jobs N] \
-     [--model model.json] [--json] [--no-index] [--no-csr] [--no-store] \
+     [--model model.json] [--json] [--oracle] \
      [--store-dir DIR] [--store-max-bytes N] \
      [--repeat N] [--warm-from dir] [--diagnostics diag.jsonl] \
      [--trace trace.json] [--metrics metrics.jsonl]\n       \
@@ -81,9 +85,7 @@ struct Cli {
     jobs: usize,
     as_json: bool,
     model: Option<String>,
-    no_index: bool,
-    no_csr: bool,
-    no_store: bool,
+    oracle: bool,
     store_dir: Option<String>,
     store_max_bytes: u64,
     repeat: usize,
@@ -135,14 +137,8 @@ fn main() -> ExitCode {
         }
         None => Briq::untrained(BriqConfig::default()),
     };
-    if cli.no_index {
-        briq.cfg.use_index = false;
-    }
-    if cli.no_csr {
-        briq.cfg.resolution.use_csr = false;
-    }
-    if cli.no_store {
-        briq.cfg.use_store = false;
+    if cli.oracle {
+        briq.cfg = briq.cfg.reference();
     }
 
     let (docs, keys, io_diags) = load_documents(&cli.pages);
@@ -159,13 +155,13 @@ fn main() -> ExitCode {
     };
 
     // One store serves the whole process: the optional warm-from corpus,
-    // then every repetition of the real batch. Disabled stores fall
-    // through to the plain path inside `align_batch_stored`; --store-dir
-    // is ignored when the store is off, so a cold `--no-store` /
-    // `BRIQ_NO_STORE=1` oracle run can never touch warm on-disk state.
+    // then every repetition of the real batch. With `use_store: false`
+    // `align_with` never consults it, and --store-dir is ignored, so an
+    // `--oracle` run can never touch warm on-disk state.
     let store_opts = briq_core::store::StoreOptions {
         dir: briq
-            .store_effective()
+            .cfg
+            .use_store
             .then(|| cli.store_dir.clone().map(Into::into))
             .flatten(),
         max_bytes: cli.store_max_bytes,
@@ -236,7 +232,7 @@ fn main() -> ExitCode {
                 t.extract_s, t.classify_s, t.filter_s, t.resolve_s, report.wall_s
             );
         }
-        if briq.store_effective() {
+        if briq.cfg.use_store {
             eprintln!(
                 "store: repeat {rep}/{repeat} lookups {} hits {} hit_rate {:.3} \
                  invalidations {} mentions_realigned {}",
@@ -390,9 +386,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         jobs: 1,
         as_json: false,
         model: None,
-        no_index: false,
-        no_csr: false,
-        no_store: false,
+        oracle: false,
         store_dir: None,
         store_max_bytes: 0,
         repeat: 1,
@@ -419,9 +413,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                     .map_err(|_| format!("--jobs: invalid count {v:?}"))?;
             }
             "--model" => cli.model = Some(value("--model")?),
-            "--no-index" => cli.no_index = true,
-            "--no-csr" => cli.no_csr = true,
-            "--no-store" => cli.no_store = true,
+            "--oracle" => cli.oracle = true,
             "--store-dir" => cli.store_dir = Some(value("--store-dir")?),
             "--store-max-bytes" => {
                 let v = value("--store-max-bytes")?;

@@ -40,7 +40,7 @@ use std::time::Duration;
 
 const USAGE: &str = "usage: briq-serve serve [--addr H:P] [--model model.json] [--workers N] \
      [--queue-depth N] [--deadline-ms N] [--drain-grace-ms N] [--retry-after-ms N] \
-     [--max-request-bytes N] [--no-index] [--no-store] [--store-dir DIR] \
+     [--max-request-bytes N] [--store-dir DIR] \
      [--store-max-bytes N]\n       \
      briq-serve drive --addr H:P <page.html>... [--deadline-ms N]\n       \
      briq-serve chaos --addr H:P [--connections N] [--requests N] [--expect-shed]\n       \
@@ -144,7 +144,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let mut briq = match flag_value(args, "--model") {
+    let briq = match flag_value(args, "--model") {
         Some(p) => {
             match std::fs::read_to_string(p)
                 .map_err(|e| e.to_string())
@@ -159,12 +159,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         }
         None => Briq::untrained(BriqConfig::default()),
     };
-    if args.iter().any(|a| a == "--no-index") {
-        briq.cfg.use_index = false;
-    }
-    if args.iter().any(|a| a == "--no-store") {
-        briq.cfg.use_store = false;
-    }
 
     let server = match Server::bind(cfg) {
         Ok(s) => s,

@@ -148,22 +148,23 @@ fn throughput_bench(docs: usize, seed: u64, jobs: usize, out: Option<&str>) {
     let baseline = measure(&briq, ThroughputSystem::Briq, &pages, 1);
     let parallel = measure(&briq, ThroughputSystem::Briq, &pages, jobs);
 
-    // Effective index state: the config knob AND the BRIQ_NO_INDEX
-    // escape hatch. It is stamped into the artifact so trajectory
-    // comparisons can never silently mix indexed and exhaustive numbers.
-    let index_enabled =
-        briq.cfg.use_index && std::env::var_os("BRIQ_NO_INDEX").is_none_or(|v| v != "1");
-    // Retrieval recall vs the exhaustive oracle: every candidate pair
-    // surviving the oracle's filter must also survive the indexed path.
-    // The recall contract makes this exactly 1.0; CI gates on it.
+    // Index state, stamped into the artifact so trajectory comparisons
+    // can never silently mix indexed and exhaustive numbers.
+    let index_enabled = briq.cfg.use_index;
+    // Retrieval recall vs the exhaustive reference: every candidate pair
+    // surviving the reference's filter must also survive the indexed
+    // path. The recall contract makes this exactly 1.0; CI gates on it.
     let recall = index_enabled.then(|| {
-        let mut oracle = Briq::untrained(BriqConfig::default());
-        oracle.cfg.use_index = false;
+        let oracle = Briq::untrained(BriqConfig::default().reference());
         let docs = briq_bench::throughput::segment_pages(&pages);
+        let unlimited = briq_core::pipeline::AlignOpts {
+            budget: briq_core::Budget::unlimited(),
+            ..Default::default()
+        };
         let (mut surviving, mut recalled) = (0usize, 0usize);
         for doc in &docs {
-            let (_, _, indexed) = briq.align_detailed(doc);
-            let (_, _, exhaustive) = oracle.align_detailed(doc);
+            let indexed = briq.align_with(doc, &unlimited).candidates;
+            let exhaustive = oracle.align_with(doc, &unlimited).candidates;
             for (ci, co) in indexed.iter().zip(&exhaustive) {
                 let kept: std::collections::BTreeSet<usize> = ci.iter().map(|c| c.target).collect();
                 for c in co {
@@ -185,7 +186,7 @@ fn throughput_bench(docs: usize, seed: u64, jobs: usize, out: Option<&str>) {
     // AlignmentStore, sequentially (jobs 1) so the delta is the store's,
     // not the scheduler's. The warm pass should be near-pure cache
     // service: hit rate 1.0, zero mentions realigned.
-    let store_bench = briq.store_effective().then(|| {
+    let store_bench = briq.cfg.use_store.then(|| {
         use briq_core::store::AlignmentStore;
         let seg_docs = briq_bench::throughput::segment_pages(&pages);
         let store = AlignmentStore::for_system(&briq);

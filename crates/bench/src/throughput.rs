@@ -204,10 +204,10 @@ pub struct ThroughputBench {
     /// signal, and reporting a number (e.g. 0.92×) would misread as a
     /// parallelism regression.
     pub speedup: Option<f64>,
-    /// Effective retrieval-index state of the measured runs (config knob
-    /// AND the `BRIQ_NO_INDEX` escape hatch). Trajectory comparisons must
-    /// never mix indexed and exhaustive numbers; `tools/bench_trend.sh`
-    /// refuses to compare across a flip of this bit.
+    /// Retrieval-index state of the measured runs (`cfg.use_index`).
+    /// Trajectory comparisons must never mix indexed and exhaustive
+    /// numbers; `tools/bench_trend.sh` refuses to compare across a flip
+    /// of this bit.
     pub index_enabled: bool,
     /// Mean retrieved candidates per mention on the sequential run;
     /// `None` on exhaustive runs. Strictly below

@@ -2,7 +2,7 @@
 //! the bench-only thread shim, standing in for the paper's 10-executor
 //! Spark deployment (§VI, Table VIII) on a single machine.
 //!
-//! [`align_batch`] runs [`Briq::align_checked_with`] over a batch of
+//! [`align_batch`] runs [`Briq::align_with`] over a batch of
 //! documents on a chunked, work-stealing pool of scoped threads
 //! (std-only, no external runtime). The contract:
 //!
@@ -30,7 +30,7 @@ use briq_table::Document;
 use crate::error::{BriqError, Budget, DegradedAction, Diagnostics, Stage};
 use crate::mention::Alignment;
 use crate::obs::{chrome_trace_json, names, DocTrace, MetricsRegistry, Recorder};
-use crate::pipeline::Briq;
+use crate::pipeline::{AlignOpts, Briq};
 use crate::span;
 use crate::store::AlignmentStore;
 
@@ -71,7 +71,7 @@ pub struct StageTimings {
     /// without a computed score.
     pub pairs_pruned: u64,
     /// Candidate pairs surfaced by the retrieval index
-    /// (`crate::retrieval`); zero on exhaustive (`BRIQ_NO_INDEX=1`) runs.
+    /// (`crate::retrieval`); zero on exhaustive (`use_index: false`) runs.
     pub candidates_retrieved: u64,
     /// Pairs the retrieval index proved non-viable and never
     /// featurized or scored; zero on exhaustive runs.
@@ -180,7 +180,7 @@ impl BatchConfig {
 pub struct DocReport {
     /// Position of the document in the input batch.
     pub index: usize,
-    /// Alignments, bit-identical to a sequential `align_checked_with`
+    /// Alignments, bit-identical to a sequential [`Briq::align_with`]
     /// run under the same budget.
     pub alignments: Vec<Alignment>,
     /// Everything that degraded while aligning this document.
@@ -339,8 +339,8 @@ pub fn align_batch(briq: &Briq, docs: &[Document], cfg: &BatchConfig) -> BatchRe
 /// `keys` is `None`. Output stays input-order deterministic and
 /// bit-identical to [`align_batch`] for every cache state: the store
 /// only ever changes which work is *skipped*, never what a document's
-/// output is (see [`crate::store`]). When the store is disabled
-/// (`use_store: false` or `BRIQ_NO_STORE=1`) this *is* [`align_batch`].
+/// output is (see [`crate::store`]). With `use_store: false` the store is
+/// never consulted or populated.
 pub fn align_batch_stored(
     briq: &Briq,
     docs: &[Document],
@@ -349,9 +349,6 @@ pub fn align_batch_stored(
     keys: Option<&[u64]>,
 ) -> BatchReport {
     debug_assert!(keys.is_none_or(|k| k.len() == docs.len()));
-    if !briq.store_effective() {
-        return align_batch_inner(briq, docs, cfg, None);
-    }
     align_batch_inner(briq, docs, cfg, Some(StoreCtx { store, keys }))
 }
 
@@ -514,21 +511,24 @@ fn align_one(
         } else {
             Recorder::disabled()
         };
-        let (alignments, diagnostics, timings) = {
+        let out = {
             let _g = span!(rec, names::SPAN_ALIGN, doc = index);
-            match store {
-                Some(ctx) => briq.align_stored(ctx.store, ctx.key(index), doc, &cfg.budget, &rec),
-                None => briq.align_observed(doc, &cfg.budget, &rec),
-            }
+            let opts = AlignOpts {
+                budget: cfg.budget,
+                recorder: Some(&rec),
+                cancel: None,
+                store: store.map(|ctx| (ctx.store, ctx.key(index))),
+            };
+            briq.align_with(doc, &opts)
         };
-        (alignments, diagnostics, timings, rec.finish())
+        (out, rec.finish())
     }));
     match result {
-        Ok((alignments, diagnostics, timings, trace)) => DocReport {
+        Ok((out, trace)) => DocReport {
             index,
-            alignments,
-            diagnostics,
-            timings,
+            alignments: out.alignments,
+            diagnostics: out.diagnostics,
+            timings: out.timings,
             trace,
         },
         Err(_) => panicked_report(index),
@@ -677,9 +677,15 @@ mod tests {
         // The healthy neighbours are untouched: same result as aligning
         // them alone under the same budget.
         for i in [0usize, 2] {
-            let (solo, solo_diags) = briq.align_checked_with(&docs[i], &budget);
-            assert_eq!(r.documents[i].alignments, solo);
-            assert_eq!(r.documents[i].diagnostics, solo_diags);
+            let solo = briq.align_with(
+                &docs[i],
+                &AlignOpts {
+                    budget,
+                    ..AlignOpts::default()
+                },
+            );
+            assert_eq!(r.documents[i].alignments, solo.alignments);
+            assert_eq!(r.documents[i].diagnostics, solo.diagnostics);
         }
     }
 

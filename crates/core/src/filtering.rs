@@ -133,7 +133,7 @@ impl FilterStats {
     /// retrieval index proved non-viable and never handed to the
     /// classifier: they enter `total` (the classifier *would* have seen
     /// them on the exhaustive path) but never `kept`, so selectivity
-    /// figures stay comparable with `BRIQ_NO_INDEX=1` runs.
+    /// figures stay comparable with `use_index: false` runs.
     pub fn record_dropped(&mut self, kind_name: &str, n: usize) {
         *self.total.entry(kind_name.to_string()).or_insert(0) += n;
     }

@@ -86,5 +86,5 @@ pub use features::{FeatureMask, FEATURE_COUNT};
 pub use jaro::jaro_winkler;
 pub use mention::{Alignment, GoldAlignment};
 pub use obs::{DocTrace, MetricsRegistry, Recorder};
-pub use pipeline::{Briq, BriqConfig};
+pub use pipeline::{AlignOpts, AlignOutput, Briq, BriqConfig};
 pub use store::AlignmentStore;

@@ -56,8 +56,8 @@ pub mod names {
     /// short (their filtering outcome needed no computed score).
     pub const PAIRS_PRUNED: &str = "pairs_pruned";
     /// Counter: candidate pairs surfaced by the retrieval index
-    /// (`crate::retrieval`); absent on exhaustive (`BRIQ_NO_INDEX=1`)
-    /// runs.
+    /// (`crate::retrieval`); absent on exhaustive (`use_index: false`)
+    /// runs, as are the engine counters above and below.
     pub const RETRIEVAL_CANDIDATES: &str = "retrieval_candidates";
     /// Counter: pairs the retrieval index proved non-viable and never
     /// featurized or scored.
@@ -94,12 +94,12 @@ pub mod names {
     /// Counter: total power-iteration matvec passes executed by the
     /// resolution walk kernel (each iteration is one sparse or dense
     /// matvec over the whole graph). Comparable across the CSR fast
-    /// path and the `BRIQ_NO_CSR=1` dense oracle — the kernels iterate
+    /// path and the `use_csr: false` dense reference — the kernels iterate
     /// in lockstep by the bit-equality contract (DESIGN.md §14).
     pub const RWR_MATVEC_ITERATIONS: &str = "rwr_matvec_iterations";
     /// Counter: structural non-zero slots of the CSR graph frozen for
     /// resolution (directed half-edges; weight-zeroed slots still
-    /// count). Absent on `BRIQ_NO_CSR=1` / `use_csr: false` runs.
+    /// count). Absent on `use_csr: false` runs.
     pub const CSR_NNZ: &str = "csr_nnz";
     /// Histogram: approximate heap bytes retained by the per-worker
     /// document arena (pooled scoring/retrieval/walk scratch) observed

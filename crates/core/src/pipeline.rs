@@ -19,8 +19,10 @@ use crate::graph_builder::{build_graph_budgeted, GraphConfig};
 use crate::mention::{text_mentions, Alignment, TextMention};
 use crate::obs::{names, Recorder};
 use crate::resolution::{resolve_observed, ResolutionConfig, ResolutionEvent};
-use crate::retrieval::CandidateIndex;
+use crate::retrieval::{CandidateIndex, RetrievalScratch};
+use crate::scoring::ScoringEngine;
 use crate::span;
+use crate::store::AlignmentStore;
 use crate::tagger::{tagger_features, MentionTagger, TaggerExample};
 use crate::training::{
     build_training_examples, examples_to_dataset, tagger_label, LabeledDocument,
@@ -48,15 +50,22 @@ pub struct BriqConfig {
     pub tagger_threshold: f64,
     /// Feature-ablation mask (§VIII-B).
     pub mask: FeatureMask,
-    /// Retrieve candidates through the per-document
-    /// [`crate::retrieval::CandidateIndex`] instead of pairing every
-    /// mention with every target (DESIGN.md §13). Output is bit-identical
-    /// either way; `BRIQ_NO_INDEX=1` force-disables it at run time.
+    /// Classify through the production path: retrieve each mention's
+    /// viable candidates from the per-document
+    /// [`crate::retrieval::CandidateIndex`] (DESIGN.md §13) and score
+    /// them in the batched [`crate::scoring::ScoringEngine`] (dedup, lane
+    /// kernel, exact bound pruning, §10). `false` selects the classify
+    /// reference path: every mention/target pair is scored with
+    /// [`briq_ml::FlatForest::score_block`] (or the heuristic prior),
+    /// exactly as [`Briq::score_document`] does, then filtered with
+    /// [`crate::filtering::filter_mention`] — no retrieval, no dedup, no
+    /// pruning. Output is bit-identical either way.
     pub use_index: bool,
     /// Serve repeated alignments of unchanged (or partially changed)
     /// documents from the versioned [`crate::store::AlignmentStore`]
-    /// when one is attached (DESIGN.md §15). Output is bit-identical
-    /// either way; `BRIQ_NO_STORE=1` force-disables it at run time.
+    /// passed in [`AlignOpts::store`] (DESIGN.md §15). `false` is the
+    /// store's reference path: no store is read or written. Output is
+    /// bit-identical either way.
     pub use_store: bool,
 }
 
@@ -79,6 +88,50 @@ impl Default for BriqConfig {
             use_store: true,
         }
     }
+}
+
+impl BriqConfig {
+    /// This configuration with every stage on its reference path:
+    /// exhaustive classification (`use_index`), the dense RWR walk
+    /// (`resolution.use_csr`), and no alignment store (`use_store`) —
+    /// the oracle the production path is byte-compared against
+    /// (`briq-align --oracle`).
+    pub fn reference(mut self) -> BriqConfig {
+        self.use_index = false;
+        self.use_store = false;
+        self.resolution.use_csr = false;
+        self
+    }
+}
+
+/// Per-call options of [`Briq::align_with`]. The default is
+/// [`Budget::default`], no recording, no cancellation, and no store.
+#[derive(Clone, Copy, Default)]
+pub struct AlignOpts<'a> {
+    /// Resource limits for this document.
+    pub budget: Budget,
+    /// Span and metric sink (DESIGN.md §11); `None` records nothing.
+    pub recorder: Option<&'a Recorder>,
+    /// Cooperative cancellation; `None` never cancels.
+    pub cancel: Option<&'a CancelToken>,
+    /// Align through this store under this document key (DESIGN.md §15).
+    /// Ignored when `cfg.use_store` is false.
+    pub store: Option<(&'a AlignmentStore, u64)>,
+}
+
+/// Everything one [`Briq::align_with`] call produced.
+#[derive(Debug, Clone)]
+pub struct AlignOutput {
+    /// The resolved alignments.
+    pub alignments: Vec<Alignment>,
+    /// Every degraded table, mention, or stage, in pipeline order.
+    pub diagnostics: Diagnostics,
+    /// Per-kind filter totals (Table VI).
+    pub stats: FilterStats,
+    /// Kept candidates per text mention.
+    pub candidates: Vec<Vec<Candidate>>,
+    /// Per-stage wall-clock and work counters.
+    pub timings: StageTimings,
 }
 
 /// A document prepared for alignment: mentions, context, targets, and the
@@ -450,24 +503,7 @@ impl Briq {
         let mut rows: Vec<f64> = Vec::new();
         let mut block_out: Vec<f64> = Vec::new();
         let scored: Vec<Vec<(usize, f64)>> = (0..mentions.len())
-            .map(|mi| {
-                featurizer.fill_mention_rows(mi, &mut rows);
-                match &self.classifier {
-                    // Trained: block-wise traversal (trees outer, rows
-                    // inner) — bit-identical to `self.prior` per row.
-                    Some(clf) => {
-                        block_out.clear();
-                        block_out.resize(targets.len(), 0.0);
-                        clf.flat().score_block(&rows, FEATURE_COUNT, &mut block_out);
-                        block_out.iter().copied().enumerate().collect()
-                    }
-                    None => rows
-                        .chunks_exact(FEATURE_COUNT)
-                        .enumerate()
-                        .map(|(ti, row)| (ti, heuristic_prior_masked(row, &self.cfg.mask)))
-                        .collect(),
-                }
-            })
+            .map(|mi| self.score_mention_exhaustive(&mut featurizer, mi, &mut rows, &mut block_out))
             .collect();
 
         let tags: Vec<Vec<AggregationKind>> = mentions
@@ -486,23 +522,45 @@ impl Briq {
         (scored, tags)
     }
 
-    /// Fused stages 2+3 for the alignment path: per mention, retrieve
-    /// the viable candidate set through the per-document
-    /// [`CandidateIndex`] (DESIGN.md §13), fill only those feature rows,
-    /// score them through the batched [`crate::scoring::ScoringEngine`] (unique-row
-    /// dedup + block-wise flat-forest traversal + exact bound-based
-    /// pruning, DESIGN.md §10), and filter the partially scored
-    /// candidate set. Byte-identical to exhaustive
-    /// [`Briq::classify_stage`] + [`Briq::filter`] by the engine's
-    /// exactness contract and the index's recall contract; setting
-    /// `BRIQ_NO_PRUNE=1` force-disables the pruning layer (dedup stays —
-    /// it is exact by construction) and `BRIQ_NO_INDEX=1` (or
-    /// `use_index: false`) the retrieval index, which CI uses to
-    /// cross-check both contracts on real output.
+    /// Score every target for mention `mi`: fill the mention's full
+    /// feature matrix into `rows`, then score it block-wise through the
+    /// flat forest (trees outer, rows inner — bit-identical to
+    /// [`Briq::prior`] per row) or with the heuristic prior. The
+    /// exhaustive reference scorer shared by [`Briq::score_document`] and
+    /// the `use_index: false` alignment path; `rows` and `block_out` are
+    /// caller-owned scratch reused across mentions.
+    fn score_mention_exhaustive(
+        &self,
+        featurizer: &mut PairFeaturizer,
+        mi: usize,
+        rows: &mut Vec<f64>,
+        block_out: &mut Vec<f64>,
+    ) -> Vec<(usize, f64)> {
+        featurizer.fill_mention_rows(mi, rows);
+        match &self.classifier {
+            Some(clf) => {
+                block_out.clear();
+                block_out.resize(rows.len() / FEATURE_COUNT, 0.0);
+                clf.flat().score_block(rows, FEATURE_COUNT, block_out);
+                block_out.iter().copied().enumerate().collect()
+            }
+            None => rows
+                .chunks_exact(FEATURE_COUNT)
+                .enumerate()
+                .map(|(ti, row)| (ti, heuristic_prior_masked(row, &self.cfg.mask)))
+                .collect(),
+        }
+    }
+
+    /// Fused stages 2+3 for the alignment path, one [`ClassifyPass`]
+    /// over every mention: retrieval + batched engine + pruned filtering
+    /// in production, exhaustive scoring + [`filter_mention`] on the
+    /// `use_index: false` reference path. Byte-identical either way by
+    /// the engine's exactness contract and the index's recall contract.
     ///
-    /// [`Briq::score_document`] deliberately does NOT use this path: its
-    /// consumers (baselines, training, evaluation) read the full score
-    /// matrix, which pruning by design does not materialize.
+    /// [`Briq::score_document`] deliberately does NOT use the production
+    /// path: its consumers (baselines, training, evaluation) read the
+    /// full score matrix, which pruning by design does not materialize.
     #[allow(clippy::too_many_arguments)]
     fn classify_filter_stage(
         &self,
@@ -547,19 +605,14 @@ impl Briq {
         (candidates, stats)
     }
 
-    /// Full pipeline: align a document's text mentions to table mentions.
+    /// Full pipeline: align a document's text mentions to table mentions,
+    /// unbudgeted.
     pub fn align(&self, doc: &Document) -> Vec<Alignment> {
-        self.align_detailed(doc).0
-    }
-
-    /// Like [`Briq::align`], also returning filtering statistics and the
-    /// candidates (for Table VI style analyses).
-    pub fn align_detailed(
-        &self,
-        doc: &Document,
-    ) -> (Vec<Alignment>, FilterStats, Vec<Vec<Candidate>>) {
-        let (alignments, stats, candidates, _) = self.align_budgeted(doc, &Budget::unlimited());
-        (alignments, stats, candidates)
+        let opts = AlignOpts {
+            budget: Budget::unlimited(),
+            ..AlignOpts::default()
+        };
+        self.align_with(doc, &opts).alignments
     }
 
     /// Panic-free alignment under the default [`Budget`]: every degraded
@@ -568,68 +621,8 @@ impl Briq {
     /// documents that stay within budget the alignments are bit-identical
     /// to [`Briq::align`].
     pub fn align_checked(&self, doc: &Document) -> (Vec<Alignment>, Diagnostics) {
-        self.align_checked_with(doc, &Budget::default())
-    }
-
-    /// [`Briq::align_checked`] under a caller-chosen budget.
-    pub fn align_checked_with(
-        &self,
-        doc: &Document,
-        budget: &Budget,
-    ) -> (Vec<Alignment>, Diagnostics) {
-        let (alignments, _, _, diags) = self.align_budgeted(doc, budget);
-        (alignments, diags)
-    }
-
-    /// [`Briq::align_checked_with`] plus per-stage wall-clock: how long
-    /// this document spent in extraction, classification, filtering, and
-    /// resolution. Same code path, so alignments and diagnostics are
-    /// bit-identical; this is what the batch engine runs per document.
-    pub fn align_timed(
-        &self,
-        doc: &Document,
-        budget: &Budget,
-    ) -> (Vec<Alignment>, Diagnostics, StageTimings) {
-        self.align_observed(doc, budget, &Recorder::disabled())
-    }
-
-    /// [`Briq::align_timed`] with full observability: spans for every
-    /// pipeline stage plus the DESIGN.md §11 counters and histograms are
-    /// recorded into `rec`. The recorder only *observes* — alignments,
-    /// diagnostics, and timings are bit-identical whether it is enabled,
-    /// disabled, or absent (CI byte-compares a traced run to hold this).
-    /// Pass [`Recorder::disabled`] to make this exactly
-    /// [`Briq::align_timed`]: one branch per instrumentation point, no
-    /// allocation.
-    pub fn align_observed(
-        &self,
-        doc: &Document,
-        budget: &Budget,
-        rec: &Recorder,
-    ) -> (Vec<Alignment>, Diagnostics, StageTimings) {
-        self.align_cancellable(doc, budget, rec, &CancelToken::none())
-    }
-
-    /// [`Briq::align_observed`] under a cooperative [`CancelToken`]. The
-    /// token is polled at every stage boundary and once per mention inside
-    /// the classification and resolution loops; when it fires the request
-    /// returns **no partial state** — an empty alignment set plus exactly
-    /// one [`DegradedAction::Cancelled`] diagnostic naming the stage that
-    /// observed the cancellation (degradation diagnostics recorded before
-    /// the cut are kept: they describe work that really happened). With
-    /// [`CancelToken::none`] this is bit-identical to
-    /// [`Briq::align_observed`] — same code path, the checks never fire.
-    pub fn align_cancellable(
-        &self,
-        doc: &Document,
-        budget: &Budget,
-        rec: &Recorder,
-        cancel: &CancelToken,
-    ) -> (Vec<Alignment>, Diagnostics, StageTimings) {
-        let mut timings = StageTimings::default();
-        let (alignments, _, _, diags) =
-            self.align_budgeted_cancellable(doc, budget, &mut timings, rec, cancel);
-        (alignments, diags, timings)
+        let out = self.align_with(doc, &AlignOpts::default());
+        (out.alignments, out.diagnostics)
     }
 
     /// Align a whole batch of documents on a work-stealing worker pool —
@@ -650,122 +643,51 @@ impl Briq {
         crate::batch::align_batch_stored(self, docs, cfg, store, keys)
     }
 
-    /// Is the alignment store in force for this system right now? Both
-    /// the `use_store` config knob AND the `BRIQ_NO_STORE=1` escape
-    /// hatch must allow it — the hatch is the CI oracle that pins the
-    /// incremental path to the full recompute (DESIGN.md §15).
-    pub fn store_effective(&self) -> bool {
-        self.cfg.use_store && std::env::var_os("BRIQ_NO_STORE").is_none_or(|v| v != "1")
-    }
-
-    /// [`Briq::align_observed`] through a versioned
-    /// [`crate::store::AlignmentStore`]: serve unchanged documents from
-    /// cache, re-align only the dirty mentions of partially changed
-    /// ones, and fall back to the plain path (computing and caching
-    /// everything) on a cold key. Bit-identical to
-    /// [`Briq::align_observed`] in alignments and diagnostics for every
-    /// cache state — the store only ever replays artifacts whose inputs
-    /// fingerprint-match. With `use_store: false` or `BRIQ_NO_STORE=1`
-    /// this *is* [`Briq::align_observed`] (the store is not consulted
-    /// or populated).
-    pub fn align_stored(
-        &self,
-        store: &crate::store::AlignmentStore,
-        key: u64,
-        doc: &Document,
-        budget: &Budget,
-        rec: &Recorder,
-    ) -> (Vec<Alignment>, Diagnostics, StageTimings) {
-        self.align_stored_cancellable(store, key, doc, budget, rec, &CancelToken::none())
-    }
-
-    /// [`Briq::align_stored`] under a cooperative [`CancelToken`].
-    /// Cancelled runs return the usual no-partial-state shape and are
-    /// never cached.
-    pub fn align_stored_cancellable(
-        &self,
-        store: &crate::store::AlignmentStore,
-        key: u64,
-        doc: &Document,
-        budget: &Budget,
-        rec: &Recorder,
-        cancel: &CancelToken,
-    ) -> (Vec<Alignment>, Diagnostics, StageTimings) {
+    /// Align `doc` under `opts` — the one entry point behind every other
+    /// alignment method, the batch engine, and the server.
+    ///
+    /// * **Budget** — degraded work is reported in
+    ///   [`AlignOutput::diagnostics`]; within budget, output is
+    ///   bit-identical to an unlimited run.
+    /// * **Recorder** — spans for every pipeline stage plus the
+    ///   DESIGN.md §11 counters and histograms. It only *observes*:
+    ///   output is bit-identical with it enabled, disabled, or absent.
+    /// * **Cancel** — polled at every stage boundary and once per mention
+    ///   inside the classification and resolution loops. When it fires
+    ///   the call returns **no partial state**: no alignments or
+    ///   candidates, plus exactly one [`DegradedAction::Cancelled`]
+    ///   diagnostic naming the stage that observed it (diagnostics
+    ///   recorded before the cut are kept: they describe work that really
+    ///   happened). Cancelled runs are never cached.
+    /// * **Store** — with `cfg.use_store`, unchanged documents are served
+    ///   from cache and only the dirty mentions of partially changed ones
+    ///   are re-aligned; a cold key computes and caches everything.
+    ///   Alignments, diagnostics, filter totals, and candidates are
+    ///   bit-identical to the storeless run for every cache state — the
+    ///   store only ever replays artifacts whose inputs fingerprint-match.
+    pub fn align_with(&self, doc: &Document, opts: &AlignOpts) -> AlignOutput {
+        let off = Recorder::disabled();
+        let never = CancelToken::none();
+        let rec = opts.recorder.unwrap_or(&off);
+        let cancel = opts.cancel.unwrap_or(&never);
         let mut timings = StageTimings::default();
-        if !self.store_effective() {
-            let (alignments, _, _, diags) =
-                self.align_budgeted_cancellable(doc, budget, &mut timings, rec, cancel);
-            return (alignments, diags, timings);
+        let (alignments, stats, candidates, diagnostics) = match opts.store {
+            Some((store, key)) if self.cfg.use_store => {
+                store.align_cancellable(self, key, doc, &opts.budget, &mut timings, rec, cancel)
+            }
+            _ => self.align_full(doc, &opts.budget, &mut timings, rec, cancel),
+        };
+        AlignOutput {
+            alignments,
+            diagnostics,
+            stats,
+            candidates,
+            timings,
         }
-        let (alignments, _, _, diags) =
-            store.align_cancellable(self, key, doc, budget, &mut timings, rec, cancel);
-        (alignments, diags, timings)
     }
 
-    /// [`Briq::align_stored`] also returning filter totals and kept
-    /// candidates — the store-path twin of [`Briq::align_detailed`],
-    /// used by the equivalence suite to compare every output surface.
-    #[allow(clippy::type_complexity)]
-    pub fn align_stored_detailed(
-        &self,
-        store: &crate::store::AlignmentStore,
-        key: u64,
-        doc: &Document,
-        budget: &Budget,
-    ) -> (
-        Vec<Alignment>,
-        FilterStats,
-        Vec<Vec<Candidate>>,
-        Diagnostics,
-    ) {
-        let mut timings = StageTimings::default();
-        if !self.store_effective() {
-            return self.align_budgeted_cancellable(
-                doc,
-                budget,
-                &mut timings,
-                &Recorder::disabled(),
-                &CancelToken::none(),
-            );
-        }
-        store.align_cancellable(
-            self,
-            key,
-            doc,
-            budget,
-            &mut timings,
-            &Recorder::disabled(),
-            &CancelToken::none(),
-        )
-    }
-
-    /// The one shared alignment code path. `align`/`align_detailed` call
-    /// it with [`Budget::unlimited`] and discard the diagnostics;
-    /// `align_checked` calls it with a finite budget — so budgeted and
-    /// legacy alignment can never drift apart.
-    fn align_budgeted(
-        &self,
-        doc: &Document,
-        budget: &Budget,
-    ) -> (
-        Vec<Alignment>,
-        FilterStats,
-        Vec<Vec<Candidate>>,
-        Diagnostics,
-    ) {
-        let mut timings = StageTimings::default();
-        self.align_budgeted_cancellable(
-            doc,
-            budget,
-            &mut timings,
-            &Recorder::disabled(),
-            &CancelToken::none(),
-        )
-    }
-
-    /// [`Briq::align_budgeted`] with per-stage timing accumulation,
-    /// observability recording, and cooperative cancellation.
-    fn align_budgeted_cancellable(
+    /// The storeless alignment path: every stage computed from scratch.
+    fn align_full(
         &self,
         doc: &Document,
         budget: &Budget,
@@ -826,7 +748,7 @@ impl Briq {
 
     /// Stages 4+5: budgeted graph construction and global resolution,
     /// then the final alignment mapping. Shared verbatim between
-    /// [`Briq::align_budgeted_cancellable`] and the alignment store's
+    /// [`Briq::align_full`] and the alignment store's
     /// incremental path (DESIGN.md §15) — resolution is a global
     /// algorithm (each decision updates the graph the next walk runs
     /// on), so any changed document re-runs this stage in full, from
@@ -932,9 +854,8 @@ impl Briq {
 /// the alignment store can re-run it for exactly the dirty mentions of a
 /// changed page version (DESIGN.md §15) while [`Briq::classify_filter_stage`]
 /// drives it over every mention. One instance per document: the
-/// featurizer, scoring engine, retrieval index, and scratch buffers are
-/// built once and shared across `run_mention` calls, exactly as the
-/// former monolithic loop did.
+/// featurizer and the scorer's index and buffers are built once and
+/// shared across `run_mention` calls.
 pub(crate) struct ClassifyPass<'a> {
     briq: &'a Briq,
     doc: &'a Document,
@@ -942,16 +863,31 @@ pub(crate) struct ClassifyPass<'a> {
     ctx: &'a DocContext,
     targets: &'a [TableMention],
     featurizer: PairFeaturizer<'a>,
-    engine: crate::scoring::ScoringEngine,
-    scratch: crate::retrieval::RetrievalScratch,
-    index: Option<CandidateIndex>,
-    no_prune: bool,
+    scorer: Scorer,
+}
+
+/// How a [`ClassifyPass`] scores a mention's pairs, selected by
+/// `cfg.use_index`.
+// One per document, on the stack; boxing the production variant would
+// only add an allocation per document.
+#[allow(clippy::large_enum_variant)]
+enum Scorer {
+    /// Production: retrieve the viable candidates, then score them in the
+    /// pooled batched engine (dedup, lane kernel, exact bound pruning).
+    Indexed {
+        index: CandidateIndex,
+        engine: ScoringEngine,
+        scratch: RetrievalScratch,
+    },
+    /// Reference: score every pair with [`Briq::score_mention_exhaustive`]
+    /// (scratch rows and block output reused across mentions).
+    Exhaustive { rows: Vec<f64>, block_out: Vec<f64> },
 }
 
 impl<'a> ClassifyPass<'a> {
     /// Build the per-document machinery. The retrieval-index build is
     /// charged to the classify stage so throughput artifacts and the
-    /// perf-trend gate see its cost, as before.
+    /// perf-trend gate see its cost.
     pub(crate) fn new(
         briq: &'a Briq,
         doc: &'a Document,
@@ -960,26 +896,29 @@ impl<'a> ClassifyPass<'a> {
         targets: &'a [TableMention],
         timings: &mut StageTimings,
     ) -> ClassifyPass<'a> {
-        let no_prune = std::env::var_os("BRIQ_NO_PRUNE").is_some_and(|v| v == "1");
-        let no_index =
-            !briq.cfg.use_index || std::env::var_os("BRIQ_NO_INDEX").is_some_and(|v| v == "1");
         let featurizer = PairFeaturizer::new(mentions, targets, ctx);
-        // Pooled per-worker scratch (DESIGN.md §14): reset engine and
-        // retrieval buffers from this thread's arena instead of cold
-        // construction. An early cancellation return simply drops them;
-        // the arena refills on the next document.
-        let engine = crate::arena::take_engine();
-        // Built once per document (tokenless: `retrieve` never consults
-        // postings, so the hot path must not pay for them); retrieval
-        // per mention is then allocation-free and bounded by the viable
-        // candidate set.
-        let t_build = Instant::now();
-        let index = (!no_index)
-            .then(|| CandidateIndex::build(targets, briq.cfg.filter.value_diff_threshold));
-        if index.is_some() {
+        let scorer = if briq.cfg.use_index {
+            // Pooled per-worker scratch (DESIGN.md §14): reset engine and
+            // retrieval buffers from this thread's arena instead of cold
+            // construction. An early cancellation return simply drops
+            // them; the arena refills on the next document.
+            let engine = crate::arena::take_engine();
+            // Built once per document; retrieval per mention is then
+            // allocation-free and bounded by the viable candidate set.
+            let t_build = Instant::now();
+            let index = CandidateIndex::build(targets, briq.cfg.filter.value_diff_threshold);
             timings.classify_s += t_build.elapsed().as_secs_f64();
-        }
-        let scratch = crate::arena::take_retrieval_scratch();
+            Scorer::Indexed {
+                index,
+                engine,
+                scratch: crate::arena::take_retrieval_scratch(),
+            }
+        } else {
+            Scorer::Exhaustive {
+                rows: Vec::new(),
+                block_out: Vec::new(),
+            }
+        };
         ClassifyPass {
             briq,
             doc,
@@ -987,10 +926,7 @@ impl<'a> ClassifyPass<'a> {
             ctx,
             targets,
             featurizer,
-            engine,
-            scratch,
-            index,
-            no_prune,
+            scorer,
         }
     }
 
@@ -1007,6 +943,8 @@ impl<'a> ClassifyPass<'a> {
     ) -> (Vec<Candidate>, FilterStats) {
         let x = &self.mentions[mi];
         let mut delta = FilterStats::default();
+        // The reference path's full score row for this mention.
+        let mut exhaustive = Vec::new();
         let t0 = Instant::now();
         let tags = {
             let _g = span!(rec, names::SPAN_CLASSIFY, mention = mi);
@@ -1019,29 +957,32 @@ impl<'a> ClassifyPass<'a> {
                     &self.ctx.mentions[mi].immediate_words,
                 ));
             }
-            match &self.index {
-                Some(idx) => {
-                    idx.retrieve(x.quantity.value, x.quantity.unit, &tags, &mut self.scratch);
-                    self.engine.fill_rows_selected(
+            match &mut self.scorer {
+                Scorer::Indexed {
+                    index,
+                    engine,
+                    scratch,
+                } => {
+                    index.retrieve(x.quantity.value, x.quantity.unit, &tags, scratch);
+                    engine.fill_rows_selected(
                         &mut self.featurizer,
                         mi,
-                        &self.scratch.near,
-                        &self.scratch.far,
+                        &scratch.near,
+                        &scratch.far,
                     );
                     match &self.briq.classifier {
-                        Some(clf) => self.engine.score_trained_selected(
+                        Some(clf) => engine.score_trained_selected(
                             x,
                             self.targets,
                             &tags,
                             clf,
                             &self.briq.cfg.filter,
-                            !self.no_prune,
                         ),
-                        None => self.engine.score_heuristic_selected(&self.briq.cfg.mask),
+                        None => engine.score_heuristic_selected(&self.briq.cfg.mask),
                     }
                     // Keep Table-VI totals identical to the oracle's.
-                    idx.record_dropped(&self.scratch, &mut delta);
-                    let retrieved = self.scratch.retrieved() as u64;
+                    index.record_dropped(scratch, &mut delta);
+                    let retrieved = scratch.retrieved() as u64;
                     let skipped = self.targets.len() as u64 - retrieved;
                     timings.candidates_retrieved += retrieved;
                     timings.pairs_skipped_retrieval += skipped;
@@ -1049,19 +990,13 @@ impl<'a> ClassifyPass<'a> {
                     rec.count(names::RETRIEVAL_PAIRS_DROPPED, skipped);
                     rec.observe(names::RETRIEVAL_CANDIDATES_PER_MENTION, retrieved as f64);
                 }
-                None => {
-                    self.engine.fill_rows(&mut self.featurizer, mi);
-                    match &self.briq.classifier {
-                        Some(clf) => self.engine.score_trained(
-                            x,
-                            self.targets,
-                            &tags,
-                            clf,
-                            &self.briq.cfg.filter,
-                            !self.no_prune,
-                        ),
-                        None => self.engine.score_heuristic(&self.briq.cfg.mask),
-                    }
+                Scorer::Exhaustive { rows, block_out } => {
+                    exhaustive = self.briq.score_mention_exhaustive(
+                        &mut self.featurizer,
+                        mi,
+                        rows,
+                        block_out,
+                    );
                 }
             }
             tags
@@ -1071,30 +1006,40 @@ impl<'a> ClassifyPass<'a> {
         let cands;
         {
             let _g = span!(rec, names::SPAN_FILTER, mention = mi);
-            cands = filter_mention_pruned(
-                x,
-                self.engine.computed(),
-                self.engine.pruned_targets(),
-                self.targets,
-                &tags,
-                &self.briq.cfg.filter,
-                &mut delta,
-            );
+            let cfg = &self.briq.cfg.filter;
+            cands = match &self.scorer {
+                Scorer::Indexed { engine, .. } => filter_mention_pruned(
+                    x,
+                    engine.computed(),
+                    engine.pruned_targets(),
+                    self.targets,
+                    &tags,
+                    cfg,
+                    &mut delta,
+                ),
+                Scorer::Exhaustive { .. } => {
+                    filter_mention(x, &exhaustive, self.targets, &tags, cfg, &mut delta)
+                }
+            };
         }
         timings.filter_s += t1.elapsed().as_secs_f64();
         (cands, delta)
     }
 
-    /// Flush engine totals and recycle the scratch buffers. `stats` is
-    /// the document's final (merged) filter totals, recorded exactly
-    /// where the former monolithic loop recorded them.
+    /// Flush engine totals and recycle the pooled buffers. `stats` is
+    /// the document's final (merged) filter totals.
     pub(crate) fn finish(self, timings: &mut StageTimings, stats: &FilterStats, rec: &Recorder) {
-        timings.rows_deduped += self.engine.rows_deduped();
-        timings.pairs_pruned += self.engine.pairs_pruned();
-        self.engine.record_into(rec);
+        if let Scorer::Indexed {
+            engine, scratch, ..
+        } = self.scorer
+        {
+            timings.rows_deduped += engine.rows_deduped();
+            timings.pairs_pruned += engine.pairs_pruned();
+            engine.record_into(rec);
+            crate::arena::put_engine(engine);
+            crate::arena::put_retrieval_scratch(scratch);
+        }
         stats.record_into(rec);
-        crate::arena::put_engine(self.engine);
-        crate::arena::put_retrieval_scratch(self.scratch);
         rec.observe(names::ARENA_BYTES_PEAK, crate::arena::bytes_peak() as f64);
     }
 }
@@ -1229,7 +1174,14 @@ mod tests {
             max_graph_edges: 2,
             max_rwr_iterations: 1,
         };
-        let (alignments, diags) = briq.align_checked_with(&doc, &budget);
+        let out = briq.align_with(
+            &doc,
+            &AlignOpts {
+                budget,
+                ..AlignOpts::default()
+            },
+        );
+        let (alignments, diags) = (out.alignments, out.diagnostics);
         assert!(!diags.is_clean());
         let stages: Vec<Stage> = diags.items.iter().map(|d| d.stage).collect();
         assert!(stages.contains(&Stage::VirtualCells), "{diags:?}");

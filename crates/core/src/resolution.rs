@@ -37,10 +37,9 @@ pub struct ResolutionConfig {
     /// Iteration cap of the walk.
     pub max_iterations: usize,
     /// Run walks on the frozen CSR kernel ([`briq_graph::csr`],
-    /// DESIGN.md §14) instead of rebuilding dense transition lists per
-    /// walk. Output is bit-identical either way; `BRIQ_NO_CSR=1` (or
-    /// `--no-csr`) force-disables it at run time, which CI uses to
-    /// cross-check the kernel on real output.
+    /// DESIGN.md §14). `false` selects the resolution reference path: the
+    /// dense walk that rebuilds transition lists per walk and mutates the
+    /// adjacency graph. Output is bit-identical either way.
     pub use_csr: bool,
 }
 
@@ -175,12 +174,11 @@ pub fn resolve_observed(
     };
 
     // Walk backend: the CSR kernel freezes the graph once and models
-    // Algorithm 1's edge deletions by weight-zeroing; the dense oracle
-    // (`use_csr: false` or `BRIQ_NO_CSR=1`) mutates the adjacency graph
-    // as before. Bit-identical by the §14 equivalence contract, proven
-    // per run by CI's `kernels` stage.
-    let no_csr = !cfg.use_csr || std::env::var_os("BRIQ_NO_CSR").is_some_and(|v| v == "1");
-    let mut csr = (!no_csr).then(|| CsrGraph::from_graph(&ag.graph));
+    // Algorithm 1's edge deletions by weight-zeroing; the dense reference
+    // (`use_csr: false`) mutates the adjacency graph. Bit-identical by the
+    // §14 equivalence contract, proven by the CSR proptests and per run by
+    // CI's `--oracle` byte-compare.
+    let mut csr = cfg.use_csr.then(|| CsrGraph::from_graph(&ag.graph));
     if let Some(c) = &csr {
         rec.count(names::CSR_NNZ, c.nnz() as u64);
     }

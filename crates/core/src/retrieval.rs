@@ -18,21 +18,6 @@
 //!   [`relative_difference`] evaluation only for targets within a proven
 //!   exponent window; everything outside the window is *provably* far.
 //!
-//! The index can also carry **surface/header token postings**
-//! ([`CandidateIndex::token_candidates`]): target ids keyed by the
-//! tokens of their surface form and their row/column header words. The
-//! exact in-document path cannot use them to drop pairs (token evidence
-//! alone never proves a pair unkeepable — every unit-compatible pair
-//! clears the score floor under the untrained prior, and a trained
-//! forest's scores are not token-separable), so they are not consulted
-//! by [`CandidateIndex::retrieve`] and not built by
-//! [`CandidateIndex::build`] — the alignment hot path must not pay
-//! their `String` allocations. [`CandidateIndex::build_with_tokens`] /
-//! [`CandidateIndex::build_with_context`] opt in; they exist for the
-//! corpus-scale retrieval direction in ROADMAP.md (cross-document
-//! quantity search), where recall is a ranking concern rather than an
-//! exactness contract.
-//!
 //! # Recall contract
 //!
 //! [`CandidateIndex::retrieve`] returns **exactly** the mention's
@@ -54,10 +39,8 @@
 use briq_table::{TableMention, TableMentionKind};
 use briq_text::cues::AggregationKind;
 use briq_text::units::Unit;
-use std::collections::BTreeMap;
 
-use crate::context::DocContext;
-use crate::features::{relative_difference, table_surface};
+use crate::features::relative_difference;
 use crate::filtering::FilterStats;
 
 /// Kind slots: single cells plus one per aggregation kind.
@@ -174,59 +157,23 @@ impl RetrievalScratch {
     }
 }
 
-/// Per-document inverted candidate index. Build once per document
-/// ([`CandidateIndex::build`] or, with header-token postings,
-/// [`CandidateIndex::build_with_context`]), then call
-/// [`CandidateIndex::retrieve`] once per mention.
+/// Per-document inverted candidate index. Build once per document with
+/// [`CandidateIndex::build`], then call [`CandidateIndex::retrieve`] once
+/// per mention.
 pub struct CandidateIndex {
     slots: [Vec<UnitGroup>; KIND_SLOTS],
     kind_counts: [usize; KIND_SLOTS],
     n_targets: usize,
     theta: f64,
     delta: Option<i32>,
-    tokens: BTreeMap<String, Vec<usize>>,
 }
 
 impl CandidateIndex {
     /// Index `targets` for retrieval against value-difference threshold
-    /// `theta` (the filter's `value_diff_threshold`). No token postings
-    /// are built: [`CandidateIndex::retrieve`] never consults them, so
-    /// the alignment hot path must not pay their `String` allocations —
-    /// on corpus-scale documents the posting build costs more than
-    /// retrieval saves. Use [`CandidateIndex::build_with_tokens`] /
-    /// [`CandidateIndex::build_with_context`] when the postings are the
-    /// point.
+    /// `theta` (the filter's `value_diff_threshold`).
     pub fn build(targets: &[TableMention], theta: f64) -> CandidateIndex {
-        Self::build_inner(targets, theta, false, None)
-    }
-
-    /// [`CandidateIndex::build`] plus surface-form token postings
-    /// ([`CandidateIndex::token_candidates`]).
-    pub fn build_with_tokens(targets: &[TableMention], theta: f64) -> CandidateIndex {
-        Self::build_inner(targets, theta, true, None)
-    }
-
-    /// [`CandidateIndex::build_with_tokens`] plus header-word token
-    /// postings from the document context (each target's row/column
-    /// header words, as computed by
-    /// [`crate::context::TableContext::local_words`]).
-    pub fn build_with_context(
-        targets: &[TableMention],
-        theta: f64,
-        ctx: &DocContext,
-    ) -> CandidateIndex {
-        Self::build_inner(targets, theta, true, Some(ctx))
-    }
-
-    fn build_inner(
-        targets: &[TableMention],
-        theta: f64,
-        with_tokens: bool,
-        ctx: Option<&DocContext>,
-    ) -> CandidateIndex {
         let mut slots: [Vec<UnitGroup>; KIND_SLOTS] = Default::default();
         let mut kind_counts = [0usize; KIND_SLOTS];
-        let mut tokens: BTreeMap<String, Vec<usize>> = BTreeMap::new();
 
         for (ti, t) in targets.iter().enumerate() {
             let slot = kind_slot(t.kind);
@@ -253,29 +200,10 @@ impl CandidateIndex {
                 }
                 None => groups[gi].oddballs.push((ti, t.value)),
             }
-
-            if with_tokens {
-                for tok in table_surface(t)
-                    .to_lowercase()
-                    .split(|c: char| !c.is_alphanumeric())
-                {
-                    if !tok.is_empty() {
-                        tokens.entry(tok.to_string()).or_default().push(ti);
-                    }
-                }
-                if let Some(ctx) = ctx {
-                    if let Some(tc) = ctx.tables.get(t.table) {
-                        for w in tc.local_words(t) {
-                            tokens.entry(w).or_default().push(ti);
-                        }
-                    }
-                }
-            }
         }
 
         // Sort each group's members by (bucket key, target index) so the
-        // window scan is two binary searches, and keep posting lists
-        // sorted and deduplicated.
+        // window scan is two binary searches.
         for groups in &mut slots {
             for g in groups {
                 let mut order: Vec<usize> = (0..g.keys.len()).collect();
@@ -288,10 +216,6 @@ impl CandidateIndex {
                 g.oddballs.sort_unstable_by_key(|&(ti, _)| ti);
             }
         }
-        for list in tokens.values_mut() {
-            list.sort_unstable();
-            list.dedup();
-        }
 
         CandidateIndex {
             slots,
@@ -299,7 +223,6 @@ impl CandidateIndex {
             n_targets: targets.len(),
             theta,
             delta: exponent_delta(theta),
-            tokens,
         }
     }
 
@@ -388,22 +311,6 @@ impl CandidateIndex {
                 stats.record_dropped(slot_name(slot), dropped);
             }
         }
-    }
-
-    /// Posting list of a surface/header token: the indexed targets whose
-    /// surface form or header words contain `token` (lowercase), in
-    /// ascending target order. Empty unless the index was built with
-    /// [`CandidateIndex::build_with_tokens`] /
-    /// [`CandidateIndex::build_with_context`]: postings are not
-    /// consulted by the exact in-document path — see the module docs
-    /// for why — but are the substrate for corpus-scale retrieval.
-    pub fn token_candidates(&self, token: &str) -> &[usize] {
-        self.tokens.get(token).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// Number of distinct tokens with postings.
-    pub fn n_tokens(&self) -> usize {
-        self.tokens.len()
     }
 }
 
@@ -651,23 +558,5 @@ mod tests {
             None,
             "nothing dropped there"
         );
-    }
-
-    #[test]
-    fn token_postings_cover_surface_and_lookup_is_sorted() {
-        let mut t0 = target(38.0, TableMentionKind::SingleCell, Unit::None);
-        t0.raw = "38 patients".to_string();
-        let t1 = target(38.5, TableMentionKind::SingleCell, Unit::None);
-        let idx = CandidateIndex::build_with_tokens(&[t0.clone(), t1.clone()], 0.35);
-        assert_eq!(idx.token_candidates("patients"), &[0]);
-        // "38.5" splits on the dot: both targets carry a "38" token.
-        assert_eq!(idx.token_candidates("38"), &[0, 1]);
-        assert_eq!(idx.token_candidates("5"), &[1]);
-        assert_eq!(idx.token_candidates("absent"), &[0usize; 0]);
-        assert!(idx.n_tokens() >= 2);
-        // The hot-path build skips postings entirely.
-        let bare = CandidateIndex::build(&[t0, t1], 0.35);
-        assert_eq!(bare.n_tokens(), 0);
-        assert_eq!(bare.token_candidates("38"), &[0usize; 0]);
     }
 }

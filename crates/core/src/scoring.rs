@@ -1,12 +1,12 @@
 //! Batched candidate-scoring engine: unique-row deduplication, block-wise
 //! flat-forest traversal, and exact bound-based pruning (DESIGN.md §10).
 //!
-//! [`ScoringEngine`] replaces the row-at-a-time `classifier.score(row)`
-//! loop on the alignment hot path. Per document it keeps a score cache
+//! [`ScoringEngine`] scores the candidate rows the retrieval index
+//! selects on the alignment hot path. Per document it keeps a score cache
 //! keyed on the raw f64 bits of each 12-feature row (scores are pure
 //! functions of the row, so a cache hit is bit-identical by construction)
 //! and scores the remaining distinct rows through
-//! [`briq_ml::FlatForest::score_block`] / [`briq_ml::FlatForest::score_block_bounded`] —
+//! [`briq_ml::FlatForest::score_lanes`] / [`briq_ml::FlatForest::score_block_bounded`] —
 //! trees in the outer loop, rows in the inner loop.
 //!
 //! Pruning is *exact*, never approximate: a row's scoring is abandoned
@@ -14,7 +14,8 @@
 //! strictly below the smallest value at which downstream filtering
 //! ([`crate::filtering::filter_mention_pruned`]) could keep the pair or
 //! let it influence the mention-type vote. Alignments, candidates, and
-//! filter statistics are therefore byte-identical with pruning on or off.
+//! filter statistics are therefore byte-identical to the exhaustive
+//! reference path (`use_index: false`), which never enters the engine.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -78,7 +79,9 @@ fn row_key(row: &[f64]) -> RowKey {
 ///
 /// A score strictly below the returned cut makes the keep decision
 /// `false` without computing the score. `+∞` means the pair can never be
-/// kept; `-∞` means it is kept at any score and must be computed.
+/// kept; `-∞` means it is kept at any score and must be computed. The
+/// retrieval path derives its cuts from the near/far split instead and
+/// checks them against this in debug builds.
 fn static_cut(
     row: &[f64],
     target: &TableMention,
@@ -113,8 +116,9 @@ fn static_cut(
 /// whether the pair participates in [`crate::filtering::mention_type`]'s
 /// majority vote: unit-compatible (`row[7] != 3.0`, the `StrongMismatch`
 /// encode), and for aggregates a matching tagger prediction. This is the
-/// exact set [`crate::retrieval::CandidateIndex::retrieve`] returns, so
-/// the indexed and exhaustive paths agree by construction.
+/// exact set [`crate::retrieval::CandidateIndex::retrieve`] returns
+/// (asserted per row in debug builds), so every row the engine scores is
+/// viable and every computed score feeds the mention-type vote bound.
 fn is_viable(row: &[f64], target: &TableMention, tags: &[AggregationKind]) -> bool {
     row[7] != 3.0
         && match target.kind {
@@ -154,10 +158,10 @@ fn fifth_highest(scores: impl Iterator<Item = f64>) -> f64 {
 }
 
 /// Per-document batched scorer. Construct once per document, then for
-/// each mention: [`ScoringEngine::fill_rows`], then one of the scoring
-/// entry points, then read [`ScoringEngine::computed`] /
-/// [`ScoringEngine::pruned_targets`] and hand both to
-/// [`crate::filtering::filter_mention_pruned`].
+/// each mention: [`ScoringEngine::fill_rows_selected`] with the
+/// retrieved candidates, then one of the scoring entry points, then read
+/// [`ScoringEngine::computed`] / [`ScoringEngine::pruned_targets`] and
+/// hand both to [`crate::filtering::filter_mention_pruned`].
 ///
 /// All buffers (including the dedup cache) live for the whole document,
 /// so repeated mentions reuse capacity and identical rows across mentions
@@ -182,34 +186,15 @@ pub struct ScoringEngine {
     /// mention, in no particular order (filtering sorts under a total
     /// order, so ordering cannot leak into results).
     computed: Vec<(usize, f64)>,
-    /// Viability flag per `computed` entry (see [`is_viable`]): only
-    /// viable scores feed the fifth-highest vote bound.
-    viable_flags: Vec<bool>,
     /// Target indices whose scoring was provably cut short.
     pruned: Vec<usize>,
-    /// Row positions (exhaustive path: target indices) deferred to the
-    /// bounded phase.
+    /// Row positions deferred to the bounded phase.
     deferred: Vec<usize>,
-    /// Selected-target map of the retrieval path: row `k` of the filled
-    /// matrix is pair `(mention, sel[k])`. Empty on the exhaustive path.
+    /// Selected-target map: row `k` of the filled matrix is pair
+    /// `(mention, sel[k])`.
     sel: Vec<usize>,
     /// How many leading entries of `sel` retrieval classified as near.
     n_near: usize,
-    /// Route exhaustive phase-A blocks through the lockstep lane kernel
-    /// ([`briq_ml::FlatForest::score_lanes`], bit-identical to
-    /// `score_block`). Read once from `BRIQ_NO_LANES` at construction;
-    /// `BRIQ_NO_LANES=1` is the oracle hatch CI byte-compares against.
-    use_lanes: bool,
-    /// Opt-in f32 fast path (`BRIQ_F32=1`): phase-A blocks score through
-    /// the quantized [`briq_ml::FlatForestF32`] and the exact pruning phase is
-    /// disabled (its bounds are f64 contracts). **Approximate** — scores
-    /// may differ within the §14 tolerance contract — so CI never sets
-    /// it and it is never the default.
-    use_f32: bool,
-    /// The quantized forest, built lazily per document when `use_f32`
-    /// (cleared by [`ScoringEngine::reset`] so a pooled engine can never
-    /// leak one model's quantization into another's documents).
-    flat32: Option<briq_ml::FlatForestF32>,
     rows_deduped: u64,
     pairs_pruned: u64,
     rows_scored_exhaustive: u64,
@@ -234,14 +219,10 @@ impl ScoringEngine {
             out: Vec::new(),
             pruned_flags: Vec::new(),
             computed: Vec::new(),
-            viable_flags: Vec::new(),
             pruned: Vec::new(),
             deferred: Vec::new(),
             sel: Vec::new(),
             n_near: 0,
-            use_lanes: std::env::var_os("BRIQ_NO_LANES").is_none_or(|v| v != "1"),
-            use_f32: std::env::var_os("BRIQ_F32").is_some_and(|v| v == "1"),
-            flat32: None,
             rows_deduped: 0,
             pairs_pruned: 0,
             rows_scored_exhaustive: 0,
@@ -250,11 +231,10 @@ impl ScoringEngine {
     }
 
     /// Reset the engine to a fresh-document state while keeping every
-    /// buffer's capacity. Clears the score cache and the quantized
-    /// forest (both are per-document/per-model state) and zeroes the
-    /// counters, so a pooled engine produces output and observability
-    /// counters bit-identical to a cold-constructed one regardless of
-    /// which documents this worker scored before.
+    /// buffer's capacity. Clears the score cache (per-document state) and
+    /// zeroes the counters, so a pooled engine produces output and
+    /// observability counters bit-identical to a cold-constructed one
+    /// regardless of which documents this worker scored before.
     pub fn reset(&mut self) {
         self.cache.clear();
         self.rows.clear();
@@ -264,12 +244,10 @@ impl ScoringEngine {
         self.out.clear();
         self.pruned_flags.clear();
         self.computed.clear();
-        self.viable_flags.clear();
         self.pruned.clear();
         self.deferred.clear();
         self.sel.clear();
         self.n_near = 0;
-        self.flat32 = None;
         self.rows_deduped = 0;
         self.pairs_pruned = 0;
         self.rows_scored_exhaustive = 0;
@@ -295,7 +273,6 @@ impl ScoringEngine {
                 * size_of::<usize>()
             + self.computed.capacity() * size_of::<(usize, f64)>()
             + self.pruned_flags.capacity()
-            + self.viable_flags.capacity()
     }
 
     /// Grow some buffer capacity so pooling tests can observe it
@@ -306,43 +283,15 @@ impl ScoringEngine {
         self.computed.reserve(32);
     }
 
-    /// Phase-A kernel dispatch over the gathered block: the opt-in f32
-    /// forest when `BRIQ_F32=1`, the lockstep lane kernel by default, or
-    /// the row-at-a-time block kernel under the `BRIQ_NO_LANES=1` oracle
-    /// hatch. Lanes vs. block is bit-identical by the flat-forest
-    /// equivalence suite; only f32 may deviate.
+    /// Phase A: exact lockstep-lane scoring of the gathered block
+    /// ([`briq_ml::FlatForest::score_lanes`], bit-identical to
+    /// `score_block` by the flat-forest equivalence suite).
     fn score_block_phase_a(&mut self, flat: &briq_ml::FlatForest) {
         let n = self.block_tis.len();
         self.out.clear();
         self.out.resize(n, 0.0);
-        match &self.flat32 {
-            Some(f) => f.score_block(&self.block, FEATURE_COUNT, &mut self.out),
-            None if self.use_lanes => flat.score_lanes(&self.block, FEATURE_COUNT, &mut self.out),
-            None => flat.score_block(&self.block, FEATURE_COUNT, &mut self.out),
-        }
+        flat.score_lanes(&self.block, FEATURE_COUNT, &mut self.out);
         self.rows_scored_exhaustive += n as u64;
-    }
-
-    /// Apply the opt-in f32 mode to a scoring call: build the quantized
-    /// forest on first use and force pruning off (the phase-B bounds are
-    /// exact f64 contracts that do not transfer to quantized scores), so
-    /// every row goes through the exhaustive f32 phase A.
-    fn effective_prune(&mut self, clf: &PairClassifier, prune: bool) -> bool {
-        if !self.use_f32 {
-            return prune;
-        }
-        if self.flat32.is_none() {
-            self.flat32 = Some(briq_ml::FlatForestF32::from_flat(clf.flat()));
-        }
-        false
-    }
-
-    /// Fill the engine's row matrix with every target's features for
-    /// mention `mi`.
-    pub fn fill_rows(&mut self, fz: &mut PairFeaturizer, mi: usize) {
-        self.sel.clear();
-        self.n_near = 0;
-        fz.fill_mention_rows(mi, &mut self.rows);
     }
 
     /// Fill the row matrix with only the retrieved targets for mention
@@ -397,37 +346,13 @@ impl ScoringEngine {
         rec.count(names::ROWS_SCORED_BOUNDED, self.rows_scored_bounded);
     }
 
-    /// Score the untrained heuristic prior over the filled rows, with
-    /// dedup only — the heuristic costs about as much as evaluating the
-    /// bound, so pruning cannot pay for itself there.
-    pub fn score_heuristic(&mut self, mask: &FeatureMask) {
-        self.computed.clear();
-        self.viable_flags.clear();
-        self.pruned.clear();
-        for (ti, row) in self.rows.chunks_exact(FEATURE_COUNT).enumerate() {
-            let key = row_key(row);
-            let s = match self.cache.get(&key) {
-                Some(&s) => {
-                    self.rows_deduped += 1;
-                    s
-                }
-                None => {
-                    let s = heuristic_prior_masked(row, mask);
-                    self.cache.insert(key, s);
-                    self.rows_scored_exhaustive += 1;
-                    s
-                }
-            };
-            self.computed.push((ti, s));
-        }
-    }
-
-    /// [`ScoringEngine::score_heuristic`] over the retrieved candidate
-    /// rows filled by [`ScoringEngine::fill_rows_selected`]: row position
-    /// `i` belongs to target `sel[i]`, not target `i`.
+    /// Score the untrained heuristic prior over the retrieved candidate
+    /// rows filled by [`ScoringEngine::fill_rows_selected`] (row position
+    /// `i` belongs to target `sel[i]`), with dedup only — the heuristic
+    /// costs about as much as evaluating the bound, so pruning cannot pay
+    /// for itself there.
     pub fn score_heuristic_selected(&mut self, mask: &FeatureMask) {
         self.computed.clear();
-        self.viable_flags.clear();
         self.pruned.clear();
         for (pos, row) in self.rows.chunks_exact(FEATURE_COUNT).enumerate() {
             let ti = self.sel[pos];
@@ -448,122 +373,24 @@ impl ScoringEngine {
         }
     }
 
-    /// Score the filled rows through the trained forest in two phases.
-    ///
-    /// Phase A scores every row that filtering might keep at any score at
-    /// or below the floor (must-compute aggregates and floor-cut singles)
-    /// exactly, through the dedup cache and [`briq_ml::FlatForest::score_block`].
-    /// The fifth-highest *viable* phase-A score then bounds the
-    /// mention-type vote (the vote polls only viable pairs — unit-compatible
-    /// single cells and tagged, unit-compatible aggregates): any viable
-    /// pair scoring strictly below it can never enter the top-5 (at
-    /// least five viable computed pairs outrank it under the vote's total
-    /// order), and a non-viable pair is invisible to both the keep
-    /// decision and the vote, so its cut is `+∞`. Phase B may therefore
-    /// abandon a row once the forest's
-    /// remaining-vote bound falls below
-    /// `min(static keep cut, fifth-highest)` — or below the static cut
-    /// alone when the mention's approximation modifier decides the vote
-    /// without looking at scores. With `prune` false everything goes
-    /// through phase A, which keeps the dedup win and stays exhaustive.
-    pub fn score_trained(
-        &mut self,
-        x: &TextMention,
-        targets: &[TableMention],
-        tags: &[AggregationKind],
-        clf: &PairClassifier,
-        cfg: &FilterConfig,
-        prune: bool,
-    ) {
-        let prune = self.effective_prune(clf, prune);
-        let flat = clf.flat();
-        self.computed.clear();
-        self.viable_flags.clear();
-        self.pruned.clear();
-        self.deferred.clear();
-        self.block.clear();
-        self.block_tis.clear();
-
-        // Partition: cache hits resolve immediately; rows whose static
-        // cut is at or below the floor must be computed exactly (phase
-        // A); the rest wait for the bound-based phase B.
-        for (ti, row) in self.rows.chunks_exact(FEATURE_COUNT).enumerate() {
-            if let Some(&s) = self.cache.get(&row_key(row)) {
-                self.rows_deduped += 1;
-                self.computed.push((ti, s));
-                self.viable_flags.push(is_viable(row, &targets[ti], tags));
-                continue;
-            }
-            let must_compute =
-                !prune || static_cut(row, &targets[ti], tags, cfg) <= cfg.score_floor;
-            if must_compute {
-                self.block.extend_from_slice(row);
-                self.block_tis.push(ti);
-            } else {
-                self.deferred.push(ti);
-            }
-        }
-
-        // Phase A: exhaustive block scoring of the must-compute rows.
-        self.score_block_phase_a(flat);
-        for (i, &ti) in self.block_tis.iter().enumerate() {
-            let s = self.out[i];
-            let row = &self.block[i * FEATURE_COUNT..(i + 1) * FEATURE_COUNT];
-            self.cache.insert(row_key(row), s);
-            self.computed.push((ti, s));
-            self.viable_flags.push(is_viable(row, &targets[ti], tags));
-        }
-
-        if self.deferred.is_empty() {
-            return;
-        }
-
-        // The mention-type vote inspects candidate scores only for
-        // unmodified mentions (and polls only viable pairs); otherwise
-        // the modifier decides and the static cut alone is exact.
-        let fifth = if x.quantity.approx == ApproxIndicator::None {
-            fifth_highest(self.viable_scores())
-        } else {
-            f64::INFINITY
-        };
-
-        // Phase B: bounded block scoring of the deferred rows. Rows that
-        // gained a cache entry during phase A resolve as dedup hits.
-        // Non-viable rows (which filtering can never keep and the vote
-        // never polls) carry an infinite cut: the bounded kernel prunes
-        // them at the first opportunity.
-        self.block.clear();
-        self.block_tis.clear();
-        self.cuts.clear();
-        for i in 0..self.deferred.len() {
-            let ti = self.deferred[i];
-            let row = &self.rows[ti * FEATURE_COUNT..(ti + 1) * FEATURE_COUNT];
-            if let Some(&s) = self.cache.get(&row_key(row)) {
-                self.rows_deduped += 1;
-                self.computed.push((ti, s));
-                self.viable_flags.push(is_viable(row, &targets[ti], tags));
-                continue;
-            }
-            let cut = if is_viable(row, &targets[ti], tags) {
-                static_cut(row, &targets[ti], tags, cfg).min(fifth)
-            } else {
-                f64::INFINITY
-            };
-            self.block.extend_from_slice(row);
-            self.block_tis.push(ti);
-            self.cuts.push(cut);
-        }
-        self.score_deferred_block(targets, tags, flat);
-    }
-
     /// Score the retrieved candidate rows (filled by
-    /// [`ScoringEngine::fill_rows_selected`]) through the trained forest.
-    /// Same two-phase structure as [`ScoringEngine::score_trained`], but
-    /// every row is viable by the retrieval recall contract, near rows
-    /// are phase-A must-computes by construction, and far rows' static
-    /// cuts follow from their kind alone — asserted against the
-    /// exhaustive path's `static_cut` over the actual feature row in
-    /// debug builds.
+    /// [`ScoringEngine::fill_rows_selected`]) through the trained forest
+    /// in two phases.
+    ///
+    /// Phase A scores the near rows — whose keep cut is at or below the
+    /// score floor, so they must be computed — exactly, through the dedup
+    /// cache and [`briq_ml::FlatForest::score_lanes`]. Every retrieved row is viable
+    /// by the retrieval recall contract (unit-compatible single cells and
+    /// tagged, unit-compatible aggregates — exactly the pairs the
+    /// mention-type vote polls), so the fifth-highest phase-A score bounds
+    /// the vote: a pair scoring strictly below it can never enter the
+    /// top-5 (at least five computed pairs outrank it under the vote's
+    /// total order). Phase B may therefore abandon a far row once the
+    /// forest's remaining-vote bound falls below `min(static keep cut,
+    /// fifth-highest)` — or below the static cut alone when the mention's
+    /// approximation modifier decides the vote without looking at scores.
+    /// Far rows' static cuts follow from their kind alone — asserted
+    /// against `static_cut` over the actual feature row in debug builds.
     pub fn score_trained_selected(
         &mut self,
         x: &TextMention,
@@ -571,12 +398,9 @@ impl ScoringEngine {
         tags: &[AggregationKind],
         clf: &PairClassifier,
         cfg: &FilterConfig,
-        prune: bool,
     ) {
-        let prune = self.effective_prune(clf, prune);
         let flat = clf.flat();
         self.computed.clear();
-        self.viable_flags.clear();
         self.pruned.clear();
         self.deferred.clear();
         self.block.clear();
@@ -588,7 +412,6 @@ impl ScoringEngine {
             if let Some(&s) = self.cache.get(&row_key(row)) {
                 self.rows_deduped += 1;
                 self.computed.push((ti, s));
-                self.viable_flags.push(true);
                 continue;
             }
             let near = pos < self.n_near;
@@ -597,7 +420,7 @@ impl ScoringEngine {
                     || cfg.score_threshold <= cfg.score_floor,
                 "retrieval near/far split must match the static cut"
             );
-            if !prune || near {
+            if near {
                 self.block.extend_from_slice(row);
                 self.block_tis.push(ti);
             } else {
@@ -613,15 +436,17 @@ impl ScoringEngine {
                 s,
             );
             self.computed.push((ti, s));
-            self.viable_flags.push(true);
         }
 
         if self.deferred.is_empty() {
             return;
         }
 
+        // The mention-type vote inspects candidate scores only for
+        // unmodified mentions; otherwise the modifier decides and the
+        // static cut alone is exact.
         let fifth = if x.quantity.approx == ApproxIndicator::None {
-            fifth_highest(self.viable_scores())
+            fifth_highest(self.computed.iter().map(|&(_, s)| s))
         } else {
             f64::INFINITY
         };
@@ -633,10 +458,11 @@ impl ScoringEngine {
             let pos = self.deferred[i];
             let ti = self.sel[pos];
             let row = &self.rows[pos * FEATURE_COUNT..(pos + 1) * FEATURE_COUNT];
+            // Rows that gained a cache entry during phase A resolve as
+            // dedup hits.
             if let Some(&s) = self.cache.get(&row_key(row)) {
                 self.rows_deduped += 1;
                 self.computed.push((ti, s));
-                self.viable_flags.push(true);
                 continue;
             }
             // A far single cell survives only at/above the score
@@ -655,18 +481,12 @@ impl ScoringEngine {
             self.block_tis.push(ti);
             self.cuts.push(cut.min(fifth));
         }
-        self.score_deferred_block(targets, tags, flat);
+        self.score_deferred_block(flat);
     }
 
-    /// Shared phase-B tail: run the bounded kernel over the gathered
-    /// block and fold survivors into `computed` (with their viability)
-    /// and pruned rows into `pruned`.
-    fn score_deferred_block(
-        &mut self,
-        targets: &[TableMention],
-        tags: &[AggregationKind],
-        flat: &briq_ml::FlatForest,
-    ) {
+    /// Phase-B tail: run the bounded kernel over the gathered block and
+    /// fold survivors into `computed` and pruned rows into `pruned`.
+    fn score_deferred_block(&mut self, flat: &briq_ml::FlatForest) {
         let n = self.block_tis.len();
         self.out.clear();
         self.out.resize(n, 0.0);
@@ -689,19 +509,8 @@ impl ScoringEngine {
                 let row = &self.block[i * FEATURE_COUNT..(i + 1) * FEATURE_COUNT];
                 self.cache.insert(row_key(row), s);
                 self.computed.push((ti, s));
-                self.viable_flags.push(is_viable(row, &targets[ti], tags));
             }
         }
-    }
-
-    /// Scores of the viable computed pairs — the exact multiset the
-    /// mention-type vote ranks.
-    fn viable_scores(&self) -> impl Iterator<Item = f64> + '_ {
-        self.computed
-            .iter()
-            .zip(&self.viable_flags)
-            .filter(|&(_, &v)| v)
-            .map(|(&(_, s), _)| s)
     }
 }
 

@@ -69,8 +69,8 @@ use crate::batch::StageTimings;
 use crate::error::{
     BriqError, Budget, CancelCause, CancelToken, DegradedAction, Diagnostics, Stage,
 };
-use crate::obs::{names, MetricsRegistry, Recorder};
-use crate::pipeline::Briq;
+use crate::obs::{names, MetricsRegistry};
+use crate::pipeline::{AlignOpts, Briq};
 use crate::store::{AlignmentStore, Fingerprint};
 
 /// Lock a mutex, tolerating poisoning: a panicked holder (impossible on
@@ -257,7 +257,7 @@ pub struct AlignOutcome {
 ///
 /// Pure with respect to the server — callable from unit tests without a
 /// socket. The per-document treatment mirrors [`crate::batch`] exactly
-/// (same `align_cancellable` path, same `catch_unwind` isolation, same
+/// (same [`Briq::align_with`] path, same `catch_unwind` isolation, same
 /// panicked-document diagnostic, same `doc <i>: <scope>` prefixes), so
 /// clean responses are byte-compatible with `briq-align` output.
 ///
@@ -291,26 +291,24 @@ pub fn serve_align(
     };
     let mut doc_values = Vec::with_capacity(docs.len());
     for (i, doc) in docs.iter().enumerate() {
-        let result = catch_unwind(AssertUnwindSafe(|| match store {
-            Some(st) => {
-                let mut f = Fingerprint::new();
-                f.u64(request_fp);
-                f.usize(i);
-                briq.align_stored_cancellable(
-                    st,
-                    f.finish(),
-                    doc,
-                    budget,
-                    &Recorder::disabled(),
-                    cancel,
-                )
-            }
-            None => briq.align_cancellable(doc, budget, &Recorder::disabled(), cancel),
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let opts = AlignOpts {
+                budget: *budget,
+                recorder: None,
+                cancel: Some(cancel),
+                store: store.map(|st| {
+                    let mut f = Fingerprint::new();
+                    f.u64(request_fp);
+                    f.usize(i);
+                    (st, f.finish())
+                }),
+            };
+            briq.align_with(doc, &opts)
         }));
         let (alignments, diagnostics) = match result {
-            Ok((alignments, diagnostics, timings)) => {
-                outcome.timings.merge(&timings);
-                (alignments, diagnostics)
+            Ok(out) => {
+                outcome.timings.merge(&out.timings);
+                (out.alignments, out.diagnostics)
             }
             Err(_) => {
                 outcome.panics += 1;
@@ -493,8 +491,8 @@ struct Shared<'a> {
     inflight: AtomicUsize,
     connections: AtomicUsize,
     /// Warm alignment store shared across requests and workers — `None`
-    /// when disabled (`use_store: false` or `BRIQ_NO_STORE=1`), in
-    /// which case every request takes the plain full-recompute path.
+    /// when disabled (`use_store: false`), in which case every request
+    /// takes the plain full-recompute path.
     store: Option<AlignmentStore>,
 }
 
@@ -575,7 +573,7 @@ impl Server {
             force_cancel: Arc::new(AtomicBool::new(false)),
             inflight: AtomicUsize::new(0),
             connections: AtomicUsize::new(0),
-            store: briq.store_effective().then(|| {
+            store: briq.cfg.use_store.then(|| {
                 let opts = crate::store::StoreOptions {
                     dir: self.cfg.store_dir.as_ref().map(Into::into),
                     max_bytes: self.cfg.store_max_bytes,
@@ -845,18 +843,9 @@ fn handle_line(sh: &Shared<'_>, stream: &mut TcpStream, line: &str) -> After {
                     Value::Num(sh.connections.load(Ordering::SeqCst) as f64),
                 ),
                 ("workers", Value::Num(sh.cfg.workers as f64)),
-                // Effective retrieval-index state for this process:
-                // config knob AND the BRIQ_NO_INDEX escape hatch.
-                (
-                    "index_enabled",
-                    Value::Bool(
-                        sh.briq.cfg.use_index
-                            && std::env::var_os("BRIQ_NO_INDEX").is_none_or(|v| v != "1"),
-                    ),
-                ),
-                // Effective alignment-store state (config knob AND the
-                // BRIQ_NO_STORE escape hatch) plus its lifetime hit
-                // rate — the fraction of lookups served fully warm.
+                ("index_enabled", Value::Bool(sh.briq.cfg.use_index)),
+                // Alignment-store state plus its lifetime hit rate — the
+                // fraction of lookups served fully warm.
                 ("store_enabled", Value::Bool(sh.store.is_some())),
                 (
                     "store_hit_rate",

@@ -37,8 +37,8 @@
 //! artifact in its fingerprinted inputs, is the bit-identity argument:
 //! the store can only ever replay values the full recompute would have
 //! produced.
-//! `BRIQ_NO_STORE=1` / `use_store: false` is the CI oracle hatch that
-//! byte-compares the two paths on real corpora every run.
+//! `use_store: false` (part of `briq-align --oracle`) is the reference
+//! CI byte-compares the two paths against on real corpora every run.
 //!
 //! With [`StoreOptions::dir`] set, the store is additionally backed by
 //! the [`persist`] layer (DESIGN.md §16): every cached entry is appended
@@ -700,7 +700,7 @@ impl AlignmentStore {
     }
 
     /// Align `doc` through the store. Same output contract (and shape)
-    /// as `Briq::align_budgeted_cancellable`: alignments, filter totals,
+    /// as `Briq::align_full`: alignments, filter totals,
     /// kept candidates, diagnostics — bit-identical to the full
     /// recompute for every possible cache state. Cancelled runs return
     /// the no-partial-state shape and leave the cache untouched.
@@ -959,7 +959,31 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::BriqConfig;
+    use crate::pipeline::{AlignOpts, BriqConfig};
+
+    /// [`Briq::align_with`] through `store` under document key `key`,
+    /// minus the timings (wall-clock, so never equal across runs).
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn stored(
+        briq: &Briq,
+        store: &AlignmentStore,
+        key: u64,
+        doc: &Document,
+        budget: Budget,
+    ) -> (
+        Vec<Alignment>,
+        FilterStats,
+        Vec<Vec<Candidate>>,
+        Diagnostics,
+    ) {
+        let opts = AlignOpts {
+            budget,
+            store: Some((store, key)),
+            ..AlignOpts::default()
+        };
+        let out = briq.align_with(doc, &opts);
+        (out.alignments, out.stats, out.candidates, out.diagnostics)
+    }
 
     fn doc(text: &str, grid: Vec<Vec<String>>) -> Document {
         Document::new(0, text, vec![Table::from_grid("", grid)])
@@ -1016,7 +1040,7 @@ mod tests {
         let store = AlignmentStore::for_system(&briq);
         let d = sample();
         let budget = Budget::default();
-        let cold = briq.align_stored_detailed(&store, 7, &d, &budget);
+        let cold = stored(&briq, &store, 7, &d, budget);
         assert_eq!(store.hits(), 0);
         assert_eq!(store.lookups(), 1);
         let mut timings = StageTimings::default();
@@ -1043,7 +1067,7 @@ mod tests {
         let store = AlignmentStore::for_system(&briq);
         let budget = Budget::unlimited();
         let d = sample();
-        briq.align_stored_detailed(&store, 1, &d, &budget);
+        stored(&briq, &store, 1, &d, budget);
         let edited = doc(
             &d.text,
             vec![
@@ -1052,11 +1076,17 @@ mod tests {
                 vec!["Depression".into(), "38".into()],
             ],
         );
-        let incremental = briq.align_stored_detailed(&store, 1, &edited, &budget);
-        let full = briq.align_detailed(&edited);
-        assert_eq!(incremental.0, full.0);
-        assert_eq!(incremental.1, full.1);
-        assert_eq!(incremental.2, full.2);
+        let incremental = stored(&briq, &store, 1, &edited, budget);
+        let full = briq.align_with(
+            &edited,
+            &AlignOpts {
+                budget,
+                ..AlignOpts::default()
+            },
+        );
+        assert_eq!(incremental.0, full.alignments);
+        assert_eq!(incremental.1, full.stats);
+        assert_eq!(incremental.2, full.candidates);
         assert_eq!(store.invalidations(), 1);
     }
 
@@ -1133,8 +1163,8 @@ mod tests {
         for _ in 0..2 {
             for (k, d) in [(1u64, &d1), (2u64, &d2)] {
                 assert_eq!(
-                    briq.align_stored_detailed(&bounded, k, d, &budget),
-                    briq.align_stored_detailed(&oracle, k, d, &budget),
+                    stored(&briq, &bounded, k, d, budget),
+                    stored(&briq, &oracle, k, d, budget),
                 );
             }
         }

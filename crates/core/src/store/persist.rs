@@ -1328,6 +1328,7 @@ mod tests {
     use super::*;
     use crate::error::Budget;
     use crate::pipeline::{Briq, BriqConfig};
+    use crate::store::tests::stored;
     use briq_table::{Document, Table};
     use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
@@ -1417,7 +1418,7 @@ mod tests {
     )> {
         docs.iter()
             .enumerate()
-            .map(|(i, d)| briq.align_stored_detailed(store, i as u64, d, &Budget::default()))
+            .map(|(i, d)| stored(briq, store, i as u64, d, Budget::default()))
             .collect()
     }
 
@@ -1807,7 +1808,7 @@ mod tests {
             let mut stream = file_header(1234, 0);
             let store = AlignmentStore::for_system(&briq);
             for (i, d) in entry_docs.iter().enumerate() {
-                briq.align_stored_detailed(&store, i as u64, d, &Budget::default());
+                stored(&briq, &store, i as u64, d, Budget::default());
             }
             let payloads = store.encoded_entries();
             for p in &payloads {

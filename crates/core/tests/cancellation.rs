@@ -8,8 +8,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use briq_core::obs::Recorder;
-use briq_core::pipeline::{Briq, BriqConfig};
+use briq_core::pipeline::{AlignOpts, AlignOutput, Briq, BriqConfig};
 use briq_core::{Budget, CancelToken, DegradedAction, Diagnostics};
 use briq_table::{Document, Table};
 use proptest::prelude::*;
@@ -25,6 +24,18 @@ fn numeric_doc(vals: &[u32], text_val: u32) -> Document {
         0,
         format!("The report mentions {text_val} units in its overview section."),
         vec![Table::from_grid("stats", grid)],
+    )
+}
+
+/// Align `doc` under `budget` and `cancel` (`None` never cancels).
+fn align(briq: &Briq, doc: &Document, budget: Budget, cancel: Option<&CancelToken>) -> AlignOutput {
+    briq.align_with(
+        doc,
+        &AlignOpts {
+            budget,
+            cancel,
+            ..AlignOpts::default()
+        },
     )
 }
 
@@ -79,21 +90,20 @@ proptest! {
         let briq = Briq::untrained(BriqConfig::default());
         let budget = Budget::default();
 
-        let baseline = briq.align_checked_with(&doc, &budget);
+        let baseline = align(&briq, &doc, budget, None);
 
         let token = CancelToken::with_flag(fired_flag());
-        let (alignments, diags, _) =
-            briq.align_cancellable(&doc, &budget, &Recorder::disabled(), &token);
-        assert_cancelled_clean(&alignments, &diags, "shutdown drain")?;
+        let out = align(&briq, &doc, budget, Some(&token));
+        assert_cancelled_clean(&out.alignments, &out.diagnostics, "shutdown drain")?;
 
         // Serviceable afterward: the cancelled call left nothing behind
         // in the (shared, immutable) Briq — the next clean call is
         // bit-identical to the pre-cancellation baseline.
-        let after = briq.align_checked_with(&doc, &budget);
-        prop_assert_eq!(&after.0, &baseline.0, "alignments drifted after a cancellation");
+        let after = align(&briq, &doc, budget, None);
+        prop_assert_eq!(&after.alignments, &baseline.alignments, "alignments drifted after a cancellation");
         prop_assert_eq!(
-            after.1.to_jsonl(),
-            baseline.1.to_jsonl(),
+            after.diagnostics.to_jsonl(),
+            baseline.diagnostics.to_jsonl(),
             "diagnostics drifted after a cancellation"
         );
     }
@@ -108,18 +118,13 @@ proptest! {
         let doc = numeric_doc(&vals, text_val);
         let briq = Briq::untrained(BriqConfig::default());
         let token = CancelToken::deadline_in(std::time::Duration::ZERO);
-        let (alignments, diags, _) = briq.align_cancellable(
-            &doc,
-            &Budget::default(),
-            &Recorder::disabled(),
-            &token,
-        );
-        assert_cancelled_clean(&alignments, &diags, "deadline exceeded")?;
+        let out = align(&briq, &doc, Budget::default(), Some(&token));
+        assert_cancelled_clean(&out.alignments, &out.diagnostics, "deadline exceeded")?;
     }
 
-    /// `CancelToken::none` is the oracle guard: the cancellable path
-    /// with a token that can never fire is bit-identical to the legacy
-    /// checked path AND to plain `align` under an unlimited budget.
+    /// `CancelToken::none` is the oracle guard: a token that can never
+    /// fire is bit-identical to passing no token (`align_checked`) AND to
+    /// plain `align` under an unlimited budget.
     #[test]
     fn none_token_is_bit_identical_to_the_legacy_paths(
         vals in proptest::collection::vec(1u32..99_999, 2..6),
@@ -129,24 +134,15 @@ proptest! {
         let briq = Briq::untrained(BriqConfig::default());
         let budget = Budget::default();
 
-        let (a_cancellable, d_cancellable, _) = briq.align_cancellable(
-            &doc,
-            &budget,
-            &Recorder::disabled(),
-            &CancelToken::none(),
-        );
-        let (a_checked, d_checked) = briq.align_checked_with(&doc, &budget);
-        prop_assert_eq!(&a_cancellable, &a_checked);
-        prop_assert_eq!(d_cancellable.to_jsonl(), d_checked.to_jsonl());
+        let never = CancelToken::none();
+        let cancellable = align(&briq, &doc, budget, Some(&never));
+        let (a_checked, d_checked) = briq.align_checked(&doc);
+        prop_assert_eq!(&cancellable.alignments, &a_checked);
+        prop_assert_eq!(cancellable.diagnostics.to_jsonl(), d_checked.to_jsonl());
 
-        let unlimited = Budget::unlimited();
-        let (a_unlimited, d_unlimited, _) = briq.align_cancellable(
-            &doc,
-            &unlimited,
-            &Recorder::disabled(),
-            &CancelToken::none(),
-        );
-        prop_assert_eq!(&a_unlimited, &briq.align(&doc));
+        let unlimited = align(&briq, &doc, Budget::unlimited(), Some(&never));
+        prop_assert_eq!(&unlimited.alignments, &briq.align(&doc));
+        let d_unlimited = unlimited.diagnostics;
         // Benign degradations (e.g. RWR residual truncation) may appear,
         // but a token that never fires must never record a cancellation.
         prop_assert!(
@@ -168,9 +164,9 @@ fn shutdown_flag_wins_over_expired_deadline() {
     let briq = Briq::untrained(BriqConfig::default());
     let token = CancelToken::with_flag(fired_flag())
         .and_deadline(std::time::Instant::now() - std::time::Duration::from_secs(1));
-    let (alignments, diags, _) =
-        briq.align_cancellable(&doc, &Budget::default(), &Recorder::disabled(), &token);
-    assert!(alignments.is_empty());
+    let out = align(&briq, &doc, Budget::default(), Some(&token));
+    assert!(out.alignments.is_empty());
+    let diags = out.diagnostics;
     let cancelled: Vec<_> = diags
         .items
         .iter()

@@ -4,7 +4,7 @@ use briq_core::features::{feature_vector, relative_difference, FeatureMask, FEAT
 use briq_core::filtering::{filter_mention, FilterConfig, FilterStats};
 use briq_core::jaro::{jaro, jaro_winkler};
 use briq_core::mention::{text_mentions, TextMention};
-use briq_core::pipeline::{heuristic_prior, Briq, BriqConfig};
+use briq_core::pipeline::{heuristic_prior, AlignOpts, Briq, BriqConfig};
 use briq_table::{Document, Table, TableMention, TableMentionKind};
 use briq_text::quantity::QuantityMention;
 use briq_text::units::Unit;
@@ -166,7 +166,8 @@ proptest! {
             max_graph_edges: 64,
             max_rwr_iterations: 8,
         };
-        let (alignments, diags) = briq.align_checked_with(&doc, &budget);
+        let out = briq.align_with(&doc, &AlignOpts { budget, ..AlignOpts::default() });
+        let (alignments, diags) = (out.alignments, out.diagnostics);
         for a in &alignments {
             prop_assert!(a.score.is_finite());
             prop_assert!(a.mention_end <= doc.text.len());

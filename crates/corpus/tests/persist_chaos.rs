@@ -19,11 +19,12 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use briq_core::pipeline::{Briq, BriqConfig};
+use briq_core::pipeline::{AlignOpts, AlignOutput, Briq, BriqConfig};
 use briq_core::store::persist::{LOG_FILE, MANIFEST_FILE};
 use briq_core::store::{AlignmentStore, StoreOptions};
 use briq_core::Budget;
 use briq_corpus::perturb::{adversarial_documents, Adversary};
+use briq_table::Document;
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -52,13 +53,43 @@ impl Drop for TempDir {
     }
 }
 
+/// Align `doc` through `store` under document key `key`.
+fn stored(
+    briq: &Briq,
+    store: &AlignmentStore,
+    key: u64,
+    doc: &Document,
+    budget: Budget,
+) -> AlignOutput {
+    briq.align_with(
+        doc,
+        &AlignOpts {
+            budget,
+            store: Some((store, key)),
+            ..AlignOpts::default()
+        },
+    )
+}
+
+/// Assert `got` matches the full-recompute `full` on every output
+/// surface: alignments, filter stats, candidates, and diagnostics.
+fn assert_same(got: &AlignOutput, full: &AlignOutput, label: &str) {
+    assert_eq!(got.alignments, full.alignments, "{label} alignments");
+    assert_eq!(got.stats, full.stats, "{label} filter stats");
+    assert_eq!(got.candidates, full.candidates, "{label} candidates");
+    assert_eq!(
+        got.diagnostics.items, full.diagnostics.items,
+        "{label} diagnostics"
+    );
+}
+
 fn briq() -> Briq {
     Briq::untrained(BriqConfig::default())
 }
 
-/// A full-recompute oracle: same model, store disabled, so
-/// `align_stored_detailed` falls through to the plain pipeline while
-/// returning the same 4-tuple output surface as the store path.
+/// A full-recompute oracle: same model, store disabled, so `stored`
+/// ignores the store and runs the plain pipeline while returning the
+/// same output surface as the store path.
 fn oracle() -> (Briq, AlignmentStore) {
     let cfg = BriqConfig {
         use_store: false,
@@ -98,7 +129,7 @@ fn restart_recovery_matches_full_recompute_across_all_families() {
             let store = open(&briq, dir.path());
             assert_eq!(store.recovered_entries(), 0);
             for (i, doc) in docs.iter().enumerate() {
-                briq.align_stored_detailed(&store, i as u64, doc, &budget);
+                stored(&briq, &store, i as u64, doc, budget);
             }
             // Dropped without store.snapshot(): recovery must come from
             // the novelty log alone.
@@ -112,32 +143,9 @@ fn restart_recovery_matches_full_recompute_across_all_families() {
         );
         assert!(!store.recover_truncated(), "{}: clean log", kind.name());
         for (i, doc) in docs.iter().enumerate() {
-            let warm = briq.align_stored_detailed(&store, i as u64, doc, &budget);
-            let full = oracle.align_stored_detailed(&ostore, i as u64, doc, &budget);
-            assert_eq!(
-                warm.0,
-                full.0,
-                "{}: recovered doc {i} alignments",
-                kind.name()
-            );
-            assert_eq!(
-                warm.1,
-                full.1,
-                "{}: recovered doc {i} filter stats",
-                kind.name()
-            );
-            assert_eq!(
-                warm.2,
-                full.2,
-                "{}: recovered doc {i} candidates",
-                kind.name()
-            );
-            assert_eq!(
-                warm.3.items,
-                full.3.items,
-                "{}: recovered doc {i} diagnostics",
-                kind.name()
-            );
+            let warm = stored(&briq, &store, i as u64, doc, budget);
+            let full = stored(&oracle, &ostore, i as u64, doc, budget);
+            assert_same(&warm, &full, &format!("{}: recovered doc {i}", kind.name()));
         }
         if !docs.is_empty() {
             assert_eq!(
@@ -165,7 +173,7 @@ fn torn_log_recovers_prefix_and_recomputes_rest() {
         let dir = TempDir::new("pristine");
         let store = open(&briq, dir.path());
         for (i, doc) in docs.iter().enumerate() {
-            briq.align_stored_detailed(&store, i as u64, doc, &budget);
+            stored(&briq, &store, i as u64, doc, budget);
         }
         (
             fs::read(dir.path().join(LOG_FILE)).expect("read pristine log"),
@@ -187,12 +195,9 @@ fn torn_log_recovers_prefix_and_recomputes_rest() {
             "cut {cut}: cannot recover more than was written"
         );
         for (i, doc) in docs.iter().enumerate() {
-            let got = briq.align_stored_detailed(&store, i as u64, doc, &budget);
-            let full = oracle.align_stored_detailed(&ostore, i as u64, doc, &budget);
-            assert_eq!(got.0, full.0, "cut {cut}: doc {i} alignments");
-            assert_eq!(got.1, full.1, "cut {cut}: doc {i} filter stats");
-            assert_eq!(got.2, full.2, "cut {cut}: doc {i} candidates");
-            assert_eq!(got.3.items, full.3.items, "cut {cut}: doc {i} diagnostics");
+            let got = stored(&briq, &store, i as u64, doc, budget);
+            let full = stored(&oracle, &ostore, i as u64, doc, budget);
+            assert_same(&got, &full, &format!("cut {cut}: doc {i}"));
         }
         // After the re-drive repaired the tail, a second restart must
         // recover everything.
@@ -220,7 +225,7 @@ fn corrupted_log_bytes_never_poison_output() {
         let dir = TempDir::new("corrupt-src");
         let store = open(&briq, dir.path());
         for (i, doc) in docs.iter().enumerate() {
-            briq.align_stored_detailed(&store, i as u64, doc, &budget);
+            stored(&briq, &store, i as u64, doc, budget);
         }
         (
             fs::read(dir.path().join(LOG_FILE)).expect("read pristine log"),
@@ -238,12 +243,9 @@ fn corrupted_log_bytes_never_poison_output() {
         fs::write(dir.path().join(LOG_FILE), &bytes).expect("write corrupt log");
         let store = open(&briq, dir.path());
         for (i, doc) in docs.iter().enumerate() {
-            let got = briq.align_stored_detailed(&store, i as u64, doc, &budget);
-            let full = oracle.align_stored_detailed(&ostore, i as u64, doc, &budget);
-            assert_eq!(got.0, full.0, "flip@{at}: doc {i} alignments");
-            assert_eq!(got.1, full.1, "flip@{at}: doc {i} filter stats");
-            assert_eq!(got.2, full.2, "flip@{at}: doc {i} candidates");
-            assert_eq!(got.3.items, full.3.items, "flip@{at}: doc {i} diagnostics");
+            let got = stored(&briq, &store, i as u64, doc, budget);
+            let full = stored(&oracle, &ostore, i as u64, doc, budget);
+            assert_same(&got, &full, &format!("flip@{at}: doc {i}"));
         }
     }
 }
@@ -261,7 +263,7 @@ fn model_mismatch_rebuilds_and_stays_correct() {
         let old = briq();
         let store = open(&old, dir.path());
         for (i, doc) in docs.iter().enumerate() {
-            old.align_stored_detailed(&store, i as u64, doc, &budget);
+            stored(&old, &store, i as u64, doc, budget);
         }
         store.snapshot().expect("snapshot");
     }
@@ -286,10 +288,9 @@ fn model_mismatch_rebuilds_and_stays_correct() {
         (b, s)
     };
     for (i, doc) in docs.iter().enumerate() {
-        let got = skewed.align_stored_detailed(&store, i as u64, doc, &budget);
-        let full = oracle_skewed.align_stored_detailed(&ostore_skewed, i as u64, doc, &budget);
-        assert_eq!(got.0, full.0, "skew: doc {i} alignments");
-        assert_eq!(got.3.items, full.3.items, "skew: doc {i} diagnostics");
+        let got = stored(&skewed, &store, i as u64, doc, budget);
+        let full = stored(&oracle_skewed, &ostore_skewed, i as u64, doc, budget);
+        assert_same(&got, &full, &format!("skew: doc {i}"));
     }
     // Unused in this test but keeps the shared oracle honest: the
     // *original* model's outputs are a different function entirely.
@@ -314,7 +315,7 @@ fn bounded_persistent_store_matches_oracle_after_restart() {
     {
         let store = AlignmentStore::with_options(&briq, &opts).expect("open bounded");
         for (i, doc) in docs.iter().enumerate() {
-            briq.align_stored_detailed(&store, i as u64, doc, &budget);
+            stored(&briq, &store, i as u64, doc, budget);
         }
         if docs.len() > 1 {
             assert!(store.evictions() > 0, "budget must evict");
@@ -327,11 +328,8 @@ fn bounded_persistent_store_matches_oracle_after_restart() {
         "recovery re-applies the memory budget"
     );
     for (i, doc) in docs.iter().enumerate() {
-        let got = briq.align_stored_detailed(&store, i as u64, doc, &budget);
-        let full = oracle.align_stored_detailed(&ostore, i as u64, doc, &budget);
-        assert_eq!(got.0, full.0, "bounded: doc {i} alignments");
-        assert_eq!(got.1, full.1, "bounded: doc {i} filter stats");
-        assert_eq!(got.2, full.2, "bounded: doc {i} candidates");
-        assert_eq!(got.3.items, full.3.items, "bounded: doc {i} diagnostics");
+        let got = stored(&briq, &store, i as u64, doc, budget);
+        let full = stored(&oracle, &ostore, i as u64, doc, budget);
+        assert_same(&got, &full, &format!("bounded: doc {i}"));
     }
 }

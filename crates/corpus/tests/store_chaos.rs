@@ -8,20 +8,51 @@
 //! regex-hostile text, …) are exactly the inputs where a stale or
 //! miskeyed cache would slip through a clean-corpus test.
 
-use briq_core::pipeline::{Briq, BriqConfig};
+use briq_core::pipeline::{AlignOpts, AlignOutput, Briq, BriqConfig};
 use briq_core::store::{text_fingerprint, AlignmentStore};
-use briq_core::{Budget, Recorder};
+use briq_core::Budget;
 use briq_corpus::corpus::{generate_corpus, CorpusConfig};
 use briq_corpus::perturb::{adversarial_documents, perturb_document, Adversary, Perturbation};
+use briq_table::Document;
+
+/// Align `doc` through `store` under document key `key`.
+fn stored(
+    briq: &Briq,
+    store: &AlignmentStore,
+    key: u64,
+    doc: &Document,
+    budget: Budget,
+) -> AlignOutput {
+    briq.align_with(
+        doc,
+        &AlignOpts {
+            budget,
+            store: Some((store, key)),
+            ..AlignOpts::default()
+        },
+    )
+}
+
+/// Assert `got` matches the full-recompute `full` on every output
+/// surface: alignments, filter stats, candidates, and diagnostics.
+fn assert_same(got: &AlignOutput, full: &AlignOutput, label: &str) {
+    assert_eq!(got.alignments, full.alignments, "{label} alignments");
+    assert_eq!(got.stats, full.stats, "{label} filter stats");
+    assert_eq!(got.candidates, full.candidates, "{label} candidates");
+    assert_eq!(
+        got.diagnostics.items, full.diagnostics.items,
+        "{label} diagnostics"
+    );
+}
 
 fn briq() -> Briq {
     Briq::untrained(BriqConfig::default())
 }
 
-/// A full-recompute oracle: same model, store disabled, so
-/// `align_stored_detailed` falls through to the plain pipeline while
-/// returning the same 4-tuple surface (alignments, stats, candidates,
-/// diagnostics) as the store path.
+/// A full-recompute oracle: same model, store disabled, so `stored`
+/// ignores the store and runs the plain pipeline while returning the
+/// same output surface (alignments, stats, candidates, diagnostics) as
+/// the store path.
 fn oracle() -> (Briq, AlignmentStore) {
     let cfg = BriqConfig {
         use_store: false,
@@ -47,38 +78,18 @@ fn warm_unchanged_matches_full_recompute_across_all_families() {
             let store = AlignmentStore::for_system(&briq);
             for (i, doc) in docs.iter().enumerate() {
                 // Cold pass populates the cache.
-                briq.align_stored_detailed(&store, i as u64, doc, &budget);
+                stored(&briq, &store, i as u64, doc, budget);
             }
             for (i, doc) in docs.iter().enumerate() {
-                let warm = briq.align_stored_detailed(&store, i as u64, doc, &budget);
-                let full = oracle.align_stored_detailed(&ostore, i as u64, doc, &budget);
-                assert_eq!(
-                    warm.0,
-                    full.0,
-                    "{}: seed {seed} doc {i} alignments",
-                    kind.name()
-                );
-                assert_eq!(
-                    warm.1,
-                    full.1,
-                    "{}: seed {seed} doc {i} filter stats",
-                    kind.name()
-                );
-                assert_eq!(
-                    warm.2,
-                    full.2,
-                    "{}: seed {seed} doc {i} candidates",
-                    kind.name()
-                );
-                assert_eq!(
-                    warm.3.items,
-                    full.3.items,
-                    "{}: seed {seed} doc {i} diagnostics",
-                    kind.name()
+                let warm = stored(&briq, &store, i as u64, doc, budget);
+                let full = stored(&oracle, &ostore, i as u64, doc, budget);
+                assert_same(
+                    &warm,
+                    &full,
+                    &format!("{}: seed {seed} doc {i}", kind.name()),
                 );
 
-                let (_, _, timings) =
-                    briq.align_stored(&store, i as u64, doc, &budget, &Recorder::disabled());
+                let timings = stored(&briq, &store, i as u64, doc, budget).timings;
                 assert_eq!(
                     (
                         timings.classify_s,
@@ -115,26 +126,13 @@ fn mutated_documents_match_full_recompute_across_all_families() {
         let seed = 43u64;
         let store = AlignmentStore::for_system(&briq);
         for (i, doc) in adversarial_documents(kind, seed).iter().enumerate() {
-            briq.align_stored_detailed(&store, i as u64, doc, &budget);
+            stored(&briq, &store, i as u64, doc, budget);
         }
         let mutated = adversarial_documents(kind, seed + 1);
         for (i, doc) in mutated.iter().enumerate() {
-            let inc = briq.align_stored_detailed(&store, i as u64, doc, &budget);
-            let full = oracle.align_stored_detailed(&ostore, i as u64, doc, &budget);
-            assert_eq!(inc.0, full.0, "{}: mutated doc {i} alignments", kind.name());
-            assert_eq!(
-                inc.1,
-                full.1,
-                "{}: mutated doc {i} filter stats",
-                kind.name()
-            );
-            assert_eq!(inc.2, full.2, "{}: mutated doc {i} candidates", kind.name());
-            assert_eq!(
-                inc.3.items,
-                full.3.items,
-                "{}: mutated doc {i} diagnostics",
-                kind.name()
-            );
+            let inc = stored(&briq, &store, i as u64, doc, budget);
+            let full = stored(&oracle, &ostore, i as u64, doc, budget);
+            assert_same(&inc, &full, &format!("{}: mutated doc {i}", kind.name()));
         }
     }
 }

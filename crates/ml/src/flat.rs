@@ -308,9 +308,7 @@ impl FlatForest {
     /// included — a lane parks as soon as its subtree bound rules the
     /// vote out), and per row the votes accumulate as the same exact
     /// `+1.0` sequence in tree order, divided once at the end.
-    /// `crates/ml/tests/flat_equivalence.rs` proves it by proptest and
-    /// CI's `kernels` stage re-proves it on real output every run
-    /// (`BRIQ_NO_LANES=1` is the oracle hatch).
+    /// `crates/ml/tests/flat_equivalence.rs` proves it by proptest.
     pub fn score_lanes(&self, rows: &[f64], stride: usize, out: &mut [f64]) {
         assert!(stride > 0, "stride must be positive");
         assert_eq!(rows.len(), out.len() * stride, "rows/out shape mismatch");
@@ -376,137 +374,11 @@ impl FlatForest {
     pub fn n_nodes(&self) -> usize {
         self.feature.len()
     }
-
-    /// Whether the f32-quantized traversal of `tree` provably agrees
-    /// with the f64 traversal on `x`: at every split on the f64 path the
-    /// comparison survives f32 rounding (`x[f] as f32` vs
-    /// `threshold as f32` orders the same way), and the reached leaf's
-    /// vote survives quantization. When this holds the
-    /// [`FlatForestF32`] vote is identical by induction over the path;
-    /// when it fails the row sits inside an f32 rounding interval of
-    /// some threshold and the vote may legitimately flip — that is the
-    /// entire tolerance contract of the f32 fast path (DESIGN.md §14),
-    /// and `crates/ml/tests/f32_divergence.rs` holds both directions.
-    pub fn f32_equivalent_on(&self, tree: usize, x: &[f64]) -> bool {
-        let mut at = self.roots[tree] as usize;
-        loop {
-            let f = self.feature[at];
-            if f == LEAF {
-                let prob = self.threshold[at];
-                return (prob >= 0.5) == (prob as f32 >= 0.5f32);
-            }
-            let v = x[f as usize];
-            let t = self.threshold[at];
-            if (v <= t) != (v as f32 <= t as f32) {
-                return false;
-            }
-            at = if v <= t {
-                self.left[at] as usize
-            } else {
-                self.right[at] as usize
-            };
-        }
-    }
 }
 
 /// Rows traversed in lockstep per lane group by
 /// [`FlatForest::score_lanes`].
 pub const LANE_WIDTH: usize = 8;
-
-/// An f32-quantized copy of a [`FlatForest`]: thresholds and leaf
-/// probabilities narrowed to f32, features compared as `x as f32`.
-/// Halves the threshold-array footprint and keeps more of the forest in
-/// cache, at the cost of **approximate** scores: a traversal diverges
-/// from f64 exactly when a feature value falls inside the f32 rounding
-/// interval of a threshold ([`FlatForest::f32_equivalent_on`] is the
-/// per-tree witness; `|p32 − p64| ≤ diverged_trees / n_trees` always).
-///
-/// **Opt-in and never the default**: the alignment pipeline only uses it
-/// under `BRIQ_F32=1`, CI's determinism and `kernels` stages never set
-/// it, and it stays opt-in until scores *and rankings* are proven
-/// identical on the full chaos corpus (DESIGN.md §14).
-#[derive(Debug, Clone, Default)]
-pub struct FlatForestF32 {
-    feature: Vec<u16>,
-    threshold: Vec<f32>,
-    left: Vec<u32>,
-    right: Vec<u32>,
-    roots: Vec<u32>,
-}
-
-impl FlatForestF32 {
-    /// Quantize a flattened forest. Mask baking, node layout, and tree
-    /// order are inherited unchanged.
-    pub fn from_flat(flat: &FlatForest) -> FlatForestF32 {
-        FlatForestF32 {
-            feature: flat.feature.clone(),
-            threshold: flat.threshold.iter().map(|&t| t as f32).collect(),
-            left: flat.left.clone(),
-            right: flat.right.clone(),
-            roots: flat.roots.clone(),
-        }
-    }
-
-    /// Number of trees.
-    pub fn n_trees(&self) -> usize {
-        self.roots.len()
-    }
-
-    /// Whether `tree` votes "related" for `x` under f32 comparisons.
-    #[inline]
-    fn vote_from(&self, mut at: usize, x: &[f64]) -> bool {
-        loop {
-            let f = self.feature[at];
-            if f == LEAF {
-                return self.threshold[at] >= 0.5f32;
-            }
-            at = if x[f as usize] as f32 <= self.threshold[at] {
-                self.left[at] as usize
-            } else {
-                self.right[at] as usize
-            };
-        }
-    }
-
-    /// Fraction of trees voting "related" under f32 traversal. The
-    /// division happens in f64 so the only quantization is in the
-    /// comparisons, keeping the divergence bound tight.
-    pub fn predict_proba_slice(&self, x: &[f64]) -> f64 {
-        if self.roots.is_empty() {
-            return 0.5;
-        }
-        let mut votes = 0usize;
-        for &root in &self.roots {
-            if self.vote_from(root as usize, x) {
-                votes += 1;
-            }
-        }
-        votes as f64 / self.roots.len() as f64
-    }
-
-    /// Block scoring under f32 traversal — same shape contract as
-    /// [`FlatForest::score_block`], same tree-outer loop.
-    pub fn score_block(&self, rows: &[f64], stride: usize, out: &mut [f64]) {
-        assert!(stride > 0, "stride must be positive");
-        assert_eq!(rows.len(), out.len() * stride, "rows/out shape mismatch");
-        if self.roots.is_empty() {
-            out.fill(0.5);
-            return;
-        }
-        out.fill(0.0);
-        for &root in &self.roots {
-            for (o, row) in out.iter_mut().zip(rows.chunks_exact(stride)) {
-                if self.vote_from(root as usize, row) {
-                    *o += 1.0;
-                }
-            }
-        }
-        let n_trees = self.roots.len() as f64;
-        for o in out.iter_mut() {
-            *o /= n_trees;
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -724,64 +596,6 @@ mod tests {
         let mut out = [f64::NAN; 3];
         flat.score_lanes(&[0.0, 1.0, 2.0], 1, &mut out);
         assert_eq!(out, [0.5, 0.5, 0.5]);
-    }
-
-    #[test]
-    fn f32_forest_divergence_is_witnessed() {
-        let data = noisy(300, 41);
-        let rf = RandomForest::fit(
-            &data,
-            RandomForestConfig {
-                n_trees: 16,
-                ..Default::default()
-            },
-        );
-        let flat = FlatForest::from_forest(&rf);
-        let f32f = FlatForestF32::from_flat(&flat);
-        assert_eq!(f32f.n_trees(), flat.n_trees());
-        let mut rng = StdRng::seed_from_u64(42);
-        for _ in 0..500 {
-            let x = [
-                rng.random_range(-0.2..1.2),
-                rng.random_range(-0.2..1.2),
-                rng.random_range(-0.2..1.2),
-            ];
-            let p64 = flat.predict_proba_slice(&x);
-            let p32 = f32f.predict_proba_slice(&x);
-            // The tolerance contract: divergence is bounded by the
-            // trees whose traversal crossed an f32 rounding boundary.
-            let unsafe_trees = (0..flat.n_trees())
-                .filter(|&t| !flat.f32_equivalent_on(t, &x))
-                .count();
-            assert!(
-                (p32 - p64).abs() <= unsafe_trees as f64 / flat.n_trees() as f64 + 1e-15,
-                "divergence {} exceeds witness bound {}/{}",
-                (p32 - p64).abs(),
-                unsafe_trees,
-                flat.n_trees()
-            );
-            if unsafe_trees == 0 {
-                assert_eq!(p32.to_bits(), p64.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn f32_block_matches_f32_per_row() {
-        let data = noisy(200, 43);
-        let rf = RandomForest::fit(&data, RandomForestConfig::default());
-        let f32f = FlatForestF32::from_flat(&FlatForest::from_forest(&rf));
-        let rows = random_block(40, 3, 44);
-        let mut out = vec![f64::NAN; 40];
-        f32f.score_block(&rows, 3, &mut out);
-        for (o, row) in out.iter().zip(rows.chunks_exact(3)) {
-            assert_eq!(o.to_bits(), f32f.predict_proba_slice(row).to_bits());
-        }
-        let empty = FlatForestF32::default();
-        let mut out1 = [f64::NAN];
-        empty.score_block(&[1.0], 1, &mut out1);
-        assert_eq!(out1, [0.5]);
-        assert_eq!(empty.predict_proba_slice(&[1.0]), 0.5);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod tree;
 pub use analysis::{calibration_curve, expected_calibration_error, permutation_importance};
 pub use dataset::Dataset;
 pub use entropy::shannon_entropy;
-pub use flat::{FlatForest, FlatForestF32, LANE_WIDTH};
+pub use flat::{FlatForest, LANE_WIDTH};
 pub use forest::{RandomForest, RandomForestConfig};
 pub use kappa::fleiss_kappa;
 pub use metrics::{f1_score, precision_recall_f1, roc_auc, Prf};

@@ -11,9 +11,21 @@
 use briq::substrates::corpus::corpus::{generate_corpus, CorpusConfig};
 use briq::substrates::corpus::perturb::{adversarial_documents, Adversary};
 use briq::{
-    align_batch, BatchConfig, Briq, BriqConfig, Budget, DegradedAction, Diagnostic, Document,
-    Stage, Table, TableMentionKind,
+    align_batch, AlignOpts, Alignment, BatchConfig, Briq, BriqConfig, Budget, DegradedAction,
+    Diagnostic, Diagnostics, Document, Stage, Table, TableMentionKind,
 };
+
+/// Align `doc` under `budget`: alignments plus diagnostics.
+fn align_budgeted(briq: &Briq, doc: &Document, budget: Budget) -> (Vec<Alignment>, Diagnostics) {
+    let out = briq.align_with(
+        doc,
+        &AlignOpts {
+            budget,
+            ..AlignOpts::default()
+        },
+    );
+    (out.alignments, out.diagnostics)
+}
 
 /// Tight enough that the hostile families actually hit the caps.
 fn chaos_budget() -> Budget {
@@ -38,7 +50,7 @@ fn thousand_adversarial_documents_never_panic_and_respect_budgets() {
     while processed < 1000 {
         for kind in Adversary::ALL {
             for doc in adversarial_documents(kind, seed) {
-                let (alignments, diags) = briq.align_checked_with(&doc, &budget);
+                let (alignments, diags) = align_budgeted(&briq, &doc, budget);
                 for a in &alignments {
                     assert!(
                         a.score.is_finite(),
@@ -101,7 +113,7 @@ fn thousand_adversarial_documents_never_panic_and_respect_budgets() {
 /// The batch engine under fire: every adversarial family, all in one
 /// parallel batch. The pool must (a) never panic, (b) keep each hostile
 /// document's degradation isolated to that document, and (c) return
-/// results bit-identical to running `align_checked_with` sequentially —
+/// results bit-identical to running `align_with` sequentially —
 /// for any worker count.
 #[test]
 fn adversarial_batch_is_deterministic_and_isolated() {
@@ -122,7 +134,7 @@ fn adversarial_batch_is_deterministic_and_isolated() {
 
     let sequential: Vec<_> = docs
         .iter()
-        .map(|d| briq.align_checked_with(d, &budget))
+        .map(|d| align_budgeted(&briq, d, budget))
         .collect();
 
     for jobs in [1usize, 3, 8] {
@@ -235,7 +247,7 @@ fn clean_documents_align_bit_identically_under_checking() {
         let (checked, diags) = briq.align_checked(&ld.document);
         assert_eq!(plain, checked, "doc {} diverged: {diags:?}", ld.document.id);
         // Unlimited budget: the exact same code path as `align`.
-        let (unlimited, _) = briq.align_checked_with(&ld.document, &Budget::unlimited());
+        let (unlimited, _) = align_budgeted(&briq, &ld.document, Budget::unlimited());
         assert_eq!(plain, unlimited, "doc {}", ld.document.id);
         compared += plain.len();
     }

@@ -5,20 +5,23 @@
 //!
 //! Coverage: well-formed seeded corpus documents (>= 1000 pairs) and one
 //! document per adversarial chaos family under a tight budget. The
-//! batched engine (dedup cache + exact bound-based pruning, see
-//! `briq_core::scoring`) is additionally held to the same standard
-//! against the exhaustive score-everything reference and against itself
-//! with pruning disabled (`BRIQ_NO_PRUNE=1`).
+//! production alignment path (retrieval + dedup cache + exact
+//! bound-based pruning, see `briq_core::scoring`) is additionally held
+//! to the same standard against the exhaustive score-everything
+//! reference: `score_document` + `filter`, and the reference
+//! configuration ([`BriqConfig::reference`]).
 
 use briq_core::classifier::PairClassifier;
 use briq_core::features::{feature_vector, FeatureMask, PairFeaturizer, FEATURE_COUNT};
 use briq_core::pipeline::{
-    heuristic_prior, heuristic_prior_masked, Briq, BriqConfig, ScoredDocument,
+    heuristic_prior, heuristic_prior_masked, AlignOpts, AlignOutput, Briq, BriqConfig,
+    ScoredDocument,
 };
 use briq_core::Budget;
 use briq_corpus::corpus::{generate_corpus, CorpusConfig};
 use briq_corpus::perturb::{adversarial_documents, Adversary};
 use briq_ml::{Dataset, RandomForestConfig};
+use briq_table::Document;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -211,15 +214,25 @@ fn assert_alignments_bit_equal(
     }
 }
 
+fn run(briq: &Briq, doc: &Document, budget: Budget) -> AlignOutput {
+    briq.align_with(
+        doc,
+        &AlignOpts {
+            budget,
+            ..AlignOpts::default()
+        },
+    )
+}
+
 #[test]
 fn pruned_path_matches_exhaustive_filtering() {
     // The dedup + bound-based-pruning engine on the alignment hot path
     // must be unobservable: identical filtering survivors (same targets,
     // same f64 bits), identical stats, identical final alignments —
     // against both the exhaustive `score_document` + `filter` reference
-    // and the engine with pruning switched off via BRIQ_NO_PRUNE=1.
-    // A trained classifier so bound-based pruning actually engages (the
-    // untrained heuristic path only dedups).
+    // and a full alignment on the reference configuration. A trained
+    // classifier so bound-based pruning actually engages (the untrained
+    // heuristic path only dedups).
     let corpus = generate_corpus(&CorpusConfig {
         n_documents: 40,
         seed: 20190408,
@@ -246,6 +259,8 @@ fn pruned_path_matches_exhaustive_filtering() {
     };
     let briq = Briq::train(cfg, &train, &val);
     assert!(briq.is_trained());
+    let mut oracle = briq.clone();
+    oracle.cfg = oracle.cfg.reference();
 
     let mut pairs = 0usize;
     let mut saved = 0u64;
@@ -258,21 +273,22 @@ fn pruned_path_matches_exhaustive_filtering() {
         pairs += sd.mentions.len() * sd.targets.len();
         let (cand_ref, stats_ref) = briq.filter(&sd);
 
-        // Hot path with pruning on (default), then off.
-        let (al_on, stats_on, cand_on) = briq.align_detailed(doc);
-        std::env::set_var("BRIQ_NO_PRUNE", "1");
-        let (al_off, stats_off, cand_off) = briq.align_detailed(doc);
-        std::env::remove_var("BRIQ_NO_PRUNE");
+        // Production path, then the reference configuration.
+        let on = run(&briq, doc, Budget::unlimited());
+        let off = run(&oracle, doc, Budget::unlimited());
 
-        assert_candidates_bit_equal(&cand_on, &cand_ref, &format!("{scope} on-vs-ref"));
-        assert_candidates_bit_equal(&cand_on, &cand_off, &format!("{scope} on-vs-off"));
-        assert_eq!(stats_on, stats_ref, "{scope}: stats on-vs-ref");
-        assert_eq!(stats_on, stats_off, "{scope}: stats on-vs-off");
-        assert_alignments_bit_equal(&al_on, &al_off, &scope);
+        assert_candidates_bit_equal(&on.candidates, &cand_ref, &format!("{scope} on-vs-ref"));
+        assert_candidates_bit_equal(
+            &on.candidates,
+            &off.candidates,
+            &format!("{scope} on-vs-off"),
+        );
+        assert_eq!(on.stats, stats_ref, "{scope}: stats on-vs-ref");
+        assert_eq!(on.stats, off.stats, "{scope}: stats on-vs-off");
+        assert_alignments_bit_equal(&on.alignments, &off.alignments, &scope);
 
         // The engine must actually be saving work somewhere in the run.
-        let (_, _, timings) = briq.align_timed(doc, &Budget::unlimited());
-        saved += timings.rows_deduped + timings.pairs_pruned;
+        saved += on.timings.rows_deduped + on.timings.pairs_pruned;
     }
     assert!(pairs >= 1000, "only {pairs} pairs exercised");
     assert!(
@@ -280,8 +296,8 @@ fn pruned_path_matches_exhaustive_filtering() {
         "dedup + pruning never engaged over {pairs} pairs"
     );
 
-    // Every adversarial chaos family, under the tight budget: pruning
-    // on/off must stay byte-identical even on degraded documents.
+    // Every adversarial chaos family, under the tight budget: production
+    // and reference must stay byte-identical even on degraded documents.
     let budget = Budget {
         max_regex_steps: 10_000,
         max_virtual_cells_per_table: 120,
@@ -290,11 +306,9 @@ fn pruned_path_matches_exhaustive_filtering() {
     };
     for kind in Adversary::ALL {
         for doc in adversarial_documents(kind, 20190408) {
-            let (al_on, _) = briq.align_checked_with(&doc, &budget);
-            std::env::set_var("BRIQ_NO_PRUNE", "1");
-            let (al_off, _) = briq.align_checked_with(&doc, &budget);
-            std::env::remove_var("BRIQ_NO_PRUNE");
-            assert_alignments_bit_equal(&al_on, &al_off, kind.name());
+            let on = run(&briq, &doc, budget);
+            let off = run(&oracle, &doc, budget);
+            assert_alignments_bit_equal(&on.alignments, &off.alignments, kind.name());
         }
     }
 }

@@ -1,17 +1,22 @@
-//! The retrieval index must be unobservable in output: for every
-//! document, the indexed path (`use_index: true`, the default) and the
-//! exhaustive oracle (`use_index: false`) must produce bit-identical
-//! alignments, candidates, and filter statistics — same f64 bits, not
-//! "close". This is the recall contract of `briq_core::retrieval`
-//! (DESIGN.md §13) checked on real pipeline output.
+//! The production path must be unobservable in output: for every
+//! document, the default configuration (retrieval index + batched
+//! engine, CSR walks) and the reference configuration
+//! ([`BriqConfig::reference`]: exhaustive scoring, dense walks, no
+//! store) must produce bit-identical alignments, candidates, filter
+//! statistics, and diagnostics — same f64 bits, not "close". This is the
+//! recall contract of `briq_core::retrieval` (DESIGN.md §13) and the
+//! engine's exactness contract (§10) checked on real pipeline output.
 //!
 //! Coverage: seeded well-formed corpus documents, every adversarial
 //! chaos family, and both the untrained heuristic prior and a trained
 //! forest (the two scoring entry points have separate selected-path
-//! implementations).
+//! implementations). Each test also checks that the two paths really
+//! differ in work: production retrieves candidates (and, trained,
+//! prunes pairs) while the reference retrieves, dedups, and prunes
+//! nothing.
 
-use briq_core::pipeline::{Briq, BriqConfig};
-use briq_core::Budget;
+use briq_core::pipeline::{AlignOpts, AlignOutput, Briq, BriqConfig};
+use briq_core::{Budget, StageTimings};
 use briq_corpus::corpus::{generate_corpus, CorpusConfig};
 use briq_corpus::perturb::{adversarial_documents, Adversary};
 use briq_table::Document;
@@ -27,75 +32,111 @@ fn adversarial_budget() -> Budget {
     }
 }
 
-/// The same system with the index flipped off — identical model, so any
-/// output difference is the index's fault alone.
-fn without_index(briq: &Briq) -> Briq {
+/// The same system on the reference configuration — identical model, so
+/// any output difference is the production path's fault alone.
+fn reference(briq: &Briq) -> Briq {
     let mut oracle = briq.clone();
-    oracle.cfg.use_index = false;
+    oracle.cfg = oracle.cfg.reference();
     oracle
 }
 
-/// Assert bit-identical `align_detailed` output across the two paths.
-/// Debug formatting prints f64s shortest-round-trip, so any bit drift
-/// in a score (beyond NaN payloads, which filtering's total order would
-/// surface as reordering anyway) fails the comparison.
-fn assert_identical(briq: &Briq, oracle: &Briq, doc: &Document, label: &str) {
-    let (a_idx, s_idx, c_idx) = briq.align_detailed(doc);
-    let (a_ora, s_ora, c_ora) = oracle.align_detailed(doc);
+fn run(briq: &Briq, doc: &Document, budget: Budget) -> AlignOutput {
+    briq.align_with(
+        doc,
+        &AlignOpts {
+            budget,
+            ..AlignOpts::default()
+        },
+    )
+}
+
+/// Assert bit-identical output across the two paths and return the
+/// production run's timings. Debug formatting prints f64s
+/// shortest-round-trip, so any bit drift in a score (beyond NaN
+/// payloads, which filtering's total order would surface as reordering
+/// anyway) fails the comparison.
+fn assert_identical(
+    briq: &Briq,
+    oracle: &Briq,
+    doc: &Document,
+    budget: Budget,
+    label: &str,
+) -> StageTimings {
+    let prod = run(briq, doc, budget);
+    let refr = run(oracle, doc, budget);
     assert_eq!(
-        format!("{a_idx:?}"),
-        format!("{a_ora:?}"),
+        format!("{:?}", prod.alignments),
+        format!("{:?}", refr.alignments),
         "alignments diverge on {label} doc {}",
         doc.id
     );
     assert_eq!(
-        format!("{c_idx:?}"),
-        format!("{c_ora:?}"),
+        format!("{:?}", prod.candidates),
+        format!("{:?}", refr.candidates),
         "candidates diverge on {label} doc {}",
         doc.id
     );
     assert_eq!(
-        s_idx, s_ora,
+        prod.stats, refr.stats,
         "filter statistics diverge on {label} doc {}",
         doc.id
     );
+    assert_eq!(
+        prod.diagnostics.to_jsonl(),
+        refr.diagnostics.to_jsonl(),
+        "diagnostics diverge on {label} doc {}",
+        doc.id
+    );
+    let t = refr.timings;
+    assert_eq!(
+        (
+            t.candidates_retrieved,
+            t.pairs_skipped_retrieval,
+            t.rows_deduped,
+            t.pairs_pruned
+        ),
+        (0, 0, 0, 0),
+        "reference path used the index or engine on {label} doc {}",
+        doc.id
+    );
+    prod.timings
 }
 
 #[test]
 fn untrained_indexed_path_matches_oracle_on_corpus() {
     let briq = Briq::untrained(BriqConfig::default());
     assert!(briq.cfg.use_index, "index is the default path");
-    let oracle = without_index(&briq);
+    let oracle = reference(&briq);
     let docs = generate_corpus(&CorpusConfig {
         n_documents: 24,
         seed: 41,
         ..Default::default()
     })
     .documents;
+    let mut retrieved = 0;
     for ld in &docs {
-        assert_identical(&briq, &oracle, &ld.document, "corpus");
+        let t = assert_identical(&briq, &oracle, &ld.document, Budget::unlimited(), "corpus");
+        retrieved += t.candidates_retrieved;
     }
+    assert!(retrieved > 0, "index never retrieved a candidate");
 }
 
 #[test]
 fn untrained_indexed_path_matches_oracle_on_adversarial_families() {
     let briq = Briq::untrained(BriqConfig::default());
-    let oracle = without_index(&briq);
+    let oracle = reference(&briq);
     let budget = adversarial_budget();
+    let mut retrieved = 0;
     for kind in Adversary::ALL {
         for seed in [1u64, 2] {
             for doc in adversarial_documents(kind, seed) {
-                let (a_idx, _) = briq.align_checked_with(&doc, &budget);
-                let (a_ora, _) = oracle.align_checked_with(&doc, &budget);
-                assert_eq!(
-                    format!("{a_idx:?}"),
-                    format!("{a_ora:?}"),
-                    "alignments diverge on {kind:?} seed {seed} doc {}",
-                    doc.id
-                );
+                let label = format!("{kind:?} seed {seed}");
+                retrieved +=
+                    assert_identical(&briq, &oracle, &doc, budget, &label).candidates_retrieved;
             }
         }
     }
+    assert!(retrieved > 0, "index never retrieved a candidate");
 }
 
 #[test]
@@ -105,10 +146,24 @@ fn trained_indexed_path_matches_oracle() {
     let (train, rest) = docs.split_at(docs.len() * 2 / 3);
     let briq = Briq::train(BriqConfig::default(), train, rest);
     assert!(briq.is_trained());
-    let oracle = without_index(&briq);
+    let oracle = reference(&briq);
+    let (mut retrieved, mut pruned) = (0, 0);
     for ld in &docs {
-        assert_identical(&briq, &oracle, &ld.document, "trained corpus");
+        let t = assert_identical(
+            &briq,
+            &oracle,
+            &ld.document,
+            Budget::unlimited(),
+            "trained corpus",
+        );
+        retrieved += t.candidates_retrieved;
+        pruned += t.pairs_pruned;
     }
+    assert!(retrieved > 0, "index never retrieved a candidate");
+    assert!(
+        pruned > 0,
+        "bound pruning never engaged on the trained model"
+    );
     let budget = adversarial_budget();
     for kind in [
         Adversary::NonFiniteNumerics,
@@ -116,14 +171,7 @@ fn trained_indexed_path_matches_oracle() {
         Adversary::VirtualCellFanout,
     ] {
         for doc in adversarial_documents(kind, 5) {
-            let (a_idx, _) = briq.align_checked_with(&doc, &budget);
-            let (a_ora, _) = oracle.align_checked_with(&doc, &budget);
-            assert_eq!(
-                format!("{a_idx:?}"),
-                format!("{a_ora:?}"),
-                "alignments diverge on trained {kind:?} doc {}",
-                doc.id
-            );
+            assert_identical(&briq, &oracle, &doc, budget, &format!("trained {kind:?}"));
         }
     }
 }
