@@ -21,7 +21,11 @@
 #                and the kernel-equivalence suites (CSR-vs-dense RWR
 #                proptests in crates/graph/tests/csr_equivalence.rs,
 #                lane-vs-block forest proptests in briq-ml, and the
-#                arena steady-state allocation test)
+#                arena steady-state allocation test); then builds and
+#                tests the briq-perf benchmark package (outside the
+#                workspace) with --locked, so a library change that
+#                breaks the benchmark fails here and its Cargo.lock is
+#                never rewritten
 #   bench-smoke  throughput smoke of the batch engine on a seeded corpus at
 #                --jobs 1 and --jobs $(nproc); writes BENCH_throughput.json
 #                (docs/min, per-stage timings incl. classify seconds and
@@ -133,7 +137,9 @@ stage_build() {
 }
 
 stage_test() {
-    cargo test --offline --workspace -q
+    cargo test --offline --workspace -q || return 1
+    CARGO_TARGET_DIR=target cargo test --offline --locked -q \
+        --manifest-path crates/bench/src/bin/briq-perf/Cargo.toml
 }
 
 stage_docs() {

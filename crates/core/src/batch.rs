@@ -27,10 +27,10 @@ use std::time::Instant;
 
 use briq_table::Document;
 
-use crate::error::{BriqError, Budget, DegradedAction, Diagnostics, Stage};
+use crate::error::{BriqError, Budget, DegradedAction, Diagnostic, Diagnostics, Stage};
 use crate::mention::Alignment;
 use crate::obs::{chrome_trace_json, names, DocTrace, MetricsRegistry, Recorder};
-use crate::pipeline::{AlignOpts, Briq};
+use crate::pipeline::{AlignOpts, AlignOutput, Briq};
 use crate::span;
 use crate::store::AlignmentStore;
 
@@ -124,31 +124,22 @@ impl StageTimings {
     }
 }
 
-/// Configuration of one batch run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Documents a worker claims per steal: enough to amortize the atomic
+/// cursor, few enough to balance skewed documents.
+const CHUNK: usize = 4;
+
+/// Configuration of one batch run. The default is one worker per core
+/// and [`Budget::default`], untraced.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Worker threads; `0` means one per available core.
     pub jobs: usize,
-    /// Documents claimed per steal. Larger chunks amortize the atomic
-    /// cursor, smaller chunks balance skewed documents better.
-    pub chunk: usize,
     /// Budget applied to every document independently.
     pub budget: Budget,
     /// Record a per-document span trace and metrics (see [`crate::obs`]).
     /// Recording is worker-local and observation-only: alignments and
     /// diagnostics are byte-identical with tracing on or off.
     pub trace: bool,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            jobs: 0,
-            chunk: 4,
-            budget: Budget::default(),
-            trace: false,
-        }
-    }
 }
 
 impl BatchConfig {
@@ -282,11 +273,9 @@ impl BatchReport {
     pub fn combined_diagnostics(&self) -> Diagnostics {
         let mut out = Diagnostics::default();
         for d in &self.documents {
-            for item in &d.diagnostics.items {
-                let mut item = item.clone();
-                item.scope = format!("doc {}: {}", d.index, item.scope);
-                out.items.push(item);
-            }
+            let items = d.diagnostics.items.iter();
+            out.items
+                .extend(items.map(|item| doc_scoped(d.index, item)));
         }
         out
     }
@@ -386,15 +375,12 @@ fn align_batch_inner(
             workers: Vec::new(),
         };
     }
-    let chunk = cfg.chunk.max(1);
-
     let worker_outputs: Vec<(WorkerStats, Vec<DocReport>)> = if jobs <= 1 {
         vec![run_worker(
             0,
             briq,
             docs,
             &AtomicUsize::new(0),
-            chunk,
             cfg,
             start,
             store,
@@ -405,7 +391,7 @@ fn align_batch_inner(
             let handles: Vec<_> = (0..jobs)
                 .map(|w| {
                     let next = &next;
-                    scope.spawn(move || run_worker(w, briq, docs, next, chunk, cfg, start, store))
+                    scope.spawn(move || run_worker(w, briq, docs, next, cfg, start, store))
                 })
                 .collect();
             handles
@@ -459,13 +445,11 @@ fn align_batch_inner(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_worker(
     worker: usize,
     briq: &Briq,
     docs: &[Document],
     next: &AtomicUsize,
-    chunk: usize,
     cfg: &BatchConfig,
     epoch: Instant,
     store: Option<StoreCtx<'_>>,
@@ -473,11 +457,11 @@ fn run_worker(
     let mut out = Vec::new();
     let mut busy_s = 0.0f64;
     loop {
-        let lo = next.fetch_add(chunk, Ordering::Relaxed);
+        let lo = next.fetch_add(CHUNK, Ordering::Relaxed);
         if lo >= docs.len() {
             break;
         }
-        let hi = (lo + chunk).min(docs.len());
+        let hi = (lo + CHUNK).min(docs.len());
         for (i, doc) in docs[lo..hi].iter().enumerate() {
             let t0 = Instant::now();
             out.push(align_one(briq, lo + i, doc, cfg, epoch, store));
@@ -505,39 +489,48 @@ fn align_one(
     // The recorder is worker-local (one per document, never shared), so
     // recording needs no locks; `epoch` is the batch start, putting every
     // document's spans on one shared trace timeline.
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let rec = if cfg.trace {
-            Recorder::enabled_at(epoch)
-        } else {
-            Recorder::disabled()
-        };
-        let out = {
-            let _g = span!(rec, names::SPAN_ALIGN, doc = index);
-            let opts = AlignOpts {
-                budget: cfg.budget,
-                recorder: Some(&rec),
-                cancel: None,
-                store: store.map(|ctx| (ctx.store, ctx.key(index))),
-            };
-            briq.align_with(doc, &opts)
-        };
-        (out, rec.finish())
-    }));
+    let rec = if cfg.trace {
+        Recorder::enabled_at(epoch)
+    } else {
+        Recorder::disabled()
+    };
+    let opts = AlignOpts {
+        budget: cfg.budget,
+        recorder: Some(&rec),
+        cancel: None,
+        store: store.map(|ctx| (ctx.store, ctx.key(index))),
+    };
+    let result = {
+        let _g = span!(rec, names::SPAN_ALIGN, doc = index);
+        align_isolated(briq, index, doc, &opts)
+    };
     match result {
-        Ok((out, trace)) => DocReport {
+        Ok(out) => DocReport {
             index,
             alignments: out.alignments,
             diagnostics: out.diagnostics,
             timings: out.timings,
-            trace,
+            trace: rec.finish(),
         },
         Err(_) => panicked_report(index),
     }
 }
 
-/// The degraded stand-in for a document whose worker panicked: empty
-/// alignments plus one `Stage::Batch` diagnostic.
-fn panicked_report(index: usize) -> DocReport {
+/// Align document `index` under `opts` with a panic contained — the
+/// per-document isolation the batch engine and the server share. A
+/// panic yields the degraded stand-in's diagnostics instead.
+pub(crate) fn align_isolated(
+    briq: &Briq,
+    index: usize,
+    doc: &Document,
+    opts: &AlignOpts,
+) -> Result<AlignOutput, Diagnostics> {
+    catch_unwind(AssertUnwindSafe(|| briq.align_with(doc, opts))).map_err(|_| panicked(index))
+}
+
+/// The diagnostics of a document whose alignment panicked: one
+/// `Stage::Batch` [`BriqError::WorkerPanicked`] entry.
+fn panicked(index: usize) -> Diagnostics {
     let mut diagnostics = Diagnostics::default();
     diagnostics.record(
         Stage::Batch,
@@ -545,10 +538,25 @@ fn panicked_report(index: usize) -> DocReport {
         &BriqError::WorkerPanicked { doc: index },
         DegradedAction::Skipped,
     );
+    diagnostics
+}
+
+/// `item` with its scope prefixed `doc <index>:`, so batch-level and
+/// per-request diagnostic streams stay attributable.
+pub(crate) fn doc_scoped(index: usize, item: &Diagnostic) -> Diagnostic {
+    Diagnostic {
+        scope: format!("doc {index}: {}", item.scope),
+        ..item.clone()
+    }
+}
+
+/// The degraded stand-in for a document whose worker panicked: empty
+/// alignments plus the [`panicked`] diagnostics.
+fn panicked_report(index: usize) -> DocReport {
     DocReport {
         index,
         alignments: Vec::new(),
-        diagnostics,
+        diagnostics: panicked(index),
         timings: StageTimings::default(),
         trace: None,
     }
@@ -663,10 +671,8 @@ mod tests {
             max_rwr_iterations: 200,
         };
         let cfg = BatchConfig {
-            jobs: 3,
-            chunk: 1,
             budget,
-            trace: false,
+            ..BatchConfig::with_jobs(3)
         };
         let r = align_batch(&briq, &docs, &cfg);
         assert!(
@@ -693,13 +699,7 @@ mod tests {
     fn batch_matches_sequential_align_checked() {
         let briq = Briq::untrained(BriqConfig::default());
         let docs: Vec<Document> = (0..6).map(doc).collect();
-        let cfg = BatchConfig {
-            jobs: 4,
-            chunk: 2,
-            budget: Budget::default(),
-            trace: false,
-        };
-        let r = align_batch(&briq, &docs, &cfg);
+        let r = align_batch(&briq, &docs, &BatchConfig::with_jobs(4));
         for (i, d) in r.documents.iter().enumerate() {
             let (solo, _) = briq.align_checked(&docs[i]);
             assert_eq!(d.alignments, solo);
@@ -778,10 +778,8 @@ mod tests {
         let mut runs = Vec::new();
         for jobs in [1usize, 3, 8] {
             let cfg = BatchConfig {
-                jobs,
-                chunk: 1,
-                budget: Budget::default(),
                 trace: true,
+                ..BatchConfig::with_jobs(jobs)
             };
             let r = align_batch(&briq, &docs, &cfg);
             // Tracing only observes: alignments and diagnostics match the

@@ -295,12 +295,6 @@ impl CancelToken {
         }
     }
 
-    /// This token, additionally cancelled when `flag` becomes true.
-    pub fn and_flag(mut self, flag: Arc<AtomicBool>) -> CancelToken {
-        self.flag = Some(flag);
-        self
-    }
-
     /// This token, additionally cancelled at `deadline`.
     pub fn and_deadline(mut self, deadline: Instant) -> CancelToken {
         self.deadline = Some(deadline);

@@ -27,6 +27,7 @@ use crate::tagger::{tagger_features, MentionTagger, TaggerExample};
 use crate::training::{
     build_training_examples, examples_to_dataset, tagger_label, LabeledDocument,
 };
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 /// Full pipeline configuration.
@@ -391,66 +392,54 @@ impl Briq {
         doc: &Document,
         budget: &Budget,
     ) -> (ScoredDocument, Diagnostics) {
-        let mut timings = StageTimings::default();
-        self.score_document_staged(doc, budget, &mut timings)
-    }
-
-    /// [`Briq::score_document_budgeted`] with per-stage wall-clock
-    /// accumulated into `timings` (extraction vs. classification) — the
-    /// instrumented entry used by the batch engine. Identical results.
-    pub(crate) fn score_document_staged(
-        &self,
-        doc: &Document,
-        budget: &Budget,
-        timings: &mut StageTimings,
-    ) -> (ScoredDocument, Diagnostics) {
-        let t0 = Instant::now();
-        let (mentions, ctx, targets, diags) = self.extract_stage(doc, budget);
-        timings.extract_s += t0.elapsed().as_secs_f64();
-
-        let t1 = Instant::now();
-        let (scored, tags) = self.classify_stage(doc, &mentions, &ctx, &targets);
-        timings.classify_s += t1.elapsed().as_secs_f64();
-        timings.pairs_scored += (mentions.len() * targets.len()) as u64;
-
+        let x = self.extract(doc, budget, None, None);
+        let (scored, tags) = self.classify_stage(doc, &x.mentions, &x.ctx, &x.targets);
         (
             ScoredDocument {
-                mentions,
-                ctx,
-                targets,
+                mentions: x.mentions,
+                ctx: x.ctx,
+                targets: x.targets,
                 scored,
                 tags,
                 budget: *budget,
             },
-            diags,
+            x.diags,
         )
     }
 
-    /// Stage 1: text mentions, document context, and (budget-capped)
-    /// table mentions, with per-table degradation diagnostics.
-    #[allow(clippy::type_complexity)]
-    fn extract_stage(
+    /// Stage 1: text mentions and document context, then per-table
+    /// contexts and (budget-capped) targets with their degradation
+    /// diagnostics. A half passed in is used instead of being computed:
+    /// the text half is pure in `doc.text` + config, the table half in
+    /// `doc.tables` + config + budget, which is what lets the alignment
+    /// store replay one while the other changed (DESIGN.md §15).
+    fn extract(
         &self,
         doc: &Document,
         budget: &Budget,
-    ) -> (Vec<TextMention>, DocContext, Vec<TableMention>, Diagnostics) {
-        let mentions = text_mentions(doc);
-        let (tables, targets, diags) = self.extract_table_side(doc, budget);
-        let ctx = DocContext::build_with_tables(doc, &mentions, &self.cfg.context, tables);
-        (mentions, ctx, targets, diags)
+        text: Option<TextHalf>,
+        tables: Option<TableHalf>,
+    ) -> Extracted {
+        let (mentions, mut ctx) = text.unwrap_or_else(|| {
+            let mentions = text_mentions(doc);
+            let ctx = DocContext::build_with_tables(doc, &mentions, &self.cfg.context, Vec::new());
+            (mentions, ctx)
+        });
+        let (tables, targets, diags) =
+            tables.unwrap_or_else(|| self.extract_table_side(doc, budget));
+        ctx.tables = tables;
+        Extracted {
+            mentions,
+            ctx,
+            targets,
+            diags,
+        }
     }
 
     /// The table half of extraction: per-table contexts, alignment
     /// targets (single + capped virtual cells), and the degenerate-table
-    /// / budget-truncation diagnostics they produce. Pure in
-    /// `doc.tables` + config + budget, which is what lets the alignment
-    /// store reuse it verbatim when only the paragraph text of a page
-    /// changed (DESIGN.md §15).
-    pub(crate) fn extract_table_side(
-        &self,
-        doc: &Document,
-        budget: &Budget,
-    ) -> (Vec<TableContext>, Vec<TableMention>, Diagnostics) {
+    /// / budget-truncation diagnostics they produce.
+    fn extract_table_side(&self, doc: &Document, budget: &Budget) -> TableHalf {
         let mut diags = Diagnostics::default();
         let tables: Vec<TableContext> = doc.tables.iter().map(TableContext::build).collect();
 
@@ -552,44 +541,6 @@ impl Briq {
         }
     }
 
-    /// Fused stages 2+3 for the alignment path, one [`ClassifyPass`]
-    /// over every mention: retrieval + batched engine + pruned filtering
-    /// in production, exhaustive scoring + [`filter_mention`] on the
-    /// `use_index: false` reference path. Byte-identical either way by
-    /// the engine's exactness contract and the index's recall contract.
-    ///
-    /// [`Briq::score_document`] deliberately does NOT use the production
-    /// path: its consumers (baselines, training, evaluation) read the
-    /// full score matrix, which pruning by design does not materialize.
-    #[allow(clippy::too_many_arguments)]
-    fn classify_filter_stage(
-        &self,
-        doc: &Document,
-        mentions: &[TextMention],
-        ctx: &DocContext,
-        targets: &[TableMention],
-        timings: &mut StageTimings,
-        rec: &Recorder,
-        cancel: &CancelToken,
-    ) -> Result<(Vec<Vec<Candidate>>, FilterStats), CancelCause> {
-        let mut pass = ClassifyPass::new(self, doc, mentions, ctx, targets, timings);
-        let mut stats = FilterStats::default();
-        let mut candidates = Vec::with_capacity(mentions.len());
-        for mi in 0..mentions.len() {
-            if let Some(cause) = cancel.cause() {
-                return Err(cause);
-            }
-            let (cands, delta) = pass.run_mention(mi, timings, rec);
-            // Per-mention deltas merged in mention order reproduce the
-            // direct accumulation exactly: `FilterStats` is a pair of
-            // count maps and merge is entrywise addition.
-            stats.merge(&delta);
-            candidates.push(cands);
-        }
-        pass.finish(timings, &stats, rec);
-        Ok((candidates, stats))
-    }
-
     /// Stage 3: adaptive filtering of a scored document.
     pub fn filter(&self, sd: &ScoredDocument) -> (Vec<Vec<Candidate>>, FilterStats) {
         let mut stats = FilterStats::default();
@@ -659,24 +610,28 @@ impl Briq {
     ///   diagnostic naming the stage that observed it (diagnostics
     ///   recorded before the cut are kept: they describe work that really
     ///   happened). Cancelled runs are never cached.
-    /// * **Store** — with `cfg.use_store`, unchanged documents are served
-    ///   from cache and only the dirty mentions of partially changed ones
-    ///   are re-aligned; a cold key computes and caches everything.
-    ///   Alignments, diagnostics, filter totals, and candidates are
-    ///   bit-identical to the storeless run for every cache state — the
-    ///   store only ever replays artifacts whose inputs fingerprint-match.
+    /// * **Store** — with `cfg.use_store`, the store is a replay hook over
+    ///   the same two stage functions the storeless path runs: unchanged
+    ///   documents are served from cache and only the dirty mentions of
+    ///   partially changed ones are re-aligned; a cold key computes and
+    ///   caches everything. Alignments, diagnostics, filter totals, and
+    ///   candidates are bit-identical to the storeless run for every cache
+    ///   state — the store only ever replays artifacts whose inputs
+    ///   fingerprint-match — and so are the recorded spans of every
+    ///   document the store does not serve whole.
     pub fn align_with(&self, doc: &Document, opts: &AlignOpts) -> AlignOutput {
         let off = Recorder::disabled();
         let never = CancelToken::none();
         let rec = opts.recorder.unwrap_or(&off);
         let cancel = opts.cancel.unwrap_or(&never);
         let mut timings = StageTimings::default();
-        let (alignments, stats, candidates, diagnostics) = match opts.store {
+        let (ControlFlow::Continue(out) | ControlFlow::Break(out)) = match opts.store {
             Some((store, key)) if self.cfg.use_store => {
-                store.align_cancellable(self, key, doc, &opts.budget, &mut timings, rec, cancel)
+                store.align(self, key, doc, &opts.budget, &mut timings, rec, cancel)
             }
-            _ => self.align_full(doc, &opts.budget, &mut timings, rec, cancel),
+            _ => self.align_unstored(doc, &opts.budget, &mut timings, rec, cancel),
         };
+        let (alignments, stats, candidates, diagnostics) = out;
         AlignOutput {
             alignments,
             diagnostics,
@@ -686,100 +641,135 @@ impl Briq {
         }
     }
 
-    /// The storeless alignment path: every stage computed from scratch.
-    fn align_full(
+    /// The storeless path: both stages with nothing to replay. It
+    /// fingerprints, looks up, and writes nothing, and is the reference
+    /// the store is byte-compared against (`briq-align --oracle`).
+    fn align_unstored(
         &self,
         doc: &Document,
         budget: &Budget,
         timings: &mut StageTimings,
         rec: &Recorder,
         cancel: &CancelToken,
-    ) -> (
-        Vec<Alignment>,
-        FilterStats,
-        Vec<Vec<Candidate>>,
-        Diagnostics,
-    ) {
-        if let Some(cause) = cancel.cause() {
-            return cancelled_result(Stage::Extraction, cause, Diagnostics::default(), rec);
-        }
-        let t_extract = Instant::now();
-        let (mentions, ctx, targets, mut diags) = {
-            let _g = span!(rec, names::SPAN_EXTRACT);
-            self.extract_stage(doc, budget)
-        };
-        timings.extract_s += t_extract.elapsed().as_secs_f64();
-        rec.count(names::MENTIONS, mentions.len() as u64);
-        rec.count(names::TARGETS, targets.len() as u64);
-
-        let (candidates, stats) = match self
-            .classify_filter_stage(doc, &mentions, &ctx, &targets, timings, rec, cancel)
-        {
-            Ok(out) => out,
-            Err(cause) => return cancelled_result(Stage::Classification, cause, diags, rec),
-        };
-        timings.pairs_scored += (mentions.len() * targets.len()) as u64;
-        rec.count(names::PAIRS_SCORED, (mentions.len() * targets.len()) as u64);
-
-        let alignments = match self.graph_resolve_stage(
-            &mentions,
-            &ctx,
-            &targets,
-            &candidates,
-            &mut diags,
-            budget,
-            timings,
-            rec,
-            cancel,
-        ) {
-            Ok(a) => a,
-            Err((stage, cause)) => return cancelled_result(stage, cause, diags, rec),
-        };
-        rec.count(
-            names::BUDGET_EXHAUSTIONS,
-            diags
-                .items
-                .iter()
-                .filter(|d| d.action == DegradedAction::Truncated)
-                .count() as u64,
-        );
-        (alignments, stats, candidates, diags)
+    ) -> ControlFlow<AlignResult, AlignResult> {
+        let ((), x) = self.extract_stage(doc, budget, timings, rec, cancel, || {
+            ControlFlow::Continue(((), None, None))
+        })?;
+        let (out, _) =
+            self.classify_resolve_stage(doc, &x, budget, timings, rec, cancel, |_| None)?;
+        ControlFlow::Continue(out)
     }
 
-    /// Stages 4+5: budgeted graph construction and global resolution,
-    /// then the final alignment mapping. Shared verbatim between
-    /// [`Briq::align_full`] and the alignment store's
-    /// incremental path (DESIGN.md §15) — resolution is a global
-    /// algorithm (each decision updates the graph the next walk runs
-    /// on), so any changed document re-runs this stage in full, from
-    /// identical inputs, and can never drift from the full recompute.
-    /// A fired cancel token surfaces as `Err((stage, cause))`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn graph_resolve_stage(
+    /// Stage 1 under the `extract` span and the `extract_s` timer, then
+    /// the `mentions`/`targets` counts. `lookup` runs first, inside both:
+    /// it is the alignment store's hook (DESIGN.md §15), which
+    /// fingerprints the document and either ends it with a finished
+    /// result (`Break`: a full hit) or hands back its own state plus the
+    /// extraction halves to replay (`None` halves are computed).
+    pub(crate) fn extract_stage<L>(
         &self,
-        mentions: &[TextMention],
-        ctx: &DocContext,
-        targets: &[TableMention],
-        candidates: &[Vec<Candidate>],
-        diags: &mut Diagnostics,
+        doc: &Document,
         budget: &Budget,
         timings: &mut StageTimings,
         rec: &Recorder,
         cancel: &CancelToken,
-    ) -> Result<Vec<Alignment>, (Stage, CancelCause)> {
+        lookup: impl FnOnce() -> ControlFlow<AlignResult, (L, Option<TextHalf>, Option<TableHalf>)>,
+    ) -> ControlFlow<AlignResult, (L, Extracted)> {
         if let Some(cause) = cancel.cause() {
-            return Err((Stage::GraphConstruction, cause));
+            let diags = Diagnostics::default();
+            return ControlFlow::Break(cancelled_result(Stage::Extraction, cause, diags, rec));
+        }
+        let t0 = Instant::now();
+        let out = {
+            let _g = span!(rec, names::SPAN_EXTRACT);
+            lookup().map_continue(|(state, text, tables)| {
+                (state, self.extract(doc, budget, text, tables))
+            })
+        };
+        timings.extract_s += t0.elapsed().as_secs_f64();
+        if let ControlFlow::Continue((_, x)) = &out {
+            rec.count(names::MENTIONS, x.mentions.len() as u64);
+            rec.count(names::TARGETS, x.targets.len() as u64);
+        }
+        out
+    }
+
+    /// Stages 2–5. Classify + filter each mention through one
+    /// [`ClassifyPass`] — retrieval + batched engine + pruned filtering in
+    /// production, exhaustive scoring + [`filter_mention`] on the
+    /// `use_index: false` reference path, byte-identical by the engine's
+    /// exactness contract and the index's recall contract — unless
+    /// `replay(mi)`, the alignment store's per-mention hook, returns the
+    /// mention's cached `(kept candidates, filter delta)`. Then budgeted
+    /// graph construction and global resolution, always in full:
+    /// resolution is global (each decision updates the graph the next
+    /// walk runs on), so a replayed candidate set can never make it
+    /// drift from the full recompute. Returns the document's outputs and
+    /// each mention's own filter delta.
+    ///
+    /// [`Briq::score_document`] deliberately does NOT use the production
+    /// path: its consumers (baselines, training, evaluation) read the
+    /// full score matrix, which pruning by design does not materialize.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn classify_resolve_stage(
+        &self,
+        doc: &Document,
+        x: &Extracted,
+        budget: &Budget,
+        timings: &mut StageTimings,
+        rec: &Recorder,
+        cancel: &CancelToken,
+        mut replay: impl FnMut(usize) -> Option<(Vec<Candidate>, FilterStats)>,
+    ) -> ControlFlow<AlignResult, (AlignResult, Vec<FilterStats>)> {
+        let mut diags = x.diags.clone();
+        // Built at the first mention that does not replay.
+        let mut pass: Option<ClassifyPass<'_>> = None;
+        let mut stats = FilterStats::default();
+        let mut candidates = Vec::with_capacity(x.mentions.len());
+        let mut deltas = Vec::with_capacity(x.mentions.len());
+        let mut computed = 0u64;
+        for mi in 0..x.mentions.len() {
+            if let Some(cause) = cancel.cause() {
+                let out = cancelled_result(Stage::Classification, cause, diags, rec);
+                return ControlFlow::Break(out);
+            }
+            let (cands, delta) = match replay(mi) {
+                Some(cached) => cached,
+                None => {
+                    computed += 1;
+                    let pass = pass.get_or_insert_with(|| ClassifyPass::new(self, doc, x, timings));
+                    pass.run_mention(mi, timings, rec)
+                }
+            };
+            // Per-mention deltas merged in mention order reproduce the
+            // direct accumulation exactly: `FilterStats` is a pair of
+            // count maps and merge is entrywise addition.
+            stats.merge(&delta);
+            candidates.push(cands);
+            deltas.push(delta);
+        }
+        if let Some(pass) = pass {
+            pass.finish(timings, rec);
+        }
+        stats.record_into(rec);
+        let pairs = computed * x.targets.len() as u64;
+        timings.pairs_scored += pairs;
+        rec.count(names::PAIRS_SCORED, pairs);
+
+        if let Some(cause) = cancel.cause() {
+            let out = cancelled_result(Stage::GraphConstruction, cause, diags, rec);
+            return ControlFlow::Break(out);
         }
         let t1 = Instant::now();
-        let positions: Vec<usize> = ctx.mentions.iter().map(|m| m.token_index).collect();
+        let positions: Vec<usize> = x.ctx.mentions.iter().map(|m| m.token_index).collect();
         let (ag, edges_truncated) = {
             let _g = span!(rec, names::SPAN_GRAPH);
             build_graph_budgeted(
-                mentions,
+                &x.mentions,
                 &positions,
-                ctx.tokens.len(),
-                targets,
-                candidates,
+                x.ctx.tokens.len(),
+                &x.targets,
+                &candidates,
                 &self.cfg.graph,
                 budget.max_graph_edges,
             )
@@ -798,7 +788,7 @@ impl Briq {
             let _g = span!(rec, names::SPAN_RESOLVE);
             resolve_observed(
                 ag,
-                candidates,
+                &candidates,
                 &self.cfg.resolution,
                 budget.max_rwr_iterations,
                 rec,
@@ -806,7 +796,7 @@ impl Briq {
             )
         };
         if let Some(&ResolutionEvent::Cancelled { cause }) = events.first() {
-            return Err((Stage::Resolution, cause));
+            return ControlFlow::Break(cancelled_result(Stage::Resolution, cause, diags, rec));
         }
         for ev in events {
             match ev {
@@ -834,29 +824,65 @@ impl Briq {
         let alignments: Vec<Alignment> = resolved
             .into_iter()
             .map(|r| {
-                let x = &mentions[r.mention];
+                let m = &x.mentions[r.mention];
                 Alignment {
-                    mention_start: x.quantity.start,
-                    mention_end: x.quantity.end,
-                    mention_raw: x.quantity.raw.clone(),
-                    target: targets[r.target].clone(),
+                    mention_start: m.quantity.start,
+                    mention_end: m.quantity.end,
+                    mention_raw: m.quantity.raw.clone(),
+                    target: x.targets[r.target].clone(),
                     score: r.score,
                 }
             })
             .collect();
         timings.resolve_s += t1.elapsed().as_secs_f64();
         rec.count(names::ALIGNMENTS, alignments.len() as u64);
-        Ok(alignments)
+        rec.count(
+            names::BUDGET_EXHAUSTIONS,
+            diags
+                .items
+                .iter()
+                .filter(|d| d.action == DegradedAction::Truncated)
+                .count() as u64,
+        );
+        ControlFlow::Continue(((alignments, stats, candidates, diags), deltas))
     }
 }
 
-/// The fused classify+filter stage, factored into a per-mention unit so
-/// the alignment store can re-run it for exactly the dirty mentions of a
-/// changed page version (DESIGN.md §15) while [`Briq::classify_filter_stage`]
-/// drives it over every mention. One instance per document: the
-/// featurizer and the scorer's index and buffers are built once and
-/// shared across `run_mention` calls.
-pub(crate) struct ClassifyPass<'a> {
+/// A finished document's outputs: alignments, filter totals (Table VI),
+/// kept candidates per text mention, and diagnostics.
+pub(crate) type AlignResult = (
+    Vec<Alignment>,
+    FilterStats,
+    Vec<Vec<Candidate>>,
+    Diagnostics,
+);
+
+/// The text half of extraction: text mentions and the document context
+/// without its table contexts.
+pub(crate) type TextHalf = (Vec<TextMention>, DocContext);
+
+/// The table half of extraction: per-table contexts, alignment targets,
+/// and the degenerate-table / budget-truncation diagnostics.
+pub(crate) type TableHalf = (Vec<TableContext>, Vec<TableMention>, Diagnostics);
+
+/// What stage 1 produced for one document.
+pub(crate) struct Extracted {
+    /// Extracted text mentions.
+    pub(crate) mentions: Vec<TextMention>,
+    /// Document context, table contexts included.
+    pub(crate) ctx: DocContext,
+    /// All table mentions (single + capped virtual cells).
+    pub(crate) targets: Vec<TableMention>,
+    /// Extraction diagnostics (the table half's).
+    pub(crate) diags: Diagnostics,
+}
+
+/// The classify+filter stage as a per-mention unit: one instance per
+/// document, built by [`Briq::classify_resolve_stage`] at the first
+/// mention it computes rather than replays. The featurizer and the
+/// scorer's index and buffers are built once and shared across
+/// `run_mention` calls.
+struct ClassifyPass<'a> {
     briq: &'a Briq,
     doc: &'a Document,
     mentions: &'a [TextMention],
@@ -888,15 +914,13 @@ impl<'a> ClassifyPass<'a> {
     /// Build the per-document machinery. The retrieval-index build is
     /// charged to the classify stage so throughput artifacts and the
     /// perf-trend gate see its cost.
-    pub(crate) fn new(
+    fn new(
         briq: &'a Briq,
         doc: &'a Document,
-        mentions: &'a [TextMention],
-        ctx: &'a DocContext,
-        targets: &'a [TableMention],
+        x: &'a Extracted,
         timings: &mut StageTimings,
     ) -> ClassifyPass<'a> {
-        let featurizer = PairFeaturizer::new(mentions, targets, ctx);
+        let featurizer = PairFeaturizer::new(&x.mentions, &x.targets, &x.ctx);
         let scorer = if briq.cfg.use_index {
             // Pooled per-worker scratch (DESIGN.md §14): reset engine and
             // retrieval buffers from this thread's arena instead of cold
@@ -906,7 +930,7 @@ impl<'a> ClassifyPass<'a> {
             // Built once per document; retrieval per mention is then
             // allocation-free and bounded by the viable candidate set.
             let t_build = Instant::now();
-            let index = CandidateIndex::build(targets, briq.cfg.filter.value_diff_threshold);
+            let index = CandidateIndex::build(&x.targets, briq.cfg.filter.value_diff_threshold);
             timings.classify_s += t_build.elapsed().as_secs_f64();
             Scorer::Indexed {
                 index,
@@ -922,9 +946,9 @@ impl<'a> ClassifyPass<'a> {
         ClassifyPass {
             briq,
             doc,
-            mentions,
-            ctx,
-            targets,
+            mentions: &x.mentions,
+            ctx: &x.ctx,
+            targets: &x.targets,
             featurizer,
             scorer,
         }
@@ -935,7 +959,7 @@ impl<'a> ClassifyPass<'a> {
     /// contribution to the document totals (filter counts plus
     /// retrieval-dropped counts) — pure per mention, so the store can
     /// cache and replay it.
-    pub(crate) fn run_mention(
+    fn run_mention(
         &mut self,
         mi: usize,
         timings: &mut StageTimings,
@@ -1026,9 +1050,8 @@ impl<'a> ClassifyPass<'a> {
         (cands, delta)
     }
 
-    /// Flush engine totals and recycle the pooled buffers. `stats` is
-    /// the document's final (merged) filter totals.
-    pub(crate) fn finish(self, timings: &mut StageTimings, stats: &FilterStats, rec: &Recorder) {
+    /// Flush engine totals and recycle the pooled buffers.
+    fn finish(self, timings: &mut StageTimings, rec: &Recorder) {
         if let Scorer::Indexed {
             engine, scratch, ..
         } = self.scorer
@@ -1039,7 +1062,6 @@ impl<'a> ClassifyPass<'a> {
             crate::arena::put_engine(engine);
             crate::arena::put_retrieval_scratch(scratch);
         }
-        stats.record_into(rec);
         rec.observe(names::ARENA_BYTES_PEAK, crate::arena::bytes_peak() as f64);
     }
 }
@@ -1050,17 +1072,12 @@ impl<'a> ClassifyPass<'a> {
 /// token. Discarding the stage outputs wholesale is what "no partial
 /// state" means — a cancelled response can never leak a half-resolved
 /// alignment set.
-pub(crate) fn cancelled_result(
+fn cancelled_result(
     stage: Stage,
     cause: CancelCause,
     mut diags: Diagnostics,
     rec: &Recorder,
-) -> (
-    Vec<Alignment>,
-    FilterStats,
-    Vec<Vec<Candidate>>,
-    Diagnostics,
-) {
+) -> AlignResult {
     diags.record(
         stage,
         "document".into(),

@@ -231,11 +231,6 @@ impl CandidateIndex {
         self.n_targets
     }
 
-    /// Indexed targets of one kind slot (0 = single-cell).
-    pub fn kind_count(&self, slot: usize) -> usize {
-        self.kind_counts[slot]
-    }
-
     /// Retrieve the viable candidate set for one mention into `out`:
     /// every tag- and unit-compatible target, split into `near` and
     /// `far` by the exact `value_diff_threshold` test (see the

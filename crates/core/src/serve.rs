@@ -16,10 +16,10 @@
 //!   by a cooperative [`CancelToken`] polled inside the align stages. A
 //!   request that exceeds its deadline — including time spent queued —
 //!   returns a structured `Cancelled` diagnostic, never a hung socket.
-//! * **Fault isolation.** Each document aligns under `catch_unwind`
-//!   exactly like the batch engine: a panicking document degrades to the
-//!   same `WorkerPanicked` diagnostic the batch path emits and the
-//!   worker pool keeps serving.
+//! * **Fault isolation.** Each document aligns through the batch
+//!   engine's own per-document isolation: a panicking document degrades
+//!   to the same `WorkerPanicked` diagnostic the batch path emits and
+//!   the worker pool keeps serving.
 //! * **Graceful drain.** Raising the shutdown flag (SIGTERM in the
 //!   binary, or the `shutdown` op) stops the accept loop, sheds new
 //!   work, lets queued and in-flight requests finish within a grace
@@ -56,7 +56,6 @@
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -65,10 +64,8 @@ use briq_json::{ToJson, Value};
 use briq_table::html::parse_page;
 use briq_table::segment::{segment_page, SegmentConfig};
 
-use crate::batch::StageTimings;
-use crate::error::{
-    BriqError, Budget, CancelCause, CancelToken, DegradedAction, Diagnostics, Stage,
-};
+use crate::batch::{align_isolated, doc_scoped, StageTimings};
+use crate::error::{Budget, CancelCause, CancelToken, DegradedAction};
 use crate::obs::{names, MetricsRegistry};
 use crate::pipeline::{AlignOpts, Briq};
 use crate::store::{AlignmentStore, Fingerprint};
@@ -83,6 +80,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
+/// Concurrent connection cap; excess connections get one shed line and
+/// are closed without ever reaching the queue.
+const MAX_CONNECTIONS: usize = 64;
+
+/// Poll interval for the accept loop, socket reads, and worker queue
+/// waits — the latency floor for noticing a drain.
+const POLL: Duration = Duration::from_millis(10);
+
 /// Tuning knobs for one server instance. The defaults are sized for the
 /// synthetic-corpus workload CI drives; OPERATIONS.md §9 discusses how
 /// to retune them for real traffic.
@@ -95,9 +100,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission-queue depth cap (≥ 1); request N+1 is shed.
     pub queue_depth: usize,
-    /// Concurrent connection cap; excess connections get one shed line
-    /// and are closed without ever reaching the queue.
-    pub max_connections: usize,
     /// Hard cap on one request line's length in bytes; longer lines get
     /// an error response and the connection is closed.
     pub max_request_bytes: usize,
@@ -109,9 +111,6 @@ pub struct ServeConfig {
     /// How long a drain waits for queued + in-flight work before
     /// force-cancelling it.
     pub drain_grace_ms: u64,
-    /// Poll interval for the accept loop, socket reads, and worker
-    /// queue waits — the latency floor for noticing a drain.
-    pub poll_interval_ms: u64,
     /// Per-request resource budget (identical role to the batch path).
     pub budget: Budget,
     /// Durable alignment-store directory. `None` keeps the store
@@ -130,12 +129,10 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             queue_depth: 32,
-            max_connections: 64,
             max_request_bytes: 1 << 20,
             default_deadline_ms: 10_000,
             retry_after_ms: 50,
             drain_grace_ms: 2_000,
-            poll_interval_ms: 10,
             budget: Budget::default(),
             store_dir: None,
             store_max_bytes: 0,
@@ -256,10 +253,10 @@ pub struct AlignOutcome {
 /// document under `budget` and `cancel`, and build the response value.
 ///
 /// Pure with respect to the server — callable from unit tests without a
-/// socket. The per-document treatment mirrors [`crate::batch`] exactly
-/// (same [`Briq::align_with`] path, same `catch_unwind` isolation, same
-/// panicked-document diagnostic, same `doc <i>: <scope>` prefixes), so
-/// clean responses are byte-compatible with `briq-align` output.
+/// socket. The per-document treatment is [`crate::batch`]'s own (the
+/// same [`Briq::align_with`] path, isolation and panicked-document
+/// diagnostic, and `doc <i>: <scope>` prefixes), so clean responses are
+/// byte-compatible with `briq-align` output.
 ///
 /// With `store: Some(..)` each segmented document runs through the
 /// warm [`AlignmentStore`] instead, keyed by the request identity (the
@@ -291,34 +288,24 @@ pub fn serve_align(
     };
     let mut doc_values = Vec::with_capacity(docs.len());
     for (i, doc) in docs.iter().enumerate() {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let opts = AlignOpts {
-                budget: *budget,
-                recorder: None,
-                cancel: Some(cancel),
-                store: store.map(|st| {
-                    let mut f = Fingerprint::new();
-                    f.u64(request_fp);
-                    f.usize(i);
-                    (st, f.finish())
-                }),
-            };
-            briq.align_with(doc, &opts)
-        }));
-        let (alignments, diagnostics) = match result {
+        let opts = AlignOpts {
+            budget: *budget,
+            recorder: None,
+            cancel: Some(cancel),
+            store: store.map(|st| {
+                let mut f = Fingerprint::new();
+                f.u64(request_fp);
+                f.usize(i);
+                (st, f.finish())
+            }),
+        };
+        let (alignments, diagnostics) = match align_isolated(briq, i, doc, &opts) {
             Ok(out) => {
                 outcome.timings.merge(&out.timings);
                 (out.alignments, out.diagnostics)
             }
-            Err(_) => {
+            Err(diagnostics) => {
                 outcome.panics += 1;
-                let mut diagnostics = Diagnostics::default();
-                diagnostics.record(
-                    Stage::Batch,
-                    format!("document {i}"),
-                    &BriqError::WorkerPanicked { doc: i },
-                    DegradedAction::Skipped,
-                );
                 (Vec::new(), diagnostics)
             }
         };
@@ -334,11 +321,7 @@ pub fn serve_align(
         let diag_values: Vec<Value> = diagnostics
             .items
             .iter()
-            .map(|item| {
-                let mut item = item.clone();
-                item.scope = format!("doc {i}: {}", item.scope);
-                item.to_json()
-            })
+            .map(|item| doc_scoped(i, item).to_json())
             .collect();
         doc_values.push(obj(vec![
             ("doc", Value::Num(i as f64)),
@@ -497,10 +480,6 @@ struct Shared<'a> {
 }
 
 impl Shared<'_> {
-    fn poll(&self) -> Duration {
-        Duration::from_millis(self.cfg.poll_interval_ms.max(1))
-    }
-
     fn draining(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
@@ -625,7 +604,7 @@ impl Server {
             while !sh.draining() {
                 match self.listener.accept() {
                     Ok((stream, _)) => {
-                        if sh.connections.load(Ordering::SeqCst) >= self.cfg.max_connections {
+                        if sh.connections.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
                             sh.count(names::SERVE_CONNECTIONS_REFUSED, 1);
                             refuse_connection(&sh, stream);
                             continue;
@@ -639,9 +618,9 @@ impl Server {
                         });
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        std::thread::sleep(sh.poll());
+                        std::thread::sleep(POLL);
                     }
-                    Err(_) => std::thread::sleep(sh.poll()),
+                    Err(_) => std::thread::sleep(POLL),
                 }
             }
             // Drain: give queued + in-flight work the grace window, then
@@ -653,7 +632,7 @@ impl Server {
             while (sh.queue.depth() > 0 || sh.inflight.load(Ordering::SeqCst) > 0)
                 && t0.elapsed() < grace
             {
-                std::thread::sleep(sh.poll());
+                std::thread::sleep(POLL);
             }
             sh.force_cancel.store(true, Ordering::SeqCst);
         });
@@ -688,7 +667,7 @@ impl Server {
 /// clients still get a structured response).
 fn run_worker(sh: &Shared<'_>) {
     loop {
-        match sh.queue.pop(sh.poll()) {
+        match sh.queue.pop(POLL) {
             Some(job) => {
                 sh.inflight.fetch_add(1, Ordering::SeqCst);
                 let wait_s = job.enqueued.elapsed().as_secs_f64();
@@ -767,7 +746,7 @@ fn run_connection(sh: &Shared<'_>, mut stream: TcpStream) {
     if stream.set_nonblocking(false).is_err() {
         return;
     }
-    let _ = stream.set_read_timeout(Some(sh.poll()));
+    let _ = stream.set_read_timeout(Some(POLL));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(2_000)));
     let _ = stream.set_nodelay(true);
 
@@ -944,7 +923,7 @@ fn handle_line(sh: &Shared<'_>, stream: &mut TcpStream, line: &str) -> After {
                 }
                 Ok(depth) => {
                     lock(&sh.metrics).observe(names::SERVE_QUEUE_DEPTH, depth as f64);
-                    let resp = slot.take(sh.poll());
+                    let resp = slot.take(POLL);
                     ok_or_close(write_line(sh, stream, &resp))
                 }
             }

@@ -22,21 +22,26 @@
 //!   fingerprint *and* the document's text-aggregate fingerprint are
 //!   unchanged are **clean**: their cached tags/candidates/filter deltas
 //!   are replayed. The rest are **dirty** (or **new**) and re-run
-//!   through the same per-mention `ClassifyPass` the full pipeline
+//!   through the same per-mention classify pass the storeless pipeline
 //!   uses.
 //! - **Tables changed** — every mention is dirty (the tagger reads every
 //!   table's quantities, so the per-mention read set spans all tables),
 //!   but the text side is still replayed from cache when the paragraph
 //!   is unchanged — and extraction is the slowest stage of the pipeline.
 //!
-//! Resolution is a global algorithm (every accepted alignment updates
-//! the graph the next walk runs on), so any changed document re-runs
-//! graph construction + resolution in full from the (partially replayed)
-//! candidate sets — through the very same `graph_resolve_stage` code
-//! the stateless path uses. That, plus the purity of each cached
-//! artifact in its fingerprinted inputs, is the bit-identity argument:
-//! the store can only ever replay values the full recompute would have
-//! produced.
+//! The store is a cache in front of the pipeline's own two stage
+//! functions, not a second copy of the pipeline: `Briq::extract_stage`
+//! runs the store's lookup as its hook (fingerprinting and the lookup
+//! sit inside the `extract` span and timer) and replays whichever
+//! extraction halves it hands back, and `Briq::classify_resolve_stage`
+//! takes a per-mention replay hook. Resolution is a global algorithm
+//! (every accepted alignment updates the graph the next walk runs on),
+//! so any changed document re-runs graph construction + resolution in
+//! full from the (partially replayed) candidate sets. That, plus the
+//! purity of each cached artifact in its fingerprinted inputs, is the
+//! bit-identity argument: the store can only ever replay values the
+//! full recompute would have produced. Both paths record the same spans
+//! and pipeline counters; only the store counters are the store's own.
 //! `use_store: false` (part of `briq-align --oracle`) is the reference
 //! CI byte-compares the two paths against on real corpora every run.
 //!
@@ -51,6 +56,7 @@
 pub mod persist;
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -60,11 +66,11 @@ use briq_table::{Document, Table, TableMention};
 
 use crate::batch::StageTimings;
 use crate::context::{DocContext, MentionContext, TableContext};
-use crate::error::{Budget, CancelToken, Diagnostics, Stage};
+use crate::error::{Budget, CancelToken, Diagnostics};
 use crate::filtering::{Candidate, FilterStats};
-use crate::mention::{text_mentions, Alignment, TextMention};
+use crate::mention::{Alignment, TextMention};
 use crate::obs::{names, Recorder};
-use crate::pipeline::{cancelled_result, Briq, ClassifyPass};
+use crate::pipeline::{AlignResult, Briq, Extracted, TableHalf, TextHalf};
 
 /// Incremental FNV-1a hasher used for every content fingerprint. FNV is
 /// fully deterministic — no per-process seed — so fingerprints are
@@ -382,6 +388,41 @@ pub(crate) fn evict_plan(items: &[(u64, u64, u64)], max_bytes: u64) -> Vec<u64> 
     evict
 }
 
+/// Remove the entries [`evict_plan`] picks to fit `map` into
+/// `max_bytes`; returns the estimated size of each one removed.
+fn evict_lru(map: &mut HashMap<u64, DocEntry>, max_bytes: u64) -> Vec<u64> {
+    let items: Vec<(u64, u64, u64)> = map
+        .iter()
+        .map(|(&k, e)| (k, e.last_used, e.approx_bytes))
+        .collect();
+    evict_plan(&items, max_bytes)
+        .into_iter()
+        .filter_map(|key| map.remove(&key))
+        .map(|e| e.approx_bytes)
+        .collect()
+}
+
+/// Every entry's record payload, key-ordered: the snapshot body.
+fn encode_sorted(map: &HashMap<u64, DocEntry>) -> Vec<Vec<u8>> {
+    let mut entries: Vec<(&u64, &DocEntry)> = map.iter().collect();
+    entries.sort_by_key(|&(&k, _)| k);
+    entries
+        .into_iter()
+        .map(|(&k, e)| persist::encode_record(k, e))
+        .collect()
+}
+
+/// What a missed lookup carries from extraction to the insert: the new
+/// version's fingerprints, plus the prior version's per-mention
+/// artifacts and their aggregate fingerprint when its config and every
+/// table still match.
+struct Miss {
+    config_fp: u64,
+    text_fp: u64,
+    table_fps: Vec<u64>,
+    artifacts: Option<(u64, Vec<MentionArtifact>)>,
+}
+
 /// A versioned, thread-shared cache of per-document alignment artifacts.
 ///
 /// The store is deliberately **not** part of [`Briq`]: the system stays
@@ -424,10 +465,8 @@ impl AlignmentStore {
     pub fn for_system(briq: &Briq) -> AlignmentStore {
         // Infallible: `with_options` touches the filesystem only when a
         // persistence directory is set, and the defaults set none.
-        match AlignmentStore::with_options(briq, &StoreOptions::default()) {
-            Ok(store) => store,
-            Err(_) => unreachable!("in-memory store construction cannot fail"),
-        }
+        AlignmentStore::with_options(briq, &StoreOptions::default())
+            .unwrap_or_else(|_| unreachable!("in-memory store construction cannot fail"))
     }
 
     /// Create a store with explicit [`StoreOptions`]. With a `dir` set,
@@ -439,45 +478,28 @@ impl AlignmentStore {
     /// instead of failing (see [`persist`]).
     pub fn with_options(briq: &Briq, opts: &StoreOptions) -> std::io::Result<AlignmentStore> {
         let model_fp = model_fingerprint(briq);
+        let t = Instant::now();
+        let (backing, rec) = match &opts.dir {
+            Some(dir) => {
+                let (p, rec) = persist::Persistence::open(dir, model_fp, opts.compact_log_bytes)?;
+                (Some(p), rec)
+            }
+            None => (None, persist::Recovered::default()),
+        };
+        // Replay order seeds the LRU clock: later records are newer.
+        let clock = rec.entries.len() as u64;
         let mut map = HashMap::new();
-        let mut clock = 0u64;
-        let mut resident = 0u64;
-        let mut recovered = 0u64;
-        let mut recover_s = 0.0;
-        let mut recover_truncated = false;
-        let mut recover_rebuilt = false;
-        let mut backing = None;
-        if let Some(dir) = &opts.dir {
-            let t = Instant::now();
-            let (p, rec) = persist::Persistence::open(dir, model_fp, opts.compact_log_bytes)?;
-            recover_truncated = rec.truncated;
-            recover_rebuilt = rec.rebuilt;
-            for (key, mut entry) in rec.entries {
-                clock += 1;
-                entry.last_used = clock;
-                resident += entry.approx_bytes;
-                if let Some(old) = map.insert(key, entry) {
-                    resident -= old.approx_bytes;
-                }
-            }
-            // Apply the memory budget to the recovered set too: a
-            // restart must not resurrect more than a live server would
-            // have kept resident.
-            if opts.max_bytes > 0 {
-                let items: Vec<(u64, u64, u64)> = map
-                    .iter()
-                    .map(|(&k, e)| (k, e.last_used, e.approx_bytes))
-                    .collect();
-                for key in evict_plan(&items, opts.max_bytes) {
-                    if let Some(old) = map.remove(&key) {
-                        resident -= old.approx_bytes;
-                    }
-                }
-            }
-            recovered = map.len() as u64;
-            recover_s = t.elapsed().as_secs_f64();
-            backing = Some(p);
+        for ((key, mut entry), last_used) in rec.entries.into_iter().zip(1..) {
+            entry.last_used = last_used;
+            map.insert(key, entry);
         }
+        // Apply the memory budget to the recovered set too: a restart
+        // must not resurrect more than a live server would have kept
+        // resident.
+        evict_lru(&mut map, opts.max_bytes);
+        let recovered = map.len() as u64;
+        let recover_s = backing.as_ref().map_or(0.0, |_| t.elapsed().as_secs_f64());
+        let resident = map.values().map(|e| e.approx_bytes).sum();
         Ok(AlignmentStore {
             model_fp,
             entries: Mutex::new(map),
@@ -494,8 +516,8 @@ impl AlignmentStore {
             persist_errors: AtomicU64::new(0),
             recovered,
             recover_s,
-            recover_truncated,
-            recover_rebuilt,
+            recover_truncated: rec.truncated,
+            recover_rebuilt: rec.rebuilt,
             persist: backing,
         })
     }
@@ -541,11 +563,6 @@ impl AlignmentStore {
     /// True when this store has a durable on-disk backing.
     pub fn persisted(&self) -> bool {
         self.persist.is_some()
-    }
-
-    /// Store directory of the durable backing, if any.
-    pub fn store_dir(&self) -> Option<&std::path::Path> {
-        self.persist.as_ref().map(|p| p.dir())
     }
 
     /// Entries recovered from disk when this store was opened.
@@ -617,31 +634,14 @@ impl AlignmentStore {
         // and log locks *inside* this — the lock order entries → snap →
         // log is the only one used anywhere (appends take log alone).
         let map = lock(&self.entries);
-        let mut payloads: Vec<(u64, Vec<u8>)> = map
-            .iter()
-            .map(|(&k, e)| (k, persist::encode_record(k, e)))
-            .collect();
-        payloads.sort_by_key(|&(k, _)| k);
-        let payloads: Vec<Vec<u8>> = payloads.into_iter().map(|(_, p)| p).collect();
-        p.write_snapshot(&payloads)
-    }
-
-    /// Fsync the novelty log. No-op without persistence.
-    pub fn sync(&self) -> std::io::Result<()> {
-        self.persist.as_ref().map_or(Ok(()), |p| p.sync())
+        p.write_snapshot(&encode_sorted(&map))
     }
 
     /// Encoded record payloads of every resident entry, key-ordered.
     /// Test/diagnostic surface for the persistence layer.
     #[cfg(test)]
     pub(crate) fn encoded_entries(&self) -> Vec<Vec<u8>> {
-        let map = lock(&self.entries);
-        let mut payloads: Vec<(u64, Vec<u8>)> = map
-            .iter()
-            .map(|(&k, e)| (k, persist::encode_record(k, e)))
-            .collect();
-        payloads.sort_by_key(|&(k, _)| k);
-        payloads.into_iter().map(|(_, p)| p).collect()
+        encode_sorted(&lock(&self.entries))
     }
 
     /// Evict least-recently-used entries until the resident estimate
@@ -652,19 +652,11 @@ impl AlignmentStore {
         if self.max_bytes == 0 || self.bytes.load(Ordering::Relaxed) <= self.max_bytes {
             return;
         }
-        let mut map = lock(&self.entries);
-        let items: Vec<(u64, u64, u64)> = map
-            .iter()
-            .map(|(&k, e)| (k, e.last_used, e.approx_bytes))
-            .collect();
-        for key in evict_plan(&items, self.max_bytes) {
-            if let Some(old) = map.remove(&key) {
-                self.bytes_sub(old.approx_bytes);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                self.evicted_bytes
-                    .fetch_add(old.approx_bytes, Ordering::Relaxed);
-                rec.count(names::STORE_EVICTIONS, 1);
-            }
+        for bytes in evict_lru(&mut lock(&self.entries), self.max_bytes) {
+            self.bytes_sub(bytes);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.evicted_bytes.fetch_add(bytes, Ordering::Relaxed);
+            rec.count(names::STORE_EVICTIONS, 1);
         }
     }
 
@@ -699,13 +691,14 @@ impl AlignmentStore {
             .fetch_sub(n.min(self.bytes.load(Ordering::Relaxed)), Ordering::Relaxed);
     }
 
-    /// Align `doc` through the store. Same output contract (and shape)
-    /// as `Briq::align_full`: alignments, filter totals,
-    /// kept candidates, diagnostics — bit-identical to the full
+    /// Align `doc` through the store under `key`: the pipeline's two
+    /// stage functions with this store as their replay hooks. Same
+    /// output contract as the storeless path — alignments, filter
+    /// totals, kept candidates, diagnostics — bit-identical to the full
     /// recompute for every possible cache state. Cancelled runs return
-    /// the no-partial-state shape and leave the cache untouched.
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    pub(crate) fn align_cancellable(
+    /// the no-partial-state shape and cache nothing.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn align(
         &self,
         briq: &Briq,
         key: u64,
@@ -714,195 +707,67 @@ impl AlignmentStore {
         timings: &mut StageTimings,
         rec: &Recorder,
         cancel: &CancelToken,
-    ) -> (
-        Vec<Alignment>,
-        FilterStats,
-        Vec<Vec<Candidate>>,
-        Diagnostics,
-    ) {
+    ) -> ControlFlow<AlignResult, AlignResult> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        if let Some(cause) = cancel.cause() {
-            return cancelled_result(Stage::Extraction, cause, Diagnostics::default(), rec);
-        }
-
-        // Fingerprint the inputs. Charged to the extract stage: it is
-        // the store's replacement for (most of) extraction.
-        let t_extract = Instant::now();
-        let mut cfp = Fingerprint::new();
-        cfp.u64(self.model_fp);
-        cfp.u64(budget_fingerprint(budget));
-        let config_fp = cfp.finish();
-        let text_fp = text_fingerprint(&doc.text);
-        let table_fps: Vec<u64> = doc.tables.iter().map(table_fingerprint).collect();
-
-        // Full hit: serve the cached outputs verbatim. Classify, filter,
-        // and resolution are skipped entirely — `timings` shows zero for
-        // all three stages.
-        {
-            let mut map = lock(&self.entries);
-            if let Some(e) = map.get_mut(&key) {
-                if e.config_fp == config_fp && e.text_fp == text_fp && e.table_fps == table_fps {
-                    e.last_used = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    rec.count(names::STORE_HITS, 1);
-                    rec.count(names::MENTIONS, e.text_mentions.len() as u64);
-                    rec.count(names::TARGETS, e.targets.len() as u64);
-                    let out = (
-                        e.alignments.clone(),
-                        e.stats.clone(),
-                        e.artifacts.iter().map(|a| a.candidates.clone()).collect(),
-                        e.diagnostics.clone(),
-                    );
-                    drop(map);
-                    timings.extract_s += t_extract.elapsed().as_secs_f64();
-                    return out;
-                }
-            }
-        }
-
-        // Miss or stale: take the prior entry out (if any) and rebuild,
-        // replaying every artifact whose fingerprints still match.
-        let prior = {
-            let mut map = lock(&self.entries);
-            map.remove(&key)
-        };
-        if let Some(p) = &prior {
-            self.bytes_sub(p.approx_bytes);
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-            rec.count(names::STORE_INVALIDATIONS, 1);
-        }
-        // A config mismatch poisons everything; drop the entry outright.
-        let prior = prior.filter(|p| p.config_fp == config_fp);
-
-        // Text side: replay when the paragraph is unchanged.
-        let (mentions, mut ctx) = match &prior {
-            Some(p) if p.text_fp == text_fp => (p.text_mentions.clone(), p.text_ctx.clone()),
-            _ => {
-                let m = text_mentions(doc);
-                let c = DocContext::build_with_tables(doc, &m, &briq.cfg.context, Vec::new());
-                (m, c)
-            }
-        };
-        // Table side: replay contexts, targets, and extraction
-        // diagnostics when every table is unchanged.
-        let tables_clean = prior.as_ref().is_some_and(|p| p.table_fps == table_fps);
-        let (table_contexts, targets, extract_diags) = match &prior {
-            Some(p) if tables_clean => (
-                p.table_contexts.clone(),
-                p.targets.clone(),
-                p.extract_diags.clone(),
-            ),
-            _ => briq.extract_table_side(doc, budget),
-        };
-        ctx.tables = table_contexts;
-        let mut diags = extract_diags.clone();
-        timings.extract_s += t_extract.elapsed().as_secs_f64();
-        rec.count(names::MENTIONS, mentions.len() as u64);
-        rec.count(names::TARGETS, targets.len() as u64);
+        let (miss, x) = briq.extract_stage(doc, budget, timings, rec, cancel, || {
+            self.lookup(key, doc, budget, rec)
+        })?;
 
         // Classify/filter: replay clean mentions, re-run dirty/new ones.
         // A mention is clean only if its own fingerprint, the document's
         // text aggregates, every table, and the config are unchanged —
-        // exactly its read set (module docs).
-        let aggregate_fp = aggregate_fingerprint(&ctx);
-        let mention_fps: Vec<u64> = mentions
+        // exactly its read set (module docs). The k-th occurrence of a
+        // fingerprint replays the k-th cached one, so duplicates (the
+        // same number twice in a paragraph) stay unambiguous.
+        let aggregate_fp = aggregate_fingerprint(&x.ctx);
+        let mention_fps: Vec<u64> = x
+            .mentions
             .iter()
-            .zip(&ctx.mentions)
+            .zip(&x.ctx.mentions)
             .map(|(m, mc)| mention_fingerprint(m, mc))
             .collect();
-        let mentions_clean = tables_clean
-            && prior
-                .as_ref()
-                .is_some_and(|p| p.aggregate_fp == aggregate_fp);
-        // k-th occurrence of a fingerprint matches the k-th cached
-        // occurrence: duplicates (e.g. the same number twice in a
-        // paragraph) stay unambiguous.
-        let mut cached: HashMap<u64, Vec<usize>> = HashMap::new();
-        if mentions_clean {
-            if let Some(p) = &prior {
-                for (i, a) in p.artifacts.iter().enumerate() {
-                    cached.entry(a.fp).or_default().push(i);
-                }
+        let mut cached: HashMap<u64, Vec<MentionArtifact>> = HashMap::new();
+        if let Some((_, artifacts)) = miss.artifacts.filter(|&(fp, _)| fp == aggregate_fp) {
+            for a in artifacts.into_iter().rev() {
+                cached.entry(a.fp).or_default().push(a);
             }
         }
-        let mut occurrence: HashMap<u64, usize> = HashMap::new();
-        let mut pass: Option<ClassifyPass<'_>> = None;
-        let mut stats = FilterStats::default();
-        let mut artifacts = Vec::with_capacity(mentions.len());
-        let mut candidates = Vec::with_capacity(mentions.len());
-        let mut realigned = 0u64;
-        for (mi, &fp) in mention_fps.iter().enumerate() {
-            if let Some(cause) = cancel.cause() {
-                return cancelled_result(Stage::Classification, cause, diags, rec);
-            }
-            let occ = occurrence.entry(fp).or_insert(0);
-            let slot = cached.get(&fp).and_then(|v| v.get(*occ)).copied();
-            *occ += 1;
-            match (slot, &prior) {
-                (Some(j), Some(p)) if mentions_clean => {
-                    let a = p.artifacts[j].clone();
-                    stats.merge(&a.stats);
-                    candidates.push(a.candidates.clone());
-                    artifacts.push(a);
-                }
-                _ => {
-                    let pass = pass.get_or_insert_with(|| {
-                        ClassifyPass::new(briq, doc, &mentions, &ctx, &targets, timings)
-                    });
-                    let (cands, delta) = pass.run_mention(mi, timings, rec);
-                    realigned += 1;
-                    stats.merge(&delta);
-                    artifacts.push(MentionArtifact {
-                        fp,
-                        candidates: cands.clone(),
-                        stats: delta,
-                    });
-                    candidates.push(cands);
-                }
-            }
-        }
-        if let Some(p) = pass {
-            p.finish(timings, &stats, rec);
-        }
+        let mut replayed = 0u64;
+        let ((alignments, stats, candidates, diagnostics), deltas) =
+            briq.classify_resolve_stage(doc, &x, budget, timings, rec, cancel, |mi| {
+                let a = cached.get_mut(&mention_fps[mi])?.pop()?;
+                replayed += 1;
+                Some((a.candidates, a.stats))
+            })?;
+        let realigned = mention_fps.len() as u64 - replayed;
         self.mentions_realigned
             .fetch_add(realigned, Ordering::Relaxed);
         rec.count(names::MENTIONS_REALIGNED, realigned);
-        timings.pairs_scored += realigned * targets.len() as u64;
-        rec.count(names::PAIRS_SCORED, realigned * targets.len() as u64);
-
-        // Graph + resolution: always re-run for a changed document, via
-        // the same shared stage as the stateless path.
-        let alignments = match briq.graph_resolve_stage(
-            &mentions,
-            &ctx,
-            &targets,
-            &candidates,
-            &mut diags,
-            budget,
-            timings,
-            rec,
-            cancel,
-        ) {
-            Ok(a) => a,
-            Err((stage, cause)) => return cancelled_result(stage, cause, diags, rec),
-        };
-        rec.count(
-            names::BUDGET_EXHAUSTIONS,
-            diags
-                .items
-                .iter()
-                .filter(|d| d.action == crate::error::DegradedAction::Truncated)
-                .count() as u64,
-        );
 
         // Cache the new version. `ctx.tables` moves out so the text side
         // is stored table-free and the two sides invalidate separately.
+        let Extracted {
+            mentions,
+            mut ctx,
+            targets,
+            diags: extract_diags,
+        } = x;
         let table_contexts = std::mem::take(&mut ctx.tables);
+        let artifacts = mention_fps
+            .into_iter()
+            .zip(&candidates)
+            .zip(deltas)
+            .map(|((fp, c), stats)| MentionArtifact {
+                fp,
+                candidates: c.clone(),
+                stats,
+            })
+            .collect();
         let mut entry = DocEntry {
-            config_fp,
-            text_fp,
+            config_fp: miss.config_fp,
+            text_fp: miss.text_fp,
             aggregate_fp,
-            table_fps,
+            table_fps: miss.table_fps,
             text_mentions: mentions,
             text_ctx: ctx,
             table_contexts,
@@ -910,7 +775,7 @@ impl AlignmentStore {
             extract_diags,
             artifacts,
             alignments: alignments.clone(),
-            diagnostics: diags.clone(),
+            diagnostics: diagnostics.clone(),
             stats: stats.clone(),
             approx_bytes: 0,
             last_used: self.tick.fetch_add(1, Ordering::Relaxed) + 1,
@@ -924,11 +789,8 @@ impl AlignmentStore {
             .as_ref()
             .map(|_| persist::encode_record(key, &entry));
         self.bytes_add(entry.approx_bytes);
-        {
-            let mut map = lock(&self.entries);
-            if let Some(old) = map.insert(key, entry) {
-                self.bytes_sub(old.approx_bytes);
-            }
+        if let Some(old) = lock(&self.entries).insert(key, entry) {
+            self.bytes_sub(old.approx_bytes);
         }
         if let (Some(p), Some(payload)) = (&self.persist, payload) {
             // Persistence is best-effort on the hot path: an append or
@@ -944,15 +806,74 @@ impl AlignmentStore {
         }
         self.evict_to_budget(rec);
         rec.observe(names::STORE_BYTES_PEAK, self.bytes_peak() as f64);
+        ControlFlow::Continue((alignments, stats, candidates, diagnostics))
+    }
 
-        (alignments, stats, candidates, diags)
+    /// The extraction hook: fingerprint `doc` and look `key` up. A full
+    /// hit — config, paragraph text, and every table unchanged — ends the
+    /// document with the cached outputs, served verbatim: classify,
+    /// filter, and resolution do not run at all. Otherwise any prior
+    /// entry is invalidated, and the extraction halves whose
+    /// fingerprints still match are handed back for replay.
+    fn lookup(
+        &self,
+        key: u64,
+        doc: &Document,
+        budget: &Budget,
+        rec: &Recorder,
+    ) -> ControlFlow<AlignResult, (Miss, Option<TextHalf>, Option<TableHalf>)> {
+        let mut cfp = Fingerprint::new();
+        cfp.u64(self.model_fp);
+        cfp.u64(budget_fingerprint(budget));
+        let config_fp = cfp.finish();
+        let text_fp = text_fingerprint(&doc.text);
+        let table_fps: Vec<u64> = doc.tables.iter().map(table_fingerprint).collect();
+        let prior = {
+            let mut map = lock(&self.entries);
+            if let Some(e) = map.get_mut(&key).filter(|e| {
+                e.config_fp == config_fp && e.text_fp == text_fp && e.table_fps == table_fps
+            }) {
+                e.last_used = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                rec.count(names::STORE_HITS, 1);
+                rec.count(names::MENTIONS, e.text_mentions.len() as u64);
+                rec.count(names::TARGETS, e.targets.len() as u64);
+                return ControlFlow::Break((
+                    e.alignments.clone(),
+                    e.stats.clone(),
+                    e.artifacts.iter().map(|a| a.candidates.clone()).collect(),
+                    e.diagnostics.clone(),
+                ));
+            }
+            map.remove(&key)
+        };
+        if let Some(p) = &prior {
+            self.bytes_sub(p.approx_bytes);
+            self.invalidations.fetch_add(1, Ordering::Relaxed);
+            rec.count(names::STORE_INVALIDATIONS, 1);
+        }
+        let mut miss = Miss {
+            config_fp,
+            text_fp,
+            table_fps,
+            artifacts: None,
+        };
+        // A config mismatch poisons everything; drop the entry outright.
+        let Some(p) = prior.filter(|p| p.config_fp == config_fp) else {
+            return ControlFlow::Continue((miss, None, None));
+        };
+        let text = (p.text_fp == text_fp).then_some((p.text_mentions, p.text_ctx));
+        let tables_clean = p.table_fps == miss.table_fps;
+        let tables = tables_clean.then_some((p.table_contexts, p.targets, p.extract_diags));
+        miss.artifacts = tables_clean.then_some((p.aggregate_fp, p.artifacts));
+        ControlFlow::Continue((miss, text, tables))
     }
 }
 
 /// Poison-tolerant lock, mirroring the batch engine: a panicked worker
 /// (already isolated by `catch_unwind`) must not wedge the store for
 /// every other worker.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -963,19 +884,13 @@ mod tests {
 
     /// [`Briq::align_with`] through `store` under document key `key`,
     /// minus the timings (wall-clock, so never equal across runs).
-    #[allow(clippy::type_complexity)]
     pub(crate) fn stored(
         briq: &Briq,
         store: &AlignmentStore,
         key: u64,
         doc: &Document,
         budget: Budget,
-    ) -> (
-        Vec<Alignment>,
-        FilterStats,
-        Vec<Vec<Candidate>>,
-        Diagnostics,
-    ) {
+    ) -> AlignResult {
         let opts = AlignOpts {
             budget,
             store: Some((store, key)),
@@ -1043,22 +958,79 @@ mod tests {
         let cold = stored(&briq, &store, 7, &d, budget);
         assert_eq!(store.hits(), 0);
         assert_eq!(store.lookups(), 1);
-        let mut timings = StageTimings::default();
-        let warm = store.align_cancellable(
-            &briq,
-            7,
-            &d,
-            &budget,
-            &mut timings,
-            &Recorder::disabled(),
-            &CancelToken::none(),
-        );
+        let opts = AlignOpts {
+            budget,
+            store: Some((&store, 7)),
+            ..AlignOpts::default()
+        };
+        let warm = briq.align_with(&d, &opts);
         assert_eq!(store.hits(), 1);
+        let timings = warm.timings;
+        let warm = (
+            warm.alignments,
+            warm.stats,
+            warm.candidates,
+            warm.diagnostics,
+        );
         assert_eq!(cold, warm);
         assert_eq!(timings.classify_s, 0.0);
         assert_eq!(timings.filter_s, 0.0);
         assert_eq!(timings.resolve_s, 0.0);
         assert_eq!(timings.pairs_scored, 0);
+    }
+
+    #[test]
+    fn stored_and_storeless_documents_record_the_same_spans() {
+        let briq = Briq::untrained(BriqConfig::default());
+        let store = AlignmentStore::for_system(&briq);
+        let trace = |d: &Document, store: Option<(&AlignmentStore, u64)>| {
+            let rec = Recorder::enabled();
+            let opts = AlignOpts {
+                recorder: Some(&rec),
+                store,
+                ..AlignOpts::default()
+            };
+            briq.align_with(d, &opts);
+            rec.finish().expect("an enabled recorder yields a trace")
+        };
+        let d = sample();
+        let storeless = trace(&d, None);
+        let cold = trace(&d, Some((&store, 1)));
+        assert_eq!(cold.structure(), storeless.structure());
+
+        // A full hit runs no stage, but still opens the extract span
+        // that covers its fingerprinting and lookup.
+        let hit = trace(&d, Some((&store, 1)));
+        assert_eq!(store.hits(), 1);
+        let spans: Vec<&str> = hit.structure().into_iter().map(|s| s.1).collect();
+        assert_eq!(spans, [names::SPAN_EXTRACT]);
+
+        // Extra whitespace changes the paragraph but no mention's read
+        // set: every mention replays, and the filter counters are still
+        // recorded exactly as the storeless run records them.
+        let realigned = store.mentions_realigned();
+        let spaced = doc(&d.text.replace(". ", ".   "), d.tables[0].cells.clone());
+        let replayed = trace(&spaced, Some((&store, 1)));
+        assert_eq!(store.invalidations(), 1);
+        assert_eq!(
+            store.mentions_realigned(),
+            realigned,
+            "every mention replays"
+        );
+        let filter_counters = |t: &crate::obs::DocTrace| -> Vec<(String, u64)> {
+            t.metrics
+                .counters()
+                .filter(|(n, _)| {
+                    n.starts_with(names::FILTER_TOTAL_PREFIX)
+                        || n.starts_with(names::FILTER_KEPT_PREFIX)
+                        || *n == names::CANDIDATES_KEPT
+                })
+                .map(|(n, v)| (n.to_string(), v))
+                .collect()
+        };
+        let expected = filter_counters(&trace(&spaced, None));
+        assert!(!expected.is_empty());
+        assert_eq!(filter_counters(&replayed), expected);
     }
 
     #[test]

@@ -31,8 +31,12 @@
 //! every map/set is a `BTree*` whose iteration order is deterministic —
 //! so encode∘decode is the identity on every entry the pipeline can
 //! produce, including NaN/∞ values from the non-finite chaos family.
+//! Each on-disk type declares its layout once — a `wire_struct!` field
+//! list, a `wire_enum!` tag table, or a hand-written `Wire` impl where
+//! the layout is not a plain list — and that one declaration drives
+//! both encoding and decoding.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -45,7 +49,7 @@ use briq_text::quantity::QuantityMention;
 use briq_text::token::{Token, TokenKind};
 use briq_text::units::{Currency, Measure, Unit};
 
-use super::{DocEntry, Fingerprint, MentionArtifact};
+use super::{lock, DocEntry, Fingerprint, MentionArtifact};
 use crate::context::{DocContext, MentionContext, TableContext};
 use crate::error::{DegradedAction, Diagnostic, Diagnostics, Stage};
 use crate::filtering::{Candidate, FilterStats};
@@ -88,63 +92,12 @@ const MAX_FRAME_BYTES: u32 = 1 << 30;
 // Binary codec
 // ---------------------------------------------------------------------------
 
-/// Append-only byte encoder. All integers are little-endian; lengths are
-/// `u32`; `usize` values (byte offsets, indices) widen to `u64`; floats
-/// are stored as their IEEE-754 bit patterns.
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn new() -> Enc {
-        Enc { buf: Vec::new() }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn len(&mut self, n: usize) {
-        debug_assert!(n <= u32::MAX as usize);
-        self.u32(n as u32);
-    }
-
-    fn str(&mut self, s: &str) {
-        self.len(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
 /// Decode failure: the payload is structurally invalid (short read, bad
 /// enum tag, non-UTF-8 string, trailing garbage). Recovery treats it
 /// like a checksum mismatch — the frame and everything after it are
 /// dropped.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeError(&'static str);
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "store decode error: {}", self.0)
-    }
-}
-
-impl std::error::Error for DecodeError {}
+pub(crate) struct DecodeError(&'static str);
 
 /// Cursor over one frame payload.
 struct Dec<'a> {
@@ -153,715 +106,341 @@ struct Dec<'a> {
 }
 
 impl<'a> Dec<'a> {
-    fn new(b: &'a [u8]) -> Dec<'a> {
-        Dec { b, pos: 0 }
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         let end = self.pos.checked_add(n).ok_or(DecodeError("overflow"))?;
-        if end > self.b.len() {
-            return Err(DecodeError("short payload"));
-        }
-        let s = &self.b[self.pos..end];
+        let s = self
+            .b
+            .get(self.pos..end)
+            .ok_or(DecodeError("short payload"))?;
         self.pos = end;
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn usize(&mut self) -> Result<usize, DecodeError> {
-        usize::try_from(self.u64()?).map_err(|_| DecodeError("usize overflow"))
-    }
-
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_bits(self.u64()?))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
     }
 
     /// A container/string length. Bounded by the remaining payload (every
     /// element occupies at least one byte), so a corrupt length cannot
     /// trigger a huge allocation.
     fn len(&mut self) -> Result<usize, DecodeError> {
-        let n = self.u32()? as usize;
+        let n = u32::from_le_bytes(self.array()?) as usize;
         if n > self.b.len() - self.pos {
             return Err(DecodeError("length exceeds payload"));
         }
         Ok(n)
     }
+}
 
-    fn str(&mut self) -> Result<String, DecodeError> {
-        let n = self.len()?;
-        let s = std::str::from_utf8(self.take(n)?).map_err(|_| DecodeError("invalid utf-8"))?;
+fn put_len(n: usize, out: &mut Vec<u8>) {
+    debug_assert!(n <= u32::MAX as usize);
+    out.extend_from_slice(&(n as u32).to_le_bytes());
+}
+
+/// One on-disk type: `put` appends its encoding, `get` reads one value
+/// back. Integers are little-endian, lengths `u32`, `usize` widens to
+/// `u64`, and floats travel as their IEEE-754 bit patterns.
+trait Wire: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError>;
+}
+
+impl Wire for u8 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<u8, DecodeError> {
+        Ok(d.take(1)?[0])
+    }
+}
+
+impl Wire for u64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+    fn get(d: &mut Dec<'_>) -> Result<u64, DecodeError> {
+        d.array().map(u64::from_le_bytes)
+    }
+}
+
+impl Wire for usize {
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<usize, DecodeError> {
+        usize::try_from(u64::get(d)?).map_err(|_| DecodeError("usize overflow"))
+    }
+}
+
+impl Wire for f64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<f64, DecodeError> {
+        u64::get(d).map(f64::from_bits)
+    }
+}
+
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(self.len(), out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn get(d: &mut Dec<'_>) -> Result<String, DecodeError> {
+        let n = d.len()?;
+        let s = std::str::from_utf8(d.take(n)?).map_err(|_| DecodeError("invalid utf-8"))?;
         Ok(s.to_string())
     }
+}
 
-    fn finish(self) -> Result<(), DecodeError> {
-        if self.pos == self.b.len() {
-            Ok(())
-        } else {
-            Err(DecodeError("trailing garbage"))
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<(A, B), DecodeError> {
+        Ok((A::get(d)?, B::get(d)?))
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(self.len(), out);
+        for x in self {
+            x.put(out);
         }
     }
-}
-
-// --- leaf encoders/decoders -------------------------------------------------
-
-fn enc_string_vec(e: &mut Enc, v: &[String]) {
-    e.len(v.len());
-    for s in v {
-        e.str(s);
-    }
-}
-
-fn dec_string_vec(d: &mut Dec<'_>) -> Result<Vec<String>, DecodeError> {
-    let n = d.len()?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(d.str()?);
-    }
-    Ok(v)
-}
-
-fn enc_string_set(e: &mut Enc, v: &std::collections::BTreeSet<String>) {
-    e.len(v.len());
-    for s in v {
-        e.str(s);
-    }
-}
-
-fn dec_string_set(d: &mut Dec<'_>) -> Result<std::collections::BTreeSet<String>, DecodeError> {
-    let n = d.len()?;
-    let mut v = std::collections::BTreeSet::new();
-    for _ in 0..n {
-        v.insert(d.str()?);
-    }
-    Ok(v)
-}
-
-fn enc_set_vec(e: &mut Enc, v: &[std::collections::BTreeSet<String>]) {
-    e.len(v.len());
-    for s in v {
-        enc_string_set(e, s);
-    }
-}
-
-fn dec_set_vec(d: &mut Dec<'_>) -> Result<Vec<std::collections::BTreeSet<String>>, DecodeError> {
-    let n = d.len()?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(dec_string_set(d)?);
-    }
-    Ok(v)
-}
-
-fn enc_weight_map(e: &mut Enc, m: &BTreeMap<String, f64>) {
-    e.len(m.len());
-    for (k, &v) in m {
-        e.str(k);
-        e.f64(v);
-    }
-}
-
-fn dec_weight_map(d: &mut Dec<'_>) -> Result<BTreeMap<String, f64>, DecodeError> {
-    let n = d.len()?;
-    let mut m = BTreeMap::new();
-    for _ in 0..n {
-        let k = d.str()?;
-        let v = d.f64()?;
-        m.insert(k, v);
-    }
-    Ok(m)
-}
-
-fn enc_count_map(e: &mut Enc, m: &BTreeMap<String, usize>) {
-    e.len(m.len());
-    for (k, &v) in m {
-        e.str(k);
-        e.usize(v);
-    }
-}
-
-fn dec_count_map(d: &mut Dec<'_>) -> Result<BTreeMap<String, usize>, DecodeError> {
-    let n = d.len()?;
-    let mut m = BTreeMap::new();
-    for _ in 0..n {
-        let k = d.str()?;
-        let v = d.usize()?;
-        m.insert(k, v);
-    }
-    Ok(m)
-}
-
-fn enc_token_kind(e: &mut Enc, k: TokenKind) {
-    e.u8(match k {
-        TokenKind::Word => 0,
-        TokenKind::Number => 1,
-        TokenKind::Alphanumeric => 2,
-        TokenKind::Punct => 3,
-        TokenKind::Symbol => 4,
-    });
-}
-
-fn dec_token_kind(d: &mut Dec<'_>) -> Result<TokenKind, DecodeError> {
-    Ok(match d.u8()? {
-        0 => TokenKind::Word,
-        1 => TokenKind::Number,
-        2 => TokenKind::Alphanumeric,
-        3 => TokenKind::Punct,
-        4 => TokenKind::Symbol,
-        _ => return Err(DecodeError("bad token kind")),
-    })
-}
-
-fn enc_unit(e: &mut Enc, u: Unit) {
-    match u {
-        Unit::Currency(c) => {
-            e.u8(0);
-            e.u8(match c {
-                Currency::Usd => 0,
-                Currency::Eur => 1,
-                Currency::Gbp => 2,
-                Currency::Cad => 3,
-                Currency::Inr => 4,
-                Currency::Jpy => 5,
-                Currency::Other => 6,
-            });
+    fn get(d: &mut Dec<'_>) -> Result<Vec<T>, DecodeError> {
+        let n = d.len()?;
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(T::get(d)?);
         }
-        Unit::Percent => e.u8(1),
-        Unit::BasisPoints => e.u8(2),
-        Unit::Measure(m) => {
-            e.u8(3);
-            e.u8(match m {
-                Measure::Mpge => 0,
-                Measure::GramsPerKm => 1,
-                Measure::KWh => 2,
-                Measure::Mg => 3,
-                Measure::Km => 4,
-                Measure::Count => 5,
-            });
-        }
-        Unit::None => e.u8(4),
+        Ok(v)
     }
 }
 
-fn dec_unit(d: &mut Dec<'_>) -> Result<Unit, DecodeError> {
-    Ok(match d.u8()? {
-        0 => Unit::Currency(match d.u8()? {
-            0 => Currency::Usd,
-            1 => Currency::Eur,
-            2 => Currency::Gbp,
-            3 => Currency::Cad,
-            4 => Currency::Inr,
-            5 => Currency::Jpy,
-            6 => Currency::Other,
-            _ => return Err(DecodeError("bad currency")),
-        }),
-        1 => Unit::Percent,
-        2 => Unit::BasisPoints,
-        3 => Unit::Measure(match d.u8()? {
-            0 => Measure::Mpge,
-            1 => Measure::GramsPerKm,
-            2 => Measure::KWh,
-            3 => Measure::Mg,
-            4 => Measure::Km,
-            5 => Measure::Count,
-            _ => return Err(DecodeError("bad measure")),
-        }),
-        4 => Unit::None,
-        _ => return Err(DecodeError("bad unit")),
-    })
-}
-
-fn enc_approx(e: &mut Enc, a: ApproxIndicator) {
-    e.u8(match a {
-        ApproxIndicator::Exact => 0,
-        ApproxIndicator::Approximate => 1,
-        ApproxIndicator::UpperBound => 2,
-        ApproxIndicator::LowerBound => 3,
-        ApproxIndicator::None => 4,
-    });
-}
-
-fn dec_approx(d: &mut Dec<'_>) -> Result<ApproxIndicator, DecodeError> {
-    Ok(match d.u8()? {
-        0 => ApproxIndicator::Exact,
-        1 => ApproxIndicator::Approximate,
-        2 => ApproxIndicator::UpperBound,
-        3 => ApproxIndicator::LowerBound,
-        4 => ApproxIndicator::None,
-        _ => return Err(DecodeError("bad approx indicator")),
-    })
-}
-
-fn agg_tag(a: AggregationKind) -> u8 {
-    match a {
-        AggregationKind::Sum => 0,
-        AggregationKind::Difference => 1,
-        AggregationKind::Percentage => 2,
-        AggregationKind::ChangeRatio => 3,
-        AggregationKind::Average => 4,
-        AggregationKind::Max => 5,
-        AggregationKind::Min => 6,
-    }
-}
-
-fn dec_agg(d: &mut Dec<'_>) -> Result<AggregationKind, DecodeError> {
-    Ok(match d.u8()? {
-        0 => AggregationKind::Sum,
-        1 => AggregationKind::Difference,
-        2 => AggregationKind::Percentage,
-        3 => AggregationKind::ChangeRatio,
-        4 => AggregationKind::Average,
-        5 => AggregationKind::Max,
-        6 => AggregationKind::Min,
-        _ => return Err(DecodeError("bad aggregation kind")),
-    })
-}
-
-fn enc_text_mention(e: &mut Enc, m: &TextMention) {
-    e.usize(m.id);
-    let q: &QuantityMention = &m.quantity;
-    e.str(&q.raw);
-    e.f64(q.value);
-    e.f64(q.unnormalized);
-    enc_unit(e, q.unit);
-    e.u8(q.precision);
-    enc_approx(e, q.approx);
-    e.usize(q.start);
-    e.usize(q.end);
-}
-
-fn dec_text_mention(d: &mut Dec<'_>) -> Result<TextMention, DecodeError> {
-    let id = d.usize()?;
-    let raw = d.str()?;
-    let value = d.f64()?;
-    let unnormalized = d.f64()?;
-    let unit = dec_unit(d)?;
-    let precision = d.u8()?;
-    let approx = dec_approx(d)?;
-    let start = d.usize()?;
-    let end = d.usize()?;
-    Ok(TextMention {
-        id,
-        quantity: QuantityMention {
-            raw,
-            value,
-            unnormalized,
-            unit,
-            precision,
-            approx,
-            start,
-            end,
-        },
-    })
-}
-
-fn enc_token(e: &mut Enc, t: &Token) {
-    e.str(&t.text);
-    e.usize(t.start);
-    e.usize(t.end);
-    enc_token_kind(e, t.kind);
-}
-
-fn dec_token(d: &mut Dec<'_>) -> Result<Token, DecodeError> {
-    Ok(Token {
-        text: d.str()?,
-        start: d.usize()?,
-        end: d.usize()?,
-        kind: dec_token_kind(d)?,
-    })
-}
-
-fn enc_mention_ctx(e: &mut Enc, m: &MentionContext) {
-    enc_weight_map(e, &m.local_weights);
-    enc_string_set(e, &m.sentence_phrases);
-    enc_string_vec(e, &m.immediate_words);
-    enc_string_vec(e, &m.sentence_words);
-    match m.inferred_aggregation {
-        None => e.u8(0),
-        Some(a) => {
-            e.u8(1);
-            e.u8(agg_tag(a));
+impl<T: Wire + Ord> Wire for BTreeSet<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(self.len(), out);
+        for x in self {
+            x.put(out);
         }
     }
-    e.usize(m.token_index);
-}
-
-fn dec_mention_ctx(d: &mut Dec<'_>) -> Result<MentionContext, DecodeError> {
-    Ok(MentionContext {
-        local_weights: dec_weight_map(d)?,
-        sentence_phrases: dec_string_set(d)?,
-        immediate_words: dec_string_vec(d)?,
-        sentence_words: dec_string_vec(d)?,
-        inferred_aggregation: match d.u8()? {
-            0 => None,
-            1 => Some(dec_agg(d)?),
-            _ => return Err(DecodeError("bad option tag")),
-        },
-        token_index: d.usize()?,
-    })
-}
-
-fn enc_table_ctx(e: &mut Enc, t: &TableContext) {
-    enc_set_vec(e, &t.row_words);
-    enc_set_vec(e, &t.col_words);
-    enc_string_set(e, &t.table_words);
-    enc_set_vec(e, &t.row_phrases);
-    enc_set_vec(e, &t.col_phrases);
-    enc_string_set(e, &t.table_phrases);
-}
-
-fn dec_table_ctx(d: &mut Dec<'_>) -> Result<TableContext, DecodeError> {
-    Ok(TableContext {
-        row_words: dec_set_vec(d)?,
-        col_words: dec_set_vec(d)?,
-        table_words: dec_string_set(d)?,
-        row_phrases: dec_set_vec(d)?,
-        col_phrases: dec_set_vec(d)?,
-        table_phrases: dec_string_set(d)?,
-    })
-}
-
-fn enc_doc_ctx(e: &mut Enc, c: &DocContext) {
-    e.len(c.tokens.len());
-    for t in &c.tokens {
-        enc_token(e, t);
-    }
-    enc_string_set(e, &c.paragraph_words);
-    enc_string_vec(e, &c.paragraph_word_list);
-    enc_string_set(e, &c.paragraph_phrases);
-    e.len(c.tables.len());
-    for t in &c.tables {
-        enc_table_ctx(e, t);
-    }
-    e.len(c.mentions.len());
-    for m in &c.mentions {
-        enc_mention_ctx(e, m);
+    fn get(d: &mut Dec<'_>) -> Result<BTreeSet<T>, DecodeError> {
+        let n = d.len()?;
+        (0..n).map(|_| T::get(d)).collect()
     }
 }
 
-fn dec_doc_ctx(d: &mut Dec<'_>) -> Result<DocContext, DecodeError> {
-    let n = d.len()?;
-    let mut tokens = Vec::with_capacity(n);
-    for _ in 0..n {
-        tokens.push(dec_token(d)?);
-    }
-    let paragraph_words = dec_string_set(d)?;
-    let paragraph_word_list = dec_string_vec(d)?;
-    let paragraph_phrases = dec_string_set(d)?;
-    let n = d.len()?;
-    let mut tables = Vec::with_capacity(n);
-    for _ in 0..n {
-        tables.push(dec_table_ctx(d)?);
-    }
-    let n = d.len()?;
-    let mut mentions = Vec::with_capacity(n);
-    for _ in 0..n {
-        mentions.push(dec_mention_ctx(d)?);
-    }
-    Ok(DocContext {
-        tokens,
-        paragraph_words,
-        paragraph_word_list,
-        paragraph_phrases,
-        tables,
-        mentions,
-    })
-}
-
-fn enc_table_mention(e: &mut Enc, t: &TableMention) {
-    e.usize(t.table);
-    match t.kind {
-        TableMentionKind::SingleCell => e.u8(0),
-        TableMentionKind::Aggregate(a) => {
-            e.u8(1);
-            e.u8(agg_tag(a));
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(self.len(), out);
+        for (k, v) in self {
+            k.put(out);
+            v.put(out);
         }
     }
-    e.len(t.cells.len());
-    for &(r, c) in &t.cells {
-        e.usize(r);
-        e.usize(c);
-    }
-    e.f64(t.value);
-    e.f64(t.unnormalized);
-    e.str(&t.raw);
-    enc_unit(e, t.unit);
-    e.u8(t.precision);
-    match t.orientation {
-        None => e.u8(0),
-        Some(Orientation::Row(i)) => {
-            e.u8(1);
-            e.usize(i);
-        }
-        Some(Orientation::Column(i)) => {
-            e.u8(2);
-            e.usize(i);
-        }
+    fn get(d: &mut Dec<'_>) -> Result<BTreeMap<K, V>, DecodeError> {
+        let n = d.len()?;
+        (0..n).map(|_| <(K, V)>::get(d)).collect()
     }
 }
 
-fn dec_table_mention(d: &mut Dec<'_>) -> Result<TableMention, DecodeError> {
-    let table = d.usize()?;
-    let kind = match d.u8()? {
-        0 => TableMentionKind::SingleCell,
-        1 => TableMentionKind::Aggregate(dec_agg(d)?),
-        _ => return Err(DecodeError("bad table mention kind")),
+/// `Wire` for a struct: its fields in the listed order. Fields that
+/// are not on disk are listed after `skip` with the value decoding
+/// gives them.
+macro_rules! wire_struct {
+    ($name:ident { $($field:ident),+ $(,)? } $(skip { $($skip:ident: $init:expr),+ })?) => {
+        impl Wire for $name {
+            fn put(&self, out: &mut Vec<u8>) {
+                $( self.$field.put(out); )+
+            }
+            fn get(d: &mut Dec<'_>) -> Result<$name, DecodeError> {
+                Ok($name {
+                    $( $field: Wire::get(d)?, )+
+                    $( $( $skip: $init, )+ )?
+                })
+            }
+        }
     };
-    let n = d.len()?;
-    let mut cells = Vec::with_capacity(n);
-    for _ in 0..n {
-        let r = d.usize()?;
-        let c = d.usize()?;
-        cells.push((r, c));
+}
+
+/// `Wire` for a fieldless enum: one `u8` tag per variant.
+macro_rules! wire_enum {
+    ($name:ident { $($variant:ident = $tag:literal),+ $(,)? }) => {
+        impl Wire for $name {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.push(match self {
+                    $( $name::$variant => $tag, )+
+                });
+            }
+            fn get(d: &mut Dec<'_>) -> Result<$name, DecodeError> {
+                match u8::get(d)? {
+                    $( $tag => Ok($name::$variant), )+
+                    _ => Err(DecodeError(concat!("bad ", stringify!($name), " tag"))),
+                }
+            }
+        }
+    };
+}
+
+wire_enum! { TokenKind { Word = 0, Number = 1, Alphanumeric = 2, Punct = 3, Symbol = 4 } }
+wire_enum! { Currency { Usd = 0, Eur = 1, Gbp = 2, Cad = 3, Inr = 4, Jpy = 5, Other = 6 } }
+wire_enum! { Measure { Mpge = 0, GramsPerKm = 1, KWh = 2, Mg = 3, Km = 4, Count = 5 } }
+wire_enum! { ApproxIndicator {
+    Exact = 0, Approximate = 1, UpperBound = 2, LowerBound = 3, None = 4,
+} }
+wire_enum! { AggregationKind {
+    Sum = 0, Difference = 1, Percentage = 2, ChangeRatio = 3, Average = 4, Max = 5, Min = 6,
+} }
+wire_enum! { Stage {
+    Extraction = 0, VirtualCells = 1, Classification = 2, GraphConstruction = 3,
+    Resolution = 4, Batch = 5, Admission = 6,
+} }
+wire_enum! { DegradedAction { Skipped = 0, Truncated = 1, Fallback = 2, Cancelled = 3 } }
+
+impl Wire for Unit {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Unit::Currency(c) => {
+                out.push(0);
+                c.put(out);
+            }
+            Unit::Percent => out.push(1),
+            Unit::BasisPoints => out.push(2),
+            Unit::Measure(m) => {
+                out.push(3);
+                m.put(out);
+            }
+            Unit::None => out.push(4),
+        }
     }
-    Ok(TableMention {
-        table,
-        kind,
-        cells,
-        value: d.f64()?,
-        unnormalized: d.f64()?,
-        raw: d.str()?,
-        unit: dec_unit(d)?,
-        precision: d.u8()?,
-        orientation: match d.u8()? {
-            0 => None,
-            1 => Some(Orientation::Row(d.usize()?)),
-            2 => Some(Orientation::Column(d.usize()?)),
-            _ => return Err(DecodeError("bad orientation")),
-        },
-    })
-}
-
-fn enc_candidates(e: &mut Enc, v: &[Candidate]) {
-    e.len(v.len());
-    for c in v {
-        e.usize(c.target);
-        e.f64(c.score);
-    }
-}
-
-fn dec_candidates(d: &mut Dec<'_>) -> Result<Vec<Candidate>, DecodeError> {
-    let n = d.len()?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        let target = d.usize()?;
-        let score = d.f64()?;
-        v.push(Candidate { target, score });
-    }
-    Ok(v)
-}
-
-fn enc_filter_stats(e: &mut Enc, s: &FilterStats) {
-    enc_count_map(e, &s.total);
-    enc_count_map(e, &s.kept);
-}
-
-fn dec_filter_stats(d: &mut Dec<'_>) -> Result<FilterStats, DecodeError> {
-    Ok(FilterStats {
-        total: dec_count_map(d)?,
-        kept: dec_count_map(d)?,
-    })
-}
-
-fn enc_alignment(e: &mut Enc, a: &Alignment) {
-    e.usize(a.mention_start);
-    e.usize(a.mention_end);
-    e.str(&a.mention_raw);
-    enc_table_mention(e, &a.target);
-    e.f64(a.score);
-}
-
-fn dec_alignment(d: &mut Dec<'_>) -> Result<Alignment, DecodeError> {
-    Ok(Alignment {
-        mention_start: d.usize()?,
-        mention_end: d.usize()?,
-        mention_raw: d.str()?,
-        target: dec_table_mention(d)?,
-        score: d.f64()?,
-    })
-}
-
-fn enc_diagnostics(e: &mut Enc, ds: &Diagnostics) {
-    e.len(ds.items.len());
-    for item in &ds.items {
-        e.u8(match item.stage {
-            Stage::Extraction => 0,
-            Stage::VirtualCells => 1,
-            Stage::Classification => 2,
-            Stage::GraphConstruction => 3,
-            Stage::Resolution => 4,
-            Stage::Batch => 5,
-            Stage::Admission => 6,
-        });
-        e.str(&item.scope);
-        e.str(&item.error);
-        e.u8(match item.action {
-            DegradedAction::Skipped => 0,
-            DegradedAction::Truncated => 1,
-            DegradedAction::Fallback => 2,
-            DegradedAction::Cancelled => 3,
-        });
+    fn get(d: &mut Dec<'_>) -> Result<Unit, DecodeError> {
+        Ok(match u8::get(d)? {
+            0 => Unit::Currency(Currency::get(d)?),
+            1 => Unit::Percent,
+            2 => Unit::BasisPoints,
+            3 => Unit::Measure(Measure::get(d)?),
+            4 => Unit::None,
+            _ => return Err(DecodeError("bad unit")),
+        })
     }
 }
 
-fn dec_diagnostics(d: &mut Dec<'_>) -> Result<Diagnostics, DecodeError> {
-    let n = d.len()?;
-    let mut items = Vec::with_capacity(n);
-    for _ in 0..n {
-        let stage = match d.u8()? {
-            0 => Stage::Extraction,
-            1 => Stage::VirtualCells,
-            2 => Stage::Classification,
-            3 => Stage::GraphConstruction,
-            4 => Stage::Resolution,
-            5 => Stage::Batch,
-            6 => Stage::Admission,
-            _ => return Err(DecodeError("bad stage")),
-        };
-        let scope = d.str()?;
-        let error = d.str()?;
-        let action = match d.u8()? {
-            0 => DegradedAction::Skipped,
-            1 => DegradedAction::Truncated,
-            2 => DegradedAction::Fallback,
-            3 => DegradedAction::Cancelled,
-            _ => return Err(DecodeError("bad degraded action")),
-        };
-        items.push(Diagnostic {
-            stage,
-            scope,
-            error,
-            action,
-        });
+impl Wire for TableMentionKind {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            TableMentionKind::SingleCell => out.push(0),
+            TableMentionKind::Aggregate(a) => {
+                out.push(1);
+                a.put(out);
+            }
+        }
     }
-    Ok(Diagnostics { items })
+    fn get(d: &mut Dec<'_>) -> Result<TableMentionKind, DecodeError> {
+        match u8::get(d)? {
+            0 => Ok(TableMentionKind::SingleCell),
+            1 => Ok(TableMentionKind::Aggregate(AggregationKind::get(d)?)),
+            _ => Err(DecodeError("bad table mention kind")),
+        }
+    }
 }
+
+impl Wire for Option<AggregationKind> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            None => out.push(0),
+            Some(a) => {
+                out.push(1);
+                a.put(out);
+            }
+        }
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Option<AggregationKind>, DecodeError> {
+        match u8::get(d)? {
+            0 => Ok(None),
+            1 => Ok(Some(AggregationKind::get(d)?)),
+            _ => Err(DecodeError("bad option tag")),
+        }
+    }
+}
+
+/// One tag for all three forms: `None`, row, column.
+impl Wire for Option<Orientation> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            None => out.push(0),
+            Some(Orientation::Row(i)) => {
+                out.push(1);
+                i.put(out);
+            }
+            Some(Orientation::Column(i)) => {
+                out.push(2);
+                i.put(out);
+            }
+        }
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Option<Orientation>, DecodeError> {
+        match u8::get(d)? {
+            0 => Ok(None),
+            1 => Ok(Some(Orientation::Row(usize::get(d)?))),
+            2 => Ok(Some(Orientation::Column(usize::get(d)?))),
+            _ => Err(DecodeError("bad orientation")),
+        }
+    }
+}
+
+wire_struct! { QuantityMention { raw, value, unnormalized, unit, precision, approx, start, end } }
+wire_struct! { TextMention { id, quantity } }
+wire_struct! { Token { text, start, end, kind } }
+wire_struct! { MentionContext {
+    local_weights, sentence_phrases, immediate_words, sentence_words, inferred_aggregation,
+    token_index,
+} }
+wire_struct! { TableContext {
+    row_words, col_words, table_words, row_phrases, col_phrases, table_phrases,
+} }
+wire_struct! { DocContext {
+    tokens, paragraph_words, paragraph_word_list, paragraph_phrases, tables, mentions,
+} }
+wire_struct! { TableMention {
+    table, kind, cells, value, unnormalized, raw, unit, precision, orientation,
+} }
+wire_struct! { Candidate { target, score } }
+wire_struct! { FilterStats { total, kept } }
+wire_struct! { Alignment { mention_start, mention_end, mention_raw, target, score } }
+wire_struct! { Diagnostic { stage, scope, error, action } }
+wire_struct! { Diagnostics { items } }
+wire_struct! { MentionArtifact { fp, candidates, stats } }
+// `approx_bytes` and the LRU clock are not on disk: both are recomputed
+// on recovery, so the format stays a pure function of the cached
+// artifact values.
+wire_struct! { DocEntry {
+    config_fp, text_fp, aggregate_fp, table_fps, text_mentions, text_ctx, table_contexts,
+    targets, extract_diags, artifacts, alignments, diagnostics, stats,
+} skip { approx_bytes: 0, last_used: 0 } }
 
 /// Encode one log/snapshot record payload: store key + full entry.
-/// `approx_bytes` and the LRU clock are *not* encoded — both are
-/// recomputed on recovery, so the on-disk format stays a pure function
-/// of the cached artifact values.
 pub(crate) fn encode_record(key: u64, e: &DocEntry) -> Vec<u8> {
-    let mut enc = Enc::new();
-    enc.u64(key);
-    enc.u64(e.config_fp);
-    enc.u64(e.text_fp);
-    enc.u64(e.aggregate_fp);
-    enc.len(e.table_fps.len());
-    for &fp in &e.table_fps {
-        enc.u64(fp);
-    }
-    enc.len(e.text_mentions.len());
-    for m in &e.text_mentions {
-        enc_text_mention(&mut enc, m);
-    }
-    enc_doc_ctx(&mut enc, &e.text_ctx);
-    enc.len(e.table_contexts.len());
-    for t in &e.table_contexts {
-        enc_table_ctx(&mut enc, t);
-    }
-    enc.len(e.targets.len());
-    for t in &e.targets {
-        enc_table_mention(&mut enc, t);
-    }
-    enc_diagnostics(&mut enc, &e.extract_diags);
-    enc.len(e.artifacts.len());
-    for a in &e.artifacts {
-        enc.u64(a.fp);
-        enc_candidates(&mut enc, &a.candidates);
-        enc_filter_stats(&mut enc, &a.stats);
-    }
-    enc.len(e.alignments.len());
-    for a in &e.alignments {
-        enc_alignment(&mut enc, a);
-    }
-    enc_diagnostics(&mut enc, &e.diagnostics);
-    enc_filter_stats(&mut enc, &e.stats);
-    enc.buf
+    let mut out = Vec::new();
+    key.put(&mut out);
+    e.put(&mut out);
+    out
 }
 
 /// Decode one record payload back into `(key, entry)`. Strict: the
 /// payload must be consumed exactly; any slack or structural error is a
 /// decode failure (treated as corruption by recovery).
 pub(crate) fn decode_record(payload: &[u8]) -> Result<(u64, DocEntry), DecodeError> {
-    let mut d = Dec::new(payload);
-    let key = d.u64()?;
-    let config_fp = d.u64()?;
-    let text_fp = d.u64()?;
-    let aggregate_fp = d.u64()?;
-    let n = d.len()?;
-    let mut table_fps = Vec::with_capacity(n);
-    for _ in 0..n {
-        table_fps.push(d.u64()?);
+    let mut d = Dec { b: payload, pos: 0 };
+    let key = u64::get(&mut d)?;
+    let mut entry = DocEntry::get(&mut d)?;
+    if d.pos != payload.len() {
+        return Err(DecodeError("trailing garbage"));
     }
-    let n = d.len()?;
-    let mut text_mentions = Vec::with_capacity(n);
-    for _ in 0..n {
-        text_mentions.push(dec_text_mention(&mut d)?);
-    }
-    let text_ctx = dec_doc_ctx(&mut d)?;
-    let n = d.len()?;
-    let mut table_contexts = Vec::with_capacity(n);
-    for _ in 0..n {
-        table_contexts.push(dec_table_ctx(&mut d)?);
-    }
-    let n = d.len()?;
-    let mut targets = Vec::with_capacity(n);
-    for _ in 0..n {
-        targets.push(dec_table_mention(&mut d)?);
-    }
-    let extract_diags = dec_diagnostics(&mut d)?;
-    let n = d.len()?;
-    let mut artifacts = Vec::with_capacity(n);
-    for _ in 0..n {
-        let fp = d.u64()?;
-        let candidates = dec_candidates(&mut d)?;
-        let stats = dec_filter_stats(&mut d)?;
-        artifacts.push(MentionArtifact {
-            fp,
-            candidates,
-            stats,
-        });
-    }
-    let n = d.len()?;
-    let mut alignments = Vec::with_capacity(n);
-    for _ in 0..n {
-        alignments.push(dec_alignment(&mut d)?);
-    }
-    let diagnostics = dec_diagnostics(&mut d)?;
-    let stats = dec_filter_stats(&mut d)?;
-    d.finish()?;
-    let mut entry = DocEntry {
-        config_fp,
-        text_fp,
-        aggregate_fp,
-        table_fps,
-        text_mentions,
-        text_ctx,
-        table_contexts,
-        targets,
-        extract_diags,
-        artifacts,
-        alignments,
-        diagnostics,
-        stats,
-        approx_bytes: 0,
-        last_used: 0,
-    };
     entry.approx_bytes = entry.estimate_bytes();
     Ok((key, entry))
 }
@@ -1013,23 +592,29 @@ fn sync_dir(dir: &Path) {
     }
 }
 
+/// Remove the files of `dir` whose names `doomed` selects.
+fn remove_files(dir: &Path, doomed: impl Fn(&str) -> bool) {
+    if let Ok(rd) = fs::read_dir(dir) {
+        for entry in rd.flatten() {
+            if doomed(&entry.file_name().to_string_lossy()) {
+                let _ = fs::remove_file(entry.path());
+            }
+        }
+    }
+}
+
+fn is_snapshot(name: &str) -> bool {
+    name.starts_with("snapshot-") && name.ends_with(".briq")
+}
+
 /// Remove every file this layer owns (manifest, log, snapshots, temps).
 /// Called when the directory's contents are incompatible and must be
 /// rebuilt; foreign files that merely *live* in the directory are left
 /// alone.
 fn wipe_store_files(dir: &Path) {
-    let _ = fs::remove_file(dir.join(MANIFEST_FILE));
-    let _ = fs::remove_file(dir.join(LOG_FILE));
-    if let Ok(rd) = fs::read_dir(dir) {
-        for entry in rd.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if (name.starts_with("snapshot-") && name.ends_with(".briq")) || name.ends_with(".tmp")
-            {
-                let _ = fs::remove_file(entry.path());
-            }
-        }
-    }
+    remove_files(dir, |name| {
+        name == MANIFEST_FILE || name == LOG_FILE || is_snapshot(name) || name.ends_with(".tmp")
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -1037,6 +622,7 @@ fn wipe_store_files(dir: &Path) {
 // ---------------------------------------------------------------------------
 
 /// What recovery found in the store directory.
+#[derive(Default)]
 pub(crate) struct Recovered {
     /// Entries in replay order (snapshot first, then log); the caller
     /// inserts them last-wins per key.
@@ -1048,6 +634,7 @@ pub(crate) struct Recovered {
     pub rebuilt: bool,
 }
 
+#[derive(Debug)]
 struct LogFile {
     file: File,
     bytes: u64,
@@ -1057,6 +644,7 @@ struct LogFile {
 /// open log handle, snapshot generation, and byte accounting. All file
 /// writes go through this handle; the in-memory entry map stays in the
 /// store itself.
+#[derive(Debug)]
 pub(crate) struct Persistence {
     dir: PathBuf,
     model_fp: u64,
@@ -1065,18 +653,8 @@ pub(crate) struct Persistence {
     /// Serializes snapshot writers (the log mutex alone protects appends).
     snap: Mutex<()>,
     gen: AtomicU64,
-    log_records: AtomicU64,
     snapshot_bytes: AtomicU64,
     compactions: AtomicU64,
-}
-
-impl std::fmt::Debug for Persistence {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Persistence")
-            .field("dir", &self.dir)
-            .field("gen", &self.gen.load(Ordering::Relaxed))
-            .finish()
-    }
 }
 
 impl Persistence {
@@ -1156,7 +734,6 @@ impl Persistence {
         }
 
         // Open the log for append, creating it (with a header) if needed.
-        let log_records = entries.len() as u64;
         let (file, bytes) = match log_valid_len {
             Some(valid) => {
                 let f = OpenOptions::new().append(true).open(&log_path)?;
@@ -1179,12 +756,9 @@ impl Persistence {
         )?;
         cleanup_stale(dir, gen);
 
-        let snapshot_bytes = if gen > 0 {
-            fs::metadata(dir.join(snapshot_file(gen)))
-                .map(|m| m.len())
-                .unwrap_or(0)
-        } else {
-            0
+        let snapshot_bytes = match gen {
+            0 => 0,
+            _ => fs::metadata(dir.join(snapshot_file(gen))).map_or(0, |m| m.len()),
         };
         let p = Persistence {
             dir: dir.to_path_buf(),
@@ -1193,7 +767,6 @@ impl Persistence {
             log: Mutex::new(LogFile { file, bytes }),
             snap: Mutex::new(()),
             gen: AtomicU64::new(gen),
-            log_records: AtomicU64::new(log_records),
             snapshot_bytes: AtomicU64::new(snapshot_bytes),
             compactions: AtomicU64::new(0),
         };
@@ -1213,7 +786,6 @@ impl Persistence {
         let mut log = lock(&self.log);
         log.file.write_all(&framed)?;
         log.bytes += framed.len() as u64;
-        self.log_records.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -1261,7 +833,6 @@ impl Persistence {
                 .open(self.dir.join(LOG_FILE))?;
             log.bytes = HEADER_LEN;
         }
-        self.log_records.store(0, Ordering::Relaxed);
 
         // 4. The old snapshot is now unreachable from the manifest.
         if old_gen > 0 {
@@ -1272,17 +843,6 @@ impl Persistence {
             .store(body.len() as u64, Ordering::Relaxed);
         self.compactions.fetch_add(1, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Flush buffered log appends to the OS and fsync the log file.
-    pub(crate) fn sync(&self) -> std::io::Result<()> {
-        let log = lock(&self.log);
-        log.file.sync_all()
-    }
-
-    /// Store directory path.
-    pub(crate) fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Current novelty-log size in bytes (header included).
@@ -1305,21 +865,9 @@ impl Persistence {
 /// debris from crashes between protocol steps.
 fn cleanup_stale(dir: &Path, gen: u64) {
     let keep = snapshot_file(gen);
-    if let Ok(rd) = fs::read_dir(dir) {
-        for entry in rd.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            let stale_snapshot =
-                name.starts_with("snapshot-") && name.ends_with(".briq") && *name != *keep;
-            if stale_snapshot || name.ends_with(".tmp") {
-                let _ = fs::remove_file(entry.path());
-            }
-        }
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+    remove_files(dir, |name| {
+        (is_snapshot(name) && name != keep) || name.ends_with(".tmp")
+    });
 }
 
 #[cfg(test)]
@@ -1327,7 +875,7 @@ mod tests {
     use super::super::{AlignmentStore, StoreOptions};
     use super::*;
     use crate::error::Budget;
-    use crate::pipeline::{Briq, BriqConfig};
+    use crate::pipeline::{AlignOpts, AlignResult, Briq, BriqConfig};
     use crate::store::tests::stored;
     use briq_table::{Document, Table};
     use proptest::prelude::*;
@@ -1405,17 +953,7 @@ mod tests {
     }
 
     /// Align `docs` through `store` and return every output surface.
-    #[allow(clippy::type_complexity)]
-    fn align_all(
-        briq: &Briq,
-        store: &AlignmentStore,
-        docs: &[Document],
-    ) -> Vec<(
-        Vec<Alignment>,
-        FilterStats,
-        Vec<Vec<Candidate>>,
-        Diagnostics,
-    )> {
+    fn align_all(briq: &Briq, store: &AlignmentStore, docs: &[Document]) -> Vec<AlignResult> {
         docs.iter()
             .enumerate()
             .map(|(i, d)| stored(briq, store, i as u64, d, Budget::default()))
@@ -1526,34 +1064,288 @@ mod tests {
         assert_eq!(warm, align_all(&briq, &oracle_store, &docs));
     }
 
-    #[test]
-    fn version_mismatch_rebuilds_instead_of_trusting() {
+    /// Align the fixture documents, snapshot, apply `fault` to the
+    /// directory, and reopen: nothing on disk is trusted, the directory
+    /// is rebuilt, output matches a storeless run, and the rebuilt
+    /// directory recovers normally again.
+    fn reopen_rebuilds_after(tag: &str, fault: impl FnOnce(&Path)) {
         let briq = briq();
-        let dir = TempDir::new("version");
+        let dir = TempDir::new(tag);
+        let docs = docs();
         {
             let store = persistent(&briq, dir.path());
-            align_all(&briq, &store, &docs());
+            align_all(&briq, &store, &docs);
             store.snapshot().expect("snapshot");
         }
-        // Rewrite the manifest to a future format version.
-        let manifest = dir.path().join(MANIFEST_FILE);
-        let text = fs::read_to_string(&manifest).expect("read manifest");
-        fs::write(
-            &manifest,
-            text.replace("format_version 1", "format_version 999"),
-        )
-        .expect("rewrite manifest");
-
+        fault(dir.path());
         let store = persistent(&briq, dir.path());
+        assert!(store.recover_rebuilt());
         assert_eq!(store.recovered_entries(), 0, "incompatible data is rebuilt");
         assert!(
             !dir.path().join(snapshot_file(1)).exists(),
             "stale snapshot wiped"
         );
-        // The rebuilt directory works normally again.
-        align_all(&briq, &store, &docs());
-        let store2 = persistent(&briq, dir.path());
-        assert_eq!(store2.recovered_entries(), 2);
+        let storeless: Vec<AlignResult> = docs
+            .iter()
+            .map(|d| {
+                let out = briq.align_with(d, &AlignOpts::default());
+                (out.alignments, out.stats, out.candidates, out.diagnostics)
+            })
+            .collect();
+        assert_eq!(align_all(&briq, &store, &docs), storeless);
+        assert_eq!(persistent(&briq, dir.path()).recovered_entries(), 2);
+    }
+
+    #[test]
+    fn missing_named_snapshot_rebuilds() {
+        reopen_rebuilds_after("snap-missing", |dir| {
+            fs::remove_file(dir.join(snapshot_file(1))).expect("delete snapshot");
+        });
+    }
+
+    #[test]
+    fn corrupt_named_snapshot_header_rebuilds() {
+        reopen_rebuilds_after("snap-header", |dir| {
+            let path = dir.join(snapshot_file(1));
+            let mut bytes = fs::read(&path).expect("read snapshot");
+            bytes[0] ^= 0xFF;
+            fs::write(&path, bytes).expect("corrupt snapshot header");
+        });
+    }
+
+    #[test]
+    fn version_mismatch_rebuilds_instead_of_trusting() {
+        reopen_rebuilds_after("version", |dir| {
+            // Rewrite the manifest to a future format version.
+            let manifest = dir.join(MANIFEST_FILE);
+            let text = fs::read_to_string(&manifest).expect("read manifest");
+            let text = text.replace("format_version 1", "format_version 999");
+            fs::write(&manifest, text).expect("rewrite manifest");
+        });
+    }
+
+    /// Every `Unit`: each `Currency`, the three plain units, each `Measure`.
+    fn all_units() -> Vec<Unit> {
+        use Currency::*;
+        use Measure::*;
+        let mut units = [Usd, Eur, Gbp, Cad, Inr, Jpy, Other]
+            .map(Unit::Currency)
+            .to_vec();
+        units.extend([Unit::Percent, Unit::BasisPoints, Unit::None]);
+        units.extend([Mpge, GramsPerKm, KWh, Mg, Km, Count].map(Unit::Measure));
+        units
+    }
+
+    /// An entry that writes every tag the codec knows — each `Unit`,
+    /// `TokenKind`, `ApproxIndicator`, `AggregationKind`, `Stage` and
+    /// `DegradedAction` variant, both `TableMentionKind`s, all three
+    /// `Option<Orientation>` forms — plus NaN, −0.0 and ±∞.
+    fn every_tag_entry() -> DocEntry {
+        use AggregationKind::*;
+        use ApproxIndicator as A;
+        use DegradedAction::*;
+        use TokenKind::*;
+        let set = |words: &[&str]| -> std::collections::BTreeSet<String> {
+            words.iter().map(|w| w.to_string()).collect()
+        };
+        let floats = [f64::NAN, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5];
+        let units = all_units();
+        let approx = [
+            A::Exact,
+            A::Approximate,
+            A::UpperBound,
+            A::LowerBound,
+            A::None,
+        ];
+        let aggs = [Sum, Difference, Percentage, ChangeRatio, Average, Max, Min];
+        let stages = [
+            Stage::Extraction,
+            Stage::VirtualCells,
+            Stage::Classification,
+            Stage::GraphConstruction,
+            Stage::Resolution,
+            Stage::Batch,
+            Stage::Admission,
+        ];
+        let orientations = [
+            None,
+            Some(Orientation::Row(2)),
+            Some(Orientation::Column(3)),
+        ];
+
+        let text_mentions = units
+            .iter()
+            .enumerate()
+            .map(|(i, &unit)| TextMention {
+                id: i,
+                quantity: QuantityMention {
+                    raw: format!("q{i}"),
+                    value: floats[i % 5],
+                    unnormalized: floats[(i + 1) % 5],
+                    unit,
+                    precision: i as u8,
+                    approx: approx[i % 5],
+                    start: 10 * i,
+                    end: 10 * i + 3,
+                },
+            })
+            .collect();
+        let tokens = [Word, Number, Alphanumeric, Punct, Symbol]
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| Token {
+                text: format!("t{i}"),
+                start: i,
+                end: i + 1,
+                kind,
+            })
+            .collect();
+        let mentions = std::iter::once(None)
+            .chain(aggs.map(Some))
+            .enumerate()
+            .map(|(i, inferred_aggregation)| MentionContext {
+                local_weights: [(format!("w{i}"), floats[i % 5])].into_iter().collect(),
+                sentence_phrases: set(&["phrase", "é∞\\"]),
+                immediate_words: vec![format!("i{i}")],
+                sentence_words: vec!["s".into(), format!("s{i}")],
+                inferred_aggregation,
+                token_index: i,
+            })
+            .collect();
+        let table_ctx = TableContext {
+            row_words: vec![set(&["r"]), set(&[])],
+            col_words: vec![set(&["c", "d"])],
+            table_words: set(&["t"]),
+            row_phrases: Vec::new(),
+            col_phrases: vec![set(&[])],
+            table_phrases: set(&["tp"]),
+        };
+        let targets: Vec<TableMention> = std::iter::once(TableMentionKind::SingleCell)
+            .chain(aggs.map(TableMentionKind::Aggregate))
+            .enumerate()
+            .map(|(i, kind)| TableMention {
+                table: i % 2,
+                kind,
+                cells: vec![(i, 0), (i, 1)],
+                value: floats[i % 5],
+                unnormalized: floats[(i + 2) % 5],
+                raw: format!("c{i}"),
+                unit: units[i],
+                precision: 2,
+                orientation: orientations[i % 3],
+            })
+            .collect();
+        let actions = [Skipped, Truncated, Fallback, Cancelled];
+        let items = stages.iter().enumerate().map(|(i, &stage)| Diagnostic {
+            stage,
+            scope: format!("table {i}"),
+            error: "\"quoted\" \u{0}".into(),
+            action: actions[i % 4],
+        });
+        let diagnostics = Diagnostics {
+            items: items.collect(),
+        };
+        let stats = FilterStats {
+            total: [("single".into(), 3), ("sum".into(), 1)]
+                .into_iter()
+                .collect(),
+            kept: [("single".into(), 1)].into_iter().collect(),
+        };
+        let artifacts = (0..3)
+            .map(|i| MentionArtifact {
+                fp: 0x1234_5678_9abc_def0 ^ i as u64,
+                candidates: vec![Candidate {
+                    target: i,
+                    score: floats[i],
+                }],
+                stats: stats.clone(),
+            })
+            .collect();
+        let alignments = targets
+            .iter()
+            .enumerate()
+            .map(|(i, target)| Alignment {
+                mention_start: i,
+                mention_end: i + 2,
+                mention_raw: format!("m{i}"),
+                target: target.clone(),
+                score: floats[i % 5],
+            })
+            .collect();
+        DocEntry {
+            config_fp: 1,
+            text_fp: 2,
+            aggregate_fp: 3,
+            table_fps: vec![4, u64::MAX],
+            text_mentions,
+            text_ctx: DocContext {
+                tokens,
+                paragraph_words: set(&["a", "b"]),
+                paragraph_word_list: vec!["b".into(), "a".into()],
+                paragraph_phrases: set(&[]),
+                tables: vec![table_ctx.clone()],
+                mentions,
+            },
+            table_contexts: vec![table_ctx],
+            targets,
+            extract_diags: diagnostics.clone(),
+            artifacts,
+            alignments,
+            diagnostics,
+            stats,
+            approx_bytes: 0,
+            last_used: 0,
+        }
+    }
+
+    /// The on-disk format, pinned: FNV-1a digests of `encode_record` for
+    /// the entries that aligning fixed documents through a store
+    /// produces, and for [`every_tag_entry`]. A digest moves when any
+    /// layout, tag, or field order does (which must also bump
+    /// `FORMAT_VERSION`), or when the pipeline's output for these
+    /// documents does.
+    #[test]
+    fn record_bytes_are_pinned() {
+        let briq = briq();
+        let store = AlignmentStore::for_system(&briq);
+        let mut fixed = docs();
+        fixed.push(Document::new(
+            2,
+            "Sales reached 38 units in total, 12 of them in 2017.",
+            vec![
+                Table::from_grid("", vec![vec!["only".into(), "headers".into()]]),
+                Table::from_grid(
+                    "Sales",
+                    vec![
+                        vec!["year".into(), "units".into()],
+                        vec!["2017".into(), "12".into()],
+                        vec!["2018".into(), "26".into()],
+                    ],
+                ),
+            ],
+        ));
+        for (i, d) in fixed.iter().enumerate() {
+            stored(&briq, &store, i as u64, d, Budget::default());
+        }
+        let digests: Vec<u64> = store
+            .encoded_entries()
+            .iter()
+            .map(|p| checksum(p))
+            .collect();
+        assert_eq!(
+            digests,
+            [0x58492cba9e90f37a, 0x810a064f6600fd86, 0xb8157e859f820952],
+            "{digests:#018x?}"
+        );
+        let payload = encode_record(0xFEED, &every_tag_entry());
+        assert_eq!(
+            checksum(&payload),
+            0xc9bea7cc1d8e7f48,
+            "{:#018x}",
+            checksum(&payload)
+        );
+        let (key, decoded) = decode_record(&payload).expect("decode");
+        assert_eq!(encode_record(key, &decoded), payload);
     }
 
     #[test]
@@ -1635,28 +1427,8 @@ mod tests {
     }
 
     fn any_unit() -> impl Strategy<Value = Unit> {
-        (0u8..5, 0u8..7, 0u8..6).prop_map(|(t, c, m)| match t {
-            0 => Unit::Currency(match c {
-                0 => Currency::Usd,
-                1 => Currency::Eur,
-                2 => Currency::Gbp,
-                3 => Currency::Cad,
-                4 => Currency::Inr,
-                5 => Currency::Jpy,
-                _ => Currency::Other,
-            }),
-            1 => Unit::Percent,
-            2 => Unit::BasisPoints,
-            3 => Unit::Measure(match m {
-                0 => Measure::Mpge,
-                1 => Measure::GramsPerKm,
-                2 => Measure::KWh,
-                3 => Measure::Mg,
-                4 => Measure::Km,
-                _ => Measure::Count,
-            }),
-            _ => Unit::None,
-        })
+        let units = all_units();
+        (0..units.len()).prop_map(move |i| units[i])
     }
 
     fn any_artifact() -> impl Strategy<Value = MentionArtifact> {
@@ -1694,83 +1466,19 @@ mod tests {
             unit in any_unit(),
             scope in any_string(),
         ) {
-            let quantity = QuantityMention {
-                raw: raw.clone(),
-                value,
-                unnormalized: value,
-                unit,
-                precision: 3,
-                approx: ApproxIndicator::Approximate,
-                start: 7,
-                end: 7 + raw.len(),
-            };
-            let target = TableMention {
-                table: 1,
-                kind: TableMentionKind::Aggregate(AggregationKind::Sum),
-                cells: vec![(0, 1), (2, 3)],
-                value,
-                unnormalized: value,
-                raw: raw.clone(),
-                unit,
-                precision: 2,
-                orientation: Some(Orientation::Row(4)),
-            };
-            let mut entry = DocEntry {
-                config_fp: key.rotate_left(17),
-                text_fp: key.rotate_left(31),
-                aggregate_fp: key.rotate_left(43),
-                table_fps: fps,
-                text_mentions: vec![TextMention { id: 0, quantity: quantity.clone() }],
-                text_ctx: DocContext {
-                    tokens: vec![Token {
-                        text: raw.clone(),
-                        start: 0,
-                        end: raw.len(),
-                        kind: TokenKind::Number,
-                    }],
-                    paragraph_words: [raw.clone()].into_iter().collect(),
-                    paragraph_word_list: vec![raw.clone(), scope.clone()],
-                    paragraph_phrases: [scope.clone()].into_iter().collect(),
-                    tables: Vec::new(),
-                    mentions: vec![MentionContext {
-                        local_weights: [(raw.clone(), value)].into_iter().collect(),
-                        sentence_phrases: [scope.clone()].into_iter().collect(),
-                        immediate_words: vec![raw.clone()],
-                        sentence_words: vec![scope.clone()],
-                        inferred_aggregation: Some(AggregationKind::ChangeRatio),
-                        token_index: 5,
-                    }],
-                },
-                table_contexts: vec![TableContext {
-                    row_words: vec![[raw.clone()].into_iter().collect()],
-                    col_words: vec![[scope.clone()].into_iter().collect()],
-                    table_words: [raw.clone(), scope.clone()].into_iter().collect(),
-                    row_phrases: vec![Default::default()],
-                    col_phrases: vec![[raw.clone()].into_iter().collect()],
-                    table_phrases: Default::default(),
-                }],
-                targets: vec![target.clone()],
-                extract_diags: Diagnostics {
-                    items: vec![Diagnostic {
-                        stage: Stage::VirtualCells,
-                        scope: scope.clone(),
-                        error: raw.clone(),
-                        action: DegradedAction::Truncated,
-                    }],
-                },
-                artifacts,
-                alignments: vec![Alignment {
-                    mention_start: 7,
-                    mention_end: 9,
-                    mention_raw: raw,
-                    target,
-                    score: value,
-                }],
-                diagnostics: Diagnostics::default(),
-                stats: FilterStats::default(),
-                approx_bytes: 0,
-                last_used: 0,
-            };
+            let mut entry = every_tag_entry();
+            entry.table_fps = fps;
+            entry.artifacts = artifacts;
+            let q = &mut entry.text_mentions[0].quantity;
+            (q.raw, q.value, q.unnormalized, q.unit) = (raw.clone(), value, value, unit);
+            let t = &mut entry.targets[1];
+            (t.raw, t.value, t.unit) = (raw.clone(), value, unit);
+            entry.text_ctx.tokens[0].text = raw.clone();
+            entry.text_ctx.paragraph_phrases.insert(scope.clone());
+            entry.text_ctx.mentions[0].local_weights.insert(raw.clone(), value);
+            entry.table_contexts[0].table_words.insert(raw);
+            entry.extract_diags.items[0].scope = scope;
+            entry.alignments[0].score = value;
             entry.approx_bytes = entry.estimate_bytes();
 
             let payload = encode_record(key, &entry);

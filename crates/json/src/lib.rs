@@ -226,6 +226,7 @@ fn write_string(s: &str, out: &mut String) {
 /// nesting deeper than [`MAX_DEPTH`] is rejected.
 pub fn parse(input: &str) -> Result<Value> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -239,6 +240,8 @@ pub fn parse(input: &str) -> Result<Value> {
 }
 
 struct Parser<'a> {
+    /// The input, for slicing string runs; `bytes` is the same text.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -432,14 +435,20 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 char (input is a &str, so this is
-                    // always on a boundary).
+                    // Copy the whole run up to the next quote or backslash.
+                    // Both are ASCII, so the run ends on a char boundary.
                     let rest = &self.bytes[self.pos..];
-                    let s =
-                        std::str::from_utf8(rest).map_err(|_| JsonError::new("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| JsonError::new("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let end = self.pos
+                        + rest
+                            .iter()
+                            .position(|&b| b == b'"' || b == b'\\')
+                            .unwrap_or(rest.len());
+                    let run = self
+                        .text
+                        .get(self.pos..end)
+                        .ok_or_else(|| JsonError::new("invalid utf-8"))?;
+                    out.push_str(run);
+                    self.pos = end;
                 }
             }
         }
@@ -839,6 +848,16 @@ mod tests {
         assert_eq!(parse(r#""😀""#).unwrap(), Value::Str("😀".into()));
         // lone surrogate → replacement char, not a panic
         assert_eq!(parse(r#""\ud800""#).unwrap(), Value::Str("\u{FFFD}".into()));
+    }
+
+    #[test]
+    fn strings_mix_runs_escapes_and_multibyte_chars() {
+        let src = r#""plain é∞😀\n\"q\" \\ \u00e9x\ud83d\ude00 tail ünï""#;
+        let want = "plain é∞😀\n\"q\" \\ éx😀 tail ünï";
+        assert_eq!(parse(src).unwrap(), Value::Str(want.into()));
+        let v = Value::Str(want.into());
+        assert_eq!(parse(&v.to_string_compact()).unwrap(), v);
+        assert!(parse("\"ünterminated").is_err());
     }
 
     #[test]

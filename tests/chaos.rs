@@ -142,10 +142,9 @@ fn adversarial_batch_is_deterministic_and_isolated() {
         // adversarial batch must stay bit-identical to the untraced
         // sequential path below.
         let cfg = BatchConfig {
-            jobs,
-            chunk: 2,
             budget,
             trace: true,
+            ..BatchConfig::with_jobs(jobs)
         };
         let report = align_batch(&briq, &docs, &cfg);
         assert_eq!(report.documents.len(), docs.len());
