@@ -9,6 +9,10 @@
 # Unknown stage names are rejected before ANY stage runs, even when mixed
 # with valid ones.
 #
+# Every cargo command that resolves dependencies (all but `cargo fmt`)
+# runs with --locked, so a stale committed Cargo.lock fails the stage
+# instead of being silently rewritten.
+#
 # Stages:
 #   fmt          cargo fmt --all --check (formatting is part of the gate)
 #   clippy       cargo clippy -D warnings; the hardened crates (briq-regex,
@@ -101,7 +105,9 @@
 #                the fault-injecting chaos client against it, then floods
 #                a deliberately tiny server (--workers 1 --queue-depth 1)
 #                with chaos --expect-shed to prove admission control
-#                sheds deterministically under overload. Both servers
+#                sheds deterministically under overload. Both chaos runs
+#                fail if the observed queue depth ever exceeded the
+#                queue_capacity the server's health reports. Both servers
 #                must drain cleanly (exit 0 and a "drained:" line) on
 #                stop. See OPERATIONS.md §9.
 #   docs         cargo doc --workspace --no-deps with RUSTDOCFLAGS set to
@@ -129,25 +135,25 @@ stage_fmt() {
 }
 
 stage_clippy() {
-    cargo clippy --offline --workspace -q -- -D warnings
+    cargo clippy --offline --locked --workspace -q -- -D warnings
 }
 
 stage_build() {
-    cargo build --offline --release
+    cargo build --offline --locked --release
 }
 
 stage_test() {
-    cargo test --offline --workspace -q || return 1
+    cargo test --offline --locked --workspace -q || return 1
     CARGO_TARGET_DIR=target cargo test --offline --locked -q \
         --manifest-path crates/bench/src/bin/briq-perf/Cargo.toml
 }
 
 stage_docs() {
-    RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
+    RUSTDOCFLAGS="-D warnings" cargo doc --offline --locked --workspace --no-deps -q
 }
 
 stage_bench_smoke() {
-    cargo build --offline --release -q -p briq-bench || return 1
+    cargo build --offline --locked --release -q -p briq-bench || return 1
     ./target/release/briq-eval throughput \
         --docs "$BENCH_DOCS" --seed "$BENCH_SEED" --jobs "$NPROC" \
         --out BENCH_throughput.json || return 1
@@ -195,7 +201,7 @@ stage_bench_smoke() {
     # dedup+prune engine comparison, never gate — absolute throughput
     # varies with the host.
     local clf_out clf_line dedup_line
-    clf_out="$(cargo bench --offline -q -p briq-bench --bench bench_classifier 2>/dev/null)"
+    clf_out="$(cargo bench --offline --locked -q -p briq-bench --bench bench_classifier 2>/dev/null)"
     clf_line="$(printf '%s\n' "$clf_out" | grep '^classifier-throughput ' | tail -1)"
     dedup_line="$(printf '%s\n' "$clf_out" | grep '^classifier-throughput-deduped ' | tail -1)"
     if [ -n "$clf_line" ]; then
@@ -263,7 +269,7 @@ same_run() { # stage dir ref run
 }
 
 stage_determinism() {
-    cargo build --offline --release -q -p briq-bench || return 1
+    cargo build --offline --locked --release -q -p briq-bench || return 1
     local dir jobs_hi run
     dir="$(mktemp -d)"
     trap 'rm -rf "$dir"' RETURN
@@ -295,7 +301,7 @@ stage_determinism() {
 }
 
 stage_store() {
-    cargo build --offline --release -q -p briq-bench || return 1
+    cargo build --offline --locked --release -q -p briq-bench || return 1
     local dir
     dir="$(mktemp -d)"
     trap 'rm -rf "$dir"' RETURN
@@ -358,7 +364,7 @@ serve_request() {
 }
 
 stage_persist() {
-    cargo build --offline --release -q -p briq-bench || return 1
+    cargo build --offline --locked --release -q -p briq-bench || return 1
     local dir health metrics recovered hits pages
     dir="$(mktemp -d)"
     trap 'rm -rf "$dir"; [ -n "${SERVE_PID:-}" ] && kill -9 "$SERVE_PID" 2>/dev/null' RETURN
@@ -509,7 +515,7 @@ stop_server() {
 }
 
 stage_serve() {
-    cargo build --offline --release -q -p briq-bench || return 1
+    cargo build --offline --locked --release -q -p briq-bench || return 1
     local dir rc_drive rc_batch
     dir="$(mktemp -d)"
     trap 'rm -rf "$dir"; [ -n "${SERVE_PID:-}" ] && kill "$SERVE_PID" 2>/dev/null' RETURN
@@ -543,8 +549,9 @@ stage_serve() {
     SERVE_PID=""
 
     # 3. Overload: a 1-worker/1-deep server must shed deterministically
-    # under the flood (chaos asserts zero panics, bounded queue depth,
-    # and byte-identical shed lines; --expect-shed makes sheds required).
+    # under the flood (chaos asserts zero panics, a max queue depth no
+    # higher than the health's queue_capacity, and byte-identical shed
+    # lines; --expect-shed makes sheds required).
     boot_server "$dir/tiny.log" --workers 1 --queue-depth 1 || return 1
     ./target/release/briq-serve chaos --addr "$SERVE_ADDR" \
         --connections 12 --requests 6 --expect-shed \

@@ -1,12 +1,11 @@
-//! Substrate micro-benchmarks: regex matching, quantity extraction, table
-//! parsing, virtual-cell generation, random walks, and forest scoring.
+//! Substrate micro-benchmarks: quantity extraction, table parsing,
+//! virtual-cell generation, random walks, and forest scoring.
 //! These back the component-cost analysis of the Table VIII discussion.
 
 use briq_corpus::corpus::{generate_corpus, CorpusConfig};
 use briq_corpus::page::table_to_html;
 use briq_graph::{random_walk_with_restart, Graph, RwrConfig};
 use briq_ml::{Dataset, RandomForest, RandomForestConfig};
-use briq_regex::Regex;
 use briq_table::html::parse_page;
 use briq_table::virtual_cells::{virtual_cells, VirtualCellConfig};
 use briq_table::Table;
@@ -30,13 +29,6 @@ fn sample_table() -> Table {
         .max_by_key(|t| t.n_rows * t.n_cols)
         .unwrap()
         .clone()
-}
-
-fn bench_regex(c: &mut Criterion) {
-    let re = Regex::new(r"\d+(\.\d+)?\s*\p{Currency_Symbol}?").unwrap();
-    c.bench_function("regex/find_iter_quantities", |b| {
-        b.iter(|| re.find_iter(black_box(SAMPLE_TEXT)).count())
-    });
 }
 
 fn bench_extraction(c: &mut Criterion) {
@@ -110,7 +102,6 @@ fn bench_forest(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_regex,
     bench_extraction,
     bench_table_parse,
     bench_virtual_cells,

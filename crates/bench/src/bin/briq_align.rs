@@ -177,27 +177,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if store.persisted() {
-        eprintln!(
-            "store: recovered {} entr{} in {:.3}s{}{}",
-            store.recovered_entries(),
-            if store.recovered_entries() == 1 {
-                "y"
-            } else {
-                "ies"
-            },
-            store.recover_seconds(),
-            if store.recover_truncated() {
-                " (torn tail truncated)"
-            } else {
-                ""
-            },
-            if store.recover_rebuilt() {
-                " (incompatible state rebuilt)"
-            } else {
-                ""
-            },
-        );
+    if let Some(line) = store.recovery_report() {
+        eprintln!("{line}");
     }
     if let Some(dir) = &cli.warm_from {
         let warm_paths = match html_files_in(dir) {
@@ -248,12 +229,7 @@ fn main() -> ExitCode {
     // from one file instead of replaying the whole novelty log.
     if store.persisted() {
         match store.snapshot() {
-            Ok(()) => eprintln!(
-                "store: persisted {} entr{} ({} snapshot bytes)",
-                store.len(),
-                if store.len() == 1 { "y" } else { "ies" },
-                store.snapshot_bytes(),
-            ),
+            Ok(()) => eprintln!("{}", store.persisted_report()),
             Err(e) => eprintln!("store: persist failed: {e}"),
         }
     }

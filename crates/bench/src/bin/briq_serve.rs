@@ -3,7 +3,7 @@
 //! ```text
 //! briq-serve serve [--addr H:P] [--model model.json] [--workers N]
 //!            [--queue-depth N] [--deadline-ms N] [--drain-grace-ms N]
-//!            [--retry-after-ms N] [--max-request-bytes N]
+//!            [--store-dir DIR] [--store-max-bytes N]
 //! briq-serve drive --addr H:P <page.html>... [--deadline-ms N]
 //! briq-serve chaos --addr H:P [--connections N] [--requests N] [--expect-shed]
 //! briq-serve stop  --addr H:P
@@ -14,7 +14,9 @@
 //! `{"op":"shutdown"}` line, then drains gracefully. The bound address
 //! is printed to stdout as `listening on H:P` before the first request
 //! is accepted, so scripts can wait for readiness and discover an
-//! OS-assigned port.
+//! OS-assigned port. The shed back-off hint and the request-line cap are
+//! the constants [`briq_core::serve::RETRY_AFTER_MS`] and
+//! [`briq_core::serve::MAX_REQUEST_BYTES`].
 //!
 //! `drive` is the clean client: it sends one align request per page and
 //! prints each document's alignments with the same serializer
@@ -26,8 +28,10 @@
 //! line, a half-closed connection, a slow writer, and a concurrent
 //! request flood. It asserts every server reply is structured JSON with
 //! a known status, that shed responses are byte-identical to each other
-//! (deterministic shedding), and that the server reports zero panics
-//! and stays ready afterwards. Exit 0 = all invariants held.
+//! (deterministic shedding), that the server reports zero panics and
+//! stays ready afterwards, and that the admission queue never grew past
+//! the `queue_capacity` the server's health reports. Exit 0 = all
+//! invariants held.
 
 use briq_core::pipeline::{Briq, BriqConfig};
 use briq_core::serve::{ServeConfig, Server};
@@ -39,9 +43,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 const USAGE: &str = "usage: briq-serve serve [--addr H:P] [--model model.json] [--workers N] \
-     [--queue-depth N] [--deadline-ms N] [--drain-grace-ms N] [--retry-after-ms N] \
-     [--max-request-bytes N] [--store-dir DIR] \
-     [--store-max-bytes N]\n       \
+     [--queue-depth N] [--deadline-ms N] [--drain-grace-ms N] \
+     [--store-dir DIR] [--store-max-bytes N]\n       \
      briq-serve drive --addr H:P <page.html>... [--deadline-ms N]\n       \
      briq-serve chaos --addr H:P [--connections N] [--requests N] [--expect-shed]\n       \
      briq-serve stop --addr H:P";
@@ -123,12 +126,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         }
         if let Some(v) = num_flag(args, "--drain-grace-ms")? {
             cfg.drain_grace_ms = v;
-        }
-        if let Some(v) = num_flag(args, "--retry-after-ms")? {
-            cfg.retry_after_ms = v;
-        }
-        if let Some(v) = num_flag(args, "--max-request-bytes")? {
-            cfg.max_request_bytes = v;
         }
         if let Some(v) = flag_value(args, "--store-dir") {
             cfg.store_dir = Some(v.to_string());
@@ -661,42 +658,16 @@ fn chaos_flood(addr: &str, connections: usize, requests: usize, stats: &mut Chao
     }
 }
 
-/// After all faults: the server must be ready, report zero panics, and
-/// its queue-depth histogram must never have exceeded the configured
-/// cap (bounded memory).
+/// After all faults: the server must still be ready and answer a clean
+/// request, and [`check_postconditions`] must hold for its health and
+/// metrics.
 fn chaos_postconditions(addr: &str, expect_shed: bool, stats: &mut ChaosStats) {
     let run = |stats: &mut ChaosStats| -> Result<(), String> {
         let mut c = Conn::connect(addr)?;
         let health = c.request(r#"{"op":"health"}"#)?;
-        if health.get("ready").and_then(Value::as_bool) != Some(true) {
-            return Err("server not ready after chaos".into());
-        }
         let metrics = c.request(r#"{"op":"metrics"}"#)?;
-        let counters = metrics
-            .get("metrics")
-            .and_then(|m| m.get("counters"))
-            .ok_or("metrics response has no counters")?;
-        let counter =
-            |name: &str| -> f64 { counters.get(name).and_then(Value::as_f64).unwrap_or(0.0) };
-        if counter("serve_panics") != 0.0 {
-            return Err(format!(
-                "server panicked {} time(s)",
-                counter("serve_panics")
-            ));
-        }
-        if expect_shed && counter("serve_shed") == 0.0 {
-            return Err("expected load shedding but serve_shed == 0".into());
-        }
-        let depth_max = metrics
-            .get("metrics")
-            .and_then(|m| m.get("histograms"))
-            .and_then(|h| h.get("serve_queue_depth"))
-            .and_then(|h| h.get("max"))
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0);
-        let workers = health.get("workers").and_then(Value::as_f64).unwrap_or(1.0);
-        let _ = workers;
-        eprintln!("chaos: observed max queue depth {depth_max}");
+        let (depth_max, capacity) = check_postconditions(&health, &metrics, expect_shed)?;
+        eprintln!("chaos: observed max queue depth {depth_max} (capacity {capacity})");
         let final_ok = c.request(&align_request(99, &chaos_page(), None))?;
         if final_ok.get("status").and_then(Value::as_str) != Some("ok") {
             return Err("clean request after chaos did not succeed".into());
@@ -706,5 +677,89 @@ fn chaos_postconditions(addr: &str, expect_shed: bool, stats: &mut ChaosStats) {
     };
     if let Err(e) = run(stats) {
         stats.failures.push(format!("postconditions: {e}"));
+    }
+}
+
+/// The server-state invariants over a `health` and a `metrics` response:
+/// the server is ready, nothing panicked, the flood was shed when
+/// `expect_shed`, and the queue-depth histogram never exceeded the
+/// health's `queue_capacity` (bounded memory). Returns the observed max
+/// depth and that capacity.
+fn check_postconditions(
+    health: &Value,
+    metrics: &Value,
+    expect_shed: bool,
+) -> Result<(f64, f64), String> {
+    if health.get("ready").and_then(Value::as_bool) != Some(true) {
+        return Err("server not ready after chaos".into());
+    }
+    let capacity = health
+        .get("queue_capacity")
+        .and_then(Value::as_f64)
+        .ok_or("health response has no queue_capacity")?;
+    let metrics = metrics
+        .get("metrics")
+        .ok_or("metrics response has no metrics")?;
+    let counters = metrics
+        .get("counters")
+        .ok_or("metrics response has no counters")?;
+    let counter = |name: &str| -> f64 { counters.get(name).and_then(Value::as_f64).unwrap_or(0.0) };
+    if counter("serve_panics") != 0.0 {
+        return Err(format!(
+            "server panicked {} time(s)",
+            counter("serve_panics")
+        ));
+    }
+    if expect_shed && counter("serve_shed") == 0.0 {
+        return Err("expected load shedding but serve_shed == 0".into());
+    }
+    let depth_max = metrics
+        .get("histograms")
+        .and_then(|h| h.get("serve_queue_depth"))
+        .and_then(|h| h.get("max"))
+        .and_then(Value::as_f64)
+        .unwrap_or(0.0);
+    if depth_max > capacity {
+        return Err(format!(
+            "queue depth reached {depth_max}, above the queue capacity {capacity}"
+        ));
+    }
+    Ok((depth_max, capacity))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn health(capacity: f64) -> Value {
+        briq_json::parse(&format!(r#"{{"ready":true,"queue_capacity":{capacity}}}"#)).unwrap()
+    }
+
+    fn metrics(depth_max: f64) -> Value {
+        briq_json::parse(&format!(
+            r#"{{"metrics":{{"counters":{{"serve_shed":3}},
+                "histograms":{{"serve_queue_depth":{{"max":{depth_max}}}}}}}}}"#
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn queue_depth_above_capacity_fails() {
+        let err = check_postconditions(&health(1.0), &metrics(2.0), true).unwrap_err();
+        assert!(err.contains("above the queue capacity"), "{err}");
+    }
+
+    #[test]
+    fn queue_depth_equal_to_capacity_passes() {
+        assert_eq!(
+            check_postconditions(&health(1.0), &metrics(1.0), true),
+            Ok((1.0, 1.0))
+        );
+    }
+
+    #[test]
+    fn missing_queue_capacity_fails() {
+        let no_cap = briq_json::parse(r#"{"ready":true}"#).unwrap();
+        assert!(check_postconditions(&no_cap, &metrics(0.0), false).is_err());
     }
 }

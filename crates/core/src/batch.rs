@@ -665,7 +665,6 @@ mod tests {
         let briq = Briq::untrained(BriqConfig::default());
         let docs = vec![doc(0), hostile_doc(1), doc(2)];
         let budget = Budget {
-            max_regex_steps: 1_000_000,
             max_virtual_cells_per_table: 5,
             max_graph_edges: 500_000,
             max_rwr_iterations: 200,

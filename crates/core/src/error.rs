@@ -6,10 +6,10 @@
 //! The pipeline must never panic or hang on such input — it degrades.
 //! This module defines the three pieces of that contract:
 //!
-//! * [`BriqError`] — every substrate failure (regex, text, table, graph)
-//!   rolled up into one document-level taxonomy;
-//! * [`Budget`] — hard caps on the super-linear stages (regex VM steps,
-//!   virtual cells per table, graph edges, RWR iterations);
+//! * [`BriqError`] — every substrate failure (table, graph) rolled up
+//!   into one document-level taxonomy;
+//! * [`Budget`] — hard caps on the super-linear stages (virtual cells per
+//!   table, graph edges, RWR iterations);
 //! * [`Diagnostics`] — a structured record of every place the pipeline
 //!   degraded, one [`Diagnostic`] per skipped/truncated/fallback item,
 //!   serializable as JSONL for the `briq-align` CLI.
@@ -23,10 +23,6 @@ use std::time::{Duration, Instant};
 /// crate plus pipeline-level failures.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BriqError {
-    /// Regex compilation or step-budget failure (`briq-regex`).
-    Regex(briq_regex::Error),
-    /// Numeral parsing failure (`briq-text`).
-    Text(briq_text::TextError),
     /// Table modelling or virtual-cell budget failure (`briq-table`).
     Table(briq_table::TableError),
     /// Alignment-graph failure (`briq-graph`).
@@ -67,8 +63,6 @@ pub enum BriqError {
 impl fmt::Display for BriqError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BriqError::Regex(e) => write!(f, "regex: {e}"),
-            BriqError::Text(e) => write!(f, "text: {e}"),
             BriqError::Table(e) => write!(f, "table: {e}"),
             BriqError::Graph(e) => write!(f, "graph: {e}"),
             BriqError::EdgeBudgetExceeded { max_edges } => {
@@ -107,8 +101,6 @@ impl fmt::Display for BriqError {
 impl std::error::Error for BriqError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            BriqError::Regex(e) => Some(e),
-            BriqError::Text(e) => Some(e),
             BriqError::Table(e) => Some(e),
             BriqError::Graph(e) => Some(e),
             _ => None,
@@ -116,16 +108,6 @@ impl std::error::Error for BriqError {
     }
 }
 
-impl From<briq_regex::Error> for BriqError {
-    fn from(e: briq_regex::Error) -> Self {
-        BriqError::Regex(e)
-    }
-}
-impl From<briq_text::TextError> for BriqError {
-    fn from(e: briq_text::TextError) -> Self {
-        BriqError::Text(e)
-    }
-}
 impl From<briq_table::TableError> for BriqError {
     fn from(e: briq_table::TableError) -> Self {
         BriqError::Table(e)
@@ -142,8 +124,6 @@ impl From<briq_graph::GraphError> for BriqError {
 /// legacy unbudgeted behaviour bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Budget {
-    /// Pike-VM step cap per regex invocation.
-    pub max_regex_steps: usize,
     /// Virtual-cell candidates generated per table.
     pub max_virtual_cells_per_table: usize,
     /// Edges in the candidate alignment graph.
@@ -157,7 +137,6 @@ impl Budget {
     /// No caps: identical to the unbudgeted pipeline.
     pub const fn unlimited() -> Budget {
         Budget {
-            max_regex_steps: usize::MAX,
             max_virtual_cells_per_table: usize::MAX,
             max_graph_edges: usize::MAX,
             max_rwr_iterations: usize::MAX,
@@ -170,7 +149,6 @@ impl Default for Budget {
     /// hits a cap, tight enough that adversarial pages stay sub-second.
     fn default() -> Budget {
         Budget {
-            max_regex_steps: 1_000_000,
             max_virtual_cells_per_table: 20_000,
             max_graph_edges: 500_000,
             max_rwr_iterations: 200,
@@ -406,7 +384,6 @@ briq_json::json_struct!(Diagnostic {
 });
 briq_json::json_struct!(Diagnostics { items });
 briq_json::json_struct!(Budget {
-    max_regex_steps,
     max_virtual_cells_per_table,
     max_graph_edges,
     max_rwr_iterations,
@@ -419,14 +396,6 @@ mod tests {
     #[test]
     fn display_covers_every_variant() {
         let cases: Vec<(BriqError, &str)> = vec![
-            (
-                BriqError::Regex(briq_regex::Error::StepBudgetExceeded { max_steps: 7 }),
-                "regex: regex step budget of 7 exceeded",
-            ),
-            (
-                BriqError::Text(briq_text::TextError::NotANumeral),
-                "text: not a numeral",
-            ),
             (
                 BriqError::Table(briq_table::TableError::DegenerateTable { table: 2 }),
                 "table: table 2: no data rows or columns",
@@ -458,8 +427,6 @@ mod tests {
 
     #[test]
     fn from_impls_wrap_substrate_errors() {
-        let e: BriqError = briq_text::TextError::WordNumberOverflow.into();
-        assert!(matches!(e, BriqError::Text(_)));
         let e: BriqError = briq_graph::GraphError::EdgeBudgetExceeded { max_edges: 1 }.into();
         assert!(matches!(e, BriqError::Graph(_)));
         let e: BriqError = briq_table::TableError::VirtualCellBudgetExceeded {
@@ -468,8 +435,6 @@ mod tests {
         }
         .into();
         assert!(matches!(e, BriqError::Table(_)));
-        let e: BriqError = briq_regex::Error::ProgramTooLarge { insts: 9, max: 5 }.into();
-        assert!(matches!(e, BriqError::Regex(_)));
         use std::error::Error as _;
         assert!(e.source().is_some());
     }

@@ -1186,7 +1186,6 @@ mod tests {
         let briq = Briq::untrained(BriqConfig::default());
         let doc = health_doc();
         let budget = crate::error::Budget {
-            max_regex_steps: 1,
             max_virtual_cells_per_table: 3,
             max_graph_edges: 2,
             max_rwr_iterations: 1,

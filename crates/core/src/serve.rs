@@ -88,6 +88,13 @@ const MAX_CONNECTIONS: usize = 64;
 /// waits — the latency floor for noticing a drain.
 const POLL: Duration = Duration::from_millis(10);
 
+/// `retry_after_ms` value in shed responses — the back-off hint.
+pub const RETRY_AFTER_MS: u64 = 50;
+
+/// Hard cap on one request line's length in bytes; longer lines get an
+/// error response and the connection is closed.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
 /// Tuning knobs for one server instance. The defaults are sized for the
 /// synthetic-corpus workload CI drives; OPERATIONS.md §9 discusses how
 /// to retune them for real traffic.
@@ -100,14 +107,9 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission-queue depth cap (≥ 1); request N+1 is shed.
     pub queue_depth: usize,
-    /// Hard cap on one request line's length in bytes; longer lines get
-    /// an error response and the connection is closed.
-    pub max_request_bytes: usize,
     /// Default wall-clock deadline per align request, in ms (`0` = no
     /// deadline). A request's `deadline_ms` field overrides it.
     pub default_deadline_ms: u64,
-    /// `retry_after_ms` value in shed responses — the back-off hint.
-    pub retry_after_ms: u64,
     /// How long a drain waits for queued + in-flight work before
     /// force-cancelling it.
     pub drain_grace_ms: u64,
@@ -129,9 +131,7 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             queue_depth: 32,
-            max_request_bytes: 1 << 20,
             default_deadline_ms: 10_000,
-            retry_after_ms: 50,
             drain_grace_ms: 2_000,
             budget: Budget::default(),
             store_dir: None,
@@ -213,11 +213,11 @@ fn push_id(fields: &mut Vec<(&str, Value)>, id: Option<&Value>) {
 }
 
 /// The load-shedding response: the queue (or connection table) is full.
-/// Deterministic for a given config — CI asserts the exact bytes.
-pub fn shed_response(id: Option<&Value>, retry_after_ms: u64) -> Value {
+/// Deterministic — CI asserts the exact bytes.
+pub fn shed_response(id: Option<&Value>) -> Value {
     let mut fields = vec![("status", Value::Str("shed".into()))];
     push_id(&mut fields, id);
-    fields.push(("retry_after_ms", Value::Num(retry_after_ms as f64)));
+    fields.push(("retry_after_ms", Value::Num(RETRY_AFTER_MS as f64)));
     obj(fields)
 }
 
@@ -560,28 +560,8 @@ impl Server {
                 };
                 match AlignmentStore::with_options(briq, &opts) {
                     Ok(st) => {
-                        if st.persisted() {
-                            eprintln!(
-                                "store: recovered {} entr{} from {} in {:.3}s{}{}",
-                                st.recovered_entries(),
-                                if st.recovered_entries() == 1 {
-                                    "y"
-                                } else {
-                                    "ies"
-                                },
-                                self.cfg.store_dir.as_deref().unwrap_or("?"),
-                                st.recover_seconds(),
-                                if st.recover_truncated() {
-                                    " (torn tail truncated)"
-                                } else {
-                                    ""
-                                },
-                                if st.recover_rebuilt() {
-                                    " (incompatible state rebuilt)"
-                                } else {
-                                    ""
-                                },
-                            );
+                        if let Some(line) = st.recovery_report() {
+                            eprintln!("{line}");
                         }
                         st
                     }
@@ -641,12 +621,7 @@ impl Server {
         // not fatal — the novelty log already holds every entry.
         if let Some(st) = sh.store.as_ref().filter(|st| st.persisted()) {
             match st.snapshot() {
-                Ok(()) => eprintln!(
-                    "store: persisted {} entr{} ({} snapshot bytes)",
-                    st.len(),
-                    if st.len() == 1 { "y" } else { "ies" },
-                    st.snapshot_bytes(),
-                ),
+                Ok(()) => eprintln!("{}", st.persisted_report()),
                 Err(e) => eprintln!("store: persist on drain failed: {e}"),
             }
         }
@@ -727,7 +702,7 @@ fn write_line(sh: &Shared<'_>, stream: &mut TcpStream, v: &Value) -> bool {
 /// Over the connection cap: one shed line, then close.
 fn refuse_connection(sh: &Shared<'_>, mut stream: TcpStream) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-    write_line(sh, &mut stream, &shed_response(None, sh.cfg.retry_after_ms));
+    write_line(sh, &mut stream, &shed_response(None));
 }
 
 /// What a handled request line asks the connection loop to do next.
@@ -767,17 +742,14 @@ fn run_connection(sh: &Shared<'_>, mut stream: TcpStream) {
         if sh.draining() {
             return;
         }
-        if pending.len() > sh.cfg.max_request_bytes {
+        if pending.len() > MAX_REQUEST_BYTES {
             sh.count(names::SERVE_OVERSIZED, 1);
             write_line(
                 sh,
                 &mut stream,
                 &error_response(
                     None,
-                    &format!(
-                        "request line exceeds {} bytes; closing connection",
-                        sh.cfg.max_request_bytes
-                    ),
+                    &format!("request line exceeds {MAX_REQUEST_BYTES} bytes; closing connection"),
                 ),
             );
             return;
@@ -813,6 +785,9 @@ fn handle_line(sh: &Shared<'_>, stream: &mut TcpStream, line: &str) -> After {
                 ("ready", Value::Bool(!sh.draining())),
                 ("draining", Value::Bool(sh.draining())),
                 ("queue_depth", Value::Num(sh.queue.depth() as f64)),
+                // The admission cap after its `max(1)` clamp: chaos checks
+                // the observed queue depth never exceeded it.
+                ("queue_capacity", Value::Num(sh.queue.cap as f64)),
                 (
                     "inflight",
                     Value::Num(sh.inflight.load(Ordering::SeqCst) as f64),
@@ -889,11 +864,7 @@ fn handle_line(sh: &Shared<'_>, stream: &mut TcpStream, line: &str) -> After {
             sh.count(names::SERVE_REQUESTS, 1);
             if sh.draining() {
                 sh.count(names::SERVE_SHED, 1);
-                write_line(
-                    sh,
-                    stream,
-                    &shed_response(id.as_ref(), sh.cfg.retry_after_ms),
-                );
+                write_line(sh, stream, &shed_response(id.as_ref()));
                 return After::Close;
             }
             // Deadline runs from admission, so time spent queued counts
@@ -915,11 +886,7 @@ fn handle_line(sh: &Shared<'_>, stream: &mut TcpStream, line: &str) -> After {
             match sh.queue.try_push(job) {
                 Err(_) => {
                     sh.count(names::SERVE_SHED, 1);
-                    ok_or_close(write_line(
-                        sh,
-                        stream,
-                        &shed_response(id.as_ref(), sh.cfg.retry_after_ms),
-                    ))
+                    ok_or_close(write_line(sh, stream, &shed_response(id.as_ref())))
                 }
                 Ok(depth) => {
                     lock(&sh.metrics).observe(names::SERVE_QUEUE_DEPTH, depth as f64);
@@ -993,7 +960,7 @@ mod tests {
     #[test]
     fn shed_and_error_responses_are_deterministic_bytes() {
         assert_eq!(
-            shed_response(Some(&Value::Num(3.0)), 50).to_string_compact(),
+            shed_response(Some(&Value::Num(3.0))).to_string_compact(),
             r#"{"status":"shed","id":3,"retry_after_ms":50}"#
         );
         assert_eq!(
@@ -1167,6 +1134,10 @@ mod tests {
             c.send(r#"{"op":"health"}"#);
             let health = c.recv();
             assert_eq!(health.get("ready").and_then(Value::as_bool), Some(true));
+            assert_eq!(
+                health.get("queue_capacity").and_then(Value::as_f64),
+                Some(32.0)
+            );
 
             c.send("this is not json");
             let err = c.recv();

@@ -181,7 +181,10 @@ pub fn table_fingerprint(t: &Table) -> u64 {
 /// the store's config fingerprint.
 pub fn budget_fingerprint(b: &Budget) -> u64 {
     let mut fp = Fingerprint::new();
-    fp.usize(b.max_regex_steps);
+    // The slot of the retired regex step cap keeps its old default:
+    // `config_fp` is persisted in every store entry, and a changed
+    // fingerprint would recompute every stored document.
+    fp.usize(1_000_000);
     fp.usize(b.max_virtual_cells_per_table);
     fp.usize(b.max_graph_edges);
     fp.usize(b.max_rwr_iterations);
@@ -336,6 +339,11 @@ impl DocEntry {
         n += (self.diagnostics.items.len() + self.extract_diags.items.len()) * 128;
         n as u64
     }
+}
+
+/// `N entry` / `N entries`, for the store report lines.
+fn entries(n: u64) -> String {
+    format!("{n} entr{}", if n == 1 { "y" } else { "ies" })
 }
 
 /// Construction options for an [`AlignmentStore`].
@@ -635,6 +643,41 @@ impl AlignmentStore {
         // log is the only one used anywhere (appends take log alone).
         let map = lock(&self.entries);
         p.write_snapshot(&encode_sorted(&map))
+    }
+
+    /// The line reporting what opening a durable store recovered —
+    /// `store: recovered N entries from DIR in S.SSSs`, with ` (torn tail
+    /// truncated)` and ` (incompatible state rebuilt)` appended when
+    /// recovery repaired the directory. `None` for an in-memory store.
+    /// `briq-align` and `briq-serve` both print it to stderr.
+    pub fn recovery_report(&self) -> Option<String> {
+        let p = self.persist.as_ref()?;
+        Some(format!(
+            "store: recovered {} from {} in {:.3}s{}{}",
+            entries(self.recovered),
+            p.dir().display(),
+            self.recover_s,
+            if self.recover_truncated {
+                " (torn tail truncated)"
+            } else {
+                ""
+            },
+            if self.recover_rebuilt {
+                " (incompatible state rebuilt)"
+            } else {
+                ""
+            },
+        ))
+    }
+
+    /// The line reporting a successful [`AlignmentStore::snapshot`]:
+    /// `store: persisted N entries (B snapshot bytes)`.
+    pub fn persisted_report(&self) -> String {
+        format!(
+            "store: persisted {} ({} snapshot bytes)",
+            entries(self.len() as u64),
+            self.snapshot_bytes()
+        )
     }
 
     /// Encoded record payloads of every resident entry, key-ordered.

@@ -845,6 +845,11 @@ impl Persistence {
         Ok(())
     }
 
+    /// The store directory.
+    pub(crate) fn dir(&self) -> &Path {
+        &self.dir
+    }
+
     /// Current novelty-log size in bytes (header included).
     pub(crate) fn log_bytes(&self) -> u64 {
         lock(&self.log).bytes
@@ -979,6 +984,37 @@ mod tests {
         let warm = align_all(&briq, &store, &docs);
         assert_eq!(store.hits(), docs.len() as u64, "restart must serve warm");
         assert_eq!(cold, warm, "recovered output must be bit-identical");
+    }
+
+    #[test]
+    fn report_lines_count_entries_and_name_the_directory() {
+        let briq = briq();
+        assert_eq!(AlignmentStore::for_system(&briq).recovery_report(), None);
+        let dir = TempDir::new("report");
+        let shown = dir.path().display().to_string();
+        {
+            let store = persistent(&briq, dir.path());
+            let cold = store.recovery_report().expect("durable store reports");
+            assert!(
+                cold.starts_with(&format!("store: recovered 0 entries from {shown} in ")),
+                "{cold}"
+            );
+            align_all(&briq, &store, &docs()[..1]);
+            store.snapshot().expect("snapshot");
+            assert_eq!(
+                store.persisted_report(),
+                format!(
+                    "store: persisted 1 entry ({} snapshot bytes)",
+                    store.snapshot_bytes()
+                )
+            );
+        }
+        let warm = persistent(&briq, dir.path()).recovery_report();
+        let warm = warm.expect("durable store reports");
+        assert!(
+            warm.starts_with(&format!("store: recovered 1 entry from {shown} in ")),
+            "{warm}"
+        );
     }
 
     #[test]

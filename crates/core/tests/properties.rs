@@ -161,7 +161,6 @@ proptest! {
         let doc = Document::new(0, text, vec![Table::from_grid("", grid)]);
         let briq = Briq::untrained(BriqConfig::default());
         let budget = briq_core::Budget {
-            max_regex_steps: 1_000,
             max_virtual_cells_per_table: 16,
             max_graph_edges: 64,
             max_rwr_iterations: 8,

@@ -101,11 +101,10 @@ proptest! {
     /// differently), and must do so deterministically.
     #[test]
     fn budget_fingerprint_tracks_every_field(
-        a in (1usize..1000, 1usize..100, 1usize..1000, 1usize..50),
-        b in (1usize..1000, 1usize..100, 1usize..1000, 1usize..50),
+        a in (1usize..100, 1usize..1000, 1usize..50),
+        b in (1usize..100, 1usize..1000, 1usize..50),
     ) {
-        let budget = |(regex, cells, edges, iters): (usize, usize, usize, usize)| Budget {
-            max_regex_steps: regex,
+        let budget = |(cells, edges, iters): (usize, usize, usize)| Budget {
             max_virtual_cells_per_table: cells,
             max_graph_edges: edges,
             max_rwr_iterations: iters,

@@ -208,7 +208,7 @@ pub enum Adversary {
     /// A dense all-numeric table whose virtual-cell space is quadratic
     /// in both dimensions.
     VirtualCellFanout,
-    /// Pathological strings for the regex/tokenizer layer: nested
+    /// Pathological strings for the tokenizer and numeral parser: nested
     /// parens, long punctuation runs, currency soup.
     RegexHostile,
 }

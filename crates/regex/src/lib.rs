@@ -1,527 +1,15 @@
 //! # briq-regex
 //!
-//! A small, dependency-free regular-expression engine used by the BriQ
-//! pipeline for quantity and unit extraction from text and table cells.
+//! The Unicode currency-symbol table the BriQ quantity extractors use.
 //!
 //! The paper ("Bridging Quantities in Tables and Text", ICDE 2019, §III)
-//! extracts quantity mentions with regular-expression patterns such as
-//! `\d+\s*\p{Currency_Symbol}`. This crate provides exactly the feature set
-//! those patterns need:
-//!
-//! * literals, `.`, alternation `|`, grouping `( … )` with capture slots,
-//! * quantifiers `*`, `+`, `?`, `{m}`, `{m,}`, `{m,n}` (greedy and lazy),
-//! * character classes `[a-z0-9,]`, negated classes, and the escapes
-//!   `\d \D \w \W \s \S`,
-//! * anchors `^` and `$`, word boundary `\b`,
-//! * a useful subset of Unicode properties: `\p{Currency_Symbol}` (aka
-//!   `\p{Sc}`), `\p{L}`, `\p{N}`, `\p{P}`, and their negations `\P{…}`.
-//!
-//! The implementation is the classic Thompson construction executed by a
-//! Pike VM, giving worst-case `O(len(pattern) · len(input))` matching with
-//! no pathological backtracking — important because BriQ runs extraction
-//! over millions of documents (§VIII-C).
-//!
-//! ## Example
-//!
-//! ```
-//! use briq_regex::Regex;
-//!
-//! let re = Regex::new(r"\d+\s*\p{Currency_Symbol}").unwrap();
-//! let m = re.find("costs 37 € in Germany").unwrap();
-//! assert_eq!(m.as_str(), "37 €");
-//! ```
+//! writes its extraction patterns with `\p{Currency_Symbol}`. In this
+//! reproduction `briq-text`'s hand-written scanners (tokenizer, sentence
+//! splitter, unit recognizer) do that extraction, and this crate supplies
+//! the one property they ask about: [`is_currency_symbol`].
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-mod ast;
-mod parser;
-mod program;
 mod unicode;
-mod vm;
 
-pub use ast::{Ast, ClassItem, ClassSet, UnicodeProperty};
-pub use parser::{ParseError, MAX_NESTING};
-pub use program::{Inst, Program};
 pub use unicode::is_currency_symbol;
-
-use std::fmt;
-
-/// Cap on compiled program size. Counted repeats expand at compile time,
-/// so `\d{100000}` (or nested repetition bombs) would otherwise allocate
-/// an instruction list proportional to the repeat product.
-pub const MAX_PROGRAM_INSTS: usize = 1 << 16;
-
-/// A compiled regular expression.
-///
-/// Construction via [`Regex::new`] parses and compiles the pattern once;
-/// matching methods may then be called any number of times. `Regex` is
-/// `Send + Sync` and cheap to share behind an `Arc`.
-#[derive(Debug, Clone)]
-pub struct Regex {
-    pattern: String,
-    program: Program,
-}
-
-/// A single match of a regex in a haystack, with byte offsets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Match<'h> {
-    haystack: &'h str,
-    start: usize,
-    end: usize,
-}
-
-impl<'h> Match<'h> {
-    /// Byte offset of the start of the match.
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
-    /// Byte offset one past the end of the match.
-    pub fn end(&self) -> usize {
-        self.end
-    }
-
-    /// The matched text.
-    pub fn as_str(&self) -> &'h str {
-        &self.haystack[self.start..self.end]
-    }
-
-    /// The byte range of the match.
-    pub fn range(&self) -> std::ops::Range<usize> {
-        self.start..self.end
-    }
-
-    /// True if the match is empty.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
-    /// Length of the match in bytes.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-}
-
-/// Capture groups of a single match. Group 0 is the whole match.
-#[derive(Debug, Clone)]
-pub struct Captures<'h> {
-    haystack: &'h str,
-    slots: Vec<Option<usize>>,
-}
-
-impl<'h> Captures<'h> {
-    /// The match for capture group `i`, if the group participated.
-    pub fn get(&self, i: usize) -> Option<Match<'h>> {
-        let (s, e) = (*self.slots.get(2 * i)?, *self.slots.get(2 * i + 1)?);
-        match (s, e) {
-            (Some(s), Some(e)) => Some(Match {
-                haystack: self.haystack,
-                start: s,
-                end: e,
-            }),
-            _ => None,
-        }
-    }
-
-    /// Number of capture groups (including group 0).
-    pub fn len(&self) -> usize {
-        self.slots.len() / 2
-    }
-
-    /// True when there are no capture slots at all (never the case for a
-    /// successful match, which always has group 0).
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-}
-
-/// Errors from pattern compilation and budgeted matching.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Error {
-    /// The pattern failed to parse.
-    Parse(ParseError),
-    /// The pattern would compile to more than [`MAX_PROGRAM_INSTS`]
-    /// instructions (counted-repeat expansion bomb).
-    ProgramTooLarge {
-        /// Instructions the pattern would expand to.
-        insts: usize,
-        /// The enforced cap.
-        max: usize,
-    },
-    /// A `try_*` matching call ran out of its step budget.
-    StepBudgetExceeded {
-        /// The budget that was exhausted.
-        max_steps: usize,
-    },
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Error::Parse(inner) => write!(f, "regex parse error: {inner}"),
-            Error::ProgramTooLarge { insts, max } => {
-                write!(f, "pattern expands to {insts} instructions (cap {max})")
-            }
-            Error::StepBudgetExceeded { max_steps } => {
-                write!(f, "regex step budget of {max_steps} exceeded")
-            }
-        }
-    }
-}
-
-impl std::error::Error for Error {}
-
-impl From<ParseError> for Error {
-    fn from(inner: ParseError) -> Self {
-        Error::Parse(inner)
-    }
-}
-
-impl Regex {
-    /// Parse and compile `pattern`.
-    pub fn new(pattern: &str) -> Result<Self, Error> {
-        let ast = parser::parse(pattern)?;
-        let insts = program::cost(&ast);
-        if insts > MAX_PROGRAM_INSTS {
-            return Err(Error::ProgramTooLarge {
-                insts,
-                max: MAX_PROGRAM_INSTS,
-            });
-        }
-        let program = program::compile(&ast);
-        Ok(Regex {
-            pattern: pattern.to_string(),
-            program,
-        })
-    }
-
-    /// The original pattern string.
-    pub fn as_str(&self) -> &str {
-        &self.pattern
-    }
-
-    /// Number of capture groups, including the implicit group 0.
-    pub fn captures_len(&self) -> usize {
-        self.program.num_slots / 2
-    }
-
-    /// Does the regex match anywhere in `haystack`?
-    pub fn is_match(&self, haystack: &str) -> bool {
-        self.find(haystack).is_some()
-    }
-
-    /// Leftmost match in `haystack`.
-    pub fn find<'h>(&self, haystack: &'h str) -> Option<Match<'h>> {
-        self.find_at(haystack, 0)
-    }
-
-    /// Leftmost match starting at or after byte offset `start`.
-    ///
-    /// `start` must lie on a char boundary of `haystack`.
-    pub fn find_at<'h>(&self, haystack: &'h str, start: usize) -> Option<Match<'h>> {
-        // With an unlimited budget, the VM cannot fail.
-        self.try_find_at(haystack, start, usize::MAX)
-            .unwrap_or_default()
-    }
-
-    /// Does the regex match anywhere in `haystack`, using at most
-    /// `max_steps` units of VM work?
-    pub fn try_is_match(&self, haystack: &str, max_steps: usize) -> Result<bool, Error> {
-        Ok(self.try_find(haystack, max_steps)?.is_some())
-    }
-
-    /// Leftmost match with a step budget: `Err(StepBudgetExceeded)` when
-    /// the search would take more than `max_steps` units of VM work.
-    pub fn try_find<'h>(
-        &self,
-        haystack: &'h str,
-        max_steps: usize,
-    ) -> Result<Option<Match<'h>>, Error> {
-        self.try_find_at(haystack, 0, max_steps)
-    }
-
-    /// Like [`Regex::try_find`], considering matches at or after `start`.
-    pub fn try_find_at<'h>(
-        &self,
-        haystack: &'h str,
-        start: usize,
-        max_steps: usize,
-    ) -> Result<Option<Match<'h>>, Error> {
-        let slots = vm::run(&self.program, haystack, start, max_steps)
-            .map_err(|vm::StepLimitExceeded| Error::StepBudgetExceeded { max_steps })?;
-        Ok(slots.and_then(
-            |slots| match (slots.first().copied(), slots.get(1).copied()) {
-                (Some(Some(start)), Some(Some(end))) => Some(Match {
-                    haystack,
-                    start,
-                    end,
-                }),
-                _ => None,
-            },
-        ))
-    }
-
-    /// Leftmost match with all capture groups.
-    pub fn captures<'h>(&self, haystack: &'h str) -> Option<Captures<'h>> {
-        self.captures_at(haystack, 0)
-    }
-
-    /// Like [`Regex::captures`], starting at byte offset `start`.
-    pub fn captures_at<'h>(&self, haystack: &'h str, start: usize) -> Option<Captures<'h>> {
-        match vm::run(&self.program, haystack, start, usize::MAX) {
-            Ok(slots) => slots.map(|slots| Captures { haystack, slots }),
-            Err(_) => None,
-        }
-    }
-
-    /// Iterator over all non-overlapping matches.
-    pub fn find_iter<'r, 'h>(&'r self, haystack: &'h str) -> FindIter<'r, 'h> {
-        FindIter {
-            re: self,
-            haystack,
-            at: 0,
-        }
-    }
-
-    /// Replace every match with `rep` (a literal string, no `$n` expansion).
-    pub fn replace_all(&self, haystack: &str, rep: &str) -> String {
-        let mut out = String::with_capacity(haystack.len());
-        let mut last = 0;
-        for m in self.find_iter(haystack) {
-            out.push_str(&haystack[last..m.start()]);
-            out.push_str(rep);
-            last = m.end();
-        }
-        out.push_str(&haystack[last..]);
-        out
-    }
-
-    /// Split `haystack` on matches of the regex.
-    pub fn split<'h>(&self, haystack: &'h str) -> Vec<&'h str> {
-        let mut out = Vec::new();
-        let mut last = 0;
-        for m in self.find_iter(haystack) {
-            out.push(&haystack[last..m.start()]);
-            last = m.end();
-        }
-        out.push(&haystack[last..]);
-        out
-    }
-}
-
-/// Iterator returned by [`Regex::find_iter`].
-#[derive(Debug)]
-pub struct FindIter<'r, 'h> {
-    re: &'r Regex,
-    haystack: &'h str,
-    at: usize,
-}
-
-impl<'r, 'h> Iterator for FindIter<'r, 'h> {
-    type Item = Match<'h>;
-
-    fn next(&mut self) -> Option<Match<'h>> {
-        if self.at > self.haystack.len() {
-            return None;
-        }
-        let m = self.re.find_at(self.haystack, self.at)?;
-        if m.is_empty() {
-            // Advance past the empty match to guarantee progress.
-            self.at = next_char_boundary(self.haystack, m.end());
-        } else {
-            self.at = m.end();
-        }
-        Some(m)
-    }
-}
-
-fn next_char_boundary(s: &str, at: usize) -> usize {
-    if at >= s.len() {
-        return s.len() + 1;
-    }
-    let mut i = at + 1;
-    while i < s.len() && !s.is_char_boundary(i) {
-        i += 1;
-    }
-    i
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn literal_match() {
-        let re = Regex::new("abc").unwrap();
-        assert!(re.is_match("xxabcxx"));
-        let m = re.find("xxabcxx").unwrap();
-        assert_eq!((m.start(), m.end()), (2, 5));
-        assert_eq!(m.as_str(), "abc");
-    }
-
-    #[test]
-    fn digits_and_currency() {
-        let re = Regex::new(r"\d+\s*\p{Currency_Symbol}").unwrap();
-        let m = re.find("that is 37 € total").unwrap();
-        assert_eq!(m.as_str(), "37 €");
-        assert!(re.is_match("price: 100$"));
-        assert!(!re.is_match("price: one hundred"));
-    }
-
-    #[test]
-    fn alternation_prefers_leftmost() {
-        let re = Regex::new("cat|category").unwrap();
-        let m = re.find("a category").unwrap();
-        assert_eq!(m.as_str(), "cat");
-    }
-
-    #[test]
-    fn greedy_and_lazy() {
-        let g = Regex::new("a.*b").unwrap();
-        assert_eq!(g.find("aXbXXb").unwrap().as_str(), "aXbXXb");
-        let l = Regex::new("a.*?b").unwrap();
-        assert_eq!(l.find("aXbXXb").unwrap().as_str(), "aXb");
-    }
-
-    #[test]
-    fn bounded_repeats() {
-        let re = Regex::new(r"\d{2,4}").unwrap();
-        assert_eq!(re.find("x123456x").unwrap().as_str(), "1234");
-        assert_eq!(re.find("x1x").map(|m| m.as_str().to_string()), None);
-        let re = Regex::new(r"a{3}").unwrap();
-        assert!(re.is_match("aaa"));
-        assert!(!re.is_match("aa"));
-    }
-
-    #[test]
-    fn classes() {
-        let re = Regex::new(r"[0-9][0-9,\.]*").unwrap();
-        assert_eq!(re.find("sum 3,263 total").unwrap().as_str(), "3,263");
-        let neg = Regex::new(r"[^a-z]+").unwrap();
-        assert_eq!(neg.find("abcDEF").unwrap().as_str(), "DEF");
-    }
-
-    #[test]
-    fn anchors() {
-        let re = Regex::new(r"^\d+$").unwrap();
-        assert!(re.is_match("12345"));
-        assert!(!re.is_match("12345x"));
-        assert!(!re.is_match("x12345"));
-    }
-
-    #[test]
-    fn word_boundary() {
-        let re = Regex::new(r"\b\d+\b").unwrap();
-        assert_eq!(re.find("win10 or 42 things").unwrap().as_str(), "42");
-    }
-
-    #[test]
-    fn captures_groups() {
-        let re = Regex::new(r"(\d+)\.(\d+)").unwrap();
-        let c = re.captures("pi is 3.14 ok").unwrap();
-        assert_eq!(c.get(0).unwrap().as_str(), "3.14");
-        assert_eq!(c.get(1).unwrap().as_str(), "3");
-        assert_eq!(c.get(2).unwrap().as_str(), "14");
-        assert_eq!(c.len(), 3);
-    }
-
-    #[test]
-    fn optional_group_unset() {
-        let re = Regex::new(r"(\d+)(\.\d+)?").unwrap();
-        let c = re.captures("42 ").unwrap();
-        assert_eq!(c.get(1).unwrap().as_str(), "42");
-        assert!(c.get(2).is_none());
-    }
-
-    #[test]
-    fn find_iter_collects_all() {
-        let re = Regex::new(r"\d+").unwrap();
-        let all: Vec<&str> = re.find_iter("a1 b22 c333").map(|m| m.as_str()).collect();
-        assert_eq!(all, vec!["1", "22", "333"]);
-    }
-
-    #[test]
-    fn find_iter_empty_match_progresses() {
-        let re = Regex::new("x*").unwrap();
-        let n = re.find_iter("abc").count();
-        assert_eq!(n, 4); // empty match at 0,1,2,3
-    }
-
-    #[test]
-    fn replace_all_and_split() {
-        let re = Regex::new(r"\s+").unwrap();
-        assert_eq!(re.replace_all("a  b \t c", " "), "a b c");
-        assert_eq!(re.split("a  b c"), vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn unicode_letters() {
-        let re = Regex::new(r"\p{L}+").unwrap();
-        assert_eq!(re.find("42 Säcke").unwrap().as_str(), "Säcke");
-        let re = Regex::new(r"\P{L}+").unwrap();
-        assert_eq!(re.find("ab 12 cd").unwrap().as_str(), " 12 ");
-    }
-
-    #[test]
-    fn escaped_metachars() {
-        let re = Regex::new(r"\$\d+\.\d{2}").unwrap();
-        assert_eq!(re.find("pay $12.50 now").unwrap().as_str(), "$12.50");
-    }
-
-    #[test]
-    fn parse_errors() {
-        assert!(Regex::new("(").is_err());
-        assert!(Regex::new("a{3,2}").is_err());
-        assert!(Regex::new("[z-a]").is_err());
-        assert!(Regex::new("*a").is_err());
-        assert!(Regex::new(r"\p{Bogus}").is_err());
-    }
-
-    #[test]
-    fn repetition_bomb_rejected() {
-        match Regex::new("(a{1000}){1000}") {
-            Err(Error::ProgramTooLarge { insts, max }) => {
-                assert!(insts > max);
-                assert_eq!(max, MAX_PROGRAM_INSTS);
-            }
-            other => panic!("expected ProgramTooLarge, got {other:?}"),
-        }
-        // A large-but-reasonable repeat still compiles.
-        assert!(Regex::new(r"\d{1,500}").is_ok());
-    }
-
-    #[test]
-    fn nesting_bomb_rejected() {
-        let deep = format!("{}a{}", "(".repeat(500), ")".repeat(500));
-        match Regex::new(&deep) {
-            Err(Error::Parse(ParseError::NestingTooDeep(max))) => {
-                assert_eq!(max, MAX_NESTING);
-            }
-            other => panic!("expected NestingTooDeep, got {other:?}"),
-        }
-        let ok = format!("{}a{}", "(".repeat(50), ")".repeat(50));
-        assert!(Regex::new(&ok).is_ok());
-    }
-
-    #[test]
-    fn error_display_messages() {
-        let parse = Regex::new("(").unwrap_err();
-        assert_eq!(parse.to_string(), "regex parse error: unclosed group");
-        let too_large = Error::ProgramTooLarge { insts: 99, max: 10 };
-        assert_eq!(
-            too_large.to_string(),
-            "pattern expands to 99 instructions (cap 10)"
-        );
-        let budget = Error::StepBudgetExceeded { max_steps: 7 };
-        assert_eq!(budget.to_string(), "regex step budget of 7 exceeded");
-    }
-
-    #[test]
-    fn plus_and_percent_patterns() {
-        // The complex-quantity guard from §III: '5 ± 1 km per hour'.
-        let re = Regex::new(r"\d+\s*±\s*\d+").unwrap();
-        assert!(re.is_match("going 5 ± 1 km per hour"));
-        let pct = Regex::new(r"\d+(\.\d+)?%").unwrap();
-        assert_eq!(pct.find("up 1.5% year on year").unwrap().as_str(), "1.5%");
-    }
-}

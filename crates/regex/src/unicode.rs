@@ -27,18 +27,6 @@ pub fn is_currency_symbol(c: char) -> bool {
     )
 }
 
-/// Non-ASCII punctuation commonly seen in web text (a pragmatic subset of
-/// the Unicode `P` categories).
-pub fn is_unicode_punct(c: char) -> bool {
-    matches!(
-        c,
-        '‐'
-            ..='‧' // hyphens, dashes, quotes, bullets, ellipsis
-        | '«' | '»' | '¡' | '¿' | '·'
-        | '、' | '。' | '〈' | '〉' | '《' | '》' | '「' | '」'
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,12 +46,5 @@ mod tests {
                 "{c} should not be a currency symbol"
             );
         }
-    }
-
-    #[test]
-    fn unicode_punct_subset() {
-        assert!(is_unicode_punct('–')); // en dash
-        assert!(is_unicode_punct('…'));
-        assert!(!is_unicode_punct('a'));
     }
 }

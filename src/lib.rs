@@ -46,5 +46,4 @@ pub mod substrates {
     pub use briq_corpus as corpus;
     pub use briq_graph as graph;
     pub use briq_ml as ml;
-    pub use briq_regex as regex;
 }

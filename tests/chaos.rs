@@ -30,7 +30,6 @@ fn align_budgeted(briq: &Briq, doc: &Document, budget: Budget) -> (Vec<Alignment
 /// Tight enough that the hostile families actually hit the caps.
 fn chaos_budget() -> Budget {
     Budget {
-        max_regex_steps: 10_000,
         max_virtual_cells_per_table: 120,
         max_graph_edges: 1_500,
         max_rwr_iterations: 40,

@@ -104,7 +104,6 @@ fn featurizer_matches_naive_on_seeded_corpus() {
 fn featurizer_matches_naive_on_chaos_documents() {
     let briq = Briq::untrained(BriqConfig::default());
     let budget = Budget {
-        max_regex_steps: 10_000,
         max_virtual_cells_per_table: 120,
         max_graph_edges: 1_500,
         max_rwr_iterations: 40,
@@ -299,7 +298,6 @@ fn pruned_path_matches_exhaustive_filtering() {
     // Every adversarial chaos family, under the tight budget: production
     // and reference must stay byte-identical even on degraded documents.
     let budget = Budget {
-        max_regex_steps: 10_000,
         max_virtual_cells_per_table: 120,
         max_graph_edges: 1_500,
         max_rwr_iterations: 40,

@@ -25,7 +25,6 @@ use briq_table::Document;
 /// unbudgeted); identical for both paths, so degradation is symmetric.
 fn adversarial_budget() -> Budget {
     Budget {
-        max_regex_steps: 10_000,
         max_virtual_cells_per_table: 120,
         max_graph_edges: 1_500,
         max_rwr_iterations: 40,

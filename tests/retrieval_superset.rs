@@ -63,7 +63,6 @@ proptest! {
         let kind = Adversary::ALL[family];
         let briq = Briq::untrained(BriqConfig::default());
         let budget = Budget {
-            max_regex_steps: 10_000,
             max_virtual_cells_per_table: 120,
             max_graph_edges: 1_500,
             max_rwr_iterations: 40,
