@@ -90,9 +90,16 @@
 #                entry and report hit_rate 1.000 / mentions_realigned 0),
 #                and (3) a run over a log whose tail was deliberately torn
 #                with garbage bytes (which must truncate and recompute,
-#                never fail). Then crash-tests briq-serve: a durable
-#                server is driven, SIGKILLed without drain (kill -9, so
-#                only the incrementally-appended novelty log survives),
+#                never fail). Then a durable re-crawl: a fresh directory
+#                warmed from the corpus aligns a copy with every digit of
+#                every page rotated, compacting mid-run (MANIFEST
+#                snapshot_gen >= 2), and a new process over that directory
+#                re-aligns the mutated copy; both must byte-match the
+#                --oracle run over the mutated pages, and the second must
+#                report hit_rate 1.000 / mentions_realigned 0. Then
+#                crash-tests briq-serve: a durable server is driven,
+#                SIGKILLed without drain (kill -9, so only the
+#                incrementally-appended novelty log survives),
 #                rebooted on the same --store-dir, must report
 #                store_recovered_entries >= 1 on /health, serve the
 #                unchanged re-drive entirely from cache (store_hits equal
@@ -365,7 +372,7 @@ serve_request() {
 
 stage_persist() {
     cargo build --offline --locked --release -q -p briq-bench || return 1
-    local dir health metrics recovered hits pages
+    local dir health metrics recovered hits pages gen
     dir="$(mktemp -d)"
     trap 'rm -rf "$dir"; [ -n "${SERVE_PID:-}" ] && kill -9 "$SERVE_PID" 2>/dev/null' RETURN
     ./target/release/briq-align --gen-corpus "$dir/corpus" \
@@ -413,7 +420,33 @@ stage_persist() {
         return 1
     }
 
-    # (e) Serve crash-recovery: drive a durable server, SIGKILL it with
+    # (e) Durable re-crawl: warm a fresh directory from the pristine
+    # corpus, then align a copy with every digit of every page rotated
+    # (as stage_store does for three pages). That pass replaces every
+    # entry, so its log outgrows the snapshot and compacts mid-run; a
+    # new process then recovers the directory and must serve the whole
+    # mutated corpus from it. Both runs must match the --oracle
+    # recompute of the mutated pages byte for byte.
+    cp -r "$dir/corpus" "$dir/mutated"
+    sed -i 'y/0123456789/1234567890/' "$dir/mutated"/*.html
+    align_run "$dir" mcold --batch "$dir/mutated" --jobs 1 --oracle
+    align_run "$dir" recrawl --warm-from "$dir/corpus" --batch "$dir/mutated" \
+        --jobs 1 --store-dir "$dir/mstore"
+    same_run persist "$dir" mcold recrawl || return 1
+    gen="$(sed -n 's/^snapshot_gen //p' "$dir/mstore/MANIFEST")"
+    [ "${gen:-0}" -ge 2 ] || {
+        echo "persist: the re-crawl never compacted before its final snapshot (snapshot_gen ${gen:-none})" >&2
+        return 1
+    }
+    align_run "$dir" rewarm --batch "$dir/mutated" --jobs 1 --store-dir "$dir/mstore"
+    same_run persist "$dir" mcold rewarm || return 1
+    grep -q 'store: repeat 1/1 .* hit_rate 1\.000 .* mentions_realigned 0$' "$dir/err_rewarm.txt" || {
+        echo "persist: the restarted re-crawl was not served entirely from the recovered store:" >&2
+        grep '^store:' "$dir/err_rewarm.txt" >&2
+        return 1
+    }
+
+    # (f) Serve crash-recovery: drive a durable server, SIGKILL it with
     # no drain (only the incrementally-appended log survives), reboot it
     # on the same --store-dir, and require full recovery: /health
     # reports the recovered entries, the unchanged re-drive is served
@@ -462,7 +495,7 @@ stage_persist() {
         grep '^store:' "$dir/serve2.log.err" >&2
         return 1
     }
-    echo "persist: cold, fresh-durable, restart-warmed, and torn-log runs byte-identical; SIGKILLed server recovered $recovered entr$( [ "$recovered" = "1" ] && echo y || echo ies ) and served $hits/$pages re-driven pages from cache"
+    echo "persist: cold, fresh-durable, restart-warmed, and torn-log runs byte-identical; mutated re-crawl and its restart (snapshot_gen $gen) byte-identical; SIGKILLed server recovered $recovered entr$( [ "$recovered" = "1" ] && echo y || echo ies ) and served $hits/$pages re-driven pages from cache"
 }
 
 # Boot a briq-serve child, leaving its loopback address in SERVE_ADDR

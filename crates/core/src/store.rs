@@ -355,8 +355,12 @@ pub struct StoreOptions {
     /// Resident-memory budget in (estimated) bytes; entries beyond it
     /// are evicted least-recently-used. `0` means unbounded.
     pub max_bytes: u64,
-    /// Novelty-log size that triggers a compacting snapshot. Only
-    /// meaningful with `dir` set.
+    /// Floor of the novelty-log size that triggers a compacting
+    /// snapshot: the log compacts once it exceeds both this and the
+    /// current snapshot's size, so a store with no snapshot yet compacts
+    /// at this size. Only meaningful with `dir` set. The `briq-perf`
+    /// benchmark sets it to `u64::MAX` to build its warm store with one
+    /// snapshot at the end.
     pub compact_log_bytes: u64,
 }
 
@@ -410,14 +414,11 @@ fn evict_lru(map: &mut HashMap<u64, DocEntry>, max_bytes: u64) -> Vec<u64> {
         .collect()
 }
 
-/// Every entry's record payload, key-ordered: the snapshot body.
-fn encode_sorted(map: &HashMap<u64, DocEntry>) -> Vec<Vec<u8>> {
-    let mut entries: Vec<(&u64, &DocEntry)> = map.iter().collect();
-    entries.sort_by_key(|&(&k, _)| k);
+/// Every entry, key-ordered: the order of a snapshot's records.
+fn key_ordered(map: &HashMap<u64, DocEntry>) -> Vec<(u64, &DocEntry)> {
+    let mut entries: Vec<(u64, &DocEntry)> = map.iter().map(|(&k, e)| (k, e)).collect();
+    entries.sort_unstable_by_key(|&(k, _)| k);
     entries
-        .into_iter()
-        .map(|(&k, e)| persist::encode_record(k, e))
-        .collect()
 }
 
 /// What a missed lookup carries from extraction to the insert: the new
@@ -631,8 +632,12 @@ impl AlignmentStore {
 
     /// Write a compacting snapshot of the current entries and reset the
     /// novelty log. No-op without persistence. Called on graceful drain
-    /// and after warm-up passes; also triggered automatically when the
-    /// log outgrows [`StoreOptions::compact_log_bytes`].
+    /// and after warm-up passes; also triggered automatically once the
+    /// log outgrows both the current snapshot and the
+    /// [`StoreOptions::compact_log_bytes`] floor. The entries go to the
+    /// writer as key-ordered references and are encoded one record at a
+    /// time as the file is written, so a snapshot costs one record of
+    /// memory, not a copy of the live set.
     pub fn snapshot(&self) -> std::io::Result<()> {
         let Some(p) = &self.persist else {
             return Ok(());
@@ -642,7 +647,7 @@ impl AlignmentStore {
         // and log locks *inside* this — the lock order entries → snap →
         // log is the only one used anywhere (appends take log alone).
         let map = lock(&self.entries);
-        p.write_snapshot(&encode_sorted(&map))
+        p.write_snapshot(&key_ordered(&map))
     }
 
     /// The line reporting what opening a durable store recovered —
@@ -684,7 +689,10 @@ impl AlignmentStore {
     /// Test/diagnostic surface for the persistence layer.
     #[cfg(test)]
     pub(crate) fn encoded_entries(&self) -> Vec<Vec<u8>> {
-        encode_sorted(&lock(&self.entries))
+        key_ordered(&lock(&self.entries))
+            .into_iter()
+            .map(|(k, e)| persist::encode_record(k, e))
+            .collect()
     }
 
     /// Evict least-recently-used entries until the resident estimate

@@ -10,9 +10,14 @@
 //!   with the same FNV-1a the content fingerprints use. Appends are the
 //!   only write on the hot path.
 //! - **Snapshot** (`snapshot-<gen>.briq`) — a compaction of the resident
-//!   entries into one file, written to a temp file, fsynced, and renamed
-//!   into place; the log is then reset. Snapshots happen when the log
-//!   outgrows its compaction threshold and on graceful drain/exit.
+//!   entries into one file: their records stream in key order through a
+//!   buffered writer into a temp file, which is fsynced and renamed into
+//!   place; the log is then reset. Snapshots happen on graceful
+//!   drain/exit and when the log outgrows both the current snapshot and
+//!   the `compact_log_bytes` floor. The live set is thus rewritten only
+//!   after at least as many bytes of new records (write amplification
+//!   of ~2× at most), and recovery reads at most the snapshot plus a log
+//!   no larger than it.
 //! - **Manifest** (`MANIFEST`) — a tiny text file naming the format
 //!   version, the model/config fingerprint, and the current snapshot
 //!   generation. Any mismatch (foreign file, version bump, retrained
@@ -38,7 +43,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{BufWriter, IntoInnerError, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -423,11 +428,17 @@ wire_struct! { DocEntry {
     targets, extract_diags, artifacts, alignments, diagnostics, stats,
 } skip { approx_bytes: 0, last_used: 0 } }
 
+/// Append one log/snapshot record payload to `out`: store key + full
+/// entry.
+fn put_record(key: u64, e: &DocEntry, out: &mut Vec<u8>) {
+    key.put(out);
+    e.put(out);
+}
+
 /// Encode one log/snapshot record payload: store key + full entry.
 pub(crate) fn encode_record(key: u64, e: &DocEntry) -> Vec<u8> {
     let mut out = Vec::new();
-    key.put(&mut out);
-    e.put(&mut out);
+    put_record(key, e, &mut out);
     out
 }
 
@@ -455,13 +466,22 @@ fn checksum(payload: &[u8]) -> u64 {
     fp.finish()
 }
 
-/// Frame a payload: `len (u32 LE) | fnv1a(payload) (u64 LE) | payload`.
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// Write one frame to `w`: `len (u32 LE) | fnv1a(payload) (u64 LE) |
+/// payload`. Returns the bytes written. A payload over the recovery
+/// cap is refused, since recovery would read it as a torn tail.
+fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<u64> {
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|&n| n <= MAX_FRAME_BYTES)
+        .ok_or_else(|| {
+            std::io::Error::new(std::io::ErrorKind::InvalidInput, "record exceeds frame cap")
+        })?;
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&checksum(payload).to_le_bytes());
+    w.write_all(&header)?;
+    w.write_all(payload)?;
+    Ok((FRAME_HEADER_LEN + payload.len()) as u64)
 }
 
 fn file_header(model_fp: u64, gen: u64) -> Vec<u8> {
@@ -569,19 +589,41 @@ fn manifest_text(model_fp: u64, snapshot_gen: u64) -> String {
 // Atomic file helpers
 // ---------------------------------------------------------------------------
 
-/// Write `bytes` to `path` atomically: temp file in the same directory,
-/// fsync, rename into place, then fsync the directory so the rename
-/// itself is durable.
-fn write_atomic(dir: &Path, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+/// Write `path` atomically: `body` writes the contents through a
+/// buffered writer into a temp file in the same directory, which is
+/// flushed, fsynced and renamed into place; then the directory is
+/// fsynced so the rename itself is durable. Returns the bytes written.
+fn write_atomic(
+    dir: &Path,
+    path: &Path,
+    body: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> std::io::Result<u64> {
     let tmp = path.with_extension("tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
+    let written = {
+        let mut w = BufWriter::new(File::create(&tmp)?);
+        body(&mut w)?;
+        let mut f = w.into_inner().map_err(IntoInnerError::into_error)?;
         f.sync_all()?;
-    }
+        f.stream_position()?
+    };
     fs::rename(&tmp, path)?;
     sync_dir(dir);
-    Ok(())
+    Ok(written)
+}
+
+/// Atomically point the manifest at snapshot generation `gen`.
+fn write_manifest(dir: &Path, model_fp: u64, gen: u64) -> std::io::Result<u64> {
+    write_atomic(dir, &dir.join(MANIFEST_FILE), |w| {
+        w.write_all(manifest_text(model_fp, gen).as_bytes())
+    })
+}
+
+/// Atomically replace the novelty log with a header-only one stamped
+/// with generation `gen`. Returns its length.
+fn write_fresh_log(dir: &Path, model_fp: u64, gen: u64) -> std::io::Result<u64> {
+    write_atomic(dir, &dir.join(LOG_FILE), |w| {
+        w.write_all(&file_header(model_fp, gen))
+    })
 }
 
 /// Best-effort directory fsync (makes renames durable on Linux; a no-op
@@ -741,19 +783,14 @@ impl Persistence {
                 (f, valid)
             }
             None => {
-                let header = file_header(model_fp, gen);
-                write_atomic(dir, &log_path, &header)?;
-                (OpenOptions::new().append(true).open(&log_path)?, HEADER_LEN)
+                let bytes = write_fresh_log(dir, model_fp, gen)?;
+                (OpenOptions::new().append(true).open(&log_path)?, bytes)
             }
         };
 
         // Always leave a valid manifest behind, so the next process can
         // trust (or reject) the directory without guessing.
-        write_atomic(
-            dir,
-            &dir.join(MANIFEST_FILE),
-            manifest_text(model_fp, gen).as_bytes(),
-        )?;
+        write_manifest(dir, model_fp, gen)?;
         cleanup_stale(dir, gen);
 
         let snapshot_bytes = match gen {
@@ -782,56 +819,56 @@ impl Persistence {
 
     /// Append one encoded record payload to the novelty log.
     pub(crate) fn append(&self, payload: &[u8]) -> std::io::Result<()> {
-        let framed = frame(payload);
         let mut log = lock(&self.log);
-        log.file.write_all(&framed)?;
-        log.bytes += framed.len() as u64;
+        log.bytes += write_frame(&mut log.file, payload)?;
         Ok(())
     }
 
-    /// True when the log has outgrown the compaction threshold and the
-    /// store should write a snapshot.
+    /// True when the log has outgrown both the current snapshot and the
+    /// `compact_log_bytes` floor, so the store should write a snapshot.
+    /// Rewriting the live set only after at least as many bytes of new
+    /// records bounds compaction's write amplification at ~2×; the
+    /// floor keeps a new or small store from compacting on every append.
     pub(crate) fn wants_compact(&self) -> bool {
-        self.log_bytes() > self.compact_log_bytes
+        self.log_bytes() > self.compact_log_bytes.max(self.snapshot_bytes())
     }
 
-    /// Write a compacted snapshot of `payloads` (pre-encoded records),
-    /// atomically advance the manifest, and reset the log. The caller
-    /// holds the entry-map lock, so the payload set is a consistent view.
-    pub(crate) fn write_snapshot(&self, payloads: &[Vec<u8>]) -> std::io::Result<()> {
+    /// Write a compacted snapshot of `entries` (key-ordered), atomically
+    /// advance the manifest, and reset the log. Records stream one at a
+    /// time through a buffered writer into the temp file, so no image of
+    /// the snapshot is held in memory. The caller holds the entry-map
+    /// lock, so `entries` is a consistent view.
+    pub(crate) fn write_snapshot(&self, entries: &[(u64, &DocEntry)]) -> std::io::Result<()> {
         let _guard = lock(&self.snap);
         let old_gen = self.gen.load(Ordering::Relaxed);
         let next = old_gen + 1;
 
-        // 1. Snapshot file: temp + fsync + rename + dir fsync.
-        let mut body = file_header(self.model_fp, next);
-        for p in payloads {
-            body.extend_from_slice(&frame(p));
-        }
+        // 1. Snapshot file: header, then one frame per entry in key order.
         let snap_path = self.dir.join(snapshot_file(next));
-        write_atomic(&self.dir, &snap_path, &body)?;
+        let snapshot_bytes = write_atomic(&self.dir, &snap_path, |w| {
+            w.write_all(&file_header(self.model_fp, next))?;
+            let mut payload = Vec::new();
+            for &(key, e) in entries {
+                payload.clear();
+                put_record(key, e, &mut payload);
+                write_frame(w, &payload)?;
+            }
+            Ok(())
+        })?;
 
         // 2. Manifest: after this rename, recovery reads the new snapshot.
-        write_atomic(
-            &self.dir,
-            &self.dir.join(MANIFEST_FILE),
-            manifest_text(self.model_fp, next).as_bytes(),
-        )?;
+        write_manifest(&self.dir, self.model_fp, next)?;
 
         // 3. Fresh log for the new generation, swapped under the log
         // lock so in-flight appends land either in the old log (whose
         // records the snapshot already covers) or the new one.
         {
             let mut log = lock(&self.log);
-            write_atomic(
-                &self.dir,
-                &self.dir.join(LOG_FILE),
-                &file_header(self.model_fp, next),
-            )?;
+            let bytes = write_fresh_log(&self.dir, self.model_fp, next)?;
             log.file = OpenOptions::new()
                 .append(true)
                 .open(self.dir.join(LOG_FILE))?;
-            log.bytes = HEADER_LEN;
+            log.bytes = bytes;
         }
 
         // 4. The old snapshot is now unreachable from the manifest.
@@ -839,8 +876,7 @@ impl Persistence {
             let _ = fs::remove_file(self.dir.join(snapshot_file(old_gen)));
         }
         self.gen.store(next, Ordering::Relaxed);
-        self.snapshot_bytes
-            .store(body.len() as u64, Ordering::Relaxed);
+        self.snapshot_bytes.store(snapshot_bytes, Ordering::Relaxed);
         self.compactions.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -925,6 +961,20 @@ mod tests {
             },
         )
         .expect("open persistent store")
+    }
+
+    /// A durable store whose compaction floor is 1 byte, so the log
+    /// compacts as soon as it outgrows the current snapshot.
+    fn one_byte_floor(briq: &Briq, dir: &Path) -> AlignmentStore {
+        AlignmentStore::with_options(
+            briq,
+            &StoreOptions {
+                dir: Some(dir.to_path_buf()),
+                compact_log_bytes: 1,
+                ..StoreOptions::default()
+            },
+        )
+        .expect("open store with a 1-byte compaction floor")
     }
 
     fn docs() -> Vec<Document> {
@@ -1121,15 +1171,18 @@ mod tests {
             !dir.path().join(snapshot_file(1)).exists(),
             "stale snapshot wiped"
         );
-        let storeless: Vec<AlignResult> = docs
-            .iter()
+        assert_eq!(align_all(&briq, &store, &docs), storeless(&briq, &docs));
+        assert_eq!(persistent(&briq, dir.path()).recovered_entries(), 2);
+    }
+
+    /// Every output surface of `docs` aligned without a store.
+    fn storeless(briq: &Briq, docs: &[Document]) -> Vec<AlignResult> {
+        docs.iter()
             .map(|d| {
                 let out = briq.align_with(d, &AlignOpts::default());
                 (out.alignments, out.stats, out.candidates, out.diagnostics)
             })
-            .collect();
-        assert_eq!(align_all(&briq, &store, &docs), storeless);
-        assert_eq!(persistent(&briq, dir.path()).recovered_entries(), 2);
+            .collect()
     }
 
     #[test]
@@ -1423,16 +1476,11 @@ mod tests {
         let dir = TempDir::new("compact");
         let docs = docs();
         {
-            // A 1-byte compaction threshold: every append triggers one.
-            let store = AlignmentStore::with_options(
-                &briq,
-                &StoreOptions {
-                    dir: Some(dir.path().to_path_buf()),
-                    compact_log_bytes: 1,
-                    ..StoreOptions::default()
-                },
-            )
-            .expect("open");
+            // A 1-byte floor: the first append compacts, since there is
+            // no snapshot yet. The second document's record is larger
+            // than the first's, so its append alone outgrows that
+            // one-record snapshot and compacts again.
+            let store = one_byte_floor(&briq, dir.path());
             align_all(&briq, &store, &docs);
             assert!(store.compactions() >= 2);
             assert_eq!(store.log_bytes(), HEADER_LEN, "log reset after compaction");
@@ -1442,6 +1490,77 @@ mod tests {
         assert_eq!(store.recovered_entries(), docs.len() as u64);
         align_all(&briq, &store, &docs);
         assert_eq!(store.hits(), docs.len() as u64);
+    }
+
+    /// The fixture documents with one more sentence each: text-only
+    /// edits whose records are larger than the originals'.
+    fn edited_docs() -> Vec<Document> {
+        let mut docs = docs();
+        docs[0].text.push_str(" Rash was reported by 35 patients.");
+        docs[1].text.push_str(" Revenue was $9.1 million in 2017.");
+        docs
+    }
+
+    /// Length on disk of the snapshot the manifest names.
+    fn snapshot_len(dir: &Path) -> u64 {
+        let ManifestState::Valid(m) = read_manifest(dir) else {
+            panic!("no valid manifest in {}", dir.display());
+        };
+        let path = dir.join(snapshot_file(m.snapshot_gen));
+        fs::metadata(path).expect("named snapshot").len()
+    }
+
+    #[test]
+    fn compaction_waits_for_the_log_to_outgrow_the_snapshot() {
+        let briq = briq();
+        let dir = TempDir::new("outgrow");
+        let open = || one_byte_floor(&briq, dir.path());
+        {
+            let store = open();
+            align_all(&briq, &store, &docs());
+            store.snapshot().expect("snapshot");
+        }
+        let edited = edited_docs();
+        {
+            // A new process over a snapshot of both originals: the
+            // snapshot's size, not the 1-byte floor, decides.
+            let store = open();
+            let snapshot = store.snapshot_bytes();
+            assert_eq!(snapshot, snapshot_len(dir.path()));
+            stored(&briq, &store, 0, &edited[0], Budget::default());
+            assert!(
+                store.log_bytes() <= snapshot,
+                "one edit fits under the snapshot"
+            );
+            assert_eq!(
+                store.compactions(),
+                0,
+                "a log no larger than the snapshot must not compact"
+            );
+            stored(&briq, &store, 1, &edited[1], Budget::default());
+            assert_eq!(
+                store.compactions(),
+                1,
+                "the append that outgrows the snapshot compacts once"
+            );
+            assert_eq!(store.log_bytes(), HEADER_LEN, "log reset after compaction");
+            assert_eq!(store.snapshot_bytes(), snapshot_len(dir.path()));
+        }
+        let store = open();
+        assert_eq!(store.recovered_entries(), 2);
+        let warm = align_all(&briq, &store, &edited);
+        assert_eq!(store.hits(), 2, "both keys recover at their newest version");
+        assert_eq!(warm, storeless(&briq, &edited));
+    }
+
+    #[test]
+    fn oversized_record_is_refused_not_framed() {
+        // Zeroed pages are mapped lazily, and the cap is checked before
+        // the checksum reads a byte, so this costs no real memory.
+        let payload = vec![0u8; MAX_FRAME_BYTES as usize + 1];
+        let mut out = Vec::new();
+        assert!(write_frame(&mut out, &payload).is_err());
+        assert!(out.is_empty(), "a refused record writes nothing");
     }
 
     // -- proptest round-trip ------------------------------------------------
@@ -1556,7 +1675,7 @@ mod tests {
             }
             let payloads = store.encoded_entries();
             for p in &payloads {
-                stream.extend_from_slice(&frame(p));
+                write_frame(&mut stream, p).expect("frame into a Vec");
             }
             let cut = HEADER_LEN as usize
                 + ((stream.len() - HEADER_LEN as usize) as f64 * cut_frac) as usize;
@@ -1567,7 +1686,7 @@ mod tests {
             // The recovered prefix re-encodes to the stream prefix.
             let mut replay = Vec::new();
             for (k, e) in &entries {
-                replay.extend_from_slice(&frame(&encode_record(*k, e)));
+                write_frame(&mut replay, &encode_record(*k, e)).expect("frame into a Vec");
             }
             prop_assert_eq!(&stream[HEADER_LEN as usize..valid_len as usize], &replay[..]);
         }
