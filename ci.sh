@@ -24,7 +24,7 @@
 #                harness in tests/chaos.rs, the batch-engine unit tests,
 #                and the kernel-equivalence suites (CSR-vs-dense RWR
 #                proptests in crates/graph/tests/csr_equivalence.rs,
-#                lane-vs-block forest proptests in briq-ml, and the
+#                flat-vs-recursive forest proptests in briq-ml, and the
 #                arena steady-state allocation test); then builds and
 #                tests the briq-perf benchmark package (outside the
 #                workspace) with --locked, so a library change that
@@ -67,8 +67,13 @@
 #                no timings) are byte-for-byte identical across all four —
 #                worker count, tracing, AND the production path must be
 #                unobservable in the output. The traced run's trace file
-#                must also be non-empty valid-ish JSON. Per-kernel
-#                equivalence (CSR vs dense walk, lanes vs block forest)
+#                must also be non-empty valid-ish JSON. Then the same
+#                compare with a trained forest: a --train-demo model,
+#                run with --model at --jobs 1, at --jobs $(nproc or 8),
+#                and with --oracle, so the forest's bounded pruning and
+#                its exhaustive reference are byte-compared too (every
+#                other run uses the untrained heuristic prior). Per-kernel
+#                equivalence (CSR vs dense walk, flat vs recursive forest)
 #                is proven by the proptest suites the test stage runs.
 #   store        incremental-vs-oracle equivalence of the versioned
 #                alignment store (DESIGN.md §15). Two checks on a seeded
@@ -305,6 +310,20 @@ stage_determinism() {
         return 1
     }
     echo "determinism: --jobs 1, --jobs $jobs_hi, --trace/--metrics, and --oracle byte-identical ($(wc -c < "$dir/out_1.json") bytes of alignments)"
+
+    # The trained forest: phase-B pruning only runs with a model.
+    ./target/release/briq-align --train-demo "$dir/model.json" 2> "$dir/err_train.txt" || {
+        echo "determinism: --train-demo failed:" >&2
+        cat "$dir/err_train.txt" >&2
+        return 1
+    }
+    align_run "$dir" m1 --batch "$dir/corpus" --model "$dir/model.json" --jobs 1
+    align_run "$dir" mn --batch "$dir/corpus" --model "$dir/model.json" --jobs "$jobs_hi"
+    align_run "$dir" moracle --batch "$dir/corpus" --model "$dir/model.json" --jobs 1 --oracle
+    for run in mn moracle; do
+        same_run determinism "$dir" m1 "$run" || return 1
+    done
+    echo "determinism: trained model at --jobs 1, --jobs $jobs_hi, and --oracle byte-identical ($(wc -c < "$dir/out_m1.json") bytes of alignments)"
 }
 
 stage_store() {

@@ -3,7 +3,7 @@
 
 use briq_ml::{Dataset, FlatForest, RandomForest, RandomForestConfig};
 
-use crate::features::FeatureMask;
+use crate::features::{FeatureMask, FEATURE_COUNT};
 
 /// A trained mention-pair classifier.
 ///
@@ -68,8 +68,9 @@ impl PairClassifier {
 }
 
 // The serialized form stays `{forest, mask}` exactly as `json_struct!`
-// produced before the flat layout existed — the flat arrays are derived
-// state, rebuilt on deserialization.
+// produced before the flat layout existed — the flat layout is derived
+// state, rebuilt on deserialization once every split is known to read a
+// column of the 12-feature row.
 impl briq_json::ToJson for PairClassifier {
     fn to_json(&self) -> briq_json::Value {
         briq_json::Value::Object(vec![
@@ -85,6 +86,9 @@ impl briq_json::FromJson for PairClassifier {
             .as_object()
             .ok_or_else(|| briq_json::JsonError::new("expected PairClassifier object"))?;
         let forest: RandomForest = briq_json::field(obj, "forest")?;
+        forest
+            .check_width(FEATURE_COUNT)
+            .map_err(|e| briq_json::JsonError::new(format!("field \"forest\": {e}")))?;
         let mask: FeatureMask = briq_json::field(obj, "mask")?;
         Ok(Self::from_parts(forest, mask))
     }
@@ -93,7 +97,6 @@ impl briq_json::FromJson for PairClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::FEATURE_COUNT;
 
     /// Synthetic pair data: "related" iff value distance (f6 at index 5)
     /// is small and surface similarity (f1 at index 0) is high.

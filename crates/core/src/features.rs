@@ -167,12 +167,10 @@ struct MentionInvariants {
 }
 
 /// Per-target invariants, computed once per target instead of once per
-/// pair: the surface form and the row/column context unions dominate the
-/// naive per-pair cost.
+/// pair: the row/column context unions dominate the naive per-pair cost.
+/// The f1 surface is not here: [`PairFeaturizer`] builds it on first use.
 #[derive(Debug, Clone)]
 struct TargetInvariants {
-    /// Lowercased canonical surface as chars (f1 operand).
-    surface_chars: Vec<char>,
     /// Index of the owning table (selects the [`TableIndex`]).
     table: usize,
     /// Offset of this target's member-row/member-col bitmasks in the
@@ -376,17 +374,20 @@ struct MentionTableHits {
     phrases: Vec<u32>,
 }
 
-/// Allocation-free pair featurizer: precomputes every per-mention and
-/// per-target invariant once, then fills caller-provided rows.
+/// Allocation-free pair featurizer: precomputes the per-mention and
+/// per-target invariants once, then fills caller-provided rows.
 ///
 /// [`PairFeaturizer::fill`] is bit-identical to [`feature_vector`] — same
 /// expressions, same evaluation order — but performs no heap allocation
-/// per pair: strings are pre-lowercased into char buffers, the per-table
-/// global overlaps (f3/f5) are folded to constants, the Jaro-Winkler
-/// match buffers live in a reused [`JaroScratch`], and the per-target
-/// row/column unions of f2/f4 are replaced by interned-id bitmask
-/// intersections (the private `TableIndex`) — the unions are never
-/// materialized at all. The f2/f4 denominators only ever need a union
+/// per pair once every target it reads has been seen: strings are
+/// lowercased into char buffers once, a target's surface on the first
+/// row that reads it (retrieval hands only about half the targets to the
+/// featurizer, and a virtual cell's surface is a formatted float); the
+/// per-table global overlaps (f3/f5) are folded to constants, the
+/// Jaro-Winkler match buffers live in a reused [`JaroScratch`], and the
+/// per-target row/column unions of f2/f4 are replaced by interned-id
+/// bitmask intersections (the private `TableIndex`) — the unions are
+/// never materialized at all. The f2/f4 denominators only ever need a union
 /// size up to the largest mention-side mass, so union cardinalities are
 /// counted with a cap (the private `TargetInvariants::union_words`),
 /// which keeps per-target setup O(cap) instead of O(union).
@@ -394,6 +395,11 @@ pub struct PairFeaturizer<'c> {
     ctx: &'c DocContext,
     mentions: Vec<MentionInvariants>,
     targets: Vec<TargetInvariants>,
+    /// The targets themselves, for the f1 surfaces built on first use.
+    target_mentions: &'c [TableMention],
+    /// Per target: its lowercased canonical surface as chars (f1
+    /// operand), once a filled row has needed it.
+    surfaces: Vec<Option<Vec<char>>>,
     tables: Vec<TableIndex<'c>>,
     /// `mention_tables[mi * tables.len() + table]`.
     mention_tables: Vec<MentionTableHits>,
@@ -404,10 +410,11 @@ pub struct PairFeaturizer<'c> {
 }
 
 impl<'c> PairFeaturizer<'c> {
-    /// Precompute invariants for every mention and target of a document.
+    /// Precompute invariants for every mention and target of a document;
+    /// target surfaces wait for the first row that reads them.
     pub fn new(
         mentions: &[TextMention],
-        targets: &[TableMention],
+        targets: &'c [TableMention],
         ctx: &'c DocContext,
     ) -> PairFeaturizer<'c> {
         let mention_inv: Vec<MentionInvariants> = mentions
@@ -518,7 +525,6 @@ impl<'c> PairFeaturizer<'c> {
                     cap_phrases,
                 );
                 TargetInvariants {
-                    surface_chars: table_surface(t).to_lowercase().chars().collect(),
                     table: t.table,
                     bits_off,
                     union_words: union_words as f64,
@@ -539,6 +545,8 @@ impl<'c> PairFeaturizer<'c> {
             ctx,
             mentions: mention_inv,
             targets: target_inv,
+            target_mentions: targets,
+            surfaces: vec![None; targets.len()],
             tables,
             mention_tables,
             member_bits,
@@ -598,7 +606,13 @@ impl<'c> PairFeaturizer<'c> {
         let member = &self.member_bits[t.bits_off..t.bits_off + idx.row_blocks + idx.col_blocks];
         let (mrows, mcols) = member.split_at(idx.row_blocks);
 
-        out[0] = self.jaro.jaro_winkler_chars(&m.raw_chars, &t.surface_chars);
+        let surface = self.surfaces[ti].get_or_insert_with(|| {
+            table_surface(&self.target_mentions[ti])
+                .to_lowercase()
+                .chars()
+                .collect()
+        });
+        out[0] = self.jaro.jaro_winkler_chars(&m.raw_chars, surface);
         out[1] = {
             // `weighted_overlap` against the (never materialized) member
             // union: the intersection sum visits the same weights in the

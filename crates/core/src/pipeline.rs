@@ -54,8 +54,8 @@ pub struct BriqConfig {
     /// Classify through the production path: retrieve each mention's
     /// viable candidates from the per-document
     /// [`crate::retrieval::CandidateIndex`] (DESIGN.md §13) and score
-    /// them in the batched [`crate::scoring::ScoringEngine`] (dedup, lane
-    /// kernel, exact bound pruning, §10). `false` selects the classify
+    /// them in the batched [`crate::scoring::ScoringEngine`] (dedup, block
+    /// scoring, exact bound pruning, §10). `false` selects the classify
     /// reference path: every mention/target pair is scored with
     /// [`briq_ml::FlatForest::score_block`] (or the heuristic prior),
     /// exactly as [`Briq::score_document`] does, then filtered with
@@ -899,7 +899,7 @@ struct ClassifyPass<'a> {
 #[allow(clippy::large_enum_variant)]
 enum Scorer {
     /// Production: retrieve the viable candidates, then score them in the
-    /// pooled batched engine (dedup, lane kernel, exact bound pruning).
+    /// pooled batched engine (dedup, block scoring, exact bound pruning).
     Indexed {
         index: CandidateIndex,
         engine: ScoringEngine,

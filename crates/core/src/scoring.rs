@@ -6,8 +6,8 @@
 //! keyed on the raw f64 bits of each 12-feature row (scores are pure
 //! functions of the row, so a cache hit is bit-identical by construction)
 //! and scores the remaining distinct rows through
-//! [`briq_ml::FlatForest::score_lanes`] / [`briq_ml::FlatForest::score_block_bounded`] —
-//! trees in the outer loop, rows in the inner loop.
+//! [`briq_ml::FlatForest::score_block`] (trees in the outer loop, rows in
+//! the inner loop) and [`briq_ml::FlatForest::score_block_bounded`].
 //!
 //! Pruning is *exact*, never approximate: a row's scoring is abandoned
 //! only when the forest's remaining-vote upper bound proves its score is
@@ -283,14 +283,13 @@ impl ScoringEngine {
         self.computed.reserve(32);
     }
 
-    /// Phase A: exact lockstep-lane scoring of the gathered block
-    /// ([`briq_ml::FlatForest::score_lanes`], bit-identical to
-    /// `score_block` by the flat-forest equivalence suite).
+    /// Phase A: exact scoring of the gathered block
+    /// ([`briq_ml::FlatForest::score_block`]).
     fn score_block_phase_a(&mut self, flat: &briq_ml::FlatForest) {
         let n = self.block_tis.len();
         self.out.clear();
         self.out.resize(n, 0.0);
-        flat.score_lanes(&self.block, FEATURE_COUNT, &mut self.out);
+        flat.score_block(&self.block, FEATURE_COUNT, &mut self.out);
         self.rows_scored_exhaustive += n as u64;
     }
 
@@ -379,7 +378,7 @@ impl ScoringEngine {
     ///
     /// Phase A scores the near rows — whose keep cut is at or below the
     /// score floor, so they must be computed — exactly, through the dedup
-    /// cache and [`briq_ml::FlatForest::score_lanes`]. Every retrieved row is viable
+    /// cache and [`briq_ml::FlatForest::score_block`]. Every retrieved row is viable
     /// by the retrieval recall contract (unit-compatible single cells and
     /// tagged, unit-compatible aggregates — exactly the pairs the
     /// mention-type vote polls), so the fifth-highest phase-A score bounds

@@ -206,7 +206,8 @@ impl MentionTagger {
 
 // The serialized form stays `{forests, threshold}` exactly as
 // `json_struct!` produced before the flat layout existed — the flat
-// arrays are derived state, rebuilt on deserialization.
+// layouts are derived state, rebuilt on deserialization once every split
+// is known to read a column of the tagger row.
 impl briq_json::ToJson for MentionTagger {
     fn to_json(&self) -> briq_json::Value {
         briq_json::Value::Object(vec![
@@ -222,6 +223,11 @@ impl briq_json::FromJson for MentionTagger {
             .as_object()
             .ok_or_else(|| briq_json::JsonError::new("expected MentionTagger object"))?;
         let forests: Vec<RandomForest> = briq_json::field(obj, "forests")?;
+        for (k, forest) in forests.iter().enumerate() {
+            forest.check_width(TAGGER_FEATURE_COUNT).map_err(|e| {
+                briq_json::JsonError::new(format!("field \"forests\": forest {k}: {e}"))
+            })?;
+        }
         let threshold: f64 = briq_json::field(obj, "threshold")?;
         Ok(Self::from_parts(forests, threshold))
     }

@@ -1,13 +1,18 @@
-//! Flattened structure-of-arrays forest layout for allocation-free scoring.
+//! Flattened preorder forest layout for allocation-free scoring.
 //!
 //! [`crate::tree::DecisionTree`] stores an enum-per-node `Vec`, which is
 //! the right shape for growing but costs a discriminant branch and a
 //! scattered load per hop when scoring. [`FlatForest`] re-lays every tree
-//! of a [`RandomForest`] into four parallel arrays — feature index
-//! (`u16`, with [`LEAF`] as the sentinel), threshold (doubling as the
-//! leaf probability on leaf nodes), and left/right child offsets
-//! (`u32`) — so a traversal is a tight loop over index arithmetic with
-//! no enum matching and no per-call allocation.
+//! of a [`RandomForest`] into one array of 16-byte nodes (threshold,
+//! right-child offset, feature index, kind) in preorder: a split's left
+//! child is the next node, so a traversal is a tight loop over one array
+//! with no enum matching on the source tree and no per-call allocation.
+//!
+//! A forest only ever asks a tree for its vote (leaf probability
+//! `>= 0.5`), so leaves keep the vote, not the probability, and any
+//! subtree whose reachable leaves all vote the same way is emitted as a
+//! single leaf. A walk therefore stops at the first node whose vote is
+//! decided, and a tree that can never vote "related" is one no-leaf.
 //!
 //! The flattening can also *bake in* a feature mask: a split on a dropped
 //! feature is resolved at build time by splicing in whichever child the
@@ -21,15 +26,15 @@
 //! * [`FlatForest::predict_proba_slice`] — one row, trees in index
 //!   order;
 //! * [`FlatForest::score_block`] — a whole row block with the **tree
-//!   loop outermost**, so each tree's arrays stay hot across the block;
+//!   loop outermost**, so each tree's nodes stay hot across the block;
 //!   summation order per row matches `predict_proba_slice` exactly, so
 //!   block scores are bit-identical to row-at-a-time scores;
-//! * [`FlatForest::score_block_bounded`] — `score_block` plus exact
-//!   early abandonment: per-subtree `max_leaf` bounds and per-tree
-//!   `suffix_possible` vote bounds let a row stop as soon as its final
-//!   score *provably* falls below a caller-supplied cut. Rows at or
-//!   above the cut come out bit-identical; rows below it are reported
-//!   as pruned, never mis-scored.
+//! * [`FlatForest::score_block_bounded`] — rows outermost, plus exact
+//!   early abandonment: per-tree `suffix_possible` vote bounds let a row
+//!   stop as soon as its final score *provably* falls below a
+//!   caller-supplied cut. Rows at or above the cut come out
+//!   bit-identical; rows below it are reported as pruned, never
+//!   mis-scored.
 //!
 //! `briq_core`'s scoring engine drives the block kernels on the
 //! alignment hot path and reports their effect through the
@@ -39,29 +44,51 @@
 use crate::forest::RandomForest;
 use crate::tree::{DecisionTree, Node};
 
-/// Sentinel feature index marking a leaf node.
-pub const LEAF: u16 = u16::MAX;
+/// What a flat node is: a split, or a leaf voting "related" or not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Split,
+    Yes,
+    No,
+}
 
-/// A [`RandomForest`] flattened into parallel arrays for scoring.
+/// One node of the preorder layout. A split's left child is the next
+/// node; leaves ignore every field but `kind`.
+#[derive(Debug, Clone, Copy)]
+struct FlatNode {
+    /// `x[feature] <= threshold` goes left (so a NaN feature goes right).
+    threshold: f64,
+    /// Offset of the right child.
+    right: u32,
+    feature: u16,
+    kind: Kind,
+}
+
+const _: () = assert!(std::mem::size_of::<FlatNode>() == 16);
+
+impl FlatNode {
+    fn leaf(vote: bool) -> FlatNode {
+        FlatNode {
+            threshold: 0.0,
+            right: 0,
+            feature: 0,
+            kind: if vote { Kind::Yes } else { Kind::No },
+        }
+    }
+}
+
+/// A [`RandomForest`] flattened into one preorder node array for scoring.
 ///
-/// Invariants: `feature`, `threshold`, `left`, and `right` all have the
-/// same length; every entry of `roots` and every child offset of a
-/// non-leaf node is a valid index into them; leaf nodes carry their
-/// probability in `threshold`.
+/// Invariants: every entry of `roots` and every `right` offset of a split
+/// is a valid index into `nodes`, and a split is never the last node.
 #[derive(Debug, Clone, Default)]
 pub struct FlatForest {
-    feature: Vec<u16>,
-    threshold: Vec<f64>,
-    left: Vec<u32>,
-    right: Vec<u32>,
+    nodes: Vec<FlatNode>,
     roots: Vec<u32>,
-    /// Per node: the maximum leaf probability reachable in its subtree,
-    /// computed at flatten time. A subtree with `max_leaf < 0.5` can never
-    /// produce a "related" vote, so traversal may stop at its root.
-    max_leaf: Vec<f64>,
-    /// `suffix_possible[t]` = number of trees in `t..n_trees` whose root
-    /// `max_leaf >= 0.5`, i.e. an upper bound on the votes the remaining
-    /// trees can still contribute. Length `n_trees + 1` (last entry 0).
+    /// `suffix_possible[t]` = number of trees in `t..n_trees` that can
+    /// vote "related" at all (their root is not a no-leaf), i.e. an upper
+    /// bound on the votes the remaining trees can still contribute.
+    /// Length `n_trees + 1` (last entry 0).
     suffix_possible: Vec<u32>,
 }
 
@@ -75,104 +102,103 @@ impl FlatForest {
     /// splits on features with `keep(feature) == false` are replaced by
     /// the subtree a zeroed feature value would reach.
     pub fn from_forest_masked(forest: &RandomForest, keep: impl Fn(usize) -> bool) -> FlatForest {
-        let mut flat = FlatForest::default();
-        for tree in forest.trees() {
-            flat.push_tree(tree, &keep);
-        }
-        flat
+        Self::from_trees(forest.trees(), &keep)
     }
 
     /// Flatten a single tree (one root), keeping every feature.
     pub fn from_tree(tree: &DecisionTree) -> FlatForest {
+        Self::from_trees(std::slice::from_ref(tree), &|_| true)
+    }
+
+    fn from_trees(trees: &[DecisionTree], keep: &impl Fn(usize) -> bool) -> FlatForest {
         let mut flat = FlatForest::default();
-        flat.push_tree(tree, &|_| true);
+        for tree in trees {
+            flat.push_tree(tree.nodes(), keep);
+        }
+        flat.suffix_possible = vec![0; flat.roots.len() + 1];
+        for t in (0..flat.roots.len()).rev() {
+            let possible = (flat.nodes[flat.roots[t] as usize].kind != Kind::No) as u32;
+            flat.suffix_possible[t] = flat.suffix_possible[t + 1] + possible;
+        }
         flat
     }
 
-    fn push_tree(&mut self, tree: &DecisionTree, keep: &impl Fn(usize) -> bool) {
-        let nodes = tree.nodes();
-        debug_assert!(!nodes.is_empty(), "a grown tree always has a root");
-        let root = self.emit(nodes, 0, keep);
-        self.roots.push(root);
-        self.rebuild_suffix_bounds();
-    }
-
-    /// Recompute `suffix_possible` from the per-root `max_leaf` bounds.
-    fn rebuild_suffix_bounds(&mut self) {
-        self.suffix_possible.clear();
-        self.suffix_possible.resize(self.roots.len() + 1, 0);
-        for t in (0..self.roots.len()).rev() {
-            let possible = (self.max_leaf[self.roots[t] as usize] >= 0.5) as u32;
-            self.suffix_possible[t] = self.suffix_possible[t + 1] + possible;
-        }
-    }
-
-    /// Emit the subtree rooted at `id` into the flat arrays; returns its
-    /// flat offset. Recursion depth is bounded by the tree-growing
-    /// `max_depth`, which is small by construction.
-    fn emit(&mut self, nodes: &[Node], id: usize, keep: &impl Fn(usize) -> bool) -> u32 {
-        match &nodes[id] {
-            Node::Leaf { prob } => {
-                let at = self.push_node(LEAF, *prob);
-                self.left[at as usize] = at;
-                self.right[at as usize] = at;
-                at
-            }
+    /// Emit one tree in preorder. Relies on the shape every
+    /// [`DecisionTree`] has (grown in preorder, or checked when read from
+    /// JSON): a root at 0 and each child after its parent. The walk uses
+    /// an explicit stack, so tree depth never becomes recursion depth.
+    fn push_tree(&mut self, nodes: &[Node], keep: &impl Fn(usize) -> bool) {
+        // A masked feature reads as 0.0, so its split always takes the
+        // same branch.
+        let masked_branch = |node: &Node| match node {
             Node::Split {
                 feature,
                 threshold,
                 left,
                 right,
-            } => {
-                if !keep(*feature) {
-                    // A masked feature reads as 0.0; resolve the branch now.
-                    let next = if 0.0 <= *threshold { *left } else { *right };
-                    return self.emit(nodes, next, keep);
+            } if !keep(*feature) => Some(if 0.0 <= *threshold { *left } else { *right }),
+            _ => None,
+        };
+        // `uniform[id]`: the vote every leaf reachable from `id` casts, or
+        // `None` when they disagree. Children come after their parent, so
+        // one reverse pass sees each child before its parent.
+        let mut uniform: Vec<Option<bool>> = vec![None; nodes.len()];
+        for id in (0..nodes.len()).rev() {
+            uniform[id] = match (&nodes[id], masked_branch(&nodes[id])) {
+                (_, Some(next)) => uniform[next],
+                (Node::Leaf { prob }, None) => Some(*prob >= 0.5),
+                (Node::Split { left, right, .. }, None) if uniform[*left] == uniform[*right] => {
+                    uniform[*left]
                 }
-                assert!(
-                    *feature < LEAF as usize,
-                    "feature index {feature} exceeds the u16 layout"
-                );
-                let at = self.push_node(*feature as u16, *threshold);
-                let l = self.emit(nodes, *left, keep);
-                let r = self.emit(nodes, *right, keep);
-                self.left[at as usize] = l;
-                self.right[at as usize] = r;
-                self.max_leaf[at as usize] =
-                    self.max_leaf[l as usize].max(self.max_leaf[r as usize]);
-                at
+                (Node::Split { .. }, None) => None,
+            };
+        }
+
+        self.roots.push(self.next_offset());
+        // (source node, flat split whose right child it becomes)
+        let mut stack: Vec<(usize, Option<usize>)> = vec![(0, None)];
+        while let Some((mut id, parent)) = stack.pop() {
+            while let Some(next) = masked_branch(&nodes[id]) {
+                id = next;
             }
+            let at = self.next_offset();
+            if let Some(p) = parent {
+                self.nodes[p].right = at;
+            }
+            if let Some(vote) = uniform[id] {
+                self.nodes.push(FlatNode::leaf(vote));
+                continue;
+            }
+            let Node::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            } = &nodes[id]
+            else {
+                unreachable!("a leaf always votes one way");
+            };
+            self.nodes.push(FlatNode {
+                threshold: *threshold,
+                right: 0,
+                feature: u16::try_from(*feature).expect("feature index exceeds the u16 layout"),
+                kind: Kind::Split,
+            });
+            stack.push((*right, Some(at as usize)));
+            stack.push((*left, None));
         }
     }
 
-    fn push_node(&mut self, feature: u16, threshold: f64) -> u32 {
-        let at = self.feature.len();
+    fn next_offset(&self) -> u32 {
+        let at = self.nodes.len();
         assert!(at < u32::MAX as usize, "forest exceeds the u32 layout");
-        self.feature.push(feature);
-        self.threshold.push(threshold);
-        self.left.push(0);
-        self.right.push(0);
-        // Leaves carry their probability; splits are patched after both
-        // children have been emitted.
-        self.max_leaf
-            .push(if feature == LEAF { threshold } else { 0.0 });
         at as u32
     }
 
-    /// Leaf probability tree `tree` assigns to `x`. No allocation.
-    pub fn tree_leaf(&self, tree: usize, x: &[f64]) -> f64 {
-        let mut at = self.roots[tree] as usize;
-        loop {
-            let f = self.feature[at];
-            if f == LEAF {
-                return self.threshold[at];
-            }
-            at = if x[f as usize] <= self.threshold[at] {
-                self.left[at] as usize
-            } else {
-                self.right[at] as usize
-            };
-        }
+    /// Whether tree `tree` votes "related" for `x`, i.e. whether its leaf
+    /// probability is `>= 0.5`. No allocation.
+    pub fn tree_vote(&self, tree: usize, x: &[f64]) -> bool {
+        self.vote_from(self.roots[tree], x)
     }
 
     /// Fraction of trees voting "related" — identical arithmetic to
@@ -182,12 +208,11 @@ impl FlatForest {
         if self.roots.is_empty() {
             return 0.5;
         }
-        let mut votes = 0usize;
-        for t in 0..self.roots.len() {
-            if self.tree_leaf(t, x) >= 0.5 {
-                votes += 1;
-            }
-        }
+        let votes = self
+            .roots
+            .iter()
+            .filter(|&&root| self.vote_from(root, x))
+            .count();
         votes as f64 / self.roots.len() as f64
     }
 
@@ -196,24 +221,23 @@ impl FlatForest {
         self.predict_proba_slice(x) >= 0.5
     }
 
-    /// Whether `tree` (rooted at flat offset `at`) votes "related" for
-    /// `x`. Equivalent to `tree_leaf(..) >= 0.5`, but abandons any
-    /// subtree whose `max_leaf` bound already rules the vote out.
+    /// Walk from flat offset `root` to the first leaf: its vote.
     #[inline]
-    fn vote_from(&self, mut at: usize, x: &[f64]) -> bool {
+    fn vote_from(&self, root: u32, x: &[f64]) -> bool {
+        let mut at = root as usize;
         loop {
-            if self.max_leaf[at] < 0.5 {
-                return false;
+            let node = &self.nodes[at];
+            match node.kind {
+                Kind::Split => {
+                    at = if x[node.feature as usize] <= node.threshold {
+                        at + 1
+                    } else {
+                        node.right as usize
+                    };
+                }
+                Kind::Yes => return true,
+                Kind::No => return false,
             }
-            let f = self.feature[at];
-            if f == LEAF {
-                return self.threshold[at] >= 0.5;
-            }
-            at = if x[f as usize] <= self.threshold[at] {
-                self.left[at] as usize
-            } else {
-                self.right[at] as usize
-            };
         }
     }
 
@@ -233,7 +257,7 @@ impl FlatForest {
         out.fill(0.0);
         for &root in &self.roots {
             for (o, row) in out.iter_mut().zip(rows.chunks_exact(stride)) {
-                if self.vote_from(root as usize, row) {
+                if self.vote_from(root, row) {
                     *o += 1.0;
                 }
             }
@@ -282,7 +306,7 @@ impl FlatForest {
                     cut_hit = true;
                     break;
                 }
-                if self.vote_from(root as usize, row) {
+                if self.vote_from(root, row) {
                     votes += 1;
                 }
             }
@@ -296,75 +320,6 @@ impl FlatForest {
         n_pruned
     }
 
-    /// Score a block of rows with [`LANE_WIDTH`] rows per tree traversed
-    /// in lockstep: a small SoA frontier of node indices steps every
-    /// live lane once per round, with a branchless array select for the
-    /// child hop, so the per-hop branch misprediction of one row's
-    /// traversal overlaps the loads of its lane mates.
-    ///
-    /// **Bit-identical** to [`FlatForest::score_block`] on any forest and
-    /// block: per (tree, row) the vote is the same exact boolean
-    /// (the per-tree `max_leaf` early abandon of the row-at-a-time walk
-    /// included — a lane parks as soon as its subtree bound rules the
-    /// vote out), and per row the votes accumulate as the same exact
-    /// `+1.0` sequence in tree order, divided once at the end.
-    /// `crates/ml/tests/flat_equivalence.rs` proves it by proptest.
-    pub fn score_lanes(&self, rows: &[f64], stride: usize, out: &mut [f64]) {
-        assert!(stride > 0, "stride must be positive");
-        assert_eq!(rows.len(), out.len() * stride, "rows/out shape mismatch");
-        if self.roots.is_empty() {
-            out.fill(0.5);
-            return;
-        }
-        out.fill(0.0);
-        for &root in &self.roots {
-            let root = root as usize;
-            let lanes_rows = rows.chunks(stride * LANE_WIDTH);
-            for (outs, lane_rows) in out.chunks_mut(LANE_WIDTH).zip(lanes_rows) {
-                let k = outs.len();
-                let mut at = [root; LANE_WIDTH];
-                let mut dead = [false; LANE_WIDTH];
-                loop {
-                    let mut moved = false;
-                    for l in 0..k {
-                        if dead[l] {
-                            continue;
-                        }
-                        let a = at[l];
-                        // Same early abandon as `vote_from`: a subtree
-                        // that can never reach a >= 0.5 leaf votes false.
-                        if self.max_leaf[a] < 0.5 {
-                            dead[l] = true;
-                            continue;
-                        }
-                        let f = self.feature[a];
-                        if f == LEAF {
-                            continue;
-                        }
-                        moved = true;
-                        let row = &lane_rows[l * stride..(l + 1) * stride];
-                        // Branchless child select; `<=` goes left, so a
-                        // NaN feature goes right — exactly `vote_from`.
-                        let go_left = (row[f as usize] <= self.threshold[a]) as usize;
-                        at[l] = [self.right[a], self.left[a]][go_left] as usize;
-                    }
-                    if !moved {
-                        break;
-                    }
-                }
-                for l in 0..k {
-                    if !dead[l] && self.threshold[at[l]] >= 0.5 {
-                        outs[l] += 1.0;
-                    }
-                }
-            }
-        }
-        let n_trees = self.roots.len() as f64;
-        for o in out.iter_mut() {
-            *o /= n_trees;
-        }
-    }
-
     /// Number of flattened trees.
     pub fn n_trees(&self) -> usize {
         self.roots.len()
@@ -372,13 +327,9 @@ impl FlatForest {
 
     /// Total node count across all trees (diagnostics).
     pub fn n_nodes(&self) -> usize {
-        self.feature.len()
+        self.nodes.len()
     }
 }
-
-/// Rows traversed in lockstep per lane group by
-/// [`FlatForest::score_lanes`].
-pub const LANE_WIDTH: usize = 8;
 
 #[cfg(test)]
 mod tests {
@@ -451,7 +402,7 @@ mod tests {
     }
 
     #[test]
-    fn single_tree_leaf_matches_recursive() {
+    fn single_tree_vote_matches_recursive() {
         let data = noisy(200, 15);
         let mut rng = StdRng::seed_from_u64(16);
         let tree = DecisionTree::fit(&data, TreeConfig::default(), &mut rng);
@@ -462,7 +413,36 @@ mod tests {
                 rng.random_range(-0.2..1.2),
                 rng.random_range(-0.2..1.2),
             ];
-            assert_eq!(flat.tree_leaf(0, &x), tree.predict_proba(&x));
+            assert_eq!(flat.tree_vote(0, &x), tree.predict(&x));
+        }
+    }
+
+    #[test]
+    fn same_vote_subtrees_collapse_to_one_leaf() {
+        let data = noisy(300, 17);
+        let rf = RandomForest::fit(
+            &data,
+            RandomForestConfig {
+                n_trees: 24,
+                ..Default::default()
+            },
+        );
+        let source: usize = rf.trees().iter().map(DecisionTree::n_nodes).sum();
+        let flat = FlatForest::from_forest(&rf);
+        assert!(
+            flat.n_nodes() < source,
+            "{} flat nodes from {source}",
+            flat.n_nodes()
+        );
+        // No split is left with two leaves that vote the same way.
+        for (at, node) in flat.nodes.iter().enumerate() {
+            if node.kind == Kind::Split {
+                let (left, right) = (
+                    flat.nodes[at + 1].kind,
+                    flat.nodes[node.right as usize].kind,
+                );
+                assert!(left == Kind::Split || left != right, "split {at}");
+            }
         }
     }
 
@@ -545,57 +525,6 @@ mod tests {
             }
         }
         assert!(saw_survivor_above_cut);
-    }
-
-    #[test]
-    fn score_lanes_bit_equals_score_block() {
-        let data = noisy(300, 31);
-        let rf = RandomForest::fit(
-            &data,
-            RandomForestConfig {
-                n_trees: 24,
-                ..Default::default()
-            },
-        );
-        let flat = FlatForest::from_forest(&rf);
-        // Row counts around the lane width: empty, partial lane, exact
-        // multiples, and a ragged tail.
-        for n_rows in [0usize, 1, 5, 8, 9, 16, 63, 200] {
-            let rows = random_block(n_rows, 3, 32 + n_rows as u64);
-            let mut block = vec![f64::NAN; n_rows];
-            let mut lanes = vec![f64::NAN; n_rows];
-            flat.score_block(&rows, 3, &mut block);
-            flat.score_lanes(&rows, 3, &mut lanes);
-            for i in 0..n_rows {
-                assert_eq!(block[i].to_bits(), lanes[i].to_bits(), "row {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn score_lanes_handles_nan_features_like_block() {
-        let data = noisy(200, 33);
-        let rf = RandomForest::fit(&data, RandomForestConfig::default());
-        let flat = FlatForest::from_forest(&rf);
-        let mut rows = random_block(20, 3, 34);
-        for i in (0..rows.len()).step_by(7) {
-            rows[i] = f64::NAN;
-        }
-        let mut block = vec![0.0; 20];
-        let mut lanes = vec![0.0; 20];
-        flat.score_block(&rows, 3, &mut block);
-        flat.score_lanes(&rows, 3, &mut lanes);
-        for i in 0..20 {
-            assert_eq!(block[i].to_bits(), lanes[i].to_bits(), "row {i}");
-        }
-    }
-
-    #[test]
-    fn empty_forest_lanes_predicts_half() {
-        let flat = FlatForest::default();
-        let mut out = [f64::NAN; 3];
-        flat.score_lanes(&[0.0, 1.0, 2.0], 1, &mut out);
-        assert_eq!(out, [0.5, 0.5, 0.5]);
     }
 
     #[test]

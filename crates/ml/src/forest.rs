@@ -9,7 +9,7 @@
 //! on when mixing priors into the random walk.
 
 use crate::dataset::Dataset;
-use crate::tree::{DecisionTree, TreeConfig};
+use crate::tree::{DecisionTree, Node, TreeConfig};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -100,6 +100,25 @@ impl RandomForest {
     /// The grown trees, for the flattened layout in [`crate::flat`].
     pub(crate) fn trees(&self) -> &[DecisionTree] {
         &self.trees
+    }
+
+    /// Check that every split reads a column of a `width`-feature row,
+    /// naming the first tree and node that does not. Model loading runs
+    /// this, so a bad feature index fails the load instead of every
+    /// later prediction.
+    pub fn check_width(&self, width: usize) -> Result<(), String> {
+        for (t, tree) in self.trees.iter().enumerate() {
+            for (id, node) in tree.nodes().iter().enumerate() {
+                if let Node::Split { feature, .. } = node {
+                    if *feature >= width {
+                        return Err(format!(
+                            "tree {t}: node {id}: split feature {feature} is out of range for {width}-feature rows"
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -259,4 +278,28 @@ briq_json::json_struct!(RandomForestConfig {
     tree,
     seed
 });
-briq_json::json_struct!(RandomForest { trees });
+
+impl briq_json::ToJson for RandomForest {
+    fn to_json(&self) -> briq_json::Value {
+        briq_json::Value::Object(vec![("trees".to_string(), self.trees.to_json())])
+    }
+}
+
+// Hand-written so that a malformed tree's error names its index.
+impl briq_json::FromJson for RandomForest {
+    fn from_json(v: &briq_json::Value) -> briq_json::Result<Self> {
+        let trees = v
+            .get("trees")
+            .and_then(briq_json::Value::as_array)
+            .ok_or_else(|| briq_json::JsonError::new("expected RandomForest object with trees"))?;
+        let trees = trees
+            .iter()
+            .enumerate()
+            .map(|(t, tree)| {
+                DecisionTree::from_json(tree)
+                    .map_err(|e| briq_json::JsonError::new(format!("tree {t}: {e}")))
+            })
+            .collect::<briq_json::Result<_>>()?;
+        Ok(RandomForest { trees })
+    }
+}

@@ -5,8 +5,8 @@
 //! * [`tree`] / [`forest`] — CART decision trees and a class-weighted
 //!   Random Forest with calibrated vote-fraction probabilities (§IV-A; the
 //!   original system used R `caret` via rpy2),
-//! * [`flat`] — flattened structure-of-arrays forest layout for
-//!   allocation-free scoring on the classify hot path,
+//! * [`flat`] — flattened preorder forest layout for allocation-free
+//!   scoring on the classify hot path,
 //! * [`dataset`] — feature-matrix container with instance weights and the
 //!   class-imbalance weighting of §VII-B,
 //! * [`metrics`] — precision/recall/F1 and ROC-AUC (the paper optimizes
@@ -33,7 +33,7 @@ pub mod tree;
 pub use analysis::{calibration_curve, expected_calibration_error, permutation_importance};
 pub use dataset::Dataset;
 pub use entropy::shannon_entropy;
-pub use flat::{FlatForest, LANE_WIDTH};
+pub use flat::FlatForest;
 pub use forest::{RandomForest, RandomForestConfig};
 pub use kappa::fleiss_kappa;
 pub use metrics::{f1_score, precision_recall_f1, roc_auc, Prf};

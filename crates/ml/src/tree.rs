@@ -138,6 +138,41 @@ impl DecisionTree {
     pub(crate) fn nodes(&self) -> &[Node] {
         &self.nodes
     }
+
+    /// Check the shape every traversal relies on: a root, and each
+    /// split's children in range, after it, and claimed by no other
+    /// split. Trees are grown in preorder, so a grown tree always passes,
+    /// and "after its parent" rules out cycles.
+    fn check_shape(&self) -> Result<(), String> {
+        let n = self.nodes.len();
+        if n == 0 {
+            return Err("has no nodes".to_string());
+        }
+        let mut claimed = vec![false; n];
+        for (id, node) in self.nodes.iter().enumerate() {
+            let Node::Split { left, right, .. } = node else {
+                continue;
+            };
+            for child in [*left, *right] {
+                if child >= n {
+                    return Err(format!(
+                        "node {id}: child index {child} is out of range ({n} nodes)"
+                    ));
+                }
+                if child <= id {
+                    return Err(format!(
+                        "node {id}: child index {child} is not greater than its parent's"
+                    ));
+                }
+                if std::mem::replace(&mut claimed[child], true) {
+                    return Err(format!(
+                        "node {id}: child index {child} already has a parent"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 impl<'d> Builder<'d> {
@@ -397,7 +432,27 @@ briq_json::json_struct!(TreeConfig {
     mtry,
     min_gain
 });
-briq_json::json_struct!(DecisionTree { nodes });
+
+impl briq_json::ToJson for DecisionTree {
+    fn to_json(&self) -> briq_json::Value {
+        briq_json::Value::Object(vec![("nodes".to_string(), self.nodes.to_json())])
+    }
+}
+
+// Hand-written so that a tree read from a model file is checked before
+// anything walks it (see `DecisionTree::check_shape`).
+impl briq_json::FromJson for DecisionTree {
+    fn from_json(v: &briq_json::Value) -> briq_json::Result<Self> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| briq_json::JsonError::new("expected DecisionTree object"))?;
+        let tree = DecisionTree {
+            nodes: briq_json::field(obj, "nodes")?,
+        };
+        tree.check_shape().map_err(briq_json::JsonError::new)?;
+        Ok(tree)
+    }
+}
 
 // `Node` has struct variants, which the derive-style macros don't cover;
 // the encoding mirrors json_enum!'s externally-tagged form.

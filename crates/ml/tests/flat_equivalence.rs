@@ -1,7 +1,9 @@
-//! Property tests: the flattened SoA forest layout ([`FlatForest`]) is
-//! observationally identical to the recursive tree representation — for
-//! arbitrary fitted forests, arbitrary probes, and arbitrary feature
-//! masks baked at flatten time.
+//! Property tests: the flattened preorder forest layout ([`FlatForest`])
+//! is observationally identical to the recursive tree representation —
+//! for arbitrary fitted forests, arbitrary probes, and arbitrary feature
+//! masks baked at flatten time — and so is every scoring entry point on
+//! hand-built forests whose subtrees vote as a whole, on probes that are
+//! NaN or sit exactly on a threshold.
 
 use briq_ml::flat::FlatForest;
 use briq_ml::tree::{DecisionTree, TreeConfig};
@@ -53,8 +55,8 @@ proptest! {
         }
     }
 
-    /// A single fitted tree flattens to the same leaf probability as its
-    /// recursive traversal.
+    /// A single fitted tree flattens to the same vote as its recursive
+    /// traversal.
     #[test]
     fn flat_tree_equals_recursive(
         seed in 0u64..500,
@@ -67,10 +69,7 @@ proptest! {
         let flat = FlatForest::from_tree(&tree);
         for _ in 0..25 {
             let x: Vec<f64> = (0..nf).map(|_| rng.random_range(-2.0..2.0)).collect();
-            prop_assert_eq!(
-                flat.tree_leaf(0, &x).to_bits(),
-                tree.predict_proba(&x).to_bits()
-            );
+            prop_assert_eq!(flat.tree_vote(0, &x), tree.predict(&x));
         }
     }
 
@@ -171,34 +170,173 @@ proptest! {
     }
 }
 
-proptest! {
-    /// The lockstep lane kernel is bit-identical to `score_block` (and
-    /// therefore to per-row recursive traversal) for arbitrary fitted
-    /// forests, block shapes, and probes — including ragged tails
-    /// shorter than the lane width.
-    #[test]
-    fn score_lanes_bit_equals_score_block(
-        seed in 0u64..400,
-        n in 12usize..80,
-        nf in 1usize..6,
-        n_trees in 1usize..12,
-        n_rows in 0usize..40,
-        probe_seed in 0u64..100,
-    ) {
-        let data = random_dataset(n, nf, seed);
-        let rf = RandomForest::fit(
-            &data,
-            RandomForestConfig { n_trees, seed, ..Default::default() },
-        );
-        let flat = FlatForest::from_forest(&rf);
-        let mut rng = StdRng::seed_from_u64(probe_seed);
-        let rows: Vec<f64> = (0..n_rows * nf).map(|_| rng.random_range(-2.0..2.0)).collect();
-        let mut block = vec![f64::NAN; n_rows];
-        let mut lanes = vec![f64::NAN; n_rows];
-        flat.score_block(&rows, nf, &mut block);
-        flat.score_lanes(&rows, nf, &mut lanes);
-        for i in 0..n_rows {
-            prop_assert_eq!(block[i].to_bits(), lanes[i].to_bits(), "row {}", i);
+/// A forest loaded through its JSON form from per-tree node lists in
+/// tree-growing preorder.
+fn forest_from_nodes(trees: &[&[Node]]) -> RandomForest {
+    let tree = |nodes: &[Node]| {
+        let nodes: Vec<String> = nodes
+            .iter()
+            .map(|n| match *n {
+                Node::Split(feature, threshold, left, right) => format!(
+                    r#"{{"Split":{{"feature":{feature},"threshold":{threshold},"left":{left},"right":{right}}}}}"#
+                ),
+                Node::Leaf(prob) => format!(r#"{{"Leaf":{{"prob":{prob}}}}}"#),
+            })
+            .collect();
+        format!(r#"{{"nodes":[{}]}}"#, nodes.join(","))
+    };
+    let trees: Vec<String> = trees.iter().map(|t| tree(t)).collect();
+    briq_json::from_str(&format!(r#"{{"trees":[{}]}}"#, trees.join(",")))
+        .expect("a well-formed forest loads")
+}
+
+/// `Split(feature, threshold, left, right)` or `Leaf(prob)`.
+#[derive(Clone, Copy)]
+enum Node {
+    Split(usize, f64, usize, usize),
+    Leaf(f64),
+}
+
+use Node::{Leaf, Split};
+
+// Hand-built trees over three features, in tree-growing preorder.
+
+/// Its left subtree votes "related" as a whole; its right subtree mixes.
+const TREE0: &[Node] = &[
+    Split(0, 0.5, 1, 6),
+    Split(1, 0.25, 2, 5),
+    Split(2, -1.0, 3, 4),
+    Leaf(0.9),
+    Leaf(0.5),
+    Leaf(0.75),
+    Split(1, 0.25, 7, 8),
+    Leaf(0.1),
+    Leaf(0.6),
+];
+
+/// Can never vote "related".
+const TREE1: &[Node] = &[
+    Split(0, 0.0, 1, 2),
+    Leaf(0.2),
+    Split(1, 1.0, 3, 4),
+    Leaf(0.4999),
+    Leaf(0.0),
+];
+
+/// Always votes "related".
+const TREE2: &[Node] = &[Split(2, 0.5, 1, 2), Leaf(1.0), Leaf(0.5)];
+
+/// Its whole right subtree votes no, behind a split on feature 2.
+const TREE3: &[Node] = &[
+    Split(2, 0.0, 1, 2),
+    Leaf(0.8),
+    Split(0, 0.5, 3, 4),
+    Leaf(0.3),
+    Split(1, -0.5, 5, 6),
+    Leaf(0.2),
+    Leaf(0.0),
+];
+
+fn whole_vote_forest() -> RandomForest {
+    forest_from_nodes(&[TREE0, TREE1, TREE2, TREE3])
+}
+
+/// Every combination of NaN, ±0, ±∞, each threshold of the hand-built
+/// trees, and one value just above 0.5.
+fn edge_probes() -> Vec<[f64; 3]> {
+    let values = [
+        f64::NAN,
+        f64::NEG_INFINITY,
+        -1.0,
+        -0.5,
+        0.0,
+        -0.0,
+        0.25,
+        0.5,
+        0.5 + f64::EPSILON,
+        1.0,
+        f64::INFINITY,
+    ];
+    let mut probes = Vec::new();
+    for &a in &values {
+        for &b in &values {
+            for &c in &values {
+                probes.push([a, b, c]);
+            }
         }
     }
+    probes
+}
+
+#[test]
+fn whole_vote_subtrees_collapse() {
+    let rf = whole_vote_forest();
+    let flat = FlatForest::from_forest(&rf);
+    // Tree 0: 9 nodes become 5 (its left subtree is one yes-leaf);
+    // tree 1 becomes one no-leaf, tree 2 one yes-leaf; tree 3: 7 become 3.
+    assert_eq!(flat.n_nodes(), 5 + 1 + 1 + 3);
+}
+
+#[test]
+fn every_entry_point_matches_recursive_on_edge_probes() {
+    let rf = whole_vote_forest();
+    // Unmasked, then with feature 1 baked out (read as 0.0).
+    for (flat, dropped) in [
+        (FlatForest::from_forest(&rf), None),
+        (FlatForest::from_forest_masked(&rf, |f| f != 1), Some(1)),
+    ] {
+        let probes = edge_probes();
+        let reference = |x: &[f64; 3]| {
+            let mut x = *x;
+            if let Some(f) = dropped {
+                x[f] = 0.0;
+            }
+            rf.predict_proba(&x)
+        };
+        for x in &probes {
+            assert_eq!(
+                flat.predict_proba_slice(x).to_bits(),
+                reference(x).to_bits(),
+                "{x:?}"
+            );
+        }
+        let rows: Vec<f64> = probes.iter().flatten().copied().collect();
+        let mut out = vec![f64::NAN; probes.len()];
+        flat.score_block(&rows, 3, &mut out);
+        for (o, x) in out.iter().zip(&probes) {
+            assert_eq!(o.to_bits(), reference(x).to_bits(), "{x:?}");
+        }
+        for cut in [f64::NEG_INFINITY, 0.0, 0.25, 0.5, 0.75, 1.0, f64::INFINITY] {
+            let cuts = vec![cut; probes.len()];
+            let mut pruned = vec![false; probes.len()];
+            flat.score_block_bounded(&rows, 3, &cuts, &mut out, &mut pruned);
+            for ((o, &p), x) in out.iter().zip(&pruned).zip(&probes) {
+                let exact = reference(x);
+                if p {
+                    assert!(exact < cut, "{x:?} pruned at cut {cut} with score {exact}");
+                } else {
+                    assert_eq!(o.to_bits(), exact.to_bits(), "{x:?} at cut {cut}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn bounded_pruning_sees_trees_that_cannot_vote() {
+    // Trees 0, 2, 1 in that order; tree 1 can never vote "related". For
+    // this row tree 0 votes no and tree 2 yes, so its score is 1/3. Once
+    // tree 0 has voted no, at most tree 2 can still vote: the bound is
+    // 1/3 < 0.5 and the row is pruned before tree 2 is walked. A bound
+    // that counted tree 1 as able to vote would stay at 2/3 and never
+    // prune the row.
+    let flat = FlatForest::from_forest(&forest_from_nodes(&[TREE0, TREE2, TREE1]));
+    let rows = [0.6, 0.0, 0.0];
+    assert_eq!(flat.predict_proba_slice(&rows), 1.0 / 3.0);
+    let mut out = [f64::NAN];
+    let mut pruned = [false];
+    let n = flat.score_block_bounded(&rows, 3, &[0.5], &mut out, &mut pruned);
+    assert_eq!((n, pruned[0]), (1, true));
+    let n = flat.score_block_bounded(&rows, 3, &[1.0 / 3.0], &mut out, &mut pruned);
+    assert_eq!((n, pruned[0], out[0]), (0, false, 1.0 / 3.0));
 }

@@ -378,7 +378,17 @@ fn push_pair(
         cells: vec![a.pos, b.pos],
         value,
         unnormalized: value,
-        raw: format!("{}({:?},{:?})", kind.name(), a.pos, b.pos),
+        // The same bytes as Debug-formatting the two position tuples,
+        // without the Debug builders: pair labels are quadratic in the
+        // line length.
+        raw: format!(
+            "{}(({}, {}),({}, {}))",
+            kind.name(),
+            a.pos.0,
+            a.pos.1,
+            b.pos.0,
+            b.pos.1
+        ),
         unit,
         precision: 0,
         orientation: Some(orientation),
@@ -593,6 +603,73 @@ mod tests {
             all_table_mentions_capped(&[health_table()], &VirtualCellConfig::default(), cap);
         assert_eq!(truncated_tables, vec![0]);
         assert!(!mentions.is_empty());
+    }
+
+    /// Header row and column, then `(r, c)` holding `100 r + c` for
+    /// `r, c` in `1..=12`, so labels carry multi-digit indices.
+    fn wide_table() -> Table {
+        let name = |i: usize| char::from(b'a' + i as u8).to_string();
+        let grid: Vec<Vec<String>> = (0..13)
+            .map(|r| {
+                (0..13)
+                    .map(|c| match (r, c) {
+                        (0, 0) => String::new(),
+                        (0, c) => format!("col {}", name(c)),
+                        (r, 0) => format!("row {}", name(r)),
+                        (r, c) => (100 * r + c).to_string(),
+                    })
+                    .collect()
+            })
+            .collect();
+        Table::from_grid("", grid)
+    }
+
+    #[test]
+    fn raw_labels_are_pinned() {
+        let cfg = VirtualCellConfig {
+            extended: true,
+            ..Default::default()
+        };
+        let vc = virtual_cells(&wide_table(), 0, &cfg);
+        let raw = |kind: AggregationKind, cells: &[(usize, usize)]| {
+            vc.iter()
+                .find(|m| m.kind == TableMentionKind::Aggregate(kind) && m.cells == cells)
+                .map(|m| m.raw.as_str())
+        };
+        let line = |kind: AggregationKind, orientation: Orientation| {
+            vc.iter()
+                .find(|m| {
+                    m.kind == TableMentionKind::Aggregate(kind)
+                        && m.orientation == Some(orientation)
+                })
+                .map(|m| m.raw.as_str())
+        };
+        use AggregationKind::*;
+        let pairs = [
+            (Difference, [(10, 2), (11, 2)], "diff((10, 2),(11, 2))"),
+            (Difference, [(3, 9), (3, 12)], "diff((3, 9),(3, 12))"),
+            (Percentage, [(11, 2), (10, 2)], "percent((11, 2),(10, 2))"),
+            (
+                Percentage,
+                [(12, 10), (12, 11)],
+                "percent((12, 10),(12, 11))",
+            ),
+            (ChangeRatio, [(1, 1), (12, 1)], "ratio((1, 1),(12, 1))"),
+            (ChangeRatio, [(12, 12), (12, 4)], "ratio((12, 12),(12, 4))"),
+        ];
+        for (kind, cells, label) in pairs {
+            assert_eq!(raw(kind, &cells), Some(label));
+        }
+        let lines = [
+            (Sum, Orientation::Column(12), "sum(Column(12))"),
+            (Sum, Orientation::Row(10), "sum(Row(10))"),
+            (Average, Orientation::Row(1), "avg(Row(1))"),
+            (Max, Orientation::Column(11), "max(Column(11))"),
+            (Min, Orientation::Row(12), "min(Row(12))"),
+        ];
+        for (kind, orientation, label) in lines {
+            assert_eq!(line(kind, orientation), Some(label));
+        }
     }
 
     #[test]

@@ -44,10 +44,35 @@ fn all_masks() -> Vec<FeatureMask> {
 
 /// Compare the featurizer against the naive per-pair reference on every
 /// (mention, target) pair of `sd`, returning the number of pairs checked.
+///
+/// The featurizer builds a target's surface on the first row that reads
+/// it, so a fresh one first fills a reversed, strided subset of targets
+/// per mention through `fill_rows_for` (a different subset per mention,
+/// so surfaces are first built in an order unlike the full sweep's);
+/// those rows and then the full sweep must both match the reference.
 fn assert_featurizer_matches(sd: &ScoredDocument, scope: &str) -> usize {
     let mut fz = PairFeaturizer::new(&sd.mentions, &sd.targets, &sd.ctx);
     let mut row = [0.0f64; FEATURE_COUNT];
     let mut rows: Vec<f64> = Vec::new();
+    for (mi, x) in sd.mentions.iter().enumerate() {
+        let tis: Vec<usize> = (0..sd.targets.len())
+            .rev()
+            .skip(mi % 3)
+            .step_by(3)
+            .collect();
+        fz.fill_rows_for(mi, &tis, &mut rows);
+        for (&ti, filled) in tis.iter().zip(rows.chunks_exact(FEATURE_COUNT)) {
+            let naive = feature_vector(x, &sd.targets[ti], &sd.ctx);
+            for f in 0..FEATURE_COUNT {
+                assert_eq!(
+                    naive[f].to_bits(),
+                    filled[f].to_bits(),
+                    "{scope}: fill_rows_for() f{} mention {mi} target {ti}",
+                    f + 1
+                );
+            }
+        }
+    }
     let mut pairs = 0usize;
     for (mi, x) in sd.mentions.iter().enumerate() {
         fz.fill_mention_rows(mi, &mut rows);

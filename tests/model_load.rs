@@ -1,0 +1,205 @@
+//! Model files are checked when loaded: a malformed tree or a split on a
+//! feature the row does not have makes `Briq::from_json` return an error
+//! naming the tree and node, before anything walks a tree or scores a
+//! row.
+
+use std::sync::OnceLock;
+
+use briq::features::FEATURE_COUNT;
+use briq::pipeline::{Briq, BriqConfig};
+use briq::substrates::corpus::annotate::{annotate, AnnotatorConfig};
+use briq::substrates::corpus::corpus::{generate_corpus, CorpusConfig};
+use briq::substrates::ml::RandomForestConfig;
+use briq::tagger::TAGGER_FEATURE_COUNT;
+use briq_json::Value;
+
+/// A small trained model, serialized; trained once per test binary.
+fn model_json() -> &'static str {
+    static MODEL: OnceLock<String> = OnceLock::new();
+    MODEL.get_or_init(|| {
+        let corpus = generate_corpus(&CorpusConfig {
+            n_documents: 16,
+            seed: 17,
+            ..Default::default()
+        });
+        let mut docs = corpus.documents;
+        annotate(&mut docs, &AnnotatorConfig::default());
+        let small = RandomForestConfig {
+            n_trees: 4,
+            ..Default::default()
+        };
+        let cfg = BriqConfig {
+            forest: small,
+            tagger_forest: small,
+            ..Default::default()
+        };
+        let briq = Briq::train(cfg, &docs[..12], &docs[12..]);
+        briq.to_json().expect("a trained model serializes")
+    })
+}
+
+fn field<'v>(v: &'v mut Value, key: &str) -> &'v mut Value {
+    match v {
+        Value::Object(entries) => entries
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+            .unwrap_or_else(|| panic!("no field {key}")),
+        _ => panic!("not an object where {key} was expected"),
+    }
+}
+
+fn item(v: &mut Value, i: usize) -> &mut Value {
+    match v {
+        Value::Array(items) => &mut items[i],
+        _ => panic!("not an array"),
+    }
+}
+
+/// The node list of tree `t` in a forest object.
+fn nodes(forest: &mut Value, t: usize) -> &mut Vec<Value> {
+    match field(item(field(forest, "trees"), t), "nodes") {
+        Value::Array(nodes) => nodes,
+        _ => panic!("nodes is not an array"),
+    }
+}
+
+/// The index and fields of the first split node at or after `from`.
+fn split(nodes: &mut [Value], from: usize) -> (usize, &mut Value) {
+    let at = (from..nodes.len())
+        .find(|&i| nodes[i].get_variant("Split").is_some())
+        .expect("the tree has a split");
+    (at, field(&mut nodes[at], "Split"))
+}
+
+fn set(split: &mut Value, key: &str, n: usize) {
+    *field(split, key) = Value::Num(n as f64);
+}
+
+/// Edit the trained model, then load it; the load's error message.
+fn load_edited(edit: impl FnOnce(&mut Value)) -> String {
+    let mut model = briq_json::parse(model_json()).expect("the model parses");
+    edit(&mut model);
+    match Briq::from_json(&briq_json::to_string(&model)) {
+        Ok(_) => panic!("the edited model loaded"),
+        Err(e) => e.to_string(),
+    }
+}
+
+fn classifier_forest(model: &mut Value) -> &mut Value {
+    field(field(model, "classifier"), "forest")
+}
+
+fn assert_names(err: &str, parts: &[&str]) {
+    for part in parts {
+        assert!(err.contains(part), "{err:?} does not name {part:?}");
+    }
+}
+
+#[test]
+fn trained_model_round_trips() {
+    let json = model_json();
+    let briq = Briq::from_json(json).expect("the trained model loads");
+    assert!(briq.is_trained());
+    assert_eq!(briq.to_json().expect("serializes"), json);
+}
+
+#[test]
+fn empty_tree_is_refused() {
+    let err = load_edited(|m| nodes(classifier_forest(m), 2).clear());
+    assert_names(&err, &["tree 2", "has no nodes"]);
+}
+
+#[test]
+fn child_pointing_back_at_the_root_is_refused() {
+    let mut at = 0;
+    let err = load_edited(|m| {
+        let (id, s) = split(nodes(classifier_forest(m), 1), 1);
+        set(s, "left", 0);
+        at = id;
+    });
+    assert_names(
+        &err,
+        &[
+            "tree 1",
+            &format!("node {at}"),
+            "child index 0 is not greater than its parent's",
+        ],
+    );
+}
+
+#[test]
+fn out_of_range_child_is_refused() {
+    let mut at = 0;
+    let err = load_edited(|m| {
+        let nodes = nodes(classifier_forest(m), 3);
+        let n = nodes.len();
+        let (id, s) = split(nodes, 0);
+        set(s, "right", n);
+        at = id;
+    });
+    assert_names(&err, &["tree 3", &format!("node {at}"), "out of range"]);
+}
+
+#[test]
+fn child_shared_by_two_splits_is_refused() {
+    let err = load_edited(|m| {
+        let (_, s) = split(nodes(classifier_forest(m), 0), 0);
+        let left = field(s, "left").clone();
+        *field(s, "right") = left;
+    });
+    assert_names(&err, &["tree 0", "node 0", "already has a parent"]);
+}
+
+#[test]
+fn classifier_split_past_the_row_is_refused() {
+    let mut at = 0;
+    let err = load_edited(|m| {
+        let (id, s) = split(nodes(classifier_forest(m), 1), 0);
+        set(s, "feature", FEATURE_COUNT);
+        at = id;
+    });
+    assert_names(
+        &err,
+        &[
+            "classifier",
+            "tree 1",
+            &format!("node {at}"),
+            &format!("split feature {FEATURE_COUNT}"),
+        ],
+    );
+}
+
+/// Replace tree 0 of the tagger's forest 2 with one split on `feature`.
+fn set_tagger_split(model: &mut Value, feature: usize) {
+    let tree = format!(
+        r#"[{{"Split":{{"feature":{feature},"threshold":0.5,"left":1,"right":2}}}},
+            {{"Leaf":{{"prob":0.25}}}},{{"Leaf":{{"prob":0.75}}}}]"#
+    );
+    let forest = item(field(field(model, "tagger"), "forests"), 2);
+    *nodes(forest, 0) = match briq_json::parse(&tree).expect("the tree parses") {
+        Value::Array(nodes) => nodes,
+        _ => unreachable!(),
+    };
+}
+
+#[test]
+fn tagger_split_feature_is_checked_against_the_tagger_row() {
+    // A column past the classifier row but inside the tagger row loads.
+    const { assert!(TAGGER_FEATURE_COUNT > FEATURE_COUNT) };
+    let mut model = briq_json::parse(model_json()).expect("the model parses");
+    set_tagger_split(&mut model, TAGGER_FEATURE_COUNT - 1);
+    Briq::from_json(&briq_json::to_string(&model)).expect("an in-range tagger split loads");
+
+    let err = load_edited(|m| set_tagger_split(m, TAGGER_FEATURE_COUNT));
+    assert_names(
+        &err,
+        &[
+            "tagger",
+            "forest 2",
+            "tree 0",
+            "node 0",
+            &format!("split feature {TAGGER_FEATURE_COUNT}"),
+        ],
+    );
+}
