@@ -15,9 +15,11 @@
 #
 # Stages:
 #   fmt          cargo fmt --all --check (formatting is part of the gate)
-#   clippy       cargo clippy -D warnings; the hardened crates (briq-regex,
-#                briq-text, briq-table, briq-graph, briq-core) additionally
-#                deny unwrap_used/expect_used in non-test code, so clippy
+#   clippy       cargo clippy --all-targets -D warnings: libraries,
+#                binaries, tests, benches and examples are all linted; the
+#                hardened crates (briq-regex, briq-text, briq-table,
+#                briq-graph, briq-core) additionally deny
+#                unwrap_used/expect_used in non-test code, so clippy
 #                enforces the panic-free policy too
 #   build        release build of the whole workspace
 #   test         full test suite, including the chaos fault-injection
@@ -25,7 +27,7 @@
 #                and the kernel-equivalence suites (CSR-vs-dense RWR
 #                proptests in crates/graph/tests/csr_equivalence.rs,
 #                flat-vs-recursive forest proptests in briq-ml, and the
-#                arena steady-state allocation test); then builds and
+#                per-document allocation test); then builds and
 #                tests the briq-perf benchmark package (outside the
 #                workspace) with --locked, so a library change that
 #                breaks the benchmark fails here and its Cargo.lock is
@@ -43,9 +45,10 @@
 #                only matches "speedup" lines, so they never confuse the
 #                gate). Also runs the classifier hot-path microbench
 #                (bench_classifier) and reports its scored-pairs/sec line
-#                plus the dedup+prune engine line
-#                (classifier-throughput-deduped) — never gating, the
-#                absolute numbers are host-dependent. Gates on the
+#                plus the retrieval+prune engine line
+#                (classifier-throughput-engine) — never gating, the
+#                absolute numbers are host-dependent; a missing line
+#                fails the stage. Gates on the
 #                retrieval index: the artifact's retrieval_recall must be
 #                exactly 1.0 vs the exhaustive oracle and
 #                candidates_per_mention strictly below cells_per_mention.
@@ -61,8 +64,8 @@
 #                --jobs 1, --jobs $(nproc or 8), --jobs 1 with
 #                --trace/--metrics (observability recording on), and
 #                --jobs 1 with --oracle (every stage on its reference
-#                path: exhaustive classification with no retrieval, dedup,
-#                or pruning; the dense RWR walk; no store); fails unless
+#                path: exhaustive classification with no retrieval or
+#                pruning; the dense RWR walk; no store); fails unless
 #                alignment stdout and the diagnostics JSONL (which carries
 #                no timings) are byte-for-byte identical across all four —
 #                worker count, tracing, AND the production path must be
@@ -147,7 +150,7 @@ stage_fmt() {
 }
 
 stage_clippy() {
-    cargo clippy --offline --locked --workspace -q -- -D warnings
+    cargo clippy --offline --locked --workspace --all-targets -q -- -D warnings
 }
 
 stage_build() {
@@ -210,22 +213,22 @@ stage_bench_smoke() {
         echo "bench-smoke: speedup ${speedup}x at --jobs $NPROC (host has $NPROC core(s); gate needs >= 4)"
     fi
     # Classifier hot-path microbench: report scored-pairs/sec and the
-    # dedup+prune engine comparison, never gate — absolute throughput
+    # retrieval+prune engine comparison, never gate — absolute throughput
     # varies with the host.
-    local clf_out clf_line dedup_line
+    local clf_out clf_line engine_line
     clf_out="$(cargo bench --offline --locked -q -p briq-bench --bench bench_classifier 2>/dev/null)"
     clf_line="$(printf '%s\n' "$clf_out" | grep '^classifier-throughput ' | tail -1)"
-    dedup_line="$(printf '%s\n' "$clf_out" | grep '^classifier-throughput-deduped ' | tail -1)"
+    engine_line="$(printf '%s\n' "$clf_out" | grep '^classifier-throughput-engine ' | tail -1)"
     if [ -n "$clf_line" ]; then
         echo "bench-smoke: $clf_line"
     else
         echo "bench-smoke: classifier microbench produced no throughput line" >&2
         return 1
     fi
-    if [ -n "$dedup_line" ]; then
-        echo "bench-smoke: $dedup_line"
+    if [ -n "$engine_line" ]; then
+        echo "bench-smoke: $engine_line"
     else
-        echo "bench-smoke: classifier microbench produced no deduped-engine line" >&2
+        echo "bench-smoke: classifier microbench produced no engine line" >&2
         return 1
     fi
 }

@@ -6,8 +6,9 @@
 //!
 //! Besides the ns/iter lines, the bench prints a `classifier-throughput`
 //! summary — scored pairs per second over a whole document for each
-//! path — which CI's bench-smoke stage records (non-gating on
-//! single-core hosts).
+//! path — and a `classifier-throughput-engine` line for the trained
+//! retrieval + pruning engine, which CI's bench-smoke stage records
+//! (non-gating).
 
 use briq_core::classifier::PairClassifier;
 use briq_core::features::{feature_vector, FeatureMask, PairFeaturizer, FEATURE_COUNT};
@@ -194,10 +195,10 @@ fn throughput_summary(_c: &mut Criterion) {
 
     // Trained-forest comparison: the dense block path (every row through
     // the flat forest) against the production path (retrieval index, then
-    // the batched engine's dedup cache + exact bound-based pruning).
-    // Scores agree where both compute; the production path just skips
-    // work filtering provably discards. Non-gating — the line exists so
-    // CI logs carry the dedup/prune yield per PR.
+    // the batched engine's exact bound-based pruning). Scores agree where
+    // both compute; the production path just skips work filtering
+    // provably discards. Non-gating — the line exists so CI logs carry
+    // the pruning yield per change.
     let clf = trained_classifier(FeatureMask::all());
     let fcfg = briq_core::filtering::FilterConfig::default();
     let dense_s = time(&mut || {
@@ -232,9 +233,9 @@ fn throughput_summary(_c: &mut Criterion) {
     let engine_s = time(&mut || engine_pass().0);
     // One untimed pass to report the engine's work-avoidance counters.
     let engine = engine_pass().1;
-    let (deduped, pruned) = (engine.rows_deduped(), engine.pairs_pruned());
+    let pruned = engine.pairs_pruned();
     println!(
-        "classifier-throughput-deduped pairs={pairs} rows_deduped={deduped} pairs_pruned={pruned} dense_pairs_per_sec={:.0} engine_pairs_per_sec={:.0} speedup={:.2}x",
+        "classifier-throughput-engine pairs={pairs} pairs_pruned={pruned} dense_pairs_per_sec={:.0} engine_pairs_per_sec={:.0} speedup={:.2}x",
         pps(dense_s),
         pps(engine_s),
         if engine_s > 0.0 { dense_s / engine_s } else { 0.0 },

@@ -170,8 +170,8 @@ pub struct ThroughputPoint {
     /// read as a measurement (mirrors [`ThroughputBench::speedup`]).
     pub utilization: Option<f64>,
     /// Classifier invocations actually executed per classify-second:
-    /// `(pairs_scored - rows_deduped - pairs_pruned) / classify_s`
-    /// ([`StageTimings::effective_pairs_per_sec`]).
+    /// `(pairs_scored - pairs_skipped_retrieval - pairs_pruned) /
+    /// classify_s` ([`StageTimings::effective_pairs_per_sec`]).
     pub effective_pairs_per_sec: f64,
 }
 

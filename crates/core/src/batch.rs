@@ -63,9 +63,6 @@ pub struct StageTimings {
     /// with `classify_s` this yields scored-pairs/sec, the classifier
     /// hot-path throughput metric.
     pub pairs_scored: u64,
-    /// Pairs answered from the batched engine's unique-row dedup cache
-    /// instead of a fresh forest/heuristic evaluation.
-    pub rows_deduped: u64,
     /// Pairs whose forest traversal was abandoned by an exact score
     /// bound (see `crate::scoring`); their filtering outcome is decided
     /// without a computed score.
@@ -91,7 +88,6 @@ impl StageTimings {
         self.filter_s += other.filter_s;
         self.resolve_s += other.resolve_s;
         self.pairs_scored += other.pairs_scored;
-        self.rows_deduped += other.rows_deduped;
         self.pairs_pruned += other.pairs_pruned;
         self.candidates_retrieved += other.candidates_retrieved;
         self.pairs_skipped_retrieval += other.pairs_skipped_retrieval;
@@ -107,15 +103,14 @@ impl StageTimings {
     }
 
     /// Pairs that actually cost a full evaluation — total minus
-    /// retrieval skips, dedup hits, and pruned traversals — per second
-    /// of classify-stage time. Comparing this with
+    /// retrieval skips and pruned traversals — per second of
+    /// classify-stage time. Comparing this with
     /// [`StageTimings::scored_pairs_per_sec`] shows how much work the
     /// retrieval index and batched engine avoided.
     pub fn effective_pairs_per_sec(&self) -> f64 {
         let effective = self
             .pairs_scored
             .saturating_sub(self.pairs_skipped_retrieval)
-            .saturating_sub(self.rows_deduped)
             .saturating_sub(self.pairs_pruned);
         if self.classify_s <= 0.0 || effective == 0 {
             return 0.0;
@@ -568,7 +563,6 @@ briq_json::json_struct!(StageTimings {
     filter_s,
     resolve_s,
     pairs_scored,
-    rows_deduped,
     pairs_pruned,
     candidates_retrieved,
     pairs_skipped_retrieval
@@ -737,7 +731,6 @@ mod tests {
             filter_s: 3.0,
             resolve_s: 4.0,
             pairs_scored: 10,
-            rows_deduped: 2,
             pairs_pruned: 1,
             candidates_retrieved: 8,
             pairs_skipped_retrieval: 2,
@@ -748,7 +741,6 @@ mod tests {
             filter_s: 0.5,
             resolve_s: 0.5,
             pairs_scored: 5,
-            rows_deduped: 1,
             pairs_pruned: 1,
             candidates_retrieved: 2,
             pairs_skipped_retrieval: 3,
@@ -756,13 +748,12 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total_s(), 12.0);
         assert_eq!(a.pairs_scored, 15);
-        assert_eq!(a.rows_deduped, 3);
         assert_eq!(a.pairs_pruned, 2);
         assert_eq!(a.candidates_retrieved, 10);
         assert_eq!(a.pairs_skipped_retrieval, 5);
         assert_eq!(a.scored_pairs_per_sec(), 6.0);
-        // 15 total - 5 skipped - 3 deduped - 2 pruned = 5 effective over 2.5 s.
-        assert_eq!(a.effective_pairs_per_sec(), 2.0);
+        // 15 total - 5 skipped - 2 pruned = 8 effective over 2.5 s.
+        assert_eq!(a.effective_pairs_per_sec(), 3.2);
         let s = briq_json::to_string(&a);
         let back: StageTimings = briq_json::from_str(&s).expect("round-trips");
         assert_eq!(a, back);

@@ -10,8 +10,8 @@
 //! 2. **Mention-pair classification** ([`features`], [`classifier`],
 //!    [`scoring`]) — a class-weighted Random Forest over the 12
 //!    judiciously designed features of §IV-B scores every candidate pair,
-//!    batched through the dedup + bound-based-pruning engine on the
-//!    alignment hot path.
+//!    batched through the bound-based-pruning engine on the alignment
+//!    hot path.
 //! 3. **Adaptive filtering** ([`tagger`], [`filtering`]) — tag-based
 //!    pruning of aggregate candidates, value/unit pruning, and mention-type
 //!    and entropy-adaptive top-k selection (§V).
@@ -53,7 +53,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod arena;
 pub mod baselines;
 pub mod batch;
 pub mod classifier;

@@ -49,8 +49,10 @@ use briq_json::Value;
 pub mod names {
     /// Counter: mention/target pairs entering the classify stage.
     pub const PAIRS_SCORED: &str = "pairs_scored";
-    /// Counter: pairs answered from the scoring engine's unique-row
-    /// dedup cache instead of a fresh forest/heuristic evaluation.
+    /// Retired counter name: the scoring engine's unique-row dedup
+    /// cache is gone and nothing emits `rows_deduped` any more. The
+    /// name stays only because the `briq-perf` benchmark still reads it
+    /// (its `scoring.rows_deduped_ratio` now reads 0).
     pub const ROWS_DEDUPED: &str = "rows_deduped";
     /// Counter: pairs whose forest traversal an exact score bound cut
     /// short (their filtering outcome needed no computed score).
@@ -101,10 +103,6 @@ pub mod names {
     /// resolution (directed half-edges; weight-zeroed slots still
     /// count). Absent on `use_csr: false` runs.
     pub const CSR_NNZ: &str = "csr_nnz";
-    /// Histogram: approximate heap bytes retained by the per-worker
-    /// document arena (pooled scoring/retrieval/walk scratch) observed
-    /// after each document (unit: bytes).
-    pub const ARENA_BYTES_PEAK: &str = "arena_bytes_peak";
     /// Counter: alignments emitted.
     pub const ALIGNMENTS: &str = "alignments";
     /// Counter: diagnostics whose degraded action was `Truncated` — a
@@ -243,6 +241,9 @@ const HIST_MIN_EXP: i32 = -40;
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
+    /// Finite observations (non-finite ones count toward `count` and
+    /// bucket 0 only).
+    finite: u64,
     sum: f64,
     min: f64,
     max: f64,
@@ -253,6 +254,7 @@ impl Default for Histogram {
         Histogram {
             buckets: vec![0; HIST_BUCKETS],
             count: 0,
+            finite: 0,
             sum: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
@@ -290,6 +292,7 @@ impl Histogram {
         self.buckets[bucket_index(v)] += 1;
         self.count += 1;
         if v.is_finite() {
+            self.finite += 1;
             self.sum += v;
             self.min = self.min.min(v);
             self.max = self.max.max(v);
@@ -306,40 +309,41 @@ impl Histogram {
         self.sum
     }
 
-    /// Smallest finite observation (`NaN` when empty).
+    /// Smallest finite observation (`NaN` when none is finite).
     pub fn min(&self) -> f64 {
-        if self.count == 0 || !self.min.is_finite() {
+        if self.finite == 0 {
             f64::NAN
         } else {
             self.min
         }
     }
 
-    /// Largest finite observation (`NaN` when empty).
+    /// Largest finite observation (`NaN` when none is finite).
     pub fn max(&self) -> f64 {
-        if self.count == 0 || !self.max.is_finite() {
+        if self.finite == 0 {
             f64::NAN
         } else {
             self.max
         }
     }
 
-    /// Mean of all finite observations (`NaN` when empty).
+    /// Mean of all finite observations (`NaN` when none is finite).
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
+        if self.finite == 0 {
             f64::NAN
         } else {
-            self.sum / self.count as f64
+            self.sum / self.finite as f64
         }
     }
 
     /// Approximate quantile `q` in `[0, 1]`: the geometric midpoint of
     /// the first bucket whose cumulative count reaches `q · count`,
-    /// clamped to the observed `[min, max]`. Resolution is one octave —
-    /// good enough to tell a 2 ms stage from a 200 ms one, which is what
-    /// the log-scale layout buys for O(1) memory.
+    /// clamped to the observed finite `[min, max]` (`NaN` when no
+    /// observation is finite). Resolution is one octave — good enough to
+    /// tell a 2 ms stage from a 200 ms one, which is what the log-scale
+    /// layout buys for O(1) memory.
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
+        if self.finite == 0 {
             return f64::NAN;
         }
         let target = (q.clamp(0.0, 1.0) * self.count as f64).max(1.0);
@@ -362,6 +366,7 @@ impl Histogram {
             *a += b;
         }
         self.count += other.count;
+        self.finite += other.finite;
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
@@ -468,7 +473,6 @@ impl MetricsRegistry {
     /// ad-hoc struct to the registry.
     pub fn absorb_timings(&mut self, t: &crate::batch::StageTimings) {
         self.count(names::PAIRS_SCORED, t.pairs_scored);
-        self.count(names::ROWS_DEDUPED, t.rows_deduped);
         self.count(names::PAIRS_PRUNED, t.pairs_pruned);
         self.count(names::RETRIEVAL_CANDIDATES, t.candidates_retrieved);
         self.count(names::RETRIEVAL_PAIRS_DROPPED, t.pairs_skipped_retrieval);
@@ -977,6 +981,36 @@ mod tests {
     }
 
     #[test]
+    fn histogram_tolerates_non_finite_observations() {
+        let mut inf = Histogram::default();
+        inf.observe(f64::INFINITY);
+        assert_eq!(inf.count(), 1);
+        assert!(inf.quantile(0.5).is_nan(), "no finite observation");
+        assert!(inf.mean().is_nan());
+
+        // The exporters read every statistic, quantiles included.
+        let mut r = MetricsRegistry::new();
+        r.observe("x", f64::NAN);
+        let line = r.to_jsonl();
+        let v = briq_json::parse(line.trim()).expect("metrics line parses");
+        assert_eq!(v.get("count").and_then(Value::as_f64), Some(1.0));
+        assert!(r.summary_table().contains('x'));
+
+        // The mean averages the finite observations only, also after a
+        // merge.
+        let mut mixed = Histogram::default();
+        mixed.observe(1.0);
+        mixed.observe(f64::NAN);
+        assert_eq!(mixed.mean(), 1.0);
+        let mut merged = Histogram::default();
+        merged.observe(3.0);
+        merged.merge(&mixed);
+        assert_eq!(merged.count(), 3);
+        assert_eq!(merged.mean(), 2.0);
+        assert!((1.0..=3.0).contains(&merged.quantile(0.5)));
+    }
+
+    #[test]
     fn histogram_merge_is_order_independent() {
         let mut a = Histogram::default();
         let mut b = Histogram::default();
@@ -1005,11 +1039,11 @@ mod tests {
         a.observe(names::RWR_ITERATIONS, 12.0);
         let mut b = MetricsRegistry::new();
         b.count(names::PAIRS_SCORED, 1);
-        b.count(names::ROWS_DEDUPED, 2);
+        b.count(names::PAIRS_PRUNED, 2);
         b.observe(names::RWR_ITERATIONS, 40.0);
         a.merge(&b);
         assert_eq!(a.counter(names::PAIRS_SCORED), 16);
-        assert_eq!(a.counter(names::ROWS_DEDUPED), 2);
+        assert_eq!(a.counter(names::PAIRS_PRUNED), 2);
         assert_eq!(a.counter("never_touched"), 0);
         let h = a.histogram(names::RWR_ITERATIONS).expect("histogram");
         assert_eq!(h.count(), 2);
@@ -1056,7 +1090,6 @@ mod tests {
             filter_s: 0.25,
             resolve_s: 0.75,
             pairs_scored: 100,
-            rows_deduped: 10,
             pairs_pruned: 5,
             candidates_retrieved: 60,
             pairs_skipped_retrieval: 40,
@@ -1064,7 +1097,6 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.absorb_timings(&t);
         assert_eq!(r.counter(names::PAIRS_SCORED), 100);
-        assert_eq!(r.counter(names::ROWS_DEDUPED), 10);
         assert_eq!(r.counter(names::PAIRS_PRUNED), 5);
         assert_eq!(r.counter(names::RETRIEVAL_CANDIDATES), 60);
         assert_eq!(r.counter(names::RETRIEVAL_PAIRS_DROPPED), 40);

@@ -54,13 +54,13 @@ pub struct BriqConfig {
     /// Classify through the production path: retrieve each mention's
     /// viable candidates from the per-document
     /// [`crate::retrieval::CandidateIndex`] (DESIGN.md §13) and score
-    /// them in the batched [`crate::scoring::ScoringEngine`] (dedup, block
+    /// them in the batched [`crate::scoring::ScoringEngine`] (block
     /// scoring, exact bound pruning, §10). `false` selects the classify
     /// reference path: every mention/target pair is scored with
     /// [`briq_ml::FlatForest::score_block`] (or the heuristic prior),
     /// exactly as [`Briq::score_document`] does, then filtered with
-    /// [`crate::filtering::filter_mention`] — no retrieval, no dedup, no
-    /// pruning. Output is bit-identical either way.
+    /// [`crate::filtering::filter_mention`] — no retrieval, no pruning.
+    /// Output is bit-identical either way.
     pub use_index: bool,
     /// Serve repeated alignments of unchanged (or partially changed)
     /// documents from the versioned [`crate::store::AlignmentStore`]
@@ -498,17 +498,29 @@ impl Briq {
         let tags: Vec<Vec<AggregationKind>> = mentions
             .iter()
             .enumerate()
-            .map(|(i, x)| {
-                let mut tags = self.tagger.tags(&tagger_features(x, ctx, doc));
-                if self.cfg.virtual_cells.extended {
-                    tags.extend(crate::tagger::extended_lexical_tags(
-                        &ctx.mentions[i].immediate_words,
-                    ));
-                }
-                tags
-            })
+            .map(|(mi, x)| self.mention_tags(x, mi, ctx, doc))
             .collect();
         (scored, tags)
+    }
+
+    /// The aggregation kinds predicted for mention `x` (index `mi` in
+    /// `ctx.mentions`): the tagger's, plus the extended lexical tags when
+    /// `virtual_cells.extended` is set. Shared by the reference scorer
+    /// and the production classify pass.
+    fn mention_tags(
+        &self,
+        x: &TextMention,
+        mi: usize,
+        ctx: &DocContext,
+        doc: &Document,
+    ) -> Vec<AggregationKind> {
+        let mut tags = self.tagger.tags(&tagger_features(x, ctx, doc));
+        if self.cfg.virtual_cells.extended {
+            tags.extend(crate::tagger::extended_lexical_tags(
+                &ctx.mentions[mi].immediate_words,
+            ));
+        }
+        tags
     }
 
     /// Score every target for mention `mi`: fill the mention's full
@@ -899,7 +911,7 @@ struct ClassifyPass<'a> {
 #[allow(clippy::large_enum_variant)]
 enum Scorer {
     /// Production: retrieve the viable candidates, then score them in the
-    /// pooled batched engine (dedup, block scoring, exact bound pruning).
+    /// batched engine (block scoring, exact bound pruning).
     Indexed {
         index: CandidateIndex,
         engine: ScoringEngine,
@@ -922,11 +934,6 @@ impl<'a> ClassifyPass<'a> {
     ) -> ClassifyPass<'a> {
         let featurizer = PairFeaturizer::new(&x.mentions, &x.targets, &x.ctx);
         let scorer = if briq.cfg.use_index {
-            // Pooled per-worker scratch (DESIGN.md §14): reset engine and
-            // retrieval buffers from this thread's arena instead of cold
-            // construction. An early cancellation return simply drops
-            // them; the arena refills on the next document.
-            let engine = crate::arena::take_engine();
             // Built once per document; retrieval per mention is then
             // allocation-free and bounded by the viable candidate set.
             let t_build = Instant::now();
@@ -934,8 +941,8 @@ impl<'a> ClassifyPass<'a> {
             timings.classify_s += t_build.elapsed().as_secs_f64();
             Scorer::Indexed {
                 index,
-                engine,
-                scratch: crate::arena::take_retrieval_scratch(),
+                engine: ScoringEngine::new(),
+                scratch: RetrievalScratch::default(),
             }
         } else {
             Scorer::Exhaustive {
@@ -972,15 +979,7 @@ impl<'a> ClassifyPass<'a> {
         let t0 = Instant::now();
         let tags = {
             let _g = span!(rec, names::SPAN_CLASSIFY, mention = mi);
-            let mut tags = self
-                .briq
-                .tagger
-                .tags(&tagger_features(x, self.ctx, self.doc));
-            if self.briq.cfg.virtual_cells.extended {
-                tags.extend(crate::tagger::extended_lexical_tags(
-                    &self.ctx.mentions[mi].immediate_words,
-                ));
-            }
+            let tags = self.briq.mention_tags(x, mi, self.ctx, self.doc);
             match &mut self.scorer {
                 Scorer::Indexed {
                     index,
@@ -1050,19 +1049,12 @@ impl<'a> ClassifyPass<'a> {
         (cands, delta)
     }
 
-    /// Flush engine totals and recycle the pooled buffers.
+    /// Flush the engine's whole-document counters.
     fn finish(self, timings: &mut StageTimings, rec: &Recorder) {
-        if let Scorer::Indexed {
-            engine, scratch, ..
-        } = self.scorer
-        {
-            timings.rows_deduped += engine.rows_deduped();
+        if let Scorer::Indexed { engine, .. } = self.scorer {
             timings.pairs_pruned += engine.pairs_pruned();
             engine.record_into(rec);
-            crate::arena::put_engine(engine);
-            crate::arena::put_retrieval_scratch(scratch);
         }
-        rec.observe(names::ARENA_BYTES_PEAK, crate::arena::bytes_peak() as f64);
     }
 }
 

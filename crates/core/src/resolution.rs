@@ -8,7 +8,7 @@
 //! unaligned (the mapping is partial, §II-A).
 
 use briq_graph::{
-    try_random_walk_with_restart, ConvergenceReport, CsrGraph, GraphError, RwrConfig,
+    try_random_walk_with_restart, ConvergenceReport, CsrGraph, CsrScratch, GraphError, RwrConfig,
 };
 use briq_ml::entropy::normalized_entropy;
 
@@ -182,7 +182,9 @@ pub fn resolve_observed(
     if let Some(c) = &csr {
         rec.count(names::CSR_NNZ, c.nnz() as u64);
     }
-    let mut scratch = crate::arena::take_csr_scratch();
+    // One set of walk buffers for the whole document: the first walk
+    // sizes them, later walks allocate nothing.
+    let mut scratch = CsrScratch::default();
     let mut dense_pi: Vec<f64> = Vec::new();
 
     let mut out = Vec::new();
@@ -300,7 +302,6 @@ pub fn resolve_observed(
             }
         }
     }
-    crate::arena::put_csr_scratch(scratch);
     out.sort_by_key(|r| r.mention);
     (out, events)
 }

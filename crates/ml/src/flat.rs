@@ -38,8 +38,8 @@
 //!
 //! `briq_core`'s scoring engine drives the block kernels on the
 //! alignment hot path and reports their effect through the
-//! observability counters `rows_deduped` / `pairs_pruned` /
-//! `rows_scored_exhaustive` / `rows_scored_bounded` (DESIGN.md §11).
+//! observability counters `pairs_pruned` / `rows_scored_exhaustive` /
+//! `rows_scored_bounded` (DESIGN.md §11).
 
 use crate::forest::RandomForest;
 use crate::tree::{DecisionTree, Node};

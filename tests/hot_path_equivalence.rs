@@ -5,14 +5,15 @@
 //!
 //! Coverage: well-formed seeded corpus documents (>= 1000 pairs) and one
 //! document per adversarial chaos family under a tight budget. The
-//! production alignment path (retrieval + dedup cache + exact
-//! bound-based pruning, see `briq_core::scoring`) is additionally held
-//! to the same standard against the exhaustive score-everything
-//! reference: `score_document` + `filter`, and the reference
-//! configuration ([`BriqConfig::reference`]).
+//! production alignment path (retrieval + exact bound-based pruning,
+//! see `briq_core::scoring`) is additionally held to the same standard
+//! against the exhaustive score-everything reference: `score_document`
+//! plus `filter`, and the reference configuration
+//! ([`BriqConfig::reference`]).
 
 use briq_core::classifier::PairClassifier;
 use briq_core::features::{feature_vector, FeatureMask, PairFeaturizer, FEATURE_COUNT};
+use briq_core::obs::{names, Recorder};
 use briq_core::pipeline::{
     heuristic_prior, heuristic_prior_masked, AlignOpts, AlignOutput, Briq, BriqConfig,
     ScoredDocument,
@@ -250,13 +251,13 @@ fn run(briq: &Briq, doc: &Document, budget: Budget) -> AlignOutput {
 
 #[test]
 fn pruned_path_matches_exhaustive_filtering() {
-    // The dedup + bound-based-pruning engine on the alignment hot path
-    // must be unobservable: identical filtering survivors (same targets,
-    // same f64 bits), identical stats, identical final alignments —
-    // against both the exhaustive `score_document` + `filter` reference
-    // and a full alignment on the reference configuration. A trained
+    // The bound-based-pruning engine on the alignment hot path must be
+    // unobservable: identical filtering survivors (same targets, same
+    // f64 bits), identical stats, identical final alignments — against
+    // both the exhaustive `score_document` + `filter` reference and a
+    // full alignment on the reference configuration. A trained
     // classifier so bound-based pruning actually engages (the untrained
-    // heuristic path only dedups).
+    // heuristic path scores every retrieved row).
     let corpus = generate_corpus(&CorpusConfig {
         n_documents: 40,
         seed: 20190408,
@@ -287,7 +288,7 @@ fn pruned_path_matches_exhaustive_filtering() {
     oracle.cfg = oracle.cfg.reference();
 
     let mut pairs = 0usize;
-    let mut saved = 0u64;
+    let mut pruned = 0u64;
     for (i, ld) in docs.iter().enumerate() {
         let scope = format!("corpus doc {i}");
         let doc = &ld.document;
@@ -297,8 +298,16 @@ fn pruned_path_matches_exhaustive_filtering() {
         pairs += sd.mentions.len() * sd.targets.len();
         let (cand_ref, stats_ref) = briq.filter(&sd);
 
-        // Production path, then the reference configuration.
-        let on = run(&briq, doc, Budget::unlimited());
+        // Production path (recorded), then the reference configuration.
+        let rec = Recorder::enabled();
+        let on = briq.align_with(
+            doc,
+            &AlignOpts {
+                budget: Budget::unlimited(),
+                recorder: Some(&rec),
+                ..AlignOpts::default()
+            },
+        );
         let off = run(&oracle, doc, Budget::unlimited());
 
         assert_candidates_bit_equal(&on.candidates, &cand_ref, &format!("{scope} on-vs-ref"));
@@ -311,14 +320,25 @@ fn pruned_path_matches_exhaustive_filtering() {
         assert_eq!(on.stats, off.stats, "{scope}: stats on-vs-off");
         assert_alignments_bit_equal(&on.alignments, &off.alignments, &scope);
 
+        // Every retrieved row is scored exactly once (phase A or B) or
+        // pruned.
+        let m = rec
+            .finish()
+            .expect("enabled recorder yields a trace")
+            .metrics;
+        assert_eq!(
+            m.counter(names::ROWS_SCORED_EXHAUSTIVE)
+                + m.counter(names::ROWS_SCORED_BOUNDED)
+                + m.counter(names::PAIRS_PRUNED),
+            m.counter(names::RETRIEVAL_CANDIDATES),
+            "{scope}: retrieved rows not scored or pruned exactly once"
+        );
+
         // The engine must actually be saving work somewhere in the run.
-        saved += on.timings.rows_deduped + on.timings.pairs_pruned;
+        pruned += on.timings.pairs_pruned;
     }
     assert!(pairs >= 1000, "only {pairs} pairs exercised");
-    assert!(
-        saved > 0,
-        "dedup + pruning never engaged over {pairs} pairs"
-    );
+    assert!(pruned > 0, "pruning never engaged over {pairs} pairs");
 
     // Every adversarial chaos family, under the tight budget: production
     // and reference must stay byte-identical even on degraded documents.

@@ -12,9 +12,11 @@
 //! forest (the two scoring entry points have separate selected-path
 //! implementations). Each test also checks that the two paths really
 //! differ in work: production retrieves candidates (and, trained,
-//! prunes pairs) while the reference retrieves, dedups, and prunes
-//! nothing.
+//! prunes pairs) while the reference retrieves and prunes nothing —
+//! and that production accounts for every retrieved row exactly once:
+//! scored by phase A or the heuristic, scored by phase B, or pruned.
 
+use briq_core::obs::{names, Recorder};
 use briq_core::pipeline::{AlignOpts, AlignOutput, Briq, BriqConfig};
 use briq_core::{Budget, StageTimings};
 use briq_corpus::corpus::{generate_corpus, CorpusConfig};
@@ -39,17 +41,19 @@ fn reference(briq: &Briq) -> Briq {
     oracle
 }
 
-fn run(briq: &Briq, doc: &Document, budget: Budget) -> AlignOutput {
+fn run(briq: &Briq, doc: &Document, budget: Budget, recorder: Option<&Recorder>) -> AlignOutput {
     briq.align_with(
         doc,
         &AlignOpts {
             budget,
+            recorder,
             ..AlignOpts::default()
         },
     )
 }
 
-/// Assert bit-identical output across the two paths and return the
+/// Assert bit-identical output across the two paths and that production
+/// scored or pruned each retrieved row exactly once, and return the
 /// production run's timings. Debug formatting prints f64s
 /// shortest-round-trip, so any bit drift in a score (beyond NaN
 /// payloads, which filtering's total order would surface as reordering
@@ -61,8 +65,9 @@ fn assert_identical(
     budget: Budget,
     label: &str,
 ) -> StageTimings {
-    let prod = run(briq, doc, budget);
-    let refr = run(oracle, doc, budget);
+    let rec = Recorder::enabled();
+    let prod = run(briq, doc, budget, Some(&rec));
+    let refr = run(oracle, doc, budget, None);
     assert_eq!(
         format!("{:?}", prod.alignments),
         format!("{:?}", refr.alignments),
@@ -91,11 +96,22 @@ fn assert_identical(
         (
             t.candidates_retrieved,
             t.pairs_skipped_retrieval,
-            t.rows_deduped,
             t.pairs_pruned
         ),
-        (0, 0, 0, 0),
+        (0, 0, 0),
         "reference path used the index or engine on {label} doc {}",
+        doc.id
+    );
+    let m = rec
+        .finish()
+        .expect("enabled recorder yields a trace")
+        .metrics;
+    assert_eq!(
+        m.counter(names::ROWS_SCORED_EXHAUSTIVE)
+            + m.counter(names::ROWS_SCORED_BOUNDED)
+            + m.counter(names::PAIRS_PRUNED),
+        m.counter(names::RETRIEVAL_CANDIDATES),
+        "retrieved rows not scored or pruned exactly once on {label} doc {}",
         doc.id
     );
     prod.timings
