@@ -111,20 +111,24 @@
 #                rebooted on the same --store-dir, must report
 #                store_recovered_entries >= 1 on /health, serve the
 #                unchanged re-drive entirely from cache (store_hits equal
-#                to the page count), match the oracle byte for byte on the
-#                wire, and persist a snapshot on clean drain.
+#                to the page count) with no failed persistence write
+#                (store_persist_errors 0 on /metrics), match the oracle
+#                byte for byte on the wire, and persist a snapshot on
+#                clean drain.
 #   serve        boots the persistent alignment server (briq-serve) on a
 #                loopback port, byte-compares the drive client's output
 #                against briq-align --json over the same seeded corpus
 #                (the wire path must not drift from the batch path), runs
 #                the fault-injecting chaos client against it, then floods
-#                a deliberately tiny server (--workers 1 --queue-depth 1)
-#                with chaos --expect-shed to prove admission control
-#                sheds deterministically under overload. Both chaos runs
-#                fail if the observed queue depth ever exceeded the
-#                queue_capacity the server's health reports. Both servers
-#                must drain cleanly (exit 0 and a "drained:" line) on
-#                stop. See OPERATIONS.md §9.
+#                a deliberately tiny server (--workers 1 --queue-depth 1:
+#                one align request runs, one more may wait) with chaos
+#                --expect-shed (every flood request is a distinct page,
+#                so none is a store hit) to prove the admission gate
+#                sheds deterministically under overload. Both chaos runs fail
+#                if the observed queue depth (requests waiting for a
+#                slot) ever exceeded the queue_capacity the server's
+#                health reports. Both servers must drain cleanly (exit 0
+#                and a "drained:" line) on stop. See OPERATIONS.md §9.
 #   docs         cargo doc --workspace --no-deps with RUSTDOCFLAGS set to
 #                -D warnings: every rustdoc warning (broken intra-doc
 #                link, missing docs where #![warn(missing_docs)] is on)
@@ -510,6 +514,10 @@ stage_persist() {
         echo "persist: re-drive after recovery was not all cache hits (store_hits ${hits:-0} of $pages)" >&2
         return 1
     }
+    printf '%s' "$metrics" | grep -q '"store_persist_errors":0[,}]' || {
+        echo "persist: rebooted server reports failed persistence writes: $metrics" >&2
+        return 1
+    }
     stop_server "$SERVE_ADDR" "$SERVE_PID" "$dir/serve2.log.err" || return 1
     SERVE_PID=""
     grep -q '^store: persisted ' "$dir/serve2.log.err" || {
@@ -527,6 +535,9 @@ stage_persist() {
 boot_server() {
     local log="$1"
     shift
+    # Create the log first: the wait loop below may read it before the
+    # backgrounded server has opened it.
+    : > "$log"
     ./target/release/briq-serve serve --addr 127.0.0.1:0 "$@" \
         > "$log" 2> "${log}.err" &
     SERVE_PID=$!

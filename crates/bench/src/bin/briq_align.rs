@@ -233,6 +233,12 @@ fn main() -> ExitCode {
             Err(e) => eprintln!("store: persist failed: {e}"),
         }
     }
+    // Failed appends and compactions cost durability, never output, so
+    // the run still succeeds; this line is how an operator notices.
+    let persist_errors = store.persist_errors();
+    if persist_errors > 0 {
+        eprintln!("store: {persist_errors} persistence write(s) failed");
+    }
     for (doc, dr) in docs.iter().zip(&report.documents) {
         if cli.as_json {
             println!("{}", briq_json::to_string_pretty(&dr.alignments));

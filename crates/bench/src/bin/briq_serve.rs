@@ -29,9 +29,9 @@
 //! request flood. It asserts every server reply is structured JSON with
 //! a known status, that shed responses are byte-identical to each other
 //! (deterministic shedding), that the server reports zero panics and
-//! stays ready afterwards, and that the admission queue never grew past
-//! the `queue_capacity` the server's health reports. Exit 0 = all
-//! invariants held.
+//! stays ready afterwards, and that no more align requests ever waited
+//! for a slot than the `queue_capacity` the server's health reports.
+//! Exit 0 = all invariants held.
 
 use briq_core::pipeline::{Briq, BriqConfig};
 use briq_core::serve::{ServeConfig, Server};
@@ -596,21 +596,24 @@ type FloodTally = Result<(usize, usize, Vec<String>), String>;
 /// Flood: many concurrent connections each firing sequential requests.
 /// Every reply must be structured; every shed reply (no id echoes back
 /// since the flood sets none) must be byte-identical — deterministic
-/// shedding, not garbage under load.
+/// shedding, not garbage under load. Each request's page differs from
+/// the others in an HTML comment only, so none is answered from the
+/// server's alignment store: every request is alignment work, which is
+/// what lets the flood overload a small server.
 fn chaos_flood(addr: &str, connections: usize, requests: usize, stats: &mut ChaosStats) {
     let results: Vec<FloodTally> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..connections)
-            .map(|_| {
+            .map(|conn| {
                 s.spawn(move || -> FloodTally {
                     let mut c = Conn::connect(addr)?;
-                    let page = chaos_page();
                     let (mut ok, mut shed, mut shed_lines) = (0usize, 0usize, Vec::new());
-                    for _ in 0..requests {
+                    for request in 0..requests {
+                        let page = format!("{}<!-- flood {conn}.{request} -->", chaos_page());
                         // No "id" field: every shed line must be
                         // byte-identical across the whole flood.
                         let req = Value::Object(vec![
                             ("op".to_string(), Value::Str("align".into())),
-                            ("html".to_string(), Value::Str(page.clone())),
+                            ("html".to_string(), Value::Str(page)),
                         ])
                         .to_string_compact();
                         c.send(&req)?;

@@ -2,7 +2,7 @@
 //! three systems (RF-only, RWR-only, BriQ) under the three mention
 //! variants (original, truncated, rounded).
 
-use briq_core::baselines::{rf_only_scored, rwr_only_scored};
+use briq_core::baselines::{rf_only, rwr_only};
 use briq_core::evaluate::{EvalReport, FilterRecall};
 use briq_core::filtering::FilterStats;
 use briq_core::obs::{names, Recorder};
@@ -162,14 +162,8 @@ pub fn evaluate_system_observed(
     let mut report = EvalReport::default();
     for ld in docs {
         let predictions = match system {
-            SystemKind::Rf => {
-                let sd = briq.score_document(&ld.document);
-                rf_only_scored(&sd)
-            }
-            SystemKind::Rwr => {
-                let sd = briq.score_document(&ld.document);
-                rwr_only_scored(briq, &sd)
-            }
+            SystemKind::Rf => rf_only(briq, &ld.document),
+            SystemKind::Rwr => rwr_only(briq, &ld.document),
             SystemKind::Briq => briq.align(&ld.document),
         };
         report.add_document(&predictions, &ld.gold);

@@ -125,10 +125,8 @@ pub fn measure(
 /// path, so it keeps a minimal cursor pool of its own.
 fn rwr_only_run(briq: &Briq, docs: &[Document], workers: usize) -> usize {
     let run_doc = |doc: &Document| {
-        let sd = briq.score_document(doc);
-        let mentions = sd.mentions.len();
-        let _ = briq_core::baselines::rwr_only_scored(briq, &sd);
-        mentions
+        let _ = briq_core::baselines::rwr_only(briq, doc);
+        briq_core::mention::text_mentions(doc).len()
     };
     if workers <= 1 {
         return docs.iter().map(run_doc).sum();

@@ -7,11 +7,13 @@
 //!   priors: text-table edges combine the features with uniform weights;
 //!   no pruning of mention pairs ("making this baseline fairly expensive").
 
+use briq_table::virtual_cells::all_table_mentions;
 use briq_table::Document;
 
+use crate::context::DocContext;
 use crate::filtering::Candidate;
 use crate::graph_builder::build_graph;
-use crate::mention::Alignment;
+use crate::mention::{text_mentions, Alignment};
 use crate::pipeline::{Briq, ScoredDocument};
 use crate::resolution::{resolve, ResolutionConfig};
 
@@ -43,25 +45,23 @@ pub fn rf_only_scored(sd: &ScoredDocument) -> Vec<Alignment> {
 
 /// Random-walk-only baseline: all pairs enter the graph with
 /// uniform-weight feature scores; alignment by walk probability alone.
-pub fn rwr_only(briq: &Briq, doc: &Document) -> Vec<Alignment> {
-    let sd = briq.score_document(doc);
-    rwr_only_scored(briq, &sd)
-}
-
-/// Random-walk-only baseline over an already-scored document.
 ///
-/// The classifier scores in `sd` are ignored; edge weights come from the
-/// uniform feature combination, recomputed here.
-pub fn rwr_only_scored(briq: &Briq, sd: &ScoredDocument) -> Vec<Alignment> {
+/// It reads only the extraction of [`Briq::score_document`] (under an
+/// unlimited budget) and never runs the classifier: edge weights come
+/// from the uniform feature combination.
+pub fn rwr_only(briq: &Briq, doc: &Document) -> Vec<Alignment> {
     use crate::features::{PairFeaturizer, FEATURE_COUNT};
     use crate::pipeline::heuristic_prior_masked;
 
+    let mentions = text_mentions(doc);
+    let ctx = DocContext::build(doc, &mentions, &briq.cfg.context);
+    let targets = all_table_mentions(&doc.tables, &briq.cfg.virtual_cells);
     // All pairs are candidates (no pruning), scored uniformly. Rows are
     // filled through the precomputed featurizer and masked inside the
     // prior, so no per-pair vector is built.
-    let mut featurizer = PairFeaturizer::new(&sd.mentions, &sd.targets, &sd.ctx);
+    let mut featurizer = PairFeaturizer::new(&mentions, &targets, &ctx);
     let mut rows: Vec<f64> = Vec::new();
-    let candidates: Vec<Vec<Candidate>> = (0..sd.mentions.len())
+    let candidates: Vec<Vec<Candidate>> = (0..mentions.len())
         .map(|mi| {
             featurizer.fill_mention_rows(mi, &mut rows);
             rows.chunks_exact(FEATURE_COUNT)
@@ -82,12 +82,12 @@ pub fn rwr_only_scored(briq: &Briq, sd: &ScoredDocument) -> Vec<Alignment> {
         })
         .collect();
 
-    let positions: Vec<usize> = sd.ctx.mentions.iter().map(|m| m.token_index).collect();
+    let positions: Vec<usize> = ctx.mentions.iter().map(|m| m.token_index).collect();
     let ag = build_graph(
-        &sd.mentions,
+        &mentions,
         &positions,
-        sd.ctx.tokens.len(),
-        &sd.targets,
+        ctx.tokens.len(),
+        &targets,
         &candidates,
         &briq.cfg.graph,
     );
@@ -105,12 +105,12 @@ pub fn rwr_only_scored(briq: &Briq, sd: &ScoredDocument) -> Vec<Alignment> {
     resolved
         .into_iter()
         .map(|r| {
-            let x = &sd.mentions[r.mention];
+            let x = &mentions[r.mention];
             Alignment {
                 mention_start: x.quantity.start,
                 mention_end: x.quantity.end,
                 mention_raw: x.quantity.raw.clone(),
-                target: sd.targets[r.target].clone(),
+                target: targets[r.target].clone(),
                 score: r.score,
             }
         })
@@ -121,19 +121,19 @@ pub fn rwr_only_scored(briq: &Briq, sd: &ScoredDocument) -> Vec<Alignment> {
 /// knowledge base and align on *exact* entry matches. The paper did not
 /// pursue it because coverage is tiny and approximate mentions never match
 /// exactly; this implementation exists to demonstrate that quantitatively
-/// (see `briq-eval qkb`).
+/// (see `briq-eval qkb`). Like [`rwr_only`], it reads only extraction,
+/// never the classifier.
 pub fn qkb_only(briq: &Briq, doc: &Document) -> Vec<Alignment> {
     use briq_text::qkb::{canonicalize, same_entry};
 
-    let sd = briq.score_document(doc);
+    let targets = all_table_mentions(&doc.tables, &briq.cfg.virtual_cells);
     let mut out = Vec::new();
-    for x in &sd.mentions {
+    for x in &text_mentions(doc) {
         let Some(cx) = canonicalize(&x.quantity) else {
             continue;
         };
         // Exact-match candidates among explicit single cells.
-        let matches: Vec<usize> = sd
-            .targets
+        let matches: Vec<usize> = targets
             .iter()
             .enumerate()
             .filter(|(_, t)| !t.is_aggregate())
@@ -152,7 +152,7 @@ pub fn qkb_only(briq: &Briq, doc: &Document) -> Vec<Alignment> {
                 mention_start: x.quantity.start,
                 mention_end: x.quantity.end,
                 mention_raw: x.quantity.raw.clone(),
-                target: sd.targets[ti].clone(),
+                target: targets[ti].clone(),
                 score: 1.0,
             });
         }

@@ -427,7 +427,7 @@ mod tests {
 
     #[test]
     fn from_impls_wrap_substrate_errors() {
-        let e: BriqError = briq_graph::GraphError::EdgeBudgetExceeded { max_edges: 1 }.into();
+        let e: BriqError = briq_graph::GraphError::NodeOutOfRange { node: 1, len: 1 }.into();
         assert!(matches!(e, BriqError::Graph(_)));
         let e: BriqError = briq_table::TableError::VirtualCellBudgetExceeded {
             table: 0,

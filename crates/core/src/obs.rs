@@ -143,6 +143,10 @@ pub mod names {
     /// Counter: compacting snapshots written by the persistent store
     /// (threshold-triggered plus explicit drain/warm-up snapshots).
     pub const STORE_COMPACTIONS: &str = "store_compactions";
+    /// Counter: novelty-log appends and log-triggered compactions of the
+    /// persistent store that failed. Each costs durability, never
+    /// output; the in-memory entry is kept.
+    pub const STORE_PERSIST_ERRORS: &str = "store_persist_errors";
 
     /// Counter: align requests admitted by `briq-serve` (sheds excluded).
     pub const SERVE_REQUESTS: &str = "serve_requests";
@@ -157,8 +161,8 @@ pub mod names {
     /// Counter: request lines larger than the configured byte cap; the
     /// connection is closed after a structured error response.
     pub const SERVE_OVERSIZED: &str = "serve_oversized";
-    /// Counter: requests whose worker panicked; isolated to an `error`
-    /// response, the worker pool survives.
+    /// Counter: documents whose alignment panicked; isolated to a
+    /// `WorkerPanicked` diagnostic, the server keeps serving.
     pub const SERVE_PANICS: &str = "serve_panics";
     /// Counter: connections accepted.
     pub const SERVE_CONNECTIONS: &str = "serve_connections";
@@ -169,12 +173,14 @@ pub mod names {
     /// Counter: admitted requests that completed with degradation
     /// diagnostics (the exit-code-2 analogue on the wire).
     pub const SERVE_DEGRADED: &str = "serve_degraded";
-    /// Histogram: admission-queue depth observed at each enqueue.
+    /// Histogram: align requests waiting for a slot, observed at each
+    /// admission with the admitted request counted (0 when it runs at
+    /// once).
     pub const SERVE_QUEUE_DEPTH: &str = "serve_queue_depth";
-    /// Histogram: seconds a request waited in the admission queue.
+    /// Histogram: seconds a request waited for a slot after admission.
     pub const SERVE_QUEUE_WAIT_S: &str = "serve_queue_wait_s";
-    /// Histogram: end-to-end seconds per admitted request (dequeue to
-    /// response written).
+    /// Histogram: seconds per admitted request from the start of its
+    /// alignment to its response.
     pub const SERVE_REQUEST_S: &str = "serve_request_s";
 
     /// Counter: labeled training examples built (positives + negatives).

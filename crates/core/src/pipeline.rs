@@ -1284,48 +1284,19 @@ mod tests {
     }
 }
 
-// Hand-written (not `json_struct!`) so `use_index` can default to `true`
-// on model files serialized before the field existed.
-impl briq_json::ToJson for BriqConfig {
-    fn to_json(&self) -> briq_json::Value {
-        briq_json::Value::Object(vec![
-            ("context".to_string(), self.context.to_json()),
-            ("virtual_cells".to_string(), self.virtual_cells.to_json()),
-            ("filter".to_string(), self.filter.to_json()),
-            ("graph".to_string(), self.graph.to_json()),
-            ("resolution".to_string(), self.resolution.to_json()),
-            ("forest".to_string(), self.forest.to_json()),
-            ("tagger_forest".to_string(), self.tagger_forest.to_json()),
-            (
-                "tagger_threshold".to_string(),
-                self.tagger_threshold.to_json(),
-            ),
-            ("mask".to_string(), self.mask.to_json()),
-            ("use_index".to_string(), self.use_index.to_json()),
-            ("use_store".to_string(), self.use_store.to_json()),
-        ])
-    }
-}
-impl briq_json::FromJson for BriqConfig {
-    fn from_json(v: &briq_json::Value) -> briq_json::Result<Self> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| briq_json::JsonError::new("expected BriqConfig object"))?;
-        Ok(BriqConfig {
-            context: briq_json::field(obj, "context")?,
-            virtual_cells: briq_json::field(obj, "virtual_cells")?,
-            filter: briq_json::field(obj, "filter")?,
-            graph: briq_json::field(obj, "graph")?,
-            resolution: briq_json::field(obj, "resolution")?,
-            forest: briq_json::field(obj, "forest")?,
-            tagger_forest: briq_json::field(obj, "tagger_forest")?,
-            tagger_threshold: briq_json::field(obj, "tagger_threshold")?,
-            mask: briq_json::field(obj, "mask")?,
-            use_index: briq_json::field_or(obj, "use_index", true)?,
-            use_store: briq_json::field_or(obj, "use_store", true)?,
-        })
-    }
-}
+briq_json::json_struct!(BriqConfig {
+    context,
+    virtual_cells,
+    filter,
+    graph,
+    resolution,
+    forest,
+    tagger_forest,
+    tagger_threshold,
+    mask,
+    use_index,
+    use_store
+});
 briq_json::json_struct!(Briq {
     cfg,
     classifier,

@@ -306,39 +306,16 @@ pub fn resolve_observed(
     (out, events)
 }
 
-// Hand-written (not `json_struct!`) so `use_csr` can default to `true`
-// on model files serialized before the field existed.
-impl briq_json::ToJson for ResolutionConfig {
-    fn to_json(&self) -> briq_json::Value {
-        briq_json::Value::Object(vec![
-            ("alpha".to_string(), self.alpha.to_json()),
-            ("beta".to_string(), self.beta.to_json()),
-            ("epsilon".to_string(), self.epsilon.to_json()),
-            ("sigma_min".to_string(), self.sigma_min.to_json()),
-            ("restart".to_string(), self.restart.to_json()),
-            ("tolerance".to_string(), self.tolerance.to_json()),
-            ("max_iterations".to_string(), self.max_iterations.to_json()),
-            ("use_csr".to_string(), self.use_csr.to_json()),
-        ])
-    }
-}
-impl briq_json::FromJson for ResolutionConfig {
-    fn from_json(v: &briq_json::Value) -> briq_json::Result<Self> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| briq_json::JsonError::new("expected ResolutionConfig object"))?;
-        Ok(ResolutionConfig {
-            alpha: briq_json::field(obj, "alpha")?,
-            beta: briq_json::field(obj, "beta")?,
-            epsilon: briq_json::field(obj, "epsilon")?,
-            sigma_min: briq_json::field(obj, "sigma_min")?,
-            restart: briq_json::field(obj, "restart")?,
-            tolerance: briq_json::field(obj, "tolerance")?,
-            max_iterations: briq_json::field(obj, "max_iterations")?,
-            use_csr: briq_json::field_or(obj, "use_csr", true)?,
-        })
-    }
-}
+briq_json::json_struct!(ResolutionConfig {
+    alpha,
+    beta,
+    epsilon,
+    sigma_min,
+    restart,
+    tolerance,
+    max_iterations,
+    use_csr
+});
 
 #[cfg(test)]
 mod tests {

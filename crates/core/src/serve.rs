@@ -6,23 +6,26 @@
 //! The design goal is *robustness under load*, not throughput tricks —
 //! every overload path has an explicit, structured answer:
 //!
-//! * **Bounded admission queue.** Align requests pass through an
-//!   admission queue with a hard depth cap. A full queue sheds the
-//!   request immediately with a `{"status":"shed","retry_after_ms":N}`
+//! * **Bounded admission.** Each align request runs on its own
+//!   connection's thread, behind one admission gate: at most `workers`
+//!   requests run at once, at most `queue_depth` more wait for a slot,
+//!   and waiting requests start in arrival order. A request past that is
+//!   shed immediately with a `{"status":"shed","retry_after_ms":N}`
 //!   response instead of buffering without bound — memory stays bounded
 //!   by construction and the client learns to back off.
 //! * **Deadlines.** Every request carries a wall-clock deadline (the
 //!   server default, or a per-request `deadline_ms` override) enforced
 //!   by a cooperative [`CancelToken`] polled inside the align stages. A
-//!   request that exceeds its deadline — including time spent queued —
-//!   returns a structured `Cancelled` diagnostic, never a hung socket.
+//!   request that exceeds its deadline — including time spent waiting
+//!   for a slot — returns a structured `Cancelled` diagnostic, never a
+//!   hung socket.
 //! * **Fault isolation.** Each document aligns through the batch
 //!   engine's own per-document isolation: a panicking document degrades
 //!   to the same `WorkerPanicked` diagnostic the batch path emits and
-//!   the worker pool keeps serving.
+//!   the server keeps serving.
 //! * **Graceful drain.** Raising the shutdown flag (SIGTERM in the
 //!   binary, or the `shutdown` op) stops the accept loop, sheds new
-//!   work, lets queued and in-flight requests finish within a grace
+//!   work, lets waiting and running requests finish within a grace
 //!   window, then force-cancels stragglers through the same token; every
 //!   admitted request still gets a response.
 //! * **Observability.** Counters and histograms (queue depth, shed
@@ -53,7 +56,6 @@
 //! OPERATIONS.md §9 for the operator walkthrough and DESIGN.md §12 for
 //! the admission-control rationale.
 
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -81,11 +83,11 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Concurrent connection cap; excess connections get one shed line and
-/// are closed without ever reaching the queue.
+/// are closed without ever reaching the admission gate.
 const MAX_CONNECTIONS: usize = 64;
 
-/// Poll interval for the accept loop, socket reads, and worker queue
-/// waits — the latency floor for noticing a drain.
+/// Poll interval for the accept loop and socket reads — the latency
+/// floor for noticing a drain.
 const POLL: Duration = Duration::from_millis(10);
 
 /// `retry_after_ms` value in shed responses — the back-off hint.
@@ -103,15 +105,17 @@ pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:4870`; port `0` picks a free port
     /// (the bound address is available from [`Server::local_addr`]).
     pub addr: String,
-    /// Alignment worker threads (≥ 1).
+    /// Align requests that run at once (≥ 1), each on its own
+    /// connection's thread.
     pub workers: usize,
-    /// Admission-queue depth cap (≥ 1); request N+1 is shed.
+    /// Align requests that may wait for one of those slots (≥ 1); a
+    /// request that would make one more wait is shed.
     pub queue_depth: usize,
     /// Default wall-clock deadline per align request, in ms (`0` = no
     /// deadline). A request's `deadline_ms` field overrides it.
     pub default_deadline_ms: u64,
-    /// How long a drain waits for queued + in-flight work before
-    /// force-cancelling it.
+    /// How long a drain waits for waiting and running requests before
+    /// force-cancelling them.
     pub drain_grace_ms: u64,
     /// Per-request resource budget (identical role to the batch path).
     pub budget: Budget,
@@ -212,7 +216,8 @@ fn push_id(fields: &mut Vec<(&str, Value)>, id: Option<&Value>) {
     }
 }
 
-/// The load-shedding response: the queue (or connection table) is full.
+/// The load-shedding response: the admission gate (or connection
+/// table) is full.
 /// Deterministic — CI asserts the exact bytes.
 pub fn shed_response(id: Option<&Value>) -> Value {
     let mut fields = vec![("status", Value::Str("shed".into()))];
@@ -231,8 +236,8 @@ pub fn error_response(id: Option<&Value>, error: &str) -> Value {
     obj(fields)
 }
 
-/// Everything the worker learned while serving one align request —
-/// feeds the metrics registry.
+/// Everything serving one align request learned — feeds the metrics
+/// registry.
 #[derive(Debug, Default, Clone)]
 pub struct AlignOutcome {
     /// Number of segmented documents served.
@@ -364,98 +369,89 @@ pub fn metrics_snapshot(reg: &MetricsRegistry) -> Value {
     ])
 }
 
-/// One queued align request.
-struct Job {
-    id: Option<Value>,
-    html: String,
-    cancel: CancelToken,
-    enqueued: Instant,
-    slot: Arc<ResultSlot>,
-}
-
-/// Hand-off cell between the worker that computes a response and the
-/// connection thread that writes it.
-struct ResultSlot {
-    value: Mutex<Option<Value>>,
+/// Admission control for align requests: a ticket counter. Requests take
+/// tickets in arrival order, and ticket `t` may run once
+/// `t < finished + workers`, so at most `workers` requests run at once
+/// and waiting requests start in arrival order. Admission never blocks
+/// and never lets more than `cap` requests wait — a request past that is
+/// the *caller's* problem (shed), which is what keeps server memory
+/// bounded under floods.
+struct Gate {
+    workers: u64,
+    cap: u64,
+    /// `(admitted, finished)`: tickets handed out, tickets dropped.
+    counts: Mutex<(u64, u64)>,
     cond: Condvar,
 }
 
-impl ResultSlot {
-    fn new() -> Arc<ResultSlot> {
-        Arc::new(ResultSlot {
-            value: Mutex::new(None),
-            cond: Condvar::new(),
-        })
-    }
-
-    fn put(&self, v: Value) {
-        *lock(&self.value) = Some(v);
-        self.cond.notify_all();
-    }
-
-    /// Block until the worker fills the slot. Workers always fill every
-    /// admitted job's slot — even cancelled or panicked ones — so this
-    /// terminates; the poll interval only bounds wakeup latency.
-    fn take(&self, poll: Duration) -> Value {
-        let mut guard = lock(&self.value);
-        loop {
-            if let Some(v) = guard.take() {
-                return v;
-            }
-            guard = match self.cond.wait_timeout(guard, poll) {
-                Ok((g, _)) => g,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
-        }
-    }
-}
-
-/// The bounded admission queue: `try_push` never blocks and never grows
-/// the queue past `cap` — a full queue is the *caller's* problem (shed),
-/// which is what keeps server memory bounded under floods.
-pub(crate) struct AdmissionQueue {
-    cap: usize,
-    inner: Mutex<VecDeque<Job>>,
-    cond: Condvar,
-}
-
-impl AdmissionQueue {
-    fn new(cap: usize) -> AdmissionQueue {
-        AdmissionQueue {
-            cap: cap.max(1),
-            inner: Mutex::new(VecDeque::new()),
+impl Gate {
+    fn new(workers: usize, cap: usize) -> Gate {
+        Gate {
+            workers: workers.max(1) as u64,
+            cap: cap.max(1) as u64,
+            counts: Mutex::new((0, 0)),
             cond: Condvar::new(),
         }
     }
 
-    fn depth(&self) -> usize {
-        lock(&self.inner).len()
+    /// Requests `(running, waiting)` right now.
+    fn load(&self) -> (u64, u64) {
+        let (admitted, finished) = *lock(&self.counts);
+        let held = admitted - finished;
+        (held.min(self.workers), held.saturating_sub(self.workers))
     }
 
-    /// Admit `job`, returning the depth after the push; `Err(job)` means
-    /// the queue is at capacity and the job must be shed.
-    fn try_push(&self, job: Job) -> Result<usize, Job> {
-        let mut q = lock(&self.inner);
-        if q.len() >= self.cap {
-            return Err(job);
+    /// Take the next ticket, with the number of requests waiting once it
+    /// is taken (0 when it may run at once); `None` when `cap` requests
+    /// already wait, and the request must be shed.
+    fn admit(&self) -> Option<(Ticket<'_>, u64)> {
+        let mut counts = lock(&self.counts);
+        let (admitted, finished) = *counts;
+        let waiting = (admitted + 1 - finished).saturating_sub(self.workers);
+        if waiting > self.cap {
+            return None;
         }
-        q.push_back(job);
-        let depth = q.len();
-        drop(q);
-        self.cond.notify_one();
-        Ok(depth)
-    }
-
-    fn pop(&self, timeout: Duration) -> Option<Job> {
-        let mut q = lock(&self.inner);
-        if let Some(job) = q.pop_front() {
-            return Some(job);
-        }
-        let (mut q, _) = match self.cond.wait_timeout(q, timeout) {
-            Ok(r) => r,
-            Err(poisoned) => poisoned.into_inner(),
+        counts.0 += 1;
+        let ticket = Ticket {
+            gate: self,
+            number: admitted,
         };
-        q.pop_front()
+        Some((ticket, waiting))
+    }
+
+    /// Block until every admitted request has finished, or `grace` has
+    /// passed.
+    fn wait_empty(&self, grace: Duration) {
+        let counts = lock(&self.counts);
+        drop(
+            self.cond
+                .wait_timeout_while(counts, grace, |(admitted, finished)| admitted > finished),
+        );
+    }
+}
+
+/// One admitted request's place in the [`Gate`]. Dropping it — also on
+/// unwind — frees the request's slot for the next ticket.
+struct Ticket<'g> {
+    gate: &'g Gate,
+    number: u64,
+}
+
+impl Ticket<'_> {
+    /// Block until this request may run.
+    fn wait_turn(&self) {
+        let gate = self.gate;
+        let counts = lock(&gate.counts);
+        drop(gate.cond.wait_while(counts, |(_, finished)| {
+            self.number >= *finished + gate.workers
+        }));
+    }
+}
+
+impl Drop for Ticket<'_> {
+    fn drop(&mut self) {
+        lock(&self.gate.counts).1 += 1;
+        self.gate.cond.notify_all();
     }
 }
 
@@ -463,17 +459,16 @@ impl AdmissionQueue {
 struct Shared<'a> {
     briq: &'a Briq,
     cfg: &'a ServeConfig,
-    queue: AdmissionQueue,
+    gate: Gate,
     metrics: Mutex<MetricsRegistry>,
     /// Drain requested (SIGTERM watcher, `shutdown` op, or test hook).
     shutdown: Arc<AtomicBool>,
     /// Raised after the drain grace expires; it is the flag inside every
     /// admitted request's [`CancelToken`], so raising it cancels all
-    /// in-flight and still-queued work cooperatively.
+    /// running and still-waiting requests cooperatively.
     force_cancel: Arc<AtomicBool>,
-    inflight: AtomicUsize,
     connections: AtomicUsize,
-    /// Warm alignment store shared across requests and workers — `None`
+    /// Warm alignment store shared across requests — `None`
     /// when disabled (`use_store: false`), in which case every request
     /// takes the plain full-recompute path.
     store: Option<AlignmentStore>,
@@ -496,7 +491,7 @@ impl Shared<'_> {
 pub struct ServeReport {
     /// Align requests admitted or shed (not health/metrics probes).
     pub requests: u64,
-    /// Requests shed by the admission queue or connection cap.
+    /// Requests shed by the admission gate or connection cap.
     pub shed: u64,
     /// Documents cancelled because their deadline passed.
     pub deadline_misses: u64,
@@ -540,17 +535,16 @@ impl Server {
         Arc::clone(&self.shutdown)
     }
 
-    /// Serve until drained. Blocks; spawns `cfg.workers` alignment
-    /// workers plus one thread per live connection on a scoped pool.
+    /// Serve until drained. Blocks; spawns one scoped thread per live
+    /// connection, which also runs that connection's align requests.
     pub fn run(self, briq: &Briq) -> ServeReport {
         let sh = Shared {
             briq,
             cfg: &self.cfg,
-            queue: AdmissionQueue::new(self.cfg.queue_depth),
+            gate: Gate::new(self.cfg.workers, self.cfg.queue_depth),
             metrics: Mutex::new(MetricsRegistry::new()),
             shutdown: Arc::clone(&self.shutdown),
             force_cancel: Arc::new(AtomicBool::new(false)),
-            inflight: AtomicUsize::new(0),
             connections: AtomicUsize::new(0),
             store: briq.cfg.use_store.then(|| {
                 let opts = crate::store::StoreOptions {
@@ -578,9 +572,6 @@ impl Server {
             }),
         };
         std::thread::scope(|s| {
-            for _ in 0..self.cfg.workers.max(1) {
-                s.spawn(|| run_worker(&sh));
-            }
             while !sh.draining() {
                 match self.listener.accept() {
                     Ok((stream, _)) => {
@@ -603,17 +594,12 @@ impl Server {
                     Err(_) => std::thread::sleep(POLL),
                 }
             }
-            // Drain: give queued + in-flight work the grace window, then
-            // force-cancel the rest through the shared token flag. The
-            // workers keep popping until the queue is empty, so every
-            // admitted job's slot gets filled either way.
-            let t0 = Instant::now();
-            let grace = Duration::from_millis(self.cfg.drain_grace_ms);
-            while (sh.queue.depth() > 0 || sh.inflight.load(Ordering::SeqCst) > 0)
-                && t0.elapsed() < grace
-            {
-                std::thread::sleep(POLL);
-            }
+            // Drain: give waiting and running requests the grace window,
+            // then force-cancel the rest through the shared token flag.
+            // A request still waiting then starts with a fired token, so
+            // every admitted request is answered either way.
+            sh.gate
+                .wait_empty(Duration::from_millis(self.cfg.drain_grace_ms));
             sh.force_cancel.store(true, Ordering::SeqCst);
         });
         // Persist on drain: compact everything resident into a snapshot
@@ -632,52 +618,6 @@ impl Server {
             deadline_misses: metrics.counter(names::SERVE_DEADLINE_MISSES),
             panics: metrics.counter(names::SERVE_PANICS),
             metrics,
-        }
-    }
-}
-
-/// Alignment worker: pop, align, fill the slot, repeat. Exits when a
-/// drain has been requested *and* the queue is empty — queued jobs are
-/// always served (their tokens may cancel them instantly, but their
-/// clients still get a structured response).
-fn run_worker(sh: &Shared<'_>) {
-    loop {
-        match sh.queue.pop(POLL) {
-            Some(job) => {
-                sh.inflight.fetch_add(1, Ordering::SeqCst);
-                let wait_s = job.enqueued.elapsed().as_secs_f64();
-                let t0 = Instant::now();
-                let (resp, outcome) = serve_align(
-                    sh.briq,
-                    job.id.as_ref(),
-                    &job.html,
-                    &sh.cfg.budget,
-                    &job.cancel,
-                    sh.store.as_ref(),
-                );
-                {
-                    let mut m = lock(&sh.metrics);
-                    m.observe(names::SERVE_QUEUE_WAIT_S, wait_s);
-                    m.observe(names::SERVE_REQUEST_S, t0.elapsed().as_secs_f64());
-                    m.absorb_timings(&outcome.timings);
-                    if outcome.degraded {
-                        m.count(names::SERVE_DEGRADED, 1);
-                    }
-                    m.count(names::SERVE_PANICS, outcome.panics);
-                    m.count(names::SERVE_DEADLINE_MISSES, outcome.deadline_cancelled);
-                    m.count(
-                        names::CANCELLATIONS,
-                        outcome.deadline_cancelled + outcome.shutdown_cancelled,
-                    );
-                }
-                job.slot.put(resp);
-                sh.inflight.fetch_sub(1, Ordering::SeqCst);
-            }
-            None => {
-                if sh.draining() && sh.queue.depth() == 0 {
-                    return;
-                }
-            }
         }
     }
 }
@@ -712,8 +652,8 @@ enum After {
 }
 
 /// One connection: read JSONL lines, answer each. Requests on a single
-/// connection are served strictly in order; concurrency comes from
-/// multiple connections feeding the shared queue.
+/// connection are served strictly in order, on this thread; concurrency
+/// comes from multiple connections sharing the admission gate.
 fn run_connection(sh: &Shared<'_>, mut stream: TcpStream) {
     // Accepted sockets may inherit the listener's nonblocking mode on
     // some platforms; force blocking + a read timeout so the loop can
@@ -779,19 +719,17 @@ fn handle_line(sh: &Shared<'_>, stream: &mut TcpStream, line: &str) -> After {
     };
     match req {
         Request::Health => {
+            let (running, waiting) = sh.gate.load();
             let resp = obj(vec![
                 ("status", Value::Str("ok".into())),
                 ("op", Value::Str("health".into())),
                 ("ready", Value::Bool(!sh.draining())),
                 ("draining", Value::Bool(sh.draining())),
-                ("queue_depth", Value::Num(sh.queue.depth() as f64)),
+                ("queue_depth", Value::Num(waiting as f64)),
                 // The admission cap after its `max(1)` clamp: chaos checks
                 // the observed queue depth never exceeded it.
-                ("queue_capacity", Value::Num(sh.queue.cap as f64)),
-                (
-                    "inflight",
-                    Value::Num(sh.inflight.load(Ordering::SeqCst) as f64),
-                ),
+                ("queue_capacity", Value::Num(sh.gate.cap as f64)),
+                ("inflight", Value::Num(running as f64)),
                 (
                     "connections",
                     Value::Num(sh.connections.load(Ordering::SeqCst) as f64),
@@ -833,6 +771,7 @@ fn handle_line(sh: &Shared<'_>, stream: &mut TcpStream, line: &str) -> After {
                 if st.persisted() {
                     reg.count(names::STORE_RECOVERED_ENTRIES, st.recovered_entries());
                     reg.count(names::STORE_COMPACTIONS, st.compactions());
+                    reg.count(names::STORE_PERSIST_ERRORS, st.persist_errors());
                     reg.observe(names::STORE_LOG_BYTES, st.log_bytes() as f64);
                     reg.observe(names::STORE_SNAPSHOT_BYTES, st.snapshot_bytes() as f64);
                 }
@@ -841,7 +780,7 @@ fn handle_line(sh: &Shared<'_>, stream: &mut TcpStream, line: &str) -> After {
             let resp = obj(vec![
                 ("status", Value::Str("ok".into())),
                 ("op", Value::Str("metrics".into())),
-                ("queue_depth", Value::Num(sh.queue.depth() as f64)),
+                ("queue_depth", Value::Num(sh.gate.load().1 as f64)),
                 ("metrics", snapshot),
             ]);
             ok_or_close(write_line(sh, stream, &resp))
@@ -867,33 +806,50 @@ fn handle_line(sh: &Shared<'_>, stream: &mut TcpStream, line: &str) -> After {
                 write_line(sh, stream, &shed_response(id.as_ref()));
                 return After::Close;
             }
-            // Deadline runs from admission, so time spent queued counts
-            // against the request — a deadline is a promise about total
-            // latency, not just compute.
+            let Some((ticket, waiting)) = sh.gate.admit() else {
+                sh.count(names::SERVE_SHED, 1);
+                return ok_or_close(write_line(sh, stream, &shed_response(id.as_ref())));
+            };
+            let admitted = Instant::now();
+            lock(&sh.metrics).observe(names::SERVE_QUEUE_DEPTH, waiting as f64);
+            // Deadline runs from admission, so time spent waiting for a
+            // slot counts against the request — a deadline is a promise
+            // about total latency, not just compute.
             let deadline_ms = deadline_ms.unwrap_or(sh.cfg.default_deadline_ms);
             let mut cancel = CancelToken::with_flag(Arc::clone(&sh.force_cancel));
             if deadline_ms > 0 {
-                cancel = cancel.and_deadline(Instant::now() + Duration::from_millis(deadline_ms));
+                cancel = cancel.and_deadline(admitted + Duration::from_millis(deadline_ms));
             }
-            let slot = ResultSlot::new();
-            let job = Job {
-                id: id.clone(),
-                html,
-                cancel,
-                enqueued: Instant::now(),
-                slot: Arc::clone(&slot),
-            };
-            match sh.queue.try_push(job) {
-                Err(_) => {
-                    sh.count(names::SERVE_SHED, 1);
-                    ok_or_close(write_line(sh, stream, &shed_response(id.as_ref())))
+            ticket.wait_turn();
+            let started = Instant::now();
+            let (resp, outcome) = serve_align(
+                sh.briq,
+                id.as_ref(),
+                &html,
+                &sh.cfg.budget,
+                &cancel,
+                sh.store.as_ref(),
+            );
+            drop(ticket);
+            {
+                let mut m = lock(&sh.metrics);
+                m.observe(
+                    names::SERVE_QUEUE_WAIT_S,
+                    (started - admitted).as_secs_f64(),
+                );
+                m.observe(names::SERVE_REQUEST_S, started.elapsed().as_secs_f64());
+                m.absorb_timings(&outcome.timings);
+                if outcome.degraded {
+                    m.count(names::SERVE_DEGRADED, 1);
                 }
-                Ok(depth) => {
-                    lock(&sh.metrics).observe(names::SERVE_QUEUE_DEPTH, depth as f64);
-                    let resp = slot.take(POLL);
-                    ok_or_close(write_line(sh, stream, &resp))
-                }
+                m.count(names::SERVE_PANICS, outcome.panics);
+                m.count(names::SERVE_DEADLINE_MISSES, outcome.deadline_cancelled);
+                m.count(
+                    names::CANCELLATIONS,
+                    outcome.deadline_cancelled + outcome.shutdown_cancelled,
+                );
             }
+            ok_or_close(write_line(sh, stream, &resp))
         }
     }
 }
@@ -1033,20 +989,39 @@ mod tests {
     }
 
     #[test]
-    fn admission_queue_sheds_exactly_past_capacity() {
-        let q = AdmissionQueue::new(2);
-        let mk = || Job {
-            id: None,
-            html: String::new(),
-            cancel: CancelToken::none(),
-            enqueued: Instant::now(),
-            slot: ResultSlot::new(),
-        };
-        assert_eq!(q.try_push(mk()).ok(), Some(1));
-        assert_eq!(q.try_push(mk()).ok(), Some(2));
-        assert!(q.try_push(mk()).is_err());
-        assert!(q.pop(Duration::from_millis(1)).is_some());
-        assert_eq!(q.try_push(mk()).ok(), Some(2));
+    fn gate_sheds_exactly_past_capacity_and_starts_in_admission_order() {
+        let gate = Gate::new(1, 2);
+        let mut tickets = Vec::new();
+        for want_waiting in 0..3 {
+            let (ticket, waiting) = gate.admit().expect("admitted");
+            assert_eq!(waiting, want_waiting);
+            tickets.push(ticket);
+        }
+        assert!(gate.admit().is_none(), "a fourth request is shed");
+        assert_eq!(gate.load(), (1, 2));
+
+        let started = Mutex::new(Vec::new());
+        let ready = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            // Both waiters (the later ticket spawned first) pass the
+            // barrier before ticket 0 is freed, so only the gate can put
+            // them in order.
+            for ticket in tickets.drain(1..).rev() {
+                let (started, ready) = (&started, &ready);
+                s.spawn(move || {
+                    ready.wait();
+                    ticket.wait_turn();
+                    lock(started).push(ticket.number);
+                });
+            }
+            tickets[0].wait_turn();
+            lock(&started).push(tickets[0].number);
+            ready.wait();
+            tickets.clear();
+        });
+        assert_eq!(*lock(&started), [0, 1, 2]);
+        assert_eq!(gate.load(), (0, 0));
+        assert_eq!(gate.admit().map(|(_, waiting)| waiting), Some(0));
     }
 
     #[test]
@@ -1159,33 +1134,83 @@ mod tests {
         });
     }
 
+    /// A page slow enough to align that requests behind it wait: a 24×24
+    /// numeric table and a paragraph quoting 40 of its numbers.
+    fn slow_page() -> String {
+        let value = |r: usize, c: usize| (r * 37 + c * 11) % 900 + 100;
+        let mut html = String::from("<html><body><p>The survey counted");
+        for i in 0..40 {
+            html.push_str(&format!(" {} units in region {i},", value(i % 24, i / 2)));
+        }
+        html.push_str(" in total.</p><table><tr><th>region</th>");
+        for c in 0..24 {
+            html.push_str(&format!("<th>year {c}</th>"));
+        }
+        html.push_str("</tr>");
+        for r in 0..24 {
+            html.push_str(&format!("<tr><td>region {r}</td>"));
+            for c in 0..24 {
+                html.push_str(&format!("<td>{}</td>", value(r, c)));
+            }
+            html.push_str("</tr>");
+        }
+        html.push_str("</table></body></html>");
+        html
+    }
+
     #[test]
     fn drain_cancels_stuck_requests_and_still_answers_them() {
         let briq = briq();
         let server = Server::bind(ServeConfig {
             workers: 1,
-            drain_grace_ms: 50,
+            queue_depth: 8,
+            drain_grace_ms: 0,
             default_deadline_ms: 0,
             ..ServeConfig::default()
         })
         .unwrap();
         let addr = server.local_addr().unwrap();
         let flag = server.shutdown_flag();
+        let html = slow_page();
         std::thread::scope(|s| {
             let handle = s.spawn(|| server.run(&briq));
-            let mut c = Client::connect(addr);
-            let req = obj(vec![
-                ("op", Value::Str("align".into())),
-                ("html", Value::Str(test_page())),
-            ]);
-            c.send(&req.to_string_compact());
-            let resp = c.recv();
-            assert_eq!(resp.get("status").and_then(Value::as_str), Some("ok"));
-
-            // Now drain externally (as the SIGTERM watcher would).
+            let mut clients: Vec<Client> = (0..3)
+                .map(|i| {
+                    let mut c = Client::connect(addr);
+                    let req = obj(vec![
+                        ("op", Value::Str("align".into())),
+                        ("id", Value::Num(i as f64)),
+                        ("html", Value::Str(html.clone())),
+                    ]);
+                    c.send(&req.to_string_compact());
+                    c
+                })
+                .collect();
+            // Drain (as the SIGTERM watcher would) once all three are
+            // admitted: one running, the others waiting behind it.
+            let mut probe = Client::connect(addr);
+            let requests_read = |m: &Value| {
+                m.get("metrics")
+                    .and_then(|m| m.get("counters"))
+                    .and_then(|c| c.get(names::SERVE_REQUESTS))
+                    .and_then(Value::as_f64)
+            };
+            loop {
+                probe.send(r#"{"op":"metrics"}"#);
+                if requests_read(&probe.recv()) == Some(3.0) {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
             flag.store(true, Ordering::SeqCst);
+
+            for (i, c) in clients.iter_mut().enumerate() {
+                let resp = c.recv();
+                assert_eq!(resp.get("status").and_then(Value::as_str), Some("ok"));
+                assert_eq!(resp.get("id").and_then(Value::as_f64), Some(i as f64));
+            }
             let report = handle.join().unwrap();
-            assert_eq!(report.requests, 1);
+            assert_eq!(report.requests, 3);
         });
     }
 }

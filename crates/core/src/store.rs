@@ -456,7 +456,6 @@ pub struct AlignmentStore {
     tick: AtomicU64,
     max_bytes: u64,
     evictions: AtomicU64,
-    evicted_bytes: AtomicU64,
     persist_errors: AtomicU64,
     recovered: u64,
     recover_s: f64,
@@ -521,7 +520,6 @@ impl AlignmentStore {
             tick: AtomicU64::new(clock),
             max_bytes: opts.max_bytes,
             evictions: AtomicU64::new(0),
-            evicted_bytes: AtomicU64::new(0),
             persist_errors: AtomicU64::new(0),
             recovered,
             recover_s,
@@ -600,11 +598,6 @@ impl AlignmentStore {
     /// Entries evicted to stay under the memory budget.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Estimated bytes released by eviction.
-    pub fn evicted_bytes(&self) -> u64 {
-        self.evicted_bytes.load(Ordering::Relaxed)
     }
 
     /// Current novelty-log size in bytes (0 without persistence).
@@ -706,7 +699,6 @@ impl AlignmentStore {
         for bytes in evict_lru(&mut lock(&self.entries), self.max_bytes) {
             self.bytes_sub(bytes);
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            self.evicted_bytes.fetch_add(bytes, Ordering::Relaxed);
             rec.count(names::STORE_EVICTIONS, 1);
         }
     }
@@ -1193,7 +1185,6 @@ mod tests {
         }
         assert_eq!(bounded.len(), 1, "budget keeps only the newest entry");
         assert!(bounded.evictions() >= 3);
-        assert!(bounded.evicted_bytes() > 0);
         // The unbounded oracle store served round 2 from cache; the
         // bounded store recomputed — outputs matched regardless.
         assert_eq!(oracle.hits(), 2);

@@ -924,7 +924,8 @@ mod tests {
 
     static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
-    /// A unique scratch directory, removed on drop.
+    /// A unique scratch directory, removed on drop (or the file a test
+    /// put at its path).
     struct TempDir(PathBuf);
 
     impl TempDir {
@@ -944,7 +945,7 @@ mod tests {
 
     impl Drop for TempDir {
         fn drop(&mut self) {
-            let _ = fs::remove_dir_all(&self.0);
+            let _ = fs::remove_dir_all(&self.0).or_else(|_| fs::remove_file(&self.0));
         }
     }
 
@@ -1551,6 +1552,23 @@ mod tests {
         let warm = align_all(&briq, &store, &edited);
         assert_eq!(store.hits(), 2, "both keys recover at their newest version");
         assert_eq!(warm, storeless(&briq, &edited));
+    }
+
+    #[test]
+    fn failed_compaction_is_counted_and_output_unchanged() {
+        let briq = briq();
+        let dir = TempDir::new("unwritable");
+        let moved = TempDir::new("unwritable-moved");
+        let store = one_byte_floor(&briq, dir.path());
+        // Move the directory away and put a regular file at its path: the
+        // open log still appends, but the compaction's temp file cannot
+        // be created there, even by root.
+        fs::rename(dir.path(), moved.path()).expect("move the store directory");
+        fs::write(dir.path(), b"not a directory").expect("file at the store path");
+        let doc = &docs()[..1];
+        assert_eq!(align_all(&briq, &store, doc), storeless(&briq, doc));
+        assert_eq!(store.persist_errors(), 1);
+        assert_eq!(store.compactions(), 0);
     }
 
     #[test]

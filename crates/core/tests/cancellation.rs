@@ -2,8 +2,8 @@
 //! (DESIGN.md §12): a cancelled request leaves **no partial state** —
 //! empty alignments plus exactly one [`DegradedAction::Cancelled`]
 //! diagnostic — an un-cancelled token changes nothing bit-for-bit, and
-//! the same `Briq` (and a real worker pool) stays fully serviceable
-//! after absorbing cancelled requests.
+//! the same `Briq` (and a real in-process server) stays fully
+//! serviceable after absorbing cancelled requests.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -180,12 +180,12 @@ fn shutdown_flag_wins_over_expired_deadline() {
     );
 }
 
-/// The worker *pool* stays serviceable after cancellations: a real
+/// The *server* stays serviceable after cancellations: a real
 /// in-process server absorbs a burst of already-expired-deadline
 /// requests and then answers a clean request normally on the same
-/// workers.
+/// connection.
 #[test]
-fn worker_pool_stays_serviceable_after_cancelled_requests() {
+fn server_stays_serviceable_after_cancelled_requests() {
     use briq_core::serve::{ServeConfig, Server};
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
@@ -224,7 +224,7 @@ fn worker_pool_stays_serviceable_after_cancelled_requests() {
         assert!(status == Some("ok") || status == Some("shed"), "{line}");
     }
 
-    // The pool must still answer a clean, deadline-free request.
+    // The server must still answer a clean, deadline-free request.
     let req = format!("{{\"op\":\"align\",\"id\":99,\"html\":{html}}}\n");
     stream.write_all(req.as_bytes()).expect("write clean");
     let mut line = String::new();
@@ -251,5 +251,5 @@ fn worker_pool_stays_serviceable_after_cancelled_requests() {
         .write_all(b"{\"op\":\"shutdown\"}\n")
         .expect("write shutdown");
     let report = handle.join().expect("server thread");
-    assert_eq!(report.panics, 0, "worker panicked during the run");
+    assert_eq!(report.panics, 0, "a request panicked during the run");
 }

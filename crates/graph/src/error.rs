@@ -12,11 +12,6 @@ pub enum GraphError {
         /// Number of nodes in the graph.
         len: usize,
     },
-    /// An edge insertion would exceed an imposed edge budget.
-    EdgeBudgetExceeded {
-        /// The budget that was hit.
-        max_edges: usize,
-    },
 }
 
 impl fmt::Display for GraphError {
@@ -24,9 +19,6 @@ impl fmt::Display for GraphError {
         match self {
             GraphError::NodeOutOfRange { node, len } => {
                 write!(f, "node {node} out of range for graph of {len} nodes")
-            }
-            GraphError::EdgeBudgetExceeded { max_edges } => {
-                write!(f, "edge budget of {max_edges} edges exceeded")
             }
         }
     }

@@ -507,16 +507,6 @@ pub fn field<T: FromJson>(obj: &[(String, Value)], key: &str) -> Result<T> {
     }
 }
 
-/// Look up `key` in object entries and convert; a missing key yields
-/// `default` instead of an error. For fields added after a format
-/// shipped, so older serialized artifacts keep loading.
-pub fn field_or<T: FromJson>(obj: &[(String, Value)], key: &str, default: T) -> Result<T> {
-    match obj.iter().find(|(k, _)| k == key) {
-        Some((_, v)) => T::from_json(v).map_err(|e| JsonError::new(format!("field {key:?}: {e}"))),
-        None => Ok(default),
-    }
-}
-
 impl ToJson for Value {
     fn to_json(&self) -> Value {
         self.clone()

@@ -28,7 +28,6 @@
 
 pub mod chunker;
 pub mod cues;
-pub mod error;
 pub mod numparse;
 pub mod pos;
 pub mod qkb;
@@ -38,7 +37,6 @@ pub mod token;
 pub mod units;
 
 pub use cues::{AggregationKind, ApproxIndicator};
-pub use error::TextError;
 pub use quantity::{extract_quantities, parse_cell_quantity, QuantityMention};
 pub use token::{tokenize, Token, TokenKind};
 pub use units::Unit;

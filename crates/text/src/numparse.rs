@@ -26,22 +26,14 @@ pub struct ParsedNumber {
 }
 
 /// Parse a numeral string (digits with optional grouping/decimal marks and
-/// sign) into a [`ParsedNumber`]. Returns `None` if `s` is not a numeral
-/// or would not produce a finite value; [`try_parse_numeral`] reports the
-/// distinction.
+/// sign) into a [`ParsedNumber`]. Returns `None` if `s` is not a numeral,
+/// or is an adversarial one that would not produce a finite value (a
+/// 400-digit run parses to `inf`, which would poison every downstream
+/// value comparison).
 pub fn parse_numeral(s: &str) -> Option<ParsedNumber> {
-    try_parse_numeral(s).ok()
-}
-
-/// Like [`parse_numeral`], but distinguishes "not a numeral" from
-/// adversarial numerals that overflow `f64` (a 400-digit run parses to
-/// `inf`, which would poison every downstream value comparison).
-pub fn try_parse_numeral(s: &str) -> Result<ParsedNumber, crate::error::TextError> {
-    use crate::error::TextError;
-    let raw = s;
     let s = s.trim();
     if s.is_empty() {
-        return Err(TextError::NotANumeral);
+        return None;
     }
     let (s, accounting_negative) = if s.starts_with('(') && s.ends_with(')') {
         (&s[1..s.len() - 1], true)
@@ -54,26 +46,24 @@ pub fn try_parse_numeral(s: &str) -> Result<ParsedNumber, crate::error::TextErro
     };
     let s = s.trim();
     if !s.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        return Err(TextError::NotANumeral);
+        return None;
     }
     if !s
         .chars()
         .all(|c| c.is_ascii_digit() || c == ',' || c == '.')
     {
-        return Err(TextError::NotANumeral);
+        return None;
     }
-    let (mantissa, precision, grouped) = interpret_marks(s).ok_or(TextError::NotANumeral)?;
+    let (mantissa, precision, grouped) = interpret_marks(s)?;
     if !mantissa.is_finite() {
-        return Err(TextError::NonFiniteNumber {
-            raw: crate::error::clip(raw),
-        });
+        return None;
     }
     let sign = if neg || accounting_negative {
         -1.0
     } else {
         1.0
     };
-    Ok(ParsedNumber {
+    Some(ParsedNumber {
         value: sign * mantissa,
         precision,
         grouped,
@@ -242,18 +232,11 @@ fn tens_value(w: &str) -> Option<u64> {
 /// Accepts forms like `["twenty"]`, `["twenty", "five"]` (also written
 /// `twenty-five` after hyphen splitting), `["one", "hundred", "and",
 /// "five"]`, `["two", "million"]`. Returns the value and how many words
-/// were consumed from the front.
+/// were consumed from the front; `None` when no number starts here, or
+/// when it overflows 64-bit arithmetic (a hostile page can repeat
+/// "trillion" until `u64` wraps; checked arithmetic turns that into
+/// `None` instead of a debug-mode panic).
 pub fn parse_word_number(words: &[&str]) -> Option<(f64, usize)> {
-    try_parse_word_number(words).ok()
-}
-
-/// Like [`parse_word_number`], but distinguishes "no number here" from a
-/// spelled-out number that overflows 64-bit arithmetic (a hostile page can
-/// repeat "trillion" until `u64` wraps; checked arithmetic turns that into
-/// an error instead of a debug-mode panic).
-pub fn try_parse_word_number(words: &[&str]) -> Result<(f64, usize), crate::error::TextError> {
-    use crate::error::TextError;
-    let overflow = |_| TextError::WordNumberOverflow;
     let mut total: u64 = 0;
     let mut current: u64 = 0;
     let mut consumed = 0;
@@ -261,14 +244,14 @@ pub fn try_parse_word_number(words: &[&str]) -> Result<(f64, usize), crate::erro
     while i < words.len() {
         let w = words[i];
         if let Some(v) = ones_value(w) {
-            current = current.checked_add(v).ok_or(()).map_err(overflow)?;
+            current = current.checked_add(v)?;
         } else if let Some(v) = tens_value(w) {
-            current = current.checked_add(v).ok_or(()).map_err(overflow)?;
+            current = current.checked_add(v)?;
             // allow "twenty five" / "twenty-five"
             if i + 1 < words.len() {
                 if let Some(o) = ones_value(words[i + 1]) {
                     if o < 10 {
-                        current = current.checked_add(o).ok_or(()).map_err(overflow)?;
+                        current = current.checked_add(o)?;
                         i += 1;
                     }
                 }
@@ -277,17 +260,15 @@ pub fn try_parse_word_number(words: &[&str]) -> Result<(f64, usize), crate::erro
             if current == 0 {
                 current = 1;
             }
-            current = current.checked_mul(100).ok_or(()).map_err(overflow)?;
+            current = current.checked_mul(100)?;
         } else if w == "thousand" || w == "million" || w == "billion" || w == "trillion" {
-            let mult = scale_multiplier(w).ok_or(TextError::NotANumeral)? as u64;
+            let mult = scale_multiplier(w)? as u64;
             if current == 0 {
                 current = 1;
             }
             total = current
                 .checked_mul(mult)
-                .and_then(|scaled| total.checked_add(scaled))
-                .ok_or(())
-                .map_err(overflow)?;
+                .and_then(|scaled| total.checked_add(scaled))?;
             current = 0;
         } else if w == "and" && consumed > 0 {
             // connective inside "one hundred and five"
@@ -298,17 +279,17 @@ pub fn try_parse_word_number(words: &[&str]) -> Result<(f64, usize), crate::erro
         consumed = i;
     }
     if consumed == 0 {
-        return Err(TextError::NotANumeral);
+        return None;
     }
     // trailing "and" should not be consumed
     if words[consumed - 1] == "and" {
         consumed -= 1;
         if consumed == 0 {
-            return Err(TextError::NotANumeral);
+            return None;
         }
     }
-    let value = total.checked_add(current).ok_or(()).map_err(overflow)?;
-    Ok((value as f64, consumed))
+    let value = total.checked_add(current)?;
+    Some((value as f64, consumed))
 }
 
 /// Order of magnitude (floor of log10 of |v|); 0 for v == 0.
@@ -449,30 +430,20 @@ mod tests {
 
     #[test]
     fn huge_digit_runs_rejected_as_non_finite() {
-        use crate::error::TextError;
         let huge = "9".repeat(400);
         assert!(parse_numeral(&huge).is_none());
-        match try_parse_numeral(&huge) {
-            Err(TextError::NonFiniteNumber { raw }) => assert!(raw.ends_with('…')),
-            other => panic!("expected NonFiniteNumber, got {other:?}"),
-        }
-        assert_eq!(try_parse_numeral("abc"), Err(TextError::NotANumeral));
+        assert!(parse_numeral("abc").is_none());
         // A merely large but finite numeral still parses.
         assert!(parse_numeral(&"9".repeat(300)).is_some());
     }
 
     #[test]
     fn word_number_overflow_is_an_error_not_a_panic() {
-        use crate::error::TextError;
         // "nineteen hundred hundred …" — each "hundred" multiplies, so a
         // dozen of them overflow u64.
         let words: Vec<&str> = std::iter::once("nineteen")
             .chain(std::iter::repeat_n("hundred", 12))
             .collect();
-        assert_eq!(
-            try_parse_word_number(&words),
-            Err(TextError::WordNumberOverflow)
-        );
         assert!(parse_word_number(&words).is_none());
     }
 

@@ -1,7 +1,7 @@
 //! Model files are checked when loaded: a malformed tree or a split on a
 //! feature the row does not have makes `Briq::from_json` return an error
 //! naming the tree and node, before anything walks a tree or scores a
-//! row.
+//! row. A config missing a field is refused and the error names it.
 
 use std::sync::OnceLock;
 
@@ -102,6 +102,15 @@ fn trained_model_round_trips() {
     let briq = Briq::from_json(json).expect("the trained model loads");
     assert!(briq.is_trained());
     assert_eq!(briq.to_json().expect("serializes"), json);
+}
+
+#[test]
+fn config_without_use_index_is_refused() {
+    let err = load_edited(|m| match field(m, "cfg") {
+        Value::Object(entries) => entries.retain(|(k, _)| k != "use_index"),
+        _ => panic!("cfg is not an object"),
+    });
+    assert_names(&err, &["use_index"]);
 }
 
 #[test]
