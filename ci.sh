@@ -60,17 +60,21 @@
 #                tolerance for all gates). Refuses to compare runs whose
 #                index_enabled states differ; skips loudly when HEAD has
 #                no artifact or one predating the compared schema fields.
-#   determinism  briq-align over the same seeded page corpus four times:
+#   determinism  briq-align over the same seeded page corpus five times:
 #                --jobs 1, --jobs $(nproc or 8), --jobs 1 with
-#                --trace/--metrics (observability recording on), and
-#                --jobs 1 with --oracle (every stage on its reference
+#                --trace/--metrics (span trees kept), --jobs 1 with
+#                --metrics alone (metrics recorded, span trees dropped),
+#                and --jobs 1 with --oracle (every stage on its reference
 #                path: exhaustive classification with no retrieval or
 #                pruning; the dense RWR walk; no store); fails unless
 #                alignment stdout and the diagnostics JSONL (which carries
-#                no timings) are byte-for-byte identical across all four —
+#                no timings) are byte-for-byte identical across all five —
 #                worker count, tracing, AND the production path must be
 #                unobservable in the output. The traced run's trace file
-#                must also be non-empty valid-ish JSON. Then the same
+#                must also be non-empty valid-ish JSON, and the counter
+#                lines of the two metrics files must be identical
+#                (tracing decides only which span trees are kept, never
+#                what is counted). Then the same
 #                compare with a trained forest: a --train-demo model,
 #                run with --model at --jobs 1, at --jobs $(nproc or 8),
 #                and with --oracle, so the forest's bounded pruning and
@@ -118,8 +122,11 @@
 #   serve        boots the persistent alignment server (briq-serve) on a
 #                loopback port, byte-compares the drive client's output
 #                against briq-align --json over the same seeded corpus
-#                (the wire path must not drift from the batch path), runs
-#                the fault-injecting chaos client against it, then floods
+#                (the wire path must not drift from the batch path),
+#                requires its metrics op to report nonzero pairs_scored,
+#                mentions and rwr_walks after that drive (each request
+#                records the pipeline's counters), runs the
+#                fault-injecting chaos client against it, then floods
 #                a deliberately tiny server (--workers 1 --queue-depth 1:
 #                one align request runs, one more may wait) with chaos
 #                --expect-shed (every flood request is a distinct page,
@@ -304,8 +311,10 @@ stage_determinism() {
     align_run "$dir" n --batch "$dir/corpus" --jobs "$jobs_hi"
     align_run "$dir" traced --batch "$dir/corpus" --jobs 1 \
         --trace "$dir/trace.json" --metrics "$dir/metrics.jsonl"
+    align_run "$dir" metrics --batch "$dir/corpus" --jobs 1 \
+        --metrics "$dir/metrics_untraced.jsonl"
     align_run "$dir" oracle --batch "$dir/corpus" --jobs 1 --oracle
-    for run in n traced oracle; do
+    for run in n traced metrics oracle; do
         same_run determinism "$dir" 1 "$run" || return 1
     done
     grep -q '"traceEvents"' "$dir/trace.json" || {
@@ -316,7 +325,13 @@ stage_determinism() {
         echo "determinism: metrics JSONL missing pairs_scored" >&2
         return 1
     }
-    echo "determinism: --jobs 1, --jobs $jobs_hi, --trace/--metrics, and --oracle byte-identical ($(wc -c < "$dir/out_1.json") bytes of alignments)"
+    # Metrics are recorded whether or not span trees are kept: the
+    # untraced run must count exactly what the traced run counts.
+    grep '"type":"counter"' "$dir/metrics.jsonl" > "$dir/counters_traced.jsonl"
+    grep '"type":"counter"' "$dir/metrics_untraced.jsonl" > "$dir/counters_untraced.jsonl"
+    same_file determinism "$dir/counters_traced.jsonl" "$dir/counters_untraced.jsonl" \
+        "counters of the untraced --metrics run (vs the traced run)" || return 1
+    echo "determinism: --jobs 1, --jobs $jobs_hi, --trace/--metrics, --metrics, and --oracle byte-identical ($(wc -c < "$dir/out_1.json") bytes of alignments; $(wc -l < "$dir/counters_traced.jsonl") counters equal traced and untraced)"
 
     # The trained forest: phase-B pruning only runs with a model.
     ./target/release/briq-align --train-demo "$dir/model.json" 2> "$dir/err_train.txt" || {
@@ -602,6 +617,16 @@ stage_serve() {
     fi
     same_file serve "$dir/out_batch.json" "$dir/out_serve.json" \
         "wire output (vs briq-align --json)" || return 1
+    # Each align request records the pipeline's own counters into the
+    # server's registry, so the metrics op reports the drive's work.
+    local metrics name
+    metrics="$(serve_request "$SERVE_ADDR" '{"op":"metrics"}')"
+    for name in pairs_scored mentions rwr_walks; do
+        printf '%s' "$metrics" | grep -q "\"$name\":[1-9]" || {
+            echo "serve: metrics op after the drive has no nonzero $name: $metrics" >&2
+            return 1
+        }
+    done
 
     # 2. Chaos against the healthy server: malformed JSONL, oversized
     # payloads, half-closed connections, slow writers, request floods.

@@ -43,8 +43,9 @@
 //!
 //! `--trace <file>` writes a Chrome `trace_event` JSON file (open it in
 //! `chrome://tracing` or <https://ui.perfetto.dev>) with one track per
-//! document; `--metrics <file>` writes the merged metrics registry as
-//! JSON Lines and prints a summary table to stderr. Both only *observe*:
+//! document; `--metrics <file>` writes the merged metrics registry, which
+//! the batch engine records on every run, as JSON Lines and prints a
+//! summary table to stderr. Both only *observe*:
 //! alignment stdout and the diagnostics JSONL are byte-identical with and
 //! without them (CI's determinism stage enforces this). See
 //! OPERATIONS.md for a walkthrough and DESIGN.md §11 for every metric
@@ -147,10 +148,11 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Per-document tracing is needed for either export; it never changes
-    // alignment output (CI byte-compares a traced run to enforce that).
+    // The batch engine always records metrics; only the trace export
+    // needs the per-document span trees kept. Neither changes alignment
+    // output (CI byte-compares traced and untraced runs to enforce that).
     let cfg = BatchConfig {
-        trace: cli.trace.is_some() || cli.metrics.is_some(),
+        trace: cli.trace.is_some(),
         ..BatchConfig::with_jobs(cli.jobs)
     };
 

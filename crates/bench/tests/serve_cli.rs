@@ -145,6 +145,29 @@ fn server_sheds_deterministically_and_survives_raw_socket_abuse() {
         String::from_utf8_lossy(&chaos.stderr)
     );
 
+    // Every align request the flood sent is counted once: either shed,
+    // or admitted and answered (one `serve_request_s` observation).
+    let mut s = TcpStream::connect(&server.addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    s.write_all(b"{\"op\":\"metrics\"}\n").unwrap();
+    let mut line = String::new();
+    BufReader::new(s).read_line(&mut line).unwrap();
+    let v = briq_json::parse(&line).unwrap();
+    let m = v.get("metrics").expect("metrics");
+    let read = |group: &str, name: &str, field: Option<&str>| {
+        let x = m.get(group).and_then(|g| g.get(name));
+        let x = match field {
+            Some(f) => x.and_then(|h| h.get(f)),
+            None => x,
+        };
+        x.and_then(briq_json::Value::as_f64).unwrap_or(0.0)
+    };
+    let requests = read("counters", "serve_requests", None);
+    let shed = read("counters", "serve_shed", None);
+    let answered = read("histograms", "serve_request_s", Some("count"));
+    assert!(shed > 0.0, "{line}");
+    assert_eq!(requests, answered + shed, "{line}");
+
     server.stop_and_wait();
 }
 

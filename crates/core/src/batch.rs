@@ -17,9 +17,13 @@
 //! * **Deterministic output** — results are reported in input order and
 //!   are bit-identical for every worker count, because documents never
 //!   share mutable state and the merge is index-addressed.
-//! * **Observability** — the [`BatchReport`] carries per-stage wall-clock
-//!   totals (extract / classify / filter / resolve), per-worker
-//!   utilization, and per-document [`Diagnostics`].
+//! * **Observability** — every document records into its own enabled
+//!   [`Recorder`]; each worker merges what its documents recorded, and
+//!   the [`BatchReport`] carries the batch's merged metrics, the
+//!   per-stage totals derived from them (extract / classify / filter /
+//!   resolve), per-worker utilization, and per-document [`Diagnostics`].
+//!   Span trees are kept per document only when [`BatchConfig::trace`]
+//!   is set.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -29,7 +33,7 @@ use briq_table::Document;
 
 use crate::error::{BriqError, Budget, DegradedAction, Diagnostic, Diagnostics, Stage};
 use crate::mention::Alignment;
-use crate::obs::{chrome_trace_json, names, DocTrace, MetricsRegistry, Recorder};
+use crate::obs::{chrome_trace_json, names, DocTrace, Histogram, MetricsRegistry, Recorder};
 use crate::pipeline::{AlignOpts, AlignOutput, Briq};
 use crate::span;
 use crate::store::AlignmentStore;
@@ -47,8 +51,9 @@ const _: () = {
     assert_share_safe::<AlignmentStore>();
 };
 
-/// Wall-clock seconds spent in each pipeline stage (Fig. 2) while
-/// aligning one document (or, summed, a whole batch).
+/// Seconds spent in each pipeline stage (Fig. 2) and the classify
+/// stage's work counters over a whole batch, derived from its merged
+/// metrics ([`BatchReport::stage_totals`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
     /// Mention extraction, context building, and virtual-cell generation.
@@ -57,7 +62,8 @@ pub struct StageTimings {
     pub classify_s: f64,
     /// Adaptive filtering (§V).
     pub filter_s: f64,
-    /// Graph construction and entropy-ordered random-walk resolution (§VI).
+    /// Graph construction and entropy-ordered random-walk resolution
+    /// (§VI): the `graph` and `resolve` spans together.
     pub resolve_s: f64,
     /// Mention/target pairs scored during the classify stage. Together
     /// with `classify_s` this yields scored-pairs/sec, the classifier
@@ -76,21 +82,29 @@ pub struct StageTimings {
 }
 
 impl StageTimings {
+    /// The totals `m` records: each stage's seconds are the sum of its
+    /// `span_<stage>_s` latency histogram (`graph` plus `resolve` for
+    /// `resolve_s`), and the counters are read by name.
+    fn from_metrics(m: &MetricsRegistry) -> StageTimings {
+        let secs = |span| {
+            m.histogram(&names::span_histogram(span))
+                .map_or(0.0, Histogram::sum)
+        };
+        StageTimings {
+            extract_s: secs(names::SPAN_EXTRACT),
+            classify_s: secs(names::SPAN_CLASSIFY),
+            filter_s: secs(names::SPAN_FILTER),
+            resolve_s: secs(names::SPAN_GRAPH) + secs(names::SPAN_RESOLVE),
+            pairs_scored: m.counter(names::PAIRS_SCORED),
+            pairs_pruned: m.counter(names::PAIRS_PRUNED),
+            candidates_retrieved: m.counter(names::RETRIEVAL_CANDIDATES),
+            pairs_skipped_retrieval: m.counter(names::RETRIEVAL_PAIRS_DROPPED),
+        }
+    }
+
     /// Total seconds across all four stages.
     pub fn total_s(&self) -> f64 {
         self.extract_s + self.classify_s + self.filter_s + self.resolve_s
-    }
-
-    /// Accumulate another measurement into this one.
-    pub fn merge(&mut self, other: &StageTimings) {
-        self.extract_s += other.extract_s;
-        self.classify_s += other.classify_s;
-        self.filter_s += other.filter_s;
-        self.resolve_s += other.resolve_s;
-        self.pairs_scored += other.pairs_scored;
-        self.pairs_pruned += other.pairs_pruned;
-        self.candidates_retrieved += other.candidates_retrieved;
-        self.pairs_skipped_retrieval += other.pairs_skipped_retrieval;
     }
 
     /// Classifier throughput in pairs per second of classify-stage time.
@@ -131,9 +145,11 @@ pub struct BatchConfig {
     pub jobs: usize,
     /// Budget applied to every document independently.
     pub budget: Budget,
-    /// Record a per-document span trace and metrics (see [`crate::obs`]).
-    /// Recording is worker-local and observation-only: alignments and
-    /// diagnostics are byte-identical with tracing on or off.
+    /// Keep each document's span tree and metrics in
+    /// [`DocReport::trace`] (see [`crate::obs`]). Metrics are recorded
+    /// either way; recording is worker-local and observation-only:
+    /// alignments and diagnostics are byte-identical with tracing on or
+    /// off.
     pub trace: bool,
 }
 
@@ -171,8 +187,6 @@ pub struct DocReport {
     pub alignments: Vec<Alignment>,
     /// Everything that degraded while aligning this document.
     pub diagnostics: Diagnostics,
-    /// Per-stage wall-clock for this document.
-    pub timings: StageTimings,
     /// Span trace and metrics recorded for this document — present only
     /// when [`BatchConfig::trace`] was set (and the document's worker
     /// did not panic).
@@ -210,11 +224,15 @@ pub struct BatchReport {
     pub wall_s: f64,
     /// One report per input document, in input order.
     pub documents: Vec<DocReport>,
-    /// Stage timings summed over all documents (CPU-seconds, so with
-    /// `jobs > 1` this exceeds `wall_s`).
+    /// Stage seconds and counters over all documents, derived from the
+    /// merged metrics (CPU-seconds, so with `jobs > 1` this exceeds
+    /// `wall_s`).
     pub stage_totals: StageTimings,
     /// Per-worker load, indexed by worker.
     pub workers: Vec<WorkerStats>,
+    /// What every document recorded, merged; see
+    /// [`BatchReport::merged_metrics`].
+    metrics: MetricsRegistry,
 }
 
 impl BatchReport {
@@ -275,26 +293,15 @@ impl BatchReport {
         out
     }
 
-    /// Per-document traces merged into one [`MetricsRegistry`], strictly
-    /// in input order, plus the batch-level `documents` /
+    /// Every document's recorded metrics merged into one
+    /// [`MetricsRegistry`], plus the batch-level `documents` /
     /// `degraded_documents` counters. Counter values and histogram bucket
-    /// counts are identical for every worker count (merging is
-    /// commutative and the iteration order is the input order); only
-    /// wall-clock-derived histogram *values* vary run to run. Documents
-    /// without a trace (tracing off, or a panicked worker) contribute
-    /// their coarse [`StageTimings`] instead, so the registry is useful
-    /// even on an untraced run.
+    /// counts are identical for every worker count and with tracing on
+    /// or off (merging is commutative addition); only wall-clock-derived
+    /// histogram *values* vary run to run. A document whose worker
+    /// panicked contributes nothing.
     pub fn merged_metrics(&self) -> MetricsRegistry {
-        let mut out = MetricsRegistry::new();
-        for d in &self.documents {
-            match &d.trace {
-                Some(t) => out.merge(&t.metrics),
-                None => out.absorb_timings(&d.timings),
-            }
-        }
-        out.count(names::DOCUMENTS, self.documents.len() as u64);
-        out.count(names::DEGRADED_DOCUMENTS, self.degraded_documents() as u64);
-        out
+        self.metrics.clone()
     }
 
     /// The batch's traces as one Chrome `trace_event` JSON file (see
@@ -361,16 +368,9 @@ fn align_batch_inner(
 ) -> BatchReport {
     let start = Instant::now();
     let jobs = cfg.effective_jobs(docs.len());
-    if docs.is_empty() {
-        return BatchReport {
-            jobs,
-            wall_s: start.elapsed().as_secs_f64(),
-            documents: Vec::new(),
-            stage_totals: StageTimings::default(),
-            workers: Vec::new(),
-        };
-    }
-    let worker_outputs: Vec<(WorkerStats, Vec<DocReport>)> = if jobs <= 1 {
+    let worker_outputs: Vec<WorkerOutput> = if docs.is_empty() {
+        Vec::new()
+    } else if jobs <= 1 {
         vec![run_worker(
             0,
             briq,
@@ -405,6 +405,7 @@ fn align_batch_inner(
                                 busy_s: 0.0,
                             },
                             Vec::new(),
+                            MetricsRegistry::new(),
                         )
                     })
                 })
@@ -414,8 +415,10 @@ fn align_batch_inner(
 
     let mut slots: Vec<Option<DocReport>> = docs.iter().map(|_| None).collect();
     let mut workers = Vec::with_capacity(worker_outputs.len());
-    for (stats, reports) in worker_outputs {
+    let mut metrics = MetricsRegistry::new();
+    for (stats, reports, recorded) in worker_outputs {
         workers.push(stats);
+        metrics.merge(&recorded);
         for r in reports {
             let i = r.index;
             slots[i] = Some(r);
@@ -426,19 +429,24 @@ fn align_batch_inner(
         .enumerate()
         .map(|(i, slot)| slot.unwrap_or_else(|| panicked_report(i)))
         .collect();
-
-    let mut stage_totals = StageTimings::default();
-    for d in &documents {
-        stage_totals.merge(&d.timings);
-    }
-    BatchReport {
+    let mut r = BatchReport {
         jobs,
         wall_s: start.elapsed().as_secs_f64(),
         documents,
-        stage_totals,
+        stage_totals: StageTimings::default(),
         workers,
-    }
+        metrics,
+    };
+    r.metrics.count(names::DOCUMENTS, r.documents.len() as u64);
+    r.metrics
+        .count(names::DEGRADED_DOCUMENTS, r.degraded_documents() as u64);
+    r.stage_totals = StageTimings::from_metrics(&r.metrics);
+    r
 }
+
+/// One worker's load, its documents' reports, and the metrics those
+/// documents recorded, merged.
+type WorkerOutput = (WorkerStats, Vec<DocReport>, MetricsRegistry);
 
 fn run_worker(
     worker: usize,
@@ -448,8 +456,9 @@ fn run_worker(
     cfg: &BatchConfig,
     epoch: Instant,
     store: Option<StoreCtx<'_>>,
-) -> (WorkerStats, Vec<DocReport>) {
+) -> WorkerOutput {
     let mut out = Vec::new();
+    let mut metrics = MetricsRegistry::new();
     let mut busy_s = 0.0f64;
     loop {
         let lo = next.fetch_add(CHUNK, Ordering::Relaxed);
@@ -459,7 +468,14 @@ fn run_worker(
         let hi = (lo + CHUNK).min(docs.len());
         for (i, doc) in docs[lo..hi].iter().enumerate() {
             let t0 = Instant::now();
-            out.push(align_one(briq, lo + i, doc, cfg, epoch, store));
+            let mut report = align_one(briq, lo + i, doc, cfg, epoch, store);
+            if let Some(t) = &report.trace {
+                metrics.merge(&t.metrics);
+            }
+            if !cfg.trace {
+                report.trace = None;
+            }
+            out.push(report);
             busy_s += t0.elapsed().as_secs_f64();
         }
     }
@@ -470,9 +486,12 @@ fn run_worker(
             busy_s,
         },
         out,
+        metrics,
     )
 }
 
+/// Align document `index` into its own recorder; its trace is always
+/// present unless the document panicked.
 fn align_one(
     briq: &Briq,
     index: usize,
@@ -484,11 +503,7 @@ fn align_one(
     // The recorder is worker-local (one per document, never shared), so
     // recording needs no locks; `epoch` is the batch start, putting every
     // document's spans on one shared trace timeline.
-    let rec = if cfg.trace {
-        Recorder::enabled_at(epoch)
-    } else {
-        Recorder::disabled()
-    };
+    let rec = Recorder::enabled_at(epoch);
     let opts = AlignOpts {
         budget: cfg.budget,
         recorder: Some(&rec),
@@ -504,7 +519,6 @@ fn align_one(
             index,
             alignments: out.alignments,
             diagnostics: out.diagnostics,
-            timings: out.timings,
             trace: rec.finish(),
         },
         Err(_) => panicked_report(index),
@@ -552,7 +566,6 @@ fn panicked_report(index: usize) -> DocReport {
         index,
         alignments: Vec::new(),
         diagnostics: panicked(index),
-        timings: StageTimings::default(),
         trace: None,
     }
 }
@@ -712,9 +725,6 @@ mod tests {
         );
         assert!(r.wall_s > 0.0);
         assert!(r.stage_totals.total_s() > 0.0);
-        for d in &r.documents {
-            assert!(d.timings.total_s() >= 0.0);
-        }
         for w in &r.workers {
             let u = w.utilization(r.wall_s);
             assert!((0.0..=1.0).contains(&u), "utilization {u}");
@@ -724,33 +734,18 @@ mod tests {
     }
 
     #[test]
-    fn stage_timings_merge_and_serialize() {
-        let mut a = StageTimings {
-            extract_s: 1.0,
-            classify_s: 2.0,
-            filter_s: 3.0,
-            resolve_s: 4.0,
-            pairs_scored: 10,
-            pairs_pruned: 1,
-            candidates_retrieved: 8,
-            pairs_skipped_retrieval: 2,
+    fn stage_timings_rates_and_serialize() {
+        let a = StageTimings {
+            extract_s: 1.5,
+            classify_s: 2.5,
+            filter_s: 3.5,
+            resolve_s: 4.5,
+            pairs_scored: 15,
+            pairs_pruned: 2,
+            candidates_retrieved: 10,
+            pairs_skipped_retrieval: 5,
         };
-        let b = StageTimings {
-            extract_s: 0.5,
-            classify_s: 0.5,
-            filter_s: 0.5,
-            resolve_s: 0.5,
-            pairs_scored: 5,
-            pairs_pruned: 1,
-            candidates_retrieved: 2,
-            pairs_skipped_retrieval: 3,
-        };
-        a.merge(&b);
         assert_eq!(a.total_s(), 12.0);
-        assert_eq!(a.pairs_scored, 15);
-        assert_eq!(a.pairs_pruned, 2);
-        assert_eq!(a.candidates_retrieved, 10);
-        assert_eq!(a.pairs_skipped_retrieval, 5);
         assert_eq!(a.scored_pairs_per_sec(), 6.0);
         // 15 total - 5 skipped - 2 pruned = 8 effective over 2.5 s.
         assert_eq!(a.effective_pairs_per_sec(), 3.2);
@@ -841,18 +836,55 @@ mod tests {
     }
 
     #[test]
-    fn untraced_reports_still_yield_metrics_from_timings() {
+    fn traced_and_untraced_batches_record_the_same_metrics() {
         let briq = Briq::untrained(BriqConfig::default());
-        let docs = vec![doc(0), doc(1)];
-        let r = align_batch(&briq, &docs, &BatchConfig::with_jobs(1));
-        assert!(r.documents.iter().all(|d| d.trace.is_none()));
-        let m = r.merged_metrics();
-        assert_eq!(m.counter(names::DOCUMENTS), 2);
-        assert!(m.counter(names::PAIRS_SCORED) > 0);
-        // Coarse per-stage latencies come from StageTimings absorption.
-        assert!(m
-            .histogram(&names::span_histogram(names::SPAN_CLASSIFY))
-            .is_some());
+        let docs: Vec<Document> = (0..7).map(doc).collect();
+        let shape = |m: &MetricsRegistry| {
+            let counters: Vec<(String, u64)> =
+                m.counters().map(|(n, v)| (n.to_string(), v)).collect();
+            let observations: Vec<(String, u64)> = m
+                .histograms()
+                .map(|(n, h)| (n.to_string(), h.count()))
+                .collect();
+            (counters, observations)
+        };
+        let mut shapes = Vec::new();
+        for jobs in [1usize, 3] {
+            for trace in [false, true] {
+                let cfg = BatchConfig {
+                    trace,
+                    ..BatchConfig::with_jobs(jobs)
+                };
+                let r = align_batch(&briq, &docs, &cfg);
+                assert!(r.documents.iter().all(|d| d.trace.is_some() == trace));
+                let m = r.merged_metrics();
+                assert_eq!(m.counter(names::DOCUMENTS), docs.len() as u64);
+                for name in [names::PAIRS_SCORED, names::MENTIONS, names::RWR_WALKS] {
+                    assert!(m.counter(name) > 0, "counter {name} empty");
+                }
+                let t = r.stage_totals;
+                assert_eq!(
+                    (
+                        t.pairs_scored,
+                        t.pairs_pruned,
+                        t.candidates_retrieved,
+                        t.pairs_skipped_retrieval
+                    ),
+                    (
+                        m.counter(names::PAIRS_SCORED),
+                        m.counter(names::PAIRS_PRUNED),
+                        m.counter(names::RETRIEVAL_CANDIDATES),
+                        m.counter(names::RETRIEVAL_PAIRS_DROPPED)
+                    ),
+                    "jobs {jobs} trace {trace}"
+                );
+                assert!(t.classify_s > 0.0 && t.resolve_s > 0.0, "{t:?}");
+                shapes.push(shape(&m));
+            }
+        }
+        for s in &shapes[1..] {
+            assert_eq!(s, &shapes[0]);
+        }
     }
 
     #[test]

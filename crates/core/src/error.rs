@@ -171,8 +171,6 @@ pub enum Stage {
     Resolution,
     /// Batch-level scheduling and worker fault isolation.
     Batch,
-    /// Service-level admission control (queueing, shedding, request I/O).
-    Admission,
 }
 
 impl Stage {
@@ -185,7 +183,6 @@ impl Stage {
             Stage::GraphConstruction => "graph-construction",
             Stage::Resolution => "resolution",
             Stage::Batch => "batch",
-            Stage::Admission => "admission",
         }
     }
 }
@@ -367,8 +364,7 @@ briq_json::json_unit_enum!(Stage {
     Classification,
     GraphConstruction,
     Resolution,
-    Batch,
-    Admission
+    Batch
 });
 briq_json::json_unit_enum!(DegradedAction {
     Skipped,
@@ -523,7 +519,7 @@ mod tests {
             "{s}"
         );
         let e = BriqError::Cancelled {
-            stage: Stage::Admission,
+            stage: Stage::Extraction,
             cause: CancelCause::Shutdown,
         };
         assert!(e.to_string().contains("shutdown drain"));
@@ -533,10 +529,10 @@ mod tests {
     fn cancelled_diagnostic_round_trips_as_jsonl() {
         let mut diags = Diagnostics::default();
         diags.record(
-            Stage::Admission,
+            Stage::Classification,
             "document".into(),
             &BriqError::Cancelled {
-                stage: Stage::Admission,
+                stage: Stage::Classification,
                 cause: CancelCause::Deadline,
             },
             DegradedAction::Cancelled,
@@ -544,7 +540,7 @@ mod tests {
         let jsonl = diags.to_jsonl();
         let d: Diagnostic = briq_json::from_str(jsonl.trim()).expect("round-trips");
         assert_eq!(d.action, DegradedAction::Cancelled);
-        assert_eq!(d.stage, Stage::Admission);
+        assert_eq!(d.stage, Stage::Classification);
     }
 
     #[test]

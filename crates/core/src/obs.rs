@@ -6,16 +6,17 @@
 //! * **Spans** — a [`Recorder`] collects a per-document trace tree of
 //!   named, wall-clocked spans via RAII guards (`span!(rec, "classify",
 //!   mention = mi)`). Recorders are strictly per-worker (one per document
-//!   on the batch pool), so recording is lock-free; the batch engine
-//!   merges the finished [`DocTrace`]s at the end, in input order, which
-//!   makes the merged *structure* deterministic for every worker count.
+//!   on the batch pool, one per align request in the server), so
+//!   recording is lock-free; a traced batch keeps the finished
+//!   [`DocTrace`]s in input order, which makes the trace's *structure*
+//!   deterministic for every worker count.
 //! * **Metrics** — a [`MetricsRegistry`] of named monotonic counters and
 //!   base-2 log-scale [`Histogram`]s. Every span close also feeds a
 //!   `span_<name>_s` latency histogram, so per-stage latency
-//!   distributions come for free. The registry subsumes the ad-hoc
-//!   [`StageTimings`](crate::batch::StageTimings) /
-//!   [`FilterStats`](crate::filtering::FilterStats) fields via
-//!   [`MetricsRegistry::absorb_timings`] and
+//!   distributions come for free. A stage records its time and work
+//!   only here: the batch engine derives its
+//!   [`stage_totals`](crate::batch::BatchReport::stage_totals) from the
+//!   merged registry, and filtering records its totals through
 //!   [`FilterStats::record_into`](crate::filtering::FilterStats::record_into).
 //! * **Exporters** — [`MetricsRegistry::to_jsonl`] (one JSON object per
 //!   metric), [`chrome_trace_json`] (a Chrome `trace_event` file loadable
@@ -24,13 +25,15 @@
 //!
 //! ## The disabled path
 //!
-//! [`Recorder::disabled`] is the default everywhere. A disabled recorder
-//! holds no buffer at all (`inner: None`), so every instrumentation call
-//! is one branch and zero allocation — the instrumented pipeline build
-//! produces byte-identical alignments with observability on or off, and
-//! stays within noise on `BENCH_throughput.json` when it is off. CI's
-//! determinism stage byte-compares a traced run against an untraced one
-//! to hold that contract on real output.
+//! [`Recorder::disabled`] is the default of
+//! [`AlignOpts`](crate::pipeline::AlignOpts), training, and evaluation;
+//! only the two drivers — the batch engine and the server — record every
+//! document into an enabled recorder. A disabled recorder holds no
+//! buffer at all (`inner: None`), so every instrumentation call is one
+//! branch and zero allocation. Recording only observes: alignments are
+//! byte-identical with it on or off, and CI's determinism stage
+//! byte-compares traced, untraced, and reference runs to hold that
+//! contract on real output.
 //!
 //! ## Canonical metric names
 //!
@@ -148,7 +151,8 @@ pub mod names {
     /// output; the in-memory entry is kept.
     pub const STORE_PERSIST_ERRORS: &str = "store_persist_errors";
 
-    /// Counter: align requests admitted by `briq-serve` (sheds excluded).
+    /// Counter: align requests `briq-serve` received, sheds included:
+    /// each is either shed (`serve_shed`) or admitted and answered.
     pub const SERVE_REQUESTS: &str = "serve_requests";
     /// Counter: align requests shed by admission control (queue full or
     /// draining) with a structured `shed` response.
@@ -470,22 +474,6 @@ impl MetricsRegistry {
                 }
             }
         }
-    }
-
-    /// Fold a legacy [`StageTimings`](crate::batch::StageTimings) into
-    /// the registry: its pair counters become counters and its per-stage
-    /// seconds become one observation each in the matching
-    /// `span_<stage>_s` histogram. This is the migration path from the
-    /// ad-hoc struct to the registry.
-    pub fn absorb_timings(&mut self, t: &crate::batch::StageTimings) {
-        self.count(names::PAIRS_SCORED, t.pairs_scored);
-        self.count(names::PAIRS_PRUNED, t.pairs_pruned);
-        self.count(names::RETRIEVAL_CANDIDATES, t.candidates_retrieved);
-        self.count(names::RETRIEVAL_PAIRS_DROPPED, t.pairs_skipped_retrieval);
-        self.observe(&names::span_histogram(names::SPAN_EXTRACT), t.extract_s);
-        self.observe(&names::span_histogram(names::SPAN_CLASSIFY), t.classify_s);
-        self.observe(&names::span_histogram(names::SPAN_FILTER), t.filter_s);
-        self.observe(&names::span_histogram(names::SPAN_RESOLVE), t.resolve_s);
     }
 
     /// Serialize as JSON Lines: one compact object per metric, counters
@@ -1086,30 +1074,6 @@ mod tests {
             assert!(v.get("name").is_some());
             assert!(v.get("type").is_some());
         }
-    }
-
-    #[test]
-    fn absorb_timings_subsumes_stage_timings() {
-        let t = crate::batch::StageTimings {
-            extract_s: 0.5,
-            classify_s: 1.5,
-            filter_s: 0.25,
-            resolve_s: 0.75,
-            pairs_scored: 100,
-            pairs_pruned: 5,
-            candidates_retrieved: 60,
-            pairs_skipped_retrieval: 40,
-        };
-        let mut r = MetricsRegistry::new();
-        r.absorb_timings(&t);
-        assert_eq!(r.counter(names::PAIRS_SCORED), 100);
-        assert_eq!(r.counter(names::PAIRS_PRUNED), 5);
-        assert_eq!(r.counter(names::RETRIEVAL_CANDIDATES), 60);
-        assert_eq!(r.counter(names::RETRIEVAL_PAIRS_DROPPED), 40);
-        let h = r
-            .histogram(&names::span_histogram(names::SPAN_CLASSIFY))
-            .expect("classify histogram");
-        assert_eq!(h.sum(), 1.5);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use briq_table::virtual_cells::{all_table_mentions_capped, VirtualCellConfig};
 use briq_table::{Document, TableError, TableMention};
 use briq_text::cues::AggregationKind;
 
-use crate::batch::{align_batch, BatchConfig, BatchReport, StageTimings};
+use crate::batch::{align_batch, BatchConfig, BatchReport};
 use crate::classifier::PairClassifier;
 use crate::context::{ContextConfig, DocContext, TableContext};
 use crate::error::{
@@ -28,7 +28,6 @@ use crate::training::{
     build_training_examples, examples_to_dataset, tagger_label, LabeledDocument,
 };
 use std::ops::ControlFlow;
-use std::time::Instant;
 
 /// Full pipeline configuration.
 #[derive(Debug, Clone)]
@@ -131,8 +130,6 @@ pub struct AlignOutput {
     pub stats: FilterStats,
     /// Kept candidates per text mention.
     pub candidates: Vec<Vec<Candidate>>,
-    /// Per-stage wall-clock and work counters.
-    pub timings: StageTimings,
 }
 
 /// A document prepared for alignment: mentions, context, targets, and the
@@ -636,12 +633,11 @@ impl Briq {
         let never = CancelToken::none();
         let rec = opts.recorder.unwrap_or(&off);
         let cancel = opts.cancel.unwrap_or(&never);
-        let mut timings = StageTimings::default();
         let (ControlFlow::Continue(out) | ControlFlow::Break(out)) = match opts.store {
             Some((store, key)) if self.cfg.use_store => {
-                store.align(self, key, doc, &opts.budget, &mut timings, rec, cancel)
+                store.align(self, key, doc, &opts.budget, rec, cancel)
             }
-            _ => self.align_unstored(doc, &opts.budget, &mut timings, rec, cancel),
+            _ => self.align_unstored(doc, &opts.budget, rec, cancel),
         };
         let (alignments, stats, candidates, diagnostics) = out;
         AlignOutput {
@@ -649,7 +645,6 @@ impl Briq {
             diagnostics,
             stats,
             candidates,
-            timings,
         }
     }
 
@@ -660,21 +655,19 @@ impl Briq {
         &self,
         doc: &Document,
         budget: &Budget,
-        timings: &mut StageTimings,
         rec: &Recorder,
         cancel: &CancelToken,
     ) -> ControlFlow<AlignResult, AlignResult> {
-        let ((), x) = self.extract_stage(doc, budget, timings, rec, cancel, || {
+        let ((), x) = self.extract_stage(doc, budget, rec, cancel, || {
             ControlFlow::Continue(((), None, None))
         })?;
-        let (out, _) =
-            self.classify_resolve_stage(doc, &x, budget, timings, rec, cancel, |_| None)?;
+        let (out, _) = self.classify_resolve_stage(doc, &x, budget, rec, cancel, |_| None)?;
         ControlFlow::Continue(out)
     }
 
-    /// Stage 1 under the `extract` span and the `extract_s` timer, then
-    /// the `mentions`/`targets` counts. `lookup` runs first, inside both:
-    /// it is the alignment store's hook (DESIGN.md §15), which
+    /// Stage 1 under the `extract` span, then the `mentions`/`targets`
+    /// counts. `lookup` runs first, inside the span: it is the alignment
+    /// store's hook (DESIGN.md §15), which
     /// fingerprints the document and either ends it with a finished
     /// result (`Break`: a full hit) or hands back its own state plus the
     /// extraction halves to replay (`None` halves are computed).
@@ -682,7 +675,6 @@ impl Briq {
         &self,
         doc: &Document,
         budget: &Budget,
-        timings: &mut StageTimings,
         rec: &Recorder,
         cancel: &CancelToken,
         lookup: impl FnOnce() -> ControlFlow<AlignResult, (L, Option<TextHalf>, Option<TableHalf>)>,
@@ -691,14 +683,12 @@ impl Briq {
             let diags = Diagnostics::default();
             return ControlFlow::Break(cancelled_result(Stage::Extraction, cause, diags, rec));
         }
-        let t0 = Instant::now();
         let out = {
             let _g = span!(rec, names::SPAN_EXTRACT);
             lookup().map_continue(|(state, text, tables)| {
                 (state, self.extract(doc, budget, text, tables))
             })
         };
-        timings.extract_s += t0.elapsed().as_secs_f64();
         if let ControlFlow::Continue((_, x)) = &out {
             rec.count(names::MENTIONS, x.mentions.len() as u64);
             rec.count(names::TARGETS, x.targets.len() as u64);
@@ -722,20 +712,22 @@ impl Briq {
     /// [`Briq::score_document`] deliberately does NOT use the production
     /// path: its consumers (baselines, training, evaluation) read the
     /// full score matrix, which pruning by design does not materialize.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn classify_resolve_stage(
         &self,
         doc: &Document,
         x: &Extracted,
         budget: &Budget,
-        timings: &mut StageTimings,
         rec: &Recorder,
         cancel: &CancelToken,
         mut replay: impl FnMut(usize) -> Option<(Vec<Candidate>, FilterStats)>,
     ) -> ControlFlow<AlignResult, (AlignResult, Vec<FilterStats>)> {
         let mut diags = x.diags.clone();
-        // Built at the first mention that does not replay.
-        let mut pass: Option<ClassifyPass<'_>> = None;
+        let mut pass = ClassifyPass {
+            briq: self,
+            doc,
+            x,
+            built: None,
+        };
         let mut stats = FilterStats::default();
         let mut candidates = Vec::with_capacity(x.mentions.len());
         let mut deltas = Vec::with_capacity(x.mentions.len());
@@ -749,8 +741,7 @@ impl Briq {
                 Some(cached) => cached,
                 None => {
                     computed += 1;
-                    let pass = pass.get_or_insert_with(|| ClassifyPass::new(self, doc, x, timings));
-                    pass.run_mention(mi, timings, rec)
+                    pass.run_mention(mi, rec)
                 }
             };
             // Per-mention deltas merged in mention order reproduce the
@@ -760,32 +751,25 @@ impl Briq {
             candidates.push(cands);
             deltas.push(delta);
         }
-        if let Some(pass) = pass {
-            pass.finish(timings, rec);
-        }
+        pass.finish(rec);
         stats.record_into(rec);
-        let pairs = computed * x.targets.len() as u64;
-        timings.pairs_scored += pairs;
-        rec.count(names::PAIRS_SCORED, pairs);
+        rec.count(names::PAIRS_SCORED, computed * x.targets.len() as u64);
 
         if let Some(cause) = cancel.cause() {
             let out = cancelled_result(Stage::GraphConstruction, cause, diags, rec);
             return ControlFlow::Break(out);
         }
-        let t1 = Instant::now();
+        let graph = span!(rec, names::SPAN_GRAPH);
         let positions: Vec<usize> = x.ctx.mentions.iter().map(|m| m.token_index).collect();
-        let (ag, edges_truncated) = {
-            let _g = span!(rec, names::SPAN_GRAPH);
-            build_graph_budgeted(
-                &x.mentions,
-                &positions,
-                x.ctx.tokens.len(),
-                &x.targets,
-                &candidates,
-                &self.cfg.graph,
-                budget.max_graph_edges,
-            )
-        };
+        let (ag, edges_truncated) = build_graph_budgeted(
+            &x.mentions,
+            &positions,
+            x.ctx.tokens.len(),
+            &x.targets,
+            &candidates,
+            &self.cfg.graph,
+            budget.max_graph_edges,
+        );
         if edges_truncated {
             diags.record(
                 Stage::GraphConstruction,
@@ -796,17 +780,17 @@ impl Briq {
                 DegradedAction::Truncated,
             );
         }
-        let (resolved, events) = {
-            let _g = span!(rec, names::SPAN_RESOLVE);
-            resolve_observed(
-                ag,
-                &candidates,
-                &self.cfg.resolution,
-                budget.max_rwr_iterations,
-                rec,
-                cancel,
-            )
-        };
+        drop(graph);
+        // The resolve span also covers event handling and emission.
+        let resolve = span!(rec, names::SPAN_RESOLVE);
+        let (resolved, events) = resolve_observed(
+            ag,
+            &candidates,
+            &self.cfg.resolution,
+            budget.max_rwr_iterations,
+            rec,
+            cancel,
+        );
         if let Some(&ResolutionEvent::Cancelled { cause }) = events.first() {
             return ControlFlow::Break(cancelled_result(Stage::Resolution, cause, diags, rec));
         }
@@ -846,7 +830,7 @@ impl Briq {
                 }
             })
             .collect();
-        timings.resolve_s += t1.elapsed().as_secs_f64();
+        drop(resolve);
         rec.count(names::ALIGNMENTS, alignments.len() as u64);
         rec.count(
             names::BUDGET_EXHAUSTIONS,
@@ -890,18 +874,16 @@ pub(crate) struct Extracted {
 }
 
 /// The classify+filter stage as a per-mention unit: one instance per
-/// document, built by [`Briq::classify_resolve_stage`] at the first
-/// mention it computes rather than replays. The featurizer and the
-/// scorer's index and buffers are built once and shared across
-/// `run_mention` calls.
+/// document, run by [`Briq::classify_resolve_stage`] on every mention it
+/// computes rather than replays. The featurizer and the scorer's index
+/// and buffers are built once, at the first such mention, and shared
+/// across `run_mention` calls.
 struct ClassifyPass<'a> {
     briq: &'a Briq,
     doc: &'a Document,
-    mentions: &'a [TextMention],
-    ctx: &'a DocContext,
-    targets: &'a [TableMention],
-    featurizer: PairFeaturizer<'a>,
-    scorer: Scorer,
+    x: &'a Extracted,
+    /// The featurizer and scorer, once the first `run_mention` built them.
+    built: Option<(PairFeaturizer<'a>, Scorer)>,
 }
 
 /// How a [`ClassifyPass`] scores a mention's pairs, selected by
@@ -923,24 +905,15 @@ enum Scorer {
 }
 
 impl<'a> ClassifyPass<'a> {
-    /// Build the per-document machinery. The retrieval-index build is
-    /// charged to the classify stage so throughput artifacts and the
-    /// perf-trend gate see its cost.
-    fn new(
-        briq: &'a Briq,
-        doc: &'a Document,
-        x: &'a Extracted,
-        timings: &mut StageTimings,
-    ) -> ClassifyPass<'a> {
+    /// Build the per-document machinery: the featurizer and, in
+    /// production, the retrieval index (built once per document;
+    /// retrieval per mention is then allocation-free and bounded by the
+    /// viable candidate set).
+    fn build(briq: &Briq, x: &'a Extracted) -> (PairFeaturizer<'a>, Scorer) {
         let featurizer = PairFeaturizer::new(&x.mentions, &x.targets, &x.ctx);
         let scorer = if briq.cfg.use_index {
-            // Built once per document; retrieval per mention is then
-            // allocation-free and bounded by the viable candidate set.
-            let t_build = Instant::now();
-            let index = CandidateIndex::build(&x.targets, briq.cfg.filter.value_diff_threshold);
-            timings.classify_s += t_build.elapsed().as_secs_f64();
             Scorer::Indexed {
-                index,
+                index: CandidateIndex::build(&x.targets, briq.cfg.filter.value_diff_threshold),
                 engine: ScoringEngine::new(),
                 scratch: RetrievalScratch::default(),
             }
@@ -950,109 +923,75 @@ impl<'a> ClassifyPass<'a> {
                 block_out: Vec::new(),
             }
         };
-        ClassifyPass {
-            briq,
-            doc,
-            mentions: &x.mentions,
-            ctx: &x.ctx,
-            targets: &x.targets,
-            featurizer,
-            scorer,
-        }
+        (featurizer, scorer)
     }
 
     /// Classify + filter one mention. Returns its kept candidates and a
     /// fresh [`FilterStats`] delta holding exactly this mention's
     /// contribution to the document totals (filter counts plus
     /// retrieval-dropped counts) — pure per mention, so the store can
-    /// cache and replay it.
-    fn run_mention(
-        &mut self,
-        mi: usize,
-        timings: &mut StageTimings,
-        rec: &Recorder,
-    ) -> (Vec<Candidate>, FilterStats) {
-        let x = &self.mentions[mi];
+    /// cache and replay it. The first call builds the pass under its
+    /// `classify` span, so the stage is charged for that build.
+    fn run_mention(&mut self, mi: usize, rec: &Recorder) -> (Vec<Candidate>, FilterStats) {
+        let (briq, x) = (self.briq, self.x);
+        let m = &x.mentions[mi];
         let mut delta = FilterStats::default();
         // The reference path's full score row for this mention.
         let mut exhaustive = Vec::new();
-        let t0 = Instant::now();
-        let tags = {
-            let _g = span!(rec, names::SPAN_CLASSIFY, mention = mi);
-            let tags = self.briq.mention_tags(x, mi, self.ctx, self.doc);
-            match &mut self.scorer {
-                Scorer::Indexed {
-                    index,
-                    engine,
-                    scratch,
-                } => {
-                    index.retrieve(x.quantity.value, x.quantity.unit, &tags, scratch);
-                    engine.fill_rows_selected(
-                        &mut self.featurizer,
-                        mi,
-                        &scratch.near,
-                        &scratch.far,
-                    );
-                    match &self.briq.classifier {
-                        Some(clf) => engine.score_trained_selected(
-                            x,
-                            self.targets,
-                            &tags,
-                            clf,
-                            &self.briq.cfg.filter,
-                        ),
-                        None => engine.score_heuristic_selected(&self.briq.cfg.mask),
+        let classify = span!(rec, names::SPAN_CLASSIFY, mention = mi);
+        let (featurizer, scorer) = self.built.get_or_insert_with(|| Self::build(briq, x));
+        let tags = briq.mention_tags(m, mi, &x.ctx, self.doc);
+        match scorer {
+            Scorer::Indexed {
+                index,
+                engine,
+                scratch,
+            } => {
+                index.retrieve(m.quantity.value, m.quantity.unit, &tags, scratch);
+                engine.fill_rows_selected(featurizer, mi, &scratch.near, &scratch.far);
+                match &briq.classifier {
+                    Some(clf) => {
+                        engine.score_trained_selected(m, &x.targets, &tags, clf, &briq.cfg.filter)
                     }
-                    // Keep Table-VI totals identical to the oracle's.
-                    index.record_dropped(scratch, &mut delta);
-                    let retrieved = scratch.retrieved() as u64;
-                    let skipped = self.targets.len() as u64 - retrieved;
-                    timings.candidates_retrieved += retrieved;
-                    timings.pairs_skipped_retrieval += skipped;
-                    rec.count(names::RETRIEVAL_CANDIDATES, retrieved);
-                    rec.count(names::RETRIEVAL_PAIRS_DROPPED, skipped);
-                    rec.observe(names::RETRIEVAL_CANDIDATES_PER_MENTION, retrieved as f64);
+                    None => engine.score_heuristic_selected(&briq.cfg.mask),
                 }
-                Scorer::Exhaustive { rows, block_out } => {
-                    exhaustive = self.briq.score_mention_exhaustive(
-                        &mut self.featurizer,
-                        mi,
-                        rows,
-                        block_out,
-                    );
-                }
+                // Keep Table-VI totals identical to the oracle's.
+                index.record_dropped(scratch, &mut delta);
+                let retrieved = scratch.retrieved() as u64;
+                rec.count(names::RETRIEVAL_CANDIDATES, retrieved);
+                rec.count(
+                    names::RETRIEVAL_PAIRS_DROPPED,
+                    x.targets.len() as u64 - retrieved,
+                );
+                rec.observe(names::RETRIEVAL_CANDIDATES_PER_MENTION, retrieved as f64);
             }
-            tags
-        };
-        timings.classify_s += t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let cands;
-        {
-            let _g = span!(rec, names::SPAN_FILTER, mention = mi);
-            let cfg = &self.briq.cfg.filter;
-            cands = match &self.scorer {
-                Scorer::Indexed { engine, .. } => filter_mention_pruned(
-                    x,
-                    engine.computed(),
-                    engine.pruned_targets(),
-                    self.targets,
-                    &tags,
-                    cfg,
-                    &mut delta,
-                ),
-                Scorer::Exhaustive { .. } => {
-                    filter_mention(x, &exhaustive, self.targets, &tags, cfg, &mut delta)
-                }
-            };
+            Scorer::Exhaustive { rows, block_out } => {
+                exhaustive = briq.score_mention_exhaustive(featurizer, mi, rows, block_out);
+            }
         }
-        timings.filter_s += t1.elapsed().as_secs_f64();
+        drop(classify);
+        let _filter = span!(rec, names::SPAN_FILTER, mention = mi);
+        let cfg = &briq.cfg.filter;
+        let cands = match scorer {
+            Scorer::Indexed { engine, .. } => filter_mention_pruned(
+                m,
+                engine.computed(),
+                engine.pruned_targets(),
+                &x.targets,
+                &tags,
+                cfg,
+                &mut delta,
+            ),
+            Scorer::Exhaustive { .. } => {
+                filter_mention(m, &exhaustive, &x.targets, &tags, cfg, &mut delta)
+            }
+        };
         (cands, delta)
     }
 
     /// Flush the engine's whole-document counters.
-    fn finish(self, timings: &mut StageTimings, rec: &Recorder) {
-        if let Scorer::Indexed { engine, .. } = self.scorer {
-            timings.pairs_pruned += engine.pairs_pruned();
+    fn finish(self, rec: &Recorder) {
+        if let Some((_, Scorer::Indexed { engine, .. })) = self.built {
             engine.record_into(rec);
         }
     }

@@ -28,10 +28,13 @@
 //!   work, lets waiting and running requests finish within a grace
 //!   window, then force-cancels stragglers through the same token; every
 //!   admitted request still gets a response.
-//! * **Observability.** Counters and histograms (queue depth, shed
-//!   count, deadline misses, per-stage latency) accumulate in a shared
-//!   [`MetricsRegistry`], exposed live via the `metrics` op and returned
-//!   in the final [`ServeReport`].
+//! * **Observability.** Each align request records into its own
+//!   [`Recorder`] — the pipeline's DESIGN.md §11 counters, per-stage
+//!   latency histograms, and the store counters — which is merged into
+//!   one shared [`MetricsRegistry`] beside the server's own counters and
+//!   histograms (queue depth, shed count, deadline misses). The registry
+//!   is exposed live via the `metrics` op and returned in the final
+//!   [`ServeReport`].
 //!
 //! ## Wire protocol
 //!
@@ -59,28 +62,18 @@
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use briq_json::{ToJson, Value};
 use briq_table::html::parse_page;
 use briq_table::segment::{segment_page, SegmentConfig};
 
-use crate::batch::{align_isolated, doc_scoped, StageTimings};
+use crate::batch::{align_isolated, doc_scoped};
 use crate::error::{Budget, CancelCause, CancelToken, DegradedAction};
-use crate::obs::{names, MetricsRegistry};
+use crate::obs::{names, MetricsRegistry, Recorder};
 use crate::pipeline::{AlignOpts, Briq};
-use crate::store::{AlignmentStore, Fingerprint};
-
-/// Lock a mutex, tolerating poisoning: a panicked holder (impossible on
-/// these lock scopes, which contain no user code — but cheap to survive)
-/// must not wedge the whole server.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
+use crate::store::{lock, AlignmentStore, Fingerprint};
 
 /// Concurrent connection cap; excess connections get one shed line and
 /// are closed without ever reaching the admission gate.
@@ -236,8 +229,8 @@ pub fn error_response(id: Option<&Value>, error: &str) -> Value {
     obj(fields)
 }
 
-/// Everything serving one align request learned — feeds the metrics
-/// registry.
+/// What serving one align request learned beyond what its recorder
+/// holds — feeds the server's own counters.
 #[derive(Debug, Default, Clone)]
 pub struct AlignOutcome {
     /// Number of segmented documents served.
@@ -248,14 +241,11 @@ pub struct AlignOutcome {
     pub panics: u64,
     /// Documents cancelled by a deadline.
     pub deadline_cancelled: u64,
-    /// Documents cancelled by a shutdown drain.
-    pub shutdown_cancelled: u64,
-    /// Summed per-stage wall clock across the request's documents.
-    pub timings: StageTimings,
 }
 
 /// Serve one align request: parse + segment the page, align every
-/// document under `budget` and `cancel`, and build the response value.
+/// document under `budget` and `cancel` into `rec`, and build the
+/// response value.
 ///
 /// Pure with respect to the server — callable from unit tests without a
 /// socket. The per-document treatment is [`crate::batch`]'s own (the
@@ -276,6 +266,7 @@ pub fn serve_align(
     budget: &Budget,
     cancel: &CancelToken,
     store: Option<&AlignmentStore>,
+    rec: &Recorder,
 ) -> (Value, AlignOutcome) {
     let page = parse_page(html);
     let docs = segment_page(&page, &SegmentConfig::default(), 0);
@@ -295,7 +286,7 @@ pub fn serve_align(
     for (i, doc) in docs.iter().enumerate() {
         let opts = AlignOpts {
             budget: *budget,
-            recorder: None,
+            recorder: Some(rec),
             cancel: Some(cancel),
             store: store.map(|st| {
                 let mut f = Fingerprint::new();
@@ -305,21 +296,16 @@ pub fn serve_align(
             }),
         };
         let (alignments, diagnostics) = match align_isolated(briq, i, doc, &opts) {
-            Ok(out) => {
-                outcome.timings.merge(&out.timings);
-                (out.alignments, out.diagnostics)
-            }
+            Ok(out) => (out.alignments, out.diagnostics),
             Err(diagnostics) => {
                 outcome.panics += 1;
                 (Vec::new(), diagnostics)
             }
         };
         for d in &diagnostics.items {
-            if d.action == DegradedAction::Cancelled {
-                match cancel.cause() {
-                    Some(CancelCause::Shutdown) => outcome.shutdown_cancelled += 1,
-                    _ => outcome.deadline_cancelled += 1,
-                }
+            let drained = cancel.cause() == Some(CancelCause::Shutdown);
+            if d.action == DegradedAction::Cancelled && !drained {
+                outcome.deadline_cancelled += 1;
             }
         }
         outcome.degraded |= !diagnostics.is_clean();
@@ -758,21 +744,25 @@ fn handle_line(sh: &Shared<'_>, stream: &mut TcpStream, line: &str) -> After {
             ok_or_close(write_line(sh, stream, &resp))
         }
         Request::Metrics => {
-            // Store counters live on the store itself (atomics), not the
-            // registry — inject them into a snapshot copy so the metrics
-            // endpoint reports one merged view.
+            // Requests record the store's per-request counters themselves;
+            // here they only materialize, so each reads 0 before its first
+            // event. What no request records — the boot's recovery and the
+            // persistence totals — is read from the store into a snapshot
+            // copy, so the endpoint reports one merged view.
             let mut reg = lock(&sh.metrics).clone();
             if let Some(st) = &sh.store {
-                reg.count(names::STORE_HITS, st.hits());
-                reg.count(names::STORE_INVALIDATIONS, st.invalidations());
-                reg.count(names::MENTIONS_REALIGNED, st.mentions_realigned());
-                reg.observe(names::STORE_BYTES_PEAK, st.bytes_peak() as f64);
-                reg.count(names::STORE_EVICTIONS, st.evictions());
+                for name in [
+                    names::STORE_HITS,
+                    names::STORE_INVALIDATIONS,
+                    names::MENTIONS_REALIGNED,
+                    names::STORE_EVICTIONS,
+                ] {
+                    reg.count(name, 0);
+                }
                 if st.persisted() {
                     reg.count(names::STORE_RECOVERED_ENTRIES, st.recovered_entries());
                     reg.count(names::STORE_COMPACTIONS, st.compactions());
                     reg.count(names::STORE_PERSIST_ERRORS, st.persist_errors());
-                    reg.observe(names::STORE_LOG_BYTES, st.log_bytes() as f64);
                     reg.observe(names::STORE_SNAPSHOT_BYTES, st.snapshot_bytes() as f64);
                 }
             }
@@ -822,6 +812,9 @@ fn handle_line(sh: &Shared<'_>, stream: &mut TcpStream, line: &str) -> After {
             }
             ticket.wait_turn();
             let started = Instant::now();
+            // The request's own recorder: its spans are dropped, what it
+            // counted and observed joins the shared registry.
+            let rec = Recorder::enabled();
             let (resp, outcome) = serve_align(
                 sh.briq,
                 id.as_ref(),
@@ -829,6 +822,7 @@ fn handle_line(sh: &Shared<'_>, stream: &mut TcpStream, line: &str) -> After {
                 &sh.cfg.budget,
                 &cancel,
                 sh.store.as_ref(),
+                &rec,
             );
             drop(ticket);
             {
@@ -838,16 +832,14 @@ fn handle_line(sh: &Shared<'_>, stream: &mut TcpStream, line: &str) -> After {
                     (started - admitted).as_secs_f64(),
                 );
                 m.observe(names::SERVE_REQUEST_S, started.elapsed().as_secs_f64());
-                m.absorb_timings(&outcome.timings);
+                if let Some(trace) = rec.finish() {
+                    m.merge(&trace.metrics);
+                }
                 if outcome.degraded {
                     m.count(names::SERVE_DEGRADED, 1);
                 }
                 m.count(names::SERVE_PANICS, outcome.panics);
                 m.count(names::SERVE_DEADLINE_MISSES, outcome.deadline_cancelled);
-                m.count(
-                    names::CANCELLATIONS,
-                    outcome.deadline_cancelled + outcome.shutdown_cancelled,
-                );
             }
             ok_or_close(write_line(sh, stream, &resp))
         }
@@ -937,6 +929,7 @@ mod tests {
             &Budget::default(),
             &CancelToken::none(),
             Some(&store),
+            &Recorder::disabled(),
         );
         assert!(!outcome.degraded);
         assert_eq!(outcome.panics, 0);
@@ -964,6 +957,7 @@ mod tests {
     fn serve_align_with_fired_token_returns_cancelled_not_partial() {
         let briq = briq();
         let flag = Arc::new(AtomicBool::new(true));
+        let rec = Recorder::enabled();
         let (resp, outcome) = serve_align(
             &briq,
             None,
@@ -971,9 +965,20 @@ mod tests {
             &Budget::default(),
             &CancelToken::with_flag(flag),
             None,
+            &rec,
         );
         assert!(outcome.degraded);
-        assert!(outcome.shutdown_cancelled > 0);
+        assert_eq!(
+            outcome.deadline_cancelled, 0,
+            "a drain is not a deadline miss"
+        );
+        let metrics = rec.finish().expect("trace").metrics;
+        assert!(outcome.documents > 0);
+        assert_eq!(
+            metrics.counter(names::CANCELLATIONS),
+            outcome.documents as u64,
+            "every document is cancelled once"
+        );
         let served = resp.get("documents").and_then(Value::as_array).unwrap();
         for sv in served {
             assert_eq!(
@@ -1132,6 +1137,78 @@ mod tests {
             assert_eq!(report.panics, 0);
             assert_eq!(report.metrics.counter(names::SERVE_MALFORMED), 1);
         });
+    }
+
+    /// One align request's metrics carry what the batch engine records
+    /// for the same page's documents, and a repeat of it counts each
+    /// store hit once.
+    #[test]
+    fn align_request_records_what_the_batch_engine_records() {
+        let briq = briq();
+        let html = test_page();
+        let docs = segment_page(&parse_page(&html), &SegmentConfig::default(), 0);
+        let traced = BatchConfig {
+            trace: true,
+            ..BatchConfig::with_jobs(1)
+        };
+        let batch = briq.align_batch(&docs, &traced).merged_metrics();
+        let server = Server::bind(ServeConfig::default()).unwrap();
+        let addr = server.local_addr().unwrap();
+        // The request is sent twice under one id, and the server shut
+        // down, before anything is asserted, so a failure cannot leave
+        // the server running.
+        let (statuses, cold, warm) = std::thread::scope(|s| {
+            let handle = s.spawn(|| server.run(&briq));
+            let mut c = Client::connect(addr);
+            let align = obj(vec![
+                ("op", Value::Str("align".into())),
+                ("id", Value::Num(1.0)),
+                ("html", Value::Str(html.clone())),
+            ])
+            .to_string_compact();
+            let mut statuses = Vec::new();
+            let mut metrics = || {
+                c.send(&align);
+                statuses.push(c.recv().get("status").cloned());
+                c.send(r#"{"op":"metrics"}"#);
+                c.recv().get("metrics").cloned()
+            };
+            let (cold, warm) = (metrics(), metrics());
+            c.send(r#"{"op":"shutdown"}"#);
+            c.recv();
+            handle.join().unwrap();
+            (statuses, cold, warm)
+        });
+        let ok = Some(Value::Str("ok".into()));
+        assert_eq!(statuses, [ok.clone(), ok]);
+        let (cold, warm) = (cold.expect("metrics"), warm.expect("metrics"));
+        let counter = |m: &Value, name: &str| {
+            m.get("counters")
+                .and_then(|c| c.get(name))
+                .and_then(Value::as_f64)
+        };
+        for name in [
+            names::PAIRS_SCORED,
+            names::MENTIONS,
+            names::CANDIDATES_KEPT,
+            names::ROWS_SCORED_EXHAUSTIVE,
+            names::RWR_WALKS,
+        ] {
+            let want = batch.counter(name);
+            assert!(want > 0, "the batch recorded no {name}");
+            assert_eq!(counter(&cold, name), Some(want as f64), "{name}");
+        }
+        let classify = names::span_histogram(names::SPAN_CLASSIFY);
+        assert_eq!(
+            cold.get("histograms")
+                .and_then(|h| h.get(&classify))
+                .and_then(|h| h.get("count"))
+                .and_then(Value::as_f64),
+            batch.histogram(&classify).map(|h| h.count() as f64)
+        );
+        assert_eq!(counter(&cold, names::STORE_HITS), Some(0.0));
+        // The same id again: every document is a store hit, counted once.
+        assert_eq!(counter(&warm, names::STORE_HITS), Some(docs.len() as f64));
     }
 
     /// A page slow enough to align that requests behind it wait: a 24×24

@@ -64,7 +64,6 @@ use std::time::Instant;
 
 use briq_table::{Document, Table, TableMention};
 
-use crate::batch::StageTimings;
 use crate::context::{DocContext, MentionContext, TableContext};
 use crate::error::{Budget, CancelToken, Diagnostics};
 use crate::filtering::{Candidate, FilterStats};
@@ -740,19 +739,17 @@ impl AlignmentStore {
     /// totals, kept candidates, diagnostics — bit-identical to the full
     /// recompute for every possible cache state. Cancelled runs return
     /// the no-partial-state shape and cache nothing.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn align(
         &self,
         briq: &Briq,
         key: u64,
         doc: &Document,
         budget: &Budget,
-        timings: &mut StageTimings,
         rec: &Recorder,
         cancel: &CancelToken,
     ) -> ControlFlow<AlignResult, AlignResult> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        let (miss, x) = briq.extract_stage(doc, budget, timings, rec, cancel, || {
+        let (miss, x) = briq.extract_stage(doc, budget, rec, cancel, || {
             self.lookup(key, doc, budget, rec)
         })?;
 
@@ -777,7 +774,7 @@ impl AlignmentStore {
         }
         let mut replayed = 0u64;
         let ((alignments, stats, candidates, diagnostics), deltas) =
-            briq.classify_resolve_stage(doc, &x, budget, timings, rec, cancel, |mi| {
+            briq.classify_resolve_stage(doc, &x, budget, rec, cancel, |mi| {
                 let a = cached.get_mut(&mention_fps[mi])?.pop()?;
                 replayed += 1;
                 Some((a.candidates, a.stats))
@@ -913,9 +910,9 @@ impl AlignmentStore {
     }
 }
 
-/// Poison-tolerant lock, mirroring the batch engine: a panicked worker
-/// (already isolated by `catch_unwind`) must not wedge the store for
-/// every other worker.
+/// Poison-tolerant lock, shared by the store and the server: a panicked
+/// holder (already isolated by `catch_unwind`) must not wedge the store
+/// or the server for every other worker.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -925,8 +922,8 @@ mod tests {
     use super::*;
     use crate::pipeline::{AlignOpts, BriqConfig};
 
-    /// [`Briq::align_with`] through `store` under document key `key`,
-    /// minus the timings (wall-clock, so never equal across runs).
+    /// [`Briq::align_with`] through `store` under document key `key`:
+    /// alignments, filter totals, candidates, and diagnostics.
     pub(crate) fn stored(
         briq: &Briq,
         store: &AlignmentStore,
@@ -1001,14 +998,15 @@ mod tests {
         let cold = stored(&briq, &store, 7, &d, budget);
         assert_eq!(store.hits(), 0);
         assert_eq!(store.lookups(), 1);
+        let rec = Recorder::enabled();
         let opts = AlignOpts {
             budget,
+            recorder: Some(&rec),
             store: Some((&store, 7)),
             ..AlignOpts::default()
         };
         let warm = briq.align_with(&d, &opts);
         assert_eq!(store.hits(), 1);
-        let timings = warm.timings;
         let warm = (
             warm.alignments,
             warm.stats,
@@ -1016,10 +1014,20 @@ mod tests {
             warm.diagnostics,
         );
         assert_eq!(cold, warm);
-        assert_eq!(timings.classify_s, 0.0);
-        assert_eq!(timings.filter_s, 0.0);
-        assert_eq!(timings.resolve_s, 0.0);
-        assert_eq!(timings.pairs_scored, 0);
+        let trace = rec.finish().expect("an enabled recorder yields a trace");
+        for stage in [
+            names::SPAN_CLASSIFY,
+            names::SPAN_FILTER,
+            names::SPAN_GRAPH,
+            names::SPAN_RESOLVE,
+        ] {
+            assert!(
+                trace.spans.iter().all(|s| s.name != stage),
+                "a full hit opened a {stage} span"
+            );
+        }
+        assert_eq!(trace.metrics.counter(names::PAIRS_SCORED), 0);
+        assert_eq!(trace.metrics.counter(names::STORE_HITS), 1);
     }
 
     #[test]

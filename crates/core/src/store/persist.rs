@@ -303,7 +303,7 @@ wire_enum! { AggregationKind {
 } }
 wire_enum! { Stage {
     Extraction = 0, VirtualCells = 1, Classification = 2, GraphConstruction = 3,
-    Resolution = 4, Batch = 5, Admission = 6,
+    Resolution = 4, Batch = 5,
 } }
 wire_enum! { DegradedAction { Skipped = 0, Truncated = 1, Fallback = 2, Cancelled = 3 } }
 
@@ -1255,7 +1255,6 @@ mod tests {
             Stage::GraphConstruction,
             Stage::Resolution,
             Stage::Batch,
-            Stage::Admission,
         ];
         let orientations = [
             None,
@@ -1430,7 +1429,7 @@ mod tests {
         let payload = encode_record(0xFEED, &every_tag_entry());
         assert_eq!(
             checksum(&payload),
-            0xc9bea7cc1d8e7f48,
+            0x06fcbf21d23de07e,
             "{:#018x}",
             checksum(&payload)
         );

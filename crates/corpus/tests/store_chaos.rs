@@ -8,6 +8,7 @@
 //! regex-hostile text, …) are exactly the inputs where a stale or
 //! miskeyed cache would slip through a clean-corpus test.
 
+use briq_core::obs::{names, Recorder};
 use briq_core::pipeline::{AlignOpts, AlignOutput, Briq, BriqConfig};
 use briq_core::store::{text_fingerprint, AlignmentStore};
 use briq_core::Budget;
@@ -66,7 +67,8 @@ fn oracle() -> (Briq, AlignmentStore) {
 /// Warm-unchanged: every chaos family's documents, aligned cold through
 /// the store and then re-aligned warm, match the full recompute on
 /// every output surface — and the warm pass skips classify, filter,
-/// and resolve entirely (stage timings stay exactly zero).
+/// and resolve entirely (it opens none of their spans and scores no
+/// pair).
 #[test]
 fn warm_unchanged_matches_full_recompute_across_all_families() {
     let briq = briq();
@@ -89,15 +91,26 @@ fn warm_unchanged_matches_full_recompute_across_all_families() {
                     &format!("{}: seed {seed} doc {i}", kind.name()),
                 );
 
-                let timings = stored(&briq, &store, i as u64, doc, budget).timings;
-                assert_eq!(
-                    (
-                        timings.classify_s,
-                        timings.filter_s,
-                        timings.resolve_s,
-                        timings.pairs_scored
-                    ),
-                    (0.0, 0.0, 0.0, 0),
+                let rec = Recorder::enabled();
+                briq.align_with(
+                    doc,
+                    &AlignOpts {
+                        budget,
+                        recorder: Some(&rec),
+                        store: Some((&store, i as u64)),
+                        ..AlignOpts::default()
+                    },
+                );
+                let trace = rec.finish().expect("an enabled recorder yields a trace");
+                let skipped = [
+                    names::SPAN_CLASSIFY,
+                    names::SPAN_FILTER,
+                    names::SPAN_GRAPH,
+                    names::SPAN_RESOLVE,
+                ];
+                assert!(
+                    trace.spans.iter().all(|s| !skipped.contains(&s.name))
+                        && trace.metrics.counter(names::PAIRS_SCORED) == 0,
                     "{}: seed {seed} doc {i} warm hit must skip classify/filter/resolve",
                     kind.name()
                 );

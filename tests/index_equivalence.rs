@@ -16,9 +16,9 @@
 //! and that production accounts for every retrieved row exactly once:
 //! scored by phase A or the heuristic, scored by phase B, or pruned.
 
-use briq_core::obs::{names, Recorder};
+use briq_core::obs::{names, MetricsRegistry, Recorder};
 use briq_core::pipeline::{AlignOpts, AlignOutput, Briq, BriqConfig};
-use briq_core::{Budget, StageTimings};
+use briq_core::Budget;
 use briq_corpus::corpus::{generate_corpus, CorpusConfig};
 use briq_corpus::perturb::{adversarial_documents, Adversary};
 use briq_table::Document;
@@ -53,8 +53,8 @@ fn run(briq: &Briq, doc: &Document, budget: Budget, recorder: Option<&Recorder>)
 }
 
 /// Assert bit-identical output across the two paths and that production
-/// scored or pruned each retrieved row exactly once, and return the
-/// production run's timings. Debug formatting prints f64s
+/// scored or pruned each retrieved row exactly once, and return what the
+/// production run recorded. Debug formatting prints f64s
 /// shortest-round-trip, so any bit drift in a score (beyond NaN
 /// payloads, which filtering's total order would surface as reordering
 /// anyway) fails the comparison.
@@ -64,10 +64,11 @@ fn assert_identical(
     doc: &Document,
     budget: Budget,
     label: &str,
-) -> StageTimings {
+) -> MetricsRegistry {
     let rec = Recorder::enabled();
     let prod = run(briq, doc, budget, Some(&rec));
-    let refr = run(oracle, doc, budget, None);
+    let ref_rec = Recorder::enabled();
+    let refr = run(oracle, doc, budget, Some(&ref_rec));
     assert_eq!(
         format!("{:?}", prod.alignments),
         format!("{:?}", refr.alignments),
@@ -91,12 +92,15 @@ fn assert_identical(
         "diagnostics diverge on {label} doc {}",
         doc.id
     );
-    let t = refr.timings;
+    let r = ref_rec
+        .finish()
+        .expect("enabled recorder yields a trace")
+        .metrics;
     assert_eq!(
         (
-            t.candidates_retrieved,
-            t.pairs_skipped_retrieval,
-            t.pairs_pruned
+            r.counter(names::RETRIEVAL_CANDIDATES),
+            r.counter(names::RETRIEVAL_PAIRS_DROPPED),
+            r.counter(names::PAIRS_PRUNED)
         ),
         (0, 0, 0),
         "reference path used the index or engine on {label} doc {}",
@@ -114,7 +118,7 @@ fn assert_identical(
         "retrieved rows not scored or pruned exactly once on {label} doc {}",
         doc.id
     );
-    prod.timings
+    m
 }
 
 #[test]
@@ -130,8 +134,8 @@ fn untrained_indexed_path_matches_oracle_on_corpus() {
     .documents;
     let mut retrieved = 0;
     for ld in &docs {
-        let t = assert_identical(&briq, &oracle, &ld.document, Budget::unlimited(), "corpus");
-        retrieved += t.candidates_retrieved;
+        let m = assert_identical(&briq, &oracle, &ld.document, Budget::unlimited(), "corpus");
+        retrieved += m.counter(names::RETRIEVAL_CANDIDATES);
     }
     assert!(retrieved > 0, "index never retrieved a candidate");
 }
@@ -146,8 +150,8 @@ fn untrained_indexed_path_matches_oracle_on_adversarial_families() {
         for seed in [1u64, 2] {
             for doc in adversarial_documents(kind, seed) {
                 let label = format!("{kind:?} seed {seed}");
-                retrieved +=
-                    assert_identical(&briq, &oracle, &doc, budget, &label).candidates_retrieved;
+                retrieved += assert_identical(&briq, &oracle, &doc, budget, &label)
+                    .counter(names::RETRIEVAL_CANDIDATES);
             }
         }
     }
@@ -164,15 +168,15 @@ fn trained_indexed_path_matches_oracle() {
     let oracle = reference(&briq);
     let (mut retrieved, mut pruned) = (0, 0);
     for ld in &docs {
-        let t = assert_identical(
+        let m = assert_identical(
             &briq,
             &oracle,
             &ld.document,
             Budget::unlimited(),
             "trained corpus",
         );
-        retrieved += t.candidates_retrieved;
-        pruned += t.pairs_pruned;
+        retrieved += m.counter(names::RETRIEVAL_CANDIDATES);
+        pruned += m.counter(names::PAIRS_PRUNED);
     }
     assert!(retrieved > 0, "index never retrieved a candidate");
     assert!(
