@@ -32,34 +32,23 @@
 #                workspace) with --locked, so a library change that
 #                breaks the benchmark fails here and its Cargo.lock is
 #                never rewritten
-#   bench-smoke  throughput smoke of the batch engine on a seeded corpus at
-#                --jobs 1 and --jobs $(nproc); writes BENCH_throughput.json
-#                (docs/min, per-stage timings incl. classify seconds and
-#                pairs scored, host cores, requested vs effective jobs) as
-#                the tracked perf-trajectory artifact. On hosts with >= 4
-#                cores the stage fails if the --jobs speedup drops below
-#                $SPEEDUP_MIN (default 2.0); on single-core hosts the
-#                speedup field is null and the gate is skipped, since no
-#                honest parallel ratio exists there (the per-point
-#                utilization fields go null the same way; the speedup awk
-#                only matches "speedup" lines, so they never confuse the
-#                gate). Also runs the classifier hot-path microbench
-#                (bench_classifier) and reports its scored-pairs/sec line
-#                plus the retrieval+prune engine line
-#                (classifier-throughput-engine) — never gating, the
+#   bench-smoke  briq-eval throughput: the batch engine over the smoke
+#                corpus at --jobs 1 and --jobs $(nproc), reported as
+#                docs/min, per-stage seconds, pairs scored, host cores and
+#                requested vs effective jobs, and written to the untracked
+#                BENCH_throughput.json. The binary exits 1 naming each
+#                check that fails: the retrieval index is on, its recall
+#                vs the exhaustive oracle is exactly 1.0, candidates per
+#                mention are strictly below cells per mention, and on
+#                hosts with >= 4 cores the --jobs speedup is >= 2.0 (on
+#                one core the speedup is null and not checked). Seconds
+#                are reported, never compared: time verdicts belong to
+#                briq-perf compare. Also runs the classifier hot-path
+#                microbench (bench_classifier) and reports its
+#                scored-pairs/sec line plus the retrieval+prune engine
+#                line (classifier-throughput-engine) — never gating, the
 #                absolute numbers are host-dependent; a missing line
-#                fails the stage. Gates on the
-#                retrieval index: the artifact's retrieval_recall must be
-#                exactly 1.0 vs the exhaustive oracle and
-#                candidates_per_mention strictly below cells_per_mention.
-#   perf-trend   tools/bench_trend.sh: diff the fresh BENCH_throughput.json
-#                against the committed one (git show HEAD:...) and fail on
-#                an extract-stage, classify-stage, resolve-stage, OR
-#                store-recovery (store.persist.recover_s) regression
-#                beyond $TREND_TOL percent (default 25, same
-#                tolerance for all gates). Refuses to compare runs whose
-#                index_enabled states differ; skips loudly when HEAD has
-#                no artifact or one predating the compared schema fields.
+#                fails the stage.
 #   determinism  briq-align over the same seeded page corpus five times:
 #                --jobs 1, --jobs $(nproc or 8), --jobs 1 with
 #                --trace/--metrics (span trees kept), --jobs 1 with
@@ -79,9 +68,21 @@
 #                run with --model at --jobs 1, at --jobs $(nproc or 8),
 #                and with --oracle, so the forest's bounded pruning and
 #                its exhaustive reference are byte-compared too (every
-#                other run uses the untrained heuristic prior). Per-kernel
-#                equivalence (CSR vs dense walk, flat vs recursive forest)
-#                is proven by the proptest suites the test stage runs.
+#                other run uses the untrained heuristic prior), and one
+#                untrained --store-dir run, byte-compared the same way.
+#                Per-kernel equivalence (CSR vs dense walk, flat vs
+#                recursive forest) is proven by the proptest suites the
+#                test stage runs. Finally the work golden: every counter
+#                line of the untrained and trained --jobs 1 runs, the byte
+#                count and SHA-256 of both runs' alignment stdout and
+#                diagnostics JSONL, and the --store-dir run's
+#                "store: persisted" line and snapshot SHA-256 are written
+#                to target/BENCH_work.jsonl, and the stage fails, showing
+#                the diff, unless that equals the committed
+#                BENCH_work.jsonl byte for byte. A change that moves work
+#                or output on purpose re-blesses the golden with
+#                `cp target/BENCH_work.jsonl BENCH_work.jsonl` and
+#                explains every moved line in CHANGES.md.
 #   store        incremental-vs-oracle equivalence of the versioned
 #                alignment store (DESIGN.md §15). Two checks on a seeded
 #                corpus: (a) unchanged corpus — briq-align --repeat 2
@@ -146,15 +147,11 @@ set -uo pipefail
 cd "$(dirname "$0")"
 
 NPROC="$(nproc 2>/dev/null || echo 1)"
-SPEEDUP_MIN="${SPEEDUP_MIN:-2.0}"
-BENCH_DOCS="${BENCH_DOCS:-60}"
-BENCH_SEED="${BENCH_SEED:-20190408}"
-ALL_STAGES=(fmt clippy build test docs bench-smoke perf-trend determinism store persist serve)
-
-# Set once bench-smoke has written a fresh BENCH_throughput.json, so a
-# later perf-trend stage in the same invocation reuses it instead of
-# re-measuring.
-BENCH_FRESH=0
+# The smoke corpus. BENCH_work.jsonl pins its work and output, so these
+# are constants, not settings.
+SMOKE_DOCS=60
+SMOKE_SEED=20190408
+ALL_STAGES=(fmt clippy build test docs bench-smoke determinism store persist serve)
 
 stage_fmt() {
     cargo fmt --all --check
@@ -181,48 +178,8 @@ stage_docs() {
 stage_bench_smoke() {
     cargo build --offline --locked --release -q -p briq-bench || return 1
     ./target/release/briq-eval throughput \
-        --docs "$BENCH_DOCS" --seed "$BENCH_SEED" --jobs "$NPROC" \
+        --docs "$SMOKE_DOCS" --seed "$SMOKE_SEED" --jobs "$NPROC" \
         --out BENCH_throughput.json || return 1
-    BENCH_FRESH=1
-    # Retrieval-index gates: the smoke must measure the indexed path,
-    # its recall vs the exhaustive oracle must be exactly 1.0, and the
-    # retrieved candidate sets must be strictly smaller than exhaustive
-    # pairing on this corpus.
-    local idx_on recall cpm cells
-    idx_on="$(awk -F': ' '/"index_enabled"/ {gsub(/,/, "", $2); print $2; exit}' BENCH_throughput.json)"
-    recall="$(awk -F': ' '/"retrieval_recall"/ {gsub(/,/, "", $2); print $2; exit}' BENCH_throughput.json)"
-    cpm="$(awk -F': ' '/"candidates_per_mention"/ {gsub(/,/, "", $2); print $2; exit}' BENCH_throughput.json)"
-    cells="$(awk -F': ' '/"cells_per_mention"/ {gsub(/,/, "", $2); print $2; exit}' BENCH_throughput.json)"
-    if [ "$idx_on" != "true" ]; then
-        echo "bench-smoke: retrieval index is off; the smoke must measure the indexed path" >&2
-        return 1
-    fi
-    awk -v r="$recall" 'BEGIN { exit !(r == 1) }' || {
-        echo "bench-smoke: retrieval recall ${recall:-missing} is not exactly 1.0 vs the exhaustive oracle" >&2
-        return 1
-    }
-    awk -v c="$cpm" -v n="$cells" 'BEGIN { exit !(c > 0 && c < n) }' || {
-        echo "bench-smoke: candidates/mention ${cpm:-missing} not strictly below cells/mention ${cells:-missing}" >&2
-        return 1
-    }
-    echo "bench-smoke: retrieval recall $recall; $cpm candidates/mention vs $cells cells/mention exhaustive"
-    local speedup
-    speedup="$(awk -F': ' '/"speedup"/ {gsub(/[,"]/, "", $2); print $2}' BENCH_throughput.json)"
-    if [ -z "$speedup" ]; then
-        echo "bench-smoke: no speedup field in BENCH_throughput.json" >&2
-        return 1
-    fi
-    if [ "$speedup" = "null" ]; then
-        echo "bench-smoke: speedup gate skipped (single-core host: no parallel ratio recorded)"
-    elif [ "$NPROC" -ge 4 ]; then
-        awk -v s="$speedup" -v min="$SPEEDUP_MIN" 'BEGIN { exit !(s >= min) }' || {
-            echo "bench-smoke: speedup ${speedup}x at --jobs $NPROC is below ${SPEEDUP_MIN}x" >&2
-            return 1
-        }
-        echo "bench-smoke: speedup ${speedup}x at --jobs $NPROC (gate: >= ${SPEEDUP_MIN}x)"
-    else
-        echo "bench-smoke: speedup ${speedup}x at --jobs $NPROC (host has $NPROC core(s); gate needs >= 4)"
-    fi
     # Classifier hot-path microbench: report scored-pairs/sec and the
     # retrieval+prune engine comparison, never gate — absolute throughput
     # varies with the host.
@@ -241,18 +198,6 @@ stage_bench_smoke() {
     else
         echo "bench-smoke: classifier microbench produced no engine line" >&2
         return 1
-    fi
-}
-
-stage_perf_trend() {
-    # With a fresh artifact from an earlier bench-smoke stage in this
-    # invocation, compare it directly; otherwise bench_trend.sh measures
-    # its own fresh point into a temp file (the committed artifact is
-    # never overwritten by this stage).
-    if [ "$BENCH_FRESH" = "1" ]; then
-        ./tools/bench_trend.sh BENCH_throughput.json
-    else
-        ./tools/bench_trend.sh
     fi
 }
 
@@ -294,6 +239,19 @@ same_run() { # stage dir ref run
         "diagnostics JSONL of run $run (vs $ref)"
 }
 
+# The work golden's lines for run <run>: one per counter line of the
+# metrics JSONL <file>, tagged with the run.
+golden_counters() { # run file
+    grep '"type":"counter"' "$2" | sed "s/^{/{\"run\":\"$1\",/"
+}
+
+# The work golden's line for output <what> of run <run>: the byte count
+# and SHA-256 of <file>.
+golden_digest() { # run what file
+    printf '{"run":"%s","output":"%s","bytes":%s,"sha256":"%s"}\n' "$1" "$2" \
+        "$(wc -c < "$3")" "$(sha256sum < "$3" | cut -d' ' -f1)"
+}
+
 stage_determinism() {
     cargo build --offline --locked --release -q -p briq-bench || return 1
     local dir jobs_hi run
@@ -301,7 +259,7 @@ stage_determinism() {
     trap 'rm -rf "$dir"' RETURN
     jobs_hi=$(( NPROC > 1 ? NPROC : 8 ))
     ./target/release/briq-align --gen-corpus "$dir/corpus" \
-        --docs "$BENCH_DOCS" --seed "$BENCH_SEED" || return 1
+        --docs "$SMOKE_DOCS" --seed "$SMOKE_SEED" || return 1
 
     align_run "$dir" 1 --batch "$dir/corpus" --jobs 1
     # Worker count, observability recording, and the production path
@@ -339,13 +297,36 @@ stage_determinism() {
         cat "$dir/err_train.txt" >&2
         return 1
     }
-    align_run "$dir" m1 --batch "$dir/corpus" --model "$dir/model.json" --jobs 1
+    align_run "$dir" m1 --batch "$dir/corpus" --model "$dir/model.json" --jobs 1 \
+        --metrics "$dir/metrics_m1.jsonl"
     align_run "$dir" mn --batch "$dir/corpus" --model "$dir/model.json" --jobs "$jobs_hi"
     align_run "$dir" moracle --batch "$dir/corpus" --model "$dir/model.json" --jobs 1 --oracle
     for run in mn moracle; do
         same_run determinism "$dir" m1 "$run" || return 1
     done
     echo "determinism: trained model at --jobs 1, --jobs $jobs_hi, and --oracle byte-identical ($(wc -c < "$dir/out_m1.json") bytes of alignments)"
+
+    align_run "$dir" stored --batch "$dir/corpus" --jobs 1 --store-dir "$dir/store"
+    same_run determinism "$dir" 1 stored || return 1
+
+    # The work golden: what the runs above did and wrote must equal the
+    # committed BENCH_work.jsonl line for line.
+    {
+        golden_counters untrained "$dir/metrics_untraced.jsonl"
+        golden_digest untrained alignments "$dir/out_1.json"
+        golden_digest untrained diagnostics "$dir/diag_1.jsonl"
+        golden_counters trained "$dir/metrics_m1.jsonl"
+        golden_digest trained alignments "$dir/out_m1.json"
+        golden_digest trained diagnostics "$dir/diag_m1.jsonl"
+        printf '{"run":"store","stderr":"%s"}\n' "$(grep '^store: persisted ' "$dir/err_stored.txt")"
+        golden_digest store snapshot "$dir/store"/snapshot-*.briq
+    } > target/BENCH_work.jsonl
+    same_file determinism BENCH_work.jsonl target/BENCH_work.jsonl \
+        "this run's work golden target/BENCH_work.jsonl (> lines; < is the committed BENCH_work.jsonl)" || {
+        echo "determinism: if the move is deliberate, cp target/BENCH_work.jsonl BENCH_work.jsonl and explain every moved line in CHANGES.md" >&2
+        return 1
+    }
+    echo "determinism: --store-dir run byte-identical; BENCH_work.jsonl reproduced ($(wc -l < BENCH_work.jsonl) lines)"
 }
 
 stage_store() {
@@ -354,7 +335,7 @@ stage_store() {
     dir="$(mktemp -d)"
     trap 'rm -rf "$dir"' RETURN
     ./target/release/briq-align --gen-corpus "$dir/corpus" \
-        --docs "$BENCH_DOCS" --seed "$BENCH_SEED" || return 1
+        --docs "$SMOKE_DOCS" --seed "$SMOKE_SEED" || return 1
 
     # (a) Unchanged corpus: two repetitions against one warm store vs the
     # --oracle full recompute. Stdout and diagnostics must be
@@ -417,7 +398,7 @@ stage_persist() {
     dir="$(mktemp -d)"
     trap 'rm -rf "$dir"; [ -n "${SERVE_PID:-}" ] && kill -9 "$SERVE_PID" 2>/dev/null' RETURN
     ./target/release/briq-align --gen-corpus "$dir/corpus" \
-        --docs "$BENCH_DOCS" --seed "$BENCH_SEED" || return 1
+        --docs "$SMOKE_DOCS" --seed "$SMOKE_SEED" || return 1
 
     # (a) Cold reference run: --oracle disables the store entirely, so no
     # cached or recovered state can possibly contribute to this output.
@@ -497,7 +478,7 @@ stage_persist() {
     # per document, so the expected hit count is the document count.
     pages=12
     ./target/release/briq-align --gen-corpus "$dir/pages" \
-        --docs "$pages" --seed "$BENCH_SEED" || return 1
+        --docs "$pages" --seed "$SMOKE_SEED" || return 1
     ./target/release/briq-align --oracle --json "$dir/pages"/*.html \
         > "$dir/out_batch.json" 2> /dev/null
     boot_server "$dir/serve1.log" --store-dir "$dir/sstore" || return 1
@@ -601,7 +582,7 @@ stage_serve() {
     dir="$(mktemp -d)"
     trap 'rm -rf "$dir"; [ -n "${SERVE_PID:-}" ] && kill "$SERVE_PID" 2>/dev/null' RETURN
     ./target/release/briq-align --gen-corpus "$dir/corpus" \
-        --docs 12 --seed "$BENCH_SEED" || return 1
+        --docs 12 --seed "$SMOKE_SEED" || return 1
 
     # 1. Byte-identity: the wire path against the batch path over the
     # same pages (sorted, like briq-align's own --batch ordering).

@@ -9,15 +9,17 @@
 //!
 //! `briq-eval throughput [--docs N] [--seed S] [--jobs J] [--out FILE]`
 //! runs the batch-engine throughput smoke (sequential vs `J` workers on
-//! the same seeded page corpus) and, with `--out`, writes the comparison
-//! as the `BENCH_throughput.json` perf-trajectory artifact used by CI.
+//! the same seeded page corpus), writes the comparison as JSON with
+//! `--out`, and exits 1 if a retrieval or speedup check fails.
 
 use briq_bench::experiments::{
     evaluate_system, evaluate_system_observed, filtering_stats, prepare, prepare_observed,
     test_documents, SetupConfig, SystemKind,
 };
 use briq_bench::report::{fmt, per_type_table, TextTable, TYPE_ORDER};
-use briq_bench::throughput::{build_pages, measure, ThroughputSystem};
+use briq_bench::throughput::{
+    build_pages, measure, ThroughputBench, ThroughputSystem, SPEEDUP_MIN, SPEEDUP_MIN_CORES,
+};
 use briq_core::obs::Recorder;
 use briq_core::pipeline::{Briq, BriqConfig};
 use briq_core::resolution::ResolutionConfig;
@@ -129,11 +131,9 @@ fn main() {
 
 /// Bench-smoke for the batch engine: the same seeded page corpus aligned
 /// at `--jobs 1` and `--jobs N`, reported as docs/min, speedup, and
-/// per-stage CPU-seconds. With `--out`, the comparison is written as a
-/// JSON artifact so CI can track the perf trajectory per PR.
+/// per-stage CPU-seconds, and written as JSON with `--out`. Exits 1
+/// naming each of [`ThroughputBench::failed_checks`] that fails.
 fn throughput_bench(docs: usize, seed: u64, jobs: usize, out: Option<&str>) {
-    use briq_bench::throughput::ThroughputBench;
-
     // Untrained prior: the smoke measures engine throughput and scaling,
     // not model quality, and must stay fast enough for a per-PR gate.
     let briq = Briq::untrained(BriqConfig::default());
@@ -148,12 +148,11 @@ fn throughput_bench(docs: usize, seed: u64, jobs: usize, out: Option<&str>) {
     let baseline = measure(&briq, ThroughputSystem::Briq, &pages, 1);
     let parallel = measure(&briq, ThroughputSystem::Briq, &pages, jobs);
 
-    // Index state, stamped into the artifact so trajectory comparisons
-    // can never silently mix indexed and exhaustive numbers.
     let index_enabled = briq.cfg.use_index;
     // Retrieval recall vs the exhaustive reference: every candidate pair
     // surviving the reference's filter must also survive the indexed
-    // path. The recall contract makes this exactly 1.0; CI gates on it.
+    // path. The recall contract makes this exactly 1.0, and the `recall`
+    // check requires it.
     let recall = index_enabled.then(|| {
         let oracle = Briq::untrained(BriqConfig::default().reference());
         let docs = briq_bench::throughput::segment_pages(&pages);
@@ -182,74 +181,8 @@ fn throughput_bench(docs: usize, seed: u64, jobs: usize, out: Option<&str>) {
         }
     });
 
-    // Cold-vs-warm store passes: the same workload twice against one
-    // AlignmentStore, sequentially (jobs 1) so the delta is the store's,
-    // not the scheduler's. The warm pass should be near-pure cache
-    // service: hit rate 1.0, zero mentions realigned.
-    let store_bench = briq.cfg.use_store.then(|| {
-        use briq_core::store::AlignmentStore;
-        let seg_docs = briq_bench::throughput::segment_pages(&pages);
-        let store = AlignmentStore::for_system(&briq);
-        let cfg = briq_core::batch::BatchConfig::with_jobs(1);
-        let t0 = std::time::Instant::now();
-        briq.align_batch_stored(&seg_docs, &cfg, &store, None);
-        let cold_seconds = t0.elapsed().as_secs_f64();
-        store.reset_counters();
-        let t1 = std::time::Instant::now();
-        briq.align_batch_stored(&seg_docs, &cfg, &store, None);
-        let warm_seconds = t1.elapsed().as_secs_f64();
-        // Durable-store measurement: the same cold pass against a
-        // persistent store in a scratch directory, then a simulated
-        // restart (drop + reopen) and a restart-warmed re-drive. The
-        // interesting numbers are recovery time and the hit rate the
-        // recovered cache serves.
-        let persist = (|| {
-            use briq_core::store::StoreOptions;
-            let dir =
-                std::env::temp_dir().join(format!("briq-bench-persist-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            let opts = StoreOptions {
-                dir: Some(dir.clone()),
-                ..StoreOptions::default()
-            };
-            let pstore = AlignmentStore::with_options(&briq, &opts).ok()?;
-            briq.align_batch_stored(&seg_docs, &cfg, &pstore, None);
-            let log_bytes = pstore.log_bytes();
-            pstore.snapshot().ok()?;
-            let snapshot_bytes = pstore.snapshot_bytes();
-            let evictions = pstore.evictions();
-            drop(pstore);
-            // "Restart": a fresh store recovers everything from disk.
-            let recovered = AlignmentStore::with_options(&briq, &opts).ok()?;
-            let t2 = std::time::Instant::now();
-            briq.align_batch_stored(&seg_docs, &cfg, &recovered, None);
-            let restart_warm_seconds = t2.elapsed().as_secs_f64();
-            let out = briq_bench::throughput::PersistBench {
-                recover_s: recovered.recover_seconds(),
-                recovered_entries: recovered.recovered_entries(),
-                restart_warm_seconds,
-                restart_hit_rate: recovered.hit_rate(),
-                log_bytes,
-                snapshot_bytes,
-                evictions,
-            };
-            let _ = std::fs::remove_dir_all(&dir);
-            Some(out)
-        })();
-        briq_bench::throughput::StoreBench {
-            cold_seconds,
-            warm_seconds,
-            warm_speedup: cold_seconds / warm_seconds.max(1e-9),
-            hit_rate: store.hit_rate(),
-            mentions_realigned: store.mentions_realigned(),
-            bytes_peak: store.bytes_peak(),
-            persist,
-        }
-    });
-
     let bench = ThroughputBench::from_runs(seed as usize, (1, baseline), (jobs, parallel))
-        .with_retrieval(index_enabled, recall)
-        .with_store(store_bench);
+        .with_retrieval(index_enabled, recall);
 
     println!(
         "== Batch-engine throughput smoke (seed {seed}, {} pages, {} host cores) ==",
@@ -309,32 +242,6 @@ fn throughput_bench(docs: usize, seed: u64, jobs: usize, out: Option<&str>) {
             bench.jobs_requested, bench.host_cores, bench.jobs_effective
         ),
     }
-    match &bench.store {
-        Some(s) => println!(
-            "alignment store: cold {:.2}s -> warm {:.4}s ({:.0}x), hit rate {:.3}, \
-             {} mentions realigned, {} bytes peak",
-            s.cold_seconds,
-            s.warm_seconds,
-            s.warm_speedup,
-            s.hit_rate,
-            s.mentions_realigned,
-            s.bytes_peak
-        ),
-        None => println!("alignment store: off (full recompute each run)"),
-    }
-    if let Some(p) = bench.store.as_ref().and_then(|s| s.persist.as_ref()) {
-        println!(
-            "durable store: recovered {} entries in {:.4}s, restart-warm {:.4}s \
-             (hit rate {:.3}), log {} B, snapshot {} B, {} evictions",
-            p.recovered_entries,
-            p.recover_s,
-            p.restart_warm_seconds,
-            p.restart_hit_rate,
-            p.log_bytes,
-            p.snapshot_bytes,
-            p.evictions
-        );
-    }
     for w in &bench.warnings {
         println!("warning: {w}");
     }
@@ -349,6 +256,22 @@ fn throughput_bench(docs: usize, seed: u64, jobs: usize, out: Option<&str>) {
             }
         }
     }
+
+    let failed = bench.failed_checks();
+    for f in &failed {
+        eprintln!("throughput: check failed: {f}");
+    }
+    if !failed.is_empty() {
+        std::process::exit(1);
+    }
+    println!(
+        "checks passed: index on, recall 1.0, candidates/mention below cells/mention, speedup {}",
+        if bench.host_cores >= SPEEDUP_MIN_CORES {
+            format!(">= {SPEEDUP_MIN}x")
+        } else {
+            format!("not checked on a {}-core host", bench.host_cores)
+        }
+    );
 }
 
 fn string_flag(args: &[String], flag: &str) -> Option<String> {
@@ -487,13 +410,7 @@ fn ilp_experiment(s: &Setup) {
             .iter()
             .enumerate()
             .filter_map(|(mi, a)| {
-                a.map(|ti| briq_core::Alignment {
-                    mention_start: sd.mentions[mi].quantity.start,
-                    mention_end: sd.mentions[mi].quantity.end,
-                    mention_raw: sd.mentions[mi].quantity.raw.clone(),
-                    target: sd.targets[ti].clone(),
-                    score: 1.0,
-                })
+                a.map(|ti| briq_core::Alignment::new(&sd.mentions[mi], &sd.targets[ti], 1.0))
             })
             .collect();
         ilp_rep.add_document(&ilp_alignments, &ld.gold);

@@ -8,6 +8,7 @@
 //! filtering and global resolution on a work-stealing worker pool).
 
 use briq_core::batch::{BatchConfig, StageTimings};
+use briq_core::obs::names;
 use briq_core::pipeline::Briq;
 use briq_core::training::LabeledDocument;
 use briq_corpus::page::render_page;
@@ -96,13 +97,7 @@ pub fn measure(
                 ..BatchConfig::default()
             };
             let report = briq.align_batch(&docs, &cfg);
-            let mut mentions = 0usize;
-            for (doc, dr) in docs.iter().zip(&report.documents) {
-                mentions += dr
-                    .alignments
-                    .len()
-                    .max(briq_core::mention::text_mentions(doc).len());
-            }
+            let mentions = report.merged_metrics().counter(names::MENTIONS) as usize;
             (mentions, report.stage_totals, report.mean_utilization())
         }
         ThroughputSystem::RwrOnly => (
@@ -151,6 +146,13 @@ fn rwr_only_run(briq: &Briq, docs: &[Document], workers: usize) -> usize {
     })
 }
 
+/// Smallest `--jobs` speedup [`ThroughputBench::failed_checks`] accepts
+/// on a host with at least [`SPEEDUP_MIN_CORES`] cores.
+pub const SPEEDUP_MIN: f64 = 2.0;
+
+/// Cores a host needs before the speedup is checked.
+pub const SPEEDUP_MIN_CORES: usize = 4;
+
 /// One `--jobs` point of the bench-smoke comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputPoint {
@@ -173,8 +175,8 @@ pub struct ThroughputPoint {
     pub effective_pairs_per_sec: f64,
 }
 
-/// The perf-trajectory artifact written by CI's bench-smoke stage
-/// (`BENCH_throughput.json`).
+/// The throughput smoke's report: `briq-eval throughput --out` writes it
+/// as `BENCH_throughput.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThroughputBench {
     /// Corpus seed (pages are byte-identical given the same seed).
@@ -203,9 +205,6 @@ pub struct ThroughputBench {
     /// parallelism regression.
     pub speedup: Option<f64>,
     /// Retrieval-index state of the measured runs (`cfg.use_index`).
-    /// Trajectory comparisons must never mix indexed and exhaustive
-    /// numbers; `tools/bench_trend.sh` refuses to compare across a flip
-    /// of this bit.
     pub index_enabled: bool,
     /// Mean retrieved candidates per mention on the sequential run;
     /// `None` on exhaustive runs. Strictly below
@@ -217,8 +216,7 @@ pub struct ThroughputBench {
     pub cells_per_mention: f64,
     /// Fraction of the exhaustive oracle's surviving candidates the
     /// indexed path also produced. The recall contract makes this
-    /// exactly `1.0`; CI gates on it. `None` when not measured
-    /// (exhaustive runs).
+    /// exactly `1.0`. `None` when not measured (exhaustive runs).
     pub retrieval_recall: Option<f64>,
     /// Structured measurement caveats, each `key: detail`. Today the only
     /// producer is `jobs_clamped` (the host could not run the requested
@@ -226,61 +224,6 @@ pub struct ThroughputBench {
     /// empty when the measurement is clean. Readers that previously had
     /// to infer the situation from a `null` speedup can key off this.
     pub warnings: Vec<String>,
-    /// Cold-vs-warm timings of the same workload through the versioned
-    /// [`briq_core::store::AlignmentStore`] (DESIGN.md §15), sequential
-    /// runs. `None` when the store was disabled or not measured.
-    pub store: Option<StoreBench>,
-}
-
-/// Cold-vs-warm comparison of one workload through the alignment store:
-/// the first (cold) pass computes and caches everything, the second
-/// (warm, unchanged corpus) pass should serve every document from cache
-/// and skip classify/filter/resolve entirely.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StoreBench {
-    /// Wall-clock seconds of the cold pass (cache empty).
-    pub cold_seconds: f64,
-    /// Wall-clock seconds of the warm pass (unchanged corpus).
-    pub warm_seconds: f64,
-    /// `cold_seconds / warm_seconds` — the re-alignment speedup a fully
-    /// warm store buys on an unchanged corpus.
-    pub warm_speedup: f64,
-    /// Store hit rate over the warm pass; `1.0` when nothing changed.
-    pub hit_rate: f64,
-    /// Mentions re-run through classify/filter on the warm pass; `0`
-    /// when nothing changed.
-    pub mentions_realigned: u64,
-    /// High-water mark of the store's resident artifact bytes.
-    pub bytes_peak: u64,
-    /// Durable-store measurement (DESIGN.md §16): the same workload
-    /// persisted to disk, the process "restarted" (store dropped and
-    /// reopened from the same directory), and re-driven warm. `None`
-    /// when persistence was not measured.
-    pub persist: Option<PersistBench>,
-}
-
-/// Restart-warmed measurement of the durable store backing: how long
-/// recovery took, what it recovered, and what the on-disk footprint was.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PersistBench {
-    /// Wall-clock seconds to open the store directory and replay
-    /// snapshot + novelty log back into memory.
-    pub recover_s: f64,
-    /// Entries recovered by the reopen.
-    pub recovered_entries: u64,
-    /// Wall-clock seconds of the restart-warmed pass (recovered cache,
-    /// unchanged corpus) — the durable analogue of `warm_seconds`.
-    pub restart_warm_seconds: f64,
-    /// Store hit rate over the restart-warmed pass; `1.0` when the
-    /// recovery was complete and nothing changed.
-    pub restart_hit_rate: f64,
-    /// Novelty-log bytes on disk after the cold persisted pass.
-    pub log_bytes: u64,
-    /// Snapshot bytes on disk after the end-of-pass compaction.
-    pub snapshot_bytes: u64,
-    /// Entries evicted during the measurement (0 unless a byte budget
-    /// was configured).
-    pub evictions: u64,
 }
 
 impl ThroughputBench {
@@ -352,15 +295,7 @@ impl ThroughputBench {
             cells_per_mention,
             retrieval_recall: None,
             warnings,
-            store: None,
         }
-    }
-
-    /// Attach a cold-vs-warm store measurement (`None` = store disabled
-    /// or not measured).
-    pub fn with_store(mut self, store: Option<StoreBench>) -> ThroughputBench {
-        self.store = store;
-        self
     }
 
     /// Pin the effective index state explicitly (config AND environment,
@@ -373,6 +308,42 @@ impl ThroughputBench {
         }
         self.retrieval_recall = recall;
         self
+    }
+
+    /// The smoke's checks this measurement fails, each as `name: detail`;
+    /// empty when all pass. `index`: the retrieval index is on. `recall`:
+    /// its recall against the exhaustive oracle is exactly 1.0.
+    /// `candidates`: retrieved candidates per mention are strictly below
+    /// the exhaustive cells per mention. `speedup`: on a host with at
+    /// least [`SPEEDUP_MIN_CORES`] cores, the `--jobs` speedup is at
+    /// least [`SPEEDUP_MIN`].
+    pub fn failed_checks(&self) -> Vec<String> {
+        let mut failed = Vec::new();
+        if !self.index_enabled {
+            failed.push("index: the retrieval index is off".to_string());
+        }
+        if self.retrieval_recall != Some(1.0) {
+            failed.push(format!(
+                "recall: retrieval recall {:?} is not exactly 1.0 vs the exhaustive oracle",
+                self.retrieval_recall
+            ));
+        }
+        match self.candidates_per_mention {
+            Some(c) if c > 0.0 && c < self.cells_per_mention => {}
+            c => failed.push(format!(
+                "candidates: {c:?} candidates/mention not strictly below {} cells/mention",
+                self.cells_per_mention
+            )),
+        }
+        if let Some(s) = self.speedup {
+            if self.host_cores >= SPEEDUP_MIN_CORES && s < SPEEDUP_MIN {
+                failed.push(format!(
+                    "speedup: {s:.2}x at --jobs {} is below {SPEEDUP_MIN}x",
+                    self.jobs_requested
+                ));
+            }
+        }
+        failed
     }
 
     /// [`ThroughputBench::from_runs_on_host`] with the measuring host's
@@ -413,25 +384,6 @@ briq_json::json_struct!(ThroughputBench {
     cells_per_mention,
     retrieval_recall,
     warnings,
-    store,
-});
-briq_json::json_struct!(StoreBench {
-    cold_seconds,
-    warm_seconds,
-    warm_speedup,
-    hit_rate,
-    mentions_realigned,
-    bytes_peak,
-    persist,
-});
-briq_json::json_struct!(PersistBench {
-    recover_s,
-    recovered_entries,
-    restart_warm_seconds,
-    restart_hit_rate,
-    log_bytes,
-    snapshot_bytes,
-    evictions,
 });
 
 #[cfg(test)]
@@ -541,6 +493,46 @@ mod tests {
         let exhaustive = back.with_retrieval(false, None);
         assert_eq!(exhaustive.candidates_per_mention, None);
         assert_eq!(exhaustive.retrieval_recall, None);
+    }
+
+    #[test]
+    fn failed_checks_name_each_broken_check() {
+        let docs = docs();
+        let pages = build_pages(&docs[..6], 3);
+        let briq = Briq::untrained(BriqConfig::default());
+        let base = measure(&briq, ThroughputSystem::Briq, &pages, 1);
+        let par = measure(&briq, ThroughputSystem::Briq, &pages, 4);
+        let mut good = ThroughputBench::from_runs_on_host(31, 4, (1, base), (4, par))
+            .with_retrieval(true, Some(1.0));
+        good.speedup = Some(SPEEDUP_MIN);
+        assert_eq!(good.failed_checks(), Vec::<String>::new());
+        let fails = |b: ThroughputBench| -> Vec<String> {
+            let failed = b.failed_checks();
+            failed
+                .iter()
+                .map(|f| f[..f.find(':').unwrap()].to_string())
+                .collect()
+        };
+        assert_eq!(
+            fails(good.clone().with_retrieval(false, None)),
+            ["index", "recall", "candidates"]
+        );
+        assert_eq!(
+            fails(good.clone().with_retrieval(true, Some(0.99))),
+            ["recall"]
+        );
+        let mut b = good.clone();
+        b.cells_per_mention = b.candidates_per_mention.unwrap();
+        assert_eq!(fails(b), ["candidates"]);
+        b = good.clone();
+        b.speedup = Some(SPEEDUP_MIN - 0.01);
+        assert_eq!(fails(b.clone()), ["speedup"]);
+        b.host_cores = SPEEDUP_MIN_CORES - 1;
+        assert_eq!(
+            fails(b),
+            Vec::<String>::new(),
+            "speedup is checked on >= 4 cores only"
+        );
     }
 
     #[test]

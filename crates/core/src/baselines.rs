@@ -31,13 +31,7 @@ pub fn rf_only_scored(sd: &ScoredDocument) -> Vec<Alignment> {
             .iter()
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
         if let Some(&(ti, score)) = best {
-            out.push(Alignment {
-                mention_start: x.quantity.start,
-                mention_end: x.quantity.end,
-                mention_raw: x.quantity.raw.clone(),
-                target: sd.targets[ti].clone(),
-                score,
-            });
+            out.push(Alignment::new(x, &sd.targets[ti], score));
         }
     }
     out
@@ -104,16 +98,7 @@ pub fn rwr_only(briq: &Briq, doc: &Document) -> Vec<Alignment> {
     let resolved = resolve(ag, &candidates, &cfg);
     resolved
         .into_iter()
-        .map(|r| {
-            let x = &mentions[r.mention];
-            Alignment {
-                mention_start: x.quantity.start,
-                mention_end: x.quantity.end,
-                mention_raw: x.quantity.raw.clone(),
-                target: targets[r.target].clone(),
-                score: r.score,
-            }
-        })
+        .map(|r| Alignment::new(&mentions[r.mention], &targets[r.target], r.score))
         .collect()
 }
 
@@ -148,13 +133,7 @@ pub fn qkb_only(briq: &Briq, doc: &Document) -> Vec<Alignment> {
         // The QKB has no disambiguation machinery: only an unambiguous
         // exact match produces an alignment.
         if let [ti] = matches[..] {
-            out.push(Alignment {
-                mention_start: x.quantity.start,
-                mention_end: x.quantity.end,
-                mention_raw: x.quantity.raw.clone(),
-                target: targets[ti].clone(),
-                score: 1.0,
-            });
+            out.push(Alignment::new(x, &targets[ti], 1.0));
         }
     }
     out

@@ -38,6 +38,19 @@ pub struct Alignment {
     pub score: f64,
 }
 
+impl Alignment {
+    /// Align text mention `x` to table mention `target` at `score`.
+    pub fn new(x: &TextMention, target: &TableMention, score: f64) -> Alignment {
+        Alignment {
+            mention_start: x.quantity.start,
+            mention_end: x.quantity.end,
+            mention_raw: x.quantity.raw.clone(),
+            target: target.clone(),
+            score,
+        }
+    }
+}
+
 /// A gold-standard alignment from annotation (or corpus synthesis).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GoldAlignment {

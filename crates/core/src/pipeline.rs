@@ -819,16 +819,7 @@ impl Briq {
         }
         let alignments: Vec<Alignment> = resolved
             .into_iter()
-            .map(|r| {
-                let m = &x.mentions[r.mention];
-                Alignment {
-                    mention_start: m.quantity.start,
-                    mention_end: m.quantity.end,
-                    mention_raw: m.quantity.raw.clone(),
-                    target: x.targets[r.target].clone(),
-                    score: r.score,
-                }
-            })
+            .map(|r| Alignment::new(&x.mentions[r.mention], &x.targets[r.target], r.score))
             .collect();
         drop(resolve);
         rec.count(names::ALIGNMENTS, alignments.len() as u64);

@@ -3,7 +3,7 @@
 //! per mention instead of the full mention × cell cross product
 //! (DESIGN.md §13).
 //!
-//! [`CandidateIndex`] is built once per document over three keys:
+//! [`CandidateIndex`] is built once per document over two keys:
 //!
 //! * **aggregation-kind slots** — single cells plus one slot per
 //!   [`AggregationKind`], so a mention's tagger prediction selects whole
@@ -11,12 +11,10 @@
 //! * **unit classes** — within a slot, targets group by their exact
 //!   [`Unit`], so unit-incompatible pairs (feature `f8 == 3.0`,
 //!   the `StrongMismatch` that filtering can never keep) are skipped
-//!   wholesale;
-//! * **log-scale value-magnitude buckets** — within a unit group,
-//!   targets sort by their value's biased f64 exponent, so the near/far
-//!   split against `value_diff_threshold` needs an exact
-//!   [`relative_difference`] evaluation only for targets within a proven
-//!   exponent window; everything outside the window is *provably* far.
+//!   wholesale.
+//!
+//! Each retrieved member of a unit group is split near/far by one exact
+//! [`relative_difference`] evaluation against `value_diff_threshold`.
 //!
 //! # Recall contract
 //!
@@ -82,51 +80,11 @@ fn slot_name(slot: usize) -> &'static str {
     }
 }
 
-/// Sign-aware magnitude-bucket key: the biased f64 exponent, negated for
-/// negative values so opposite signs can never share a bucket window.
-/// `None` marks the oddballs — zeros, subnormals, infinities, NaN — that
-/// skip the bucket proof and always get the exact near/far check.
-fn bucket_key(v: f64) -> Option<i32> {
-    let bits = v.to_bits();
-    let exp = ((bits >> 52) & 0x7ff) as i32;
-    if exp == 0 || exp == 0x7ff {
-        return None;
-    }
-    Some(if bits >> 63 == 1 { -exp } else { exp })
-}
-
-/// Largest exponent distance that still *requires* an exact
-/// [`relative_difference`] check against threshold `theta`: two normal
-/// same-sign values whose biased exponents differ by **more** than the
-/// returned delta satisfy `relative_difference > theta` provably (for
-/// exponent gap Δ the ratio of magnitudes is `< 2^(1-Δ)`, so the
-/// relative difference exceeds `1 - 2^(1-Δ)`; the `+1` adds one bucket
-/// of margin, and over-checking is always sound — in-window targets get
-/// the exact test). `None` when no finite window proves anything
-/// (`theta >= 1` or NaN): every member is exact-checked.
-fn exponent_delta(theta: f64) -> Option<i32> {
-    // NaN θ must land here too, so the comparison is deliberately on the
-    // "proves nothing" side: only θ strictly below 1 yields a window.
-    if theta >= 1.0 || theta.is_nan() {
-        return None;
-    }
-    let d = (1.0 - (1.0 - theta).log2()).floor() as i32 + 1;
-    Some(d.max(1))
-}
-
-/// One unit class within a kind slot: members sorted by
-/// `(bucket key, target index)` for the windowed scan, oddballs kept
-/// aside for the always-exact check.
+/// One unit class within a kind slot.
 struct UnitGroup {
     unit: Unit,
-    /// Bucket key per member, ascending (ties by target index).
-    keys: Vec<i32>,
-    /// Target index per member, parallel to `keys`.
-    tis: Vec<usize>,
-    /// Target value per member, parallel to `keys`.
-    vals: Vec<f64>,
-    /// Zero/subnormal/non-finite members: `(target index, value)`.
-    oddballs: Vec<(usize, f64)>,
+    /// `(target index, value)` per member, in target order.
+    members: Vec<(usize, f64)>,
 }
 
 /// Pair-level unit viability — identical to filtering's `unit_ok` and to
@@ -165,7 +123,6 @@ pub struct CandidateIndex {
     kind_counts: [usize; KIND_SLOTS],
     n_targets: usize,
     theta: f64,
-    delta: Option<i32>,
 }
 
 impl CandidateIndex {
@@ -184,37 +141,12 @@ impl CandidateIndex {
                 None => {
                     groups.push(UnitGroup {
                         unit: t.unit,
-                        keys: Vec::new(),
-                        tis: Vec::new(),
-                        vals: Vec::new(),
-                        oddballs: Vec::new(),
+                        members: Vec::new(),
                     });
                     groups.len() - 1
                 }
             };
-            match bucket_key(t.value) {
-                Some(key) => {
-                    groups[gi].keys.push(key);
-                    groups[gi].tis.push(ti);
-                    groups[gi].vals.push(t.value);
-                }
-                None => groups[gi].oddballs.push((ti, t.value)),
-            }
-        }
-
-        // Sort each group's members by (bucket key, target index) so the
-        // window scan is two binary searches.
-        for groups in &mut slots {
-            for g in groups {
-                let mut order: Vec<usize> = (0..g.keys.len()).collect();
-                order.sort_by_key(|&i| (g.keys[i], g.tis[i]));
-                g.keys = order.iter().map(|&i| g.keys[i]).collect();
-                let tis = std::mem::take(&mut g.tis);
-                let vals = std::mem::take(&mut g.vals);
-                g.tis = order.iter().map(|&i| tis[i]).collect();
-                g.vals = order.iter().map(|&i| vals[i]).collect();
-                g.oddballs.sort_unstable_by_key(|&(ti, _)| ti);
-            }
+            groups[gi].members.push((ti, t.value));
         }
 
         CandidateIndex {
@@ -222,7 +154,6 @@ impl CandidateIndex {
             kind_counts,
             n_targets: targets.len(),
             theta,
-            delta: exponent_delta(theta),
         }
     }
 
@@ -246,7 +177,6 @@ impl CandidateIndex {
         out.near.clear();
         out.far.clear();
         out.per_slot = [0; KIND_SLOTS];
-        let mkey = bucket_key(value);
         for (slot, groups) in self.slots.iter().enumerate() {
             if slot != 0 && !tags.contains(&SLOT_KINDS[slot - 1]) {
                 continue;
@@ -256,42 +186,15 @@ impl CandidateIndex {
                 if !unit_compatible(unit, g.unit) {
                     continue;
                 }
-                match (self.delta, mkey) {
-                    (Some(d), Some(mk)) => {
-                        // Members outside the exponent window (or of the
-                        // opposite sign, which the sign-aware key pushes
-                        // out of any window) are provably far; only the
-                        // window gets the exact check.
-                        let lo = g.keys.partition_point(|&k| k < mk - d);
-                        let hi = g.keys.partition_point(|&k| k <= mk + d);
-                        out.far.extend_from_slice(&g.tis[..lo]);
-                        for i in lo..hi {
-                            self.push_exact(value, g.tis[i], g.vals[i], out);
-                        }
-                        out.far.extend_from_slice(&g.tis[hi..]);
+                for &(ti, tv) in &g.members {
+                    if relative_difference(value, tv) > self.theta {
+                        out.far.push(ti);
+                    } else {
+                        out.near.push(ti);
                     }
-                    // No provable window (θ ≥ 1, NaN θ, or an oddball
-                    // mention value): exact-check every member.
-                    _ => {
-                        for i in 0..g.tis.len() {
-                            self.push_exact(value, g.tis[i], g.vals[i], out);
-                        }
-                    }
-                }
-                for &(ti, v) in &g.oddballs {
-                    self.push_exact(value, ti, v, out);
                 }
             }
             out.per_slot[slot] = out.retrieved() - before;
-        }
-    }
-
-    #[inline]
-    fn push_exact(&self, value: f64, ti: usize, tv: f64, out: &mut RetrievalScratch) {
-        if relative_difference(value, tv) > self.theta {
-            out.far.push(ti);
-        } else {
-            out.near.push(ti);
         }
     }
 
@@ -374,7 +277,7 @@ mod tests {
         assert_eq!(far, ofar, "far mismatch for value {value:e} θ {theta}");
     }
 
-    /// Value grid covering every bucket-math edge: signs, zeros,
+    /// Value grid covering every near/far edge: signs, zeros,
     /// subnormals, infinities, NaN, boundary ratios around θ.
     fn adversarial_values() -> Vec<f64> {
         vec![
@@ -407,34 +310,6 @@ mod tests {
             1e9 + 1.0,
             -1e9,
         ]
-    }
-
-    #[test]
-    fn bucket_key_edges() {
-        assert_eq!(bucket_key(0.0), None);
-        assert_eq!(bucket_key(-0.0), None);
-        assert_eq!(bucket_key(f64::NAN), None);
-        assert_eq!(bucket_key(f64::INFINITY), None);
-        assert_eq!(bucket_key(f64::MIN_POSITIVE / 2.0), None, "subnormal");
-        let k1 = bucket_key(1.5).unwrap();
-        let k2 = bucket_key(3.0).unwrap();
-        assert_eq!(k2 - k1, 1, "doubling advances one bucket");
-        assert_eq!(bucket_key(-1.5).unwrap(), -k1, "sign-aware key");
-    }
-
-    #[test]
-    fn exponent_delta_bounds() {
-        assert_eq!(exponent_delta(1.0), None);
-        assert_eq!(exponent_delta(f64::NAN), None);
-        assert_eq!(exponent_delta(2.0), None);
-        // θ = 0.35 (the default): values more than Δ buckets apart must
-        // really be far.
-        let d = exponent_delta(0.35).unwrap();
-        assert!(d >= 2);
-        for gap in (d + 1)..(d + 6) {
-            let far = (2.0f64).powi(gap);
-            assert!(relative_difference(1.5, 1.5 * far) > 0.35);
-        }
     }
 
     #[test]

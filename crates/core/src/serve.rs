@@ -1048,6 +1048,18 @@ mod tests {
         assert_eq!(h.get("count").and_then(Value::as_f64), Some(1.0));
     }
 
+    /// Raises a server's shutdown flag when dropped. Held inside the
+    /// `std::thread::scope` that runs the server, it turns an assertion
+    /// failing there into a drained server and a failed test, not a
+    /// scope waiting on a server nobody stops.
+    struct StopOnDrop(Arc<AtomicBool>);
+
+    impl Drop for StopOnDrop {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
     /// Helper: a loopback client for the end-to-end tests.
     struct Client {
         stream: TcpStream,
@@ -1092,6 +1104,7 @@ mod tests {
         let server = Server::bind(ServeConfig::default()).unwrap();
         let addr = server.local_addr().unwrap();
         std::thread::scope(|s| {
+            let _stop = StopOnDrop(server.shutdown_flag());
             let handle = s.spawn(|| server.run(&briq));
 
             let mut c = Client::connect(addr);
@@ -1155,9 +1168,9 @@ mod tests {
         let server = Server::bind(ServeConfig::default()).unwrap();
         let addr = server.local_addr().unwrap();
         // The request is sent twice under one id, and the server shut
-        // down, before anything is asserted, so a failure cannot leave
-        // the server running.
+        // down, before anything is asserted.
         let (statuses, cold, warm) = std::thread::scope(|s| {
+            let _stop = StopOnDrop(server.shutdown_flag());
             let handle = s.spawn(|| server.run(&briq));
             let mut c = Client::connect(addr);
             let align = obj(vec![
@@ -1250,6 +1263,7 @@ mod tests {
         let flag = server.shutdown_flag();
         let html = slow_page();
         std::thread::scope(|s| {
+            let _stop = StopOnDrop(server.shutdown_flag());
             let handle = s.spawn(|| server.run(&briq));
             let mut clients: Vec<Client> = (0..3)
                 .map(|i| {
