@@ -16,7 +16,7 @@
 # Stages:
 #   fmt          cargo fmt --all --check (formatting is part of the gate)
 #   clippy       cargo clippy --all-targets -D warnings: libraries,
-#                binaries, tests, benches and examples are all linted; the
+#                binaries, tests and examples are all linted; the
 #                hardened crates (briq-regex, briq-text, briq-table,
 #                briq-graph, briq-core) additionally deny
 #                unwrap_used/expect_used in non-test code, so clippy
@@ -42,13 +42,8 @@
 #                mention are strictly below cells per mention, and on
 #                hosts with >= 4 cores the --jobs speedup is >= 2.0 (on
 #                one core the speedup is null and not checked). Seconds
-#                are reported, never compared: time verdicts belong to
-#                briq-perf compare. Also runs the classifier hot-path
-#                microbench (bench_classifier) and reports its
-#                scored-pairs/sec line plus the retrieval+prune engine
-#                line (classifier-throughput-engine) — never gating, the
-#                absolute numbers are host-dependent; a missing line
-#                fails the stage.
+#                are reported, never compared: time verdicts and
+#                per-layer costs belong to briq-perf.
 #   determinism  briq-align over the same seeded page corpus five times:
 #                --jobs 1, --jobs $(nproc or 8), --jobs 1 with
 #                --trace/--metrics (span trees kept), --jobs 1 with
@@ -179,26 +174,7 @@ stage_bench_smoke() {
     cargo build --offline --locked --release -q -p briq-bench || return 1
     ./target/release/briq-eval throughput \
         --docs "$SMOKE_DOCS" --seed "$SMOKE_SEED" --jobs "$NPROC" \
-        --out BENCH_throughput.json || return 1
-    # Classifier hot-path microbench: report scored-pairs/sec and the
-    # retrieval+prune engine comparison, never gate — absolute throughput
-    # varies with the host.
-    local clf_out clf_line engine_line
-    clf_out="$(cargo bench --offline --locked -q -p briq-bench --bench bench_classifier 2>/dev/null)"
-    clf_line="$(printf '%s\n' "$clf_out" | grep '^classifier-throughput ' | tail -1)"
-    engine_line="$(printf '%s\n' "$clf_out" | grep '^classifier-throughput-engine ' | tail -1)"
-    if [ -n "$clf_line" ]; then
-        echo "bench-smoke: $clf_line"
-    else
-        echo "bench-smoke: classifier microbench produced no throughput line" >&2
-        return 1
-    fi
-    if [ -n "$engine_line" ]; then
-        echo "bench-smoke: $engine_line"
-    else
-        echo "bench-smoke: classifier microbench produced no engine line" >&2
-        return 1
-    fi
+        --out BENCH_throughput.json
 }
 
 # Run briq-align --json as run <name> in <dir>: alignments to

@@ -61,6 +61,7 @@
 //! * `2` — alignment completed, but at least one item degraded.
 
 use briq_core::batch::BatchConfig;
+use briq_core::obs::names;
 use briq_core::pipeline::{Briq, BriqConfig};
 use briq_core::store::{AlignmentStore, Fingerprint};
 use briq_core::{DegradedAction, Diagnostic, Diagnostics, Stage};
@@ -197,14 +198,12 @@ fn main() -> ExitCode {
             warm_docs.len(),
             store.len()
         );
-        store.reset_counters();
     }
 
     let repeat = cli.repeat.max(1);
     let mut report = briq.align_batch_stored(&docs, &cfg, &store, Some(&keys));
     for rep in 1..=repeat {
         if rep > 1 {
-            store.reset_counters();
             report = briq.align_batch_stored(&docs, &cfg, &store, Some(&keys));
         }
         if repeat > 1 {
@@ -216,14 +215,15 @@ fn main() -> ExitCode {
             );
         }
         if briq.cfg.use_store {
+            // Every document of the repetition is one store lookup.
+            let m = report.merged_metrics();
+            let (lookups, hits) = (docs.len(), m.counter(names::STORE_HITS));
             eprintln!(
-                "store: repeat {rep}/{repeat} lookups {} hits {} hit_rate {:.3} \
+                "store: repeat {rep}/{repeat} lookups {lookups} hits {hits} hit_rate {:.3} \
                  invalidations {} mentions_realigned {}",
-                store.lookups(),
-                store.hits(),
-                store.hit_rate(),
-                store.invalidations(),
-                store.mentions_realigned()
+                hits as f64 / lookups as f64,
+                m.counter(names::STORE_INVALIDATIONS),
+                m.counter(names::MENTIONS_REALIGNED)
             );
         }
     }

@@ -674,7 +674,6 @@ mod tests {
         let budget = Budget {
             max_virtual_cells_per_table: 5,
             max_graph_edges: 500_000,
-            max_rwr_iterations: 200,
         };
         let cfg = BatchConfig {
             budget,

@@ -128,9 +128,6 @@ pub struct Budget {
     pub max_virtual_cells_per_table: usize,
     /// Edges in the candidate alignment graph.
     pub max_graph_edges: usize,
-    /// Power-iteration cap per random walk (tightens
-    /// `ResolutionConfig::max_iterations`, never loosens it).
-    pub max_rwr_iterations: usize,
 }
 
 impl Budget {
@@ -139,7 +136,6 @@ impl Budget {
         Budget {
             max_virtual_cells_per_table: usize::MAX,
             max_graph_edges: usize::MAX,
-            max_rwr_iterations: usize::MAX,
         }
     }
 }
@@ -151,7 +147,6 @@ impl Default for Budget {
         Budget {
             max_virtual_cells_per_table: 20_000,
             max_graph_edges: 500_000,
-            max_rwr_iterations: 200,
         }
     }
 }
@@ -379,11 +374,6 @@ briq_json::json_struct!(Diagnostic {
     action
 });
 briq_json::json_struct!(Diagnostics { items });
-briq_json::json_struct!(Budget {
-    max_virtual_cells_per_table,
-    max_graph_edges,
-    max_rwr_iterations,
-});
 
 #[cfg(test)]
 mod tests {
@@ -439,7 +429,6 @@ mod tests {
     fn unlimited_budget_has_no_caps() {
         let b = Budget::unlimited();
         assert_eq!(b.max_graph_edges, usize::MAX);
-        assert_eq!(b.max_rwr_iterations, usize::MAX);
         let d = Budget::default();
         assert!(d.max_virtual_cells_per_table < usize::MAX);
     }
@@ -541,13 +530,5 @@ mod tests {
         let d: Diagnostic = briq_json::from_str(jsonl.trim()).expect("round-trips");
         assert_eq!(d.action, DegradedAction::Cancelled);
         assert_eq!(d.stage, Stage::Classification);
-    }
-
-    #[test]
-    fn budget_serializes() {
-        let b = Budget::default();
-        let s = briq_json::to_string(&b);
-        let back: Budget = briq_json::from_str(&s).expect("budget round-trips");
-        assert_eq!(b, back);
     }
 }

@@ -121,11 +121,23 @@ pub struct FilterStats {
     pub kept: BTreeMap<String, usize>,
 }
 
+/// Add `n` to `map[kind]`, allocating the key only the first time the
+/// kind is seen: a document has at most eight kinds, but every scored,
+/// pruned or retrieval-dropped pair is counted.
+fn bump(map: &mut BTreeMap<String, usize>, kind: &str, n: usize) {
+    match map.get_mut(kind) {
+        Some(count) => *count += n,
+        None => {
+            map.insert(kind.to_string(), n);
+        }
+    }
+}
+
 impl FilterStats {
     fn record(&mut self, kind: TableMentionKind, kept: bool) {
-        *self.total.entry(kind.name().to_string()).or_insert(0) += 1;
+        bump(&mut self.total, kind.name(), 1);
         if kept {
-            *self.kept.entry(kind.name().to_string()).or_insert(0) += 1;
+            bump(&mut self.kept, kind.name(), 1);
         }
     }
 
@@ -135,16 +147,16 @@ impl FilterStats {
     /// them on the exhaustive path) but never `kept`, so selectivity
     /// figures stay comparable with `use_index: false` runs.
     pub fn record_dropped(&mut self, kind_name: &str, n: usize) {
-        *self.total.entry(kind_name.to_string()).or_insert(0) += n;
+        bump(&mut self.total, kind_name, n);
     }
 
     /// Merge another stats object into this one.
     pub fn merge(&mut self, other: &FilterStats) {
-        for (k, v) in &other.total {
-            *self.total.entry(k.clone()).or_insert(0) += v;
+        for (k, &v) in &other.total {
+            bump(&mut self.total, k, v);
         }
-        for (k, v) in &other.kept {
-            *self.kept.entry(k.clone()).or_insert(0) += v;
+        for (k, &v) in &other.kept {
+            bump(&mut self.kept, k, v);
         }
     }
 

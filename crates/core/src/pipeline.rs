@@ -162,22 +162,9 @@ pub struct Briq {
 
 /// Uniform-weight combination of the 12 features into a `[0, 1]` score —
 /// the prior used before training and by the RWR-only baseline ("these
-/// features are combined using uniform weights", §VII-D).
-pub fn heuristic_prior(f: &[f64]) -> f64 {
-    let surface = f[0];
-    let ctx = (f[1] + f[2] + f[3] + f[4]) / 4.0;
-    let value = 1.0 - f[5].min(1.0);
-    let value_raw = 1.0 - f[6].min(1.0);
-    let unit = (3.0 - f[7]) / 3.0;
-    let scale = (1.0 - f[8] / 4.0).max(0.0);
-    let precision = (1.0 - f[9] / 4.0).max(0.0);
-    let agg = (3.0 - f[11]) / 3.0;
-    ((surface + ctx + value + value_raw + unit + scale + precision + agg) / 8.0).clamp(0.0, 1.0)
-}
-
-/// [`heuristic_prior`] under a feature mask, without copying the row:
-/// masked features read as 0.0, exactly as if `mask.apply` had zeroed a
-/// copy first — same expressions, same evaluation order, bit-identical.
+/// features are combined using uniform weights", §VII-D). Features the
+/// mask drops read as 0.0, exactly as if `mask.apply` had zeroed a copy
+/// of the row first; [`FeatureMask::all`] reads the row as it is.
 pub fn heuristic_prior_masked(f: &[f64], mask: &FeatureMask) -> f64 {
     let g = |i: usize| if mask.keeps(i) { f[i] } else { 0.0 };
     let surface = g(0);
@@ -783,14 +770,8 @@ impl Briq {
         drop(graph);
         // The resolve span also covers event handling and emission.
         let resolve = span!(rec, names::SPAN_RESOLVE);
-        let (resolved, events) = resolve_observed(
-            ag,
-            &candidates,
-            &self.cfg.resolution,
-            budget.max_rwr_iterations,
-            rec,
-            cancel,
-        );
+        let (resolved, events) =
+            resolve_observed(ag, &candidates, &self.cfg.resolution, rec, cancel);
         if let Some(&ResolutionEvent::Cancelled { cause }) = events.first() {
             return ControlFlow::Break(cancelled_result(Stage::Resolution, cause, diags, rec));
         }
@@ -1105,12 +1086,13 @@ mod tests {
 
     #[test]
     fn tight_budgets_degrade_with_diagnostics_not_panics() {
-        let briq = Briq::untrained(BriqConfig::default());
+        let mut cfg = BriqConfig::default();
+        cfg.resolution.max_iterations = 1;
+        let briq = Briq::untrained(cfg);
         let doc = health_doc();
         let budget = crate::error::Budget {
             max_virtual_cells_per_table: 3,
             max_graph_edges: 2,
-            max_rwr_iterations: 1,
         };
         let out = briq.align_with(
             &doc,
@@ -1156,10 +1138,11 @@ mod tests {
     fn heuristic_prior_ranges() {
         let perfect = vec![1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0];
         let terrible = vec![0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 2.0, 3.0, 6.0, 4.0, 0.0, 3.0];
-        assert!(heuristic_prior(&perfect) > 0.9);
-        assert!(heuristic_prior(&terrible) < 0.2);
-        assert!(heuristic_prior(&perfect) <= 1.0);
-        assert!(heuristic_prior(&terrible) >= 0.0);
+        let all = FeatureMask::all();
+        assert!(heuristic_prior_masked(&perfect, &all) > 0.9);
+        assert!(heuristic_prior_masked(&terrible, &all) < 0.2);
+        assert!(heuristic_prior_masked(&perfect, &all) <= 1.0);
+        assert!(heuristic_prior_masked(&terrible, &all) >= 0.0);
     }
 
     #[test]

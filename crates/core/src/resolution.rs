@@ -106,27 +106,23 @@ pub fn resolve(
     candidates: &[Vec<Candidate>],
     cfg: &ResolutionConfig,
 ) -> Vec<Resolved> {
-    resolve_budgeted(ag, candidates, cfg, usize::MAX).0
+    resolve_budgeted(ag, candidates, cfg).0
 }
 
-/// Budgeted Algorithm 1 with per-mention fault isolation. The walk's
-/// iteration cap is `cfg.max_iterations` tightened to
-/// `max_rwr_iterations`; a walk that fails outright demotes its mention
-/// to prior-score ranking instead of aborting the document. Returns the
-/// resolved alignments plus one [`ResolutionEvent`] per degraded
-/// mention. With an unlimited budget this is bit-identical to the
-/// classic [`resolve`].
+/// Algorithm 1 with per-mention fault isolation. Each walk stops after
+/// `cfg.max_iterations` power iterations; a walk that fails outright
+/// demotes its mention to prior-score ranking instead of aborting the
+/// document. Returns the resolved alignments (what [`resolve`] returns)
+/// plus one [`ResolutionEvent`] per degraded mention.
 pub fn resolve_budgeted(
     ag: AlignmentGraph,
     candidates: &[Vec<Candidate>],
     cfg: &ResolutionConfig,
-    max_rwr_iterations: usize,
 ) -> (Vec<Resolved>, Vec<ResolutionEvent>) {
     resolve_observed(
         ag,
         candidates,
         cfg,
-        max_rwr_iterations,
         &crate::obs::Recorder::disabled(),
         &crate::error::CancelToken::none(),
     )
@@ -146,7 +142,6 @@ pub fn resolve_observed(
     mut ag: AlignmentGraph,
     candidates: &[Vec<Candidate>],
     cfg: &ResolutionConfig,
-    max_rwr_iterations: usize,
     rec: &crate::obs::Recorder,
     cancel: &crate::error::CancelToken,
 ) -> (Vec<Resolved>, Vec<ResolutionEvent>) {
@@ -170,7 +165,7 @@ pub fn resolve_observed(
     let rwr = RwrConfig {
         restart: cfg.restart,
         tolerance: cfg.tolerance,
-        max_iterations: cfg.max_iterations.min(max_rwr_iterations),
+        max_iterations: cfg.max_iterations,
     };
 
     // Walk backend: the CSR kernel freezes the graph once and models
@@ -471,10 +466,10 @@ mod tests {
         let ag1 = build_graph(&mentions, &pos, 10, &targets, &candidates, &gcfg);
         let ag2 = build_graph(&mentions, &pos, 10, &targets, &candidates, &gcfg);
         let classic = resolve(ag1, &candidates, &cfg);
-        let (budgeted, events) = resolve_budgeted(ag2, &candidates, &cfg, usize::MAX);
+        let (budgeted, events) = resolve_budgeted(ag2, &candidates, &cfg);
         assert_eq!(classic, budgeted);
         // Slow convergence may be reported, but nothing falls back: the
-        // unlimited-budget path takes exactly the classic decisions.
+        // events path takes exactly the classic decisions.
         assert!(
             events
                 .iter()
@@ -496,9 +491,10 @@ mod tests {
         );
         let cfg = ResolutionConfig {
             tolerance: 0.0,
+            max_iterations: 1,
             ..Default::default()
         };
-        let (_, events) = resolve_budgeted(ag, &candidates, &cfg, 1);
+        let (_, events) = resolve_budgeted(ag, &candidates, &cfg);
         // With a zero tolerance and a single allowed iteration, every
         // mention's walk stops early and says so.
         assert!(!events.is_empty());

@@ -16,8 +16,8 @@
 //! subject to: distinct mentions may not claim the same single cell.
 //! Branch-and-bound explores mention assignments in candidate order with
 //! an admissible upper bound; it is exact, and exponential in the worst
-//! case — the benchmark `bench_ablation`/`briq-eval ilp` demonstrates the
-//! scaling gap against the random-walk resolution.
+//! case — `briq-eval ilp` demonstrates the scaling gap against the
+//! random-walk resolution.
 
 use briq_table::{TableMention, TableMentionKind};
 

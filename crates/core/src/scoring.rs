@@ -188,11 +188,6 @@ impl ScoringEngine {
         &self.pruned
     }
 
-    /// Rows whose forest traversal was cut short so far (whole document).
-    pub fn pairs_pruned(&self) -> u64 {
-        self.pairs_pruned
-    }
-
     /// Emit the engine's whole-document counters into an observability
     /// recorder (a no-op on a disabled recorder): pruned traversals, and
     /// how many rows each scoring phase fully evaluated (exhaustive

@@ -70,7 +70,7 @@ use briq_table::html::parse_page;
 use briq_table::segment::{segment_page, SegmentConfig};
 
 use crate::batch::{align_isolated, doc_scoped};
-use crate::error::{Budget, CancelCause, CancelToken, DegradedAction};
+use crate::error::{CancelCause, CancelToken, DegradedAction};
 use crate::obs::{names, MetricsRegistry, Recorder};
 use crate::pipeline::{AlignOpts, Briq};
 use crate::store::{lock, AlignmentStore, Fingerprint};
@@ -110,8 +110,6 @@ pub struct ServeConfig {
     /// How long a drain waits for waiting and running requests before
     /// force-cancelling them.
     pub drain_grace_ms: u64,
-    /// Per-request resource budget (identical role to the batch path).
-    pub budget: Budget,
     /// Durable alignment-store directory. `None` keeps the store
     /// in-memory: warm state dies with the process. With a directory
     /// set, the server recovers the store on boot and persists it on
@@ -130,7 +128,6 @@ impl Default for ServeConfig {
             queue_depth: 32,
             default_deadline_ms: 10_000,
             drain_grace_ms: 2_000,
-            budget: Budget::default(),
             store_dir: None,
             store_max_bytes: 0,
         }
@@ -244,8 +241,8 @@ pub struct AlignOutcome {
 }
 
 /// Serve one align request: parse + segment the page, align every
-/// document under `budget` and `cancel` into `rec`, and build the
-/// response value.
+/// document under [`crate::Budget::default`] and `cancel` into `rec`,
+/// and build the response value.
 ///
 /// Pure with respect to the server — callable from unit tests without a
 /// socket. The per-document treatment is [`crate::batch`]'s own (the
@@ -263,7 +260,6 @@ pub fn serve_align(
     briq: &Briq,
     id: Option<&Value>,
     html: &str,
-    budget: &Budget,
     cancel: &CancelToken,
     store: Option<&AlignmentStore>,
     rec: &Recorder,
@@ -285,7 +281,6 @@ pub fn serve_align(
     let mut doc_values = Vec::with_capacity(docs.len());
     for (i, doc) in docs.iter().enumerate() {
         let opts = AlignOpts {
-            budget: *budget,
             recorder: Some(rec),
             cancel: Some(cancel),
             store: store.map(|st| {
@@ -294,6 +289,7 @@ pub fn serve_align(
                 f.usize(i);
                 (st, f.finish())
             }),
+            ..AlignOpts::default()
         };
         let (alignments, diagnostics) = match align_isolated(briq, i, doc, &opts) {
             Ok(out) => (out.alignments, out.diagnostics),
@@ -819,7 +815,6 @@ fn handle_line(sh: &Shared<'_>, stream: &mut TcpStream, line: &str) -> After {
                 sh.briq,
                 id.as_ref(),
                 &html,
-                &sh.cfg.budget,
                 &cancel,
                 sh.store.as_ref(),
                 &rec,
@@ -926,7 +921,6 @@ mod tests {
             &briq,
             None,
             &html,
-            &Budget::default(),
             &CancelToken::none(),
             Some(&store),
             &Recorder::disabled(),
@@ -962,7 +956,6 @@ mod tests {
             &briq,
             None,
             &test_page(),
-            &Budget::default(),
             &CancelToken::with_flag(flag),
             None,
             &rec,

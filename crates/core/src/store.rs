@@ -176,17 +176,19 @@ pub fn table_fingerprint(t: &Table) -> u64 {
 }
 
 /// Fingerprint of the per-call [`Budget`]. Budgets change which targets
-/// are generated and when graph/resolution truncate, so they are part of
-/// the store's config fingerprint.
+/// are generated and when graph construction truncates, so they are part
+/// of the store's config fingerprint.
 pub fn budget_fingerprint(b: &Budget) -> u64 {
     let mut fp = Fingerprint::new();
-    // The slot of the retired regex step cap keeps its old default:
-    // `config_fp` is persisted in every store entry, and a changed
-    // fingerprint would recompute every stored document.
+    // The slots of the retired regex step cap and walk iteration cap
+    // keep their old defaults: `config_fp` is persisted in every store
+    // entry, and a changed fingerprint would recompute every stored
+    // document. The walk cap is `ResolutionConfig::max_iterations`,
+    // which the model fingerprint covers.
     fp.usize(1_000_000);
     fp.usize(b.max_virtual_cells_per_table);
     fp.usize(b.max_graph_edges);
-    fp.usize(b.max_rwr_iterations);
+    fp.usize(200);
     fp.finish()
 }
 
@@ -447,14 +449,11 @@ pub struct AlignmentStore {
     entries: Mutex<HashMap<u64, DocEntry>>,
     lookups: AtomicU64,
     hits: AtomicU64,
-    invalidations: AtomicU64,
-    mentions_realigned: AtomicU64,
     bytes: AtomicU64,
     bytes_peak: AtomicU64,
     /// Monotone LRU clock; bumped on every touch of an entry.
     tick: AtomicU64,
     max_bytes: u64,
-    evictions: AtomicU64,
     persist_errors: AtomicU64,
     recovered: u64,
     recover_s: f64,
@@ -512,13 +511,10 @@ impl AlignmentStore {
             entries: Mutex::new(map),
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            mentions_realigned: AtomicU64::new(0),
             bytes: AtomicU64::new(resident),
             bytes_peak: AtomicU64::new(resident),
             tick: AtomicU64::new(clock),
             max_bytes: opts.max_bytes,
-            evictions: AtomicU64::new(0),
             persist_errors: AtomicU64::new(0),
             recovered,
             recover_s,
@@ -546,19 +542,6 @@ impl AlignmentStore {
     /// Full-document hits served verbatim from cache.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that found an entry but could not serve it verbatim
-    /// (some fingerprint changed) — the entry was invalidated and
-    /// replaced by the incremental re-alignment's result.
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations.load(Ordering::Relaxed)
-    }
-
-    /// Mentions that actually re-ran classify/filter (dirty + new + all
-    /// mentions of cold documents).
-    pub fn mentions_realigned(&self) -> u64 {
-        self.mentions_realigned.load(Ordering::Relaxed)
     }
 
     /// High-water mark of the store's estimated resident bytes.
@@ -592,11 +575,6 @@ impl AlignmentStore {
     /// and rebuilt the directory from scratch.
     pub fn recover_rebuilt(&self) -> bool {
         self.recover_rebuilt
-    }
-
-    /// Entries evicted to stay under the memory budget.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
     }
 
     /// Current novelty-log size in bytes (0 without persistence).
@@ -697,7 +675,6 @@ impl AlignmentStore {
         }
         for bytes in evict_lru(&mut lock(&self.entries), self.max_bytes) {
             self.bytes_sub(bytes);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
             rec.count(names::STORE_EVICTIONS, 1);
         }
     }
@@ -713,14 +690,11 @@ impl AlignmentStore {
         }
     }
 
-    /// Reset the hit/lookup/invalidation/realignment counters (entries
-    /// and byte gauges stay). Lets callers measure one pass — e.g. one
-    /// `--repeat` iteration — in isolation.
+    /// Reset the hit and lookup counters (entries and byte gauges
+    /// stay). Lets callers measure one pass in isolation.
     pub fn reset_counters(&self) {
         self.lookups.store(0, Ordering::Relaxed);
         self.hits.store(0, Ordering::Relaxed);
-        self.invalidations.store(0, Ordering::Relaxed);
-        self.mentions_realigned.store(0, Ordering::Relaxed);
     }
 
     fn bytes_add(&self, n: u64) {
@@ -780,8 +754,6 @@ impl AlignmentStore {
                 Some((a.candidates, a.stats))
             })?;
         let realigned = mention_fps.len() as u64 - replayed;
-        self.mentions_realigned
-            .fetch_add(realigned, Ordering::Relaxed);
         rec.count(names::MENTIONS_REALIGNED, realigned);
 
         // Cache the new version. `ctx.tables` moves out so the text side
@@ -889,7 +861,6 @@ impl AlignmentStore {
         };
         if let Some(p) = &prior {
             self.bytes_sub(p.approx_bytes);
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
             rec.count(names::STORE_INVALIDATIONS, 1);
         }
         let mut miss = Miss {
@@ -931,8 +902,21 @@ mod tests {
         doc: &Document,
         budget: Budget,
     ) -> AlignResult {
+        stored_into(briq, store, key, doc, budget, &Recorder::disabled())
+    }
+
+    /// [`stored`], recording into `rec`.
+    fn stored_into(
+        briq: &Briq,
+        store: &AlignmentStore,
+        key: u64,
+        doc: &Document,
+        budget: Budget,
+        rec: &Recorder,
+    ) -> AlignResult {
         let opts = AlignOpts {
             budget,
+            recorder: Some(rec),
             store: Some((store, key)),
             ..AlignOpts::default()
         };
@@ -1059,13 +1043,12 @@ mod tests {
         // Extra whitespace changes the paragraph but no mention's read
         // set: every mention replays, and the filter counters are still
         // recorded exactly as the storeless run records them.
-        let realigned = store.mentions_realigned();
         let spaced = doc(&d.text.replace(". ", ".   "), d.tables[0].cells.clone());
         let replayed = trace(&spaced, Some((&store, 1)));
-        assert_eq!(store.invalidations(), 1);
+        assert_eq!(replayed.metrics.counter(names::STORE_INVALIDATIONS), 1);
         assert_eq!(
-            store.mentions_realigned(),
-            realigned,
+            replayed.metrics.counter(names::MENTIONS_REALIGNED),
+            0,
             "every mention replays"
         );
         let filter_counters = |t: &crate::obs::DocTrace| -> Vec<(String, u64)> {
@@ -1099,7 +1082,8 @@ mod tests {
                 vec!["Depression".into(), "38".into()],
             ],
         );
-        let incremental = stored(&briq, &store, 1, &edited, budget);
+        let rec = Recorder::enabled();
+        let incremental = stored_into(&briq, &store, 1, &edited, budget, &rec);
         let full = briq.align_with(
             &edited,
             &AlignOpts {
@@ -1110,7 +1094,8 @@ mod tests {
         assert_eq!(incremental.0, full.alignments);
         assert_eq!(incremental.1, full.stats);
         assert_eq!(incremental.2, full.candidates);
-        assert_eq!(store.invalidations(), 1);
+        let metrics = rec.finish().expect("trace").metrics;
+        assert_eq!(metrics.counter(names::STORE_INVALIDATIONS), 1);
     }
 
     /// Brute-force LRU oracle: evict globally-least-recently-used
@@ -1175,6 +1160,7 @@ mod tests {
         .expect("in-memory store");
         let oracle = AlignmentStore::for_system(&briq);
         let budget = Budget::default();
+        let rec = Recorder::enabled();
         let d1 = sample();
         let d2 = doc(
             "Revenue grew to $12.5 million in 2018.",
@@ -1186,13 +1172,14 @@ mod tests {
         for _ in 0..2 {
             for (k, d) in [(1u64, &d1), (2u64, &d2)] {
                 assert_eq!(
-                    stored(&briq, &bounded, k, d, budget),
+                    stored_into(&briq, &bounded, k, d, budget, &rec),
                     stored(&briq, &oracle, k, d, budget),
                 );
             }
         }
         assert_eq!(bounded.len(), 1, "budget keeps only the newest entry");
-        assert!(bounded.evictions() >= 3);
+        let metrics = rec.finish().expect("trace").metrics;
+        assert!(metrics.counter(names::STORE_EVICTIONS) >= 3);
         // The unbounded oracle store served round 2 from cache; the
         // bounded store recomputed — outputs matched regardless.
         assert_eq!(oracle.hits(), 2);

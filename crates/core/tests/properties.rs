@@ -4,7 +4,7 @@ use briq_core::features::{feature_vector, relative_difference, FeatureMask, FEAT
 use briq_core::filtering::{filter_mention, FilterConfig, FilterStats};
 use briq_core::jaro::{jaro, jaro_winkler};
 use briq_core::mention::{text_mentions, TextMention};
-use briq_core::pipeline::{heuristic_prior, AlignOpts, Briq, BriqConfig};
+use briq_core::pipeline::{heuristic_prior_masked, AlignOpts, Briq, BriqConfig};
 use briq_table::{Document, Table, TableMention, TableMentionKind};
 use briq_text::quantity::QuantityMention;
 use briq_text::units::Unit;
@@ -82,8 +82,8 @@ proptest! {
             f[6] = d;
             f
         };
-        let near = heuristic_prior(&mk(d_small));
-        let far = heuristic_prior(&mk(d_large));
+        let near = heuristic_prior_masked(&mk(d_small), &FeatureMask::all());
+        let far = heuristic_prior_masked(&mk(d_large), &FeatureMask::all());
         prop_assert!((0.0..=1.0).contains(&near));
         prop_assert!((0.0..=1.0).contains(&far));
         prop_assert!(near >= far);
@@ -159,11 +159,12 @@ proptest! {
         let grid: Vec<Vec<String>> =
             cells.chunks(n_cols).map(|row| row.to_vec()).collect();
         let doc = Document::new(0, text, vec![Table::from_grid("", grid)]);
-        let briq = Briq::untrained(BriqConfig::default());
+        let mut cfg = BriqConfig::default();
+        cfg.resolution.max_iterations = 8;
+        let briq = Briq::untrained(cfg);
         let budget = briq_core::Budget {
             max_virtual_cells_per_table: 16,
             max_graph_edges: 64,
-            max_rwr_iterations: 8,
         };
         let out = briq.align_with(&doc, &AlignOpts { budget, ..AlignOpts::default() });
         let (alignments, diags) = (out.alignments, out.diagnostics);

@@ -19,6 +19,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use briq_core::obs::{names, Recorder};
 use briq_core::pipeline::{AlignOpts, AlignOutput, Briq, BriqConfig};
 use briq_core::store::persist::{LOG_FILE, MANIFEST_FILE};
 use briq_core::store::{AlignmentStore, StoreOptions};
@@ -314,11 +315,22 @@ fn bounded_persistent_store_matches_oracle_after_restart() {
     };
     {
         let store = AlignmentStore::with_options(&briq, &opts).expect("open bounded");
+        let rec = Recorder::enabled();
         for (i, doc) in docs.iter().enumerate() {
-            stored(&briq, &store, i as u64, doc, budget);
+            let align = AlignOpts {
+                budget,
+                recorder: Some(&rec),
+                store: Some((&store, i as u64)),
+                ..AlignOpts::default()
+            };
+            briq.align_with(doc, &align);
         }
         if docs.len() > 1 {
-            assert!(store.evictions() > 0, "budget must evict");
+            let metrics = rec.finish().expect("trace").metrics;
+            assert!(
+                metrics.counter(names::STORE_EVICTIONS) > 0,
+                "budget must evict"
+            );
             assert_eq!(store.len(), 1, "only the newest entry stays resident");
         }
     }

@@ -32,13 +32,19 @@ fn chaos_budget() -> Budget {
     Budget {
         max_virtual_cells_per_table: 120,
         max_graph_edges: 1_500,
-        max_rwr_iterations: 40,
     }
+}
+
+/// The untrained system with a tight walk cap as well.
+fn chaos_briq() -> Briq {
+    let mut cfg = BriqConfig::default();
+    cfg.resolution.max_iterations = 40;
+    Briq::untrained(cfg)
 }
 
 #[test]
 fn thousand_adversarial_documents_never_panic_and_respect_budgets() {
-    let briq = Briq::untrained(BriqConfig::default());
+    let briq = chaos_briq();
     let budget = chaos_budget();
 
     let mut processed = 0usize;
@@ -116,7 +122,7 @@ fn thousand_adversarial_documents_never_panic_and_respect_budgets() {
 /// for any worker count.
 #[test]
 fn adversarial_batch_is_deterministic_and_isolated() {
-    let briq = Briq::untrained(BriqConfig::default());
+    let briq = chaos_briq();
     let budget = chaos_budget();
 
     let mut docs: Vec<Document> = Vec::new();

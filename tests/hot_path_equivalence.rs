@@ -15,8 +15,7 @@ use briq_core::classifier::PairClassifier;
 use briq_core::features::{feature_vector, FeatureMask, PairFeaturizer, FEATURE_COUNT};
 use briq_core::obs::{names, Recorder};
 use briq_core::pipeline::{
-    heuristic_prior, heuristic_prior_masked, AlignOpts, AlignOutput, Briq, BriqConfig,
-    ScoredDocument,
+    heuristic_prior_masked, AlignOpts, AlignOutput, Briq, BriqConfig, ScoredDocument,
 };
 use briq_core::Budget;
 use briq_corpus::corpus::{generate_corpus, CorpusConfig};
@@ -132,7 +131,6 @@ fn featurizer_matches_naive_on_chaos_documents() {
     let budget = Budget {
         max_virtual_cells_per_table: 120,
         max_graph_edges: 1_500,
-        max_rwr_iterations: 40,
     };
     for kind in Adversary::ALL {
         for doc in adversarial_documents(kind, 20190408) {
@@ -154,7 +152,7 @@ fn heuristic_prior_masked_matches_copy_mask_score() {
             mask.apply(&mut masked);
             assert_eq!(
                 heuristic_prior_masked(&row, &mask).to_bits(),
-                heuristic_prior(&masked).to_bits(),
+                heuristic_prior_masked(&masked, &FeatureMask::all()).to_bits(),
                 "mask {mask:?} row {row:?}"
             );
         }
@@ -282,7 +280,7 @@ fn pruned_path_matches_exhaustive_filtering() {
         },
         ..Default::default()
     };
-    let briq = Briq::train(cfg, &train, &val);
+    let mut briq = Briq::train(cfg, &train, &val);
     assert!(briq.is_trained());
     let mut oracle = briq.clone();
     oracle.cfg = oracle.cfg.reference();
@@ -340,13 +338,15 @@ fn pruned_path_matches_exhaustive_filtering() {
     assert!(pairs >= 1000, "only {pairs} pairs exercised");
     assert!(pruned > 0, "pruning never engaged over {pairs} pairs");
 
-    // Every adversarial chaos family, under the tight budget: production
-    // and reference must stay byte-identical even on degraded documents.
+    // Every adversarial chaos family, under the tight budget and walk
+    // cap: production and reference must stay byte-identical even on
+    // degraded documents.
     let budget = Budget {
         max_virtual_cells_per_table: 120,
         max_graph_edges: 1_500,
-        max_rwr_iterations: 40,
     };
+    briq.cfg.resolution.max_iterations = 40;
+    oracle.cfg.resolution.max_iterations = 40;
     for kind in Adversary::ALL {
         for doc in adversarial_documents(kind, 20190408) {
             let on = run(&briq, &doc, budget);

@@ -29,8 +29,14 @@ fn adversarial_budget() -> Budget {
     Budget {
         max_virtual_cells_per_table: 120,
         max_graph_edges: 1_500,
-        max_rwr_iterations: 40,
     }
+}
+
+/// `briq` with the tight walk cap the adversarial documents run under.
+fn adversarial_system(briq: &Briq) -> Briq {
+    let mut tight = briq.clone();
+    tight.cfg.resolution.max_iterations = 40;
+    tight
 }
 
 /// The same system on the reference configuration — identical model, so
@@ -142,7 +148,7 @@ fn untrained_indexed_path_matches_oracle_on_corpus() {
 
 #[test]
 fn untrained_indexed_path_matches_oracle_on_adversarial_families() {
-    let briq = Briq::untrained(BriqConfig::default());
+    let briq = adversarial_system(&Briq::untrained(BriqConfig::default()));
     let oracle = reference(&briq);
     let budget = adversarial_budget();
     let mut retrieved = 0;
@@ -184,6 +190,8 @@ fn trained_indexed_path_matches_oracle() {
         "bound pruning never engaged on the trained model"
     );
     let budget = adversarial_budget();
+    let briq = adversarial_system(&briq);
+    let oracle = reference(&briq);
     for kind in [
         Adversary::NonFiniteNumerics,
         Adversary::MixedLocale,

@@ -65,7 +65,6 @@ proptest! {
         let budget = Budget {
             max_virtual_cells_per_table: 120,
             max_graph_edges: 1_500,
-            max_rwr_iterations: 40,
         };
         for doc in adversarial_documents(kind, seed) {
             assert_superset(&briq, &doc, &budget, &format!("{kind:?}"));
