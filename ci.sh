@@ -32,39 +32,32 @@
 #                workspace) with --locked, so a library change that
 #                breaks the benchmark fails here and its Cargo.lock is
 #                never rewritten
-#   bench-smoke  briq-eval throughput: the batch engine over the smoke
-#                corpus at --jobs 1 and --jobs $(nproc), reported as
-#                docs/min, per-stage seconds, pairs scored, host cores and
-#                requested vs effective jobs, and written to the untracked
-#                BENCH_throughput.json. The binary exits 1 naming each
-#                check that fails: the retrieval index is on, its recall
-#                vs the exhaustive oracle is exactly 1.0, candidates per
-#                mention are strictly below cells per mention, and on
-#                hosts with >= 4 cores the --jobs speedup is >= 2.0 (on
-#                one core the speedup is null and not checked). Seconds
-#                are reported, never compared: time verdicts and
-#                per-layer costs belong to briq-perf.
 #   determinism  briq-align over the same seeded page corpus five times:
 #                --jobs 1, --jobs $(nproc or 8), --jobs 1 with
 #                --trace/--metrics (span trees kept), --jobs 1 with
 #                --metrics alone (metrics recorded, span trees dropped),
-#                and --jobs 1 with --oracle (every stage on its reference
-#                path: exhaustive classification with no retrieval or
-#                pruning; the dense RWR walk; no store); fails unless
-#                alignment stdout and the diagnostics JSONL (which carries
-#                no timings) are byte-for-byte identical across all five —
-#                worker count, tracing, AND the production path must be
-#                unobservable in the output. The traced run's trace file
-#                must also be non-empty valid-ish JSON, and the counter
-#                lines of the two metrics files must be identical
-#                (tracing decides only which span trees are kept, never
-#                what is counted). Then the same
-#                compare with a trained forest: a --train-demo model,
-#                run with --model at --jobs 1, at --jobs $(nproc or 8),
-#                and with --oracle, so the forest's bounded pruning and
-#                its exhaustive reference are byte-compared too (every
-#                other run uses the untrained heuristic prior), and one
-#                untrained --store-dir run, byte-compared the same way.
+#                and --jobs 1 with --oracle --metrics (every stage on its
+#                reference path: exhaustive classification with no
+#                retrieval or pruning; the dense RWR walk; no store);
+#                fails unless alignment stdout and the diagnostics JSONL
+#                (which carries no timings) are byte-for-byte identical
+#                across all five — worker count, tracing, AND the
+#                production path must be unobservable in the output. The
+#                traced run's trace file must also be non-empty valid-ish
+#                JSON, and the counter lines of the two metrics files must
+#                be identical (tracing decides only which span trees are
+#                kept, never what is counted). Retrieval recall: the
+#                --oracle run's candidates_kept, filter_total.* and
+#                filter_kept.* counter lines must equal the --metrics
+#                run's, so the indexed, pruned path keeps exactly the
+#                candidates the exhaustive oracle keeps on the smoke
+#                corpus. Then the same compares with a trained forest: a
+#                --train-demo model, run with --model at --jobs 1 (with
+#                --metrics), at --jobs $(nproc or 8), and with --oracle
+#                --metrics, so the forest's bounded pruning and its
+#                exhaustive reference are byte- and recall-compared too
+#                (every other run uses the untrained heuristic prior), and
+#                one untrained --store-dir run, byte-compared the same way.
 #                Per-kernel equivalence (CSR vs dense walk, flat vs
 #                recursive forest) is proven by the proptest suites the
 #                test stage runs. Finally the work golden: every counter
@@ -146,7 +139,7 @@ NPROC="$(nproc 2>/dev/null || echo 1)"
 # are constants, not settings.
 SMOKE_DOCS=60
 SMOKE_SEED=20190408
-ALL_STAGES=(fmt clippy build test docs bench-smoke determinism store persist serve)
+ALL_STAGES=(fmt clippy build test docs determinism store persist serve)
 
 stage_fmt() {
     cargo fmt --all --check
@@ -168,13 +161,6 @@ stage_test() {
 
 stage_docs() {
     RUSTDOCFLAGS="-D warnings" cargo doc --offline --locked --workspace --no-deps -q
-}
-
-stage_bench_smoke() {
-    cargo build --offline --locked --release -q -p briq-bench || return 1
-    ./target/release/briq-eval throughput \
-        --docs "$SMOKE_DOCS" --seed "$SMOKE_SEED" --jobs "$NPROC" \
-        --out BENCH_throughput.json
 }
 
 # Run briq-align --json as run <name> in <dir>: alignments to
@@ -215,6 +201,25 @@ same_run() { # stage dir ref run
         "diagnostics JSONL of run $run (vs $ref)"
 }
 
+# Fail unless run <run> kept exactly the candidates run <ref> kept: the
+# candidates_kept, filter_total.* and filter_kept.* counter lines of
+# <dir>/metrics_<run>.jsonl and <dir>/metrics_<ref>.jsonl are identical.
+# An empty <ref> set fails too, so a renamed counter cannot make the
+# compare vacuous.
+same_recall() { # dir ref run
+    local dir="$1" r
+    for r in "$2" "$3"; do
+        grep -E '"type":"counter","name":"(candidates_kept|filter_total\.|filter_kept\.)' \
+            "$dir/metrics_$r.jsonl" > "$dir/recall_$r.jsonl"
+    done
+    [ -s "$dir/recall_$2.jsonl" ] || {
+        echo "determinism: metrics_$2.jsonl has no candidates_kept or filter counters" >&2
+        return 1
+    }
+    same_file determinism "$dir/recall_$2.jsonl" "$dir/recall_$3.jsonl" \
+        "recall counters of run $3 (vs $2)"
+}
+
 # The work golden's lines for run <run>: one per counter line of the
 # metrics JSONL <file>, tagged with the run.
 golden_counters() { # run file
@@ -247,10 +252,14 @@ stage_determinism() {
         --trace "$dir/trace.json" --metrics "$dir/metrics.jsonl"
     align_run "$dir" metrics --batch "$dir/corpus" --jobs 1 \
         --metrics "$dir/metrics_untraced.jsonl"
-    align_run "$dir" oracle --batch "$dir/corpus" --jobs 1 --oracle
+    align_run "$dir" oracle --batch "$dir/corpus" --jobs 1 --oracle \
+        --metrics "$dir/metrics_oracle.jsonl"
     for run in n traced metrics oracle; do
         same_run determinism "$dir" 1 "$run" || return 1
     done
+    # Retrieval recall: the indexed path keeps exactly what the
+    # exhaustive oracle keeps, kind by kind.
+    same_recall "$dir" untraced oracle || return 1
     grep -q '"traceEvents"' "$dir/trace.json" || {
         echo "determinism: trace file missing traceEvents" >&2
         return 1
@@ -265,7 +274,7 @@ stage_determinism() {
     grep '"type":"counter"' "$dir/metrics_untraced.jsonl" > "$dir/counters_untraced.jsonl"
     same_file determinism "$dir/counters_traced.jsonl" "$dir/counters_untraced.jsonl" \
         "counters of the untraced --metrics run (vs the traced run)" || return 1
-    echo "determinism: --jobs 1, --jobs $jobs_hi, --trace/--metrics, --metrics, and --oracle byte-identical ($(wc -c < "$dir/out_1.json") bytes of alignments; $(wc -l < "$dir/counters_traced.jsonl") counters equal traced and untraced)"
+    echo "determinism: --jobs 1, --jobs $jobs_hi, --trace/--metrics, --metrics, and --oracle byte-identical ($(wc -c < "$dir/out_1.json") bytes of alignments; $(wc -l < "$dir/counters_traced.jsonl") counters equal traced and untraced; $(wc -l < "$dir/recall_oracle.jsonl") recall counters equal --oracle)"
 
     # The trained forest: phase-B pruning only runs with a model.
     ./target/release/briq-align --train-demo "$dir/model.json" 2> "$dir/err_train.txt" || {
@@ -276,11 +285,13 @@ stage_determinism() {
     align_run "$dir" m1 --batch "$dir/corpus" --model "$dir/model.json" --jobs 1 \
         --metrics "$dir/metrics_m1.jsonl"
     align_run "$dir" mn --batch "$dir/corpus" --model "$dir/model.json" --jobs "$jobs_hi"
-    align_run "$dir" moracle --batch "$dir/corpus" --model "$dir/model.json" --jobs 1 --oracle
+    align_run "$dir" moracle --batch "$dir/corpus" --model "$dir/model.json" --jobs 1 --oracle \
+        --metrics "$dir/metrics_moracle.jsonl"
     for run in mn moracle; do
         same_run determinism "$dir" m1 "$run" || return 1
     done
-    echo "determinism: trained model at --jobs 1, --jobs $jobs_hi, and --oracle byte-identical ($(wc -c < "$dir/out_m1.json") bytes of alignments)"
+    same_recall "$dir" m1 moracle || return 1
+    echo "determinism: trained model at --jobs 1, --jobs $jobs_hi, and --oracle byte-identical ($(wc -c < "$dir/out_m1.json") bytes of alignments; $(wc -l < "$dir/recall_moracle.jsonl") recall counters equal --oracle)"
 
     align_run "$dir" stored --batch "$dir/corpus" --jobs 1 --store-dir "$dir/store"
     same_run determinism "$dir" 1 stored || return 1

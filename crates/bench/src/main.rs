@@ -1,37 +1,58 @@
 //! `briq-eval` — regenerate the paper's evaluation tables.
 //!
 //! Usage: `briq-eval <experiment> [--docs N] [--seed S] [--metrics FILE]`
-//! where `<experiment>` is one of `table1` … `table9`, `ablation-extra`,
-//! or `all`. With `--metrics FILE`, corpus-generation, training, and
-//! evaluation spans/counters are recorded and the merged registry is
-//! written to `FILE` as JSON Lines (a summary table goes to stderr);
-//! stdout is byte-identical with or without it.
-//!
-//! `briq-eval throughput [--docs N] [--seed S] [--jobs J] [--out FILE]`
-//! runs the batch-engine throughput smoke (sequential vs `J` workers on
-//! the same seeded page corpus), writes the comparison as JSON with
-//! `--out`, and exits 1 if a retrieval or speedup check fails.
+//! where `<experiment>` is one of `EXPERIMENTS` (`table1` … `table9`,
+//! `ablation-extra`, `qkb`, `ilp`, `analysis`, `extended`) or `all`,
+//! which runs every one and is the default. Any other name prints the
+//! usage to stderr and exits 1. With `--metrics FILE`,
+//! corpus-generation, training, and evaluation spans/counters are
+//! recorded and the merged registry is written to `FILE` as JSON Lines
+//! (a summary table goes to stderr); stdout is byte-identical with or
+//! without it. Speed is measured by the `briq-perf` benchmark, not here.
 
 use briq_bench::experiments::{
     evaluate_system, evaluate_system_observed, filtering_stats, prepare, prepare_observed,
     test_documents, SetupConfig, SystemKind,
 };
 use briq_bench::report::{fmt, per_type_table, TextTable, TYPE_ORDER};
-use briq_bench::throughput::{
-    build_pages, measure, ThroughputBench, ThroughputSystem, SPEEDUP_MIN, SPEEDUP_MIN_CORES,
-};
+use briq_bench::throughput::{measure, ThroughputSystem};
 use briq_core::obs::Recorder;
 use briq_core::pipeline::{Briq, BriqConfig};
 use briq_core::resolution::ResolutionConfig;
 use briq_core::FeatureMask;
 use briq_corpus::corpus::{generate_corpus, CorpusConfig};
+use briq_corpus::page::render_pages;
 use briq_corpus::{Domain, Perturbation};
 use briq_table::stats::average_stats;
 use briq_table::virtual_cells::VirtualCellConfig;
 
+/// Every experiment `briq-eval` knows; `all` runs each of them.
+const EXPERIMENTS: [&str; 14] = [
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "table7",
+    "table8",
+    "table9",
+    "ablation-extra",
+    "qkb",
+    "ilp",
+    "analysis",
+    "extended",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let experiment = args.first().map(String::as_str).unwrap_or("all");
+    if experiment != "all" && !EXPERIMENTS.contains(&experiment) {
+        eprintln!("briq-eval: unknown experiment `{experiment}`");
+        eprintln!("usage: briq-eval <experiment> [--docs N] [--seed S] [--metrics FILE]");
+        eprintln!("experiments: {} or all", EXPERIMENTS.join(", "));
+        std::process::exit(1);
+    }
     let docs = flag_value(&args, "--docs").unwrap_or(400);
     let seed = flag_value(&args, "--seed").unwrap_or(20190408) as u64;
 
@@ -102,15 +123,6 @@ fn main() {
     if run("extended") {
         extended_experiment(docs, seed);
     }
-    if experiment == "throughput" {
-        let jobs = flag_value(&args, "--jobs").unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        });
-        let out = string_flag(&args, "--out");
-        throughput_bench(docs, seed, jobs, out.as_deref());
-    }
 
     if let Some(path) = metrics_out {
         drop(setup);
@@ -127,151 +139,6 @@ fn main() {
             None => eprintln!("no metrics recorded (nothing ran?)"),
         }
     }
-}
-
-/// Bench-smoke for the batch engine: the same seeded page corpus aligned
-/// at `--jobs 1` and `--jobs N`, reported as docs/min, speedup, and
-/// per-stage CPU-seconds, and written as JSON with `--out`. Exits 1
-/// naming each of [`ThroughputBench::failed_checks`] that fails.
-fn throughput_bench(docs: usize, seed: u64, jobs: usize, out: Option<&str>) {
-    // Untrained prior: the smoke measures engine throughput and scaling,
-    // not model quality, and must stay fast enough for a per-PR gate.
-    let briq = Briq::untrained(BriqConfig::default());
-    let pages = briq_corpus::page::corpus_pages(
-        &CorpusConfig {
-            n_documents: docs,
-            seed,
-            ..Default::default()
-        },
-        3,
-    );
-    let baseline = measure(&briq, ThroughputSystem::Briq, &pages, 1);
-    let parallel = measure(&briq, ThroughputSystem::Briq, &pages, jobs);
-
-    let index_enabled = briq.cfg.use_index;
-    // Retrieval recall vs the exhaustive reference: every candidate pair
-    // surviving the reference's filter must also survive the indexed
-    // path. The recall contract makes this exactly 1.0, and the `recall`
-    // check requires it.
-    let recall = index_enabled.then(|| {
-        let oracle = Briq::untrained(BriqConfig::default().reference());
-        let docs = briq_bench::throughput::segment_pages(&pages);
-        let unlimited = briq_core::pipeline::AlignOpts {
-            budget: briq_core::Budget::unlimited(),
-            ..Default::default()
-        };
-        let (mut surviving, mut recalled) = (0usize, 0usize);
-        for doc in &docs {
-            let indexed = briq.align_with(doc, &unlimited).candidates;
-            let exhaustive = oracle.align_with(doc, &unlimited).candidates;
-            for (ci, co) in indexed.iter().zip(&exhaustive) {
-                let kept: std::collections::BTreeSet<usize> = ci.iter().map(|c| c.target).collect();
-                for c in co {
-                    surviving += 1;
-                    if kept.contains(&c.target) {
-                        recalled += 1;
-                    }
-                }
-            }
-        }
-        if surviving == 0 {
-            1.0
-        } else {
-            recalled as f64 / surviving as f64
-        }
-    });
-
-    let bench = ThroughputBench::from_runs(seed as usize, (1, baseline), (jobs, parallel))
-        .with_retrieval(index_enabled, recall);
-
-    println!(
-        "== Batch-engine throughput smoke (seed {seed}, {} pages, {} host cores) ==",
-        bench.pages, bench.host_cores
-    );
-    let mut t = TextTable::new(&[
-        "jobs",
-        "docs/min",
-        "seconds",
-        "extract s",
-        "classify s",
-        "filter s",
-        "resolve s",
-        "pairs/s",
-        "eff pairs/s",
-        "util",
-    ]);
-    for p in [&bench.baseline, &bench.parallel] {
-        t.row(vec![
-            p.jobs.to_string(),
-            format!("{:.0}", p.docs_per_minute),
-            format!("{:.2}", p.seconds),
-            format!("{:.2}", p.stages.extract_s),
-            format!("{:.2}", p.stages.classify_s),
-            format!("{:.2}", p.stages.filter_s),
-            format!("{:.2}", p.stages.resolve_s),
-            format!("{:.0}", p.stages.scored_pairs_per_sec()),
-            format!("{:.0}", p.effective_pairs_per_sec),
-            match p.utilization {
-                Some(u) => format!("{u:.2}"),
-                None => "n/a".to_string(),
-            },
-        ]);
-    }
-    println!("{}", t.render());
-    match (bench.index_enabled, bench.candidates_per_mention) {
-        (true, Some(cpm)) => println!(
-            "retrieval index: on — {cpm:.1} candidates/mention vs {:.1} cells/mention, recall {}",
-            bench.cells_per_mention,
-            match bench.retrieval_recall {
-                Some(r) => format!("{r:.4}"),
-                None => "n/a".to_string(),
-            }
-        ),
-        _ => println!(
-            "retrieval index: off — exhaustive pairing at {:.1} cells/mention",
-            bench.cells_per_mention
-        ),
-    }
-    match bench.speedup {
-        Some(s) => println!(
-            "speedup at --jobs {} ({} effective): {s:.2}x",
-            bench.jobs_requested, bench.jobs_effective
-        ),
-        None => println!(
-            "speedup: n/a (--jobs {} on a {}-core host gives {} effective worker(s); need >= 2)",
-            bench.jobs_requested, bench.host_cores, bench.jobs_effective
-        ),
-    }
-    for w in &bench.warnings {
-        println!("warning: {w}");
-    }
-
-    if let Some(path) = out {
-        let json = briq_json::to_string_pretty(&bench);
-        match std::fs::write(path, json + "\n") {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    let failed = bench.failed_checks();
-    for f in &failed {
-        eprintln!("throughput: check failed: {f}");
-    }
-    if !failed.is_empty() {
-        std::process::exit(1);
-    }
-    println!(
-        "checks passed: index on, recall 1.0, candidates/mention below cells/mention, speedup {}",
-        if bench.host_cores >= SPEEDUP_MIN_CORES {
-            format!(">= {SPEEDUP_MIN}x")
-        } else {
-            format!("not checked on a {}-core host", bench.host_cores)
-        }
-    );
 }
 
 fn string_flag(args: &[String], flag: &str) -> Option<String> {
@@ -720,7 +587,7 @@ fn table8(docs: usize, seed: u64) {
         if domain_docs.is_empty() {
             continue;
         }
-        let pages = build_pages(&domain_docs, 3);
+        let pages = render_pages(&domain_docs, 3);
         let r = measure(&s.briq, ThroughputSystem::Briq, &pages, workers);
         let rwr = measure(&s.briq, ThroughputSystem::RwrOnly, &pages, workers);
         t.row(vec![

@@ -51,9 +51,10 @@ const _: () = {
     assert_share_safe::<AlignmentStore>();
 };
 
-/// Seconds spent in each pipeline stage (Fig. 2) and the classify
-/// stage's work counters over a whole batch, derived from its merged
-/// metrics ([`BatchReport::stage_totals`]).
+/// Seconds spent in each pipeline stage (Fig. 2) over a whole batch,
+/// derived from its merged metrics ([`BatchReport::stage_totals`]).
+/// The work counters stay in the registry
+/// ([`BatchReport::merged_metrics`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
     /// Mention extraction, context building, and virtual-cell generation.
@@ -65,26 +66,12 @@ pub struct StageTimings {
     /// Graph construction and entropy-ordered random-walk resolution
     /// (§VI): the `graph` and `resolve` spans together.
     pub resolve_s: f64,
-    /// Mention/target pairs scored during the classify stage. Together
-    /// with `classify_s` this yields scored-pairs/sec, the classifier
-    /// hot-path throughput metric.
-    pub pairs_scored: u64,
-    /// Pairs whose forest traversal was abandoned by an exact score
-    /// bound (see `crate::scoring`); their filtering outcome is decided
-    /// without a computed score.
-    pub pairs_pruned: u64,
-    /// Candidate pairs surfaced by the retrieval index
-    /// (`crate::retrieval`); zero on exhaustive (`use_index: false`) runs.
-    pub candidates_retrieved: u64,
-    /// Pairs the retrieval index proved non-viable and never
-    /// featurized or scored; zero on exhaustive runs.
-    pub pairs_skipped_retrieval: u64,
 }
 
 impl StageTimings {
     /// The totals `m` records: each stage's seconds are the sum of its
     /// `span_<stage>_s` latency histogram (`graph` plus `resolve` for
-    /// `resolve_s`), and the counters are read by name.
+    /// `resolve_s`).
     fn from_metrics(m: &MetricsRegistry) -> StageTimings {
         let secs = |span| {
             m.histogram(&names::span_histogram(span))
@@ -95,41 +82,7 @@ impl StageTimings {
             classify_s: secs(names::SPAN_CLASSIFY),
             filter_s: secs(names::SPAN_FILTER),
             resolve_s: secs(names::SPAN_GRAPH) + secs(names::SPAN_RESOLVE),
-            pairs_scored: m.counter(names::PAIRS_SCORED),
-            pairs_pruned: m.counter(names::PAIRS_PRUNED),
-            candidates_retrieved: m.counter(names::RETRIEVAL_CANDIDATES),
-            pairs_skipped_retrieval: m.counter(names::RETRIEVAL_PAIRS_DROPPED),
         }
-    }
-
-    /// Total seconds across all four stages.
-    pub fn total_s(&self) -> f64 {
-        self.extract_s + self.classify_s + self.filter_s + self.resolve_s
-    }
-
-    /// Classifier throughput in pairs per second of classify-stage time.
-    /// Zero when nothing was scored or no time was observed.
-    pub fn scored_pairs_per_sec(&self) -> f64 {
-        if self.classify_s <= 0.0 || self.pairs_scored == 0 {
-            return 0.0;
-        }
-        self.pairs_scored as f64 / self.classify_s
-    }
-
-    /// Pairs that actually cost a full evaluation — total minus
-    /// retrieval skips and pruned traversals — per second of
-    /// classify-stage time. Comparing this with
-    /// [`StageTimings::scored_pairs_per_sec`] shows how much work the
-    /// retrieval index and batched engine avoided.
-    pub fn effective_pairs_per_sec(&self) -> f64 {
-        let effective = self
-            .pairs_scored
-            .saturating_sub(self.pairs_skipped_retrieval)
-            .saturating_sub(self.pairs_pruned);
-        if self.classify_s <= 0.0 || effective == 0 {
-            return 0.0;
-        }
-        effective as f64 / self.classify_s
     }
 }
 
@@ -224,9 +177,8 @@ pub struct BatchReport {
     pub wall_s: f64,
     /// One report per input document, in input order.
     pub documents: Vec<DocReport>,
-    /// Stage seconds and counters over all documents, derived from the
-    /// merged metrics (CPU-seconds, so with `jobs > 1` this exceeds
-    /// `wall_s`).
+    /// Stage seconds over all documents, derived from the merged
+    /// metrics (CPU-seconds, so with `jobs > 1` this exceeds `wall_s`).
     pub stage_totals: StageTimings,
     /// Per-worker load, indexed by worker.
     pub workers: Vec<WorkerStats>,
@@ -236,11 +188,6 @@ pub struct BatchReport {
 }
 
 impl BatchReport {
-    /// Total alignments across the batch.
-    pub fn alignment_count(&self) -> usize {
-        self.documents.iter().map(|d| d.alignments.len()).sum()
-    }
-
     /// Documents that degraded somewhere.
     pub fn degraded_documents(&self) -> usize {
         self.documents
@@ -260,12 +207,6 @@ impl BatchReport {
             return 0.0;
         }
         self.documents.len() as f64 * 60.0 / self.wall_s
-    }
-
-    /// Classifier throughput over the whole batch: pairs scored per
-    /// CPU-second of classify-stage time.
-    pub fn scored_pairs_per_sec(&self) -> f64 {
-        self.stage_totals.scored_pairs_per_sec()
     }
 
     /// Mean worker utilization over the batch wall-clock.
@@ -570,17 +511,6 @@ fn panicked_report(index: usize) -> DocReport {
     }
 }
 
-briq_json::json_struct!(StageTimings {
-    extract_s,
-    classify_s,
-    filter_s,
-    resolve_s,
-    pairs_scored,
-    pairs_pruned,
-    candidates_retrieved,
-    pairs_skipped_retrieval
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,7 +559,6 @@ mod tests {
         assert!(r.documents.is_empty());
         assert!(r.workers.is_empty());
         assert!(r.is_clean());
-        assert_eq!(r.alignment_count(), 0);
         assert_eq!(r.docs_per_minute(), 0.0);
     }
 
@@ -723,34 +652,17 @@ mod tests {
             docs.len()
         );
         assert!(r.wall_s > 0.0);
-        assert!(r.stage_totals.total_s() > 0.0);
+        let t = r.stage_totals;
+        assert!(
+            t.extract_s > 0.0 && t.classify_s > 0.0 && t.filter_s > 0.0 && t.resolve_s > 0.0,
+            "{t:?}"
+        );
         for w in &r.workers {
             let u = w.utilization(r.wall_s);
             assert!((0.0..=1.0).contains(&u), "utilization {u}");
         }
         assert!(r.mean_utilization() > 0.0);
         assert!(r.docs_per_minute() > 0.0);
-    }
-
-    #[test]
-    fn stage_timings_rates_and_serialize() {
-        let a = StageTimings {
-            extract_s: 1.5,
-            classify_s: 2.5,
-            filter_s: 3.5,
-            resolve_s: 4.5,
-            pairs_scored: 15,
-            pairs_pruned: 2,
-            candidates_retrieved: 10,
-            pairs_skipped_retrieval: 5,
-        };
-        assert_eq!(a.total_s(), 12.0);
-        assert_eq!(a.scored_pairs_per_sec(), 6.0);
-        // 15 total - 5 skipped - 2 pruned = 8 effective over 2.5 s.
-        assert_eq!(a.effective_pairs_per_sec(), 3.2);
-        let s = briq_json::to_string(&a);
-        let back: StageTimings = briq_json::from_str(&s).expect("round-trips");
-        assert_eq!(a, back);
     }
 
     #[test]
@@ -861,20 +773,17 @@ mod tests {
                 for name in [names::PAIRS_SCORED, names::MENTIONS, names::RWR_WALKS] {
                     assert!(m.counter(name) > 0, "counter {name} empty");
                 }
+                // The stage totals are the merged registry's span sums.
+                let secs = |h: &str| m.histogram(h).map_or(0.0, Histogram::sum);
                 let t = r.stage_totals;
                 assert_eq!(
-                    (
-                        t.pairs_scored,
-                        t.pairs_pruned,
-                        t.candidates_retrieved,
-                        t.pairs_skipped_retrieval
-                    ),
-                    (
-                        m.counter(names::PAIRS_SCORED),
-                        m.counter(names::PAIRS_PRUNED),
-                        m.counter(names::RETRIEVAL_CANDIDATES),
-                        m.counter(names::RETRIEVAL_PAIRS_DROPPED)
-                    ),
+                    t,
+                    StageTimings {
+                        extract_s: secs("span_extract_s"),
+                        classify_s: secs("span_classify_s"),
+                        filter_s: secs("span_filter_s"),
+                        resolve_s: secs("span_graph_s") + secs("span_resolve_s"),
+                    },
                     "jobs {jobs} trace {trace}"
                 );
                 assert!(t.classify_s > 0.0 && t.resolve_s > 0.0, "{t:?}");

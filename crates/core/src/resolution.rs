@@ -69,7 +69,7 @@ pub struct Resolved {
     pub score: f64,
 }
 
-/// A degraded-mode event from [`resolve_budgeted`].
+/// A degraded-mode event from [`resolve_observed`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ResolutionEvent {
     /// The mention's walk hit the iteration cap before meeting the
@@ -101,24 +101,13 @@ pub enum ResolutionEvent {
 /// Run Algorithm 1. `candidates[i]` are the surviving candidates of text
 /// mention `i` (their `target` indexes the document's table mentions).
 /// The graph is consumed (edges are deleted as decisions are made).
+/// [`resolve_observed`] unobserved and never cancelled, without its
+/// events.
 pub fn resolve(
     ag: AlignmentGraph,
     candidates: &[Vec<Candidate>],
     cfg: &ResolutionConfig,
 ) -> Vec<Resolved> {
-    resolve_budgeted(ag, candidates, cfg).0
-}
-
-/// Algorithm 1 with per-mention fault isolation. Each walk stops after
-/// `cfg.max_iterations` power iterations; a walk that fails outright
-/// demotes its mention to prior-score ranking instead of aborting the
-/// document. Returns the resolved alignments (what [`resolve`] returns)
-/// plus one [`ResolutionEvent`] per degraded mention.
-pub fn resolve_budgeted(
-    ag: AlignmentGraph,
-    candidates: &[Vec<Candidate>],
-    cfg: &ResolutionConfig,
-) -> (Vec<Resolved>, Vec<ResolutionEvent>) {
     resolve_observed(
         ag,
         candidates,
@@ -126,18 +115,24 @@ pub fn resolve_budgeted(
         &crate::obs::Recorder::disabled(),
         &crate::error::CancelToken::none(),
     )
+    .0
 }
 
-/// [`resolve_budgeted`] with per-walk observability and cooperative
-/// cancellation: every random walk counts into `rwr_walks`, its
-/// power-iteration count feeds the `rwr_iterations` histogram, and
-/// capped/failed walks increment `rwr_not_converged` / `rwr_fallbacks`.
-/// The `cancel` token is polled before every walk; when it fires, all
-/// partial resolutions are discarded and a single
-/// [`ResolutionEvent::Cancelled`] is returned. The recorder only
-/// observes, and a [`CancelToken::none`](crate::error::CancelToken::none)
-/// never fires — with both defaulted this *is* [`resolve_budgeted`],
-/// bit for bit.
+/// Algorithm 1 with per-mention fault isolation, observability and
+/// cooperative cancellation. Each walk stops after `cfg.max_iterations`
+/// power iterations; a walk that fails outright demotes its mention to
+/// prior-score ranking instead of aborting the document. Returns the
+/// resolved alignments (what [`resolve`] returns) plus one
+/// [`ResolutionEvent`] per degraded mention.
+///
+/// Every random walk counts into `rwr_walks`, its power-iteration count
+/// feeds the `rwr_iterations` histogram, and capped/failed walks
+/// increment `rwr_not_converged` / `rwr_fallbacks`. The `cancel` token
+/// is polled before every walk; when it fires, all partial resolutions
+/// are discarded and a single [`ResolutionEvent::Cancelled`] is
+/// returned. The recorder only observes, and a
+/// [`CancelToken::none`](crate::error::CancelToken::none) never fires,
+/// so neither changes a decision.
 pub fn resolve_observed(
     mut ag: AlignmentGraph,
     candidates: &[Vec<Candidate>],
@@ -315,8 +310,10 @@ briq_json::json_struct!(ResolutionConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CancelToken;
     use crate::graph_builder::{build_graph, GraphConfig};
     use crate::mention::TextMention;
+    use crate::obs::Recorder;
     use briq_table::{TableMention, TableMentionKind};
     use briq_text::quantity::QuantityMention;
     use briq_text::units::Unit;
@@ -466,8 +463,14 @@ mod tests {
         let ag1 = build_graph(&mentions, &pos, 10, &targets, &candidates, &gcfg);
         let ag2 = build_graph(&mentions, &pos, 10, &targets, &candidates, &gcfg);
         let classic = resolve(ag1, &candidates, &cfg);
-        let (budgeted, events) = resolve_budgeted(ag2, &candidates, &cfg);
-        assert_eq!(classic, budgeted);
+        let (observed, events) = resolve_observed(
+            ag2,
+            &candidates,
+            &cfg,
+            &Recorder::enabled(),
+            &CancelToken::none(),
+        );
+        assert_eq!(classic, observed);
         // Slow convergence may be reported, but nothing falls back: the
         // events path takes exactly the classic decisions.
         assert!(
@@ -494,7 +497,13 @@ mod tests {
             max_iterations: 1,
             ..Default::default()
         };
-        let (_, events) = resolve_budgeted(ag, &candidates, &cfg);
+        let (_, events) = resolve_observed(
+            ag,
+            &candidates,
+            &cfg,
+            &Recorder::disabled(),
+            &CancelToken::none(),
+        );
         // With a zero tolerance and a single allowed iteration, every
         // mention's walk stops early and says so.
         assert!(!events.is_empty());

@@ -1,6 +1,9 @@
-//! HTML page materialization — used by the throughput experiments
-//! (Table VIII) so the timed path includes HTML parsing and page
-//! segmentation, as in the original system.
+//! HTML page materialization: labeled documents rendered as web pages,
+//! a few documents per page. `briq-eval table8` times Table VIII over
+//! such pages, so its timed path includes HTML parsing and page
+//! segmentation, as in the original system; `briq-align --gen-corpus`,
+//! CI's determinism stage and `briq-perf` generate their workloads with
+//! [`corpus_pages`].
 
 use briq_core::training::LabeledDocument;
 use briq_table::Table;
@@ -53,22 +56,28 @@ pub fn render_page(docs: &[&LabeledDocument]) -> String {
     out
 }
 
-/// Batch page generator: materialize a whole seeded corpus as HTML pages,
-/// `docs_per_page` labeled documents per page. This is the input side of
-/// the batch-alignment engine — CI's bench-smoke and determinism stages
-/// and `briq-align --gen-corpus` all generate their workloads through it,
-/// so the same `(seed, n_documents, docs_per_page)` triple always yields
-/// byte-identical pages.
-pub fn corpus_pages(cfg: &crate::corpus::CorpusConfig, docs_per_page: usize) -> Vec<String> {
-    let corpus = crate::corpus::generate_corpus(cfg);
-    corpus
-        .documents
-        .chunks(docs_per_page.max(1))
+/// Render `docs` in order as HTML pages of `docs_per_page` documents
+/// each (the last page may hold fewer; `0` is treated as `1`).
+pub fn render_pages(docs: &[LabeledDocument], docs_per_page: usize) -> Vec<String> {
+    docs.chunks(docs_per_page.max(1))
         .map(|chunk| {
             let refs: Vec<&LabeledDocument> = chunk.iter().collect();
             render_page(&refs)
         })
         .collect()
+}
+
+/// Batch page generator: materialize a whole seeded corpus as HTML pages,
+/// `docs_per_page` labeled documents per page. This is the input side of
+/// the batch-alignment engine — CI's determinism stage, `briq-perf` and
+/// `briq-align --gen-corpus` all generate their workloads through it,
+/// so the same `(seed, n_documents, docs_per_page)` triple always yields
+/// byte-identical pages.
+pub fn corpus_pages(cfg: &crate::corpus::CorpusConfig, docs_per_page: usize) -> Vec<String> {
+    render_pages(
+        &crate::corpus::generate_corpus(cfg).documents,
+        docs_per_page,
+    )
 }
 
 #[cfg(test)]
