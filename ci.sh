@@ -18,9 +18,11 @@
 #   clippy       cargo clippy --all-targets -D warnings: libraries,
 #                binaries, tests and examples are all linted; the
 #                hardened crates (briq-regex, briq-text, briq-table,
-#                briq-graph, briq-core) additionally deny
+#                briq-graph, briq-core, and briq-bench's library and its
+#                three binaries) additionally deny
 #                unwrap_used/expect_used in non-test code, so clippy
-#                enforces the panic-free policy too
+#                enforces the panic-free policy too, argument handling
+#                included
 #   build        release build of the whole workspace
 #   test         full test suite, including the chaos fault-injection
 #                harness in tests/chaos.rs, the batch-engine unit tests,

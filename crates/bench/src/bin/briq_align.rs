@@ -1,22 +1,29 @@
 //! `briq-align` — align quantities in HTML pages from the command line.
 //!
 //! ```text
-//! briq-align <page.html>... [--batch dir] [--jobs N] [--model model.json]
-//!            [--json] [--oracle]
-//!            [--repeat N] [--warm-from dir] [--diagnostics diag.jsonl]
+//! briq-align <page.html>... [--batch DIR]... [--jobs N] [--model model.json]
+//!            [--json] [--oracle] [--store-dir DIR] [--store-max-bytes N]
+//!            [--repeat N] [--warm-from DIR] [--diagnostics diag.jsonl]
 //!            [--trace trace.json] [--metrics metrics.jsonl]
-//! briq-align --train-demo model.json       # train on a synthetic corpus
-//! briq-align --gen-corpus dir [--docs N] [--seed S] [--per-page K]
+//! briq-align --train-demo <model.json>       # train on a synthetic corpus
+//! briq-align --gen-corpus <dir> [--docs N] [--seed S] [--per-page K]
 //! ```
 //!
+//! The three flag tables below ([`ALIGN`], [`TRAIN_DEMO`],
+//! [`GEN_CORPUS`]) are parsed by [`briq_bench::cli`]: an unknown flag, a
+//! flag without its value, a count that is not an unsigned integer, or a
+//! value flag given twice (`--batch` may repeat) prints the error and
+//! the usage and exits 1 before any work starts.
+//!
 //! Pages come from positional arguments and/or `--batch <dir>` (every
-//! `*.html` in the directory, sorted by name). All segmented documents
-//! from all pages form one batch that runs through the parallel
-//! batch-alignment engine ([`briq_core::batch`]) with `--jobs N` workers
-//! (default 1, `0` = one per core). Output order and content are
-//! bit-identical for every `--jobs` value — CI's determinism stage relies
-//! on that. Without `--model`, the heuristic (untrained) prior is used;
-//! `--gen-corpus` writes a seeded page corpus for batch runs.
+//! `*.html` in the directory, sorted by name), in argv order. All
+//! segmented documents from all pages form one batch that runs through
+//! the parallel batch-alignment engine ([`briq_core::batch`]) with
+//! `--jobs N` workers (default 1, `0` = one per core). Output order and
+//! content are bit-identical for every `--jobs` value — CI's determinism
+//! stage relies on that. Without `--model`, the heuristic (untrained)
+//! prior is used; `--gen-corpus` writes a seeded page corpus for batch
+//! runs.
 //!
 //! Alignment runs through the budgeted, panic-free `align_checked` path.
 //! Every degraded item (skipped table, truncated candidate set,
@@ -60,90 +67,90 @@
 //!   rather than rejected;
 //! * `2` — alignment completed, but at least one item degraded.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use briq_bench::cli::{self, Arg, Args, Command, Flag, UsageError, EXIT_DEGRADED};
 use briq_core::batch::BatchConfig;
 use briq_core::obs::names;
 use briq_core::pipeline::{Briq, BriqConfig};
 use briq_core::store::{AlignmentStore, Fingerprint};
 use briq_core::{DegradedAction, Diagnostic, Diagnostics, Stage};
+use briq_corpus::corpus::CorpusConfig;
 use briq_table::html::parse_page;
 use briq_table::segment::{segment_page, SegmentConfig};
 use briq_table::Document;
 use std::process::ExitCode;
 
-/// Exit status for a run that finished but had to degrade somewhere.
-const EXIT_DEGRADED: u8 = 2;
+/// Align pages: the default command.
+const ALIGN: Command = Command {
+    synopsis: "briq-align <page.html>...",
+    positionals: true,
+    flags: &[
+        Flag::repeated("--batch", "DIR"),
+        Flag::number("--jobs", "N"),
+        Flag::text("--model", "model.json"),
+        Flag::switch("--json"),
+        Flag::switch("--oracle"),
+        Flag::text("--store-dir", "DIR"),
+        Flag::number("--store-max-bytes", "N"),
+        Flag::number("--repeat", "N"),
+        Flag::text("--warm-from", "DIR"),
+        Flag::text("--diagnostics", "diag.jsonl"),
+        Flag::text("--trace", "trace.json"),
+        Flag::text("--metrics", "metrics.jsonl"),
+    ],
+};
 
-const USAGE: &str = "usage: briq-align <page.html>... [--batch dir] [--jobs N] \
-     [--model model.json] [--json] [--oracle] \
-     [--store-dir DIR] [--store-max-bytes N] \
-     [--repeat N] [--warm-from dir] [--diagnostics diag.jsonl] \
-     [--trace trace.json] [--metrics metrics.jsonl]\n       \
-     briq-align --train-demo <model.json>\n       \
-     briq-align --gen-corpus <dir> [--docs N] [--seed S] [--per-page K]";
+/// Train a demo model and save it.
+const TRAIN_DEMO: Command = Command {
+    synopsis: "briq-align --train-demo <model.json>",
+    positionals: true,
+    flags: &[],
+};
 
-/// Everything parsed from the command line.
-struct Cli {
-    pages: Vec<String>,
-    jobs: usize,
-    as_json: bool,
-    model: Option<String>,
-    oracle: bool,
-    store_dir: Option<String>,
-    store_max_bytes: u64,
-    repeat: usize,
-    warm_from: Option<String>,
-    diagnostics: Option<String>,
-    trace: Option<String>,
-    metrics: Option<String>,
-}
+/// Write a seeded page corpus.
+const GEN_CORPUS: Command = Command {
+    synopsis: "briq-align --gen-corpus <dir>",
+    positionals: true,
+    flags: &[
+        Flag::number("--docs", "N"),
+        Flag::number("--seed", "S"),
+        Flag::number("--per-page", "K"),
+    ],
+};
+
+const COMMANDS: [&Command; 3] = [&ALIGN, &TRAIN_DEMO, &GEN_CORPUS];
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    }
+    let argv = cli::argv();
+    let run = match argv.first().map(String::as_str) {
+        Some("--train-demo") => TRAIN_DEMO.parse(&argv[1..]).and_then(|args| {
+            let path = args.sole_positional("--train-demo needs an output path")?;
+            Ok(train_demo(path))
+        }),
+        Some("--gen-corpus") => GEN_CORPUS.parse(&argv[1..]).and_then(|args| {
+            let dir = args.sole_positional("--gen-corpus needs an output directory")?;
+            Ok(gen_corpus(dir, &args))
+        }),
+        _ => parse_align(&argv).map(|(args, pages)| align(&args, &pages)),
+    };
+    run.unwrap_or_else(|e| cli::refuse(&e, &COMMANDS))
+}
 
-    if args[0] == "--train-demo" {
-        let Some(path) = args.get(1) else {
-            eprintln!("--train-demo needs an output path");
-            return ExitCode::FAILURE;
-        };
-        return train_demo(path);
-    }
-    if args[0] == "--gen-corpus" {
-        return gen_corpus(&args);
-    }
-
-    let cli = match parse_cli(&args) {
-        Ok(c) => c,
+/// Align `pages` as the flags in `args` say, and print the alignments.
+fn align(args: &Args, pages: &[String]) -> ExitCode {
+    let mut briq = match cli::load_model(args.value("--model")) {
+        Ok(b) => b,
         Err(e) => {
             eprintln!("{e}");
-            eprintln!("{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-
-    let mut briq = match &cli.model {
-        Some(p) => {
-            match std::fs::read_to_string(p)
-                .map_err(|e| e.to_string())
-                .and_then(|s| Briq::from_json(&s).map_err(|e| e.to_string()))
-            {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("cannot load model {p}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => Briq::untrained(BriqConfig::default()),
-    };
-    if cli.oracle {
+    if args.switch("--oracle") {
         briq.cfg = briq.cfg.reference();
     }
 
-    let (docs, keys, io_diags) = load_documents(&cli.pages);
+    let (docs, keys, io_diags) = load_documents(pages);
     if docs.is_empty() {
         eprintln!("no paragraph/table documents found in any readable input page");
         return ExitCode::FAILURE;
@@ -153,8 +160,8 @@ fn main() -> ExitCode {
     // needs the per-document span trees kept. Neither changes alignment
     // output (CI byte-compares traced and untraced runs to enforce that).
     let cfg = BatchConfig {
-        trace: cli.trace.is_some(),
-        ..BatchConfig::with_jobs(cli.jobs)
+        trace: args.value("--trace").is_some(),
+        ..BatchConfig::with_jobs(args.number("--jobs").unwrap_or(1))
     };
 
     // One store serves the whole process: the optional warm-from corpus,
@@ -165,9 +172,9 @@ fn main() -> ExitCode {
         dir: briq
             .cfg
             .use_store
-            .then(|| cli.store_dir.clone().map(Into::into))
+            .then(|| args.value("--store-dir").map(Into::into))
             .flatten(),
-        max_bytes: cli.store_max_bytes,
+        max_bytes: args.number("--store-max-bytes").unwrap_or(0),
         ..briq_core::store::StoreOptions::default()
     };
     let store = match AlignmentStore::with_options(&briq, &store_opts) {
@@ -175,7 +182,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!(
                 "cannot open store dir {}: {e}",
-                cli.store_dir.as_deref().unwrap_or("?")
+                args.value("--store-dir").unwrap_or("?")
             );
             return ExitCode::FAILURE;
         }
@@ -183,7 +190,7 @@ fn main() -> ExitCode {
     if let Some(line) = store.recovery_report() {
         eprintln!("{line}");
     }
-    if let Some(dir) = &cli.warm_from {
+    if let Some(dir) = args.value("--warm-from") {
         let warm_paths = match html_files_in(dir) {
             Ok(p) => p,
             Err(e) => {
@@ -200,7 +207,7 @@ fn main() -> ExitCode {
         );
     }
 
-    let repeat = cli.repeat.max(1);
+    let repeat = args.number("--repeat").unwrap_or(1);
     let mut report = briq.align_batch_stored(&docs, &cfg, &store, Some(&keys));
     for rep in 1..=repeat {
         if rep > 1 {
@@ -242,7 +249,7 @@ fn main() -> ExitCode {
         eprintln!("store: {persist_errors} persistence write(s) failed");
     }
     for (doc, dr) in docs.iter().zip(&report.documents) {
-        if cli.as_json {
+        if args.switch("--json") {
             println!("{}", briq_json::to_string_pretty(&dr.alignments));
         } else {
             println!("document {}: {:.60}…", doc.id, doc.text);
@@ -263,21 +270,18 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(path) = &cli.trace {
+    if let Some(path) = args.value("--trace") {
         if let Err(e) = std::fs::write(path, report.chrome_trace()) {
             eprintln!("cannot write trace to {path}: {e}");
             return ExitCode::FAILURE;
         }
         eprintln!("trace written to {path} (open in chrome://tracing or ui.perfetto.dev)");
     }
-    if let Some(path) = &cli.metrics {
-        let metrics = report.merged_metrics();
-        if let Err(e) = std::fs::write(path, metrics.to_jsonl()) {
-            eprintln!("cannot write metrics to {path}: {e}");
+    if let Some(path) = args.value("--metrics") {
+        if let Err(e) = cli::write_metrics(path, &report.merged_metrics()) {
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
-        eprint!("{}", metrics.summary_table());
-        eprintln!("metrics written to {path}");
     }
 
     // Page-level I/O diagnostics lead the stream (they have no batch
@@ -286,7 +290,7 @@ fn main() -> ExitCode {
     let mut all_diags = io_diags;
     all_diags.items.extend(report.combined_diagnostics().items);
     let jsonl = all_diags.to_jsonl();
-    if let Some(path) = &cli.diagnostics {
+    if let Some(path) = args.value("--diagnostics") {
         if let Err(e) = std::fs::write(path, &jsonl) {
             eprintln!("cannot write diagnostics to {path}: {e}");
             return ExitCode::FAILURE;
@@ -364,73 +368,29 @@ fn load_documents(paths: &[String]) -> (Vec<Document>, Vec<u64>, Diagnostics) {
     (docs, keys, io_diags)
 }
 
-fn parse_cli(args: &[String]) -> Result<Cli, String> {
-    let mut cli = Cli {
-        pages: Vec::new(),
-        jobs: 1,
-        as_json: false,
-        model: None,
-        oracle: false,
-        store_dir: None,
-        store_max_bytes: 0,
-        repeat: 1,
-        warm_from: None,
-        diagnostics: None,
-        trace: None,
-        metrics: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let mut value = |name: &str| -> Result<String, String> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--json" => cli.as_json = true,
-            "--jobs" => {
-                let v = value("--jobs")?;
-                cli.jobs = v
-                    .parse()
-                    .map_err(|_| format!("--jobs: invalid count {v:?}"))?;
+/// Check an align command line and list its pages: the positional
+/// ones and every page of each `--batch` directory, in argv order.
+fn parse_align(argv: &[String]) -> Result<(Args, Vec<String>), UsageError> {
+    let args = ALIGN.parse(argv)?;
+    let mut pages = Vec::new();
+    for arg in args.iter() {
+        match arg {
+            Arg::Positional(page) => pages.push(page.clone()),
+            Arg::Flag("--batch", Some(dir)) => {
+                pages.extend(html_files_in(dir).map_err(UsageError)?)
             }
-            "--model" => cli.model = Some(value("--model")?),
-            "--oracle" => cli.oracle = true,
-            "--store-dir" => cli.store_dir = Some(value("--store-dir")?),
-            "--store-max-bytes" => {
-                let v = value("--store-max-bytes")?;
-                cli.store_max_bytes = v
-                    .parse()
-                    .map_err(|_| format!("--store-max-bytes: invalid byte count {v:?}"))?;
-            }
-            "--repeat" => {
-                let v = value("--repeat")?;
-                cli.repeat = v
-                    .parse()
-                    .map_err(|_| format!("--repeat: invalid count {v:?}"))?;
-                if cli.repeat == 0 {
-                    return Err("--repeat: count must be >= 1".into());
-                }
-            }
-            "--warm-from" => cli.warm_from = Some(value("--warm-from")?),
-            "--diagnostics" => cli.diagnostics = Some(value("--diagnostics")?),
-            "--trace" => cli.trace = Some(value("--trace")?),
-            "--metrics" => cli.metrics = Some(value("--metrics")?),
-            "--batch" => {
-                let dir = value("--batch")?;
-                cli.pages.extend(html_files_in(&dir)?);
-            }
-            _ if arg.starts_with("--") => return Err(format!("unknown flag {arg}")),
-            _ => cli.pages.push(arg.clone()),
+            Arg::Flag(..) => {}
         }
-        i += 1;
     }
-    if cli.pages.is_empty() {
-        return Err("no input pages (positional paths or --batch dir)".into());
+    if pages.is_empty() {
+        return Err(UsageError(
+            "no input pages (positional paths or --batch dir)".into(),
+        ));
     }
-    Ok(cli)
+    if args.number::<usize>("--repeat") == Some(0) {
+        return Err(UsageError("--repeat: count must be >= 1".into()));
+    }
+    Ok((args, pages))
 }
 
 /// All `*.html` files in `dir`, sorted by file name so batch order (and
@@ -452,28 +412,16 @@ fn html_files_in(dir: &str) -> Result<Vec<String>, String> {
     Ok(pages)
 }
 
-/// Write a seeded HTML page corpus for batch alignment runs — the
-/// workload generator behind CI's determinism stage.
-fn gen_corpus(args: &[String]) -> ExitCode {
-    use briq_corpus::corpus::CorpusConfig;
-    use briq_corpus::page::corpus_pages;
-
-    let Some(dir) = args.get(1).filter(|a| !a.starts_with("--")) else {
-        eprintln!("--gen-corpus needs an output directory");
-        return ExitCode::FAILURE;
+/// Write the seeded HTML page corpus the flags in `args` ask for into
+/// `dir`, for batch alignment runs — the workload generator behind CI's
+/// determinism stage.
+fn gen_corpus(dir: &str, args: &Args) -> ExitCode {
+    let cfg = CorpusConfig {
+        n_documents: args.number("--docs").unwrap_or(48),
+        seed: args.number("--seed").unwrap_or(20190408),
+        ..Default::default()
     };
-    let docs = usize_flag(args, "--docs").unwrap_or(48);
-    let seed = usize_flag(args, "--seed").unwrap_or(20190408) as u64;
-    let per_page = usize_flag(args, "--per-page").unwrap_or(3);
-
-    let pages = corpus_pages(
-        &CorpusConfig {
-            n_documents: docs,
-            seed,
-            ..Default::default()
-        },
-        per_page,
-    );
+    let pages = briq_corpus::page::corpus_pages(&cfg, args.number("--per-page").unwrap_or(3));
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("cannot create {dir}: {e}");
         return ExitCode::FAILURE;
@@ -486,22 +434,18 @@ fn gen_corpus(args: &[String]) -> ExitCode {
         }
     }
     eprintln!(
-        "wrote {} pages ({docs} documents, seed {seed}) to {dir}",
-        pages.len()
+        "wrote {} pages ({} documents, seed {}) to {dir}",
+        pages.len(),
+        cfg.n_documents,
+        cfg.seed
     );
     ExitCode::SUCCESS
 }
 
-fn usize_flag(args: &[String], flag: &str) -> Option<usize> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
+/// Train a model on a synthetic corpus and save it to `path`.
 fn train_demo(path: &str) -> ExitCode {
     use briq_corpus::annotate::{annotate, AnnotatorConfig};
-    use briq_corpus::corpus::{generate_corpus, CorpusConfig};
+    use briq_corpus::corpus::generate_corpus;
     use briq_ml::split::random_split;
 
     eprintln!("training a demo model on a synthetic corpus…");

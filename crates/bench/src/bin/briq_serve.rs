@@ -4,10 +4,17 @@
 //! briq-serve serve [--addr H:P] [--model model.json] [--workers N]
 //!            [--queue-depth N] [--deadline-ms N] [--drain-grace-ms N]
 //!            [--store-dir DIR] [--store-max-bytes N]
-//! briq-serve drive --addr H:P <page.html>... [--deadline-ms N]
+//! briq-serve drive <page.html>... --addr H:P [--deadline-ms N]
 //! briq-serve chaos --addr H:P [--connections N] [--requests N] [--expect-shed]
-//! briq-serve stop  --addr H:P
+//! briq-serve stop --addr H:P
 //! ```
+//!
+//! Each subcommand's flag table ([`SERVE`], [`DRIVE`], [`CHAOS`],
+//! [`STOP`]) is parsed by [`briq_bench::cli`]: an unknown flag, a flag
+//! without its value, a number that is not an unsigned integer, a value
+//! flag given twice, a missing `--addr` or a stray argument prints the
+//! error and the usage and exits 1 before the server binds or a client
+//! connects.
 //!
 //! `serve` warm-loads one model and serves the TCP/JSONL protocol of
 //! [`briq_core::serve`] until it receives SIGTERM/SIGINT or a
@@ -33,7 +40,9 @@
 //! for a slot than the `queue_capacity` the server's health reports.
 //! Exit 0 = all invariants held.
 
-use briq_core::pipeline::{Briq, BriqConfig};
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use briq_bench::cli::{self, Args, Command, Flag, EXIT_DEGRADED};
 use briq_core::serve::{ServeConfig, Server};
 use briq_json::Value;
 use std::io::{Read, Write};
@@ -42,15 +51,52 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-const USAGE: &str = "usage: briq-serve serve [--addr H:P] [--model model.json] [--workers N] \
-     [--queue-depth N] [--deadline-ms N] [--drain-grace-ms N] \
-     [--store-dir DIR] [--store-max-bytes N]\n       \
-     briq-serve drive --addr H:P <page.html>... [--deadline-ms N]\n       \
-     briq-serve chaos --addr H:P [--connections N] [--requests N] [--expect-shed]\n       \
-     briq-serve stop --addr H:P";
+/// Run the server.
+const SERVE: Command = Command {
+    synopsis: "briq-serve serve",
+    positionals: false,
+    flags: &[
+        Flag::text("--addr", "H:P"),
+        Flag::text("--model", "model.json"),
+        Flag::number("--workers", "N"),
+        Flag::number("--queue-depth", "N"),
+        Flag::number("--deadline-ms", "N"),
+        Flag::number("--drain-grace-ms", "N"),
+        Flag::text("--store-dir", "DIR"),
+        Flag::number("--store-max-bytes", "N"),
+    ],
+};
 
-/// Exit status for a run that finished but had to degrade somewhere.
-const EXIT_DEGRADED: u8 = 2;
+/// Align pages through a running server.
+const DRIVE: Command = Command {
+    synopsis: "briq-serve drive <page.html>...",
+    positionals: true,
+    flags: &[
+        Flag::required("--addr", "H:P"),
+        Flag::number("--deadline-ms", "N"),
+    ],
+};
+
+/// Inject faults into a running server.
+const CHAOS: Command = Command {
+    synopsis: "briq-serve chaos",
+    positionals: false,
+    flags: &[
+        Flag::required("--addr", "H:P"),
+        Flag::number("--connections", "N"),
+        Flag::number("--requests", "N"),
+        Flag::switch("--expect-shed"),
+    ],
+};
+
+/// Ask a running server to drain and exit.
+const STOP: Command = Command {
+    synopsis: "briq-serve stop",
+    positionals: false,
+    flags: &[Flag::required("--addr", "H:P")],
+};
+
+const COMMANDS: [&Command; 4] = [&SERVE, &DRIVE, &CHAOS, &STOP];
 
 /// Raised by the SIGTERM/SIGINT handler; a watcher thread forwards it
 /// to the server's shutdown flag.
@@ -77,84 +123,53 @@ fn install_term_handler() {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("drive") => cmd_drive(&args[1..]),
-        Some("chaos") => cmd_chaos(&args[1..]),
-        Some("stop") => cmd_stop(&args[1..]),
+    let argv = cli::argv();
+    let (command, run): (&Command, fn(&Args) -> ExitCode) = match argv.first().map(String::as_str) {
+        Some("serve") => (&SERVE, cmd_serve),
+        Some("drive") => (&DRIVE, cmd_drive),
+        Some("chaos") => (&CHAOS, cmd_chaos),
+        Some("stop") => (&STOP, cmd_stop),
         _ => {
-            eprintln!("{USAGE}");
-            ExitCode::FAILURE
+            eprintln!("{}", cli::usage(&COMMANDS));
+            return ExitCode::FAILURE;
         }
+    };
+    match command.parse(&argv[1..]) {
+        Ok(args) => run(&args),
+        Err(e) => cli::refuse(&e, &COMMANDS),
     }
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn num_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    match flag_value(args, flag) {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("{flag}: invalid value {v:?}")),
-    }
+/// The `--addr` of a client command; its table requires it.
+fn addr(args: &Args) -> &str {
+    args.value("--addr").unwrap_or_default()
 }
 
 // ---------------------------------------------------------------- serve
 
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let mut cfg = ServeConfig {
-        addr: flag_value(args, "--addr").unwrap_or("127.0.0.1:0").into(),
-        ..ServeConfig::default()
+fn cmd_serve(args: &Args) -> ExitCode {
+    let defaults = ServeConfig::default();
+    let cfg = ServeConfig {
+        addr: args.value("--addr").unwrap_or("127.0.0.1:0").into(),
+        workers: args.number("--workers").unwrap_or(defaults.workers),
+        queue_depth: args.number("--queue-depth").unwrap_or(defaults.queue_depth),
+        default_deadline_ms: args
+            .number("--deadline-ms")
+            .unwrap_or(defaults.default_deadline_ms),
+        drain_grace_ms: args
+            .number("--drain-grace-ms")
+            .unwrap_or(defaults.drain_grace_ms),
+        store_dir: args.value("--store-dir").map(String::from),
+        store_max_bytes: args
+            .number("--store-max-bytes")
+            .unwrap_or(defaults.store_max_bytes),
     };
-    let parsed: Result<(), String> = (|| {
-        if let Some(v) = num_flag(args, "--workers")? {
-            cfg.workers = v;
+    let briq = match cli::load_model(args.value("--model")) {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
-        if let Some(v) = num_flag(args, "--queue-depth")? {
-            cfg.queue_depth = v;
-        }
-        if let Some(v) = num_flag(args, "--deadline-ms")? {
-            cfg.default_deadline_ms = v;
-        }
-        if let Some(v) = num_flag(args, "--drain-grace-ms")? {
-            cfg.drain_grace_ms = v;
-        }
-        if let Some(v) = flag_value(args, "--store-dir") {
-            cfg.store_dir = Some(v.to_string());
-        }
-        if let Some(v) = num_flag(args, "--store-max-bytes")? {
-            cfg.store_max_bytes = v;
-        }
-        Ok(())
-    })();
-    if let Err(e) = parsed {
-        eprintln!("{e}");
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    }
-
-    let briq = match flag_value(args, "--model") {
-        Some(p) => {
-            match std::fs::read_to_string(p)
-                .map_err(|e| e.to_string())
-                .and_then(|s| Briq::from_json(&s).map_err(|e| e.to_string()))
-            {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("cannot load model {p}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => Briq::untrained(BriqConfig::default()),
     };
 
     let server = match Server::bind(cfg) {
@@ -266,40 +281,15 @@ fn align_request(id: u64, html: &str, deadline_ms: Option<u64>) -> String {
 
 // ---------------------------------------------------------------- drive
 
-fn cmd_drive(args: &[String]) -> ExitCode {
-    let Some(addr) = flag_value(args, "--addr") else {
-        eprintln!("drive needs --addr");
-        return ExitCode::FAILURE;
-    };
-    let deadline_ms = match num_flag::<u64>(args, "--deadline-ms") {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let pages: Vec<&String> = {
-        let mut skip_next = false;
-        args.iter()
-            .filter(|a| {
-                if skip_next {
-                    skip_next = false;
-                    return false;
-                }
-                if a.starts_with("--") {
-                    skip_next = matches!(a.as_str(), "--addr" | "--deadline-ms");
-                    return false;
-                }
-                true
-            })
-            .collect()
-    };
+fn cmd_drive(args: &Args) -> ExitCode {
+    let deadline_ms = args.number("--deadline-ms");
+    let pages = args.positionals();
     if pages.is_empty() {
         eprintln!("drive needs at least one page path");
         return ExitCode::FAILURE;
     }
 
-    let mut conn = match Conn::connect(addr) {
+    let mut conn = match Conn::connect(addr(args)) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("{e}");
@@ -381,12 +371,8 @@ fn cmd_drive(args: &[String]) -> ExitCode {
 
 // ----------------------------------------------------------------- stop
 
-fn cmd_stop(args: &[String]) -> ExitCode {
-    let Some(addr) = flag_value(args, "--addr") else {
-        eprintln!("stop needs --addr");
-        return ExitCode::FAILURE;
-    };
-    let resp = Conn::connect(addr).and_then(|mut c| c.request(r#"{"op":"shutdown"}"#));
+fn cmd_stop(args: &Args) -> ExitCode {
+    let resp = Conn::connect(addr(args)).and_then(|mut c| c.request(r#"{"op":"shutdown"}"#));
     match resp {
         Ok(v) if v.get("status").and_then(Value::as_str) == Some("ok") => {
             eprintln!("server draining");
@@ -429,26 +415,11 @@ struct ChaosStats {
     failures: Vec<String>,
 }
 
-fn cmd_chaos(args: &[String]) -> ExitCode {
-    let Some(addr) = flag_value(args, "--addr") else {
-        eprintln!("chaos needs --addr");
-        return ExitCode::FAILURE;
-    };
-    let connections: usize = match num_flag(args, "--connections") {
-        Ok(v) => v.unwrap_or(16),
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let requests: usize = match num_flag(args, "--requests") {
-        Ok(v) => v.unwrap_or(8),
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let expect_shed = args.iter().any(|a| a == "--expect-shed");
+fn cmd_chaos(args: &Args) -> ExitCode {
+    let addr = addr(args);
+    let connections = args.number("--connections").unwrap_or(16);
+    let requests = args.number("--requests").unwrap_or(8);
+    let expect_shed = args.switch("--expect-shed");
 
     let mut stats = ChaosStats {
         ok: 0,

@@ -1,15 +1,21 @@
 //! `briq-eval` — regenerate the paper's evaluation tables.
 //!
 //! Usage: `briq-eval <experiment> [--docs N] [--seed S] [--metrics FILE]`
-//! where `<experiment>` is one of `EXPERIMENTS` (`table1` … `table9`,
-//! `ablation-extra`, `qkb`, `ilp`, `analysis`, `extended`) or `all`,
-//! which runs every one and is the default. Any other name prints the
-//! usage to stderr and exits 1. With `--metrics FILE`,
+//! where `<experiment>` is the first argument, one of `EXPERIMENTS`
+//! (`table1` … `table9`, `ablation-extra`, `qkb`, `ilp`, `analysis`,
+//! `extended`) or `all`, which runs every one and is the default. Any
+//! other name prints the usage to stderr and exits 1, and so does a flag
+//! that [`EVAL`]'s table does not hold, a flag without its value, a
+//! `--docs` or `--seed` that is not an unsigned integer, or a flag given
+//! twice ([`briq_bench::cli`] parses the table). With `--metrics FILE`,
 //! corpus-generation, training, and evaluation spans/counters are
 //! recorded and the merged registry is written to `FILE` as JSON Lines
 //! (a summary table goes to stderr); stdout is byte-identical with or
 //! without it. Speed is measured by the `briq-perf` benchmark, not here.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use briq_bench::cli::{self, Command, Flag};
 use briq_bench::experiments::{
     evaluate_system, evaluate_system_observed, filtering_stats, prepare, prepare_observed,
     test_documents, SetupConfig, SystemKind,
@@ -25,6 +31,7 @@ use briq_corpus::page::render_pages;
 use briq_corpus::{Domain, Perturbation};
 use briq_table::stats::average_stats;
 use briq_table::virtual_cells::VirtualCellConfig;
+use std::process::ExitCode;
 
 /// Every experiment `briq-eval` knows; `all` runs each of them.
 const EXPERIMENTS: [&str; 14] = [
@@ -44,24 +51,40 @@ const EXPERIMENTS: [&str; 14] = [
     "extended",
 ];
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let experiment = args.first().map(String::as_str).unwrap_or("all");
+/// The flags of every experiment; the experiment itself is the first
+/// argument.
+const EVAL: Command = Command {
+    synopsis: "briq-eval <experiment>",
+    positionals: false,
+    flags: &[
+        Flag::number("--docs", "N"),
+        Flag::number("--seed", "S"),
+        Flag::text("--metrics", "FILE"),
+    ],
+};
+
+fn main() -> ExitCode {
+    let argv = cli::argv();
+    let (experiment, rest) = match argv.split_first() {
+        Some((experiment, rest)) => (experiment.as_str(), rest),
+        None => ("all", &argv[..]),
+    };
     if experiment != "all" && !EXPERIMENTS.contains(&experiment) {
-        eprintln!("briq-eval: unknown experiment `{experiment}`");
-        eprintln!("usage: briq-eval <experiment> [--docs N] [--seed S] [--metrics FILE]");
-        eprintln!("experiments: {} or all", EXPERIMENTS.join(", "));
-        std::process::exit(1);
+        return refuse(&format!("briq-eval: unknown experiment `{experiment}`"));
     }
-    let docs = flag_value(&args, "--docs").unwrap_or(400);
-    let seed = flag_value(&args, "--seed").unwrap_or(20190408) as u64;
+    let args = match EVAL.parse(rest) {
+        Ok(args) => args,
+        Err(e) => return refuse(&e.0),
+    };
+    let docs = args.number("--docs").unwrap_or(400);
+    let seed = args.number("--seed").unwrap_or(20190408);
 
     let run = |name: &str| experiment == "all" || experiment == name;
 
     // `--metrics FILE` records corpus-generation, training, and
     // evaluation spans/counters and writes the registry as JSONL; table
     // output on stdout is byte-identical with or without it.
-    let metrics_out = string_flag(&args, "--metrics");
+    let metrics_out = args.value("--metrics");
     let rec = if metrics_out.is_some() {
         Recorder::enabled()
     } else {
@@ -128,24 +151,24 @@ fn main() {
         drop(setup);
         match rec.finish() {
             Some(trace) => {
-                let m = &trace.metrics;
-                if let Err(e) = std::fs::write(&path, m.to_jsonl()) {
-                    eprintln!("cannot write metrics to {path}: {e}");
-                    std::process::exit(1);
+                if let Err(e) = cli::write_metrics(path, &trace.metrics) {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
                 }
-                eprint!("{}", m.summary_table());
-                eprintln!("metrics written to {path}");
             }
             None => eprintln!("no metrics recorded (nothing ran?)"),
         }
     }
+    ExitCode::SUCCESS
 }
 
-fn string_flag(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Print `err`, the usage and every experiment's name to stderr, and
+/// return the exit status of a usage error (1).
+fn refuse(err: &str) -> ExitCode {
+    eprintln!("{err}");
+    eprintln!("{}", cli::usage(&[&EVAL]));
+    eprintln!("experiments: {} or all", EXPERIMENTS.join(", "));
+    ExitCode::FAILURE
 }
 
 /// Extended aggregates (min/max ranking mentions): the framework
@@ -400,13 +423,6 @@ fn analysis_experiment(s: &Setup) {
     }
     println!("{}", t.render());
     println!("expected calibration error: {ece:.4} (vote fractions, §IV-A)\n");
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<usize> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }
 
 type Setup = briq_bench::experiments::ExperimentSetup;

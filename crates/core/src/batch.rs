@@ -201,14 +201,6 @@ impl BatchReport {
         self.documents.iter().all(|d| d.diagnostics.is_clean())
     }
 
-    /// Documents per minute of wall-clock — the unit of Table VIII.
-    pub fn docs_per_minute(&self) -> f64 {
-        if self.wall_s <= 0.0 {
-            return 0.0;
-        }
-        self.documents.len() as f64 * 60.0 / self.wall_s
-    }
-
     /// Mean worker utilization over the batch wall-clock.
     pub fn mean_utilization(&self) -> f64 {
         if self.workers.is_empty() {
@@ -559,7 +551,6 @@ mod tests {
         assert!(r.documents.is_empty());
         assert!(r.workers.is_empty());
         assert!(r.is_clean());
-        assert_eq!(r.docs_per_minute(), 0.0);
     }
 
     #[test]
@@ -662,7 +653,6 @@ mod tests {
             assert!((0.0..=1.0).contains(&u), "utilization {u}");
         }
         assert!(r.mean_utilization() > 0.0);
-        assert!(r.docs_per_minute() > 0.0);
     }
 
     #[test]

@@ -373,7 +373,6 @@ briq_json::json_struct!(Diagnostic {
     error,
     action
 });
-briq_json::json_struct!(Diagnostics { items });
 
 #[cfg(test)]
 mod tests {

@@ -350,7 +350,3 @@ mod tests {
         assert_eq!(fr.overall(), 0.5);
     }
 }
-
-briq_json::json_struct!(Counts { tp, fp, fn_ });
-briq_json::json_struct!(EvalReport { by_type });
-briq_json::json_struct!(FilterRecall { by_type });

@@ -611,4 +611,3 @@ briq_json::json_struct!(FilterConfig {
     entropy_threshold,
     score_floor,
 });
-briq_json::json_struct!(FilterStats { total, kept });

@@ -175,10 +175,3 @@ briq_json::json_struct!(Alignment {
     target,
     score,
 });
-briq_json::json_struct!(GoldAlignment {
-    mention_start,
-    mention_end,
-    table,
-    kind,
-    cells,
-});

@@ -356,10 +356,3 @@ mod tests {
         assert_eq!(sol.objective, 0.0);
     }
 }
-
-briq_json::json_struct!(IlpConfig {
-    table_coherence,
-    line_coherence,
-    epsilon,
-    node_budget,
-});

@@ -121,7 +121,6 @@ impl RetrievalScratch {
 pub struct CandidateIndex {
     slots: [Vec<UnitGroup>; KIND_SLOTS],
     kind_counts: [usize; KIND_SLOTS],
-    n_targets: usize,
     theta: f64,
 }
 
@@ -152,14 +151,8 @@ impl CandidateIndex {
         CandidateIndex {
             slots,
             kind_counts,
-            n_targets: targets.len(),
             theta,
         }
-    }
-
-    /// Number of indexed targets.
-    pub fn n_targets(&self) -> usize {
-        self.n_targets
     }
 
     /// Retrieve the viable candidate set for one mention into `out`:

@@ -330,6 +330,3 @@ mod tests {
         assert_eq!(bd.totals(), (0, 0));
     }
 }
-
-briq_json::json_struct!(LabeledDocument { document, gold });
-briq_json::json_struct!(TrainingBreakdown { by_type });

@@ -127,20 +127,6 @@ impl GeneratedCorpus {
     pub fn gold_count(&self) -> usize {
         self.documents.iter().map(|d| d.gold.len()).sum()
     }
-
-    /// Persist the corpus (documents, gold, domains) as JSON, so an
-    /// experiment's exact data can be archived and re-analyzed.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let json = briq_json::to_string(self);
-        std::fs::write(path, json)
-    }
-
-    /// Load a corpus saved with [`GeneratedCorpus::save`].
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<GeneratedCorpus> {
-        let json = std::fs::read_to_string(path)?;
-        briq_json::from_str(&json)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
 }
 
 fn pick_domain(weights: &[(Domain, f64); 6], rng: &mut impl Rng) -> Domain {
@@ -440,24 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn corpus_roundtrips_through_json() {
-        let c = generate_corpus(&CorpusConfig::small(77));
-        let dir = std::env::temp_dir().join("briq-corpus-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("corpus.json");
-        c.save(&path).unwrap();
-        let loaded = GeneratedCorpus::load(&path).unwrap();
-        assert_eq!(loaded.documents.len(), c.documents.len());
-        assert_eq!(loaded.domains, c.domains);
-        for (a, b) in loaded.documents.iter().zip(&c.documents) {
-            assert_eq!(a.document.text, b.document.text);
-            assert_eq!(a.gold, b.gold);
-            assert_eq!(a.document.tables, b.document.tables);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn gold_spans_inside_text() {
         let c = generate_corpus(&CorpusConfig::small(7));
         for ld in &c.documents {
@@ -469,5 +437,3 @@ mod tests {
         }
     }
 }
-
-briq_json::json_struct!(GeneratedCorpus { documents, domains });

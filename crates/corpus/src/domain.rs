@@ -328,20 +328,3 @@ mod tests {
         assert_eq!(ColumnKind::Count.unit(), Unit::None);
     }
 }
-
-briq_json::json_unit_enum!(Domain {
-    Finance,
-    Environment,
-    Health,
-    Politics,
-    Sports,
-    Others,
-});
-briq_json::json_unit_enum!(ColumnKind {
-    Money,
-    Percent,
-    Rating,
-    SmallCount,
-    Count,
-    BigCount,
-});

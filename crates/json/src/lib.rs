@@ -8,10 +8,9 @@
 //!
 //! The workspace targets fully offline builds; this crate replaces the
 //! external `serde`/`serde_json` pair for the formats BriQ actually needs:
-//! model persistence, corpus archival, alignment output, and the
-//! diagnostics JSONL stream of `briq-align`.
+//! model persistence, alignment output, the diagnostics JSONL stream of
+//! `briq-align`, and the `briq-serve` wire protocol.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Maximum nesting depth the parser accepts before failing (instead of
@@ -647,50 +646,6 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
     }
 }
 
-impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
-    fn to_json(&self) -> Value {
-        Value::Array(vec![self.0.to_json(), self.1.to_json(), self.2.to_json()])
-    }
-}
-
-impl<A: FromJson, B: FromJson, C: FromJson> FromJson for (A, B, C) {
-    fn from_json(v: &Value) -> Result<Self> {
-        match v.as_array() {
-            Some([a, b, c]) => Ok((A::from_json(a)?, B::from_json(b)?, C::from_json(c)?)),
-            _ => Err(JsonError::new("expected 3-element array")),
-        }
-    }
-}
-
-impl<K: ToJson + Ord, V: ToJson> ToJson for BTreeMap<K, V> {
-    fn to_json(&self) -> Value {
-        // Entry list: JSON object keys must be strings, ours may be tuples.
-        Value::Array(
-            self.iter()
-                .map(|(k, v)| Value::Array(vec![k.to_json(), v.to_json()]))
-                .collect(),
-        )
-    }
-}
-
-impl<K: FromJson + Ord, V: FromJson> FromJson for BTreeMap<K, V> {
-    fn from_json(v: &Value) -> Result<Self> {
-        let mut map = BTreeMap::new();
-        for entry in v
-            .as_array()
-            .ok_or_else(|| JsonError::new("expected entry list"))?
-        {
-            match entry.as_array() {
-                Some([k, val]) => {
-                    map.insert(K::from_json(k)?, V::from_json(val)?);
-                }
-                _ => return Err(JsonError::new("expected [key, value] entry")),
-            }
-        }
-        Ok(map)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Derive-style macros
 // ---------------------------------------------------------------------------
@@ -922,16 +877,6 @@ mod tests {
             assert_eq!(from_str::<Shape>(&s).unwrap(), sh);
         }
         assert!(from_str::<Color>("\"Blue\"").is_err());
-    }
-
-    #[test]
-    fn map_entry_list() {
-        let mut m = BTreeMap::new();
-        m.insert((1usize, 2usize), "a".to_string());
-        m.insert((3, 4), "b".to_string());
-        let s = to_string(&m);
-        let back: BTreeMap<(usize, usize), String> = from_str(&s).unwrap();
-        assert_eq!(back, m);
     }
 
     #[test]

@@ -148,9 +148,3 @@ mod tests {
         assert_eq!(s.features[0], s.features[1]);
     }
 }
-
-briq_json::json_struct!(Dataset {
-    features,
-    labels,
-    weights
-});

@@ -87,11 +87,6 @@ impl RandomForest {
         self.predict_proba(x) >= 0.5
     }
 
-    /// Probabilities for a batch of rows.
-    pub fn predict_proba_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        rows.iter().map(|r| self.predict_proba(r)).collect()
-    }
-
     /// Number of trees.
     pub fn n_trees(&self) -> usize {
         self.trees.len()
@@ -260,16 +255,6 @@ mod tests {
                 via_mask.predict_proba(&zeroed_x)
             );
         }
-    }
-
-    #[test]
-    fn batch_matches_single() {
-        let train = noisy_separable(100, 6);
-        let rf = RandomForest::fit(&train, RandomForestConfig::default());
-        let rows = vec![vec![0.1, 0.1], vec![0.9, 0.9]];
-        let batch = rf.predict_proba_batch(&rows);
-        assert_eq!(batch[0], rf.predict_proba(&rows[0]));
-        assert_eq!(batch[1], rf.predict_proba(&rows[1]));
     }
 }
 

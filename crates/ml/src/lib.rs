@@ -36,5 +36,5 @@ pub use entropy::shannon_entropy;
 pub use flat::FlatForest;
 pub use forest::{RandomForest, RandomForestConfig};
 pub use kappa::fleiss_kappa;
-pub use metrics::{f1_score, precision_recall_f1, roc_auc, Prf};
+pub use metrics::{precision_recall_f1, roc_auc, Prf};
 pub use tree::{DecisionTree, TreeConfig};

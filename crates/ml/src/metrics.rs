@@ -45,11 +45,6 @@ pub fn f1_from(precision: f64, recall: f64) -> f64 {
     }
 }
 
-/// F1 of hard predictions against labels.
-pub fn f1_score(predicted: &[bool], labels: &[bool]) -> f64 {
-    precision_recall_f1(predicted, labels).f1
-}
-
 /// Precision/recall/F1 of hard predictions against labels.
 pub fn precision_recall_f1(predicted: &[bool], labels: &[bool]) -> Prf {
     assert_eq!(predicted.len(), labels.len());
@@ -180,9 +175,3 @@ mod tests {
         assert_eq!(roc_auc(&[0.3, 0.4], &[true, true]), 0.5);
     }
 }
-
-briq_json::json_struct!(Prf {
-    precision,
-    recall,
-    f1
-});

@@ -116,8 +116,7 @@ pub struct Table {
     pub header_rows: usize,
     /// Leading header columns detected (0 or 1).
     pub header_cols: usize,
-    /// Parsed quantities of data cells, keyed by `(row, col)`. Serialized
-    /// as an entry list because JSON map keys must be strings.
+    /// Parsed quantities of data cells, keyed by `(row, col)`.
     quantities: BTreeMap<(usize, usize), QuantityMention>,
     /// Per-column unit/scale hints from the column headers.
     pub col_hints: Vec<(Unit, Option<f64>)>,
@@ -315,7 +314,6 @@ impl Table {
     }
 }
 
-briq_json::json_struct!(CellRef { table, row, col });
 briq_json::json_enum!(Orientation { Row(usize), Column(usize) });
 briq_json::json_enum!(TableMentionKind { SingleCell, Aggregate(AggregationKind) });
 briq_json::json_struct!(TableMention {
@@ -328,20 +326,6 @@ briq_json::json_struct!(TableMention {
     unit,
     precision,
     orientation,
-});
-// The `(row, col)`-keyed quantity map relies on briq-json's BTreeMap
-// encoding (an entry list), since JSON map keys must be strings.
-briq_json::json_struct!(Table {
-    caption,
-    cells,
-    n_rows,
-    n_cols,
-    header_rows,
-    header_cols,
-    quantities,
-    col_hints,
-    row_hints,
-    caption_hint,
 });
 
 /// A coherent document: one paragraph plus its related tables (§III).
@@ -486,5 +470,3 @@ mod tests {
         );
     }
 }
-
-briq_json::json_struct!(Document { id, text, tables });

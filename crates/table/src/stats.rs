@@ -116,10 +116,3 @@ mod tests {
         assert!(avg.rows.is_finite() && avg.virtual_cells.is_finite());
     }
 }
-
-briq_json::json_struct!(TableStats {
-    rows,
-    columns,
-    single_cells,
-    virtual_cells
-});

@@ -326,10 +326,3 @@ briq_json::json_unit_enum!(AggregationKind {
     Max,
     Min,
 });
-briq_json::json_unit_enum!(ApproxIndicator {
-    Exact,
-    Approximate,
-    UpperBound,
-    LowerBound,
-    None,
-});

@@ -122,6 +122,3 @@ mod tests {
         assert!(!same_entry(&a, &c)); // currencies don't convert
     }
 }
-
-briq_json::json_enum!(Dimension { Money(Currency), Ratio, Distance, Mass });
-briq_json::json_struct!(CanonicalQuantity { value, dimension });

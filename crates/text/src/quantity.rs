@@ -641,14 +641,3 @@ mod tests {
         assert!(ms[0].start < ms[1].start);
     }
 }
-
-briq_json::json_struct!(QuantityMention {
-    raw,
-    value,
-    unnormalized,
-    unit,
-    precision,
-    approx,
-    start,
-    end,
-});

@@ -297,17 +297,3 @@ mod tests {
         );
     }
 }
-
-briq_json::json_unit_enum!(TokenKind {
-    Word,
-    Number,
-    Alphanumeric,
-    Punct,
-    Symbol
-});
-briq_json::json_struct!(Token {
-    text,
-    start,
-    end,
-    kind
-});
