@@ -74,7 +74,7 @@
 #                `cp target/BENCH_work.jsonl BENCH_work.jsonl` and
 #                explains every moved line in CHANGES.md.
 #   store        incremental-vs-oracle equivalence of the versioned
-#                alignment store (DESIGN.md §15). Two checks on a seeded
+#                alignment store (DESIGN.md §15). Three checks on a seeded
 #                corpus: (a) unchanged corpus — briq-align --repeat 2
 #                against one warm store must byte-match an --oracle
 #                full recompute in stdout and diagnostics JSONL, and the
@@ -85,7 +85,13 @@
 #                over the mutated directory must byte-match the --oracle
 #                recompute while reporting >= 1 store hit AND >= 1
 #                invalidation (both cache service and re-alignment
-#                actually happened).
+#                actually happened); (c) text-only edit — the same bar
+#                as (b) after rewording two phrases that occur only in
+#                paragraph text on five pages (the stage fails if the
+#                edit touched anything outside a <p>), so the changed
+#                documents replay their table half from the store, the
+#                one partial tier, which (b)'s digit rotation never
+#                reaches.
 #   persist      durability gate for the on-disk store (DESIGN.md §16).
 #                Byte-compares a cold --oracle run against (1) a
 #                fresh --store-dir run, (2) a restart-warmed run in a new
@@ -355,6 +361,40 @@ stage_store() {
     align_run "$dir" inc --warm-from "$dir/corpus" --batch "$dir/mutated" --jobs 1
     align_run "$dir" full --batch "$dir/mutated" --jobs 1 --oracle
     same_run store "$dir" full inc || return 1
+    hit_and_invalidated "$dir/err_inc.txt" mutated || return 1
+
+    # (c) Text-only edit: warm from the pristine pages, reword two
+    # phrases in the paragraphs of the first five pages, and hold the
+    # incremental run to the same bar as (b). Everything outside the
+    # paragraphs must be byte-unchanged, so every changed document
+    # replays its table half from the store.
+    cp -r "$dir/corpus" "$dir/reworded"
+    local paragraphs_out='s/<p>[^<]*<\/p>//g'
+    n=0
+    for f in "$dir/reworded"/*.html; do
+        sed -i 's/ compared with / versus /g; s/The figure reached/The value reached/g' "$f"
+        cmp -s "$f" "$dir/corpus/${f##*/}" && {
+            echo "store: rewording left ${f##*/} unchanged" >&2
+            return 1
+        }
+        cmp -s <(sed "$paragraphs_out" "$f") <(sed "$paragraphs_out" "$dir/corpus/${f##*/}") || {
+            echo "store: rewording changed ${f##*/} outside its paragraphs" >&2
+            return 1
+        }
+        n=$((n + 1))
+        [ "$n" -ge 5 ] && break
+    done
+    align_run "$dir" text --warm-from "$dir/corpus" --batch "$dir/reworded" --jobs 1
+    align_run "$dir" textfull --batch "$dir/reworded" --jobs 1 --oracle
+    same_run store "$dir" textfull text || return 1
+    hit_and_invalidated "$dir/err_text.txt" reworded || return 1
+    echo "store: warm-unchanged, mutated and reworded incremental runs byte-identical to --oracle ($(grep -c 'store: repeat' "$dir/err_st.txt" "$dir/err_inc.txt" "$dir/err_text.txt" | awk -F: '{s+=$NF} END {print s}') store reports checked)"
+}
+
+# Fail unless the one-repetition store report in <err> counts >= 1 hit
+# and >= 1 invalidation, so an incremental run really both served cached
+# documents and re-aligned changed ones.
+hit_and_invalidated() { # err what
     awk '/^store: repeat 1\/1 / {
         for (i = 1; i <= NF; i++) {
             if ($i == "hits") hits = $(i + 1)
@@ -362,12 +402,11 @@ stage_store() {
         }
         ok = (hits >= 1 && inv >= 1)
     }
-    END { exit !ok }' "$dir/err_inc.txt" || {
-        echo "store: mutated run did not both hit (>=1) and invalidate (>=1):" >&2
-        grep '^store:' "$dir/err_inc.txt" >&2
+    END { exit !ok }' "$1" || {
+        echo "store: $2 run did not both hit (>=1) and invalidate (>=1):" >&2
+        grep '^store:' "$1" >&2
         return 1
     }
-    echo "store: warm-unchanged and mutated-incremental runs byte-identical to --oracle ($(grep -c 'store: repeat' "$dir/err_st.txt" "$dir/err_inc.txt" | awk -F: '{s+=$NF} END {print s}') store reports checked)"
 }
 
 # Send one JSONL request to the server at $1 over bash's /dev/tcp and

@@ -298,8 +298,10 @@ fn cmd_drive(args: &Args) -> ExitCode {
     };
     let mut degraded = 0usize;
     for (pi, path) in pages.iter().enumerate() {
-        let html = match std::fs::read_to_string(path) {
-            Ok(h) => h,
+        // Decoded lossily, as `briq-align` decodes its pages, so a page
+        // with a few invalid bytes aligns the same on both paths.
+        let html = match std::fs::read(path) {
+            Ok(bytes) => String::from_utf8_lossy(&bytes).into_owned(),
             Err(e) => {
                 eprintln!("cannot read {path}: {e}");
                 return ExitCode::FAILURE;

@@ -115,6 +115,46 @@ fn drive_output_is_byte_identical_to_briq_align_json() {
 }
 
 #[test]
+fn drive_decodes_a_non_utf8_page_as_briq_align_does() {
+    let dir = tmp_dir("drive_nonutf8");
+    // Two invalid bytes inside the paragraph, which still shares its
+    // quantities with the table and so still segments into a document.
+    let (head, tail) = PAGE
+        .split_once("123 patients")
+        .expect("PAGE names 123 patients");
+    let mut bytes = head.as_bytes().to_vec();
+    bytes.extend_from_slice(b"123 patients \xff\xfe");
+    bytes.extend_from_slice(tail.as_bytes());
+    let page = dir.join("nonutf8.html");
+    std::fs::write(&page, &bytes).unwrap();
+
+    let server = ServerGuard::spawn(&[]);
+    let drive = Command::new(env!("CARGO_BIN_EXE_briq-serve"))
+        .args(["drive", "--addr", &server.addr])
+        .arg(&page)
+        .output()
+        .expect("run drive");
+    assert_eq!(drive.status.code(), Some(0), "drive failed: {drive:?}");
+
+    let align = Command::new(env!("CARGO_BIN_EXE_briq-align"))
+        .arg("--json")
+        .arg(&page)
+        .output()
+        .expect("run briq-align");
+    assert!(align.status.success(), "briq-align failed: {align:?}");
+    assert!(
+        String::from_utf8_lossy(&align.stdout).contains("\"mention_raw\""),
+        "the page aligned nothing"
+    );
+    assert_eq!(
+        drive.stdout, align.stdout,
+        "serve and batch outputs drifted"
+    );
+
+    server.stop_and_wait();
+}
+
+#[test]
 fn server_sheds_deterministically_and_survives_raw_socket_abuse() {
     let server = ServerGuard::spawn(&["--workers", "1", "--queue-depth", "1"]);
 

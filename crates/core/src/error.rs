@@ -271,11 +271,6 @@ impl CancelToken {
         self
     }
 
-    /// The configured deadline, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
     /// Why the request should stop, if it should. The external flag wins
     /// over the deadline when both hold, so a drain is reported as a
     /// drain even on requests that were about to time out anyway.
@@ -291,11 +286,6 @@ impl CancelToken {
             }
         }
         None
-    }
-
-    /// Has the token fired?
-    pub fn is_cancelled(&self) -> bool {
-        self.cause().is_some()
     }
 }
 
@@ -470,15 +460,13 @@ mod tests {
     #[test]
     fn cancel_token_none_never_fires() {
         let t = CancelToken::none();
-        assert!(!t.is_cancelled());
         assert!(t.cause().is_none());
-        assert!(t.deadline().is_none());
     }
 
     #[test]
     fn cancel_token_deadline_fires_exactly_at_the_instant() {
         let future = CancelToken::deadline_in(Duration::from_secs(3600));
-        assert!(!future.is_cancelled());
+        assert!(future.cause().is_none());
         let past = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
         assert_eq!(past.cause(), Some(CancelCause::Deadline));
     }

@@ -554,16 +554,6 @@ impl<'c> PairFeaturizer<'c> {
         }
     }
 
-    /// Number of mentions the featurizer was built over.
-    pub fn n_mentions(&self) -> usize {
-        self.mentions.len()
-    }
-
-    /// Number of targets the featurizer was built over.
-    pub fn n_targets(&self) -> usize {
-        self.targets.len()
-    }
-
     /// Fill `out` with the 12 features of pair `(mi, ti)` — bit-identical
     /// to `feature_vector(&mentions[mi], &targets[ti], ctx)`, with zero
     /// heap allocation once the scratch buffers are warm.
@@ -864,8 +854,6 @@ mod tests {
             },
         ];
         let mut fz = PairFeaturizer::new(&ms, &targets, &ctx);
-        assert_eq!(fz.n_mentions(), ms.len());
-        assert_eq!(fz.n_targets(), targets.len());
         let mut row = [0.0; FEATURE_COUNT];
         let mut rows = Vec::new();
         for (mi, x) in ms.iter().enumerate() {

@@ -123,10 +123,11 @@ pub mod names {
     /// (full fingerprint hit — classify/filter/resolve skipped).
     pub const STORE_HITS: &str = "store_hits";
     /// Counter: store entries found but invalidated by a fingerprint
-    /// change and replaced by an incremental re-alignment.
+    /// change and replaced by a re-alignment.
     pub const STORE_INVALIDATIONS: &str = "store_invalidations";
-    /// Counter: mentions that re-ran classify/filter through the store
-    /// path (dirty + new + all mentions of cold documents).
+    /// Counter: mentions aligned again through the store path: every
+    /// mention of each document the store did not serve whole (changed
+    /// and cold documents alike).
     pub const MENTIONS_REALIGNED: &str = "mentions_realigned";
     /// Histogram: high-water estimated resident bytes of the alignment
     /// store, observed after each insertion (unit: bytes).

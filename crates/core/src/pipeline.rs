@@ -22,7 +22,7 @@ use crate::resolution::{resolve_observed, ResolutionConfig, ResolutionEvent};
 use crate::retrieval::{CandidateIndex, RetrievalScratch};
 use crate::scoring::ScoringEngine;
 use crate::span;
-use crate::store::AlignmentStore;
+use crate::store::{AlignmentStore, Miss};
 use crate::tagger::{tagger_features, MentionTagger, TaggerExample};
 use crate::training::{
     build_training_examples, examples_to_dataset, tagger_label, LabeledDocument,
@@ -606,26 +606,25 @@ impl Briq {
     ///   diagnostic naming the stage that observed it (diagnostics
     ///   recorded before the cut are kept: they describe work that really
     ///   happened). Cancelled runs are never cached.
-    /// * **Store** — with `cfg.use_store`, the store is a replay hook over
-    ///   the same two stage functions the storeless path runs: unchanged
-    ///   documents are served from cache and only the dirty mentions of
-    ///   partially changed ones are re-aligned; a cold key computes and
-    ///   caches everything. Alignments, diagnostics, filter totals, and
-    ///   candidates are bit-identical to the storeless run for every cache
-    ///   state — the store only ever replays artifacts whose inputs
-    ///   fingerprint-match — and so are the recorded spans of every
-    ///   document the store does not serve whole.
+    /// * **Store** — with `cfg.use_store`, the store is a lookup and an
+    ///   insert around the one stage sequence: extraction asks
+    ///   `AlignmentStore::lookup` first, which serves an unchanged
+    ///   document whole or hands back the extraction halves whose inputs
+    ///   are unchanged; any other document runs every later stage in
+    ///   full and is cached by `AlignmentStore::insert`. Alignments,
+    ///   diagnostics, filter totals, and candidates are bit-identical to
+    ///   the storeless run for every cache state — the store only ever
+    ///   replays artifacts whose inputs fingerprint-match — and so are
+    ///   the recorded spans of every document the store does not serve
+    ///   whole.
     pub fn align_with(&self, doc: &Document, opts: &AlignOpts) -> AlignOutput {
         let off = Recorder::disabled();
         let never = CancelToken::none();
         let rec = opts.recorder.unwrap_or(&off);
         let cancel = opts.cancel.unwrap_or(&never);
-        let (ControlFlow::Continue(out) | ControlFlow::Break(out)) = match opts.store {
-            Some((store, key)) if self.cfg.use_store => {
-                store.align(self, key, doc, &opts.budget, rec, cancel)
-            }
-            _ => self.align_unstored(doc, &opts.budget, rec, cancel),
-        };
+        let store = opts.store.filter(|_| self.cfg.use_store);
+        let (ControlFlow::Continue(out) | ControlFlow::Break(out)) =
+            self.run_stages(doc, &opts.budget, store, rec, cancel);
         let (alignments, stats, candidates, diagnostics) = out;
         AlignOutput {
             alignments,
@@ -635,79 +634,77 @@ impl Briq {
         }
     }
 
-    /// The storeless path: both stages with nothing to replay. It
-    /// fingerprints, looks up, and writes nothing, and is the reference
-    /// the store is byte-compared against (`briq-align --oracle`).
-    fn align_unstored(
+    /// The stage sequence behind [`Briq::align_with`]: extraction, then
+    /// classify through resolution, then the store's insert when the
+    /// lookup missed. `Break` is a finished document that must not be
+    /// cached: a full hit or a cancellation.
+    fn run_stages(
         &self,
         doc: &Document,
         budget: &Budget,
+        store: Option<(&AlignmentStore, u64)>,
         rec: &Recorder,
         cancel: &CancelToken,
     ) -> ControlFlow<AlignResult, AlignResult> {
-        let ((), x) = self.extract_stage(doc, budget, rec, cancel, || {
-            ControlFlow::Continue(((), None, None))
-        })?;
-        let (out, _) = self.classify_resolve_stage(doc, &x, budget, rec, cancel, |_| None)?;
+        let (miss, x) = self.extract_stage(doc, budget, store, rec, cancel)?;
+        let out = self.classify_resolve_stage(doc, &x, budget, rec, cancel)?;
+        if let (Some((store, key)), Some(miss)) = (store, miss) {
+            store.insert(key, miss, x, &out, rec);
+        }
         ControlFlow::Continue(out)
     }
 
     /// Stage 1 under the `extract` span, then the `mentions`/`targets`
-    /// counts. `lookup` runs first, inside the span: it is the alignment
-    /// store's hook (DESIGN.md §15), which
-    /// fingerprints the document and either ends it with a finished
-    /// result (`Break`: a full hit) or hands back its own state plus the
-    /// extraction halves to replay (`None` halves are computed).
-    pub(crate) fn extract_stage<L>(
+    /// counts. With a store, its lookup runs first, inside the span
+    /// (DESIGN.md §15): a full hit ends the document (`Break`), and a
+    /// miss hands back what the insert needs plus the extraction halves
+    /// to replay (`None` halves are computed).
+    fn extract_stage(
         &self,
         doc: &Document,
         budget: &Budget,
+        store: Option<(&AlignmentStore, u64)>,
         rec: &Recorder,
         cancel: &CancelToken,
-        lookup: impl FnOnce() -> ControlFlow<AlignResult, (L, Option<TextHalf>, Option<TableHalf>)>,
-    ) -> ControlFlow<AlignResult, (L, Extracted)> {
+    ) -> ControlFlow<AlignResult, (Option<Miss>, Extracted)> {
         if let Some(cause) = cancel.cause() {
             let diags = Diagnostics::default();
             return ControlFlow::Break(cancelled_result(Stage::Extraction, cause, diags, rec));
         }
-        let out = {
+        let (miss, x) = {
             let _g = span!(rec, names::SPAN_EXTRACT);
-            lookup().map_continue(|(state, text, tables)| {
-                (state, self.extract(doc, budget, text, tables))
-            })
+            let (miss, text, tables) = match store {
+                Some((store, key)) => {
+                    let (miss, text, tables) = store.lookup(key, doc, budget, rec)?;
+                    (Some(miss), text, tables)
+                }
+                None => (None, None, None),
+            };
+            (miss, self.extract(doc, budget, text, tables))
         };
-        if let ControlFlow::Continue((_, x)) = &out {
-            rec.count(names::MENTIONS, x.mentions.len() as u64);
-            rec.count(names::TARGETS, x.targets.len() as u64);
-        }
-        out
+        rec.count(names::MENTIONS, x.mentions.len() as u64);
+        rec.count(names::TARGETS, x.targets.len() as u64);
+        ControlFlow::Continue((miss, x))
     }
 
     /// Stages 2–5. Classify + filter each mention through one
     /// [`ClassifyPass`] — retrieval + batched engine + pruned filtering in
     /// production, exhaustive scoring + [`filter_mention`] on the
     /// `use_index: false` reference path, byte-identical by the engine's
-    /// exactness contract and the index's recall contract — unless
-    /// `replay(mi)`, the alignment store's per-mention hook, returns the
-    /// mention's cached `(kept candidates, filter delta)`. Then budgeted
-    /// graph construction and global resolution, always in full:
-    /// resolution is global (each decision updates the graph the next
-    /// walk runs on), so a replayed candidate set can never make it
-    /// drift from the full recompute. Returns the document's outputs and
-    /// each mention's own filter delta.
+    /// exactness contract and the index's recall contract. Then budgeted
+    /// graph construction and global resolution.
     ///
     /// [`Briq::score_document`] deliberately does NOT use the production
     /// path: its consumers (baselines, training, evaluation) read the
     /// full score matrix, which pruning by design does not materialize.
-    pub(crate) fn classify_resolve_stage(
+    fn classify_resolve_stage(
         &self,
         doc: &Document,
         x: &Extracted,
         budget: &Budget,
         rec: &Recorder,
         cancel: &CancelToken,
-        mut replay: impl FnMut(usize) -> Option<(Vec<Candidate>, FilterStats)>,
-    ) -> ControlFlow<AlignResult, (AlignResult, Vec<FilterStats>)> {
+    ) -> ControlFlow<AlignResult, AlignResult> {
         let mut diags = x.diags.clone();
         let mut pass = ClassifyPass {
             briq: self,
@@ -717,30 +714,19 @@ impl Briq {
         };
         let mut stats = FilterStats::default();
         let mut candidates = Vec::with_capacity(x.mentions.len());
-        let mut deltas = Vec::with_capacity(x.mentions.len());
-        let mut computed = 0u64;
         for mi in 0..x.mentions.len() {
             if let Some(cause) = cancel.cause() {
                 let out = cancelled_result(Stage::Classification, cause, diags, rec);
                 return ControlFlow::Break(out);
             }
-            let (cands, delta) = match replay(mi) {
-                Some(cached) => cached,
-                None => {
-                    computed += 1;
-                    pass.run_mention(mi, rec)
-                }
-            };
-            // Per-mention deltas merged in mention order reproduce the
-            // direct accumulation exactly: `FilterStats` is a pair of
-            // count maps and merge is entrywise addition.
-            stats.merge(&delta);
-            candidates.push(cands);
-            deltas.push(delta);
+            candidates.push(pass.run_mention(mi, &mut stats, rec));
         }
         pass.finish(rec);
         stats.record_into(rec);
-        rec.count(names::PAIRS_SCORED, computed * x.targets.len() as u64);
+        rec.count(
+            names::PAIRS_SCORED,
+            (x.mentions.len() * x.targets.len()) as u64,
+        );
 
         if let Some(cause) = cancel.cause() {
             let out = cancelled_result(Stage::GraphConstruction, cause, diags, rec);
@@ -812,7 +798,7 @@ impl Briq {
                 .filter(|d| d.action == DegradedAction::Truncated)
                 .count() as u64,
         );
-        ControlFlow::Continue(((alignments, stats, candidates, diags), deltas))
+        ControlFlow::Continue((alignments, stats, candidates, diags))
     }
 }
 
@@ -846,10 +832,9 @@ pub(crate) struct Extracted {
 }
 
 /// The classify+filter stage as a per-mention unit: one instance per
-/// document, run by [`Briq::classify_resolve_stage`] on every mention it
-/// computes rather than replays. The featurizer and the scorer's index
-/// and buffers are built once, at the first such mention, and shared
-/// across `run_mention` calls.
+/// document, run by [`Briq::classify_resolve_stage`] on each mention in
+/// order. The featurizer and the scorer's index and buffers are built
+/// once, at the first mention, and shared across `run_mention` calls.
 struct ClassifyPass<'a> {
     briq: &'a Briq,
     doc: &'a Document,
@@ -898,16 +883,19 @@ impl<'a> ClassifyPass<'a> {
         (featurizer, scorer)
     }
 
-    /// Classify + filter one mention. Returns its kept candidates and a
-    /// fresh [`FilterStats`] delta holding exactly this mention's
-    /// contribution to the document totals (filter counts plus
-    /// retrieval-dropped counts) — pure per mention, so the store can
-    /// cache and replay it. The first call builds the pass under its
-    /// `classify` span, so the stage is charged for that build.
-    fn run_mention(&mut self, mi: usize, rec: &Recorder) -> (Vec<Candidate>, FilterStats) {
+    /// Classify + filter one mention: returns its kept candidates and
+    /// adds its filter counts (plus, in production, its retrieval-dropped
+    /// counts) to the document totals in `stats`. The first call builds
+    /// the pass under its `classify` span, so the stage is charged for
+    /// that build.
+    fn run_mention(
+        &mut self,
+        mi: usize,
+        stats: &mut FilterStats,
+        rec: &Recorder,
+    ) -> Vec<Candidate> {
         let (briq, x) = (self.briq, self.x);
         let m = &x.mentions[mi];
-        let mut delta = FilterStats::default();
         // The reference path's full score row for this mention.
         let mut exhaustive = Vec::new();
         let classify = span!(rec, names::SPAN_CLASSIFY, mention = mi);
@@ -928,7 +916,7 @@ impl<'a> ClassifyPass<'a> {
                     None => engine.score_heuristic_selected(&briq.cfg.mask),
                 }
                 // Keep Table-VI totals identical to the oracle's.
-                index.record_dropped(scratch, &mut delta);
+                index.record_dropped(scratch, stats);
                 let retrieved = scratch.retrieved() as u64;
                 rec.count(names::RETRIEVAL_CANDIDATES, retrieved);
                 rec.count(
@@ -944,7 +932,7 @@ impl<'a> ClassifyPass<'a> {
         drop(classify);
         let _filter = span!(rec, names::SPAN_FILTER, mention = mi);
         let cfg = &briq.cfg.filter;
-        let cands = match scorer {
+        match scorer {
             Scorer::Indexed { engine, .. } => filter_mention_pruned(
                 m,
                 engine.computed(),
@@ -952,13 +940,12 @@ impl<'a> ClassifyPass<'a> {
                 &x.targets,
                 &tags,
                 cfg,
-                &mut delta,
+                stats,
             ),
             Scorer::Exhaustive { .. } => {
-                filter_mention(m, &exhaustive, &x.targets, &tags, cfg, &mut delta)
+                filter_mention(m, &exhaustive, &x.targets, &tags, cfg, stats)
             }
-        };
-        (cands, delta)
+        }
     }
 
     /// Flush the engine's whole-document counters.

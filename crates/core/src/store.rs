@@ -4,46 +4,41 @@
 //! from scratch, even though real workloads re-align near-identical page
 //! versions over and over. The [`AlignmentStore`] turns alignments into
 //! first-class precomputed artifacts: per document key it caches the
-//! text-side extraction, the table-side contexts and targets, every
-//! mention's classify/filter output, and the final alignments +
-//! diagnostics + filter totals, each guarded by a content fingerprint of
-//! exactly the inputs that artifact reads.
+//! text-side extraction, the table-side contexts and targets, and the
+//! final alignments + candidates + diagnostics + filter totals, each
+//! guarded by a content fingerprint of exactly the inputs that artifact
+//! reads.
 //!
 //! On re-alignment of a new page version the store diffs fingerprints
-//! and serves the largest prefix of the pipeline it can prove unchanged:
+//! and serves what it can prove unchanged, in two tiers:
 //!
 //! - **Full hit** — config, paragraph text, and every table fingerprint
 //!   match: the cached alignments, diagnostics, candidates, and filter
 //!   totals are served verbatim; classify, filter, and resolution do not
 //!   run at all.
-//! - **Text changed, tables unchanged** — the table side (per-table
-//!   contexts, targets, degenerate/truncation diagnostics) is replayed
-//!   from cache; the text side is re-extracted. Mentions whose own
-//!   fingerprint *and* the document's text-aggregate fingerprint are
-//!   unchanged are **clean**: their cached tags/candidates/filter deltas
-//!   are replayed. The rest are **dirty** (or **new**) and re-run
-//!   through the same per-mention classify pass the storeless pipeline
-//!   uses.
-//! - **Tables changed** — every mention is dirty (the tagger reads every
-//!   table's quantities, so the per-mention read set spans all tables),
-//!   but the text side is still replayed from cache when the paragraph
-//!   is unchanged — and extraction is the slowest stage of the pipeline.
+//! - **Extraction half** — otherwise, when the config still matches, the
+//!   half of extraction whose input is unchanged is replayed: the table
+//!   side (per-table contexts, targets, degenerate/truncation
+//!   diagnostics) when every table is unchanged, the text side
+//!   (mentions and the paragraph context) when the paragraph is. The
+//!   other half is re-extracted, and every mention is classified,
+//!   filtered, and resolved again.
 //!
-//! The store is a cache in front of the pipeline's own two stage
-//! functions, not a second copy of the pipeline: `Briq::extract_stage`
-//! runs the store's lookup as its hook (fingerprinting and the lookup
-//! sit inside the `extract` span and timer) and replays whichever
-//! extraction halves it hands back, and `Briq::classify_resolve_stage`
-//! takes a per-mention replay hook. Resolution is a global algorithm
-//! (every accepted alignment updates the graph the next walk runs on),
-//! so any changed document re-runs graph construction + resolution in
-//! full from the (partially replayed) candidate sets. That, plus the
-//! purity of each cached artifact in its fingerprinted inputs, is the
-//! bit-identity argument: the store can only ever replay values the
-//! full recompute would have produced. Both paths record the same spans
-//! and pipeline counters; only the store counters are the store's own.
-//! `use_store: false` (part of `briq-align --oracle`) is the reference
-//! CI byte-compares the two paths against on real corpora every run.
+//! The store is a lookup and an insert around the pipeline's one stage
+//! sequence, not a second copy of it: [`Briq::align_with`] runs
+//! `AlignmentStore::lookup` inside the `extract` span (so
+//! fingerprinting is charged to extraction), replays the halves it hands
+//! back, runs every later stage exactly as the storeless path does, and
+//! hands the result to `AlignmentStore::insert`. Resolution is a
+//! global algorithm (every accepted alignment updates the graph the next
+//! walk runs on), so no part of it is worth replaying for a changed
+//! document. That, plus the purity of each cached artifact in its
+//! fingerprinted inputs, is the bit-identity argument: the store can
+//! only ever replay values the full recompute would have produced. Both
+//! paths record the same spans and pipeline counters; only the store
+//! counters are the store's own. `use_store: false` (part of
+//! `briq-align --oracle`) is the reference CI byte-compares the two
+//! paths against on real corpora every run.
 //!
 //! With [`StoreOptions::dir`] set, the store is additionally backed by
 //! the [`persist`] layer (DESIGN.md §16): every cached entry is appended
@@ -64,8 +59,8 @@ use std::time::Instant;
 
 use briq_table::{Document, Table, TableMention};
 
-use crate::context::{DocContext, MentionContext, TableContext};
-use crate::error::{Budget, CancelToken, Diagnostics};
+use crate::context::{DocContext, TableContext};
+use crate::error::{Budget, Diagnostics};
 use crate::filtering::{Candidate, FilterStats};
 use crate::mention::{Alignment, TextMention};
 use crate::obs::{names, Recorder};
@@ -113,29 +108,11 @@ impl Fingerprint {
         self.u64(v as u64);
     }
 
-    /// Fold an `f64` via its bit pattern — the store's equality is bit
-    /// equality, exactly like the pipeline's determinism contract.
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Fold a bool.
-    pub fn bool(&mut self, v: bool) {
-        self.bytes(&[v as u8]);
-    }
-
     /// Fold a string, length-prefixed so `("ab","c")` and `("a","bc")`
     /// cannot collide structurally.
     pub fn str(&mut self, s: &str) {
         self.usize(s.len());
         self.bytes(s.as_bytes());
-    }
-
-    /// Fold any `Debug` value through its formatting — used for small
-    /// enums (units, approximation indicators, aggregation kinds) whose
-    /// derived `Debug` output is stable and total.
-    pub fn debug<T: std::fmt::Debug>(&mut self, v: &T) {
-        self.str(&format!("{v:?}"));
     }
 
     /// The 64-bit fingerprint.
@@ -204,68 +181,11 @@ pub fn model_fingerprint(briq: &Briq) -> u64 {
     fp.finish()
 }
 
-/// Fingerprint of the document-global text aggregates the per-mention
-/// classify path reads: the paragraph stem set (feature f3), the
-/// paragraph noun phrases (f5), and the ordered paragraph word list (the
-/// tagger's global scope). A mention can only be clean if these are
-/// unchanged — they are part of every mention's read set.
-fn aggregate_fingerprint(ctx: &DocContext) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.usize(ctx.paragraph_words.len());
-    for w in &ctx.paragraph_words {
-        fp.str(w);
-    }
-    fp.usize(ctx.paragraph_phrases.len());
-    for p in &ctx.paragraph_phrases {
-        fp.str(p);
-    }
-    fp.usize(ctx.paragraph_word_list.len());
-    for w in &ctx.paragraph_word_list {
-        fp.str(w);
-    }
-    fp.finish()
-}
-
-/// Fingerprint of one text mention's classify-path read set: the parsed
-/// quantity (minus its byte span) and the mention-local context (minus
-/// its token index). Byte positions deliberately do NOT participate —
-/// classification never reads absolute positions (they only feed graph
-/// construction, which re-runs for any changed document), so a mention
-/// that merely *moved* is still clean.
-fn mention_fingerprint(m: &TextMention, mc: &MentionContext) -> u64 {
-    let mut fp = Fingerprint::new();
-    let q = &m.quantity;
-    fp.str(&q.raw);
-    fp.f64(q.value);
-    fp.f64(q.unnormalized);
-    fp.debug(&q.unit);
-    fp.bytes(&[q.precision]);
-    fp.debug(&q.approx);
-    fp.usize(mc.local_weights.len());
-    for (w, &v) in &mc.local_weights {
-        fp.str(w);
-        fp.f64(v);
-    }
-    fp.usize(mc.sentence_phrases.len());
-    for p in &mc.sentence_phrases {
-        fp.str(p);
-    }
-    fp.usize(mc.immediate_words.len());
-    for w in &mc.immediate_words {
-        fp.str(w);
-    }
-    fp.usize(mc.sentence_words.len());
-    for w in &mc.sentence_words {
-        fp.str(w);
-    }
-    fp.debug(&mc.inferred_aggregation);
-    fp.finish()
-}
-
-/// One mention's cached classify/filter output: kept candidates plus its
-/// private contribution to the document's filter totals. Pure in the
-/// mention fingerprint + aggregate fingerprint + table fingerprints +
-/// config fingerprint, all of which gate its replay.
+/// One mention's slot in a cached entry: its kept candidates, served on
+/// a full hit. `fp` and `stats` are slots of the v1 record layout that
+/// nothing reads any more; [`AlignmentStore::insert`] writes them as `0`
+/// and empty, and an entry recovered from an older store keeps whatever
+/// it holds there.
 #[derive(Debug, Clone)]
 struct MentionArtifact {
     fp: u64,
@@ -278,6 +198,8 @@ struct MentionArtifact {
 pub(crate) struct DocEntry {
     config_fp: u64,
     text_fp: u64,
+    /// A v1 record slot nothing reads any more; written as `0` (see
+    /// [`MentionArtifact`]).
     aggregate_fp: u64,
     table_fps: Vec<u64>,
     /// Text-side extraction artifacts: mentions and the text half of the
@@ -289,7 +211,7 @@ pub(crate) struct DocEntry {
     table_contexts: Vec<TableContext>,
     targets: Vec<TableMention>,
     extract_diags: Diagnostics,
-    /// Per-mention classify/filter artifacts, parallel to `text_mentions`.
+    /// Per-mention kept candidates, parallel to `text_mentions`.
     artifacts: Vec<MentionArtifact>,
     /// Final document outputs, served verbatim on a full hit.
     alignments: Vec<Alignment>,
@@ -423,14 +345,11 @@ fn key_ordered(map: &HashMap<u64, DocEntry>) -> Vec<(u64, &DocEntry)> {
 }
 
 /// What a missed lookup carries from extraction to the insert: the new
-/// version's fingerprints, plus the prior version's per-mention
-/// artifacts and their aggregate fingerprint when its config and every
-/// table still match.
-struct Miss {
+/// version's fingerprints.
+pub(crate) struct Miss {
     config_fp: u64,
     text_fp: u64,
     table_fps: Vec<u64>,
-    artifacts: Option<(u64, Vec<MentionArtifact>)>,
 }
 
 /// A versioned, thread-shared cache of per-document alignment artifacts.
@@ -707,57 +626,21 @@ impl AlignmentStore {
             .fetch_sub(n.min(self.bytes.load(Ordering::Relaxed)), Ordering::Relaxed);
     }
 
-    /// Align `doc` through the store under `key`: the pipeline's two
-    /// stage functions with this store as their replay hooks. Same
-    /// output contract as the storeless path — alignments, filter
-    /// totals, kept candidates, diagnostics — bit-identical to the full
-    /// recompute for every possible cache state. Cancelled runs return
-    /// the no-partial-state shape and cache nothing.
-    pub(crate) fn align(
+    /// Cache the new version of a document the lookup missed: its
+    /// fingerprints, both extraction halves, and its finished outputs.
+    /// `x.ctx.tables` moves out so the text side is stored table-free and
+    /// the two sides invalidate separately. Every mention of the document
+    /// was aligned again, so all of them count as `mentions_realigned`.
+    pub(crate) fn insert(
         &self,
-        briq: &Briq,
         key: u64,
-        doc: &Document,
-        budget: &Budget,
+        miss: Miss,
+        x: Extracted,
+        out: &AlignResult,
         rec: &Recorder,
-        cancel: &CancelToken,
-    ) -> ControlFlow<AlignResult, AlignResult> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let (miss, x) = briq.extract_stage(doc, budget, rec, cancel, || {
-            self.lookup(key, doc, budget, rec)
-        })?;
-
-        // Classify/filter: replay clean mentions, re-run dirty/new ones.
-        // A mention is clean only if its own fingerprint, the document's
-        // text aggregates, every table, and the config are unchanged —
-        // exactly its read set (module docs). The k-th occurrence of a
-        // fingerprint replays the k-th cached one, so duplicates (the
-        // same number twice in a paragraph) stay unambiguous.
-        let aggregate_fp = aggregate_fingerprint(&x.ctx);
-        let mention_fps: Vec<u64> = x
-            .mentions
-            .iter()
-            .zip(&x.ctx.mentions)
-            .map(|(m, mc)| mention_fingerprint(m, mc))
-            .collect();
-        let mut cached: HashMap<u64, Vec<MentionArtifact>> = HashMap::new();
-        if let Some((_, artifacts)) = miss.artifacts.filter(|&(fp, _)| fp == aggregate_fp) {
-            for a in artifacts.into_iter().rev() {
-                cached.entry(a.fp).or_default().push(a);
-            }
-        }
-        let mut replayed = 0u64;
-        let ((alignments, stats, candidates, diagnostics), deltas) =
-            briq.classify_resolve_stage(doc, &x, budget, rec, cancel, |mi| {
-                let a = cached.get_mut(&mention_fps[mi])?.pop()?;
-                replayed += 1;
-                Some((a.candidates, a.stats))
-            })?;
-        let realigned = mention_fps.len() as u64 - replayed;
-        rec.count(names::MENTIONS_REALIGNED, realigned);
-
-        // Cache the new version. `ctx.tables` moves out so the text side
-        // is stored table-free and the two sides invalidate separately.
+    ) {
+        let (alignments, stats, candidates, diagnostics) = out;
+        rec.count(names::MENTIONS_REALIGNED, x.mentions.len() as u64);
         let Extracted {
             mentions,
             mut ctx,
@@ -765,20 +648,18 @@ impl AlignmentStore {
             diags: extract_diags,
         } = x;
         let table_contexts = std::mem::take(&mut ctx.tables);
-        let artifacts = mention_fps
-            .into_iter()
-            .zip(&candidates)
-            .zip(deltas)
-            .map(|((fp, c), stats)| MentionArtifact {
-                fp,
+        let artifacts = candidates
+            .iter()
+            .map(|c| MentionArtifact {
+                fp: 0,
                 candidates: c.clone(),
-                stats,
+                stats: FilterStats::default(),
             })
             .collect();
         let mut entry = DocEntry {
             config_fp: miss.config_fp,
             text_fp: miss.text_fp,
-            aggregate_fp,
+            aggregate_fp: 0,
             table_fps: miss.table_fps,
             text_mentions: mentions,
             text_ctx: ctx,
@@ -818,22 +699,23 @@ impl AlignmentStore {
         }
         self.evict_to_budget(rec);
         rec.observe(names::STORE_BYTES_PEAK, self.bytes_peak() as f64);
-        ControlFlow::Continue((alignments, stats, candidates, diagnostics))
     }
 
-    /// The extraction hook: fingerprint `doc` and look `key` up. A full
-    /// hit — config, paragraph text, and every table unchanged — ends the
-    /// document with the cached outputs, served verbatim: classify,
-    /// filter, and resolution do not run at all. Otherwise any prior
-    /// entry is invalidated, and the extraction halves whose
-    /// fingerprints still match are handed back for replay.
-    fn lookup(
+    /// Fingerprint `doc` and look `key` up. A full hit — config,
+    /// paragraph text, and every table unchanged — ends the document with
+    /// the cached outputs, served verbatim: classify, filter, and
+    /// resolution do not run at all. Otherwise any prior entry is
+    /// invalidated, and the extraction halves whose fingerprints still
+    /// match are handed back for replay, with the [`Miss`] that
+    /// [`AlignmentStore::insert`] caches the new version under.
+    pub(crate) fn lookup(
         &self,
         key: u64,
         doc: &Document,
         budget: &Budget,
         rec: &Recorder,
     ) -> ControlFlow<AlignResult, (Miss, Option<TextHalf>, Option<TableHalf>)> {
+        self.lookups.fetch_add(1, Ordering::Relaxed);
         let mut cfp = Fingerprint::new();
         cfp.u64(self.model_fp);
         cfp.u64(budget_fingerprint(budget));
@@ -863,20 +745,21 @@ impl AlignmentStore {
             self.bytes_sub(p.approx_bytes);
             rec.count(names::STORE_INVALIDATIONS, 1);
         }
-        let mut miss = Miss {
+        let miss = Miss {
             config_fp,
             text_fp,
             table_fps,
-            artifacts: None,
         };
         // A config mismatch poisons everything; drop the entry outright.
         let Some(p) = prior.filter(|p| p.config_fp == config_fp) else {
             return ControlFlow::Continue((miss, None, None));
         };
         let text = (p.text_fp == text_fp).then_some((p.text_mentions, p.text_ctx));
-        let tables_clean = p.table_fps == miss.table_fps;
-        let tables = tables_clean.then_some((p.table_contexts, p.targets, p.extract_diags));
-        miss.artifacts = tables_clean.then_some((p.aggregate_fp, p.artifacts));
+        let tables = (p.table_fps == miss.table_fps).then_some((
+            p.table_contexts,
+            p.targets,
+            p.extract_diags,
+        ));
         ControlFlow::Continue((miss, text, tables))
     }
 }
@@ -1040,16 +923,16 @@ mod tests {
         let spans: Vec<&str> = hit.structure().into_iter().map(|s| s.1).collect();
         assert_eq!(spans, [names::SPAN_EXTRACT]);
 
-        // Extra whitespace changes the paragraph but no mention's read
-        // set: every mention replays, and the filter counters are still
+        // Extra whitespace changes the paragraph: the table half replays,
+        // every mention is aligned again, and the filter counters are
         // recorded exactly as the storeless run records them.
         let spaced = doc(&d.text.replace(". ", ".   "), d.tables[0].cells.clone());
         let replayed = trace(&spaced, Some((&store, 1)));
         assert_eq!(replayed.metrics.counter(names::STORE_INVALIDATIONS), 1);
         assert_eq!(
             replayed.metrics.counter(names::MENTIONS_REALIGNED),
-            0,
-            "every mention replays"
+            replayed.metrics.counter(names::MENTIONS),
+            "every mention of a changed document is aligned again"
         );
         let filter_counters = |t: &crate::obs::DocTrace| -> Vec<(String, u64)> {
             t.metrics

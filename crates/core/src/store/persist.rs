@@ -1423,7 +1423,7 @@ mod tests {
             .collect();
         assert_eq!(
             digests,
-            [0x58492cba9e90f37a, 0x810a064f6600fd86, 0xb8157e859f820952],
+            [0x9be17b0aa76b8b6d, 0x11f65f1ee383d26c, 0xc331716bc8acea9a],
             "{digests:#018x?}"
         );
         let payload = encode_record(0xFEED, &every_tag_entry());

@@ -139,10 +139,11 @@ impl DecisionTree {
         &self.nodes
     }
 
-    /// Check the shape every traversal relies on: a root, and each
-    /// split's children in range, after it, and claimed by no other
-    /// split. Trees are grown in preorder, so a grown tree always passes,
-    /// and "after its parent" rules out cycles.
+    /// Check the shape every traversal relies on: a root, each leaf's
+    /// probability in `[0, 1]`, and each split's threshold finite and its
+    /// children in range, after it, and claimed by no other split. Trees
+    /// are grown in preorder from finite features, so a grown tree always
+    /// passes, and "after its parent" rules out cycles.
     fn check_shape(&self) -> Result<(), String> {
         let n = self.nodes.len();
         if n == 0 {
@@ -150,10 +151,26 @@ impl DecisionTree {
         }
         let mut claimed = vec![false; n];
         for (id, node) in self.nodes.iter().enumerate() {
-            let Node::Split { left, right, .. } = node else {
-                continue;
+            let (threshold, left, right) = match *node {
+                Node::Leaf { prob } if !(0.0..=1.0).contains(&prob) => {
+                    return Err(format!(
+                        "node {id}: leaf probability {prob} is outside [0, 1]"
+                    ));
+                }
+                Node::Leaf { .. } => continue,
+                Node::Split {
+                    threshold,
+                    left,
+                    right,
+                    ..
+                } => (threshold, left, right),
             };
-            for child in [*left, *right] {
+            if !threshold.is_finite() {
+                return Err(format!(
+                    "node {id}: split threshold {threshold} is not finite"
+                ));
+            }
+            for child in [left, right] {
                 if child >= n {
                     return Err(format!(
                         "node {id}: child index {child} is out of range ({n} nodes)"

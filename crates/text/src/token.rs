@@ -174,12 +174,6 @@ pub fn tokenize(text: &str) -> Vec<Token> {
     tokens
 }
 
-/// Find the index of the token covering byte offset `at`, or the nearest
-/// token starting after it.
-pub fn token_at(tokens: &[Token], at: usize) -> usize {
-    tokens.partition_point(|t| t.end <= at)
-}
-
 /// Very light stemmer for overlap comparisons: lowercases and strips
 /// regular plural/inflection suffixes (`prices` → `price`, `ratings` →
 /// `rating`). Deliberately conservative — it only needs to make the same
@@ -271,15 +265,6 @@ mod tests {
     fn hyphenated_words() {
         let toks = kinds("two-wheelers rose");
         assert_eq!(toks[0], ("two-wheelers".into(), TokenKind::Word));
-    }
-
-    #[test]
-    fn token_at_finds_covering_token() {
-        let s = "abc 123 def";
-        let toks = tokenize(s);
-        assert_eq!(token_at(&toks, 4), 1);
-        assert_eq!(token_at(&toks, 6), 1);
-        assert_eq!(token_at(&toks, 8), 2);
     }
 
     #[test]

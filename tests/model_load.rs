@@ -1,7 +1,9 @@
-//! Model files are checked when loaded: a malformed tree or a split on a
-//! feature the row does not have makes `Briq::from_json` return an error
-//! naming the tree and node, before anything walks a tree or scores a
-//! row. A config missing a field is refused and the error names it.
+//! Model files are checked when loaded: a malformed tree, a split on a
+//! feature the row does not have, a split threshold that is not finite,
+//! or a leaf probability outside [0, 1] makes `Briq::from_json` return
+//! an error naming the tree and node, before anything walks a tree or
+//! scores a row. A config missing a field is refused and the error names
+//! it.
 
 use std::sync::OnceLock;
 
@@ -64,12 +66,13 @@ fn nodes(forest: &mut Value, t: usize) -> &mut Vec<Value> {
     }
 }
 
-/// The index and fields of the first split node at or after `from`.
-fn split(nodes: &mut [Value], from: usize) -> (usize, &mut Value) {
+/// The index and fields of the first `kind` node (`"Split"` or `"Leaf"`)
+/// at or after `from`.
+fn first<'v>(nodes: &'v mut [Value], kind: &str, from: usize) -> (usize, &'v mut Value) {
     let at = (from..nodes.len())
-        .find(|&i| nodes[i].get_variant("Split").is_some())
-        .expect("the tree has a split");
-    (at, field(&mut nodes[at], "Split"))
+        .find(|&i| nodes[i].get_variant(kind).is_some())
+        .unwrap_or_else(|| panic!("the tree has no {kind} node from {from}"));
+    (at, field(&mut nodes[at], kind))
 }
 
 fn set(split: &mut Value, key: &str, n: usize) {
@@ -123,7 +126,7 @@ fn empty_tree_is_refused() {
 fn child_pointing_back_at_the_root_is_refused() {
     let mut at = 0;
     let err = load_edited(|m| {
-        let (id, s) = split(nodes(classifier_forest(m), 1), 1);
+        let (id, s) = first(nodes(classifier_forest(m), 1), "Split", 1);
         set(s, "left", 0);
         at = id;
     });
@@ -143,7 +146,7 @@ fn out_of_range_child_is_refused() {
     let err = load_edited(|m| {
         let nodes = nodes(classifier_forest(m), 3);
         let n = nodes.len();
-        let (id, s) = split(nodes, 0);
+        let (id, s) = first(nodes, "Split", 0);
         set(s, "right", n);
         at = id;
     });
@@ -153,7 +156,7 @@ fn out_of_range_child_is_refused() {
 #[test]
 fn child_shared_by_two_splits_is_refused() {
     let err = load_edited(|m| {
-        let (_, s) = split(nodes(classifier_forest(m), 0), 0);
+        let (_, s) = first(nodes(classifier_forest(m), 0), "Split", 0);
         let left = field(s, "left").clone();
         *field(s, "right") = left;
     });
@@ -164,7 +167,7 @@ fn child_shared_by_two_splits_is_refused() {
 fn classifier_split_past_the_row_is_refused() {
     let mut at = 0;
     let err = load_edited(|m| {
-        let (id, s) = split(nodes(classifier_forest(m), 1), 0);
+        let (id, s) = first(nodes(classifier_forest(m), 1), "Split", 0);
         set(s, "feature", FEATURE_COUNT);
         at = id;
     });
@@ -175,6 +178,61 @@ fn classifier_split_past_the_row_is_refused() {
             "tree 1",
             &format!("node {at}"),
             &format!("split feature {FEATURE_COUNT}"),
+        ],
+    );
+}
+
+#[test]
+fn split_threshold_null_is_refused() {
+    // The JSON decoder reads `null` as NaN for an f64.
+    let mut at = 0;
+    let err = load_edited(|m| {
+        let (id, s) = first(nodes(classifier_forest(m), 2), "Split", 1);
+        *field(s, "threshold") = Value::Null;
+        at = id;
+    });
+    assert_names(
+        &err,
+        &[
+            "tree 2",
+            &format!("node {at}"),
+            "split threshold NaN is not finite",
+        ],
+    );
+}
+
+#[test]
+fn leaf_probability_null_is_refused() {
+    let mut at = 0;
+    let err = load_edited(|m| {
+        let (id, l) = first(nodes(classifier_forest(m), 1), "Leaf", 0);
+        *field(l, "prob") = Value::Null;
+        at = id;
+    });
+    assert_names(
+        &err,
+        &[
+            "tree 1",
+            &format!("node {at}"),
+            "leaf probability NaN is outside [0, 1]",
+        ],
+    );
+}
+
+#[test]
+fn leaf_probability_above_one_is_refused() {
+    let mut at = 0;
+    let err = load_edited(|m| {
+        let (id, l) = first(nodes(classifier_forest(m), 3), "Leaf", 0);
+        *field(l, "prob") = Value::Num(1.5);
+        at = id;
+    });
+    assert_names(
+        &err,
+        &[
+            "tree 3",
+            &format!("node {at}"),
+            "leaf probability 1.5 is outside [0, 1]",
         ],
     );
 }
