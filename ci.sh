@@ -88,16 +88,18 @@
 #                actually happened); (c) text-only edit — the same bar
 #                as (b) after rewording two phrases that occur only in
 #                paragraph text on five pages (the stage fails if the
-#                edit touched anything outside a <p>), so the changed
-#                documents replay their table half from the store, the
-#                one partial tier, which (b)'s digit rotation never
-#                reaches.
+#                edit touched anything outside a <p>), which proves that
+#                a text-only edit recomputes the changed documents
+#                byte-identically while the store serves the rest.
 #   persist      durability gate for the on-disk store (DESIGN.md §16).
 #                Byte-compares a cold --oracle run against (1) a
 #                fresh --store-dir run, (2) a restart-warmed run in a new
 #                process over the same directory (which must recover every
-#                entry and report hit_rate 1.000 / mentions_realigned 0),
-#                and (3) a run over a log whose tail was deliberately torn
+#                entry and report hit_rate 1.000 / mentions_realigned 0,
+#                and whose exit snapshot must hold the first run's
+#                snapshot records byte for byte: compaction re-emits
+#                recovered records verbatim), and (3) a run over a log
+#                whose tail was deliberately torn
 #                with garbage bytes (which must truncate and recompute,
 #                never fail). Then a durable re-crawl: a fresh directory
 #                warmed from the corpus aligns a copy with every digit of
@@ -366,8 +368,8 @@ stage_store() {
     # (c) Text-only edit: warm from the pristine pages, reword two
     # phrases in the paragraphs of the first five pages, and hold the
     # incremental run to the same bar as (b). Everything outside the
-    # paragraphs must be byte-unchanged, so every changed document
-    # replays its table half from the store.
+    # paragraphs must be byte-unchanged, so this proves that a text-only
+    # edit recomputes the changed documents byte-identically.
     cp -r "$dir/corpus" "$dir/reworded"
     local paragraphs_out='s/<p>[^<]*<\/p>//g'
     n=0
@@ -444,7 +446,11 @@ stage_persist() {
 
     # (c) Restart-warmed run in a NEW process over the same directory:
     # must recover every entry, serve the unchanged corpus entirely from
-    # cache, and still byte-match the cold oracle.
+    # cache, and still byte-match the cold oracle. It inserts nothing, so
+    # the snapshot it writes at exit must re-emit the recovered records
+    # verbatim: equal to the first run's snapshot after the 24-byte
+    # header, which differs only in its generation.
+    cp "$dir/store"/snapshot-*.briq "$dir/first.briq"
     align_run "$dir" warm --batch "$dir/corpus" --jobs 1 --store-dir "$dir/store"
     same_run persist "$dir" cold warm || return 1
     grep -q '^store: recovered ' "$dir/err_warm.txt" || {
@@ -455,6 +461,10 @@ stage_persist() {
     grep -q 'store: repeat 1/1 .* hit_rate 1\.000 .* mentions_realigned 0$' "$dir/err_warm.txt" || {
         echo "persist: restart-warmed run was not served entirely from the recovered store:" >&2
         grep '^store:' "$dir/err_warm.txt" >&2
+        return 1
+    }
+    cmp -s -i 24 "$dir/first.briq" "$dir/store"/snapshot-*.briq || {
+        echo "persist: the restart-warmed run's snapshot does not hold the first run's records byte for byte" >&2
         return 1
     }
 
@@ -549,7 +559,7 @@ stage_persist() {
         grep '^store:' "$dir/serve2.log.err" >&2
         return 1
     }
-    echo "persist: cold, fresh-durable, restart-warmed, and torn-log runs byte-identical; mutated re-crawl and its restart (snapshot_gen $gen) byte-identical; SIGKILLed server recovered $recovered entr$( [ "$recovered" = "1" ] && echo y || echo ies ) and served $hits/$pages re-driven pages from cache"
+    echo "persist: cold, fresh-durable, restart-warmed, and torn-log runs byte-identical; restart snapshot re-emits the recovered records verbatim; mutated re-crawl and its restart (snapshot_gen $gen) byte-identical; SIGKILLed server recovered $recovered entr$( [ "$recovered" = "1" ] && echo y || echo ies ) and served $hits/$pages re-driven pages from cache"
 }
 
 # Boot a briq-serve child, leaving its loopback address in SERVE_ADDR

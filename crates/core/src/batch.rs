@@ -141,8 +141,8 @@ pub struct DocReport {
     /// Everything that degraded while aligning this document.
     pub diagnostics: Diagnostics,
     /// Span trace and metrics recorded for this document — present only
-    /// when [`BatchConfig::trace`] was set (and the document's worker
-    /// did not panic).
+    /// when [`BatchConfig::trace`] was set. A document whose alignment
+    /// panicked keeps what it recorded before the panic.
     pub trace: Option<DocTrace>,
 }
 
@@ -231,8 +231,8 @@ impl BatchReport {
     /// `degraded_documents` counters. Counter values and histogram bucket
     /// counts are identical for every worker count and with tracing on
     /// or off (merging is commutative addition); only wall-clock-derived
-    /// histogram *values* vary run to run. A document whose worker
-    /// panicked contributes nothing.
+    /// histogram *values* vary run to run. A document whose alignment
+    /// panicked contributes what it recorded before the panic.
     pub fn merged_metrics(&self) -> MetricsRegistry {
         self.metrics.clone()
     }
@@ -424,7 +424,8 @@ fn run_worker(
 }
 
 /// Align document `index` into its own recorder; its trace is always
-/// present unless the document panicked.
+/// present, a panicked document's included (span guards close while the
+/// panic unwinds).
 fn align_one(
     briq: &Briq,
     index: usize,
@@ -447,14 +448,15 @@ fn align_one(
         let _g = span!(rec, names::SPAN_ALIGN, doc = index);
         align_isolated(briq, index, doc, &opts)
     };
-    match result {
-        Ok(out) => DocReport {
-            index,
-            alignments: out.alignments,
-            diagnostics: out.diagnostics,
-            trace: rec.finish(),
-        },
-        Err(_) => panicked_report(index),
+    let (alignments, diagnostics) = match result {
+        Ok(out) => (out.alignments, out.diagnostics),
+        Err(diagnostics) => (Vec::new(), diagnostics),
+    };
+    DocReport {
+        index,
+        alignments,
+        diagnostics,
+        trace: rec.finish(),
     }
 }
 
@@ -492,8 +494,8 @@ pub(crate) fn doc_scoped(index: usize, item: &Diagnostic) -> Diagnostic {
     }
 }
 
-/// The degraded stand-in for a document whose worker panicked: empty
-/// alignments plus the [`panicked`] diagnostics.
+/// The degraded stand-in for a document no worker reported (its pool
+/// loop died): empty alignments plus the [`panicked`] diagnostics.
 fn panicked_report(index: usize) -> DocReport {
     DocReport {
         index,
@@ -783,6 +785,28 @@ mod tests {
         for s in &shapes[1..] {
             assert_eq!(s, &shapes[0]);
         }
+    }
+
+    #[test]
+    fn a_panicked_document_keeps_what_it_recorded() {
+        let briq = Briq::untrained(BriqConfig::default());
+        let store = AlignmentStore::for_system(&briq);
+        let cfg = BatchConfig::with_jobs(1);
+        align_batch_stored(&briq, &[doc(0)], &cfg, &store, None);
+        // A table that claims a row it does not hold: the lookup
+        // invalidates the cached version under the same key, then
+        // extraction indexes past the cells and panics.
+        let mut broken = doc(0);
+        broken.tables[0].n_rows += 1;
+        let r = align_batch_stored(&briq, &[broken], &cfg, &store, None);
+        assert_eq!(r.documents[0].diagnostics, panicked(0));
+        assert!(r.documents[0].alignments.is_empty());
+        let m = r.merged_metrics();
+        assert_eq!(m.counter(names::DOCUMENTS), 1);
+        assert_eq!(m.counter(names::STORE_INVALIDATIONS), 1);
+        // The spans open when the panic struck closed as it unwound.
+        let extract = m.histogram(&names::span_histogram(names::SPAN_EXTRACT));
+        assert_eq!(extract.map(Histogram::count), Some(1));
     }
 
     #[test]

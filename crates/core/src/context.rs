@@ -71,8 +71,7 @@ pub struct TableContext {
 
 impl TableContext {
     /// Build the context of one table. Pure in the table's caption and
-    /// cell grid — the alignment store relies on this purity to reuse
-    /// cached table contexts across page versions (DESIGN.md §15).
+    /// cell grid.
     pub fn build(table: &briq_table::Table) -> TableContext {
         let row_words: Vec<_> = (0..table.n_rows)
             .map(|r| stem_set(&table.row_text(r)))
@@ -177,20 +176,6 @@ impl DocContext {
     /// Build the full context for `doc` and its extracted `mentions`.
     pub fn build(doc: &Document, mentions: &[TextMention], cfg: &ContextConfig) -> DocContext {
         let tables = doc.tables.iter().map(TableContext::build).collect();
-        Self::build_with_tables(doc, mentions, cfg, tables)
-    }
-
-    /// [`DocContext::build`] with the per-table contexts supplied by the
-    /// caller. Everything else is derived from `doc.text` alone, so the
-    /// alignment store can recombine a cached text side with freshly (or
-    /// separately cached) built table contexts. `build` delegates here —
-    /// the two can never drift apart.
-    pub fn build_with_tables(
-        doc: &Document,
-        mentions: &[TextMention],
-        cfg: &ContextConfig,
-        tables: Vec<TableContext>,
-    ) -> DocContext {
         let tokens = tokenize(&doc.text);
         let sentences = split_sentences(&doc.text);
         let paragraph_words = stem_set(&doc.text);

@@ -7,7 +7,7 @@ use briq_text::cues::AggregationKind;
 
 use crate::batch::{align_batch, BatchConfig, BatchReport};
 use crate::classifier::PairClassifier;
-use crate::context::{ContextConfig, DocContext, TableContext};
+use crate::context::{ContextConfig, DocContext};
 use crate::error::{
     BriqError, Budget, CancelCause, CancelToken, DegradedAction, Diagnostics, Stage,
 };
@@ -376,7 +376,7 @@ impl Briq {
         doc: &Document,
         budget: &Budget,
     ) -> (ScoredDocument, Diagnostics) {
-        let x = self.extract(doc, budget, None, None);
+        let x = self.extract(doc, budget);
         let (scored, tags) = self.classify_stage(doc, &x.mentions, &x.ctx, &x.targets);
         (
             ScoredDocument {
@@ -391,42 +391,13 @@ impl Briq {
         )
     }
 
-    /// Stage 1: text mentions and document context, then per-table
-    /// contexts and (budget-capped) targets with their degradation
-    /// diagnostics. A half passed in is used instead of being computed:
-    /// the text half is pure in `doc.text` + config, the table half in
-    /// `doc.tables` + config + budget, which is what lets the alignment
-    /// store replay one while the other changed (DESIGN.md §15).
-    fn extract(
-        &self,
-        doc: &Document,
-        budget: &Budget,
-        text: Option<TextHalf>,
-        tables: Option<TableHalf>,
-    ) -> Extracted {
-        let (mentions, mut ctx) = text.unwrap_or_else(|| {
-            let mentions = text_mentions(doc);
-            let ctx = DocContext::build_with_tables(doc, &mentions, &self.cfg.context, Vec::new());
-            (mentions, ctx)
-        });
-        let (tables, targets, diags) =
-            tables.unwrap_or_else(|| self.extract_table_side(doc, budget));
-        ctx.tables = tables;
-        Extracted {
-            mentions,
-            ctx,
-            targets,
-            diags,
-        }
-    }
-
-    /// The table half of extraction: per-table contexts, alignment
-    /// targets (single + capped virtual cells), and the degenerate-table
-    /// / budget-truncation diagnostics they produce.
-    fn extract_table_side(&self, doc: &Document, budget: &Budget) -> TableHalf {
+    /// Stage 1: text mentions and the document context with its
+    /// per-table contexts, then the (budget-capped) targets with their
+    /// degenerate-table and budget-truncation diagnostics.
+    fn extract(&self, doc: &Document, budget: &Budget) -> Extracted {
+        let mentions = text_mentions(doc);
+        let ctx = DocContext::build(doc, &mentions, &self.cfg.context);
         let mut diags = Diagnostics::default();
-        let tables: Vec<TableContext> = doc.tables.iter().map(TableContext::build).collect();
-
         for (i, t) in doc.tables.iter().enumerate() {
             if t.data_rows().is_empty() || t.data_cols().is_empty() {
                 diags.record(
@@ -454,7 +425,12 @@ impl Briq {
                 DegradedAction::Truncated,
             );
         }
-        (tables, targets, diags)
+        Extracted {
+            mentions,
+            ctx,
+            targets,
+            diags,
+        }
     }
 
     /// Stage 2: score every mention/target pair and tag each mention's
@@ -609,14 +585,15 @@ impl Briq {
     /// * **Store** — with `cfg.use_store`, the store is a lookup and an
     ///   insert around the one stage sequence: extraction asks
     ///   `AlignmentStore::lookup` first, which serves an unchanged
-    ///   document whole or hands back the extraction halves whose inputs
-    ///   are unchanged; any other document runs every later stage in
-    ///   full and is cached by `AlignmentStore::insert`. Alignments,
-    ///   diagnostics, filter totals, and candidates are bit-identical to
-    ///   the storeless run for every cache state — the store only ever
-    ///   replays artifacts whose inputs fingerprint-match — and so are
-    ///   the recorded spans of every document the store does not serve
-    ///   whole.
+    ///   document whole; any other document runs every stage in full
+    ///   and is cached by `AlignmentStore::insert`, which keeps only its
+    ///   fingerprints and outputs (plus, in a durable store, its encoded
+    ///   record, which compaction writes verbatim and recovery reads back
+    ///   record by record). Alignments, diagnostics, filter totals, and
+    ///   candidates are bit-identical to the storeless run for every
+    ///   cache state — a hit serves only outputs whose inputs
+    ///   fingerprint-match — and so are the recorded spans of every
+    ///   document the store does not serve whole.
     pub fn align_with(&self, doc: &Document, opts: &AlignOpts) -> AlignOutput {
         let off = Recorder::disabled();
         let never = CancelToken::none();
@@ -657,8 +634,7 @@ impl Briq {
     /// Stage 1 under the `extract` span, then the `mentions`/`targets`
     /// counts. With a store, its lookup runs first, inside the span
     /// (DESIGN.md §15): a full hit ends the document (`Break`), and a
-    /// miss hands back what the insert needs plus the extraction halves
-    /// to replay (`None` halves are computed).
+    /// miss hands back what the insert needs.
     fn extract_stage(
         &self,
         doc: &Document,
@@ -673,14 +649,11 @@ impl Briq {
         }
         let (miss, x) = {
             let _g = span!(rec, names::SPAN_EXTRACT);
-            let (miss, text, tables) = match store {
-                Some((store, key)) => {
-                    let (miss, text, tables) = store.lookup(key, doc, budget, rec)?;
-                    (Some(miss), text, tables)
-                }
-                None => (None, None, None),
+            let miss = match store {
+                Some((store, key)) => Some(store.lookup(key, doc, budget, rec)?),
+                None => None,
             };
-            (miss, self.extract(doc, budget, text, tables))
+            (miss, self.extract(doc, budget))
         };
         rec.count(names::MENTIONS, x.mentions.len() as u64);
         rec.count(names::TARGETS, x.targets.len() as u64);
@@ -811,14 +784,6 @@ pub(crate) type AlignResult = (
     Diagnostics,
 );
 
-/// The text half of extraction: text mentions and the document context
-/// without its table contexts.
-pub(crate) type TextHalf = (Vec<TextMention>, DocContext);
-
-/// The table half of extraction: per-table contexts, alignment targets,
-/// and the degenerate-table / budget-truncation diagnostics.
-pub(crate) type TableHalf = (Vec<TableContext>, Vec<TableMention>, Diagnostics);
-
 /// What stage 1 produced for one document.
 pub(crate) struct Extracted {
     /// Extracted text mentions.
@@ -827,7 +792,7 @@ pub(crate) struct Extracted {
     pub(crate) ctx: DocContext,
     /// All table mentions (single + capped virtual cells).
     pub(crate) targets: Vec<TableMention>,
-    /// Extraction diagnostics (the table half's).
+    /// Extraction diagnostics: degenerate and truncated tables.
     pub(crate) diags: Diagnostics,
 }
 

@@ -116,7 +116,8 @@ pub struct ServeConfig {
     /// graceful drain (DESIGN.md §16, OPERATIONS.md §13).
     pub store_dir: Option<String>,
     /// Resident-memory budget for the alignment store in bytes; `0`
-    /// means unbounded. Entries beyond it are evicted LRU-first.
+    /// means unbounded. Crossing it evicts entries LRU-first down to 7/8
+    /// of it (see `StoreOptions::max_bytes`).
     pub store_max_bytes: u64,
 }
 

@@ -2,48 +2,45 @@
 //!
 //! The batch pipeline is stateless: every run recomputes every document
 //! from scratch, even though real workloads re-align near-identical page
-//! versions over and over. The [`AlignmentStore`] turns alignments into
-//! first-class precomputed artifacts: per document key it caches the
-//! text-side extraction, the table-side contexts and targets, and the
-//! final alignments + candidates + diagnostics + filter totals, each
-//! guarded by a content fingerprint of exactly the inputs that artifact
-//! reads.
+//! versions over and over. The [`AlignmentStore`] caches, per document
+//! key, what aligning the document produced — its alignments, kept
+//! candidates, diagnostics and filter totals — guarded by content
+//! fingerprints of the config, the paragraph text and every table.
 //!
-//! On re-alignment of a new page version the store diffs fingerprints
-//! and serves what it can prove unchanged, in two tiers:
+//! On re-alignment of a new page version the store diffs fingerprints,
+//! and a document is one of two things:
 //!
-//! - **Full hit** — config, paragraph text, and every table fingerprint
-//!   match: the cached alignments, diagnostics, candidates, and filter
-//!   totals are served verbatim; classify, filter, and resolution do not
-//!   run at all.
-//! - **Extraction half** — otherwise, when the config still matches, the
-//!   half of extraction whose input is unchanged is replayed: the table
-//!   side (per-table contexts, targets, degenerate/truncation
-//!   diagnostics) when every table is unchanged, the text side
-//!   (mentions and the paragraph context) when the paragraph is. The
-//!   other half is re-extracted, and every mention is classified,
-//!   filtered, and resolved again.
+//! - **A full hit** — config, paragraph text, and every table fingerprint
+//!   match: the cached outputs are served verbatim; classify, filter, and
+//!   resolution do not run at all.
+//! - **A full recompute** — anything changed: the prior entry is
+//!   invalidated, and the document runs every stage exactly as it does
+//!   without a store before its new version is cached.
+//!
+//! An entry keeps no extraction intermediates (mentions, contexts,
+//! targets): they would be nearly all of its bytes, and replaying the
+//! extraction half an edit left alone would spare a changed document
+//! only about an eighth of its alignment time (DESIGN.md §15).
 //!
 //! The store is a lookup and an insert around the pipeline's one stage
 //! sequence, not a second copy of it: [`Briq::align_with`] runs
 //! `AlignmentStore::lookup` inside the `extract` span (so
-//! fingerprinting is charged to extraction), replays the halves it hands
-//! back, runs every later stage exactly as the storeless path does, and
-//! hands the result to `AlignmentStore::insert`. Resolution is a
-//! global algorithm (every accepted alignment updates the graph the next
-//! walk runs on), so no part of it is worth replaying for a changed
-//! document. That, plus the purity of each cached artifact in its
-//! fingerprinted inputs, is the bit-identity argument: the store can
-//! only ever replay values the full recompute would have produced. Both
-//! paths record the same spans and pipeline counters; only the store
-//! counters are the store's own. `use_store: false` (part of
-//! `briq-align --oracle`) is the reference CI byte-compares the two
-//! paths against on real corpora every run.
+//! fingerprinting is charged to extraction), runs every later stage
+//! exactly as the storeless path does when the lookup misses, and hands
+//! the result to `AlignmentStore::insert`. A hit serves only what the
+//! full recompute produced for inputs with the same fingerprints, which
+//! is the bit-identity argument. Both paths record the same spans and
+//! pipeline counters; only the store counters are the store's own.
+//! `use_store: false` (part of `briq-align --oracle`) is the reference CI
+//! byte-compares the two paths against on real corpora every run.
 //!
 //! With [`StoreOptions::dir`] set, the store is additionally backed by
 //! the [`persist`] layer (DESIGN.md §16): every cached entry is appended
-//! to an on-disk novelty log, periodically compacted into snapshots, and
-//! recovered on the next open — so warm starts survive process restarts.
+//! to an on-disk novelty log as its v1 record, periodically compacted
+//! into snapshots, and recovered on the next open — so warm starts
+//! survive process restarts. A durable entry keeps its encoded record:
+//! compaction writes it verbatim, and recovery streams the records in
+//! and decodes only their fingerprints and outputs.
 //! [`StoreOptions::max_bytes`] bounds resident memory with LRU eviction.
 //! Neither changes any output: persistence and eviction only move work
 //! between "served from cache" and "recomputed", never alter a result.
@@ -57,14 +54,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use briq_table::{Document, Table, TableMention};
+use briq_table::{Document, Table};
 
-use crate::context::{DocContext, TableContext};
 use crate::error::{Budget, Diagnostics};
 use crate::filtering::{Candidate, FilterStats};
-use crate::mention::{Alignment, TextMention};
+use crate::mention::Alignment;
 use crate::obs::{names, Recorder};
-use crate::pipeline::{AlignResult, Briq, Extracted, TableHalf, TextHalf};
+use crate::pipeline::{AlignResult, Briq, Extracted};
 
 /// Incremental FNV-1a hasher used for every content fingerprint. FNV is
 /// fully deterministic — no per-process seed — so fingerprints are
@@ -181,42 +177,26 @@ pub fn model_fingerprint(briq: &Briq) -> u64 {
     fp.finish()
 }
 
-/// One mention's slot in a cached entry: its kept candidates, served on
-/// a full hit. `fp` and `stats` are slots of the v1 record layout that
-/// nothing reads any more; [`AlignmentStore::insert`] writes them as `0`
-/// and empty, and an entry recovered from an older store keeps whatever
-/// it holds there.
-#[derive(Debug, Clone)]
-struct MentionArtifact {
-    fp: u64,
-    candidates: Vec<Candidate>,
-    stats: FilterStats,
-}
-
-/// Everything the store remembers about one document version.
+/// What the store keeps for one document version: the fingerprints a
+/// lookup compares and the outputs a full hit serves.
 #[derive(Debug)]
 pub(crate) struct DocEntry {
     config_fp: u64,
     text_fp: u64,
-    /// A v1 record slot nothing reads any more; written as `0` (see
-    /// [`MentionArtifact`]).
-    aggregate_fp: u64,
     table_fps: Vec<u64>,
-    /// Text-side extraction artifacts: mentions and the text half of the
-    /// context (`text_ctx.tables` is empty; table contexts live below so
-    /// the two sides invalidate independently).
-    text_mentions: Vec<TextMention>,
-    text_ctx: DocContext,
-    /// Table-side extraction artifacts.
-    table_contexts: Vec<TableContext>,
-    targets: Vec<TableMention>,
-    extract_diags: Diagnostics,
-    /// Per-mention kept candidates, parallel to `text_mentions`.
-    artifacts: Vec<MentionArtifact>,
+    /// The document's mention and target counts, which a full hit records
+    /// in place of the extraction it skips.
+    mentions: u64,
+    targets: u64,
     /// Final document outputs, served verbatim on a full hit.
     alignments: Vec<Alignment>,
+    candidates: Vec<Vec<Candidate>>,
     diagnostics: Diagnostics,
     stats: FilterStats,
+    /// In a durable store, the entry's encoded v1 record (store key
+    /// first), which compaction writes verbatim; empty in an in-memory
+    /// store.
+    record: Box<[u8]>,
     approx_bytes: u64,
     /// LRU clock value of the last lookup that touched this entry
     /// (monotone per-store counter, not wall time). Not persisted.
@@ -224,42 +204,18 @@ pub(crate) struct DocEntry {
 }
 
 impl DocEntry {
-    /// Coarse resident-size estimate for the `store_bytes_peak` gauge:
-    /// string payloads plus shallow container sizes. Observational only.
+    /// Coarse resident-size estimate for the `store_bytes_peak` gauge and
+    /// the eviction budget: the kept record, the string payloads, and
+    /// shallow container sizes.
     fn estimate_bytes(&self) -> u64 {
-        fn strings<'a, I: IntoIterator<Item = &'a String>>(it: I) -> usize {
-            it.into_iter().map(|s| s.len() + 32).sum()
+        let mut n = std::mem::size_of::<DocEntry>() + self.table_fps.len() * 8 + self.record.len();
+        for c in &self.candidates {
+            n += c.len() * std::mem::size_of::<Candidate>() + 64;
         }
-        let mut n = std::mem::size_of::<DocEntry>();
-        n += self.table_fps.len() * 8;
-        n += self.text_mentions.len() * std::mem::size_of::<TextMention>();
-        n += strings(self.text_mentions.iter().map(|m| &m.quantity.raw));
-        let ctx = &self.text_ctx;
-        n += std::mem::size_of_val(ctx.tokens.as_slice());
-        n += strings(&ctx.paragraph_words) + strings(&ctx.paragraph_phrases);
-        n += strings(&ctx.paragraph_word_list);
-        for mc in &ctx.mentions {
-            n += strings(mc.local_weights.keys()) + mc.local_weights.len() * 8;
-            n += strings(&mc.sentence_phrases);
-            n += strings(&mc.immediate_words) + strings(&mc.sentence_words);
+        for a in &self.alignments {
+            n += std::mem::size_of::<Alignment>() + a.mention_raw.len() + 32;
         }
-        for tc in &self.table_contexts {
-            n += strings(&tc.table_words) + strings(&tc.table_phrases);
-            for s in tc.row_words.iter().chain(&tc.col_words) {
-                n += strings(s);
-            }
-            for s in tc.row_phrases.iter().chain(&tc.col_phrases) {
-                n += strings(s);
-            }
-        }
-        n += self.targets.len() * std::mem::size_of::<TableMention>();
-        n += strings(self.targets.iter().map(|t| &t.raw));
-        for a in &self.artifacts {
-            n += a.candidates.len() * std::mem::size_of::<Candidate>() + 64;
-        }
-        n += self.alignments.len() * std::mem::size_of::<Alignment>();
-        n += strings(self.alignments.iter().map(|a| &a.mention_raw));
-        n += (self.diagnostics.items.len() + self.extract_diags.items.len()) * 128;
+        n += self.diagnostics.items.len() * 128;
         n as u64
     }
 }
@@ -275,8 +231,15 @@ pub struct StoreOptions {
     /// Directory for the durable backing (novelty log + snapshots +
     /// manifest). `None` (the default) keeps the store in-memory only.
     pub dir: Option<PathBuf>,
-    /// Resident-memory budget in (estimated) bytes; entries beyond it
-    /// are evicted least-recently-used. `0` means unbounded.
+    /// Resident-memory budget in (estimated) bytes; `0` means unbounded.
+    /// An entry is estimated at the size of its outputs, a few KB per
+    /// document, plus, in a durable store, the v1 record it keeps for
+    /// compaction to write verbatim (~150 KB per generated document). An
+    /// insert that takes the store over the budget evicts
+    /// least-recently-used entries down to 7/8 of it, so eviction runs
+    /// once per ~1/8 of the budget inserted rather than after every
+    /// insert. Recovery streams records in one at a time and applies the
+    /// budget once it has read them all.
     pub max_bytes: u64,
     /// Floor of the novelty-log size that triggers a compacting
     /// snapshot: the log compacts once it exceeds both this and the
@@ -297,16 +260,25 @@ impl Default for StoreOptions {
     }
 }
 
+/// Resident bytes an eviction leaves at most: 7/8 of the budget, so the
+/// next eviction waits for ~1/8 of the budget of inserts.
+fn low_water(max_bytes: u64) -> u64 {
+    max_bytes - max_bytes / 8
+}
+
 /// Pure LRU eviction planner: given `(key, last_used, bytes)` per entry
-/// and a byte budget, return the keys to evict — least-recently-used
-/// first (key order breaks ties deterministically) until the survivors
-/// fit. The most-recently-used entry is never evicted, so the entry a
-/// lookup just produced cannot be dropped before it is ever served.
+/// and a byte budget, return the keys to evict. Nothing is evicted while
+/// the entries fit the budget; once they exceed it, entries go
+/// least-recently-used first (key order breaks ties deterministically)
+/// until the survivors fit [`low_water`]. The most-recently-used entry is
+/// never evicted, so the entry a lookup just produced cannot be dropped
+/// before it is ever served.
 pub(crate) fn evict_plan(items: &[(u64, u64, u64)], max_bytes: u64) -> Vec<u64> {
     let total: u64 = items.iter().map(|&(_, _, b)| b).sum();
     if max_bytes == 0 || total <= max_bytes || items.is_empty() {
         return Vec::new();
     }
+    let target = low_water(max_bytes);
     let mut order: Vec<&(u64, u64, u64)> = items.iter().collect();
     order.sort_by_key(|&&(key, used, _)| (used, key));
     let mut resident = total;
@@ -314,7 +286,7 @@ pub(crate) fn evict_plan(items: &[(u64, u64, u64)], max_bytes: u64) -> Vec<u64> 
     // `order.len() - 1`: the last (most-recently-used) entry survives
     // even when it alone exceeds the budget.
     for &&(key, _, bytes) in order.iter().take(order.len() - 1) {
-        if resident <= max_bytes {
+        if resident <= target {
             break;
         }
         resident -= bytes;
@@ -396,28 +368,31 @@ impl AlignmentStore {
 
     /// Create a store with explicit [`StoreOptions`]. With a `dir` set,
     /// opens (or creates) the durable backing and recovers every entry
-    /// it holds — replaying the snapshot then the novelty log, last
-    /// write per key winning — before the store serves its first
+    /// it holds — streaming the snapshot's records, then the novelty
+    /// log's, into the store one at a time, a later record replacing an
+    /// earlier one for the same key — before the store serves its first
     /// lookup. Fails only on real I/O errors; corrupt or incompatible
     /// on-disk state recovers to a smaller (possibly empty) store
     /// instead of failing (see [`persist`]).
     pub fn with_options(briq: &Briq, opts: &StoreOptions) -> std::io::Result<AlignmentStore> {
         let model_fp = model_fingerprint(briq);
         let t = Instant::now();
+        let mut map = HashMap::new();
+        // Replay order seeds the LRU clock: later records are newer.
+        let mut clock = 0;
+        let mut replay = |key: u64, mut entry: DocEntry| {
+            clock += 1;
+            entry.last_used = clock;
+            map.insert(key, entry);
+        };
         let (backing, rec) = match &opts.dir {
             Some(dir) => {
-                let (p, rec) = persist::Persistence::open(dir, model_fp, opts.compact_log_bytes)?;
+                let (p, rec) =
+                    persist::Persistence::open(dir, model_fp, opts.compact_log_bytes, &mut replay)?;
                 (Some(p), rec)
             }
             None => (None, persist::Recovered::default()),
         };
-        // Replay order seeds the LRU clock: later records are newer.
-        let clock = rec.entries.len() as u64;
-        let mut map = HashMap::new();
-        for ((key, mut entry), last_used) in rec.entries.into_iter().zip(1..) {
-            entry.last_used = last_used;
-            map.insert(key, entry);
-        }
         // Apply the memory budget to the recovered set too: a restart
         // must not resurrect more than a live server would have kept
         // resident.
@@ -523,10 +498,9 @@ impl AlignmentStore {
     /// novelty log. No-op without persistence. Called on graceful drain
     /// and after warm-up passes; also triggered automatically once the
     /// log outgrows both the current snapshot and the
-    /// [`StoreOptions::compact_log_bytes`] floor. The entries go to the
-    /// writer as key-ordered references and are encoded one record at a
-    /// time as the file is written, so a snapshot costs one record of
-    /// memory, not a copy of the live set.
+    /// [`StoreOptions::compact_log_bytes`] floor. Each entry's kept
+    /// record is written verbatim, in key order, so a snapshot encodes
+    /// nothing and copies nothing of the live set.
     pub fn snapshot(&self) -> std::io::Result<()> {
         let Some(p) = &self.persist else {
             return Ok(());
@@ -536,7 +510,11 @@ impl AlignmentStore {
         // and log locks *inside* this — the lock order entries → snap →
         // log is the only one used anywhere (appends take log alone).
         let map = lock(&self.entries);
-        p.write_snapshot(&key_ordered(&map))
+        let records: Vec<&[u8]> = key_ordered(&map)
+            .into_iter()
+            .map(|(_, e)| &*e.record)
+            .collect();
+        p.write_snapshot(&records)
     }
 
     /// The line reporting what opening a durable store recovered —
@@ -574,18 +552,20 @@ impl AlignmentStore {
         )
     }
 
-    /// Encoded record payloads of every resident entry, key-ordered.
-    /// Test/diagnostic surface for the persistence layer.
+    /// The kept records of every resident entry, key-ordered (empty
+    /// records in an in-memory store). Test surface for the persistence
+    /// layer.
     #[cfg(test)]
     pub(crate) fn encoded_entries(&self) -> Vec<Vec<u8>> {
         key_ordered(&lock(&self.entries))
             .into_iter()
-            .map(|(k, e)| persist::encode_record(k, e))
+            .map(|(_, e)| e.record.to_vec())
             .collect()
     }
 
-    /// Evict least-recently-used entries until the resident estimate
-    /// fits the budget. Eviction only removes cache entries — a later
+    /// Once the resident estimate exceeds the budget, evict
+    /// least-recently-used entries down to its low-water mark (see
+    /// [`evict_plan`]). Eviction only removes cache entries — a later
     /// lookup for an evicted key recomputes (or recovers from disk on
     /// the next restart) and produces identical output.
     fn evict_to_budget(&self, rec: &Recorder) {
@@ -627,10 +607,12 @@ impl AlignmentStore {
     }
 
     /// Cache the new version of a document the lookup missed: its
-    /// fingerprints, both extraction halves, and its finished outputs.
-    /// `x.ctx.tables` moves out so the text side is stored table-free and
-    /// the two sides invalidate separately. Every mention of the document
-    /// was aligned again, so all of them count as `mentions_realigned`.
+    /// fingerprints, its mention and target counts, and its finished
+    /// outputs. A durable store also encodes the document's v1 record,
+    /// which the entry keeps and the novelty log appends; the extraction
+    /// intermediates are dropped once that record is written. Every
+    /// mention of the document was aligned again, so all of them count
+    /// as `mentions_realigned`.
     pub(crate) fn insert(
         &self,
         key: u64,
@@ -640,52 +622,35 @@ impl AlignmentStore {
         rec: &Recorder,
     ) {
         let (alignments, stats, candidates, diagnostics) = out;
-        rec.count(names::MENTIONS_REALIGNED, x.mentions.len() as u64);
-        let Extracted {
-            mentions,
-            mut ctx,
-            targets,
-            diags: extract_diags,
-        } = x;
-        let table_contexts = std::mem::take(&mut ctx.tables);
-        let artifacts = candidates
-            .iter()
-            .map(|c| MentionArtifact {
-                fp: 0,
-                candidates: c.clone(),
-                stats: FilterStats::default(),
-            })
-            .collect();
+        let (mentions, targets) = (x.mentions.len() as u64, x.targets.len() as u64);
+        rec.count(names::MENTIONS_REALIGNED, mentions);
+        let payload = self
+            .persist
+            .as_ref()
+            .map(|_| persist::encode_record(key, &miss, x, out));
         let mut entry = DocEntry {
             config_fp: miss.config_fp,
             text_fp: miss.text_fp,
-            aggregate_fp: 0,
             table_fps: miss.table_fps,
-            text_mentions: mentions,
-            text_ctx: ctx,
-            table_contexts,
+            mentions,
             targets,
-            extract_diags,
-            artifacts,
             alignments: alignments.clone(),
+            candidates: candidates.clone(),
             diagnostics: diagnostics.clone(),
             stats: stats.clone(),
+            record: payload.as_deref().map_or_else(Box::default, Box::from),
             approx_bytes: 0,
             last_used: self.tick.fetch_add(1, Ordering::Relaxed) + 1,
         };
         entry.approx_bytes = entry.estimate_bytes();
-        // Encode for the novelty log before the entry moves into the
-        // map; the append itself happens after the lock drops so disk
-        // I/O never serializes other workers' lookups.
-        let payload = self
-            .persist
-            .as_ref()
-            .map(|_| persist::encode_record(key, &entry));
         self.bytes_add(entry.approx_bytes);
         if let Some(old) = lock(&self.entries).insert(key, entry) {
             self.bytes_sub(old.approx_bytes);
         }
         if let (Some(p), Some(payload)) = (&self.persist, payload) {
+            // The append happens after the entry is in the map, so a
+            // compaction in between still covers it, and after the lock
+            // drops, so disk I/O never serializes other workers' lookups.
             // Persistence is best-effort on the hot path: an append or
             // snapshot failure costs durability (counted), never
             // correctness — the in-memory entry is already cached.
@@ -705,16 +670,15 @@ impl AlignmentStore {
     /// paragraph text, and every table unchanged — ends the document with
     /// the cached outputs, served verbatim: classify, filter, and
     /// resolution do not run at all. Otherwise any prior entry is
-    /// invalidated, and the extraction halves whose fingerprints still
-    /// match are handed back for replay, with the [`Miss`] that
-    /// [`AlignmentStore::insert`] caches the new version under.
+    /// invalidated, and the [`Miss`] that [`AlignmentStore::insert`]
+    /// caches the new version under is handed back.
     pub(crate) fn lookup(
         &self,
         key: u64,
         doc: &Document,
         budget: &Budget,
         rec: &Recorder,
-    ) -> ControlFlow<AlignResult, (Miss, Option<TextHalf>, Option<TableHalf>)> {
+    ) -> ControlFlow<AlignResult, Miss> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let mut cfp = Fingerprint::new();
         cfp.u64(self.model_fp);
@@ -730,37 +694,26 @@ impl AlignmentStore {
                 e.last_used = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 rec.count(names::STORE_HITS, 1);
-                rec.count(names::MENTIONS, e.text_mentions.len() as u64);
-                rec.count(names::TARGETS, e.targets.len() as u64);
+                rec.count(names::MENTIONS, e.mentions);
+                rec.count(names::TARGETS, e.targets);
                 return ControlFlow::Break((
                     e.alignments.clone(),
                     e.stats.clone(),
-                    e.artifacts.iter().map(|a| a.candidates.clone()).collect(),
+                    e.candidates.clone(),
                     e.diagnostics.clone(),
                 ));
             }
             map.remove(&key)
         };
-        if let Some(p) = &prior {
+        if let Some(p) = prior {
             self.bytes_sub(p.approx_bytes);
             rec.count(names::STORE_INVALIDATIONS, 1);
         }
-        let miss = Miss {
+        ControlFlow::Continue(Miss {
             config_fp,
             text_fp,
             table_fps,
-        };
-        // A config mismatch poisons everything; drop the entry outright.
-        let Some(p) = prior.filter(|p| p.config_fp == config_fp) else {
-            return ControlFlow::Continue((miss, None, None));
-        };
-        let text = (p.text_fp == text_fp).then_some((p.text_mentions, p.text_ctx));
-        let tables = (p.table_fps == miss.table_fps).then_some((
-            p.table_contexts,
-            p.targets,
-            p.extract_diags,
-        ));
-        ControlFlow::Continue((miss, text, tables))
+        })
     }
 }
 
@@ -923,15 +876,15 @@ mod tests {
         let spans: Vec<&str> = hit.structure().into_iter().map(|s| s.1).collect();
         assert_eq!(spans, [names::SPAN_EXTRACT]);
 
-        // Extra whitespace changes the paragraph: the table half replays,
-        // every mention is aligned again, and the filter counters are
-        // recorded exactly as the storeless run records them.
+        // Extra whitespace changes the paragraph: the document is
+        // recomputed, every mention is aligned again, and the filter
+        // counters are recorded exactly as the storeless run records them.
         let spaced = doc(&d.text.replace(". ", ".   "), d.tables[0].cells.clone());
-        let replayed = trace(&spaced, Some((&store, 1)));
-        assert_eq!(replayed.metrics.counter(names::STORE_INVALIDATIONS), 1);
+        let recomputed = trace(&spaced, Some((&store, 1)));
+        assert_eq!(recomputed.metrics.counter(names::STORE_INVALIDATIONS), 1);
         assert_eq!(
-            replayed.metrics.counter(names::MENTIONS_REALIGNED),
-            replayed.metrics.counter(names::MENTIONS),
+            recomputed.metrics.counter(names::MENTIONS_REALIGNED),
+            recomputed.metrics.counter(names::MENTIONS),
             "every mention of a changed document is aligned again"
         );
         let filter_counters = |t: &crate::obs::DocTrace| -> Vec<(String, u64)> {
@@ -947,7 +900,7 @@ mod tests {
         };
         let expected = filter_counters(&trace(&spaced, None));
         assert!(!expected.is_empty());
-        assert_eq!(filter_counters(&replayed), expected);
+        assert_eq!(filter_counters(&recomputed), expected);
     }
 
     #[test]
@@ -981,16 +934,19 @@ mod tests {
         assert_eq!(metrics.counter(names::STORE_INVALIDATIONS), 1);
     }
 
-    /// Brute-force LRU oracle: evict globally-least-recently-used
-    /// entries one at a time (key breaks ties) until the survivors fit,
-    /// always sparing the most-recently-used entry.
+    /// Brute-force LRU oracle: once the entries exceed the budget, evict
+    /// globally-least-recently-used entries one at a time (key breaks
+    /// ties) until the survivors fit 7/8 of it, always sparing the
+    /// most-recently-used entry.
     fn evict_oracle(items: &[(u64, u64, u64)], max_bytes: u64) -> Vec<u64> {
         let mut live: Vec<(u64, u64, u64)> = items.to_vec();
         let mut evicted = Vec::new();
-        if max_bytes == 0 {
+        let resident = |live: &[(u64, u64, u64)]| live.iter().map(|&(_, _, b)| b).sum::<u64>();
+        if max_bytes == 0 || resident(&live) <= max_bytes {
             return evicted;
         }
-        while live.len() > 1 && live.iter().map(|&(_, _, b)| b).sum::<u64>() > max_bytes {
+        let low_water = max_bytes - max_bytes / 8;
+        while live.len() > 1 && resident(&live) > low_water {
             let victim = live
                 .iter()
                 .enumerate()
@@ -1018,7 +974,9 @@ mod tests {
                 .map(|_| (next(), next() % 7, next() % 512 + 1))
                 .collect();
             let total: u64 = items.iter().map(|&(_, _, b)| b).sum();
-            for max_bytes in [0, 1, 64, total / 2, total, total + 1] {
+            // `total * 15 / 16` is over budget by less than one low-water
+            // gap: it evicts only once, and then down to 7/8 of it.
+            for max_bytes in [0, 1, 64, total / 2, total * 15 / 16, total, total + 1] {
                 assert_eq!(
                     evict_plan(&items, max_bytes),
                     evict_oracle(&items, max_bytes),

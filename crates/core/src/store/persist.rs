@@ -5,45 +5,49 @@
 //! The layer is std-only and deliberately small:
 //!
 //! - **Novelty log** (`novelty.log`) — every entry the store caches is
-//!   appended as one length-prefixed frame whose payload (store key +
-//!   full [`DocEntry`](super::AlignmentStore) encoding) is checksummed
-//!   with the same FNV-1a the content fingerprints use. Appends are the
-//!   only write on the hot path.
+//!   appended as one length-prefixed frame whose payload, the document's
+//!   v1 record (store key, fingerprints, extraction intermediates and
+//!   outputs), is checksummed with the same FNV-1a the content
+//!   fingerprints use. Appends are the only write on the hot path.
 //! - **Snapshot** (`snapshot-<gen>.briq`) — a compaction of the resident
-//!   entries into one file: their records stream in key order through a
-//!   buffered writer into a temp file, which is fsynced and renamed into
-//!   place; the log is then reset. Snapshots happen on graceful
-//!   drain/exit and when the log outgrows both the current snapshot and
-//!   the `compact_log_bytes` floor. The live set is thus rewritten only
-//!   after at least as many bytes of new records (write amplification
-//!   of ~2× at most), and recovery reads at most the snapshot plus a log
-//!   no larger than it.
+//!   entries into one file: each entry keeps its record, and the records
+//!   are written verbatim, in key order, through a buffered writer into a
+//!   temp file, which is fsynced and renamed into place; the log is then
+//!   reset. Snapshots happen on graceful drain/exit and when the log
+//!   outgrows both the current snapshot and the `compact_log_bytes`
+//!   floor. The live set is thus rewritten only after at least as many
+//!   bytes of new records (write amplification of ~2× at most), and
+//!   recovery reads at most the snapshot plus a log no larger than it.
 //! - **Manifest** (`MANIFEST`) — a tiny text file naming the format
 //!   version, the model/config fingerprint, and the current snapshot
 //!   generation. Any mismatch (foreign file, version bump, retrained
 //!   model) marks the directory incompatible: its store files are
 //!   rebuilt from scratch rather than trusted.
-//! - **Recovery** — replay snapshot then log, last write per key wins.
-//!   A torn tail frame (short header, short payload, or checksum
-//!   mismatch) truncates the file at the last valid frame boundary
-//!   instead of failing: everything before the tear is served warm,
-//!   everything after is recomputed cold.
+//! - **Recovery** — stream the snapshot's frames, then the log's, one
+//!   record at a time: each payload is read into the buffer its entry
+//!   keeps, checksummed, and decoded for its fingerprints and outputs
+//!   only (the intermediates are stepped over, not built), and a later
+//!   record for a key replaces the earlier one at once. A torn tail frame
+//!   (short header, short payload, or checksum mismatch) truncates the
+//!   file at the last valid frame boundary instead of failing:
+//!   everything before the tear is served warm, everything after is
+//!   recomputed cold.
 //!
 //! The codec is a bespoke binary encoding, not JSON: the store's
 //! contract is *bit* identity, and `briq_json` degrades non-finite
 //! floats to `null`. Every `f64` round-trips through `to_bits()`, every
 //! string is length-prefixed UTF-8, every enum is a fixed `u8` tag, and
 //! every map/set is a `BTree*` whose iteration order is deterministic —
-//! so encode∘decode is the identity on every entry the pipeline can
-//! produce, including NaN/∞ values from the non-finite chaos family.
-//! Each on-disk type declares its layout once — a `wire_struct!` field
-//! list, a `wire_enum!` tag table, or a hand-written `Wire` impl where
-//! the layout is not a plain list — and that one declaration drives
-//! both encoding and decoding.
+//! so the outputs decode bit-identical to what was encoded, including
+//! NaN/∞ values from the non-finite chaos family. Each on-disk type
+//! declares its layout once — a `wire_struct!` field list, a
+//! `wire_enum!` tag table, or a hand-written `Wire` impl where the layout
+//! is not a plain list — and that one declaration drives encoding,
+//! decoding and skipping.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufWriter, IntoInnerError, Seek, Write};
+use std::io::{BufReader, BufWriter, IntoInnerError, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -54,11 +58,12 @@ use briq_text::quantity::QuantityMention;
 use briq_text::token::{Token, TokenKind};
 use briq_text::units::{Currency, Measure, Unit};
 
-use super::{lock, DocEntry, Fingerprint, MentionArtifact};
+use super::{lock, DocEntry, Fingerprint, Miss};
 use crate::context::{DocContext, MentionContext, TableContext};
 use crate::error::{DegradedAction, Diagnostic, Diagnostics, Stage};
 use crate::filtering::{Candidate, FilterStats};
 use crate::mention::{Alignment, TextMention};
+use crate::pipeline::{AlignResult, Extracted};
 
 /// On-disk format version. Bumped on any incompatible codec or layout
 /// change; a manifest naming a different version marks the whole
@@ -145,11 +150,34 @@ fn put_len(n: usize, out: &mut Vec<u8>) {
 }
 
 /// One on-disk type: `put` appends its encoding, `get` reads one value
-/// back. Integers are little-endian, lengths `u32`, `usize` widens to
-/// `u64`, and floats travel as their IEEE-754 bit patterns.
+/// back, and `skip` steps over one without building it. Integers are
+/// little-endian, lengths `u32`, `usize` widens to `u64`, and floats
+/// travel as their IEEE-754 bit patterns.
 trait Wire: Sized {
     fn put(&self, out: &mut Vec<u8>);
     fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError>;
+    /// Step over one encoded value, refusing exactly what `get` refuses,
+    /// without allocating. The default decodes and drops the value, which
+    /// allocates nothing for the types that use it: integers, floats,
+    /// and tags. Strings, containers and structs step over their parts.
+    fn skip(d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        Self::get(d).map(drop)
+    }
+}
+
+/// Step over an encoded `Vec<T>`, returning its length.
+fn skip_counted<T: Wire>(d: &mut Dec<'_>) -> Result<usize, DecodeError> {
+    let n = d.len()?;
+    for _ in 0..n {
+        T::skip(d)?;
+    }
+    Ok(n)
+}
+
+/// Step over one field of a struct `S`; the projection only names the
+/// field's type.
+fn skip_field<S, T: Wire>(_field: impl Fn(&S) -> &T, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+    T::skip(d)
 }
 
 impl Wire for u8 {
@@ -198,6 +226,12 @@ impl Wire for String {
         let s = std::str::from_utf8(d.take(n)?).map_err(|_| DecodeError("invalid utf-8"))?;
         Ok(s.to_string())
     }
+    fn skip(d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        let n = d.len()?;
+        std::str::from_utf8(d.take(n)?)
+            .map(drop)
+            .map_err(|_| DecodeError("invalid utf-8"))
+    }
 }
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
@@ -207,6 +241,10 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     }
     fn get(d: &mut Dec<'_>) -> Result<(A, B), DecodeError> {
         Ok((A::get(d)?, B::get(d)?))
+    }
+    fn skip(d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        A::skip(d)?;
+        B::skip(d)
     }
 }
 
@@ -225,6 +263,9 @@ impl<T: Wire> Wire for Vec<T> {
         }
         Ok(v)
     }
+    fn skip(d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        skip_counted::<T>(d).map(drop)
+    }
 }
 
 impl<T: Wire + Ord> Wire for BTreeSet<T> {
@@ -237,6 +278,9 @@ impl<T: Wire + Ord> Wire for BTreeSet<T> {
     fn get(d: &mut Dec<'_>) -> Result<BTreeSet<T>, DecodeError> {
         let n = d.len()?;
         (0..n).map(|_| T::get(d)).collect()
+    }
+    fn skip(d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        skip_counted::<T>(d).map(drop)
     }
 }
 
@@ -252,13 +296,14 @@ impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
         let n = d.len()?;
         (0..n).map(|_| <(K, V)>::get(d)).collect()
     }
+    fn skip(d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        skip_counted::<(K, V)>(d).map(drop)
+    }
 }
 
-/// `Wire` for a struct: its fields in the listed order. Fields that
-/// are not on disk are listed after `skip` with the value decoding
-/// gives them.
+/// `Wire` for a struct: its fields in the listed order.
 macro_rules! wire_struct {
-    ($name:ident { $($field:ident),+ $(,)? } $(skip { $($skip:ident: $init:expr),+ })?) => {
+    ($name:ident { $($field:ident),+ $(,)? }) => {
         impl Wire for $name {
             fn put(&self, out: &mut Vec<u8>) {
                 $( self.$field.put(out); )+
@@ -266,8 +311,11 @@ macro_rules! wire_struct {
             fn get(d: &mut Dec<'_>) -> Result<$name, DecodeError> {
                 Ok($name {
                     $( $field: Wire::get(d)?, )+
-                    $( $( $skip: $init, )+ )?
                 })
+            }
+            fn skip(d: &mut Dec<'_>) -> Result<(), DecodeError> {
+                $( skip_field(|s: &$name| &s.$field, d)?; )+
+                Ok(())
             }
         }
     };
@@ -419,39 +467,90 @@ wire_struct! { FilterStats { total, kept } }
 wire_struct! { Alignment { mention_start, mention_end, mention_raw, target, score } }
 wire_struct! { Diagnostic { stage, scope, error, action } }
 wire_struct! { Diagnostics { items } }
-wire_struct! { MentionArtifact { fp, candidates, stats } }
-// `approx_bytes` and the LRU clock are not on disk: both are recomputed
-// on recovery, so the format stays a pure function of the cached
-// artifact values.
-wire_struct! { DocEntry {
-    config_fp, text_fp, aggregate_fp, table_fps, text_mentions, text_ctx, table_contexts,
-    targets, extract_diags, artifacts, alignments, diagnostics, stats,
-} skip { approx_bytes: 0, last_used: 0 } }
 
-/// Append one log/snapshot record payload to `out`: store key + full
-/// entry.
-fn put_record(key: u64, e: &DocEntry, out: &mut Vec<u8>) {
-    key.put(out);
-    e.put(out);
+/// Encode the v1 record of a document the store missed: the store key,
+/// the fingerprints `config_fp`, `text_fp` and `aggregate_fp`, then
+/// `table_fps`, the text mentions, the text context (its table slot
+/// empty), the table contexts, the targets, the extraction diagnostics,
+/// one slot per mention (`fp`, kept candidates, filter delta), and the
+/// alignments, diagnostics and filter totals. The slots only a retired
+/// per-mention replay read — `aggregate_fp`, and each mention's `fp` and
+/// filter delta — are written as `0` and empty.
+pub(crate) fn encode_record(key: u64, miss: &Miss, mut x: Extracted, out: &AlignResult) -> Vec<u8> {
+    let (alignments, stats, candidates, diagnostics) = out;
+    let tables = std::mem::take(&mut x.ctx.tables);
+    let mut b = Vec::new();
+    for fp in [key, miss.config_fp, miss.text_fp, 0] {
+        fp.put(&mut b);
+    }
+    miss.table_fps.put(&mut b);
+    x.mentions.put(&mut b);
+    x.ctx.put(&mut b);
+    tables.put(&mut b);
+    x.targets.put(&mut b);
+    x.diags.put(&mut b);
+    put_len(candidates.len(), &mut b);
+    for c in candidates {
+        0u64.put(&mut b);
+        c.put(&mut b);
+        FilterStats::default().put(&mut b);
+    }
+    alignments.put(&mut b);
+    diagnostics.put(&mut b);
+    stats.put(&mut b);
+    b
 }
 
-/// Encode one log/snapshot record payload: store key + full entry.
-pub(crate) fn encode_record(key: u64, e: &DocEntry) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_record(key, e, &mut out);
-    out
-}
-
-/// Decode one record payload back into `(key, entry)`. Strict: the
-/// payload must be consumed exactly; any slack or structural error is a
-/// decode failure (treated as corruption by recovery).
-pub(crate) fn decode_record(payload: &[u8]) -> Result<(u64, DocEntry), DecodeError> {
-    let mut d = Dec { b: payload, pos: 0 };
+/// Recover one record payload (the [`encode_record`] layout) as `(key,
+/// entry)`. The fingerprints and outputs are decoded; the extraction
+/// intermediates and the retired slots are stepped over by
+/// [`Wire::skip`], which refuses exactly what decoding them refuses, and
+/// only the mention and target counts are kept. The payload itself
+/// becomes the entry's record. Strict: the payload must be consumed
+/// exactly; any slack or structural error is a decode failure (treated
+/// as corruption by recovery).
+pub(crate) fn decode_record(payload: Vec<u8>) -> Result<(u64, DocEntry), DecodeError> {
+    let mut d = Dec {
+        b: &payload,
+        pos: 0,
+    };
     let key = u64::get(&mut d)?;
-    let mut entry = DocEntry::get(&mut d)?;
+    let config_fp = u64::get(&mut d)?;
+    let text_fp = u64::get(&mut d)?;
+    u64::skip(&mut d)?;
+    let table_fps = Vec::get(&mut d)?;
+    let mentions = skip_counted::<TextMention>(&mut d)?;
+    DocContext::skip(&mut d)?;
+    Vec::<TableContext>::skip(&mut d)?;
+    let targets = skip_counted::<TableMention>(&mut d)?;
+    Diagnostics::skip(&mut d)?;
+    let n = d.len()?;
+    let mut candidates = Vec::with_capacity(n);
+    for _ in 0..n {
+        u64::skip(&mut d)?;
+        candidates.push(Vec::get(&mut d)?);
+        FilterStats::skip(&mut d)?;
+    }
+    let alignments = Vec::get(&mut d)?;
+    let diagnostics = Diagnostics::get(&mut d)?;
+    let stats = FilterStats::get(&mut d)?;
     if d.pos != payload.len() {
         return Err(DecodeError("trailing garbage"));
     }
+    let mut entry = DocEntry {
+        config_fp,
+        text_fp,
+        table_fps,
+        mentions: mentions as u64,
+        targets: targets as u64,
+        alignments,
+        candidates,
+        diagnostics,
+        stats,
+        record: payload.into_boxed_slice(),
+        approx_bytes: 0,
+        last_used: 0,
+    };
     entry.approx_bytes = entry.estimate_bytes();
     Ok((key, entry))
 }
@@ -506,35 +605,53 @@ fn check_header(bytes: &[u8], model_fp: u64) -> Option<u64> {
     (version == FORMAT_VERSION && fp == model_fp).then_some(gen)
 }
 
-/// Walk frames from `bytes[start..]`, decoding entries until the first
-/// invalid frame. Returns the decoded entries, the byte offset of the
-/// end of the last valid frame (= where a writer may safely resume
-/// appending), and whether a tear was found.
-fn read_frames(bytes: &[u8], start: usize) -> (Vec<(u64, DocEntry)>, u64, bool) {
-    let mut entries = Vec::new();
-    let mut pos = start;
+/// Open the store file at `path` and check its header against this
+/// process's identity: a reader positioned after the header, the file's
+/// generation, and its length. `None` if the file is missing, unreadable,
+/// shorter than a header, or incompatible.
+fn open_file(path: &Path, model_fp: u64) -> Option<(BufReader<File>, u64, u64)> {
+    let file = File::open(path).ok()?;
+    let len = file.metadata().ok()?.len();
+    let mut r = BufReader::new(file);
+    let mut header = [0u8; HEADER_LEN as usize];
+    r.read_exact(&mut header).ok()?;
+    let gen = check_header(&header, model_fp)?;
+    Some((r, gen, len))
+}
+
+/// Stream the frames that follow a file's header from `r` into `sink`,
+/// one record at a time, until the first invalid frame. Each payload is
+/// read into a buffer of its own, checksummed, and handed to
+/// [`decode_record`], whose entry keeps that buffer as its record. `len`
+/// is the file's length, which bounds a frame's claimed size before any
+/// buffer is allocated for it. Returns the byte offset of the end of the
+/// last valid frame (= where a writer may safely resume appending), and
+/// whether a tear was found.
+fn replay_frames(r: &mut impl Read, len: u64, sink: &mut impl FnMut(u64, DocEntry)) -> (u64, bool) {
+    let mut pos = HEADER_LEN;
     loop {
-        let rest = &bytes[pos..];
-        if rest.is_empty() {
-            return (entries, pos as u64, false);
+        if pos == len {
+            return (pos, false);
         }
-        if rest.len() < FRAME_HEADER_LEN {
-            return (entries, pos as u64, true);
+        let mut header = [0u8; FRAME_HEADER_LEN];
+        if len - pos < FRAME_HEADER_LEN as u64 || r.read_exact(&mut header).is_err() {
+            return (pos, true);
         }
-        let len = u32::from_le_bytes(rest[..4].try_into().unwrap_or([0; 4]));
-        let sum = u64::from_le_bytes(rest[4..12].try_into().unwrap_or([0; 8]));
-        if len > MAX_FRAME_BYTES || rest.len() - FRAME_HEADER_LEN < len as usize {
-            return (entries, pos as u64, true);
+        let size = u32::from_le_bytes(header[..4].try_into().unwrap_or([0; 4]));
+        let sum = u64::from_le_bytes(header[4..].try_into().unwrap_or([0; 8]));
+        let end = pos + FRAME_HEADER_LEN as u64 + u64::from(size);
+        if size > MAX_FRAME_BYTES || end > len {
+            return (pos, true);
         }
-        let payload = &rest[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len as usize];
-        if checksum(payload) != sum {
-            return (entries, pos as u64, true);
+        let mut payload = vec![0u8; size as usize];
+        if r.read_exact(&mut payload).is_err() || checksum(&payload) != sum {
+            return (pos, true);
         }
         match decode_record(payload) {
-            Ok(kv) => entries.push(kv),
-            Err(_) => return (entries, pos as u64, true),
+            Ok((key, entry)) => sink(key, entry),
+            Err(_) => return (pos, true),
         }
-        pos += FRAME_HEADER_LEN + len as usize;
+        pos = end;
     }
 }
 
@@ -663,12 +780,9 @@ fn wipe_store_files(dir: &Path) {
 // Persistence handle
 // ---------------------------------------------------------------------------
 
-/// What recovery found in the store directory.
+/// How recovery left the store directory.
 #[derive(Default)]
 pub(crate) struct Recovered {
-    /// Entries in replay order (snapshot first, then log); the caller
-    /// inserts them last-wins per key.
-    pub entries: Vec<(u64, DocEntry)>,
     /// True if a torn tail was truncated in the snapshot or log.
     pub truncated: bool,
     /// True if incompatible/foreign files were discarded and the
@@ -700,17 +814,19 @@ pub(crate) struct Persistence {
 }
 
 impl Persistence {
-    /// Open (or create) a store directory and recover its contents.
-    /// Never fails on *corrupt* data — torn tails truncate, incompatible
-    /// files rebuild; only real I/O errors (permissions, full disk on
-    /// the initial log create) surface as `Err`.
+    /// Open (or create) a store directory and recover its contents,
+    /// handing every valid record to `sink` as it is read: the snapshot's
+    /// first, then the log's, so the caller keeps the last record per
+    /// key. Never fails on *corrupt* data — torn tails truncate,
+    /// incompatible files rebuild; only real I/O errors (permissions,
+    /// full disk on the initial log create) surface as `Err`.
     pub(crate) fn open(
         dir: &Path,
         model_fp: u64,
         compact_log_bytes: u64,
+        sink: &mut impl FnMut(u64, DocEntry),
     ) -> std::io::Result<(Persistence, Recovered)> {
         fs::create_dir_all(dir)?;
-        let mut entries = Vec::new();
         let mut truncated = false;
         let mut rebuilt = false;
 
@@ -734,20 +850,17 @@ impl Persistence {
             }
         };
 
-        // Snapshot: replayed first, so the log wins per key.
+        // Snapshot: replayed first, so the log wins per key. Nothing has
+        // reached `sink` yet when its header is refused.
         if gen > 0 {
-            let path = dir.join(snapshot_file(gen));
-            match fs::read(&path) {
-                Ok(bytes) if check_header(&bytes, model_fp) == Some(gen) => {
-                    let (snap_entries, _, torn) = read_frames(&bytes, HEADER_LEN as usize);
-                    truncated |= torn;
-                    entries.extend(snap_entries);
+            match open_file(&dir.join(snapshot_file(gen)), model_fp) {
+                Some((mut r, snap_gen, len)) if snap_gen == gen => {
+                    truncated |= replay_frames(&mut r, len, sink).1;
                 }
                 _ => {
                     // Named by the manifest but unreadable or incompatible:
                     // nothing on disk can be trusted any more.
                     rebuilt = true;
-                    entries.clear();
                     wipe_store_files(dir);
                     gen = 0;
                 }
@@ -757,23 +870,20 @@ impl Persistence {
         // Novelty log: replayed on top of the snapshot, then physically
         // truncated at the last valid frame so appends resume cleanly.
         let log_path = dir.join(LOG_FILE);
-        let mut log_valid_len = None;
-        if let Ok(bytes) = fs::read(&log_path) {
-            match check_header(&bytes, model_fp) {
-                Some(log_gen) if log_gen == gen => {
-                    let (log_entries, valid_len, torn) = read_frames(&bytes, HEADER_LEN as usize);
-                    truncated |= torn;
-                    entries.extend(log_entries);
-                    log_valid_len = Some(valid_len);
-                }
-                // A log for another generation (crash between manifest
-                // update and log reset) or an incompatible header: its
-                // content is already in the snapshot or untrustworthy.
-                _ => {
-                    let _ = fs::remove_file(&log_path);
-                }
+        let log_valid_len = match open_file(&log_path, model_fp) {
+            Some((mut r, log_gen, len)) if log_gen == gen => {
+                let (valid_len, torn) = replay_frames(&mut r, len, sink);
+                truncated |= torn;
+                Some(valid_len)
             }
-        }
+            // No log, a log for another generation (crash between
+            // manifest update and log reset), or an incompatible header:
+            // its content is already in the snapshot or untrustworthy.
+            _ => {
+                let _ = fs::remove_file(&log_path);
+                None
+            }
+        };
 
         // Open the log for append, creating it (with a header) if needed.
         let (file, bytes) = match log_valid_len {
@@ -807,14 +917,7 @@ impl Persistence {
             snapshot_bytes: AtomicU64::new(snapshot_bytes),
             compactions: AtomicU64::new(0),
         };
-        Ok((
-            p,
-            Recovered {
-                entries,
-                truncated,
-                rebuilt,
-            },
-        ))
+        Ok((p, Recovered { truncated, rebuilt }))
     }
 
     /// Append one encoded record payload to the novelty log.
@@ -833,12 +936,13 @@ impl Persistence {
         self.log_bytes() > self.compact_log_bytes.max(self.snapshot_bytes())
     }
 
-    /// Write a compacted snapshot of `entries` (key-ordered), atomically
-    /// advance the manifest, and reset the log. Records stream one at a
-    /// time through a buffered writer into the temp file, so no image of
-    /// the snapshot is held in memory. The caller holds the entry-map
-    /// lock, so `entries` is a consistent view.
-    pub(crate) fn write_snapshot(&self, entries: &[(u64, &DocEntry)]) -> std::io::Result<()> {
+    /// Write a compacted snapshot of `records` (the resident entries'
+    /// kept records, key-ordered), atomically advance the manifest, and
+    /// reset the log. Each record is framed verbatim through a buffered
+    /// writer into the temp file, so no image of the snapshot is held in
+    /// memory and nothing is re-encoded. The caller holds the entry-map
+    /// lock, so `records` is a consistent view.
+    pub(crate) fn write_snapshot(&self, records: &[&[u8]]) -> std::io::Result<()> {
         let _guard = lock(&self.snap);
         let old_gen = self.gen.load(Ordering::Relaxed);
         let next = old_gen + 1;
@@ -847,11 +951,8 @@ impl Persistence {
         let snap_path = self.dir.join(snapshot_file(next));
         let snapshot_bytes = write_atomic(&self.dir, &snap_path, |w| {
             w.write_all(&file_header(self.model_fp, next))?;
-            let mut payload = Vec::new();
-            for &(key, e) in entries {
-                payload.clear();
-                put_record(key, e, &mut payload);
-                write_frame(w, &payload)?;
+            for record in records {
+                write_frame(w, record)?;
             }
             Ok(())
         })?;
@@ -1226,11 +1327,110 @@ mod tests {
         units
     }
 
+    /// The v1 record layout in full, every slot decoded: the oracle that
+    /// [`encode_record`] and [`decode_record`] are held to.
+    struct V1Entry {
+        config_fp: u64,
+        text_fp: u64,
+        aggregate_fp: u64,
+        table_fps: Vec<u64>,
+        text_mentions: Vec<TextMention>,
+        text_ctx: DocContext,
+        table_contexts: Vec<TableContext>,
+        targets: Vec<TableMention>,
+        extract_diags: Diagnostics,
+        artifacts: Vec<V1Artifact>,
+        alignments: Vec<Alignment>,
+        diagnostics: Diagnostics,
+        stats: FilterStats,
+    }
+
+    /// One mention's slot of a v1 record.
+    #[derive(Clone)]
+    struct V1Artifact {
+        fp: u64,
+        candidates: Vec<Candidate>,
+        stats: FilterStats,
+    }
+
+    wire_struct! { V1Artifact { fp, candidates, stats } }
+    wire_struct! { V1Entry {
+        config_fp, text_fp, aggregate_fp, table_fps, text_mentions, text_ctx, table_contexts,
+        targets, extract_diags, artifacts, alignments, diagnostics, stats,
+    } }
+
+    /// `e`'s v1 record under store key `key`.
+    fn v1_record(key: u64, e: &V1Entry) -> Vec<u8> {
+        let mut out = Vec::new();
+        key.put(&mut out);
+        e.put(&mut out);
+        out
+    }
+
+    /// True if a full decode of the v1 layout accepts `payload`.
+    fn v1_accepts(payload: &[u8]) -> bool {
+        let mut d = Dec { b: payload, pos: 0 };
+        <(u64, V1Entry)>::get(&mut d).is_ok() && d.pos == payload.len()
+    }
+
+    /// What `e` was made of when the store missed it: its fingerprints,
+    /// its extraction (the table contexts back inside the text context)
+    /// and its outputs.
+    fn parts(e: &V1Entry) -> (Miss, Extracted, AlignResult) {
+        let mut ctx = e.text_ctx.clone();
+        ctx.tables = e.table_contexts.clone();
+        let miss = Miss {
+            config_fp: e.config_fp,
+            text_fp: e.text_fp,
+            table_fps: e.table_fps.clone(),
+        };
+        let x = Extracted {
+            mentions: e.text_mentions.clone(),
+            ctx,
+            targets: e.targets.clone(),
+            diags: e.extract_diags.clone(),
+        };
+        let candidates = e.artifacts.iter().map(|a| a.candidates.clone()).collect();
+        let out = (
+            e.alignments.clone(),
+            e.stats.clone(),
+            candidates,
+            e.diagnostics.clone(),
+        );
+        (miss, x, out)
+    }
+
+    /// `v`'s encoding: compares values bit for bit, NaN payloads included.
+    fn bytes(v: &impl Wire) -> Vec<u8> {
+        let mut out = Vec::new();
+        v.put(&mut out);
+        out
+    }
+
+    /// Fail unless `entry`, recovered from `payload`, holds `e`'s
+    /// fingerprints, counts and outputs, and keeps `payload` itself.
+    fn assert_recovers(entry: &DocEntry, e: &V1Entry, payload: &[u8]) {
+        assert_eq!(
+            (entry.config_fp, entry.text_fp, &entry.table_fps),
+            (e.config_fp, e.text_fp, &e.table_fps)
+        );
+        assert_eq!(entry.mentions, e.text_mentions.len() as u64);
+        assert_eq!(entry.targets, e.targets.len() as u64);
+        let candidates: Vec<Vec<Candidate>> =
+            e.artifacts.iter().map(|a| a.candidates.clone()).collect();
+        assert_eq!(bytes(&entry.candidates), bytes(&candidates));
+        assert_eq!(bytes(&entry.alignments), bytes(&e.alignments));
+        assert_eq!(bytes(&entry.diagnostics), bytes(&e.diagnostics));
+        assert_eq!(bytes(&entry.stats), bytes(&e.stats));
+        assert_eq!(&*entry.record, payload);
+        assert_eq!(entry.approx_bytes, entry.estimate_bytes());
+    }
+
     /// An entry that writes every tag the codec knows — each `Unit`,
     /// `TokenKind`, `ApproxIndicator`, `AggregationKind`, `Stage` and
     /// `DegradedAction` variant, both `TableMentionKind`s, all three
     /// `Option<Orientation>` forms — plus NaN, −0.0 and ±∞.
-    fn every_tag_entry() -> DocEntry {
+    fn every_tag_entry() -> V1Entry {
         use AggregationKind::*;
         use ApproxIndicator as A;
         use DegradedAction::*;
@@ -1341,7 +1541,7 @@ mod tests {
             kept: [("single".into(), 1)].into_iter().collect(),
         };
         let artifacts = (0..3)
-            .map(|i| MentionArtifact {
+            .map(|i| V1Artifact {
                 fp: 0x1234_5678_9abc_def0 ^ i as u64,
                 candidates: vec![Candidate {
                     target: i,
@@ -1361,7 +1561,7 @@ mod tests {
                 score: floats[i % 5],
             })
             .collect();
-        DocEntry {
+        V1Entry {
             config_fp: 1,
             text_fp: 2,
             aggregate_fp: 3,
@@ -1382,21 +1582,26 @@ mod tests {
             alignments,
             diagnostics,
             stats,
-            approx_bytes: 0,
-            last_used: 0,
         }
     }
 
-    /// The on-disk format, pinned: FNV-1a digests of `encode_record` for
-    /// the entries that aligning fixed documents through a store
-    /// produces, and for [`every_tag_entry`]. A digest moves when any
-    /// layout, tag, or field order does (which must also bump
-    /// `FORMAT_VERSION`), or when the pipeline's output for these
-    /// documents does.
+    /// The kept records of `docs` aligned through a fresh durable store,
+    /// key-ordered.
+    fn aligned_records(docs: &[Document]) -> Vec<Vec<u8>> {
+        let briq = briq();
+        let dir = TempDir::new("records");
+        let store = persistent(&briq, dir.path());
+        align_all(&briq, &store, docs);
+        store.encoded_entries()
+    }
+
+    /// The on-disk format, pinned: FNV-1a digests of the records that
+    /// aligning fixed documents through a durable store writes, and of
+    /// [`every_tag_entry`]'s record. A digest moves when any layout, tag,
+    /// or field order does (which must also bump `FORMAT_VERSION`), or
+    /// when the pipeline's output for these documents does.
     #[test]
     fn record_bytes_are_pinned() {
-        let briq = briq();
-        let store = AlignmentStore::for_system(&briq);
         let mut fixed = docs();
         fixed.push(Document::new(
             2,
@@ -1413,11 +1618,7 @@ mod tests {
                 ),
             ],
         ));
-        for (i, d) in fixed.iter().enumerate() {
-            stored(&briq, &store, i as u64, d, Budget::default());
-        }
-        let digests: Vec<u64> = store
-            .encoded_entries()
+        let digests: Vec<u64> = aligned_records(&fixed)
             .iter()
             .map(|p| checksum(p))
             .collect();
@@ -1426,15 +1627,19 @@ mod tests {
             [0x9be17b0aa76b8b6d, 0x11f65f1ee383d26c, 0xc331716bc8acea9a],
             "{digests:#018x?}"
         );
-        let payload = encode_record(0xFEED, &every_tag_entry());
+        let e = every_tag_entry();
+        let payload = v1_record(0xFEED, &e);
         assert_eq!(
             checksum(&payload),
             0x06fcbf21d23de07e,
             "{:#018x}",
             checksum(&payload)
         );
-        let (key, decoded) = decode_record(&payload).expect("decode");
-        assert_eq!(encode_record(key, &decoded), payload);
+        // A record whose retired slots hold values, as stores written
+        // before they were retired do, recovers like any other.
+        let (key, entry) = decode_record(payload.clone()).expect("recover");
+        assert_eq!(key, 0xFEED);
+        assert_recovers(&entry, &e, &payload);
     }
 
     #[test]
@@ -1603,13 +1808,13 @@ mod tests {
         (0..units.len()).prop_map(move |i| units[i])
     }
 
-    fn any_artifact() -> impl Strategy<Value = MentionArtifact> {
+    fn any_artifact() -> impl Strategy<Value = V1Artifact> {
         (
             (0u64..=u64::MAX),
             proptest::collection::vec((0usize..4096, any_f64()), 0..8),
             proptest::collection::vec((any_string(), 0usize..1000), 0..4),
         )
-            .prop_map(|(fp, cands, counts)| MentionArtifact {
+            .prop_map(|(fp, cands, counts)| V1Artifact {
                 fp,
                 candidates: cands
                     .into_iter()
@@ -1625,9 +1830,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// encode → decode is the identity on arbitrary artifact sets —
-        /// checked in byte space (decode then re-encode reproduces the
-        /// exact payload) and on the artifact values themselves.
+        /// Encode a missed document's record, then recover it: the
+        /// record is the v1 layout with the retired slots written as `0`
+        /// and empty, and the recovered entry holds the document's
+        /// fingerprints, counts and outputs (bit for bit, NaN payloads
+        /// included) and keeps the encoded record byte for byte.
         #[test]
         fn record_roundtrip_is_identity(
             key in (0u64..=u64::MAX),
@@ -1651,61 +1858,66 @@ mod tests {
             entry.table_contexts[0].table_words.insert(raw);
             entry.extract_diags.items[0].scope = scope;
             entry.alignments[0].score = value;
-            entry.approx_bytes = entry.estimate_bytes();
+            // The text context's table slot is written empty.
+            entry.text_ctx.tables.clear();
 
-            let payload = encode_record(key, &entry);
-            let (key2, decoded) = decode_record(&payload).expect("decode");
-            prop_assert_eq!(key, key2);
-            // Byte-space identity: re-encoding the decoded entry must
-            // reproduce the payload exactly.
-            prop_assert_eq!(encode_record(key2, &decoded), payload);
-            // Spot-check value-space identity on the surfaces that carry
-            // floats (bit equality, so NaN payloads count too).
-            prop_assert_eq!(decoded.alignments.len(), entry.alignments.len());
-            prop_assert_eq!(
-                decoded.alignments[0].score.to_bits(),
-                entry.alignments[0].score.to_bits()
-            );
-            prop_assert_eq!(decoded.artifacts.len(), entry.artifacts.len());
-            for (a, b) in decoded.artifacts.iter().zip(&entry.artifacts) {
-                prop_assert_eq!(a.fp, b.fp);
-                prop_assert_eq!(a.candidates.len(), b.candidates.len());
-                for (x, y) in a.candidates.iter().zip(&b.candidates) {
-                    prop_assert_eq!(x.target, y.target);
-                    prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
-                }
-                prop_assert_eq!(&a.stats, &b.stats);
+            let (miss, x, out) = parts(&entry);
+            let payload = encode_record(key, &miss, x, &out);
+            entry.aggregate_fp = 0;
+            for a in &mut entry.artifacts {
+                (a.fp, a.stats) = (0, FilterStats::default());
             }
-            prop_assert_eq!(decoded.approx_bytes, entry.approx_bytes);
+            prop_assert_eq!(&payload, &v1_record(key, &entry));
+            let (key2, recovered) = decode_record(payload.clone()).expect("recover");
+            prop_assert_eq!(key2, key);
+            assert_recovers(&recovered, &entry, &payload);
         }
 
         /// Truncating a valid record stream at ANY byte offset recovers
         /// the longest valid prefix and never errors.
         #[test]
         fn any_truncation_point_recovers_prefix(cut_frac in 0.0f64..1.0) {
-            let briq = Briq::untrained(BriqConfig::default());
-            let entry_docs = docs();
             let mut stream = file_header(1234, 0);
-            let store = AlignmentStore::for_system(&briq);
-            for (i, d) in entry_docs.iter().enumerate() {
-                stored(&briq, &store, i as u64, d, Budget::default());
-            }
-            let payloads = store.encoded_entries();
+            let payloads = aligned_records(&docs());
             for p in &payloads {
                 write_frame(&mut stream, p).expect("frame into a Vec");
             }
             let cut = HEADER_LEN as usize
                 + ((stream.len() - HEADER_LEN as usize) as f64 * cut_frac) as usize;
-            let (entries, valid_len, torn) = read_frames(&stream[..cut], HEADER_LEN as usize);
+            let mut entries = Vec::new();
+            let (valid_len, torn) = replay_frames(
+                &mut &stream[HEADER_LEN as usize..cut],
+                cut as u64,
+                &mut |k, e| entries.push((k, e)),
+            );
             prop_assert!(valid_len as usize <= cut);
             prop_assert!(entries.len() <= payloads.len());
             prop_assert_eq!(torn, valid_len as usize != cut);
-            // The recovered prefix re-encodes to the stream prefix.
+            // The recovered prefix re-frames to the stream prefix.
             let mut replay = Vec::new();
-            for (k, e) in &entries {
-                write_frame(&mut replay, &encode_record(*k, e)).expect("frame into a Vec");
+            for (_, e) in &entries {
+                write_frame(&mut replay, &e.record).expect("frame into a Vec");
             }
             prop_assert_eq!(&stream[HEADER_LEN as usize..valid_len as usize], &replay[..]);
+        }
+    }
+
+    proptest! {
+        // A case costs two decodes of a ~4 KB record, so sample widely.
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Under any single-byte corruption of a record, recovery's
+        /// skipping decoder accepts exactly the payloads that a full
+        /// decode of the v1 layout accepts.
+        #[test]
+        fn skipping_decoder_accepts_what_the_full_decoder_accepts(
+            at in 0.0f64..1.0,
+            byte in 0u8..=u8::MAX,
+        ) {
+            let mut payload = v1_record(0xFEED, &every_tag_entry());
+            let i = ((payload.len() as f64 * at) as usize).min(payload.len() - 1);
+            payload[i] = byte;
+            prop_assert_eq!(decode_record(payload.clone()).is_ok(), v1_accepts(&payload));
         }
     }
 }
