@@ -107,7 +107,15 @@
 #                snapshot_gen >= 2), and a new process over that directory
 #                re-aligns the mutated copy; both must byte-match the
 #                --oracle run over the mutated pages, and the second must
-#                report hit_rate 1.000 / mentions_realigned 0. Then
+#                report hit_rate 1.000 / mentions_realigned 0. Then a
+#                bounded durable store: a --store-max-bytes budget worth a
+#                few durable entries must evict during a first run
+#                (store_evictions >= 1 in its --metrics), and a restart
+#                over the same directory with the same budget must report
+#                "store: recovered K entries" with 1 <= K < the document
+#                count (the budget binds while recovery streams records
+#                in, and a snapshot persists only what stays resident);
+#                both must byte-match the --oracle run. Then
 #                crash-tests briq-serve: a durable server is driven,
 #                SIGKILLed without drain (kill -9, so only the
 #                incrementally-appended novelty log survives),
@@ -424,7 +432,7 @@ serve_request() {
 
 stage_persist() {
     cargo build --offline --locked --release -q -p briq-bench || return 1
-    local dir health metrics recovered hits pages gen
+    local dir health metrics recovered hits pages gen evictions docs
     dir="$(mktemp -d)"
     trap 'rm -rf "$dir"; [ -n "${SERVE_PID:-}" ] && kill -9 "$SERVE_PID" 2>/dev/null' RETURN
     ./target/release/briq-align --gen-corpus "$dir/corpus" \
@@ -506,7 +514,32 @@ stage_persist() {
         return 1
     }
 
-    # (f) Serve crash-recovery: drive a durable server, SIGKILL it with
+    # (f) Bounded durable store: a budget worth a few durable entries
+    # (~146 KB each on the smoke corpus) evicts during the first run, and
+    # a restart over the same directory with the same budget recovers
+    # only what fits it. Hits are not required on the restart: at --jobs 1
+    # the misses that come first evict the recovered entries.
+    align_run "$dir" bounded --batch "$dir/corpus" --jobs 1 --store-dir "$dir/bstore" \
+        --store-max-bytes 1000000 --metrics "$dir/metrics_bounded.jsonl"
+    same_run persist "$dir" cold bounded || return 1
+    evictions="$(sed -n 's/.*"name":"store_evictions","value":\([0-9]*\).*/\1/p' "$dir/metrics_bounded.jsonl")"
+    [ "${evictions:-0}" -ge 1 ] || {
+        echo "persist: the bounded run never evicted (store_evictions ${evictions:-none})" >&2
+        return 1
+    }
+    align_run "$dir" rebounded --batch "$dir/corpus" --jobs 1 --store-dir "$dir/bstore" \
+        --store-max-bytes 1000000
+    same_run persist "$dir" cold rebounded || return 1
+    docs="$(sed -n 's/^store: repeat 1\/1 lookups \([0-9]*\) .*/\1/p' "$dir/err_bounded.txt")"
+    recovered="$(sed -n 's/^store: recovered \([0-9]*\) entr.*/\1/p' "$dir/err_rebounded.txt")"
+    [ "${recovered:-0}" -ge 1 ] && [ "$recovered" -lt "${docs:-0}" ] || {
+        echo "persist: the bounded restart recovered ${recovered:-no} entries of ${docs:-?} documents (want 1 <= K < documents):" >&2
+        grep '^store:' "$dir/err_rebounded.txt" >&2
+        return 1
+    }
+    echo "persist: bounded store (--store-max-bytes 1000000) evicted $evictions entr$( [ "$evictions" = "1" ] && echo y || echo ies ) and its restart recovered $recovered of $docs documents, both byte-identical to --oracle"
+
+    # (g) Serve crash-recovery: drive a durable server, SIGKILL it with
     # no drain (only the incrementally-appended log survives), reboot it
     # on the same --store-dir, and require full recovery: /health
     # reports the recovered entries, the unchanged re-drive is served

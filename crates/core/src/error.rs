@@ -17,7 +17,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Unified error type of the BriQ pipeline: one variant per substrate
 /// crate plus pipeline-level failures.
@@ -251,11 +251,6 @@ impl CancelToken {
         }
     }
 
-    /// Cancel after `budget` of wall-clock time from now.
-    pub fn deadline_in(budget: Duration) -> CancelToken {
-        CancelToken::with_deadline(Instant::now() + budget)
-    }
-
     /// Cancel when `flag` becomes true (e.g. a serve drain raising one
     /// shared flag for every in-flight request).
     pub fn with_flag(flag: Arc<AtomicBool>) -> CancelToken {
@@ -367,6 +362,7 @@ briq_json::json_struct!(Diagnostic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn display_covers_every_variant() {
@@ -465,7 +461,7 @@ mod tests {
 
     #[test]
     fn cancel_token_deadline_fires_exactly_at_the_instant() {
-        let future = CancelToken::deadline_in(Duration::from_secs(3600));
+        let future = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
         assert!(future.cause().is_none());
         let past = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
         assert_eq!(past.cause(), Some(CancelCause::Deadline));

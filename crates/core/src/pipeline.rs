@@ -120,7 +120,7 @@ pub struct AlignOpts<'a> {
 }
 
 /// Everything one [`Briq::align_with`] call produced.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AlignOutput {
     /// The resolved alignments.
     pub alignments: Vec<Alignment>,
@@ -246,19 +246,12 @@ impl Briq {
     /// for the hyper-parameters, for the classifiers as well as for the
     /// graph-based algorithm"). Returns the tuned system and the selected
     /// parameters' validation F1.
-    pub fn train_tuned(
-        cfg: BriqConfig,
-        train_docs: &[LabeledDocument],
-        validation_docs: &[LabeledDocument],
-    ) -> (Briq, f64) {
-        Self::train_tuned_observed(cfg, train_docs, validation_docs, &Recorder::disabled())
-    }
-
-    /// [`Briq::train_tuned`] with the training spans and counters of
-    /// [`Briq::train_observed`] recorded into `rec`. The validation grid
-    /// search runs after the `train` span closes and is deliberately not
-    /// traced per point — it aligns every validation document dozens of
-    /// times and would dwarf the registry.
+    ///
+    /// The training spans and counters of [`Briq::train_observed`] are
+    /// recorded into `rec`. The validation grid search runs after the
+    /// `train` span closes and is deliberately not traced per point — it
+    /// aligns every validation document dozens of times and would dwarf
+    /// the registry.
     pub fn train_tuned_observed(
         cfg: BriqConfig,
         train_docs: &[LabeledDocument],
@@ -602,13 +595,7 @@ impl Briq {
         let store = opts.store.filter(|_| self.cfg.use_store);
         let (ControlFlow::Continue(out) | ControlFlow::Break(out)) =
             self.run_stages(doc, &opts.budget, store, rec, cancel);
-        let (alignments, stats, candidates, diagnostics) = out;
-        AlignOutput {
-            alignments,
-            diagnostics,
-            stats,
-            candidates,
-        }
+        out
     }
 
     /// The stage sequence behind [`Briq::align_with`]: extraction, then
@@ -622,7 +609,7 @@ impl Briq {
         store: Option<(&AlignmentStore, u64)>,
         rec: &Recorder,
         cancel: &CancelToken,
-    ) -> ControlFlow<AlignResult, AlignResult> {
+    ) -> ControlFlow<AlignOutput, AlignOutput> {
         let (miss, x) = self.extract_stage(doc, budget, store, rec, cancel)?;
         let out = self.classify_resolve_stage(doc, &x, budget, rec, cancel)?;
         if let (Some((store, key)), Some(miss)) = (store, miss) {
@@ -642,7 +629,7 @@ impl Briq {
         store: Option<(&AlignmentStore, u64)>,
         rec: &Recorder,
         cancel: &CancelToken,
-    ) -> ControlFlow<AlignResult, (Option<Miss>, Extracted)> {
+    ) -> ControlFlow<AlignOutput, (Option<Miss>, Extracted)> {
         if let Some(cause) = cancel.cause() {
             let diags = Diagnostics::default();
             return ControlFlow::Break(cancelled_result(Stage::Extraction, cause, diags, rec));
@@ -677,7 +664,7 @@ impl Briq {
         budget: &Budget,
         rec: &Recorder,
         cancel: &CancelToken,
-    ) -> ControlFlow<AlignResult, AlignResult> {
+    ) -> ControlFlow<AlignOutput, AlignOutput> {
         let mut diags = x.diags.clone();
         let mut pass = ClassifyPass {
             briq: self,
@@ -771,18 +758,14 @@ impl Briq {
                 .filter(|d| d.action == DegradedAction::Truncated)
                 .count() as u64,
         );
-        ControlFlow::Continue((alignments, stats, candidates, diags))
+        ControlFlow::Continue(AlignOutput {
+            alignments,
+            diagnostics: diags,
+            stats,
+            candidates,
+        })
     }
 }
-
-/// A finished document's outputs: alignments, filter totals (Table VI),
-/// kept candidates per text mention, and diagnostics.
-pub(crate) type AlignResult = (
-    Vec<Alignment>,
-    FilterStats,
-    Vec<Vec<Candidate>>,
-    Diagnostics,
-);
 
 /// What stage 1 produced for one document.
 pub(crate) struct Extracted {
@@ -932,7 +915,7 @@ fn cancelled_result(
     cause: CancelCause,
     mut diags: Diagnostics,
     rec: &Recorder,
-) -> AlignResult {
+) -> AlignOutput {
     diags.record(
         stage,
         "document".into(),
@@ -940,7 +923,10 @@ fn cancelled_result(
         DegradedAction::Cancelled,
     );
     rec.count(names::CANCELLATIONS, 1);
-    (Vec::new(), FilterStats::default(), Vec::new(), diags)
+    AlignOutput {
+        diagnostics: diags,
+        ..AlignOutput::default()
+    }
 }
 
 #[cfg(test)]
@@ -1115,8 +1101,12 @@ mod tests {
         let mut cfg = BriqConfig::default();
         cfg.forest.n_trees = 16;
         cfg.tagger_forest.n_trees = 8;
-        let (briq, f1) =
-            Briq::train_tuned(cfg, std::slice::from_ref(&ld), std::slice::from_ref(&ld));
+        let (briq, f1) = Briq::train_tuned_observed(
+            cfg,
+            std::slice::from_ref(&ld),
+            std::slice::from_ref(&ld),
+            &Recorder::disabled(),
+        );
         assert!(briq.cfg.resolution.alpha + briq.cfg.resolution.beta > 0.99);
         assert!((0.0..=1.0).contains(&f1));
     }

@@ -42,8 +42,13 @@
 //! compaction writes it verbatim, and recovery streams the records in
 //! and decodes only their fingerprints and outputs.
 //! [`StoreOptions::max_bytes`] bounds resident memory with LRU eviction.
-//! Neither changes any output: persistence and eviction only move work
-//! between "served from cache" and "recomputed", never alter a result.
+//! Every entry enters the map through one insert path, a live miss's and
+//! each recovered record alike, so the budget also binds while recovery
+//! streams records in. A bounded durable store persists what it keeps
+//! resident: an evicted document leaves the disk at the next snapshot and
+//! recomputes after a restart, bit-identically. Neither persistence nor
+//! eviction changes any output: they only move work between "served from
+//! cache" and "recomputed", never alter a result.
 
 pub mod persist;
 
@@ -56,11 +61,11 @@ use std::time::Instant;
 
 use briq_table::{Document, Table};
 
-use crate::error::{Budget, Diagnostics};
-use crate::filtering::{Candidate, FilterStats};
+use crate::error::Budget;
+use crate::filtering::Candidate;
 use crate::mention::Alignment;
 use crate::obs::{names, Recorder};
-use crate::pipeline::{AlignResult, Briq, Extracted};
+use crate::pipeline::{AlignOutput, Briq, Extracted};
 
 /// Incremental FNV-1a hasher used for every content fingerprint. FNV is
 /// fully deterministic — no per-process seed — so fingerprints are
@@ -188,17 +193,15 @@ pub(crate) struct DocEntry {
     /// in place of the extraction it skips.
     mentions: u64,
     targets: u64,
-    /// Final document outputs, served verbatim on a full hit.
-    alignments: Vec<Alignment>,
-    candidates: Vec<Vec<Candidate>>,
-    diagnostics: Diagnostics,
-    stats: FilterStats,
+    /// The document's outputs, served verbatim on a full hit.
+    out: AlignOutput,
     /// In a durable store, the entry's encoded v1 record (store key
     /// first), which compaction writes verbatim; empty in an in-memory
     /// store.
     record: Box<[u8]>,
+    /// Estimated resident size, set by `AlignmentStore::put`.
     approx_bytes: u64,
-    /// LRU clock value of the last lookup that touched this entry
+    /// LRU clock value of the last put or hit that touched this entry
     /// (monotone per-store counter, not wall time). Not persisted.
     last_used: u64,
 }
@@ -209,13 +212,13 @@ impl DocEntry {
     /// shallow container sizes.
     fn estimate_bytes(&self) -> u64 {
         let mut n = std::mem::size_of::<DocEntry>() + self.table_fps.len() * 8 + self.record.len();
-        for c in &self.candidates {
+        for c in &self.out.candidates {
             n += c.len() * std::mem::size_of::<Candidate>() + 64;
         }
-        for a in &self.alignments {
+        for a in &self.out.alignments {
             n += std::mem::size_of::<Alignment>() + a.mention_raw.len() + 32;
         }
-        n += self.diagnostics.items.len() * 128;
+        n += self.out.diagnostics.items.len() * 128;
         n as u64
     }
 }
@@ -234,12 +237,18 @@ pub struct StoreOptions {
     /// Resident-memory budget in (estimated) bytes; `0` means unbounded.
     /// An entry is estimated at the size of its outputs, a few KB per
     /// document, plus, in a durable store, the v1 record it keeps for
-    /// compaction to write verbatim (~150 KB per generated document). An
-    /// insert that takes the store over the budget evicts
-    /// least-recently-used entries down to 7/8 of it, so eviction runs
-    /// once per ~1/8 of the budget inserted rather than after every
-    /// insert. Recovery streams records in one at a time and applies the
-    /// budget once it has read them all.
+    /// compaction to write verbatim (~150 KB per generated document).
+    /// Every entry, a live miss's and each recovered record alike, enters
+    /// through one insert path; one that takes the store over the budget
+    /// evicts least-recently-used entries down to 7/8 of it, so eviction
+    /// runs once per ~1/8 of the budget inserted rather than after every
+    /// insert. Recovery streams records in one at a time, so the budget
+    /// binds while they are read, not after.
+    ///
+    /// A bounded durable store persists what it keeps resident: a
+    /// snapshot writes the resident entries, so an evicted document
+    /// leaves the disk at the next snapshot and, after a restart, is
+    /// recomputed, bit-identically.
     pub max_bytes: u64,
     /// Floor of the novelty-log size that triggers a compacting
     /// snapshot: the log compacts once it exceeds both this and the
@@ -295,25 +304,32 @@ pub(crate) fn evict_plan(items: &[(u64, u64, u64)], max_bytes: u64) -> Vec<u64> 
     evict
 }
 
-/// Remove the entries [`evict_plan`] picks to fit `map` into
-/// `max_bytes`; returns the estimated size of each one removed.
-fn evict_lru(map: &mut HashMap<u64, DocEntry>, max_bytes: u64) -> Vec<u64> {
-    let items: Vec<(u64, u64, u64)> = map
-        .iter()
-        .map(|(&k, e)| (k, e.last_used, e.approx_bytes))
-        .collect();
-    evict_plan(&items, max_bytes)
-        .into_iter()
-        .filter_map(|key| map.remove(&key))
-        .map(|e| e.approx_bytes)
-        .collect()
-}
-
 /// Every entry, key-ordered: the order of a snapshot's records.
 fn key_ordered(map: &HashMap<u64, DocEntry>) -> Vec<(u64, &DocEntry)> {
     let mut entries: Vec<(u64, &DocEntry)> = map.iter().map(|(&k, e)| (k, e)).collect();
     entries.sort_unstable_by_key(|&(k, _)| k);
     entries
+}
+
+/// The entry map and what is accounted with it, all under one lock: the
+/// entries' estimated resident bytes, their high-water mark, and the LRU
+/// clock.
+#[derive(Debug, Default)]
+struct Entries {
+    map: HashMap<u64, DocEntry>,
+    bytes: u64,
+    peak: u64,
+    /// Monotone LRU clock; bumped on every put and hit.
+    tick: u64,
+}
+
+impl Entries {
+    /// Remove `key`'s entry, if any, and its bytes.
+    fn remove(&mut self, key: u64) -> Option<DocEntry> {
+        let e = self.map.remove(&key)?;
+        self.bytes -= e.approx_bytes;
+        Some(e)
+    }
 }
 
 /// What a missed lookup carries from extraction to the insert: the new
@@ -330,20 +346,17 @@ pub(crate) struct Miss {
 /// `Send + Sync + Clone` and batch/serve configs stay `Copy`; callers
 /// that want incremental re-alignment pass a store (and a stable
 /// per-document key) alongside the system. Interior mutability — one
-/// mutex around the entry map plus atomic counters — makes one store
-/// shareable across every batch worker and serve worker; output stays
-/// input-order deterministic because cache state can only ever change
-/// *which work is skipped*, never *what any document's output is*.
+/// mutex around the entry map and its byte accounting, plus atomic
+/// counters — makes one store shareable across every batch worker and
+/// serve worker; output stays input-order deterministic because cache
+/// state can only ever change *which work is skipped*, never *what any
+/// document's output is*.
 #[derive(Debug)]
 pub struct AlignmentStore {
     model_fp: u64,
-    entries: Mutex<HashMap<u64, DocEntry>>,
+    entries: Mutex<Entries>,
     lookups: AtomicU64,
     hits: AtomicU64,
-    bytes: AtomicU64,
-    bytes_peak: AtomicU64,
-    /// Monotone LRU clock; bumped on every touch of an entry.
-    tick: AtomicU64,
     max_bytes: u64,
     persist_errors: AtomicU64,
     recovered: u64,
@@ -367,60 +380,51 @@ impl AlignmentStore {
     }
 
     /// Create a store with explicit [`StoreOptions`]. With a `dir` set,
-    /// opens (or creates) the durable backing and recovers every entry
-    /// it holds — streaming the snapshot's records, then the novelty
-    /// log's, into the store one at a time, a later record replacing an
-    /// earlier one for the same key — before the store serves its first
-    /// lookup. Fails only on real I/O errors; corrupt or incompatible
-    /// on-disk state recovers to a smaller (possibly empty) store
-    /// instead of failing (see [`persist`]).
+    /// opens (or creates) the durable backing and recovers what it holds
+    /// — streaming the snapshot's records, then the novelty log's, into
+    /// the store one at a time through the insert path a live miss takes,
+    /// so a later record replaces an earlier one for the same key and the
+    /// memory budget binds as records arrive — before the store serves
+    /// its first lookup. Fails only on real I/O errors; corrupt or
+    /// incompatible on-disk state recovers to a smaller (possibly empty)
+    /// store instead of failing (see [`persist`]).
     pub fn with_options(briq: &Briq, opts: &StoreOptions) -> std::io::Result<AlignmentStore> {
-        let model_fp = model_fingerprint(briq);
-        let t = Instant::now();
-        let mut map = HashMap::new();
-        // Replay order seeds the LRU clock: later records are newer.
-        let mut clock = 0;
-        let mut replay = |key: u64, mut entry: DocEntry| {
-            clock += 1;
-            entry.last_used = clock;
-            map.insert(key, entry);
-        };
-        let (backing, rec) = match &opts.dir {
-            Some(dir) => {
-                let (p, rec) =
-                    persist::Persistence::open(dir, model_fp, opts.compact_log_bytes, &mut replay)?;
-                (Some(p), rec)
-            }
-            None => (None, persist::Recovered::default()),
-        };
-        // Apply the memory budget to the recovered set too: a restart
-        // must not resurrect more than a live server would have kept
-        // resident.
-        evict_lru(&mut map, opts.max_bytes);
-        let recovered = map.len() as u64;
-        let recover_s = backing.as_ref().map_or(0.0, |_| t.elapsed().as_secs_f64());
-        let resident = map.values().map(|e| e.approx_bytes).sum();
-        Ok(AlignmentStore {
-            model_fp,
-            entries: Mutex::new(map),
+        let mut store = AlignmentStore {
+            model_fp: model_fingerprint(briq),
+            entries: Mutex::default(),
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
-            bytes: AtomicU64::new(resident),
-            bytes_peak: AtomicU64::new(resident),
-            tick: AtomicU64::new(clock),
             max_bytes: opts.max_bytes,
             persist_errors: AtomicU64::new(0),
-            recovered,
-            recover_s,
-            recover_truncated: rec.truncated,
-            recover_rebuilt: rec.rebuilt,
-            persist: backing,
-        })
+            recovered: 0,
+            recover_s: 0.0,
+            recover_truncated: false,
+            recover_rebuilt: false,
+            persist: None,
+        };
+        if let Some(dir) = &opts.dir {
+            let t = Instant::now();
+            // Recovery's evictions are not counted: no recorder is open.
+            let (p, rec) = persist::Persistence::open(
+                dir,
+                store.model_fp,
+                opts.compact_log_bytes,
+                &mut |key, entry| {
+                    store.put(key, entry);
+                },
+            )?;
+            store.recovered = store.len() as u64;
+            store.recover_s = t.elapsed().as_secs_f64();
+            store.recover_truncated = rec.truncated;
+            store.recover_rebuilt = rec.rebuilt;
+            store.persist = Some(p);
+        }
+        Ok(store)
     }
 
     /// Number of cached documents.
     pub fn len(&self) -> usize {
-        lock(&self.entries).len()
+        lock(&self.entries).map.len()
     }
 
     /// True if nothing is cached yet.
@@ -438,9 +442,10 @@ impl AlignmentStore {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// High-water mark of the store's estimated resident bytes.
+    /// High-water mark of the store's estimated resident bytes, recovery
+    /// included.
     pub fn bytes_peak(&self) -> u64 {
-        self.bytes_peak.load(Ordering::Relaxed)
+        lock(&self.entries).peak
     }
 
     /// True when this store has a durable on-disk backing.
@@ -509,8 +514,8 @@ impl AlignmentStore {
         // consistent point-in-time view. write_snapshot takes the snap
         // and log locks *inside* this — the lock order entries → snap →
         // log is the only one used anywhere (appends take log alone).
-        let map = lock(&self.entries);
-        let records: Vec<&[u8]> = key_ordered(&map)
+        let entries = lock(&self.entries);
+        let records: Vec<&[u8]> = key_ordered(&entries.map)
             .into_iter()
             .map(|(_, e)| &*e.record)
             .collect();
@@ -557,25 +562,44 @@ impl AlignmentStore {
     /// layer.
     #[cfg(test)]
     pub(crate) fn encoded_entries(&self) -> Vec<Vec<u8>> {
-        key_ordered(&lock(&self.entries))
+        key_ordered(&lock(&self.entries).map)
             .into_iter()
             .map(|(_, e)| e.record.to_vec())
             .collect()
     }
 
-    /// Once the resident estimate exceeds the budget, evict
-    /// least-recently-used entries down to its low-water mark (see
-    /// [`evict_plan`]). Eviction only removes cache entries — a later
-    /// lookup for an evicted key recomputes (or recovers from disk on
-    /// the next restart) and produces identical output.
-    fn evict_to_budget(&self, rec: &Recorder) {
-        if self.max_bytes == 0 || self.bytes.load(Ordering::Relaxed) <= self.max_bytes {
-            return;
+    /// The one way into the entry map, for a live miss and a recovered
+    /// record alike: stamp the LRU clock, size the entry, add its bytes
+    /// and update the peak, replace any prior entry for `key`, and, once
+    /// the resident estimate exceeds the budget, evict least-recently-used
+    /// entries down to its low-water mark (see [`evict_plan`]). Returns
+    /// the number evicted. Eviction only removes cache entries — a later
+    /// lookup for an evicted key recomputes and produces identical output.
+    /// The next snapshot writes only the resident entries, so an evicted
+    /// document leaves the disk then, and recomputes after a restart.
+    fn put(&self, key: u64, mut entry: DocEntry) -> u64 {
+        let mut entries = lock(&self.entries);
+        entries.tick += 1;
+        entry.last_used = entries.tick;
+        entry.approx_bytes = entry.estimate_bytes();
+        entries.bytes += entry.approx_bytes;
+        entries.peak = entries.peak.max(entries.bytes);
+        if let Some(old) = entries.map.insert(key, entry) {
+            entries.bytes -= old.approx_bytes;
         }
-        for bytes in evict_lru(&mut lock(&self.entries), self.max_bytes) {
-            self.bytes_sub(bytes);
-            rec.count(names::STORE_EVICTIONS, 1);
+        if self.max_bytes == 0 || entries.bytes <= self.max_bytes {
+            return 0;
         }
+        let items: Vec<(u64, u64, u64)> = entries
+            .map
+            .iter()
+            .map(|(&k, e)| (k, e.last_used, e.approx_bytes))
+            .collect();
+        let evict = evict_plan(&items, self.max_bytes);
+        for &k in &evict {
+            entries.remove(k);
+        }
+        evict.len() as u64
     }
 
     /// Fraction of lookups served verbatim from cache (0.0 when no
@@ -596,16 +620,6 @@ impl AlignmentStore {
         self.hits.store(0, Ordering::Relaxed);
     }
 
-    fn bytes_add(&self, n: u64) {
-        let now = self.bytes.fetch_add(n, Ordering::Relaxed) + n;
-        self.bytes_peak.fetch_max(now, Ordering::Relaxed);
-    }
-
-    fn bytes_sub(&self, n: u64) {
-        self.bytes
-            .fetch_sub(n.min(self.bytes.load(Ordering::Relaxed)), Ordering::Relaxed);
-    }
-
     /// Cache the new version of a document the lookup missed: its
     /// fingerprints, its mention and target counts, and its finished
     /// outputs. A durable store also encodes the document's v1 record,
@@ -618,41 +632,37 @@ impl AlignmentStore {
         key: u64,
         miss: Miss,
         x: Extracted,
-        out: &AlignResult,
+        out: &AlignOutput,
         rec: &Recorder,
     ) {
-        let (alignments, stats, candidates, diagnostics) = out;
         let (mentions, targets) = (x.mentions.len() as u64, x.targets.len() as u64);
         rec.count(names::MENTIONS_REALIGNED, mentions);
         let payload = self
             .persist
             .as_ref()
             .map(|_| persist::encode_record(key, &miss, x, out));
-        let mut entry = DocEntry {
+        let entry = DocEntry {
             config_fp: miss.config_fp,
             text_fp: miss.text_fp,
             table_fps: miss.table_fps,
             mentions,
             targets,
-            alignments: alignments.clone(),
-            candidates: candidates.clone(),
-            diagnostics: diagnostics.clone(),
-            stats: stats.clone(),
+            out: out.clone(),
             record: payload.as_deref().map_or_else(Box::default, Box::from),
             approx_bytes: 0,
-            last_used: self.tick.fetch_add(1, Ordering::Relaxed) + 1,
+            last_used: 0,
         };
-        entry.approx_bytes = entry.estimate_bytes();
-        self.bytes_add(entry.approx_bytes);
-        if let Some(old) = lock(&self.entries).insert(key, entry) {
-            self.bytes_sub(old.approx_bytes);
+        let evicted = self.put(key, entry);
+        if evicted > 0 {
+            rec.count(names::STORE_EVICTIONS, evicted);
         }
         if let (Some(p), Some(payload)) = (&self.persist, payload) {
-            // The append happens after the entry is in the map, so a
-            // compaction in between still covers it, and after the lock
-            // drops, so disk I/O never serializes other workers' lookups.
-            // Persistence is best-effort on the hot path: an append or
-            // snapshot failure costs durability (counted), never
+            // The append happens after the entry is in the map and the
+            // budget is applied, so a compaction in between or triggered
+            // here covers it and persists what eviction left, and after the
+            // lock drops, so disk I/O never serializes other workers'
+            // lookups. Persistence is best-effort on the hot path: an
+            // append or snapshot failure costs durability (counted), never
             // correctness — the in-memory entry is already cached.
             if p.append(&payload).is_err() {
                 self.persist_errors.fetch_add(1, Ordering::Relaxed);
@@ -662,7 +672,6 @@ impl AlignmentStore {
             }
             rec.observe(names::STORE_LOG_BYTES, p.log_bytes() as f64);
         }
-        self.evict_to_budget(rec);
         rec.observe(names::STORE_BYTES_PEAK, self.bytes_peak() as f64);
     }
 
@@ -678,7 +687,7 @@ impl AlignmentStore {
         doc: &Document,
         budget: &Budget,
         rec: &Recorder,
-    ) -> ControlFlow<AlignResult, Miss> {
+    ) -> ControlFlow<AlignOutput, Miss> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let mut cfp = Fingerprint::new();
         cfp.u64(self.model_fp);
@@ -687,26 +696,22 @@ impl AlignmentStore {
         let text_fp = text_fingerprint(&doc.text);
         let table_fps: Vec<u64> = doc.tables.iter().map(table_fingerprint).collect();
         let prior = {
-            let mut map = lock(&self.entries);
-            if let Some(e) = map.get_mut(&key).filter(|e| {
+            let mut guard = lock(&self.entries);
+            let entries = &mut *guard;
+            if let Some(e) = entries.map.get_mut(&key).filter(|e| {
                 e.config_fp == config_fp && e.text_fp == text_fp && e.table_fps == table_fps
             }) {
-                e.last_used = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+                entries.tick += 1;
+                e.last_used = entries.tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 rec.count(names::STORE_HITS, 1);
                 rec.count(names::MENTIONS, e.mentions);
                 rec.count(names::TARGETS, e.targets);
-                return ControlFlow::Break((
-                    e.alignments.clone(),
-                    e.stats.clone(),
-                    e.candidates.clone(),
-                    e.diagnostics.clone(),
-                ));
+                return ControlFlow::Break(e.out.clone());
             }
-            map.remove(&key)
+            entries.remove(key)
         };
-        if let Some(p) = prior {
-            self.bytes_sub(p.approx_bytes);
+        if prior.is_some() {
             rec.count(names::STORE_INVALIDATIONS, 1);
         }
         ControlFlow::Continue(Miss {
@@ -729,15 +734,14 @@ mod tests {
     use super::*;
     use crate::pipeline::{AlignOpts, BriqConfig};
 
-    /// [`Briq::align_with`] through `store` under document key `key`:
-    /// alignments, filter totals, candidates, and diagnostics.
+    /// [`Briq::align_with`] through `store` under document key `key`.
     pub(crate) fn stored(
         briq: &Briq,
         store: &AlignmentStore,
         key: u64,
         doc: &Document,
         budget: Budget,
-    ) -> AlignResult {
+    ) -> AlignOutput {
         stored_into(briq, store, key, doc, budget, &Recorder::disabled())
     }
 
@@ -749,15 +753,14 @@ mod tests {
         doc: &Document,
         budget: Budget,
         rec: &Recorder,
-    ) -> AlignResult {
+    ) -> AlignOutput {
         let opts = AlignOpts {
             budget,
             recorder: Some(rec),
             store: Some((store, key)),
             ..AlignOpts::default()
         };
-        let out = briq.align_with(doc, &opts);
-        (out.alignments, out.stats, out.candidates, out.diagnostics)
+        briq.align_with(doc, &opts)
     }
 
     fn doc(text: &str, grid: Vec<Vec<String>>) -> Document {
@@ -827,12 +830,6 @@ mod tests {
         };
         let warm = briq.align_with(&d, &opts);
         assert_eq!(store.hits(), 1);
-        let warm = (
-            warm.alignments,
-            warm.stats,
-            warm.candidates,
-            warm.diagnostics,
-        );
         assert_eq!(cold, warm);
         let trace = rec.finish().expect("an enabled recorder yields a trace");
         for stage in [
@@ -927,9 +924,9 @@ mod tests {
                 ..AlignOpts::default()
             },
         );
-        assert_eq!(incremental.0, full.alignments);
-        assert_eq!(incremental.1, full.stats);
-        assert_eq!(incremental.2, full.candidates);
+        assert_eq!(incremental.alignments, full.alignments);
+        assert_eq!(incremental.stats, full.stats);
+        assert_eq!(incremental.candidates, full.candidates);
         let metrics = rec.finish().expect("trace").metrics;
         assert_eq!(metrics.counter(names::STORE_INVALIDATIONS), 1);
     }

@@ -26,8 +26,10 @@
 //! - **Recovery** — stream the snapshot's frames, then the log's, one
 //!   record at a time: each payload is read into the buffer its entry
 //!   keeps, checksummed, and decoded for its fingerprints and outputs
-//!   only (the intermediates are stepped over, not built), and a later
-//!   record for a key replaces the earlier one at once. A torn tail frame
+//!   only (the intermediates are stepped over, not built), and handed to
+//!   the store, which takes it in through the insert path a live miss
+//!   takes: a later record for a key replaces the earlier one at once,
+//!   and a bounded store evicts as records arrive. A torn tail frame
 //!   (short header, short payload, or checksum mismatch) truncates the
 //!   file at the last valid frame boundary instead of failing:
 //!   everything before the tear is served warm, everything after is
@@ -63,7 +65,7 @@ use crate::context::{DocContext, MentionContext, TableContext};
 use crate::error::{DegradedAction, Diagnostic, Diagnostics, Stage};
 use crate::filtering::{Candidate, FilterStats};
 use crate::mention::{Alignment, TextMention};
-use crate::pipeline::{AlignResult, Extracted};
+use crate::pipeline::{AlignOutput, Extracted};
 
 /// On-disk format version. Bumped on any incompatible codec or layout
 /// change; a manifest naming a different version marks the whole
@@ -476,8 +478,7 @@ wire_struct! { Diagnostics { items } }
 /// alignments, diagnostics and filter totals. The slots only a retired
 /// per-mention replay read — `aggregate_fp`, and each mention's `fp` and
 /// filter delta — are written as `0` and empty.
-pub(crate) fn encode_record(key: u64, miss: &Miss, mut x: Extracted, out: &AlignResult) -> Vec<u8> {
-    let (alignments, stats, candidates, diagnostics) = out;
+pub(crate) fn encode_record(key: u64, miss: &Miss, mut x: Extracted, out: &AlignOutput) -> Vec<u8> {
     let tables = std::mem::take(&mut x.ctx.tables);
     let mut b = Vec::new();
     for fp in [key, miss.config_fp, miss.text_fp, 0] {
@@ -489,15 +490,15 @@ pub(crate) fn encode_record(key: u64, miss: &Miss, mut x: Extracted, out: &Align
     tables.put(&mut b);
     x.targets.put(&mut b);
     x.diags.put(&mut b);
-    put_len(candidates.len(), &mut b);
-    for c in candidates {
+    put_len(out.candidates.len(), &mut b);
+    for c in &out.candidates {
         0u64.put(&mut b);
         c.put(&mut b);
         FilterStats::default().put(&mut b);
     }
-    alignments.put(&mut b);
-    diagnostics.put(&mut b);
-    stats.put(&mut b);
+    out.alignments.put(&mut b);
+    out.diagnostics.put(&mut b);
+    out.stats.put(&mut b);
     b
 }
 
@@ -506,9 +507,10 @@ pub(crate) fn encode_record(key: u64, miss: &Miss, mut x: Extracted, out: &Align
 /// intermediates and the retired slots are stepped over by
 /// [`Wire::skip`], which refuses exactly what decoding them refuses, and
 /// only the mention and target counts are kept. The payload itself
-/// becomes the entry's record. Strict: the payload must be consumed
-/// exactly; any slack or structural error is a decode failure (treated
-/// as corruption by recovery).
+/// becomes the entry's record; the store sizes the entry when it takes it
+/// in. Strict: the payload must be consumed exactly; any slack or
+/// structural error is a decode failure (treated as corruption by
+/// recovery).
 pub(crate) fn decode_record(payload: Vec<u8>) -> Result<(u64, DocEntry), DecodeError> {
     let mut d = Dec {
         b: &payload,
@@ -537,21 +539,22 @@ pub(crate) fn decode_record(payload: Vec<u8>) -> Result<(u64, DocEntry), DecodeE
     if d.pos != payload.len() {
         return Err(DecodeError("trailing garbage"));
     }
-    let mut entry = DocEntry {
+    let entry = DocEntry {
         config_fp,
         text_fp,
         table_fps,
         mentions: mentions as u64,
         targets: targets as u64,
-        alignments,
-        candidates,
-        diagnostics,
-        stats,
+        out: AlignOutput {
+            alignments,
+            diagnostics,
+            stats,
+            candidates,
+        },
         record: payload.into_boxed_slice(),
         approx_bytes: 0,
         last_used: 0,
     };
-    entry.approx_bytes = entry.estimate_bytes();
     Ok((key, entry))
 }
 
@@ -781,7 +784,6 @@ fn wipe_store_files(dir: &Path) {
 // ---------------------------------------------------------------------------
 
 /// How recovery left the store directory.
-#[derive(Default)]
 pub(crate) struct Recovered {
     /// True if a torn tail was truncated in the snapshot or log.
     pub truncated: bool,
@@ -1017,7 +1019,7 @@ mod tests {
     use super::super::{AlignmentStore, StoreOptions};
     use super::*;
     use crate::error::Budget;
-    use crate::pipeline::{AlignOpts, AlignResult, Briq, BriqConfig};
+    use crate::pipeline::{AlignOpts, AlignOutput, Briq, BriqConfig};
     use crate::store::tests::stored;
     use briq_table::{Document, Table};
     use proptest::prelude::*;
@@ -1110,7 +1112,7 @@ mod tests {
     }
 
     /// Align `docs` through `store` and return every output surface.
-    fn align_all(briq: &Briq, store: &AlignmentStore, docs: &[Document]) -> Vec<AlignResult> {
+    fn align_all(briq: &Briq, store: &AlignmentStore, docs: &[Document]) -> Vec<AlignOutput> {
         docs.iter()
             .enumerate()
             .map(|(i, d)| stored(briq, store, i as u64, d, Budget::default()))
@@ -1190,6 +1192,56 @@ mod tests {
         assert_eq!(store.hits(), docs.len() as u64);
         assert_eq!(warm[0], cold.0[0]);
         assert_eq!(warm[1], cold.1[0]);
+    }
+
+    /// Reopening with a budget of about two entries binds while the
+    /// records stream in: the peak never holds much more than the budget,
+    /// only what fits it is recovered, and output is unchanged.
+    #[test]
+    fn bounded_reopen_applies_the_budget_while_recovering() {
+        let briq = briq();
+        let dir = TempDir::new("bounded");
+        let docs: Vec<Document> = docs().into_iter().cycle().take(8).collect();
+        let largest = {
+            let store = persistent(&briq, dir.path());
+            align_all(&briq, &store, &docs[..4]);
+            store.snapshot().expect("snapshot");
+            // The other four land in the post-snapshot log.
+            align_all(&briq, &store, &docs);
+            let entries = lock(&store.entries);
+            assert_eq!(entries.map.len(), docs.len());
+            entries.map.values().map(|e| e.approx_bytes).max()
+        }
+        .expect("entries were written");
+        let max_bytes = 2 * largest;
+        let store = AlignmentStore::with_options(
+            &briq,
+            &StoreOptions {
+                dir: Some(dir.path().to_path_buf()),
+                max_bytes,
+                ..StoreOptions::default()
+            },
+        )
+        .expect("reopen with a budget");
+        assert!(
+            store.bytes_peak() <= max_bytes + largest,
+            "recovery peaked at {} bytes against a {max_bytes}-byte budget",
+            store.bytes_peak()
+        );
+        assert!((1..docs.len() as u64).contains(&store.recovered_entries()));
+        // Every recovered entry was sized on its way in, and the resident
+        // count is their sum.
+        let resident = |store: &AlignmentStore| {
+            let entries = lock(&store.entries);
+            for e in entries.map.values() {
+                assert_eq!(e.approx_bytes, e.estimate_bytes());
+            }
+            let sum: u64 = entries.map.values().map(|e| e.approx_bytes).sum();
+            assert_eq!(entries.bytes, sum);
+        };
+        resident(&store);
+        assert_eq!(align_all(&briq, &store, &docs), storeless(&briq, &docs));
+        resident(&store);
     }
 
     #[test]
@@ -1278,12 +1330,9 @@ mod tests {
     }
 
     /// Every output surface of `docs` aligned without a store.
-    fn storeless(briq: &Briq, docs: &[Document]) -> Vec<AlignResult> {
+    fn storeless(briq: &Briq, docs: &[Document]) -> Vec<AlignOutput> {
         docs.iter()
-            .map(|d| {
-                let out = briq.align_with(d, &AlignOpts::default());
-                (out.alignments, out.stats, out.candidates, out.diagnostics)
-            })
+            .map(|d| briq.align_with(d, &AlignOpts::default()))
             .collect()
     }
 
@@ -1376,7 +1425,7 @@ mod tests {
     /// What `e` was made of when the store missed it: its fingerprints,
     /// its extraction (the table contexts back inside the text context)
     /// and its outputs.
-    fn parts(e: &V1Entry) -> (Miss, Extracted, AlignResult) {
+    fn parts(e: &V1Entry) -> (Miss, Extracted, AlignOutput) {
         let mut ctx = e.text_ctx.clone();
         ctx.tables = e.table_contexts.clone();
         let miss = Miss {
@@ -1390,13 +1439,12 @@ mod tests {
             targets: e.targets.clone(),
             diags: e.extract_diags.clone(),
         };
-        let candidates = e.artifacts.iter().map(|a| a.candidates.clone()).collect();
-        let out = (
-            e.alignments.clone(),
-            e.stats.clone(),
-            candidates,
-            e.diagnostics.clone(),
-        );
+        let out = AlignOutput {
+            alignments: e.alignments.clone(),
+            diagnostics: e.diagnostics.clone(),
+            stats: e.stats.clone(),
+            candidates: e.artifacts.iter().map(|a| a.candidates.clone()).collect(),
+        };
         (miss, x, out)
     }
 
@@ -1418,12 +1466,11 @@ mod tests {
         assert_eq!(entry.targets, e.targets.len() as u64);
         let candidates: Vec<Vec<Candidate>> =
             e.artifacts.iter().map(|a| a.candidates.clone()).collect();
-        assert_eq!(bytes(&entry.candidates), bytes(&candidates));
-        assert_eq!(bytes(&entry.alignments), bytes(&e.alignments));
-        assert_eq!(bytes(&entry.diagnostics), bytes(&e.diagnostics));
-        assert_eq!(bytes(&entry.stats), bytes(&e.stats));
+        assert_eq!(bytes(&entry.out.candidates), bytes(&candidates));
+        assert_eq!(bytes(&entry.out.alignments), bytes(&e.alignments));
+        assert_eq!(bytes(&entry.out.diagnostics), bytes(&e.diagnostics));
+        assert_eq!(bytes(&entry.out.stats), bytes(&e.stats));
         assert_eq!(&*entry.record, payload);
-        assert_eq!(entry.approx_bytes, entry.estimate_bytes());
     }
 
     /// An entry that writes every tag the codec knows — each `Unit`,

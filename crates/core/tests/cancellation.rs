@@ -117,7 +117,7 @@ proptest! {
     ) {
         let doc = numeric_doc(&vals, text_val);
         let briq = Briq::untrained(BriqConfig::default());
-        let token = CancelToken::deadline_in(std::time::Duration::ZERO);
+        let token = CancelToken::with_deadline(std::time::Instant::now());
         let out = align(&briq, &doc, Budget::default(), Some(&token));
         assert_cancelled_clean(&out.alignments, &out.diagnostics, "deadline exceeded")?;
     }

@@ -92,17 +92,6 @@ impl Default for CorpusConfig {
 }
 
 impl CorpusConfig {
-    /// A `tableS`-scale preset (§VII-A: 495 pages → 1 598 documents). We
-    /// generate documents directly; pages are only materialized for the
-    /// throughput experiments.
-    pub fn table_s(seed: u64) -> Self {
-        CorpusConfig {
-            n_documents: 1598,
-            seed,
-            ..Default::default()
-        }
-    }
-
     /// A smaller preset for unit/integration tests.
     pub fn small(seed: u64) -> Self {
         CorpusConfig {
@@ -120,13 +109,6 @@ pub struct GeneratedCorpus {
     pub documents: Vec<LabeledDocument>,
     /// Domain of each document (parallel to `documents`).
     pub domains: Vec<Domain>,
-}
-
-impl GeneratedCorpus {
-    /// Total gold alignments.
-    pub fn gold_count(&self) -> usize {
-        self.documents.iter().map(|d| d.gold.len()).sum()
-    }
 }
 
 fn pick_domain(weights: &[(Domain, f64); 6], rng: &mut impl Rng) -> Domain {
@@ -387,7 +369,7 @@ mod tests {
             ..CorpusConfig::default()
         };
         let c = generate_corpus(&cfg);
-        let total = c.gold_count() as f64;
+        let total = c.documents.iter().map(|d| d.gold.len()).sum::<usize>() as f64;
         let count = |k: &str| {
             c.documents
                 .iter()
@@ -405,7 +387,12 @@ mod tests {
 
     #[test]
     fn aggregates_present_in_gold() {
-        let c = generate_corpus(&CorpusConfig::table_s(5));
+        // A `tableS`-scale corpus (§VII-A: 495 pages → 1 598 documents).
+        let c = generate_corpus(&CorpusConfig {
+            n_documents: 1598,
+            seed: 5,
+            ..CorpusConfig::default()
+        });
         let kinds: std::collections::BTreeSet<String> = c
             .documents
             .iter()

@@ -14,7 +14,7 @@
 //! * [`entropy`] — Shannon entropy of score distributions (adaptive
 //!   filtering §V-B and entropy-ordered resolution §VI-B),
 //! * [`kappa`] — Fleiss' kappa for inter-annotator agreement (§VII-A),
-//! * [`split`] — seeded stratified train/validation/test splitting,
+//! * [`split`] — seeded random train/validation/test splitting,
 //! * [`gridsearch`] — exhaustive hyper-parameter grid search (§VII-C).
 
 #![warn(missing_docs)]

@@ -1,4 +1,4 @@
-//! Seeded (optionally stratified) train/validation/test splitting.
+//! Seeded random train/validation/test splitting.
 //!
 //! §VII-B: "The tableS dataset was randomly split into disjoint training
 //! (80%), test (10%) and validation sets (10%)."
@@ -35,30 +35,6 @@ pub fn random_split(n: usize, val_frac: f64, test_frac: f64, seed: u64) -> Split
     }
 }
 
-/// Stratified split: class proportions are preserved in each part.
-pub fn stratified_split(labels: &[bool], val_frac: f64, test_frac: f64, seed: u64) -> Split {
-    let mut pos: Vec<usize> = (0..labels.len()).filter(|&i| labels[i]).collect();
-    let mut neg: Vec<usize> = (0..labels.len()).filter(|&i| !labels[i]).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    pos.shuffle(&mut rng);
-    neg.shuffle(&mut rng);
-
-    let mut split = Split {
-        train: Vec::new(),
-        validation: Vec::new(),
-        test: Vec::new(),
-    };
-    for class in [pos, neg] {
-        let n = class.len();
-        let n_val = (n as f64 * val_frac).round() as usize;
-        let n_test = (n as f64 * test_frac).round() as usize;
-        split.validation.extend(&class[..n_val]);
-        split.test.extend(&class[n_val..n_val + n_test]);
-        split.train.extend(&class[n_val + n_test..]);
-    }
-    split
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,24 +60,6 @@ mod tests {
     fn deterministic_given_seed() {
         assert_eq!(random_split(50, 0.2, 0.2, 3), random_split(50, 0.2, 0.2, 3));
         assert_ne!(random_split(50, 0.2, 0.2, 3), random_split(50, 0.2, 0.2, 4));
-    }
-
-    #[test]
-    fn stratified_preserves_class_ratio() {
-        let labels: Vec<bool> = (0..200).map(|i| i % 10 == 0).collect(); // 10% positive
-        let s = stratified_split(&labels, 0.1, 0.1, 11);
-        let pos_in = |ids: &[usize]| ids.iter().filter(|&&i| labels[i]).count();
-        assert_eq!(pos_in(&s.validation), 2);
-        assert_eq!(pos_in(&s.test), 2);
-        assert_eq!(pos_in(&s.train), 16);
-        let all: BTreeSet<usize> = s
-            .train
-            .iter()
-            .chain(&s.validation)
-            .chain(&s.test)
-            .copied()
-            .collect();
-        assert_eq!(all.len(), 200);
     }
 
     #[test]

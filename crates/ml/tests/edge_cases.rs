@@ -5,7 +5,7 @@ use briq_ml::entropy::{normalized_entropy, shannon_entropy};
 use briq_ml::gridsearch::{grid_search, product};
 use briq_ml::kappa::fleiss_kappa;
 use briq_ml::metrics::{precision_recall_f1, roc_auc, Prf};
-use briq_ml::split::{random_split, stratified_split};
+use briq_ml::split::random_split;
 use briq_ml::tree::{DecisionTree, TreeConfig};
 use briq_ml::{RandomForest, RandomForestConfig};
 use rand::rngs::StdRng;
@@ -112,15 +112,6 @@ fn split_sizes_round_sensibly() {
     assert_eq!(s.train.len() + s.validation.len() + s.test.len(), 7);
     let s = random_split(0, 0.1, 0.1, 0);
     assert!(s.train.is_empty() && s.test.is_empty());
-}
-
-#[test]
-fn stratified_split_single_class() {
-    let labels = vec![false; 30];
-    let s = stratified_split(&labels, 0.2, 0.2, 3);
-    assert_eq!(s.train.len(), 18);
-    assert_eq!(s.validation.len(), 6);
-    assert_eq!(s.test.len(), 6);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! (§IV-B) need a small but real NLP toolchain:
 //!
 //! * [`token`] — offset-preserving tokenizer,
-//! * [`sentence`] — sentence and paragraph segmentation,
+//! * [`sentence`] — sentence segmentation,
 //! * [`numparse`] — numeric-literal parsing across the formats found in web
 //!   tables (`3,263`, `2,29,866`, `0,877`, `(9.49)`, `37K`, `$3.26 billion`,
 //!   word numbers like `twenty`),

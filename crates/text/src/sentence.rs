@@ -1,8 +1,9 @@
-//! Sentence and paragraph segmentation.
+//! Sentence segmentation.
 //!
-//! Paragraphs are the atomic building blocks of BriQ documents (§III);
-//! sentences delimit the *local context* of a text mention (feature f4 and
-//! the tagger's local scope, §V-A).
+//! Sentences delimit the *local context* of a text mention (feature f4 and
+//! the tagger's local scope, §V-A). Paragraphs, the atomic building blocks
+//! of BriQ documents (§III), come from the HTML page's `<p>` elements, not
+//! from this module.
 
 /// Common abbreviations that should not end a sentence.
 const ABBREVIATIONS: &[&str] = &[
@@ -10,37 +11,6 @@ const ABBREVIATIONS: &[&str] = &[
     "eq", "ca", "approx", "jan", "feb", "mar", "apr", "jun", "jul", "aug", "sep", "sept", "oct",
     "nov", "dec", "st", "e.g", "i.e", "u.s", "u.k", "mio",
 ];
-
-/// Split `text` into paragraphs on blank lines. Returns `(start, end)` byte
-/// spans; whitespace-only segments are skipped.
-pub fn split_paragraphs(text: &str) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    let mut start = 0usize;
-    let bytes = text.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        // A blank line: '\n' followed by optional spaces and another '\n'.
-        if bytes[i] == b'\n' {
-            let mut j = i + 1;
-            while j < bytes.len() && (bytes[j] == b' ' || bytes[j] == b'\t' || bytes[j] == b'\r') {
-                j += 1;
-            }
-            if j < bytes.len() && bytes[j] == b'\n' {
-                push_trimmed(text, start, i, &mut spans);
-                // skip the run of blank lines
-                while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-                    j += 1;
-                }
-                start = j;
-                i = j;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    push_trimmed(text, start, text.len(), &mut spans);
-    spans
-}
 
 fn push_trimmed(text: &str, start: usize, end: usize, spans: &mut Vec<(usize, usize)>) {
     if start >= end {
@@ -176,26 +146,8 @@ mod tests {
     }
 
     #[test]
-    fn paragraphs_split_on_blank_lines() {
-        let t = "First paragraph\nstill first.\n\nSecond paragraph.\n\n\nThird.";
-        let p = split_paragraphs(t);
-        assert_eq!(p.len(), 3);
-        assert!(t[p[0].0..p[0].1].starts_with("First"));
-        assert!(t[p[1].0..p[1].1].starts_with("Second"));
-        assert!(t[p[2].0..p[2].1].starts_with("Third"));
-    }
-
-    #[test]
-    fn single_paragraph() {
-        let t = "only one block of text";
-        assert_eq!(split_paragraphs(t), vec![(0, t.len())]);
-    }
-
-    #[test]
     fn empty_text() {
-        assert!(split_paragraphs("").is_empty());
         assert!(split_sentences("").is_empty());
-        assert!(split_paragraphs("  \n\n  ").is_empty());
     }
 
     #[test]

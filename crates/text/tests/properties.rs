@@ -2,7 +2,7 @@
 
 use briq_text::numparse::{order_of_magnitude, parse_numeral};
 use briq_text::quantity::extract_quantities;
-use briq_text::sentence::{split_paragraphs, split_sentences};
+use briq_text::sentence::split_sentences;
 use briq_text::token::tokenize;
 use proptest::prelude::*;
 
@@ -58,19 +58,6 @@ proptest! {
             prop_assert!(a >= prev);
             prop_assert!(b <= s.len());
             prop_assert!(a < b);
-            prev = b;
-        }
-    }
-
-    /// Paragraph spans are ordered, non-overlapping, non-blank.
-    #[test]
-    fn paragraph_spans_wellformed(s in "[a-z \n]{0,200}") {
-        let spans = split_paragraphs(&s);
-        let mut prev = 0usize;
-        for (a, b) in spans {
-            prop_assert!(a >= prev);
-            prop_assert!(a < b && b <= s.len());
-            prop_assert!(!s[a..b].trim().is_empty());
             prev = b;
         }
     }
