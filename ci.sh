@@ -65,8 +65,11 @@
 #                test stage runs. Finally the work golden: every counter
 #                line of the untrained and trained --jobs 1 runs, the byte
 #                count and SHA-256 of both runs' alignment stdout and
-#                diagnostics JSONL, and the --store-dir run's
-#                "store: persisted" line and snapshot SHA-256 are written
+#                diagnostics JSONL, the --store-dir run's
+#                "store: persisted" line and snapshot SHA-256, and the
+#                heap allocations per document of untrained align_with
+#                over the smoke documents (examples/alloc_per_doc.rs, an
+#                untimed counting-allocator run) are written
 #                to target/BENCH_work.jsonl, and the stage fails, showing
 #                the diff, unless that equals the committed
 #                BENCH_work.jsonl byte for byte. A change that moves work
@@ -253,6 +256,7 @@ golden_digest() { # run what file
 
 stage_determinism() {
     cargo build --offline --locked --release -q -p briq-bench || return 1
+    cargo build --offline --locked --release -q --example alloc_per_doc || return 1
     local dir jobs_hi run
     dir="$(mktemp -d)"
     trap 'rm -rf "$dir"' RETURN
@@ -325,6 +329,7 @@ stage_determinism() {
         golden_digest trained diagnostics "$dir/diag_m1.jsonl"
         printf '{"run":"store","stderr":"%s"}\n' "$(grep '^store: persisted ' "$dir/err_stored.txt")"
         golden_digest store snapshot "$dir/store"/snapshot-*.briq
+        ./target/release/examples/alloc_per_doc
     } > target/BENCH_work.jsonl
     same_file determinism BENCH_work.jsonl target/BENCH_work.jsonl \
         "this run's work golden target/BENCH_work.jsonl (> lines; < is the committed BENCH_work.jsonl)" || {

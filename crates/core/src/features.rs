@@ -110,6 +110,59 @@ pub fn format_value(v: f64) -> String {
     }
 }
 
+/// The chars of `format_value(v).to_lowercase()`, built without the
+/// float formatter: a virtual cell's f1 surface. Below `1e15`, `v` is
+/// `m · 2^-k` exactly (`m < 2^53`), so `|v| · 10^4` rounds to an integer
+/// in `u128` arithmetic, ties to even as `{:.4}` rounds the exact binary
+/// value (an integer `v` needs no rounding, and `-0.0` prints as `0`, as
+/// `format_value`'s `v as i64` does); its digits are then trimmed as
+/// [`format_value`] trims. Non-finite and larger values take
+/// [`format_value`] itself. The proptests in this module's tests hold
+/// the two equal over arbitrary bit patterns.
+fn value_surface(v: f64) -> Vec<char> {
+    if !v.is_finite() || v.abs() >= 1e15 {
+        return format_value(v).to_lowercase().chars().collect();
+    }
+    let bits = v.abs().to_bits();
+    let (exp, frac) = ((bits >> 52) as i64, bits & ((1 << 52) - 1));
+    // Below 1e15 < 2^50 the binary exponent is negative: `-k`, `k >= 3`.
+    let (m, k) = match exp {
+        0 => (frac, 1074),
+        e => (frac | 1 << 52, 1075 - e),
+    };
+    // `m · 10^4 < 2^67`, so past `k = 67` the quotient rounds to 0.
+    let scaled = u128::from(m) * 10_000;
+    let ten_thousandths = if k > 67 {
+        0
+    } else {
+        let (q, r, half) = (scaled >> k, scaled & ((1 << k) - 1), 1u128 << (k - 1));
+        q + u128::from(r > half || (r == half && q & 1 == 1))
+    };
+    let mut out = Vec::new();
+    if v < 0.0 {
+        out.push('-');
+    }
+    let digit = |d: u128| char::from(b'0' + (d % 10) as u8);
+    let (mut int, start) = (ten_thousandths / 10_000, out.len());
+    loop {
+        out.push(digit(int));
+        int /= 10;
+        if int == 0 {
+            break;
+        }
+    }
+    out[start..].reverse();
+    let frac4 = ten_thousandths % 10_000;
+    if frac4 != 0 {
+        out.push('.');
+        out.extend([1000, 100, 10, 1].map(|div| digit(frac4 / div)));
+        while out.last() == Some(&'0') {
+            out.pop();
+        }
+    }
+    out
+}
+
 /// Compute the 12-feature vector for text mention `x` against table
 /// mention `t` within a prepared document context.
 pub fn feature_vector(x: &TextMention, t: &TableMention, ctx: &DocContext) -> Vec<f64> {
@@ -597,10 +650,12 @@ impl<'c> PairFeaturizer<'c> {
         let (mrows, mcols) = member.split_at(idx.row_blocks);
 
         let surface = self.surfaces[ti].get_or_insert_with(|| {
-            table_surface(&self.target_mentions[ti])
-                .to_lowercase()
-                .chars()
-                .collect()
+            let t = &self.target_mentions[ti];
+            if t.is_aggregate() {
+                value_surface(t.value)
+            } else {
+                t.raw.to_lowercase().chars().collect()
+            }
         });
         out[0] = self.jaro.jaro_winkler_chars(&m.raw_chars, surface);
         out[1] = {
@@ -877,6 +932,107 @@ mod tests {
         assert_eq!(format_value(1.5), "1.5");
         assert_eq!(format_value(1.5730000), "1.573");
         assert_eq!(format_value(-70.0), "-70");
+    }
+
+    /// `value_surface(v)` against its oracle, `format_value(v)`
+    /// lowercased, as chars.
+    fn surface_matches(v: f64) -> Result<(), String> {
+        let oracle: Vec<char> = format_value(v).to_lowercase().chars().collect();
+        let got = value_surface(v);
+        if got == oracle {
+            Ok(())
+        } else {
+            Err(format!(
+                "{v:e} ({:#x}): {:?} != {:?}",
+                v.to_bits(),
+                String::from_iter(&got),
+                String::from_iter(&oracle)
+            ))
+        }
+    }
+
+    #[test]
+    fn value_surface_edges() {
+        let two52 = 4_503_599_627_370_496.0_f64;
+        let named: [(f64, Option<&str>); 20] = [
+            // An exact tie rounds to even, as `{:.4}` does.
+            (0.03125, Some("0.0312")),
+            (0.09375, Some("0.0938")),
+            (-0.03125, Some("-0.0312")),
+            // Rounding to zero keeps the sign of a negative value …
+            (-0.00001, Some("-0")),
+            (0.00001, Some("0")),
+            // … but an exact negative zero is the integer 0.
+            (-0.0, Some("0")),
+            (0.0, Some("0")),
+            (f64::NAN, Some("nan")),
+            (f64::INFINITY, Some("inf")),
+            (f64::NEG_INFINITY, Some("-inf")),
+            (f64::from_bits(1), Some("0")),
+            (-f64::from_bits(1), Some("-0")),
+            (f64::MIN_POSITIVE / 2.0, Some("0")),
+            (0.99995, None),
+            (1.573, Some("1.573")),
+            (-70.0, Some("-70")),
+            // Around 1e15, where `format_value` leaves the integer form,
+            // and both sides of 2^52, where `f64` stops holding fractions.
+            (999_999_999_999_999.9, None),
+            (1e15, None),
+            (two52 - 0.5, None),
+            (two52 + 1.0, None),
+        ];
+        for (v, want) in named {
+            surface_matches(v).unwrap();
+            if let Some(want) = want {
+                assert_eq!(String::from_iter(value_surface(v)), want, "{v:e}");
+            }
+        }
+        for v in [
+            two52,
+            -two52,
+            2.0 * two52,
+            f64::MAX,
+            f64::MIN,
+            1e300,
+            1e-300,
+        ] {
+            surface_matches(v).unwrap();
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// Any bit pattern: NaNs, infinities, subnormals and the huge and
+        /// tiny exponents that dominate uniform bits.
+        #[test]
+        fn value_surface_matches_format_value_on_any_bits(bits in 0u64..=u64::MAX) {
+            proptest::prop_assert_eq!(surface_matches(f64::from_bits(bits)), Ok(()));
+        }
+
+        /// Exponents from 2^-30 to 2^60, where the four decimals and
+        /// their rounding matter and the 1e15 and 2^52 edges sit.
+        #[test]
+        fn value_surface_matches_format_value_near_the_decimals(
+            sign in 0u64..=1,
+            exp in 993u64..=1083,
+            mantissa in 0u64..(1 << 52),
+        ) {
+            let v = f64::from_bits(sign << 63 | exp << 52 | mantissa);
+            proptest::prop_assert_eq!(surface_matches(v), Ok(()));
+        }
+
+        /// Ratios of small integers: the percentages, ratios and halves
+        /// (exact ties) that virtual cells hold.
+        #[test]
+        fn value_surface_matches_format_value_on_ratios(
+            n in -10_000_000i64..=10_000_000,
+            d in 1i64..=100_000,
+        ) {
+            let v = n as f64 / d as f64;
+            proptest::prop_assert_eq!(surface_matches(v), Ok(()));
+            proptest::prop_assert_eq!(surface_matches(v * 100.0), Ok(()));
+        }
     }
 
     #[test]

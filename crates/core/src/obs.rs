@@ -50,7 +50,9 @@ use briq_json::Value;
 
 /// Canonical metric and span names (DESIGN.md §11 is the reference).
 pub mod names {
-    /// Counter: mention/target pairs entering the classify stage.
+    /// Counter: mention/target pairs entering the classify stage, over
+    /// the targets extraction generated (on the production path, the
+    /// tagged aggregate kinds only).
     pub const PAIRS_SCORED: &str = "pairs_scored";
     /// Retired counter name: the scoring engine's unique-row dedup
     /// cache is gone and nothing emits `rows_deduped` any more. The
@@ -64,8 +66,8 @@ pub mod names {
     /// (`crate::retrieval`); absent on exhaustive (`use_index: false`)
     /// runs, as are the engine counters above and below.
     pub const RETRIEVAL_CANDIDATES: &str = "retrieval_candidates";
-    /// Counter: pairs the retrieval index proved non-viable and never
-    /// featurized or scored.
+    /// Counter: generated pairs the retrieval index proved non-viable
+    /// and never featurized or scored.
     pub const RETRIEVAL_PAIRS_DROPPED: &str = "retrieval_pairs_dropped";
     /// Histogram: retrieved candidate-set size per mention (unit:
     /// pairs).

@@ -1,7 +1,9 @@
 //! The end-to-end BriQ pipeline (Fig. 2).
 
 use briq_ml::RandomForestConfig;
-use briq_table::virtual_cells::{all_table_mentions_capped, VirtualCellConfig};
+use briq_table::virtual_cells::{
+    all_table_mentions_capped, KindCounts, TableMentions, VirtualCellConfig,
+};
 use briq_table::{Document, TableError, TableMention};
 use briq_text::cues::AggregationKind;
 
@@ -369,27 +371,43 @@ impl Briq {
         doc: &Document,
         budget: &Budget,
     ) -> (ScoredDocument, Diagnostics) {
-        let x = self.extract(doc, budget);
-        let (scored, tags) = self.classify_stage(doc, &x.mentions, &x.ctx, &x.targets);
+        let x = self.extract(doc, budget, false);
+        let scored = self.classify_stage(&x);
         (
             ScoredDocument {
                 mentions: x.mentions,
                 ctx: x.ctx,
                 targets: x.targets,
                 scored,
-                tags,
+                tags: x.tags,
                 budget: *budget,
             },
             x.diags,
         )
     }
 
-    /// Stage 1: text mentions and the document context with its
-    /// per-table contexts, then the (budget-capped) targets with their
-    /// degenerate-table and budget-truncation diagnostics.
-    fn extract(&self, doc: &Document, budget: &Budget) -> Extracted {
+    /// Stage 1: text mentions, the document context with its per-table
+    /// contexts, and each mention's tags; then the (budget-capped)
+    /// targets with their degenerate-table and budget-truncation
+    /// diagnostics (DESIGN.md §13).
+    ///
+    /// With `tagged_only`, the aggregates of a kind no mention is tagged
+    /// with are counted instead of built: filtering can never keep them,
+    /// so the production path needs only their per-kind counts, which
+    /// keep Table VI whole. They still take their places against
+    /// `max_virtual_cells_per_table` in the full generation order, so the
+    /// targets are the every-kind list minus the untagged kinds, in the
+    /// same order, with the same truncated tables.
+    fn extract(&self, doc: &Document, budget: &Budget, tagged_only: bool) -> Extracted {
         let mentions = text_mentions(doc);
         let ctx = DocContext::build(doc, &mentions, &self.cfg.context);
+        // The tagger reads only the text half and the tables' single
+        // cells, so tagging needs no virtual cell.
+        let tags: Vec<Vec<AggregationKind>> = mentions
+            .iter()
+            .enumerate()
+            .map(|(mi, x)| self.mention_tags(x, mi, &ctx, doc))
+            .collect();
         let mut diags = Diagnostics::default();
         for (i, t) in doc.tables.iter().enumerate() {
             if t.data_rows().is_empty() || t.data_cols().is_empty() {
@@ -402,10 +420,23 @@ impl Briq {
             }
         }
 
-        let (targets, truncated_tables) = all_table_mentions_capped(
+        let live: Vec<AggregationKind> = if tagged_only {
+            AggregationKind::ALL
+                .into_iter()
+                .filter(|k| tags.iter().any(|t| t.contains(k)))
+                .collect()
+        } else {
+            AggregationKind::ALL.to_vec()
+        };
+        let TableMentions {
+            targets,
+            truncated_tables,
+            ungenerated,
+        } = all_table_mentions_capped(
             &doc.tables,
             &self.cfg.virtual_cells,
             budget.max_virtual_cells_per_table,
+            &live,
         );
         for &t in &truncated_tables {
             diags.record(
@@ -421,45 +452,32 @@ impl Briq {
         Extracted {
             mentions,
             ctx,
+            tags,
             targets,
+            ungenerated,
             diags,
         }
     }
 
-    /// Stage 2: score every mention/target pair and tag each mention's
-    /// likely aggregation kinds.
+    /// Stage 2: score every mention/target pair.
     ///
     /// The hot loop: invariants are hoisted into a [`PairFeaturizer`]
     /// built once per document, each mention's candidate rows are written
     /// into one reused flat feature matrix, and [`Briq::prior`] scores
     /// each row in place — no allocation per pair.
-    #[allow(clippy::type_complexity)]
-    fn classify_stage(
-        &self,
-        doc: &Document,
-        mentions: &[TextMention],
-        ctx: &DocContext,
-        targets: &[TableMention],
-    ) -> (Vec<Vec<(usize, f64)>>, Vec<Vec<AggregationKind>>) {
-        let mut featurizer = PairFeaturizer::new(mentions, targets, ctx);
+    fn classify_stage(&self, x: &Extracted) -> Vec<Vec<(usize, f64)>> {
+        let mut featurizer = PairFeaturizer::new(&x.mentions, &x.targets, &x.ctx);
         let mut rows: Vec<f64> = Vec::new();
         let mut block_out: Vec<f64> = Vec::new();
-        let scored: Vec<Vec<(usize, f64)>> = (0..mentions.len())
+        (0..x.mentions.len())
             .map(|mi| self.score_mention_exhaustive(&mut featurizer, mi, &mut rows, &mut block_out))
-            .collect();
-
-        let tags: Vec<Vec<AggregationKind>> = mentions
-            .iter()
-            .enumerate()
-            .map(|(mi, x)| self.mention_tags(x, mi, ctx, doc))
-            .collect();
-        (scored, tags)
+            .collect()
     }
 
     /// The aggregation kinds predicted for mention `x` (index `mi` in
     /// `ctx.mentions`): the tagger's, plus the extended lexical tags when
-    /// `virtual_cells.extended` is set. Shared by the reference scorer
-    /// and the production classify pass.
+    /// `virtual_cells.extended` is set. Extraction tags every mention
+    /// once, for generation and for filtering.
     fn mention_tags(
         &self,
         x: &TextMention,
@@ -611,7 +629,7 @@ impl Briq {
         cancel: &CancelToken,
     ) -> ControlFlow<AlignOutput, AlignOutput> {
         let (miss, x) = self.extract_stage(doc, budget, store, rec, cancel)?;
-        let out = self.classify_resolve_stage(doc, &x, budget, rec, cancel)?;
+        let out = self.classify_resolve_stage(&x, budget, rec, cancel)?;
         if let (Some((store, key)), Some(miss)) = (store, miss) {
             store.insert(key, miss, x, &out, rec);
         }
@@ -640,7 +658,7 @@ impl Briq {
                 Some((store, key)) => Some(store.lookup(key, doc, budget, rec)?),
                 None => None,
             };
-            (miss, self.extract(doc, budget))
+            (miss, self.extract(doc, budget, self.cfg.use_index))
         };
         rec.count(names::MENTIONS, x.mentions.len() as u64);
         rec.count(names::TARGETS, x.targets.len() as u64);
@@ -659,7 +677,6 @@ impl Briq {
     /// full score matrix, which pruning by design does not materialize.
     fn classify_resolve_stage(
         &self,
-        doc: &Document,
         x: &Extracted,
         budget: &Budget,
         rec: &Recorder,
@@ -668,7 +685,6 @@ impl Briq {
         let mut diags = x.diags.clone();
         let mut pass = ClassifyPass {
             briq: self,
-            doc,
             x,
             built: None,
         };
@@ -773,8 +789,13 @@ pub(crate) struct Extracted {
     pub(crate) mentions: Vec<TextMention>,
     /// Document context, table contexts included.
     pub(crate) ctx: DocContext,
-    /// All table mentions (single + capped virtual cells).
+    /// Per mention, its predicted aggregation kinds.
+    pub(crate) tags: Vec<Vec<AggregationKind>>,
+    /// The table mentions: single cells plus the capped virtual cells of
+    /// every kind, or on the production path of the tagged kinds only.
     pub(crate) targets: Vec<TableMention>,
+    /// Per kind, the virtual cells counted but not built.
+    pub(crate) ungenerated: KindCounts,
     /// Extraction diagnostics: degenerate and truncated tables.
     pub(crate) diags: Diagnostics,
 }
@@ -785,7 +806,6 @@ pub(crate) struct Extracted {
 /// once, at the first mention, and shared across `run_mention` calls.
 struct ClassifyPass<'a> {
     briq: &'a Briq,
-    doc: &'a Document,
     x: &'a Extracted,
     /// The featurizer and scorer, once the first `run_mention` built them.
     built: Option<(PairFeaturizer<'a>, Scorer)>,
@@ -817,8 +837,10 @@ impl<'a> ClassifyPass<'a> {
     fn build(briq: &Briq, x: &'a Extracted) -> (PairFeaturizer<'a>, Scorer) {
         let featurizer = PairFeaturizer::new(&x.mentions, &x.targets, &x.ctx);
         let scorer = if briq.cfg.use_index {
+            let mut index = CandidateIndex::build(&x.targets, briq.cfg.filter.value_diff_threshold);
+            index.count_ungenerated(&x.ungenerated);
             Scorer::Indexed {
-                index: CandidateIndex::build(&x.targets, briq.cfg.filter.value_diff_threshold),
+                index,
                 engine: ScoringEngine::new(),
                 scratch: RetrievalScratch::default(),
             }
@@ -848,18 +870,18 @@ impl<'a> ClassifyPass<'a> {
         let mut exhaustive = Vec::new();
         let classify = span!(rec, names::SPAN_CLASSIFY, mention = mi);
         let (featurizer, scorer) = self.built.get_or_insert_with(|| Self::build(briq, x));
-        let tags = briq.mention_tags(m, mi, &x.ctx, self.doc);
+        let tags = &x.tags[mi];
         match scorer {
             Scorer::Indexed {
                 index,
                 engine,
                 scratch,
             } => {
-                index.retrieve(m.quantity.value, m.quantity.unit, &tags, scratch);
+                index.retrieve(m.quantity.value, m.quantity.unit, tags, scratch);
                 engine.fill_rows_selected(featurizer, mi, &scratch.near, &scratch.far);
                 match &briq.classifier {
                     Some(clf) => {
-                        engine.score_trained_selected(m, &x.targets, &tags, clf, &briq.cfg.filter)
+                        engine.score_trained_selected(m, &x.targets, tags, clf, &briq.cfg.filter)
                     }
                     None => engine.score_heuristic_selected(&briq.cfg.mask),
                 }
@@ -886,12 +908,12 @@ impl<'a> ClassifyPass<'a> {
                 engine.computed(),
                 engine.pruned_targets(),
                 &x.targets,
-                &tags,
+                tags,
                 cfg,
                 stats,
             ),
             Scorer::Exhaustive { .. } => {
-                filter_mention(m, &exhaustive, &x.targets, &tags, cfg, stats)
+                filter_mention(m, &exhaustive, &x.targets, tags, cfg, stats)
             }
         }
     }
@@ -1070,6 +1092,42 @@ mod tests {
                 && d.action == crate::error::DegradedAction::Skipped),
             "{diags:?}"
         );
+    }
+
+    #[test]
+    fn production_extraction_builds_only_the_tagged_kinds() {
+        let briq = Briq::untrained(BriqConfig::default());
+        let doc = health_doc();
+        let capped = Budget {
+            max_virtual_cells_per_table: 40,
+            ..Budget::unlimited()
+        };
+        for budget in [Budget::unlimited(), capped] {
+            let every = briq.extract(&doc, &budget, false);
+            let live = briq.extract(&doc, &budget, true);
+            assert_eq!(live.tags, every.tags);
+            let tagged = |k| every.tags.iter().any(|t| t.contains(&k));
+            let mut ungenerated = KindCounts::default();
+            let want: Vec<TableMention> = every
+                .targets
+                .iter()
+                .filter(|t| match t.aggregation() {
+                    Some(k) if !tagged(k) => {
+                        ungenerated[k.index()] += 1;
+                        false
+                    }
+                    _ => true,
+                })
+                .cloned()
+                .collect();
+            assert!(want.len() < every.targets.len(), "no untagged kind");
+            assert_eq!(live.targets, want, "the reference minus untagged kinds");
+            assert_eq!(live.ungenerated, ungenerated);
+            assert_eq!(every.ungenerated, KindCounts::default());
+            assert_eq!(live.diags.to_jsonl(), every.diags.to_jsonl());
+            let truncated = budget.max_virtual_cells_per_table == 40;
+            assert_eq!(live.diags.is_clean(), !truncated, "{:?}", live.diags);
+        }
     }
 
     #[test]

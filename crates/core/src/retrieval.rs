@@ -33,7 +33,15 @@
 //! against the exhaustive oracle is therefore exactly 1.0 by
 //! construction, and alignments are byte-identical with the index on or
 //! off — CI's determinism stage and the equivalence suites enforce both.
+//!
+//! The production path never builds the aggregates of a kind that no
+//! mention of the document is tagged with (DESIGN.md §13): no mention
+//! could retrieve them. Extraction counts them instead, and
+//! `CandidateIndex::count_ungenerated` adds those counts to the index's
+//! kind totals, so [`CandidateIndex::record_dropped`] still reports every
+//! pair the oracle scores, and Table VI is unchanged.
 
+use briq_table::virtual_cells::KindCounts;
 use briq_table::{TableMention, TableMentionKind};
 use briq_text::cues::AggregationKind;
 use briq_text::units::Unit;
@@ -41,42 +49,23 @@ use briq_text::units::Unit;
 use crate::features::relative_difference;
 use crate::filtering::FilterStats;
 
-/// Kind slots: single cells plus one per aggregation kind.
-pub const KIND_SLOTS: usize = 8;
+/// Kind slots: single cells, then one per aggregation kind in
+/// [`AggregationKind::ALL`] order.
+pub const KIND_SLOTS: usize = 1 + AggregationKind::ALL.len();
 
-/// The aggregate kind behind each slot `1..KIND_SLOTS` (slot 0 is
-/// single-cell).
-const SLOT_KINDS: [AggregationKind; KIND_SLOTS - 1] = [
-    AggregationKind::Sum,
-    AggregationKind::Difference,
-    AggregationKind::Percentage,
-    AggregationKind::ChangeRatio,
-    AggregationKind::Average,
-    AggregationKind::Max,
-    AggregationKind::Min,
-];
-
-/// Slot index of a target kind (the hardened-crate panic-free policy
-/// rules out a positional lookup that would need `expect`).
+/// Slot index of a target kind.
 fn kind_slot(kind: TableMentionKind) -> usize {
     match kind {
         TableMentionKind::SingleCell => 0,
-        TableMentionKind::Aggregate(AggregationKind::Sum) => 1,
-        TableMentionKind::Aggregate(AggregationKind::Difference) => 2,
-        TableMentionKind::Aggregate(AggregationKind::Percentage) => 3,
-        TableMentionKind::Aggregate(AggregationKind::ChangeRatio) => 4,
-        TableMentionKind::Aggregate(AggregationKind::Average) => 5,
-        TableMentionKind::Aggregate(AggregationKind::Max) => 6,
-        TableMentionKind::Aggregate(AggregationKind::Min) => 7,
+        TableMentionKind::Aggregate(k) => 1 + k.index(),
     }
 }
 
 /// Stable kind name of a slot (matches [`TableMentionKind::name`]).
 fn slot_name(slot: usize) -> &'static str {
-    if slot == 0 {
-        "single-cell"
-    } else {
-        SLOT_KINDS[slot - 1].name()
+    match slot.checked_sub(1) {
+        None => "single-cell",
+        Some(i) => AggregationKind::ALL[i].name(),
     }
 }
 
@@ -155,6 +144,18 @@ impl CandidateIndex {
         }
     }
 
+    /// Count the aggregate targets that extraction counted but never
+    /// built, per kind ([`briq_table::virtual_cells::TableMentions::ungenerated`]):
+    /// no mention is tagged with their kind, so retrieval never returns
+    /// them and [`CandidateIndex::record_dropped`] reports every one of
+    /// them for every mention, as the oracle, which builds and scores
+    /// them, does.
+    pub(crate) fn count_ungenerated(&mut self, ungenerated: &KindCounts) {
+        for (k, &n) in ungenerated.iter().enumerate() {
+            self.kind_counts[1 + k] += n;
+        }
+    }
+
     /// Retrieve the viable candidate set for one mention into `out`:
     /// every tag- and unit-compatible target, split into `near` and
     /// `far` by the exact `value_diff_threshold` test (see the
@@ -171,7 +172,7 @@ impl CandidateIndex {
         out.far.clear();
         out.per_slot = [0; KIND_SLOTS];
         for (slot, groups) in self.slots.iter().enumerate() {
-            if slot != 0 && !tags.contains(&SLOT_KINDS[slot - 1]) {
+            if slot != 0 && !tags.contains(&AggregationKind::ALL[slot - 1]) {
                 continue;
             }
             let before = out.retrieved();

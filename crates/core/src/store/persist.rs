@@ -1436,7 +1436,9 @@ mod tests {
         let x = Extracted {
             mentions: e.text_mentions.clone(),
             ctx,
+            tags: Vec::new(),
             targets: e.targets.clone(),
+            ungenerated: Default::default(),
             diags: e.extract_diags.clone(),
         };
         let out = AlignOutput {
@@ -1646,7 +1648,9 @@ mod tests {
     /// aligning fixed documents through a durable store writes, and of
     /// [`every_tag_entry`]'s record. A digest moves when any layout, tag,
     /// or field order does (which must also bump `FORMAT_VERSION`), or
-    /// when the pipeline's output for these documents does.
+    /// when what the pipeline extracts or outputs for these documents
+    /// does: the target slot holds the targets the production path
+    /// builds, the tagged kinds' only.
     #[test]
     fn record_bytes_are_pinned() {
         let mut fixed = docs();
@@ -1671,7 +1675,7 @@ mod tests {
             .collect();
         assert_eq!(
             digests,
-            [0x9be17b0aa76b8b6d, 0x11f65f1ee383d26c, 0xc331716bc8acea9a],
+            [0xcac24b3501308928, 0x6812d46edb7ce919, 0x8f03d3e61c0e49b3],
             "{digests:#018x?}"
         );
         let e = every_tag_entry();

@@ -54,6 +54,9 @@ impl Default for VirtualCellConfig {
     }
 }
 
+/// A count per aggregate kind, indexed by [`AggregationKind::index`].
+pub type KindCounts = [usize; AggregationKind::ALL.len()];
+
 /// One numeric cell on a line.
 #[derive(Clone, Copy)]
 struct LineCell {
@@ -68,99 +71,99 @@ pub fn virtual_cells(
     table_idx: usize,
     cfg: &VirtualCellConfig,
 ) -> Vec<TableMention> {
-    virtual_cells_capped(table, table_idx, cfg, usize::MAX).0
+    let mut sink = Sink::new(Vec::new(), usize::MAX, &AggregationKind::ALL);
+    generate(table, table_idx, cfg, &mut sink);
+    sink.out
 }
 
-/// Generate virtual cells for `table`, stopping once `max_cells`
-/// candidates exist. Returns the candidates and whether generation was
-/// truncated — a wide-and-tall adversarial table has a quadratic pair
-/// space per line times `rows + cols` lines, and the cap bounds both the
-/// work and the memory instead of letting one table starve the document.
-pub fn virtual_cells_capped(
-    table: &Table,
-    table_idx: usize,
-    cfg: &VirtualCellConfig,
-    max_cells: usize,
-) -> (Vec<TableMention>, bool) {
-    let mut sink = Sink {
-        out: Vec::new(),
-        max: max_cells,
-        truncated: false,
+/// Generate the virtual cells of `table` into `sink`: rows, then columns,
+/// each line's aggregates then its pairs. Generation stops once `sink` is
+/// full — a wide-and-tall adversarial table has a quadratic pair space
+/// per line times `rows + cols` lines, and the cap bounds both the work
+/// and the memory instead of letting one table starve the document.
+fn generate(table: &Table, table_idx: usize, cfg: &VirtualCellConfig, sink: &mut Sink) {
+    let mut cells: Vec<LineCell> = Vec::new();
+    let cell = |r: usize, c: usize| {
+        table.quantity(r, c).map(|q| LineCell {
+            pos: (r, c),
+            value: q.value,
+            unit: q.unit,
+        })
     };
-    // Rows.
     for r in table.data_rows() {
         if sink.full() {
             break;
         }
-        let cells: Vec<LineCell> = table
-            .data_cols()
-            .filter_map(|c| {
-                table.quantity(r, c).map(|q| LineCell {
-                    pos: (r, c),
-                    value: q.value,
-                    unit: q.unit,
-                })
-            })
-            .collect();
+        cells.clear();
+        cells.extend(table.data_cols().filter_map(|c| cell(r, c)));
         let total = table.data_cols().len();
-        line_aggregates(
-            &cells,
-            total,
-            Orientation::Row(r),
-            table_idx,
-            cfg,
-            &mut sink,
-        );
+        line_aggregates(&cells, total, Orientation::Row(r), table_idx, cfg, sink);
     }
-    // Columns.
     for c in table.data_cols() {
         if sink.full() {
             break;
         }
-        let cells: Vec<LineCell> = table
-            .data_rows()
-            .filter_map(|r| {
-                table.quantity(r, c).map(|q| LineCell {
-                    pos: (r, c),
-                    value: q.value,
-                    unit: q.unit,
-                })
-            })
-            .collect();
+        cells.clear();
+        cells.extend(table.data_rows().filter_map(|r| cell(r, c)));
         let total = table.data_rows().len();
-        line_aggregates(
-            &cells,
-            total,
-            Orientation::Column(c),
-            table_idx,
-            cfg,
-            &mut sink,
-        );
+        line_aggregates(&cells, total, Orientation::Column(c), table_idx, cfg, sink);
     }
-    (sink.out, sink.truncated)
 }
 
-/// Bounded candidate collector: refuses pushes past `max` and remembers
-/// that it did.
+/// Bounded candidate collector over a table's full generation order.
+/// Every virtual cell takes the next place against `max`, whether its
+/// kind is live (built and pushed) or dead (only counted), so the cap
+/// stops generation where generating every kind would have stopped.
 struct Sink {
     out: Vec<TableMention>,
+    /// Places taken in the current table's generation order.
+    taken: usize,
     max: usize,
+    /// Set once the current table reached `max`.
     truncated: bool,
+    /// Per kind: build its cells (`true`) or only count them.
+    live: [bool; AggregationKind::ALL.len()],
+    /// Per kind, the dead cells counted so far.
+    ungenerated: KindCounts,
 }
 
 impl Sink {
+    fn new(out: Vec<TableMention>, max: usize, live: &[AggregationKind]) -> Sink {
+        let mut flags = [false; AggregationKind::ALL.len()];
+        for &k in live {
+            flags[k.index()] = true;
+        }
+        Sink {
+            out,
+            taken: 0,
+            max,
+            truncated: false,
+            live: flags,
+            ungenerated: [0; AggregationKind::ALL.len()],
+        }
+    }
+
     fn full(&mut self) -> bool {
-        if self.out.len() >= self.max {
+        if self.taken >= self.max {
             self.truncated = true;
             return true;
         }
         false
     }
 
-    fn push(&mut self, m: TableMention) {
-        if !self.full() {
-            self.out.push(m);
+    /// Take the next place for a cell of `kind`: `true` when the caller
+    /// should build it, `false` past the cap or when `kind` is dead (the
+    /// cell is then counted instead).
+    fn admit(&mut self, kind: AggregationKind) -> bool {
+        if self.full() {
+            return false;
         }
+        self.taken += 1;
+        if self.live[kind.index()] {
+            return true;
+        }
+        self.ungenerated[kind.index()] += 1;
+        false
     }
 }
 
@@ -218,37 +221,36 @@ fn line_aggregates(
     // Full-line aggregates.
     if units_compatible(cells) && numeric_fraction >= cfg.min_numeric_fraction {
         let unit = common_unit(cells);
-        let positions: Vec<(usize, usize)> = cells.iter().map(|c| c.pos).collect();
-        let values: Vec<f64> = cells.iter().map(|c| c.value).collect();
+        let values = || cells.iter().map(|c| c.value);
         if cfg.sums {
             push_line(
                 out,
                 table_idx,
                 AggregationKind::Sum,
-                &positions,
-                values.iter().sum(),
+                cells,
+                values().sum(),
                 unit,
                 orientation,
             );
         }
         if cfg.extended {
-            let n = values.len() as f64;
+            let n = cells.len() as f64;
             push_line(
                 out,
                 table_idx,
                 AggregationKind::Average,
-                &positions,
-                values.iter().sum::<f64>() / n,
+                cells,
+                values().sum::<f64>() / n,
                 unit,
                 orientation,
             );
-            let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let min = values.iter().copied().fold(f64::INFINITY, f64::min);
+            let max = values().fold(f64::NEG_INFINITY, f64::max);
+            let min = values().fold(f64::INFINITY, f64::min);
             push_line(
                 out,
                 table_idx,
                 AggregationKind::Max,
-                &positions,
+                cells,
                 max,
                 unit,
                 orientation,
@@ -257,7 +259,7 @@ fn line_aggregates(
                 out,
                 table_idx,
                 AggregationKind::Min,
-                &positions,
+                cells,
                 min,
                 unit,
                 orientation,
@@ -340,18 +342,18 @@ fn push_line(
     out: &mut Sink,
     table_idx: usize,
     kind: AggregationKind,
-    positions: &[(usize, usize)],
+    cells: &[LineCell],
     value: f64,
     unit: Unit,
     orientation: Orientation,
 ) {
-    if !value.is_finite() {
+    if !value.is_finite() || !out.admit(kind) {
         return;
     }
-    out.push(TableMention {
+    out.out.push(TableMention {
         table: table_idx,
         kind: TableMentionKind::Aggregate(kind),
-        cells: positions.to_vec(),
+        cells: cells.iter().map(|c| c.pos).collect(),
         value,
         unnormalized: value,
         raw: format!("{}({:?})", kind.name(), orientation),
@@ -372,7 +374,10 @@ fn push_pair(
     unit: Unit,
     orientation: Orientation,
 ) {
-    out.push(TableMention {
+    if !out.admit(kind) {
+        return;
+    }
+    out.out.push(TableMention {
         table: table_idx,
         kind: TableMentionKind::Aggregate(kind),
         cells: vec![a.pos, b.pos],
@@ -397,28 +402,54 @@ fn push_pair(
 
 /// All table mentions of a document: single cells plus virtual cells.
 pub fn all_table_mentions(tables: &[Table], cfg: &VirtualCellConfig) -> Vec<TableMention> {
-    all_table_mentions_capped(tables, cfg, usize::MAX).0
+    all_table_mentions_capped(tables, cfg, usize::MAX, &AggregationKind::ALL).targets
 }
 
-/// Budgeted variant of [`all_table_mentions`]: virtual-cell generation for
-/// each table stops at `max_cells_per_table`. Returns the mentions plus
-/// the indices of tables whose candidate lists were truncated, so callers
-/// can surface a diagnostic per degraded table.
+/// What [`all_table_mentions_capped`] generated for a document.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TableMentions {
+    /// The single cells, then each table's virtual cells of the live
+    /// kinds, in generation order.
+    pub targets: Vec<TableMention>,
+    /// Indices of the tables whose virtual-cell generation stopped at the
+    /// cap.
+    pub truncated_tables: Vec<usize>,
+    /// Per kind, the virtual cells of dead kinds: counted in the
+    /// generation order and against the cap, never built.
+    pub ungenerated: KindCounts,
+}
+
+/// Budgeted [`all_table_mentions`] that builds only the aggregate kinds
+/// in `live`: virtual-cell generation for each table stops at
+/// `max_cells_per_table` places of its full generation order, and a cell
+/// of a kind outside `live` takes its place there but is only counted,
+/// in [`TableMentions::ungenerated`]. The targets are therefore exactly
+/// the live kinds' members of the list that generating every kind under
+/// the same cap yields, in the same order, and the truncated tables are
+/// the same. The truncated tables let callers surface a diagnostic per
+/// degraded table.
 pub fn all_table_mentions_capped(
     tables: &[Table],
     cfg: &VirtualCellConfig,
     max_cells_per_table: usize,
-) -> (Vec<TableMention>, Vec<usize>) {
-    let mut out = crate::extract::document_single_cells(tables);
+    live: &[AggregationKind],
+) -> TableMentions {
+    let singles = crate::extract::document_single_cells(tables);
+    let mut sink = Sink::new(singles, max_cells_per_table, live);
     let mut truncated_tables = Vec::new();
     for (i, t) in tables.iter().enumerate() {
-        let (vc, truncated) = virtual_cells_capped(t, i, cfg, max_cells_per_table);
-        if truncated {
+        sink.taken = 0;
+        sink.truncated = false;
+        generate(t, i, cfg, &mut sink);
+        if sink.truncated {
             truncated_tables.push(i);
         }
-        out.extend(vc);
     }
-    (out, truncated_tables)
+    TableMentions {
+        targets: sink.out,
+        truncated_tables,
+        ungenerated: sink.ungenerated,
+    }
 }
 
 #[cfg(test)]
@@ -587,22 +618,76 @@ mod tests {
 
     #[test]
     fn per_table_budget_truncates_and_reports() {
-        let t = health_table();
-        let (all, truncated) =
-            virtual_cells_capped(&t, 0, &VirtualCellConfig::default(), usize::MAX);
-        assert!(!truncated);
-        let cap = all.len() / 2;
-        let (some, truncated) = virtual_cells_capped(&t, 0, &VirtualCellConfig::default(), cap);
-        assert!(truncated);
-        assert_eq!(some.len(), cap);
+        let cfg = VirtualCellConfig::default();
+        let tables = [health_table()];
+        let singles = crate::extract::document_single_cells(&tables).len();
+        let all = all_table_mentions_capped(&tables, &cfg, usize::MAX, &AggregationKind::ALL);
+        assert!(all.truncated_tables.is_empty());
+        let cap = (all.targets.len() - singles) / 2;
+        let some = all_table_mentions_capped(&tables, &cfg, cap, &AggregationKind::ALL);
+        assert_eq!(some.truncated_tables, vec![0]);
+        assert_eq!(some.targets.len(), singles + cap);
         // The capped prefix is a prefix of the uncapped list — generation
         // order is deterministic, so clean inputs below the cap are
         // bit-identical with and without the budget.
-        assert_eq!(&all[..cap], &some[..]);
-        let (mentions, truncated_tables) =
-            all_table_mentions_capped(&[health_table()], &VirtualCellConfig::default(), cap);
-        assert_eq!(truncated_tables, vec![0]);
-        assert!(!mentions.is_empty());
+        assert_eq!(&all.targets[..singles + cap], &some.targets[..]);
+    }
+
+    /// `targets` without the aggregates whose kind is not in `live`, and
+    /// the count per kind of what was removed.
+    fn without_dead(targets: &[TableMention], live: &[AggregationKind]) -> TableMentions {
+        let mut kept = TableMentions::default();
+        for t in targets {
+            match t.aggregation() {
+                Some(k) if !live.contains(&k) => kept.ungenerated[k.index()] += 1,
+                _ => kept.targets.push(t.clone()),
+            }
+        }
+        kept
+    }
+
+    #[test]
+    fn dead_kinds_are_counted_not_built() {
+        let cfg = VirtualCellConfig {
+            extended: true,
+            ..Default::default()
+        };
+        let tables = [health_table(), wide_table()];
+        let all = all_table_mentions_capped(&tables, &cfg, usize::MAX, &AggregationKind::ALL);
+        assert_eq!(all.ungenerated, [0; AggregationKind::ALL.len()]);
+        use AggregationKind::*;
+        for live in [
+            &[][..],
+            &[Sum],
+            &[Percentage, Min],
+            &[ChangeRatio, Difference],
+        ] {
+            let got = all_table_mentions_capped(&tables, &cfg, usize::MAX, live);
+            let want = without_dead(&all.targets, live);
+            assert_eq!(got.targets, want.targets, "live {live:?}");
+            assert_eq!(got.ungenerated, want.ungenerated, "live {live:?}");
+            assert!(got.truncated_tables.is_empty());
+        }
+    }
+
+    #[test]
+    fn cap_counts_dead_kinds_in_the_full_order() {
+        // Every kind is generated in each line, so any cap below the
+        // table's total cuts through live and dead kinds alike; the live
+        // list must stop exactly where the full list stops.
+        let cfg = VirtualCellConfig::default();
+        let tables = [wide_table(), health_table()];
+        use AggregationKind::*;
+        for cap in [0, 1, 7, 100, 1_000] {
+            let all = all_table_mentions_capped(&tables, &cfg, cap, &AggregationKind::ALL);
+            for live in [&[][..], &[Sum], &[ChangeRatio], &[Difference, Percentage]] {
+                let got = all_table_mentions_capped(&tables, &cfg, cap, live);
+                let want = without_dead(&all.targets, live);
+                assert_eq!(got.targets, want.targets, "cap {cap} live {live:?}");
+                assert_eq!(got.ungenerated, want.ungenerated, "cap {cap} live {live:?}");
+                assert_eq!(got.truncated_tables, all.truncated_tables, "cap {cap}");
+            }
+        }
     }
 
     /// Header row and column, then `(r, c)` holding `100 r + c` for

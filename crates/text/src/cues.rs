@@ -44,6 +44,19 @@ impl AggregationKind {
         Self::Min,
     ];
 
+    /// Position of this kind in [`AggregationKind::ALL`].
+    pub const fn index(self) -> usize {
+        match self {
+            Self::Sum => 0,
+            Self::Difference => 1,
+            Self::Percentage => 2,
+            Self::ChangeRatio => 3,
+            Self::Average => 4,
+            Self::Max => 5,
+            Self::Min => 6,
+        }
+    }
+
     /// Short name used in reports (matches the paper's table headers).
     pub fn name(self) -> &'static str {
         match self {
@@ -243,6 +256,13 @@ pub fn infer_aggregation(words: &[&str]) -> Option<AggregationKind> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, k) in AggregationKind::ALL.into_iter().enumerate() {
+            assert_eq!(k.index(), i, "{k:?}");
+        }
+    }
 
     #[test]
     fn sum_cues_present() {

@@ -9,10 +9,15 @@
 //! see `briq_core::scoring`) is additionally held to the same standard
 //! against the exhaustive score-everything reference: `score_document`
 //! plus `filter`, and the reference configuration
-//! ([`BriqConfig::reference`]).
+//! ([`BriqConfig::reference`]). Production builds only the tagged
+//! aggregate kinds, so its candidates compare with the reference's by
+//! their target's `(table, kind, cells)`, not by index.
+
+mod common;
 
 use briq_core::classifier::PairClassifier;
 use briq_core::features::{feature_vector, FeatureMask, PairFeaturizer, FEATURE_COUNT};
+use briq_core::filtering::Candidate;
 use briq_core::obs::{names, Recorder};
 use briq_core::pipeline::{
     heuristic_prior_masked, AlignOpts, AlignOutput, Briq, BriqConfig, ScoredDocument,
@@ -21,7 +26,7 @@ use briq_core::Budget;
 use briq_corpus::corpus::{generate_corpus, CorpusConfig};
 use briq_corpus::perturb::{adversarial_documents, Adversary};
 use briq_ml::{Dataset, RandomForestConfig};
-use briq_table::Document;
+use briq_table::{Document, TableMention};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -196,26 +201,21 @@ fn flat_classifier_matches_recursive_forest_on_every_mask() {
     }
 }
 
-/// Compare two per-mention candidate lists for bit-exact equality.
+/// Compare two per-mention candidate lists, each read against the
+/// target list its indices point into, for equal target identities and
+/// bit-exact scores.
 fn assert_candidates_bit_equal(
-    a: &[Vec<briq_core::filtering::Candidate>],
-    b: &[Vec<briq_core::filtering::Candidate>],
+    (a, a_targets): (&[Vec<Candidate>], &[TableMention]),
+    (b, b_targets): (&[Vec<Candidate>], &[TableMention]),
     scope: &str,
 ) {
+    let (a, b) = (
+        common::candidates_by_id(a, a_targets),
+        common::candidates_by_id(b, b_targets),
+    );
     assert_eq!(a.len(), b.len(), "{scope}: mention count");
-    for (mi, (ca, cb)) in a.iter().zip(b).enumerate() {
-        assert_eq!(ca.len(), cb.len(), "{scope}: mention {mi} candidate count");
-        for (x, y) in ca.iter().zip(cb) {
-            assert_eq!(x.target, y.target, "{scope}: mention {mi}");
-            assert_eq!(
-                x.score.to_bits(),
-                y.score.to_bits(),
-                "{scope}: mention {mi} target {} score {} vs {}",
-                x.target,
-                x.score,
-                y.score
-            );
-        }
+    for (mi, (ca, cb)) in a.iter().zip(&b).enumerate() {
+        assert_eq!(ca, cb, "{scope}: mention {mi}");
     }
 }
 
@@ -308,10 +308,17 @@ fn pruned_path_matches_exhaustive_filtering() {
         );
         let off = run(&oracle, doc, Budget::unlimited());
 
-        assert_candidates_bit_equal(&on.candidates, &cand_ref, &format!("{scope} on-vs-ref"));
+        let live = common::production_targets(&sd);
+        let on_candidates = (&on.candidates[..], &live[..]);
+        let every_kind = &sd.targets[..];
         assert_candidates_bit_equal(
-            &on.candidates,
-            &off.candidates,
+            on_candidates,
+            (&cand_ref, every_kind),
+            &format!("{scope} on-vs-ref"),
+        );
+        assert_candidates_bit_equal(
+            on_candidates,
+            (&off.candidates, every_kind),
             &format!("{scope} on-vs-off"),
         );
         assert_eq!(on.stats, stats_ref, "{scope}: stats on-vs-ref");

@@ -6,6 +6,9 @@
 //! statistics, and diagnostics — same f64 bits, not "close". This is the
 //! recall contract of `briq_core::retrieval` (DESIGN.md §13) and the
 //! engine's exactness contract (§10) checked on real pipeline output.
+//! Production builds only the aggregate kinds some mention is tagged
+//! with, so its target list is the reference's minus the untagged kinds,
+//! and candidates compare by their target's `(table, kind, cells)`.
 //!
 //! Coverage: seeded well-formed corpus documents, every adversarial
 //! chaos family, and both the untrained heuristic prior and a trained
@@ -16,12 +19,15 @@
 //! and that production accounts for every retrieved row exactly once:
 //! scored by phase A or the heuristic, scored by phase B, or pruned.
 
+mod common;
+
 use briq_core::obs::{names, MetricsRegistry, Recorder};
 use briq_core::pipeline::{AlignOpts, AlignOutput, Briq, BriqConfig};
-use briq_core::Budget;
+use briq_core::{Budget, Stage};
 use briq_corpus::corpus::{generate_corpus, CorpusConfig};
 use briq_corpus::perturb::{adversarial_documents, Adversary};
-use briq_table::Document;
+use briq_table::{Document, Table};
+use common::{candidates_by_id, production_targets, target_id};
 
 /// Tight budget for adversarial documents (some families are quadratic
 /// unbudgeted); identical for both paths, so degradation is symmetric.
@@ -81,9 +87,13 @@ fn assert_identical(
         "alignments diverge on {label} doc {}",
         doc.id
     );
+    // The reference's targets are the every-kind list `score_document`
+    // builds; production's are that list minus the untagged kinds.
+    let (sd, _) = oracle.score_document_budgeted(doc, &budget);
+    let live = production_targets(&sd);
     assert_eq!(
-        format!("{:?}", prod.candidates),
-        format!("{:?}", refr.candidates),
+        candidates_by_id(&prod.candidates, &live),
+        candidates_by_id(&refr.candidates, &sd.targets),
         "candidates diverge on {label} doc {}",
         doc.id
     );
@@ -103,6 +113,12 @@ fn assert_identical(
         .expect("enabled recorder yields a trace")
         .metrics;
     assert_eq!(
+        r.counter(names::TARGETS),
+        sd.targets.len() as u64,
+        "reference targets on {label} doc {}",
+        doc.id
+    );
+    assert_eq!(
         (
             r.counter(names::RETRIEVAL_CANDIDATES),
             r.counter(names::RETRIEVAL_PAIRS_DROPPED),
@@ -116,6 +132,12 @@ fn assert_identical(
         .finish()
         .expect("enabled recorder yields a trace")
         .metrics;
+    assert_eq!(
+        m.counter(names::TARGETS),
+        live.len() as u64,
+        "production targets on {label} doc {}",
+        doc.id
+    );
     assert_eq!(
         m.counter(names::ROWS_SCORED_EXHAUSTIVE)
             + m.counter(names::ROWS_SCORED_BOUNDED)
@@ -200,5 +222,122 @@ fn trained_indexed_path_matches_oracle() {
         for doc in adversarial_documents(kind, 5) {
             assert_identical(&briq, &oracle, &doc, budget, &format!("trained {kind:?}"));
         }
+    }
+}
+
+/// Production builds the reference's targets minus the aggregates of
+/// kinds no mention is tagged with, in the same order: over the corpus
+/// it builds fewer targets, every single cell, and every target of a
+/// tagged kind, and it counts the rest so Table VI stays whole.
+#[test]
+fn production_targets_are_the_reference_minus_untagged_kinds() {
+    let briq = Briq::untrained(BriqConfig::default());
+    let oracle = reference(&briq);
+    let docs = generate_corpus(&CorpusConfig {
+        n_documents: 24,
+        seed: 43,
+        ..Default::default()
+    })
+    .documents;
+    let (mut built, mut every) = (0, 0);
+    for ld in &docs {
+        let doc = &ld.document;
+        let (sd, _) = oracle.score_document_budgeted(doc, &Budget::unlimited());
+        let live = production_targets(&sd);
+        let m = assert_identical(&briq, &oracle, doc, Budget::unlimited(), "live targets");
+        built += m.counter(names::TARGETS);
+        every += sd.targets.len() as u64;
+        // The live list keeps the reference's order: its identities are
+        // a subsequence of the reference's, and they are unique.
+        let ids: Vec<_> = sd.targets.iter().map(target_id).collect();
+        let mut at = 0;
+        for t in &live {
+            let id = target_id(t);
+            at += ids[at..].iter().position(|x| *x == id).expect("in order") + 1;
+        }
+        let unique: std::collections::HashSet<_> = ids.iter().collect();
+        assert_eq!(unique.len(), ids.len(), "doc {} target identities", doc.id);
+    }
+    assert!(built < every, "no untagged kind was left unbuilt");
+}
+
+/// A table past `max_virtual_cells_per_table`, whose tagged kind (the
+/// column sums) comes after the untagged pairs in the generation order:
+/// the untagged cells still take their places against the cap, so
+/// production stops where the reference stops, reports the same
+/// `VirtualCellBudgetExceeded` diagnostic, the same Table VI totals, and
+/// the same alignments.
+#[test]
+fn capped_table_with_a_late_tagged_kind_matches_oracle() {
+    // Six rows of four numeric columns: each row yields a sum and 30 pair
+    // cells (186 in all), then each column a sum and up to 75 pair cells.
+    let grid: Vec<Vec<String>> = std::iter::once(
+        ["region", "q1", "q2", "q3", "q4"]
+            .map(String::from)
+            .to_vec(),
+    )
+    .chain(
+        ["north", "south", "east", "west", "inland", "coast"]
+            .iter()
+            .zip(1..)
+            .map(|(name, r)| {
+                std::iter::once(name.to_string())
+                    .chain((1..=4).map(|c| (10 * r + 3 * c + r * c).to_string()))
+                    .collect()
+            }),
+    )
+    .collect();
+    let column_sum = |c: usize| (1..=6).map(|r| 10 * r + 3 * c + r * c).sum::<usize>();
+    // Cut generation inside the third column: its sum exists, the fourth
+    // column's does not.
+    let budget = Budget {
+        max_virtual_cells_per_table: 186 + 2 * 76 + 10,
+        ..Budget::unlimited()
+    };
+    let briq = Briq::untrained(BriqConfig::default());
+    let oracle = reference(&briq);
+    for c in [3, 4] {
+        let doc = Document::new(
+            0,
+            format!(
+                "A total of {} units were sold in the year, {} of them in the south.",
+                column_sum(c),
+                10 * 2 + 3 * c + 2 * c
+            ),
+            vec![Table::from_grid("Units sold", grid.clone())],
+        );
+        let label = format!("capped column {c}");
+        let m = assert_identical(&briq, &oracle, &doc, budget, &label);
+        let prod = run(&briq, &doc, budget, None);
+        let truncated: Vec<_> = prod
+            .diagnostics
+            .items
+            .iter()
+            .filter(|d| d.stage == Stage::VirtualCells)
+            .collect();
+        assert_eq!(truncated.len(), 1, "{label}: {:?}", prod.diagnostics);
+        assert!(
+            truncated[0].error.contains("virtual-cell budget"),
+            "{label}: {:?}",
+            truncated[0]
+        );
+        let (sd, _) = oracle.score_document_budgeted(&doc, &budget);
+        assert!(
+            sd.tags
+                .iter()
+                .any(|t| t == &[briq_text::AggregationKind::Sum]),
+            "{label}: the total is tagged sum"
+        );
+        assert!(
+            m.counter(names::TARGETS) < sd.targets.len() as u64,
+            "{label}: untagged kinds were built"
+        );
+        // The third column's sum is within the cap and aligns; the fourth
+        // column's is past it on both paths.
+        let sum_aligned = prod.alignments.iter().any(|a| {
+            a.target.aggregation() == Some(briq_text::AggregationKind::Sum)
+                && a.target.value == column_sum(c) as f64
+        });
+        assert_eq!(sum_aligned, c == 3, "{label}: {:?}", prod.alignments);
     }
 }
