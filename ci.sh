@@ -66,10 +66,13 @@
 #                line of the untrained and trained --jobs 1 runs, the byte
 #                count and SHA-256 of both runs' alignment stdout and
 #                diagnostics JSONL, the --store-dir run's
-#                "store: persisted" line and snapshot SHA-256, and the
+#                "store: persisted" line and snapshot SHA-256, the
 #                heap allocations per document of untrained align_with
-#                over the smoke documents (examples/alloc_per_doc.rs, an
-#                untimed counting-allocator run) are written
+#                over the smoke documents, and the heap allocations per
+#                page of segment_page over the smoke corpus's 20 pages
+#                (both from examples/alloc_per_doc.rs, an untimed
+#                counting-allocator run, which prints them as the
+#                golden's last two lines) are written
 #                to target/BENCH_work.jsonl, and the stage fails, showing
 #                the diff, unless that equals the committed
 #                BENCH_work.jsonl byte for byte. A change that moves work
@@ -329,6 +332,7 @@ stage_determinism() {
         golden_digest trained diagnostics "$dir/diag_m1.jsonl"
         printf '{"run":"store","stderr":"%s"}\n' "$(grep '^store: persisted ' "$dir/err_stored.txt")"
         golden_digest store snapshot "$dir/store"/snapshot-*.briq
+        # Two lines: the "alloc" line, then the "segment" line.
         ./target/release/examples/alloc_per_doc
     } > target/BENCH_work.jsonl
     same_file determinism BENCH_work.jsonl target/BENCH_work.jsonl \

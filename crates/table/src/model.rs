@@ -131,33 +131,36 @@ impl Table {
     pub fn from_raw(raw: &RawTable) -> Table {
         let n_rows = raw.rows.len();
         let n_cols = raw.rows.iter().map(Vec::len).max().unwrap_or(0);
-        let mut cells: Vec<Vec<String>> = raw
+        let cells: Vec<Vec<String>> = raw
             .rows
             .iter()
             .map(|r| {
-                let mut r = r.clone();
-                r.resize(n_cols, String::new());
-                r
+                let mut row: Vec<String> = r.iter().map(|c| c.trim().to_string()).collect();
+                row.resize(n_cols, String::new());
+                row
             })
             .collect();
-        for row in &mut cells {
-            for c in row.iter_mut() {
-                *c = c.trim().to_string();
-            }
-        }
 
-        let numeric = |s: &String| parse_cell_quantity(s).is_some();
+        // Every cell parsed once, row-major: header detection reads whether
+        // a cell is numeric, and the data cells keep their parse.
+        let mut parsed: Vec<Option<QuantityMention>> = cells
+            .iter()
+            .flatten()
+            .map(|c| parse_cell_quantity(c))
+            .collect();
+        let numeric = |r: usize, c: usize| parsed[r * n_cols + c].is_some();
 
         // Header-row detection: explicit <th> flags, else content shape.
         let th_row = raw
             .header_flags
             .first()
             .is_some_and(|f| !f.is_empty() && f.iter().all(|&h| h));
-        let mostly_text_first_row = n_rows > 1
-            && cells[0].iter().filter(|c| !c.is_empty()).count() > 0
-            && cells[0].iter().filter(|c| numeric(c)).count() * 3
-                <= cells[0].iter().filter(|c| !c.is_empty()).count()
-            && cells[1..].iter().any(|r| r.iter().any(numeric));
+        let mostly_text_first_row = n_rows > 1 && {
+            let filled = cells[0].iter().filter(|c| !c.is_empty()).count();
+            filled > 0
+                && (0..n_cols).filter(|&c| numeric(0, c)).count() * 3 <= filled
+                && parsed[n_cols..].iter().any(Option::is_some)
+        };
         let header_rows = usize::from(th_row || mostly_text_first_row);
 
         // Header-column detection (rotated tables, Fig. 1b/1c).
@@ -167,18 +170,14 @@ impl Table {
             .filter(|f| !f.is_empty())
             .all(|f| f[0])
             && raw.header_flags.iter().any(|f| !f.is_empty());
-        // `filter_map(first)`: a zero-column grid (all rows empty) must not
-        // index into its rows.
-        let first_col: Vec<&String> = cells
-            .iter()
-            .skip(header_rows)
-            .filter_map(|r| r.first())
-            .collect();
-        let mostly_text_first_col = n_cols > 1
-            && !first_col.is_empty()
-            && first_col.iter().filter(|c| numeric(c)).count() * 3
-                <= first_col.iter().filter(|c| !c.is_empty()).count().max(1)
-            && first_col.iter().any(|c| !c.is_empty());
+        let mostly_text_first_col = n_cols > 1 && {
+            let first_col = header_rows..n_rows;
+            let filled = first_col
+                .clone()
+                .filter(|&r| !cells[r][0].is_empty())
+                .count();
+            filled > 0 && first_col.filter(|&r| numeric(r, 0)).count() * 3 <= filled
+        };
         let header_cols = usize::from((th_col && !th_row) || mostly_text_first_col);
 
         // Unit/scale hints.
@@ -214,7 +213,14 @@ impl Table {
             row_hints,
             caption_hint,
         };
-        table.parse_cells();
+        for r in table.data_rows() {
+            for c in table.data_cols() {
+                if let Some(q) = parsed[r * n_cols + c].take() {
+                    let q = table.apply_hints(q, r, c);
+                    table.quantities.insert((r, c), q);
+                }
+            }
+        }
         table
     }
 
@@ -228,38 +234,31 @@ impl Table {
         })
     }
 
-    fn parse_cells(&mut self) {
-        for r in self.header_rows..self.n_rows {
-            for c in self.header_cols..self.n_cols {
-                if let Some(mut q) = parse_cell_quantity(&self.cells[r][c]) {
-                    // Fill unit from hints: column, then row, then caption.
-                    if q.unit == Unit::None {
-                        for (u, _) in [self.col_hints[c], self.row_hints[r], self.caption_hint] {
-                            if u != Unit::None {
-                                q.unit = u;
-                                break;
-                            }
-                        }
-                    }
-                    // Apply scale hint only when the cell itself carried no
-                    // scale word (value still equals the literal numeral),
-                    // and never to percentages.
-                    #[allow(clippy::float_cmp)]
-                    if q.value == q.unnormalized
-                        && !matches!(q.unit, Unit::Percent | Unit::BasisPoints)
-                    {
-                        let hint = self.col_hints[c]
-                            .1
-                            .or(self.row_hints[r].1)
-                            .or(self.caption_hint.1);
-                        if let Some(m) = hint {
-                            q.value *= m;
-                        }
-                    }
-                    self.quantities.insert((r, c), q);
+    /// Cell `(r, c)`'s parsed quantity with the header hints applied.
+    fn apply_hints(&self, mut q: QuantityMention, r: usize, c: usize) -> QuantityMention {
+        // Fill unit from hints: column, then row, then caption.
+        if q.unit == Unit::None {
+            for (u, _) in [self.col_hints[c], self.row_hints[r], self.caption_hint] {
+                if u != Unit::None {
+                    q.unit = u;
+                    break;
                 }
             }
         }
+        // Apply scale hint only when the cell itself carried no
+        // scale word (value still equals the literal numeral),
+        // and never to percentages.
+        #[allow(clippy::float_cmp)]
+        if q.value == q.unnormalized && !matches!(q.unit, Unit::Percent | Unit::BasisPoints) {
+            let hint = self.col_hints[c]
+                .1
+                .or(self.row_hints[r].1)
+                .or(self.caption_hint.1);
+            if let Some(m) = hint {
+                q.value *= m;
+            }
+        }
+        q
     }
 
     /// Parsed quantity of cell `(r, c)`, if it is a data cell holding one.

@@ -7,7 +7,9 @@
 //! related even with modest overlap. A paragraph may relate to several
 //! tables and a table to several paragraphs.
 
-use std::collections::BTreeSet;
+use std::collections::HashMap;
+
+use briq_text::token::{light_stem_into, SpanScanner, TokenKind};
 
 use crate::html::RawPage;
 use crate::model::{Document, Table};
@@ -20,7 +22,8 @@ pub struct SegmentConfig {
     /// Similarity for the table directly adjacent to the paragraph
     /// (positional prior — adjacent tables are usually discussed).
     pub adjacent_threshold: f64,
-    /// Paragraphs shorter than this many tokens are skipped (boilerplate).
+    /// Paragraphs with fewer *distinct* word and number stems than this
+    /// are skipped (boilerplate): `Rash rash rash rash rash` counts one.
     pub min_paragraph_tokens: usize,
 }
 
@@ -34,21 +37,80 @@ impl Default for SegmentConfig {
     }
 }
 
-/// Lowercased, lightly stemmed word-token set of a text.
-fn token_set(text: &str) -> BTreeSet<String> {
-    briq_text::token::tokenize(text)
-        .into_iter()
-        .filter(|t| t.is_wordlike() || t.kind == briq_text::token::TokenKind::Number)
-        .map(|t| briq_text::token::light_stem(&t.text))
-        .collect()
+/// Bytes of page text per distinct stem that [`Vocabulary::for_page`]
+/// makes room for up front. Generated pages hold one distinct stem per
+/// ~10 bytes, and growing the map rehashes every stem it holds.
+const BYTES_PER_STEM: usize = 8;
+
+/// A page's stem vocabulary. A token set is the sorted, deduplicated ids
+/// of the lowercased, lightly stemmed word and number tokens of its
+/// texts, so each distinct stem is allocated once per page.
+struct Vocabulary {
+    ids: HashMap<String, usize>,
+    scanner: SpanScanner,
+    stem: String,
+    /// The ids of the set being built.
+    set: Vec<usize>,
 }
 
-/// Overlap coefficient |A ∩ B| / min(|A|, |B|).
-pub fn overlap_coefficient(a: &BTreeSet<String>, b: &BTreeSet<String>) -> f64 {
+impl Vocabulary {
+    fn for_page(page: &RawPage) -> Vocabulary {
+        let cells = page.tables.iter().flat_map(|t| t.rows.iter().flatten());
+        let bytes: usize = page.paragraphs.iter().chain(cells).map(String::len).sum();
+        Vocabulary {
+            ids: HashMap::with_capacity(bytes / BYTES_PER_STEM),
+            scanner: SpanScanner::default(),
+            stem: String::new(),
+            set: Vec::new(),
+        }
+    }
+
+    /// The token set of `texts` taken together. Tokens never cross the
+    /// spaces that [`Table::full_text`] joins a caption and cells with, so
+    /// the set of a table's caption and cells is the set of its full text.
+    fn token_set<'t>(&mut self, texts: impl IntoIterator<Item = &'t str>) -> Vec<usize> {
+        let set = &mut self.set;
+        set.clear();
+        for text in texts {
+            for (start, end, kind) in self.scanner.spans(text) {
+                if matches!(kind, TokenKind::Punct | TokenKind::Symbol) {
+                    continue;
+                }
+                light_stem_into(&text[start..end], &mut self.stem);
+                let id = match self.ids.get(self.stem.as_str()) {
+                    Some(&id) => id,
+                    None => {
+                        let id = self.ids.len();
+                        self.ids.insert(self.stem.clone(), id);
+                        id
+                    }
+                };
+                set.push(id);
+            }
+        }
+        set.sort_unstable();
+        set.dedup();
+        set.clone()
+    }
+}
+
+/// Overlap coefficient |A ∩ B| / min(|A|, |B|) of two sorted sets.
+fn overlap_coefficient(a: &[usize], b: &[usize]) -> f64 {
     if a.is_empty() || b.is_empty() {
         return 0.0;
     }
-    let inter = a.intersection(b).count();
+    let (mut i, mut j, mut inter) = (0, 0, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                inter += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
     inter as f64 / a.len().min(b.len()) as f64
 }
 
@@ -57,41 +119,70 @@ pub fn overlap_coefficient(a: &BTreeSet<String>, b: &BTreeSet<String>) -> f64 {
 /// Returns one document per paragraph that has at least one related table;
 /// document ids are assigned sequentially starting from `first_id`.
 pub fn segment_page(page: &RawPage, cfg: &SegmentConfig, first_id: usize) -> Vec<Document> {
+    let mut vocab = Vocabulary::for_page(page);
     let tables: Vec<Table> = page.tables.iter().map(Table::from_raw).collect();
-    let table_sets: Vec<BTreeSet<String>> =
-        tables.iter().map(|t| token_set(&t.full_text())).collect();
+    let table_sets: Vec<Vec<usize>> = tables
+        .iter()
+        .map(|t| {
+            let cells = t.cells.iter().flatten().map(String::as_str);
+            vocab.token_set(std::iter::once(t.caption.as_str()).chain(cells))
+        })
+        .collect();
 
-    let mut docs = Vec::new();
-    let mut next_id = first_id;
+    // The related tables of each paragraph that gets a document.
+    let mut related: Vec<(&String, Vec<usize>)> = Vec::new();
     for (pi, para) in page.paragraphs.iter().enumerate() {
-        let pset = token_set(para);
+        let pset = vocab.token_set([para.as_str()]);
         if pset.len() < cfg.min_paragraph_tokens {
             continue;
         }
-        let mut related = Vec::new();
-        for (ti, tset) in table_sets.iter().enumerate() {
-            let sim = overlap_coefficient(&pset, tset);
-            // Is this table adjacent to the paragraph? table_positions[ti]
-            // counts the paragraphs before the table.
-            let adjacent = page
-                .table_positions
-                .get(ti)
-                .is_some_and(|&pos| pos == pi + 1 || pos == pi);
-            let threshold = if adjacent {
-                cfg.adjacent_threshold
-            } else {
-                cfg.similarity_threshold
-            };
-            if sim >= threshold {
-                related.push(tables[ti].clone());
-            }
-        }
-        if !related.is_empty() {
-            docs.push(Document::new(next_id, para.clone(), related));
-            next_id += 1;
+        let tis: Vec<usize> = (0..tables.len())
+            .filter(|&ti| {
+                // Is this table adjacent to the paragraph? table_positions[ti]
+                // counts the paragraphs before the table.
+                let adjacent = page
+                    .table_positions
+                    .get(ti)
+                    .is_some_and(|&pos| pos == pi + 1 || pos == pi);
+                let threshold = if adjacent {
+                    cfg.adjacent_threshold
+                } else {
+                    cfg.similarity_threshold
+                };
+                overlap_coefficient(&pset, &table_sets[ti]) >= threshold
+            })
+            .collect();
+        if !tis.is_empty() {
+            related.push((para, tis));
         }
     }
-    docs
+
+    // Each table moves into the last document related to it and is
+    // cloned for the earlier ones.
+    let mut last_doc = vec![0; tables.len()];
+    for (di, (_, tis)) in related.iter().enumerate() {
+        for &ti in tis {
+            last_doc[ti] = di;
+        }
+    }
+    let mut tables: Vec<Option<Table>> = tables.into_iter().map(Some).collect();
+    related
+        .into_iter()
+        .enumerate()
+        .map(|(di, (para, tis))| {
+            let doc_tables = tis
+                .iter()
+                .filter_map(|&ti| {
+                    if last_doc[ti] == di {
+                        tables[ti].take()
+                    } else {
+                        tables[ti].clone()
+                    }
+                })
+                .collect();
+            Document::new(first_id + di, para.clone(), doc_tables)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -161,11 +252,25 @@ mod tests {
 
     #[test]
     fn overlap_coefficient_properties() {
-        let a = token_set("alpha beta gamma");
-        let b = token_set("beta gamma delta epsilon");
+        let mut vocab = Vocabulary::for_page(&RawPage::default());
+        let a = vocab.token_set(["alpha beta gamma"]);
+        let b = vocab.token_set(["beta gamma delta epsilon"]);
         let c = overlap_coefficient(&a, &b);
         assert!((c - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(overlap_coefficient(&a, &a), 1.0);
-        assert_eq!(overlap_coefficient(&a, &BTreeSet::new()), 0.0);
+        assert_eq!(overlap_coefficient(&a, &[]), 0.0);
+    }
+
+    #[test]
+    fn min_paragraph_tokens_counts_distinct_stems() {
+        let table = "<table><tr><th>symptom</th><th>patients</th></tr>\
+                     <tr><td>Rash</td><td>35</td></tr></table>";
+        let repeated = parse_page(&format!("<p>Rash rash rash rash rash</p>{table}"));
+        assert!(segment_page(&repeated, &SegmentConfig::default(), 0).is_empty());
+        let distinct = parse_page(&format!("<p>Rash fever cough nausea sweat</p>{table}"));
+        assert_eq!(
+            segment_page(&distinct, &SegmentConfig::default(), 0).len(),
+            1
+        );
     }
 }

@@ -163,8 +163,12 @@ fn group_sizes_ok(s: &str) -> bool {
 
 /// Multiplier for a scale word / suffix. Case-insensitive.
 pub fn scale_multiplier(word: &str) -> Option<f64> {
-    let w = word.to_lowercase();
-    Some(match w.as_str() {
+    scale_of_lowercase(&word.to_lowercase())
+}
+
+/// [`scale_multiplier`] of a word that is already lowercase.
+pub(crate) fn scale_of_lowercase(w: &str) -> Option<f64> {
+    Some(match w {
         "k" | "thousand" | "thousands" => 1e3,
         "lakh" | "lakhs" => 1e5,
         "m" | "mm" | "mio" | "million" | "millions" => 1e6,
@@ -219,6 +223,27 @@ const TENS: [(&str, u64); 8] = [
     ("ninety", 90),
 ];
 
+/// The scale words a spelled-out number may carry, after `hundred`.
+const SCALE_WORDS: [&str; 4] = ["thousand", "million", "billion", "trillion"];
+
+/// Can `w` start a spelled-out number that [`parse_word_number`] reads?
+/// Compared ignoring ASCII case.
+pub(crate) fn starts_word_number(w: &str) -> bool {
+    // Every number word is 3 to 9 ASCII letters ("one" to "seventeen").
+    let mut buf = [0u8; 9];
+    let Some(lower) = buf.get_mut(..w.len()).filter(|b| b.len() >= 3) else {
+        return false;
+    };
+    lower.copy_from_slice(w.as_bytes());
+    lower.make_ascii_lowercase();
+    std::str::from_utf8(lower).is_ok_and(|w| {
+        ones_value(w).is_some()
+            || tens_value(w).is_some()
+            || w == "hundred"
+            || SCALE_WORDS.contains(&w)
+    })
+}
+
 fn ones_value(w: &str) -> Option<u64> {
     ONES.iter().find(|&&(s, _)| s == w).map(|&(_, v)| v)
 }
@@ -261,7 +286,7 @@ pub fn parse_word_number(words: &[&str]) -> Option<(f64, usize)> {
                 current = 1;
             }
             current = current.checked_mul(100)?;
-        } else if w == "thousand" || w == "million" || w == "billion" || w == "trillion" {
+        } else if SCALE_WORDS.contains(&w) {
             let mult = scale_multiplier(w)? as u64;
             if current == 0 {
                 current = 1;

@@ -9,7 +9,7 @@
 //! eliminated (§II-A).
 
 use crate::cues::{detect_approximation, ApproxIndicator};
-use crate::numparse::{self, parse_numeral, parse_suffixed, parse_word_number};
+use crate::numparse::{self, parse_numeral, parse_suffixed, parse_word_number, starts_word_number};
 use crate::token::{tokenize, Token, TokenKind};
 use crate::units::{currency_from_symbol, unit_from_word, Unit};
 
@@ -426,28 +426,76 @@ fn extract_word_number(text: &str, tokens: &[Token], i: usize) -> Option<(Quanti
     Some((m, consumed))
 }
 
+/// Cells that hold no value. `parse_cell_quantity` matches them ignoring
+/// ASCII case, which is exactly what comparing the cell's
+/// `str::to_lowercase` would match: the only non-ASCII char whose
+/// lowercase is all ASCII is the Kelvin sign (`k`), which none of them
+/// holds.
+const PLACEHOLDERS: [&str; 9] = ["--", "-", "—", "n/a", "na", "nil", "none", "tbd", "?"];
+
 /// Parse a single table-cell content as a quantity (§III: "for tables, we
 /// employ the same procedure and attempt to extract a single quantity
 /// mention per cell, together with its unit if present").
 ///
 /// Returns `None` for empty cells, placeholders (`--`, `n/a`) and cells
-/// without a parsable quantity.
+/// without a parsable quantity. Two kinds of cell get the answer
+/// [`extract_quantities`] would give without running it: a lone ASCII
+/// numeral (`868`, `513,002`, `28.4%`), and a cell with no numeric char
+/// and no number word (`German MSRP`), which holds none.
 pub fn parse_cell_quantity(cell: &str) -> Option<QuantityMention> {
     let trimmed = cell.trim().trim_end_matches('*').trim();
-    if trimmed.is_empty() {
+    if trimmed.is_empty() || PLACEHOLDERS.iter().any(|p| trimmed.eq_ignore_ascii_case(p)) {
         return None;
     }
-    let placeholder = matches!(
-        trimmed.to_lowercase().as_str(),
-        "--" | "-" | "—" | "n/a" | "na" | "nil" | "none" | "tbd" | "?"
-    );
-    if placeholder {
+    if let Some((numeral, percent)) = lone_numeral(trimmed) {
+        // The extractor tokenizes such a cell into the numeral and, with a
+        // `%`, a percent sign, and nothing else: no context to exclude it
+        // by, no prefix, no scale word, no approximation cue.
+        let p = parse_numeral(numeral)?;
+        return Some(QuantityMention {
+            raw: trimmed.to_string(),
+            value: p.value,
+            unnormalized: p.value,
+            unit: if percent { Unit::Percent } else { Unit::None },
+            precision: p.precision,
+            approx: ApproxIndicator::None,
+            start: 0,
+            end: trimmed.len(),
+        });
+    }
+    // The extractor starts a mention only at a numeric char or at a word
+    // token whose text up to its first `-` is a number word. Such a text
+    // is a whole alphabetic run, so a cell with neither holds none.
+    if !trimmed.chars().any(char::is_numeric)
+        && !trimmed
+            .split(|c: char| !c.is_alphabetic())
+            .any(starts_word_number)
+    {
         return None;
     }
     let mentions = extract_quantities(trimmed);
     // A cell should contain exactly one quantity; pick the first extracted
     // mention (noisy cells may carry footnote text after the number).
     mentions.into_iter().next()
+}
+
+/// The numeral of a cell that is a lone ASCII numeral — digits, with `,`
+/// or `.` only between two digits — and whether a `%` follows it.
+fn lone_numeral(cell: &str) -> Option<(&str, bool)> {
+    let (numeral, percent) = match cell.strip_suffix('%') {
+        Some(numeral) => (numeral, true),
+        None => (cell, false),
+    };
+    let b = numeral.as_bytes();
+    let digit_ends =
+        b.first().is_some_and(u8::is_ascii_digit) && b.last().is_some_and(u8::is_ascii_digit);
+    let marks_between_digits = b
+        .windows(2)
+        .all(|w| w[0].is_ascii_digit() || w[1].is_ascii_digit());
+    let shape = b
+        .iter()
+        .all(|&c| c.is_ascii_digit() || c == b',' || c == b'.');
+    (digit_ends && marks_between_digits && shape).then_some((numeral, percent))
 }
 
 #[cfg(test)]

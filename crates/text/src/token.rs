@@ -50,7 +50,7 @@ fn is_symbol_char(c: char) -> bool {
 }
 
 /// Character classes the tokenizer cares about.
-#[derive(PartialEq, Clone, Copy)]
+#[derive(Debug, PartialEq, Clone, Copy)]
 enum Cc {
     Alpha,
     Digit,
@@ -89,89 +89,126 @@ fn classify(c: char) -> Cc {
 /// * each punctuation char is its own token;
 /// * currency/percent symbols are [`TokenKind::Symbol`] tokens.
 pub fn tokenize(text: &str) -> Vec<Token> {
-    let mut tokens = Vec::new();
-    let chars: Vec<(usize, char)> = text.char_indices().collect();
-    let n = chars.len();
-    let mut i = 0;
-
-    let push = |tokens: &mut Vec<Token>, start: usize, end: usize, kind: TokenKind| {
-        tokens.push(Token {
+    SpanScanner::default()
+        .spans(text)
+        .map(|(start, end, kind)| Token {
             text: text[start..end].to_string(),
             start,
             end,
             kind,
-        });
-    };
+        })
+        .collect()
+}
 
-    while i < n {
-        let (bi, c) = chars[i];
-        match classify(c) {
-            Cc::Space => {
-                i += 1;
-            }
-            Cc::Sym => {
-                push(&mut tokens, bi, bi + c.len_utf8(), TokenKind::Symbol);
-                i += 1;
-            }
-            Cc::Punct => {
-                push(&mut tokens, bi, bi + c.len_utf8(), TokenKind::Punct);
-                i += 1;
-            }
-            Cc::Digit => {
-                // Consume a number: digits with internal , . used as marks.
-                let start = bi;
-                let mut j = i + 1;
-                while j < n {
-                    let (_, cj) = chars[j];
-                    if classify(cj) == Cc::Digit {
-                        j += 1;
-                    } else if (cj == ',' || cj == '.')
-                        && j + 1 < n
-                        && classify(chars[j + 1].1) == Cc::Digit
-                    {
-                        j += 2;
-                    } else {
-                        break;
-                    }
-                }
-                // Glued trailing letters (Win10-style came from Alpha side;
-                // here: `10k`, `5th`, `2Q`) → alphanumeric token.
-                let mut kind = TokenKind::Number;
-                while j < n && classify(chars[j].1) == Cc::Alpha {
-                    kind = TokenKind::Alphanumeric;
-                    j += 1;
-                }
-                let end = if j < n { chars[j].0 } else { text.len() };
-                push(&mut tokens, start, end, kind);
-                i = j;
-            }
-            Cc::Alpha => {
-                let start = bi;
-                let mut j = i + 1;
-                let mut kind = TokenKind::Word;
-                while j < n {
-                    let (_, cj) = chars[j];
-                    if classify(cj) == Cc::Alpha {
-                        j += 1;
-                    } else if classify(cj) == Cc::Digit {
-                        kind = TokenKind::Alphanumeric;
-                        j += 1;
-                    } else if (cj == '-' || cj == '\'' || cj == '’')
-                        && j + 1 < n
-                        && classify(chars[j + 1].1) == Cc::Alpha
-                    {
-                        j += 2;
-                    } else {
-                        break;
-                    }
-                }
-                let end = if j < n { chars[j].0 } else { text.len() };
-                push(&mut tokens, start, end, kind);
-                i = j;
-            }
+/// The scanner under [`tokenize`]: it yields each token as a
+/// `(start, end, kind)` byte span, copying no token text, and keeps its
+/// char buffer from one text to the next.
+#[derive(Debug, Default)]
+pub struct SpanScanner {
+    /// Byte offset, char and class of each char of the current text.
+    chars: Vec<(usize, char, Cc)>,
+}
+
+impl SpanScanner {
+    /// The token spans of `text`, by the rules of [`tokenize`].
+    pub fn spans<'a>(&'a mut self, text: &str) -> Spans<'a> {
+        self.chars.clear();
+        self.chars
+            .extend(text.char_indices().map(|(b, c)| (b, c, classify(c))));
+        Spans {
+            chars: &self.chars,
+            len: text.len(),
+            i: 0,
         }
     }
-    tokens
+}
+
+/// Iterator returned by [`SpanScanner::spans`].
+#[derive(Debug)]
+pub struct Spans<'a> {
+    chars: &'a [(usize, char, Cc)],
+    /// Byte length of the text.
+    len: usize,
+    /// Index in `chars` of the next unread char.
+    i: usize,
+}
+
+impl Spans<'_> {
+    /// Byte offset of char `j`, or the text's length past its last char.
+    fn offset(&self, j: usize) -> usize {
+        self.chars.get(j).map_or(self.len, |&(b, _, _)| b)
+    }
+
+    /// Is char `j` of class `cc`?
+    fn is(&self, j: usize, cc: Cc) -> bool {
+        self.chars.get(j).is_some_and(|&(_, _, k)| k == cc)
+    }
+}
+
+impl Iterator for Spans<'_> {
+    type Item = (usize, usize, TokenKind);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let chars = self.chars;
+        let n = chars.len();
+        while self.i < n {
+            let i = self.i;
+            let (bi, _, cc) = chars[i];
+            let (j, kind) = match cc {
+                Cc::Space => {
+                    self.i += 1;
+                    continue;
+                }
+                Cc::Sym => (i + 1, TokenKind::Symbol),
+                Cc::Punct => (i + 1, TokenKind::Punct),
+                Cc::Digit => {
+                    // Consume a number: digits with internal , . used as marks.
+                    let mut j = i + 1;
+                    while j < n {
+                        let (_, cj, kj) = chars[j];
+                        if kj == Cc::Digit {
+                            j += 1;
+                        } else if (cj == ',' || cj == '.') && self.is(j + 1, Cc::Digit) {
+                            j += 2;
+                        } else {
+                            break;
+                        }
+                    }
+                    // Glued trailing letters (Win10-style came from Alpha side;
+                    // here: `10k`, `5th`, `2Q`) → alphanumeric token.
+                    let mut kind = TokenKind::Number;
+                    while self.is(j, Cc::Alpha) {
+                        kind = TokenKind::Alphanumeric;
+                        j += 1;
+                    }
+                    (j, kind)
+                }
+                Cc::Alpha => {
+                    let mut j = i + 1;
+                    let mut kind = TokenKind::Word;
+                    while j < n {
+                        let (_, cj, kj) = chars[j];
+                        if kj == Cc::Alpha {
+                            j += 1;
+                        } else if kj == Cc::Digit {
+                            kind = TokenKind::Alphanumeric;
+                            j += 1;
+                        } else if (cj == '-' || cj == '\'' || cj == '’')
+                            && self.is(j + 1, Cc::Alpha)
+                        {
+                            j += 2;
+                        } else {
+                            break;
+                        }
+                    }
+                    (j, kind)
+                }
+            };
+            self.i = j;
+            return Some((bi, self.offset(j), kind));
+        }
+        None
+    }
 }
 
 /// Very light stemmer for overlap comparisons: lowercases and strips
@@ -180,16 +217,45 @@ pub fn tokenize(text: &str) -> Vec<Token> {
 /// word form on both sides of a comparison collide.
 pub fn light_stem(word: &str) -> String {
     let w = word.to_lowercase();
-    if w.len() > 4 && w.ends_with("ies") {
-        return format!("{}y", &w[..w.len() - 3]);
+    match inflection_cut(&w) {
+        (keep, true) => format!("{}y", &w[..keep]),
+        (keep, false) if keep < w.len() => w[..keep].to_string(),
+        _ => w,
     }
-    if w.len() > 4 && (w.ends_with("ses") || w.ends_with("xes") || w.ends_with("hes")) {
-        return w[..w.len() - 2].to_string();
+}
+
+/// [`light_stem`] of `word`, written into `stem`. An ASCII word is
+/// lowercased and cut inside `stem`, so it allocates nothing once `stem`
+/// has room for it; any other word goes through [`light_stem`], which
+/// lowercases with `str::to_lowercase` (a Greek final sigma stays `ς`).
+pub fn light_stem_into(word: &str, stem: &mut String) {
+    if !word.is_ascii() {
+        *stem = light_stem(word);
+        return;
     }
-    if w.len() > 3 && w.ends_with('s') && !w.ends_with("ss") && !w.ends_with("us") {
-        return w[..w.len() - 1].to_string();
+    stem.clear();
+    stem.push_str(word);
+    stem.make_ascii_lowercase();
+    let (keep, y) = inflection_cut(stem);
+    stem.truncate(keep);
+    if y {
+        stem.push('y');
     }
-    w
+}
+
+/// The suffix rules of [`light_stem`] on a lowercased word `w`: how many
+/// leading bytes the stem keeps, and whether a `y` follows them.
+fn inflection_cut(w: &str) -> (usize, bool) {
+    let n = w.len();
+    if n > 4 && w.ends_with("ies") {
+        (n - 3, true)
+    } else if n > 4 && (w.ends_with("ses") || w.ends_with("xes") || w.ends_with("hes")) {
+        (n - 2, false)
+    } else if n > 3 && w.ends_with('s') && !w.ends_with("ss") && !w.ends_with("us") {
+        (n - 1, false)
+    } else {
+        (n, false)
+    }
 }
 
 #[cfg(test)]

@@ -93,8 +93,12 @@ pub fn currency_from_symbol(c: char) -> Option<Currency> {
 /// Resolve a unit word or code (`usd`, `eur`, `cdn`, `dollars`, `percent`,
 /// `bps`, `mpge`, `g/km`, …). Case-insensitive.
 pub fn unit_from_word(w: &str) -> Option<Unit> {
-    let w = w.to_lowercase();
-    Some(match w.as_str() {
+    unit_from_lowercase(&w.to_lowercase())
+}
+
+/// [`unit_from_word`] of a word that is already lowercase.
+fn unit_from_lowercase(w: &str) -> Option<Unit> {
+    Some(match w {
         "usd" | "dollar" | "dollars" | "us$" => Unit::Currency(Currency::Usd),
         "eur" | "euro" | "euros" => Unit::Currency(Currency::Eur),
         "gbp" | "pound" | "pounds" | "sterling" => Unit::Currency(Currency::Gbp),
@@ -121,6 +125,7 @@ pub fn unit_from_word(w: &str) -> Option<Unit> {
 /// Returns the unit and an optional scale multiplier implied by the header
 /// (`($ Millions)` → ×1e6).
 pub fn unit_from_header(text: &str) -> (Unit, Option<f64>) {
+    // Each word is a piece of this lowercase text, so it is read as is.
     let lower = text.to_lowercase();
     let mut unit = Unit::None;
     let mut scale = None;
@@ -131,7 +136,7 @@ pub fn unit_from_header(text: &str) -> (Unit, Option<f64>) {
             continue;
         }
         if unit == Unit::None {
-            if let Some(u) = unit_from_word(raw) {
+            if let Some(u) = unit_from_lowercase(raw) {
                 unit = u;
             } else if let Some(c) = raw.chars().next().and_then(currency_from_symbol) {
                 unit = Unit::Currency(c);
@@ -143,7 +148,7 @@ pub fn unit_from_header(text: &str) -> (Unit, Option<f64>) {
             // Single letters (`b`, `m`, `k`) only act as scales when glued
             // to a numeral (`37K`); as free-standing header tokens they
             // are almost always initials or labels ("segment B").
-            if let Some(m) = crate::numparse::scale_multiplier(raw) {
+            if let Some(m) = crate::numparse::scale_of_lowercase(raw) {
                 scale = Some(m);
             }
         }

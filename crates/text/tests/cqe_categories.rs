@@ -102,6 +102,11 @@ const UNITS: &[Case] = &[
         unsupported: Some("kg is not a unit, and a shared unit reaches only the last member"),
     },
     Case {
+        text: "The bag weighed 10 kg.",
+        today: &[("10", 10.0, NONE, 0, EXACT)],
+        unsupported: Some("kg is not a unit"),
+    },
+    Case {
         text: "Revenue reached $4.1 million.",
         today: &[("$4.1 million", 4_099_999.999_999_999_5, USD, 1, EXACT)],
         unsupported: Some("4.1 million is scaled inexactly"),
@@ -219,6 +224,11 @@ const YEARS: &[Case] = &[
         text: "She won in the 2019 race.",
         today: &[("2019", 2019.0, NONE, 0, EXACT)],
         unsupported: Some("a year is extracted as a quantity"),
+    },
+    Case {
+        text: "It happened in 1999 and 2001 with 17 trials.",
+        today: &[("2001", 2001.0, NONE, 0, EXACT), ("17", 17.0, NONE, 0, EXACT)],
+        unsupported: Some("a year list loses only its first member as a date"),
     },
     Case {
         text: "He finished 3rd in the race.",

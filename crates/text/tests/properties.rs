@@ -3,7 +3,7 @@
 use briq_text::numparse::{order_of_magnitude, parse_numeral};
 use briq_text::quantity::extract_quantities;
 use briq_text::sentence::split_sentences;
-use briq_text::token::tokenize;
+use briq_text::token::{light_stem, light_stem_into, tokenize};
 use proptest::prelude::*;
 
 proptest! {
@@ -87,6 +87,26 @@ proptest! {
         let ms = extract_quantities(&text);
         prop_assert_eq!(ms.len(), 1);
         prop_assert_eq!(ms[0].value, v as f64);
+    }
+}
+
+proptest! {
+    /// Stemming into a reused buffer gives what `light_stem` returns:
+    /// ASCII words near every suffix rule, and any text at all (Greek
+    /// final sigma, Turkish dotted capital I).
+    #[test]
+    fn light_stem_into_matches_light_stem(
+        stem in "[a-zA-Z]{0,6}",
+        suffix in 0usize..8,
+        any in "\\PC{0,12}",
+        greek in "[ΑΣΟΔσςİIı]{1,6}",
+    ) {
+        let ascii = stem + ["", "s", "S", "ies", "IES", "ses", "ss", "us"][suffix];
+        let mut buf = String::from("stale");
+        for word in [ascii.as_str(), any.as_str(), greek.as_str()] {
+            light_stem_into(word, &mut buf);
+            prop_assert_eq!(&buf, &light_stem(word), "word {:?}", word);
+        }
     }
 }
 

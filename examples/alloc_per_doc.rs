@@ -1,8 +1,9 @@
 //! Heap allocations per document of untrained `Briq::align_with`, default
 //! options, over the smoke corpus that `ci.sh` aligns: 60 generated
 //! documents at seed 20190408, rendered 3 to a page, 59 documents after
-//! segmentation. Prints one JSON line, which `ci.sh determinism` adds to
-//! the work golden (`BENCH_work.jsonl`).
+//! segmentation. Prints one JSON line for that, then one for the heap
+//! allocations per page of `segment_page` over the corpus's 20 pages;
+//! `ci.sh determinism` adds both to the work golden (`BENCH_work.jsonl`).
 //!
 //! A counting allocator wraps the system one in this example only, and
 //! nothing is timed. Every `alloc` and `realloc` counts as one
@@ -52,6 +53,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations and bytes requested so far.
+fn counts() -> (u64, u64) {
+    (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    )
+}
+
 fn main() {
     let cfg = CorpusConfig {
         n_documents: 60,
@@ -59,17 +68,20 @@ fn main() {
         ..Default::default()
     };
     let mut docs: Vec<Document> = Vec::new();
+    let (mut pages, mut segment_allocations, mut segment_bytes) = (0u32, 0, 0);
     for html in corpus_pages(&cfg, 3) {
         let page = parse_page(&html);
+        let (allocations, bytes) = counts();
         let segmented = segment_page(&page, &SegmentConfig::default(), docs.len());
+        let (after_allocations, after_bytes) = counts();
+        pages += 1;
+        segment_allocations += after_allocations - allocations;
+        segment_bytes += after_bytes - bytes;
         docs.extend(segmented);
     }
     let briq = Briq::untrained(BriqConfig::default());
     let opts = AlignOpts::default();
-    let (allocations, bytes) = (
-        ALLOCATIONS.load(Ordering::Relaxed),
-        BYTES.load(Ordering::Relaxed),
-    );
+    let (allocations, bytes) = counts();
     for doc in &docs {
         std::hint::black_box(briq.align_with(doc, &opts));
     }
@@ -81,5 +93,11 @@ fn main() {
         docs.len(),
         allocations as f64 / n,
         bytes as f64 / n
+    );
+    let n = f64::from(pages.max(1));
+    println!(
+        "{{\"run\":\"segment\",\"pages\":{pages},\"allocations\":{segment_allocations},\"bytes\":{segment_bytes},\"allocations_per_page\":{:.1},\"bytes_per_page\":{:.0}}}",
+        segment_allocations as f64 / n,
+        segment_bytes as f64 / n
     );
 }
