@@ -153,6 +153,20 @@
 #                -D warnings: every rustdoc warning (broken intra-doc
 #                link, missing docs where #![warn(missing_docs)] is on)
 #                fails the gate.
+#   quality      alignment quality, not just equality: briq-eval table2
+#                (Table II: RF-only, RWR-only and BriQ on original,
+#                truncated and rounded mentions) over 200 documents at
+#                seeds 1-6. Pooled over the seeds (the mean of the six
+#                printed values), BriQ's F1 and its precision must each be
+#                at least RF-only's in every condition; per-seed values
+#                are recorded, not gated. The per-seed and pooled
+#                precision, recall and F1 of all three systems are
+#                written to target/BENCH_quality.json, and the stage
+#                fails, showing the diff, unless that equals the
+#                committed BENCH_quality.json byte for byte. A change
+#                that moves quality on purpose re-blesses it with
+#                `cp target/BENCH_quality.json BENCH_quality.json` and
+#                explains the move in CHANGES.md.
 #
 # Every stage prints its wall-clock; a summary table is printed at the end.
 set -uo pipefail
@@ -163,7 +177,11 @@ NPROC="$(nproc 2>/dev/null || echo 1)"
 # are constants, not settings.
 SMOKE_DOCS=60
 SMOKE_SEED=20190408
-ALL_STAGES=(fmt clippy build test docs determinism store persist serve)
+# The quality stage's protocol. BENCH_quality.json pins what it
+# measures, so these are constants too.
+QUALITY_DOCS=200
+QUALITY_SEEDS=(1 2 3 4 5 6)
+ALL_STAGES=(fmt clippy build test docs determinism store persist serve quality)
 
 stage_fmt() {
     cargo fmt --all --check
@@ -716,6 +734,103 @@ stage_serve() {
     SERVE_PID=""
 
     echo "serve: wire output byte-identical to batch ($(wc -c < "$dir/out_serve.json") bytes); chaos + overload clean, both servers drained"
+}
+
+# Read the briq-eval table2 outputs <file>... (one per seed, named
+# table2_<seed>.txt), write the per-seed and pooled precision, recall and
+# F1 of every system in every condition to stdout as JSON, and fail,
+# naming each shortfall on stderr, unless BriQ's pooled F1 and pooled
+# precision are each at least RF-only's in every condition. Pooled is
+# the mean of the printed per-seed values; the gate compares their sums
+# in hundredths, so no float rounding decides it.
+quality_report() { # file...
+    awk -v docs="$QUALITY_DOCS" '
+        BEGIN {
+            split("original truncated rounded", cond, " ")
+            split("RF RWR BriQ", sys, " ")
+            metric["prec."] = "precision"; metric["recall"] = "recall"; metric["F1"] = "f1"
+            header = "RF RWR BriQ RF(tr) RWR(tr) BriQ(tr) RF(rd) RWR(rd) BriQ(rd)"
+        }
+        function fail(msg) { print "quality: " msg > "/dev/stderr"; bad = 1; exit 1 }
+        FNR == 1 {
+            seed = FILENAME; sub(/.*table2_/, "", seed); sub(/\.txt$/, "", seed)
+            seeds[++n] = seed
+        }
+        $1 == "RF" { $1 = $1; if ($0 != header) fail(FILENAME ": unexpected columns: " $0) }
+        $1 in metric {
+            if (NF != 10) fail(FILENAME ": row " $1 " has " NF - 1 " values, not 9")
+            rows[seed]++
+            for (c = 1; c <= 9; c++) {
+                v = $(c + 1)
+                if (v !~ /^[0-9]+\.[0-9][0-9]$/) fail(FILENAME ": row " $1 " value " v)
+                val[seed, metric[$1], c] = v
+                hundredths[metric[$1], c] += substr(v, 1, length(v) - 3) * 100 + substr(v, length(v) - 1)
+            }
+        }
+        END {
+            if (bad) exit 1
+            for (i = 1; i <= n; i++)
+                if (rows[seeds[i]] != 3) fail("seed " seeds[i] ": " rows[seeds[i]] + 0 " of 3 rows")
+            list = seeds[1]; for (i = 2; i <= n; i++) list = list "," seeds[i]
+            printf "{\"experiment\":\"table2\",\"docs\":%d,\"seeds\":[%s],\"results\":[\n", docs, list
+            sep = ""
+            for (i = 0; i <= n; i++) {
+                for (c = 1; c <= 9; c++) {
+                    k = int((c - 1) / 3) + 1; y = (c - 1) % 3 + 1
+                    if (i == 0) {
+                        printf "%s{\"seed\":\"pooled\",\"condition\":\"%s\",\"system\":\"%s\",\"precision\":%.3f,\"recall\":%.3f,\"f1\":%.3f}", sep, cond[k], sys[y], hundredths["precision", c] / n / 100, hundredths["recall", c] / n / 100, hundredths["f1", c] / n / 100
+                    } else {
+                        s = seeds[i]
+                        printf "%s{\"seed\":%s,\"condition\":\"%s\",\"system\":\"%s\",\"precision\":%s,\"recall\":%s,\"f1\":%s}", sep, s, cond[k], sys[y], val[s, "precision", c], val[s, "recall", c], val[s, "f1", c]
+                    }
+                    sep = ",\n"
+                }
+            }
+            printf "\n]}\n"
+            for (k = 1; k <= 3; k++) {
+                rf = 3 * k - 2; briq = 3 * k
+                for (m = 1; m <= 2; m++) {
+                    name = m == 1 ? "f1" : "precision"
+                    if (hundredths[name, briq] < hundredths[name, rf]) {
+                        printf "quality: %s: pooled BriQ %s %.3f < RF-only %.3f\n", cond[k], name, hundredths[name, briq] / n / 100, hundredths[name, rf] / n / 100 > "/dev/stderr"
+                        short = 1
+                    }
+                }
+            }
+            exit short
+        }' "$@"
+}
+
+stage_quality() {
+    cargo build --offline --locked --release -q -p briq-bench || return 1
+    local dir seed pid files=() pids=()
+    dir="$(mktemp -d)"
+    trap 'rm -rf "$dir"' RETURN
+    # The seeds are independent single-threaded runs, so they run side
+    # by side; each writes only its own file.
+    for seed in "${QUALITY_SEEDS[@]}"; do
+        ./target/release/briq-eval table2 --docs "$QUALITY_DOCS" --seed "$seed" \
+            > "$dir/table2_$seed.txt" 2> "$dir/err_$seed.txt" &
+        pids+=("$!")
+        files+=("$dir/table2_$seed.txt")
+    done
+    for pid in "${pids[@]}"; do
+        wait "$pid" || {
+            echo "quality: a briq-eval table2 run failed:" >&2
+            cat "$dir"/err_*.txt >&2
+            return 1
+        }
+    done
+    quality_report "${files[@]}" > target/BENCH_quality.json || {
+        echo "quality: BriQ must match or beat RF-only on pooled F1 and precision in every condition (target/BENCH_quality.json)" >&2
+        return 1
+    }
+    same_file quality BENCH_quality.json target/BENCH_quality.json \
+        "this run's quality record target/BENCH_quality.json (> lines; < is the committed BENCH_quality.json)" || {
+        echo "quality: if the move is deliberate, cp target/BENCH_quality.json BENCH_quality.json and explain it in CHANGES.md" >&2
+        return 1
+    }
+    echo "quality: BriQ >= RF-only on pooled F1 and precision in all three conditions (seeds ${QUALITY_SEEDS[*]}); BENCH_quality.json reproduced"
 }
 
 known_stage() {

@@ -73,12 +73,11 @@ use briq_bench::cli::{self, Arg, Args, Command, Flag, UsageError, EXIT_DEGRADED}
 use briq_core::batch::BatchConfig;
 use briq_core::obs::names;
 use briq_core::pipeline::{Briq, BriqConfig};
-use briq_core::store::{AlignmentStore, Fingerprint};
-use briq_core::{DegradedAction, Diagnostic, Diagnostics, Stage};
+use briq_core::store::AlignmentStore;
+use briq_core::{ingest_page, DegradedAction, Diagnostic, Diagnostics, Stage};
 use briq_corpus::corpus::CorpusConfig;
-use briq_table::html::parse_page;
-use briq_table::segment::{segment_page, SegmentConfig};
 use briq_table::Document;
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 /// Align pages: the default command.
@@ -122,8 +121,7 @@ const GEN_CORPUS: Command = Command {
 const COMMANDS: [&Command; 3] = [&ALIGN, &TRAIN_DEMO, &GEN_CORPUS];
 
 fn main() -> ExitCode {
-    let argv = cli::argv();
-    let run = match argv.first().map(String::as_str) {
+    let run = cli::argv().and_then(|argv| match argv.first().map(String::as_str) {
         Some("--train-demo") => TRAIN_DEMO.parse(&argv[1..]).and_then(|args| {
             let path = args.sole_positional("--train-demo needs an output path")?;
             Ok(train_demo(path))
@@ -133,12 +131,12 @@ fn main() -> ExitCode {
             Ok(gen_corpus(dir, &args))
         }),
         _ => parse_align(&argv).map(|(args, pages)| align(&args, &pages)),
-    };
+    });
     run.unwrap_or_else(|e| cli::refuse(&e, &COMMANDS))
 }
 
 /// Align `pages` as the flags in `args` say, and print the alignments.
-fn align(args: &Args, pages: &[String]) -> ExitCode {
+fn align(args: &Args, pages: &[PathBuf]) -> ExitCode {
     let mut briq = match cli::load_model(args.value("--model")) {
         Ok(b) => b,
         Err(e) => {
@@ -315,67 +313,54 @@ fn align(args: &Args, pages: &[String]) -> ExitCode {
     }
 }
 
-/// Read, parse, and segment every page, producing the batch documents
-/// plus one stable store key per document: FNV of the page *basename*
-/// mixed with the segment index within the page. Basename (not full
-/// path) keying lets a warm store built from one directory serve a
-/// mutated copy of the same corpus in another (CI's store stage).
+/// Read and ingest every page ([`ingest_page`]), producing the batch
+/// documents plus one stable store key per document, derived from the
+/// page *basename* (decoded lossily) and the segment index. Basename
+/// (not full path) keying lets a warm store built from one directory
+/// serve a mutated copy of the same corpus in another (CI's store stage).
 ///
-/// An unreadable or non-UTF-8 page degrades to one diagnostic and is
-/// skipped; the rest of the batch still aligns. Lossy decoding keeps
-/// pages with a few bad bytes (the HTML parser is byte-agnostic);
-/// only pages that cannot be opened at all are dropped.
-fn load_documents(paths: &[String]) -> (Vec<Document>, Vec<u64>, Diagnostics) {
+/// An unreadable page degrades to one diagnostic and is skipped; the
+/// rest of the batch still aligns. Pages with invalid UTF-8 are decoded
+/// lossily ([`cli::read_page`]); only pages that cannot be opened at all
+/// are dropped.
+fn load_documents(paths: &[PathBuf]) -> (Vec<Document>, Vec<u64>, Diagnostics) {
     let mut docs: Vec<Document> = Vec::new();
     let mut keys: Vec<u64> = Vec::new();
     let mut io_diags = Diagnostics::default();
     for page_path in paths {
-        let html = match std::fs::read(page_path) {
-            Ok(bytes) => String::from_utf8_lossy(&bytes).into_owned(),
+        let shown = page_path.display();
+        let html = match cli::read_page(page_path) {
+            Ok(html) => html,
             Err(e) => {
                 io_diags.items.push(Diagnostic {
                     stage: Stage::Batch,
-                    scope: format!("page {page_path}"),
+                    scope: format!("page {shown}"),
                     error: format!("cannot read page: {e}"),
                     action: DegradedAction::Skipped,
                 });
-                eprintln!("cannot read {page_path}: {e} (page skipped)");
+                eprintln!("cannot read {shown}: {e} (page skipped)");
                 continue;
             }
         };
-        let page = parse_page(&html);
-        let segmented = segment_page(&page, &SegmentConfig::default(), docs.len());
-        if segmented.is_empty() {
-            eprintln!("warning: no paragraph/table documents found in {page_path}");
+        let name = page_path.file_name().unwrap_or(page_path.as_os_str());
+        let (page_docs, page_keys) = ingest_page(&name.to_string_lossy(), &html, docs.len());
+        if page_docs.is_empty() {
+            eprintln!("warning: no paragraph/table documents found in {shown}");
         }
-        let base = {
-            let mut f = Fingerprint::new();
-            let name = std::path::Path::new(page_path)
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_else(|| page_path.clone());
-            f.str(&name);
-            f.finish()
-        };
-        for (si, doc) in segmented.into_iter().enumerate() {
-            let mut f = Fingerprint::new();
-            f.u64(base);
-            f.usize(si);
-            keys.push(f.finish());
-            docs.push(doc);
-        }
+        docs.extend(page_docs);
+        keys.extend(page_keys);
     }
     (docs, keys, io_diags)
 }
 
 /// Check an align command line and list its pages: the positional
 /// ones and every page of each `--batch` directory, in argv order.
-fn parse_align(argv: &[String]) -> Result<(Args, Vec<String>), UsageError> {
+fn parse_align(argv: &[String]) -> Result<(Args, Vec<PathBuf>), UsageError> {
     let args = ALIGN.parse(argv)?;
     let mut pages = Vec::new();
     for arg in args.iter() {
         match arg {
-            Arg::Positional(page) => pages.push(page.clone()),
+            Arg::Positional(page) => pages.push(PathBuf::from(page)),
             Arg::Flag("--batch", Some(dir)) => {
                 pages.extend(html_files_in(dir).map_err(UsageError)?)
             }
@@ -393,19 +378,20 @@ fn parse_align(argv: &[String]) -> Result<(Args, Vec<String>), UsageError> {
     Ok((args, pages))
 }
 
-/// All `*.html` files in `dir`, sorted by file name so batch order (and
-/// therefore output order) is independent of directory enumeration order.
-fn html_files_in(dir: &str) -> Result<Vec<String>, String> {
+/// All `*.html` files in `dir`, sorted by the bytes of their file names
+/// so batch order (and therefore output order) is independent of
+/// directory enumeration order. A name need not be UTF-8.
+fn html_files_in(dir: &str) -> Result<Vec<PathBuf>, String> {
     let entries = std::fs::read_dir(dir).map_err(|e| format!("cannot read {dir}: {e}"))?;
     let mut pages = Vec::new();
     for entry in entries {
         let entry = entry.map_err(|e| format!("cannot read {dir}: {e}"))?;
         let path = entry.path();
         if path.extension().is_some_and(|x| x == "html") {
-            pages.push(path.to_string_lossy().into_owned());
+            pages.push(path);
         }
     }
-    pages.sort();
+    pages.sort_by(|a, b| a.file_name().cmp(&b.file_name()));
     if pages.is_empty() {
         return Err(format!("no *.html pages in {dir}"));
     }

@@ -123,21 +123,20 @@ fn install_term_handler() {
 }
 
 fn main() -> ExitCode {
-    let argv = cli::argv();
-    let (command, run): (&Command, fn(&Args) -> ExitCode) = match argv.first().map(String::as_str) {
-        Some("serve") => (&SERVE, cmd_serve),
-        Some("drive") => (&DRIVE, cmd_drive),
-        Some("chaos") => (&CHAOS, cmd_chaos),
-        Some("stop") => (&STOP, cmd_stop),
-        _ => {
-            eprintln!("{}", cli::usage(&COMMANDS));
-            return ExitCode::FAILURE;
-        }
-    };
-    match command.parse(&argv[1..]) {
-        Ok(args) => run(&args),
-        Err(e) => cli::refuse(&e, &COMMANDS),
-    }
+    let run = cli::argv().and_then(|argv| {
+        let (command, run): (_, fn(&Args) -> ExitCode) = match argv.first().map(String::as_str) {
+            Some("serve") => (&SERVE, cmd_serve),
+            Some("drive") => (&DRIVE, cmd_drive),
+            Some("chaos") => (&CHAOS, cmd_chaos),
+            Some("stop") => (&STOP, cmd_stop),
+            _ => {
+                eprintln!("{}", cli::usage(&COMMANDS));
+                return Ok(ExitCode::FAILURE);
+            }
+        };
+        Ok(run(&command.parse(&argv[1..])?))
+    });
+    run.unwrap_or_else(|e| cli::refuse(&e, &COMMANDS))
 }
 
 /// The `--addr` of a client command; its table requires it.
@@ -298,10 +297,8 @@ fn cmd_drive(args: &Args) -> ExitCode {
     };
     let mut degraded = 0usize;
     for (pi, path) in pages.iter().enumerate() {
-        // Decoded lossily, as `briq-align` decodes its pages, so a page
-        // with a few invalid bytes aligns the same on both paths.
-        let html = match std::fs::read(path) {
-            Ok(bytes) => String::from_utf8_lossy(&bytes).into_owned(),
+        let html = match cli::read_page(path) {
+            Ok(html) => html,
             Err(e) => {
                 eprintln!("cannot read {path}: {e}");
                 return ExitCode::FAILURE;

@@ -12,9 +12,12 @@
 //! not take. The binaries print the error and the usage and exit 1
 //! ([`refuse`]) before they do anything else.
 //!
+//! [`argv`] refuses an argument that is not valid UTF-8 the same way,
+//! naming its position.
+//!
 //! The module also holds what the binaries share around their
-//! arguments: the `--model` loader, the `--metrics` writer and the exit
-//! status of a degraded run.
+//! arguments: the page reader, the `--model` loader, the `--metrics`
+//! writer and the exit status of a degraded run.
 
 use briq_core::pipeline::{Briq, BriqConfig};
 use briq_core::MetricsRegistry;
@@ -266,8 +269,32 @@ pub fn refuse(err: &UsageError, commands: &[&Command]) -> ExitCode {
 }
 
 /// The process's arguments after the program name.
-pub fn argv() -> Vec<String> {
-    std::env::args().skip(1).collect()
+///
+/// # Errors
+///
+/// A [`UsageError`] naming the position (1 for the first argument after
+/// the program name) of the first argument that is not valid UTF-8.
+pub fn argv() -> Result<Vec<String>, UsageError> {
+    std::env::args_os()
+        .skip(1)
+        .enumerate()
+        .map(|(i, arg)| {
+            arg.into_string().map_err(|arg| {
+                UsageError(format!("argument {} is not valid UTF-8: {arg:?}", i + 1))
+            })
+        })
+        .collect()
+}
+
+/// The page file at `path`, its invalid UTF-8 decoded lossily: the HTML
+/// parser is byte-agnostic, so a page with a few bad bytes still aligns,
+/// and aligns alike in `briq-align` and `briq-serve drive`.
+///
+/// # Errors
+///
+/// The error of reading the file.
+pub fn read_page(path: impl AsRef<std::path::Path>) -> std::io::Result<String> {
+    std::fs::read(path).map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
 }
 
 /// The model `--model` names, or the untrained heuristic prior when

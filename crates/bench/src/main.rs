@@ -64,7 +64,10 @@ const EVAL: Command = Command {
 };
 
 fn main() -> ExitCode {
-    let argv = cli::argv();
+    let argv = match cli::argv() {
+        Ok(argv) => argv,
+        Err(e) => return refuse(&e.0),
+    };
     let (experiment, rest) = match argv.split_first() {
         Some((experiment, rest)) => (experiment.as_str(), rest),
         None => ("all", &argv[..]),

@@ -3,16 +3,16 @@
 //! — the single-machine stand-in for the paper's 10-executor Spark
 //! cluster. Its pages come from [`briq_corpus::page::render_pages`].
 //!
-//! The timed path per page mirrors the production pipeline: HTML parsing,
-//! page segmentation, then [`briq_core::batch::align_batch`] over the
+//! The timed path per page mirrors the production pipeline: the page
+//! ingest every binary runs ([`briq_core::ingest_page`]: HTML parsing and
+//! page segmentation), then [`briq_core::batch::align_batch`] over the
 //! segmented documents (mention/target extraction, classification,
 //! filtering and global resolution on a work-stealing worker pool).
 
 use briq_core::batch::BatchConfig;
+use briq_core::ingest_page;
 use briq_core::obs::names;
 use briq_core::pipeline::Briq;
-use briq_table::html::parse_page;
-use briq_table::segment::{segment_page, SegmentConfig};
 use briq_table::Document;
 use std::time::Instant;
 
@@ -49,22 +49,12 @@ pub enum ThroughputSystem {
     RwrOnly,
 }
 
-/// Parse and segment every page into documents with batch-unique ids.
-pub fn segment_pages(pages: &[String]) -> Vec<Document> {
-    let mut docs = Vec::new();
-    for html in pages {
-        let page = parse_page(html);
-        let mut segmented = segment_page(&page, &SegmentConfig::default(), docs.len());
-        docs.append(&mut segmented);
-    }
-    docs
-}
-
 /// Run the throughput measurement over `pages` with `workers` threads.
 ///
 /// The full-pipeline system runs on [`briq_core::batch::align_batch`], so
 /// its alignments are bit-identical for every worker count; the timed
-/// region covers parsing, segmentation, and the batch run.
+/// region covers the page ingest and the batch run. A page is named by
+/// its index in `pages`; the run keeps no store, so no key is read.
 pub fn measure(
     briq: &Briq,
     system: ThroughputSystem,
@@ -72,7 +62,10 @@ pub fn measure(
     workers: usize,
 ) -> ThroughputResult {
     let start = Instant::now();
-    let docs = segment_pages(pages);
+    let mut docs = Vec::new();
+    for (i, html) in pages.iter().enumerate() {
+        docs.extend(ingest_page(&i.to_string(), html, docs.len()).0);
+    }
     let mentions = match system {
         ThroughputSystem::Briq => {
             let report = briq.align_batch(&docs, &BatchConfig::with_jobs(workers.max(1)));
@@ -147,21 +140,6 @@ mod tests {
         let parallel = measure(&briq, ThroughputSystem::Briq, &pages, 4);
         assert_eq!(serial.documents, parallel.documents);
         assert_eq!(serial.mentions, parallel.mentions);
-    }
-
-    #[test]
-    fn segmented_documents_have_unique_ids() {
-        let docs = docs();
-        let pages = render_pages(&docs[..9], 3);
-        let segmented = segment_pages(&pages);
-        let mut ids: Vec<usize> = segmented.iter().map(|d| d.id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(
-            ids.len(),
-            segmented.len(),
-            "duplicate document ids across pages"
-        );
     }
 
     #[test]

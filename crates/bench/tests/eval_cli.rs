@@ -137,3 +137,22 @@ fn every_binary_refuses_a_bad_flag_by_name() {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
+
+#[cfg(unix)]
+#[test]
+fn every_binary_refuses_an_argument_that_is_not_utf8() {
+    use std::os::unix::ffi::OsStrExt;
+    let arg = std::ffi::OsStr::from_bytes(b"x\xff");
+    for bin in [EVAL, ALIGN, SERVE] {
+        let out = Command::new(bin).arg(arg).output().expect("run the binary");
+        let name = Path::new(bin).file_name().unwrap().to_string_lossy();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        assert!(
+            stderr.contains("argument 1 is not valid UTF-8"),
+            "{name}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{name} printed {:?}", out.stdout);
+    }
+}

@@ -262,6 +262,44 @@ fn briq_align_batch_survives_unreadable_and_non_utf8_pages() {
     assert_eq!(out2.status.code(), Some(1));
 }
 
+/// A page file whose name is not UTF-8 is read by its own path, not by
+/// a lossy copy of its name: the batch aligns as it does under the
+/// original name.
+#[cfg(unix)]
+#[test]
+fn briq_align_batch_reads_a_page_whose_name_is_not_utf8() {
+    use std::os::unix::ffi::OsStrExt;
+    let dir = tmp_dir("nonutf8name");
+    let corpus = dir.join("corpus");
+    let gen = Command::new(env!("CARGO_BIN_EXE_briq-align"))
+        .arg("--gen-corpus")
+        .arg(&corpus)
+        .args(["--docs", "9"])
+        .output()
+        .expect("run --gen-corpus");
+    assert!(gen.status.success(), "{gen:?}");
+    let batch = || {
+        Command::new(env!("CARGO_BIN_EXE_briq-align"))
+            .arg("--batch")
+            .arg(&corpus)
+            .output()
+            .expect("run briq-align")
+    };
+    let original = batch();
+    assert_eq!(original.status.code(), Some(0), "{original:?}");
+    // `page_0000\xff.html` still sorts before `page_0001.html`.
+    let renamed = corpus.join(std::ffi::OsStr::from_bytes(b"page_0000\xff.html"));
+    std::fs::rename(corpus.join("page_0000.html"), &renamed).unwrap();
+    let out = batch();
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(!original.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&original.stdout)
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn per_request_deadline_of_zero_ms_is_reported_not_hung() {
     let server = ServerGuard::spawn(&[]);

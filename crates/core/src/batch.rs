@@ -4,7 +4,9 @@
 //!
 //! [`align_batch`] runs [`Briq::align_with`] over a batch of
 //! documents on a chunked, work-stealing pool of scoped threads
-//! (std-only, no external runtime). The contract:
+//! (std-only, no external runtime). [`ingest_page`] is the one way every
+//! binary turns a page into the documents and store keys it takes. The
+//! contract:
 //!
 //! * **Shared read-only system** — one [`Briq`] (classifier forests,
 //!   tagger, lexicons, unit tables) is borrowed immutably by every
@@ -29,6 +31,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
+use briq_table::html::parse_page;
+use briq_table::segment::{segment_page, SegmentConfig};
 use briq_table::Document;
 
 use crate::error::{BriqError, Budget, DegradedAction, Diagnostic, Diagnostics, Stage};
@@ -36,7 +40,7 @@ use crate::mention::Alignment;
 use crate::obs::{chrome_trace_json, names, DocTrace, Histogram, MetricsRegistry, Recorder};
 use crate::pipeline::{AlignOpts, AlignOutput, Briq};
 use crate::span;
-use crate::store::AlignmentStore;
+use crate::store::{doc_key, page_key, AlignmentStore};
 
 /// `Briq` is shared by reference across the worker pool; if a future
 /// field (e.g. an interior-mutable cache) breaks that, this fails to
@@ -274,6 +278,24 @@ pub fn align_batch_stored(
 ) -> BatchReport {
     debug_assert!(keys.is_none_or(|k| k.len() == docs.len()));
     align_batch_inner(briq, docs, cfg, Some(StoreCtx { store, keys }))
+}
+
+/// Parse and segment one page into the documents [`align_batch_stored`]
+/// takes, numbered from `first_id` as [`segment_page`] numbers them, and
+/// key each one `doc_key(page_key(identity), segment)`
+/// ([`crate::store::doc_key`]).
+///
+/// `identity` is what the caller names the page by across runs
+/// (`briq-align`: the file's basename; `briq-serve`: the request's `id`,
+/// else its HTML), so a page ingested again under the same identity is
+/// served from a store that aligned it before.
+pub fn ingest_page(identity: &str, html: &str, first_id: usize) -> (Vec<Document>, Vec<u64>) {
+    let docs = segment_page(&parse_page(html), &SegmentConfig::default(), first_id);
+    let page = page_key(identity);
+    let keys = (0..docs.len())
+        .map(|segment| doc_key(page, segment))
+        .collect();
+    (docs, keys)
 }
 
 /// The store context threaded through the worker pool when a batch runs
@@ -807,6 +829,51 @@ mod tests {
         // The spans open when the panic struck closed as it unwound.
         let extract = m.histogram(&names::span_histogram(names::SPAN_EXTRACT));
         assert_eq!(extract.map(Histogram::count), Some(1));
+    }
+
+    /// A page whose two paragraphs both relate to its one table.
+    fn two_document_page(total: u32) -> String {
+        format!(
+            "<html><body>\
+             <p>A total of {total} patients reported side effects.</p>\
+             <table><tr><th>effect</th><th>male</th><th>female</th><th>total</th></tr>\
+             <tr><td>Rash</td><td>15</td><td>20</td><td>35</td></tr>\
+             <tr><td>Depression</td><td>13</td><td>25</td><td>38</td></tr></table>\
+             <p>Depression was reported by 38 patients, 13 male and 25 female.</p>\
+             </body></html>"
+        )
+    }
+
+    #[test]
+    fn ingested_pages_number_documents_uniquely_and_key_them_by_segment() {
+        let (mut docs, mut keys) = (Vec::new(), Vec::new());
+        for (identity, total) in [("a.html", 73), ("b.html", 74), ("c.html", 75)] {
+            let (page_docs, page_keys) =
+                ingest_page(identity, &two_document_page(total), docs.len());
+            assert_eq!(page_docs.len(), 2, "{identity}");
+            let page = page_key(identity);
+            let expected: Vec<u64> = (0..2).map(|segment| doc_key(page, segment)).collect();
+            assert_eq!(page_keys, expected, "{identity}");
+            docs.extend(page_docs);
+            keys.extend(page_keys);
+        }
+        let ids: Vec<usize> = docs.iter().map(|d| d.id).collect();
+        assert_eq!(ids, (0..6).collect::<Vec<_>>(), "ids restart or repeat");
+        let mut distinct = keys.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), keys.len(), "keys collide across pages");
+        // The documents are `segment_page`'s, and the key depends on the
+        // identity only, never on the HTML or the first id.
+        let page = two_document_page(73);
+        assert_eq!(
+            ingest_page("a.html", &page, 4).0,
+            segment_page(&parse_page(&page), &SegmentConfig::default(), 4)
+        );
+        assert_eq!(
+            ingest_page("a.html", &two_document_page(99), 9).1,
+            keys[..2]
+        );
     }
 
     #[test]

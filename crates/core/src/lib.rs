@@ -76,7 +76,8 @@ pub mod tagger;
 pub mod training;
 
 pub use batch::{
-    align_batch, align_batch_stored, BatchConfig, BatchReport, DocReport, StageTimings, WorkerStats,
+    align_batch, align_batch_stored, ingest_page, BatchConfig, BatchReport, DocReport,
+    StageTimings, WorkerStats,
 };
 pub use error::{
     BriqError, Budget, CancelCause, CancelToken, DegradedAction, Diagnostic, Diagnostics, Stage,

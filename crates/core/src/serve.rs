@@ -66,14 +66,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use briq_json::{ToJson, Value};
-use briq_table::html::parse_page;
-use briq_table::segment::{segment_page, SegmentConfig};
 
-use crate::batch::{align_isolated, doc_scoped};
+use crate::batch::{align_isolated, doc_scoped, ingest_page};
 use crate::error::{CancelCause, CancelToken, DegradedAction};
 use crate::obs::{names, MetricsRegistry, Recorder};
 use crate::pipeline::{AlignOpts, Briq};
-use crate::store::{lock, AlignmentStore, Fingerprint};
+use crate::store::{lock, AlignmentStore};
 
 /// Concurrent connection cap; excess connections get one shed line and
 /// are closed without ever reaching the admission gate.
@@ -241,9 +239,9 @@ pub struct AlignOutcome {
     pub deadline_cancelled: u64,
 }
 
-/// Serve one align request: parse + segment the page, align every
-/// document under [`crate::Budget::default`] and `cancel` into `rec`,
-/// and build the response value.
+/// Serve one align request: ingest the page ([`ingest_page`]), align
+/// every document under [`crate::Budget::default`] and `cancel` into
+/// `rec`, and build the response value.
 ///
 /// Pure with respect to the server — callable from unit tests without a
 /// socket. The per-document treatment is [`crate::batch`]'s own (the
@@ -252,11 +250,11 @@ pub struct AlignOutcome {
 /// byte-compatible with `briq-align` output.
 ///
 /// With `store: Some(..)` each segmented document runs through the
-/// warm [`AlignmentStore`] instead, keyed by the request identity (the
-/// client `id` when present, else the page HTML) mixed with the
-/// segment index — so a client re-submitting a page under a stable id
-/// is served incrementally. Responses stay bit-identical either way
-/// (the store contract, DESIGN.md §15).
+/// warm [`AlignmentStore`] instead, under the key [`ingest_page`] gives
+/// it for the page identity: the client `id` in compact JSON when
+/// present, else the page HTML. So a client re-submitting a page under
+/// a stable id is served incrementally. Responses stay bit-identical
+/// either way (the store contract, DESIGN.md §15).
 pub fn serve_align(
     briq: &Briq,
     id: Option<&Value>,
@@ -265,31 +263,18 @@ pub fn serve_align(
     store: Option<&AlignmentStore>,
     rec: &Recorder,
 ) -> (Value, AlignOutcome) {
-    let page = parse_page(html);
-    let docs = segment_page(&page, &SegmentConfig::default(), 0);
-    let request_fp = {
-        let mut f = Fingerprint::new();
-        match id {
-            Some(v) => f.str(&v.to_string_compact()),
-            None => f.str(html),
-        }
-        f.finish()
-    };
+    let id_text = id.map(Value::to_string_compact);
+    let (docs, keys) = ingest_page(id_text.as_deref().unwrap_or(html), html, 0);
     let mut outcome = AlignOutcome {
         documents: docs.len(),
         ..AlignOutcome::default()
     };
     let mut doc_values = Vec::with_capacity(docs.len());
-    for (i, doc) in docs.iter().enumerate() {
+    for (i, (doc, &key)) in docs.iter().zip(&keys).enumerate() {
         let opts = AlignOpts {
             recorder: Some(rec),
             cancel: Some(cancel),
-            store: store.map(|st| {
-                let mut f = Fingerprint::new();
-                f.u64(request_fp);
-                f.usize(i);
-                (st, f.finish())
-            }),
+            store: store.map(|st| (st, key)),
             ..AlignOpts::default()
         };
         let (alignments, diagnostics) = match align_isolated(briq, i, doc, &opts) {
@@ -929,8 +914,7 @@ mod tests {
         assert!(!outcome.degraded);
         assert_eq!(outcome.panics, 0);
 
-        let page = parse_page(&html);
-        let docs = segment_page(&page, &SegmentConfig::default(), 0);
+        let (docs, _) = ingest_page("", &html, 0);
         assert_eq!(outcome.documents, docs.len());
         let report = briq.align_batch(&docs, &BatchConfig::with_jobs(1));
 
@@ -946,6 +930,33 @@ mod tests {
                 briq_json::to_string_pretty(&dr.alignments)
             );
         }
+    }
+
+    /// A request's documents land in the store under the keys
+    /// `ingest_page` gives the request's `id`, so a batch over the same
+    /// page under that identity is served from the store in full.
+    #[test]
+    fn served_documents_are_stored_under_the_ingest_keys() {
+        let briq = briq();
+        let html = test_page();
+        let store = AlignmentStore::for_system(&briq);
+        let (_, outcome) = serve_align(
+            &briq,
+            Some(&Value::Num(7.0)),
+            &html,
+            &CancelToken::none(),
+            Some(&store),
+            &Recorder::disabled(),
+        );
+        let (docs, keys) = ingest_page("7", &html, 0);
+        assert_eq!(outcome.documents, docs.len());
+        assert!(!docs.is_empty());
+        let report =
+            briq.align_batch_stored(&docs, &BatchConfig::with_jobs(1), &store, Some(&keys));
+        assert_eq!(
+            report.merged_metrics().counter(names::STORE_HITS),
+            docs.len() as u64
+        );
     }
 
     #[test]
@@ -1153,7 +1164,7 @@ mod tests {
     fn align_request_records_what_the_batch_engine_records() {
         let briq = briq();
         let html = test_page();
-        let docs = segment_page(&parse_page(&html), &SegmentConfig::default(), 0);
+        let (docs, _) = ingest_page("", &html, 0);
         let traced = BatchConfig {
             trace: true,
             ..BatchConfig::with_jobs(1)

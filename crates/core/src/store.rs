@@ -122,6 +122,26 @@ impl Fingerprint {
     }
 }
 
+/// Store key of a page: the fingerprint of the identity its caller
+/// names it by (`briq-align`: the file's basename; `briq-serve`: the
+/// request's compact JSON `id`, else its HTML). [`doc_key`] derives each
+/// of the page's document keys from it, so a page ingested again under
+/// the same identity finds its documents where it left them.
+pub fn page_key(identity: &str) -> u64 {
+    let mut fp = Fingerprint::new();
+    fp.str(identity);
+    fp.finish()
+}
+
+/// Store key of the document at segment index `segment` of the page
+/// keyed `page_key`.
+pub fn doc_key(page_key: u64, segment: usize) -> u64 {
+    let mut fp = Fingerprint::new();
+    fp.u64(page_key);
+    fp.usize(segment);
+    fp.finish()
+}
+
 /// Fingerprint of a paragraph's raw text. Everything the text side of
 /// extraction produces (tokens, stem sets, phrases, mention contexts) is
 /// a pure function of this string plus the context config.
@@ -789,6 +809,27 @@ mod tests {
         );
         let briq = Briq::untrained(BriqConfig::default());
         assert_eq!(model_fingerprint(&briq), model_fingerprint(&briq));
+    }
+
+    /// Every durable store on disk is keyed by these values: the first
+    /// three are `briq-align`'s keys for those page files (and
+    /// `briq-perf`'s `fixture::doc_key(0, 0)`, `(0, 1)` and `(12, 2)`),
+    /// the last is `briq-serve`'s for a request with `"id":7`.
+    #[test]
+    fn store_keys_are_pinned() {
+        assert_eq!(
+            doc_key(page_key("page_0000.html"), 0),
+            0x955f_7f4c_bdfb_3f3f
+        );
+        assert_eq!(
+            doc_key(page_key("page_0000.html"), 1),
+            0x7664_b843_b30b_f51e
+        );
+        assert_eq!(
+            doc_key(page_key("page_0012.html"), 2),
+            0x4bfd_2535_ccc7_7a30
+        );
+        assert_eq!(doc_key(page_key("7"), 0), 0xccf3_b40b_daa0_619b);
     }
 
     #[test]

@@ -20,8 +20,6 @@
 //! `Briq::align_checked`, which must degrade — never panic or hang.
 
 use briq_core::training::LabeledDocument;
-use briq_table::html::parse_page;
-use briq_table::segment::{segment_page, SegmentConfig};
 use briq_table::Document;
 use briq_text::extract_quantities;
 use rand::prelude::*;
@@ -363,13 +361,13 @@ pub fn adversarial_page(kind: Adversary, seed: u64) -> String {
     page
 }
 
-/// Parse an adversarial page into documents, exactly as the CLI would.
-/// May legitimately be empty (e.g. a page truncated before any table
+/// Parse an adversarial page into documents exactly as the binaries do
+/// ([`briq_core::ingest_page`], the page named by its seed). May
+/// legitimately be empty (e.g. a page truncated before any table
 /// survived).
 pub fn adversarial_documents(kind: Adversary, seed: u64) -> Vec<Document> {
     let html = adversarial_page(kind, seed);
-    let page = parse_page(&html);
-    segment_page(&page, &SegmentConfig::default(), seed as usize)
+    briq_core::ingest_page(&seed.to_string(), &html, seed as usize).0
 }
 
 #[cfg(test)]

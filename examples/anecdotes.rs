@@ -2,6 +2,8 @@
 //! Fig. 6 (typical errors). Pass `--errors` to run the error cases.
 //!
 //! Run with `cargo run --release --example anecdotes [-- --errors]`.
+//! `cargo test` runs the tests at the end, which pin what the untrained
+//! system makes of each figure today (EXPERIMENTS.md, "Figures").
 
 use briq::{Briq, BriqConfig, Document, Table};
 
@@ -194,6 +196,91 @@ fn main() {
             &briq,
             "Fig. 5c — difference (net income)",
             &fig5_difference(),
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One alignment: the mention's surface form, the target's kind and
+    /// its cells.
+    type Outcome = (String, &'static str, Vec<(usize, usize)>);
+
+    /// Every alignment the untrained system makes in `doc`, in order.
+    fn alignments(doc: &Document) -> Vec<Outcome> {
+        Briq::untrained(BriqConfig::default())
+            .align(doc)
+            .into_iter()
+            .map(|a| (a.mention_raw, a.target.kind.name(), a.target.cells))
+            .collect()
+    }
+
+    fn outcome(raw: &str, kind: &'static str, cells: &[(usize, usize)]) -> Outcome {
+        (raw.to_string(), kind, cells.to_vec())
+    }
+
+    /// The alignments of `doc` whose mention is `raw`.
+    fn of_mention(doc: &Document, raw: &str) -> Vec<Outcome> {
+        let mut found = alignments(doc);
+        found.retain(|(r, ..)| r == raw);
+        found
+    }
+
+    /// Fig. 5a reproduces only its single cells: the change ratios
+    /// `33.65%` and `25.27 per cent` align to nothing.
+    #[test]
+    fn fig5a_aligns_the_single_cells_but_not_the_change_ratios() {
+        assert_eq!(
+            alignments(&fig5_change_ratio()),
+            [
+                outcome("246,725", "single-cell", &[(1, 2)]),
+                outcome("184,611 units", "single-cell", &[(1, 1)]),
+            ]
+        );
+    }
+
+    /// Fig. 5b reproduces only its single cell: the percentages `49.2%`,
+    /// `50.8%` and `0.4%` align to nothing.
+    #[test]
+    fn fig5b_aligns_the_single_cell_but_not_the_percentages() {
+        assert_eq!(
+            alignments(&fig5_percentage()),
+            [outcome("5,911 people", "single-cell", &[(1, 1)])]
+        );
+    }
+
+    /// Fig. 5c's difference reproduces, but `approximately 9.5 million`
+    /// aligns to the `6.86` cell, not to the `(9.49)` one.
+    #[test]
+    fn fig5c_aligns_the_difference_and_misplaces_the_net_loss() {
+        assert_eq!(
+            alignments(&fig5_difference()),
+            [
+                outcome("16.3 million", "diff", &[(2, 1), (2, 2)]),
+                outcome("9.5 million", "single-cell", &[(2, 1)]),
+            ]
+        );
+    }
+
+    /// Fig. 6a's collision reproduces: `3.2` aligns to the Queensland
+    /// column's cell, not to Scenic Rim's (4, 1).
+    #[test]
+    fn fig6a_same_value_collision_picks_the_wrong_column() {
+        assert_eq!(
+            of_mention(&fig6_same_value_collision(), "3.2"),
+            [outcome("3.2", "single-cell", &[(4, 3)])]
+        );
+    }
+
+    /// Fig. 6b's error does not reproduce: `50 dollar` aligns to the
+    /// wholesale price, which is the right cell, not to the retail fee.
+    #[test]
+    fn fig6b_ambiguous_fifty_dollars_aligns_to_the_wholesale_price() {
+        assert_eq!(
+            of_mention(&fig6_high_ambiguity(), "50 dollar"),
+            [outcome("50 dollar", "single-cell", &[(3, 1)])]
         );
     }
 }
