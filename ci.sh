@@ -131,7 +131,15 @@
 #                to the page count) with no failed persistence write
 #                (store_persist_errors 0 on /metrics), match the oracle
 #                byte for byte on the wire, and persist a snapshot on
-#                clean drain.
+#                clean drain. Last, a store briq-align persisted serves
+#                briq-serve: a server booted on a copy of the directory
+#                the first durable run persisted, driven over the same
+#                pages (drive names each page by its basename, as
+#                briq-align does), must serve every document from it
+#                (store_hits equal to the document count), match the
+#                oracle on the wire, and drain to the same "store:
+#                persisted" line as that first run (no page stored
+#                twice under a second identity).
 #   serve        boots the persistent alignment server (briq-serve) on a
 #                loopback port, byte-compares the drive client's output
 #                against briq-align --json over the same seeded corpus
@@ -478,6 +486,8 @@ stage_persist() {
         grep '^store:' "$dir/err_first.txt" >&2
         return 1
     }
+    # (h) boots a server on this directory as (b) left it.
+    cp -r "$dir/store" "$dir/xstore"
 
     # (c) Restart-warmed run in a NEW process over the same directory:
     # must recover every entry, serve the unchanged corpus entirely from
@@ -619,7 +629,32 @@ stage_persist() {
         grep '^store:' "$dir/serve2.log.err" >&2
         return 1
     }
-    echo "persist: cold, fresh-durable, restart-warmed, and torn-log runs byte-identical; restart snapshot re-emits the recovered records verbatim; mutated re-crawl and its restart (snapshot_gen $gen) byte-identical; SIGKILLed server recovered $recovered entr$( [ "$recovered" = "1" ] && echo y || echo ies ) and served $hits/$pages re-driven pages from cache"
+
+    # (h) Cross-binary warm store: a server booted on a copy of what (b)
+    # persisted, driven over the same pages, serves every document from
+    # it (drive sends each page's basename as its id, the identity
+    # briq-align stores it under), and its drain persists exactly what
+    # (b) persisted, not a second copy of each document.
+    docs="$(sed -n 's/^store: repeat 1\/1 lookups \([0-9]*\) .*/\1/p' "$dir/err_first.txt")"
+    boot_server "$dir/serve3.log" --store-dir "$dir/xstore" || return 1
+    ./target/release/briq-serve drive --addr "$SERVE_ADDR" "$dir/corpus"/*.html \
+        > "$dir/out_drive3.json" 2> /dev/null
+    same_file persist "$dir/out_cold.json" "$dir/out_drive3.json" \
+        "wire output of a server over briq-align's store (vs the --oracle batch run)" || return 1
+    metrics="$(serve_request "$SERVE_ADDR" '{"op":"metrics"}')"
+    hits="$(printf '%s' "$metrics" | grep -o '"store_hits":[0-9][0-9.]*' | cut -d: -f2)"
+    awk -v h="${hits:-0}" -v n="${docs:-0}" 'BEGIN { exit !(n > 0 && h == n) }' || {
+        echo "persist: a server over briq-align's persisted store served ${hits:-0} of ${docs:-?} documents from it" >&2
+        return 1
+    }
+    stop_server "$SERVE_ADDR" "$SERVE_PID" "$dir/serve3.log.err" || return 1
+    SERVE_PID=""
+    [ "$(grep '^store: persisted ' "$dir/serve3.log.err")" = "$(grep '^store: persisted ' "$dir/err_first.txt")" ] || {
+        echo "persist: the server over briq-align's store drained to another snapshot than briq-align persisted:" >&2
+        grep '^store: persisted ' "$dir/err_first.txt" "$dir/serve3.log.err" >&2
+        return 1
+    }
+    echo "persist: cold, fresh-durable, restart-warmed, and torn-log runs byte-identical; restart snapshot re-emits the recovered records verbatim; mutated re-crawl and its restart (snapshot_gen $gen) byte-identical; SIGKILLed server recovered $recovered entr$( [ "$recovered" = "1" ] && echo y || echo ies ) and served all $pages re-driven documents from cache; a server over briq-align's store served $hits/$docs documents from it"
 }
 
 # Boot a briq-serve child, leaving its loopback address in SERVE_ADDR

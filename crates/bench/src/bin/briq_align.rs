@@ -73,7 +73,6 @@ use briq_bench::cli::{self, Arg, Args, Command, Flag, UsageError, EXIT_DEGRADED}
 use briq_core::batch::BatchConfig;
 use briq_core::obs::names;
 use briq_core::pipeline::{Briq, BriqConfig};
-use briq_core::store::AlignmentStore;
 use briq_core::{ingest_page, DegradedAction, Diagnostic, Diagnostics, Stage};
 use briq_corpus::corpus::CorpusConfig;
 use briq_table::Document;
@@ -164,30 +163,14 @@ fn align(args: &Args, pages: &[PathBuf]) -> ExitCode {
 
     // One store serves the whole process: the optional warm-from corpus,
     // then every repetition of the real batch. With `use_store: false`
-    // `align_with` never consults it, and --store-dir is ignored, so an
-    // `--oracle` run can never touch warm on-disk state.
-    let store_opts = briq_core::store::StoreOptions {
-        dir: briq
-            .cfg
-            .use_store
-            .then(|| args.value("--store-dir").map(Into::into))
-            .flatten(),
-        max_bytes: args.number("--store-max-bytes").unwrap_or(0),
-        ..briq_core::store::StoreOptions::default()
-    };
-    let store = match AlignmentStore::with_options(&briq, &store_opts) {
+    // `align_with` never consults it.
+    let store = match cli::open_store(&briq, args) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!(
-                "cannot open store dir {}: {e}",
-                args.value("--store-dir").unwrap_or("?")
-            );
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
-    if let Some(line) = store.recovery_report() {
-        eprintln!("{line}");
-    }
     if let Some(dir) = args.value("--warm-from") {
         let warm_paths = match html_files_in(dir) {
             Ok(p) => p,
@@ -232,20 +215,7 @@ fn align(args: &Args, pages: &[PathBuf]) -> ExitCode {
             );
         }
     }
-    // Compact everything into a snapshot so the next process recovers
-    // from one file instead of replaying the whole novelty log.
-    if store.persisted() {
-        match store.snapshot() {
-            Ok(()) => eprintln!("{}", store.persisted_report()),
-            Err(e) => eprintln!("store: persist failed: {e}"),
-        }
-    }
-    // Failed appends and compactions cost durability, never output, so
-    // the run still succeeds; this line is how an operator notices.
-    let persist_errors = store.persist_errors();
-    if persist_errors > 0 {
-        eprintln!("store: {persist_errors} persistence write(s) failed");
-    }
+    cli::snapshot_store(&store);
     for (doc, dr) in docs.iter().zip(&report.documents) {
         if args.switch("--json") {
             println!("{}", briq_json::to_string_pretty(&dr.alignments));
@@ -315,9 +285,11 @@ fn align(args: &Args, pages: &[PathBuf]) -> ExitCode {
 
 /// Read and ingest every page ([`ingest_page`]), producing the batch
 /// documents plus one stable store key per document, derived from the
-/// page *basename* (decoded lossily) and the segment index. Basename
-/// (not full path) keying lets a warm store built from one directory
-/// serve a mutated copy of the same corpus in another (CI's store stage).
+/// page's [`cli::page_identity`] (its basename, decoded lossily) and the
+/// segment index. Basename (not full path) keying lets a warm store
+/// built from one directory serve a mutated copy of the same corpus in
+/// another (CI's store stage), and `briq-serve drive` over the same
+/// pages.
 ///
 /// An unreadable page degrades to one diagnostic and is skipped; the
 /// rest of the batch still aligns. Pages with invalid UTF-8 are decoded
@@ -342,8 +314,8 @@ fn load_documents(paths: &[PathBuf]) -> (Vec<Document>, Vec<u64>, Diagnostics) {
                 continue;
             }
         };
-        let name = page_path.file_name().unwrap_or(page_path.as_os_str());
-        let (page_docs, page_keys) = ingest_page(&name.to_string_lossy(), &html, docs.len());
+        let identity = cli::page_identity(page_path);
+        let (page_docs, page_keys) = ingest_page(&identity, &html, docs.len());
         if page_docs.is_empty() {
             eprintln!("warning: no paragraph/table documents found in {shown}");
         }

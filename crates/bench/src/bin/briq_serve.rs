@@ -16,20 +16,26 @@
 //! error and the usage and exits 1 before the server binds or a client
 //! connects.
 //!
-//! `serve` warm-loads one model and serves the TCP/JSONL protocol of
+//! `serve` warm-loads one model, opens the alignment store
+//! `--store-dir`/`--store-max-bytes` name as `briq-align` does
+//! ([`cli::open_store`]; a directory that cannot be opened leaves it
+//! in-memory), and serves the TCP/JSONL protocol of
 //! [`briq_core::serve`] until it receives SIGTERM/SIGINT or a
-//! `{"op":"shutdown"}` line, then drains gracefully. The bound address
+//! `{"op":"shutdown"}` line, then drains gracefully and snapshots the
+//! store ([`cli::snapshot_store`]). The bound address
 //! is printed to stdout as `listening on H:P` before the first request
 //! is accepted, so scripts can wait for readiness and discover an
 //! OS-assigned port. The shed back-off hint and the request-line cap are
 //! the constants [`briq_core::serve::RETRY_AFTER_MS`] and
 //! [`briq_core::serve::MAX_REQUEST_BYTES`].
 //!
-//! `drive` is the clean client: it sends one align request per page and
-//! prints each document's alignments with the same serializer
-//! `briq-align --json` uses — for clean inputs the bytes are identical,
-//! which CI's `serve` stage asserts. Exit codes mirror `briq-align`:
-//! 0 clean, 1 transport/usage error, 2 degraded.
+//! `drive` is the clean client: it sends one align request per page,
+//! under the page's [`cli::page_identity`] as its `id` (so the server
+//! stores the page where `briq-align` would), and prints each document's
+//! alignments with the same serializer `briq-align --json` uses — for
+//! clean inputs the bytes are identical, which CI's `serve` stage
+//! asserts. Exit codes mirror `briq-align`: 0 clean, 1 transport/usage
+//! error, 2 degraded.
 //!
 //! `chaos` is the fault-injecting client: malformed JSONL, an oversized
 //! line, a half-closed connection, a slow writer, and a concurrent
@@ -44,9 +50,11 @@
 
 use briq_bench::cli::{self, Args, Command, Flag, EXIT_DEGRADED};
 use briq_core::serve::{ServeConfig, Server};
+use briq_core::store::AlignmentStore;
 use briq_json::Value;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -158,10 +166,6 @@ fn cmd_serve(args: &Args) -> ExitCode {
         drain_grace_ms: args
             .number("--drain-grace-ms")
             .unwrap_or(defaults.drain_grace_ms),
-        store_dir: args.value("--store-dir").map(String::from),
-        store_max_bytes: args
-            .number("--store-max-bytes")
-            .unwrap_or(defaults.store_max_bytes),
     };
     let briq = match cli::load_model(args.value("--model")) {
         Ok(b) => b,
@@ -170,6 +174,11 @@ fn cmd_serve(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Persistence failing to open costs durability, never availability.
+    let store = cli::open_store(&briq, args).unwrap_or_else(|e| {
+        eprintln!("{e}; continuing in-memory");
+        AlignmentStore::for_system(&briq)
+    });
 
     let server = match Server::bind(cfg) {
         Ok(s) => s,
@@ -199,7 +208,8 @@ fn cmd_serve(args: &Args) -> ExitCode {
     // Scripts parse the line above; make sure it is visible before the
     // accept loop blocks.
     let _ = std::io::stdout().flush();
-    let report = server.run(&briq);
+    let report = server.run(&briq, &store);
+    cli::snapshot_store(&store);
     eprintln!(
         "drained: {} request(s), {} shed, {} deadline miss(es), {} panic(s)",
         report.requests, report.shed, report.deadline_misses, report.panics
@@ -266,10 +276,10 @@ impl Conn {
     }
 }
 
-fn align_request(id: u64, html: &str, deadline_ms: Option<u64>) -> String {
+fn align_request(id: Value, html: &str, deadline_ms: Option<u64>) -> String {
     let mut fields = vec![
         ("op".to_string(), Value::Str("align".into())),
-        ("id".to_string(), Value::Num(id as f64)),
+        ("id".to_string(), id),
         ("html".to_string(), Value::Str(html.into())),
     ];
     if let Some(d) = deadline_ms {
@@ -296,7 +306,7 @@ fn cmd_drive(args: &Args) -> ExitCode {
         }
     };
     let mut degraded = 0usize;
-    for (pi, path) in pages.iter().enumerate() {
+    for path in pages {
         let html = match cli::read_page(path) {
             Ok(html) => html,
             Err(e) => {
@@ -304,7 +314,8 @@ fn cmd_drive(args: &Args) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let resp = match conn.request(&align_request(pi as u64, &html, deadline_ms)) {
+        let id = Value::Str(cli::page_identity(Path::new(path)).into_owned());
+        let resp = match conn.request(&align_request(id, &html, deadline_ms)) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("{path}: {e}");
@@ -470,7 +481,7 @@ fn chaos_malformed(addr: &str, stats: &mut ChaosStats) {
                 other => return Err(format!("malformed line got status {other:?}")),
             }
         }
-        let resp = c.request(&align_request(0, &chaos_page(), None))?;
+        let resp = c.request(&align_request(Value::Num(0.0), &chaos_page(), None))?;
         if resp.get("status").and_then(Value::as_str) != Some("ok") {
             return Err("connection unusable after malformed lines".into());
         }
@@ -520,7 +531,7 @@ fn chaos_oversized(addr: &str, stats: &mut ChaosStats) {
 fn chaos_half_close(addr: &str, stats: &mut ChaosStats) {
     let run = || -> Result<(), String> {
         let mut c = Conn::connect(addr)?;
-        c.send(&align_request(1, &chaos_page(), None))?;
+        c.send(&align_request(Value::Num(1.0), &chaos_page(), None))?;
         c.stream
             .shutdown(std::net::Shutdown::Write)
             .map_err(|e| format!("half-close failed: {e}"))?;
@@ -541,7 +552,7 @@ fn chaos_half_close(addr: &str, stats: &mut ChaosStats) {
 fn chaos_slow_writer(addr: &str, stats: &mut ChaosStats) {
     let run = || -> Result<(), String> {
         let mut c = Conn::connect(addr)?;
-        let line = align_request(2, &chaos_page(), None) + "\n";
+        let line = align_request(Value::Num(2.0), &chaos_page(), None) + "\n";
         for piece in line.as_bytes().chunks(64) {
             c.stream
                 .write_all(piece)
@@ -641,7 +652,7 @@ fn chaos_postconditions(addr: &str, expect_shed: bool, stats: &mut ChaosStats) {
         let metrics = c.request(r#"{"op":"metrics"}"#)?;
         let (depth_max, capacity) = check_postconditions(&health, &metrics, expect_shed)?;
         eprintln!("chaos: observed max queue depth {depth_max} (capacity {capacity})");
-        let final_ok = c.request(&align_request(99, &chaos_page(), None))?;
+        let final_ok = c.request(&align_request(Value::Num(99.0), &chaos_page(), None))?;
         if final_ok.get("status").and_then(Value::as_str) != Some("ok") {
             return Err("clean request after chaos did not succeed".into());
         }

@@ -16,12 +16,16 @@
 //! naming its position.
 //!
 //! The module also holds what the binaries share around their
-//! arguments: the page reader, the `--model` loader, the `--metrics`
-//! writer and the exit status of a degraded run.
+//! arguments: the page reader and the name a page file is stored under,
+//! the `--model` loader, the alignment store's opening and snapshot, the
+//! `--metrics` writer and the exit status of a degraded run.
 
 use briq_core::pipeline::{Briq, BriqConfig};
+use briq_core::store::{AlignmentStore, StoreOptions};
 use briq_core::MetricsRegistry;
+use std::borrow::Cow;
 use std::fmt;
+use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -293,8 +297,18 @@ pub fn argv() -> Result<Vec<String>, UsageError> {
 /// # Errors
 ///
 /// The error of reading the file.
-pub fn read_page(path: impl AsRef<std::path::Path>) -> std::io::Result<String> {
+pub fn read_page(path: impl AsRef<Path>) -> std::io::Result<String> {
     std::fs::read(path).map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+}
+
+/// The identity a page file is stored under: its basename (the whole
+/// path when it has none), decoded lossily. `briq-align` ingests the page
+/// under it and `briq-serve drive` sends it as the request's `id`, so a
+/// store either binary warmed serves the other.
+pub fn page_identity(path: &Path) -> Cow<'_, str> {
+    path.file_name()
+        .unwrap_or(path.as_os_str())
+        .to_string_lossy()
 }
 
 /// The model `--model` names, or the untrained heuristic prior when
@@ -312,6 +326,49 @@ pub fn load_model(path: Option<&str>) -> Result<Briq, String> {
         .map_err(|e| e.to_string())
         .and_then(|s| Briq::from_json(&s).map_err(|e| e.to_string()))
         .map_err(|e| format!("cannot load model {path}: {e}"))
+}
+
+/// The alignment store `--store-dir` and `--store-max-bytes` name, opened
+/// for `briq` (a durable one recovered), with its `store: recovered …`
+/// line printed to stderr. The directory is ignored when `briq`'s config
+/// turns the store off (`--oracle`), so such a run never reads, writes
+/// or is warmed by on-disk state.
+///
+/// # Errors
+///
+/// `store: cannot open DIR: …` when the directory cannot be opened.
+/// `briq-align` exits 1 on it; `briq-serve` continues in-memory.
+pub fn open_store(briq: &Briq, args: &Args) -> Result<AlignmentStore, String> {
+    let dir = args.value("--store-dir").filter(|_| briq.cfg.use_store);
+    let opts = StoreOptions {
+        dir: dir.map(Into::into),
+        max_bytes: args.number("--store-max-bytes").unwrap_or(0),
+        ..StoreOptions::default()
+    };
+    let store = AlignmentStore::with_options(briq, &opts)
+        .map_err(|e| format!("store: cannot open {}: {e}", dir.unwrap_or("?")))?;
+    if let Some(line) = store.recovery_report() {
+        eprintln!("{line}");
+    }
+    Ok(store)
+}
+
+/// Snapshot a durable `store` when its process is done with it, so the
+/// next one recovers from one file instead of replaying the novelty log,
+/// and print `store: persisted …`; then print how many persistence
+/// writes failed during the run, if any. Failures cost durability, never
+/// output, so they are printed, not returned.
+pub fn snapshot_store(store: &AlignmentStore) {
+    if store.persisted() {
+        match store.snapshot() {
+            Ok(()) => eprintln!("{}", store.persisted_report()),
+            Err(e) => eprintln!("store: persist failed: {e}"),
+        }
+    }
+    let persist_errors = store.persist_errors();
+    if persist_errors > 0 {
+        eprintln!("store: {persist_errors} persistence write(s) failed");
+    }
 }
 
 /// Write `metrics` to `path` as JSON Lines (`--metrics`), then print

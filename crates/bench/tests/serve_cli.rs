@@ -38,12 +38,16 @@ struct ServerGuard {
 
 impl ServerGuard {
     fn spawn(extra: &[&str]) -> ServerGuard {
+        ServerGuard::spawn_with_stderr(extra, Stdio::null())
+    }
+
+    fn spawn_with_stderr(extra: &[&str], stderr: Stdio) -> ServerGuard {
         let mut child = Command::new(env!("CARGO_BIN_EXE_briq-serve"))
             .arg("serve")
             .args(["--addr", "127.0.0.1:0"])
             .args(extra)
             .stdout(Stdio::piped())
-            .stderr(Stdio::null())
+            .stderr(stderr)
             .spawn()
             .expect("spawn briq-serve");
         let stdout = child.stdout.take().expect("child stdout");
@@ -77,6 +81,96 @@ impl Drop for ServerGuard {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
+}
+
+/// Send one request line to the server at `addr` and parse its response.
+fn ask(addr: &str, request: &str) -> briq_json::Value {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    s.write_all(format!("{request}\n").as_bytes()).unwrap();
+    let mut line = String::new();
+    BufReader::new(s).read_line(&mut line).unwrap();
+    briq_json::parse(&line).unwrap()
+}
+
+/// The `store: persisted …` line of a stderr log.
+fn persisted_line(stderr: &str) -> &str {
+    stderr
+        .lines()
+        .find(|l| l.starts_with("store: persisted "))
+        .unwrap_or_else(|| panic!("no persisted line in {stderr:?}"))
+}
+
+/// A store `briq-align --batch` persisted serves `briq-serve drive` over
+/// the same pages: `drive` names each page by its basename, as
+/// `briq-align` does, so every document is answered whole from the store
+/// and the drain persists the same entries, not a second copy of each.
+#[test]
+fn a_store_briq_align_persisted_serves_drive_over_the_same_pages() {
+    let dir = tmp_dir("crossstore");
+    let corpus = dir.join("corpus");
+    let store = dir.join("store");
+    let gen = Command::new(env!("CARGO_BIN_EXE_briq-align"))
+        .arg("--gen-corpus")
+        .arg(&corpus)
+        .args(["--docs", "12", "--seed", "20190408"])
+        .output()
+        .expect("run --gen-corpus");
+    assert!(gen.status.success(), "{gen:?}");
+    let align = Command::new(env!("CARGO_BIN_EXE_briq-align"))
+        .arg("--batch")
+        .arg(&corpus)
+        .arg("--store-dir")
+        .arg(&store)
+        .output()
+        .expect("run briq-align");
+    assert_eq!(align.status.code(), Some(0), "{align:?}");
+    let align_err = String::from_utf8_lossy(&align.stderr);
+    let persisted = persisted_line(&align_err);
+    let documents: f64 = persisted
+        .split(' ')
+        .nth(2)
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no entry count in {persisted:?}"));
+    assert!(documents > 0.0, "{persisted}");
+
+    let serve_err = dir.join("serve.err");
+    let log = std::fs::File::create(&serve_err).unwrap();
+    let store_arg = store.to_str().unwrap();
+    let server = ServerGuard::spawn_with_stderr(&["--store-dir", store_arg], log.into());
+    let mut pages: Vec<_> = std::fs::read_dir(&corpus)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    pages.sort();
+    let drive = Command::new(env!("CARGO_BIN_EXE_briq-serve"))
+        .args(["drive", "--addr", &server.addr])
+        .args(&pages)
+        .output()
+        .expect("run drive");
+    assert_eq!(drive.status.code(), Some(0), "{drive:?}");
+    let metrics = ask(&server.addr, r#"{"op":"metrics"}"#);
+    let counter = |name: &str| {
+        metrics
+            .get("metrics")
+            .and_then(|m| m.get("counters"))
+            .and_then(|c| c.get(name))
+            .and_then(briq_json::Value::as_f64)
+    };
+    assert_eq!(counter("documents"), Some(documents), "{metrics:?}");
+    assert_eq!(counter("store_hits"), Some(documents), "{metrics:?}");
+    assert_eq!(counter("mentions_realigned"), Some(0.0), "{metrics:?}");
+    let health = ask(&server.addr, r#"{"op":"health"}"#);
+    assert_eq!(
+        health
+            .get("store_hit_rate")
+            .and_then(briq_json::Value::as_f64),
+        Some(1.0)
+    );
+    server.stop_and_wait();
+    let serve_err = std::fs::read_to_string(&serve_err).unwrap();
+    assert_eq!(persisted_line(&serve_err), persisted);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -187,12 +281,7 @@ fn server_sheds_deterministically_and_survives_raw_socket_abuse() {
 
     // Every align request the flood sent is counted once: either shed,
     // or admitted and answered (one `serve_request_s` observation).
-    let mut s = TcpStream::connect(&server.addr).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    s.write_all(b"{\"op\":\"metrics\"}\n").unwrap();
-    let mut line = String::new();
-    BufReader::new(s).read_line(&mut line).unwrap();
-    let v = briq_json::parse(&line).unwrap();
+    let v = ask(&server.addr, r#"{"op":"metrics"}"#);
     let m = v.get("metrics").expect("metrics");
     let read = |group: &str, name: &str, field: Option<&str>| {
         let x = m.get(group).and_then(|g| g.get(name));
@@ -205,8 +294,8 @@ fn server_sheds_deterministically_and_survives_raw_socket_abuse() {
     let requests = read("counters", "serve_requests", None);
     let shed = read("counters", "serve_shed", None);
     let answered = read("histograms", "serve_request_s", Some("count"));
-    assert!(shed > 0.0, "{line}");
-    assert_eq!(requests, answered + shed, "{line}");
+    assert!(shed > 0.0, "{v:?}");
+    assert_eq!(requests, answered + shed, "{v:?}");
 
     server.stop_and_wait();
 }

@@ -5,8 +5,11 @@
 //! [`align_batch`] runs [`Briq::align_with`] over a batch of
 //! documents on a chunked, work-stealing pool of scoped threads
 //! (std-only, no external runtime). [`ingest_page`] is the one way every
-//! binary turns a page into the documents and store keys it takes. The
-//! contract:
+//! binary turns a page into the documents and store keys it takes, and
+//! this engine is the one code that aligns them: `briq-align` runs it
+//! over every page at once, and the server ([`crate::serve`]) over each
+//! served page as a one-worker batch under the request's cancel token.
+//! The contract:
 //!
 //! * **Shared read-only system** — one [`Briq`] (classifier forests,
 //!   tagger, lexicons, unit tables) is borrowed immutably by every
@@ -35,10 +38,12 @@ use briq_table::html::parse_page;
 use briq_table::segment::{segment_page, SegmentConfig};
 use briq_table::Document;
 
-use crate::error::{BriqError, Budget, DegradedAction, Diagnostic, Diagnostics, Stage};
+use crate::error::{
+    BriqError, Budget, CancelToken, DegradedAction, Diagnostic, Diagnostics, Stage,
+};
 use crate::mention::Alignment;
 use crate::obs::{chrome_trace_json, names, DocTrace, Histogram, MetricsRegistry, Recorder};
-use crate::pipeline::{AlignOpts, AlignOutput, Briq};
+use crate::pipeline::{AlignOpts, Briq};
 use crate::span;
 use crate::store::{doc_key, page_key, AlignmentStore};
 
@@ -258,7 +263,7 @@ impl BatchReport {
 /// `cfg.effective_jobs(docs.len())` worker threads. See the module docs
 /// for the determinism and isolation contract.
 pub fn align_batch(briq: &Briq, docs: &[Document], cfg: &BatchConfig) -> BatchReport {
-    align_batch_inner(briq, docs, cfg, None)
+    align_run(briq, docs, cfg, RunCtx::default())
 }
 
 /// [`align_batch`] against a shared [`AlignmentStore`]: one store serves
@@ -277,7 +282,12 @@ pub fn align_batch_stored(
     keys: Option<&[u64]>,
 ) -> BatchReport {
     debug_assert!(keys.is_none_or(|k| k.len() == docs.len()));
-    align_batch_inner(briq, docs, cfg, Some(StoreCtx { store, keys }))
+    let run = RunCtx {
+        store: Some(store),
+        keys,
+        cancel: None,
+    };
+    align_run(briq, docs, cfg, run)
 }
 
 /// Parse and segment one page into the documents [`align_batch_stored`]
@@ -287,8 +297,9 @@ pub fn align_batch_stored(
 ///
 /// `identity` is what the caller names the page by across runs
 /// (`briq-align`: the file's basename; `briq-serve`: the request's `id`,
-/// else its HTML), so a page ingested again under the same identity is
-/// served from a store that aligned it before.
+/// else its HTML; `briq-serve drive` sends the basename as the `id`), so
+/// a page ingested again under the same identity is served from a store
+/// that aligned it before, by either binary.
 pub fn ingest_page(identity: &str, html: &str, first_id: usize) -> (Vec<Document>, Vec<u64>) {
     let docs = segment_page(&parse_page(html), &SegmentConfig::default(), first_id);
     let page = page_key(identity);
@@ -298,28 +309,34 @@ pub fn ingest_page(identity: &str, html: &str, first_id: usize) -> (Vec<Document
     (docs, keys)
 }
 
-/// The store context threaded through the worker pool when a batch runs
-/// against an [`AlignmentStore`].
-#[derive(Clone, Copy)]
-struct StoreCtx<'a> {
-    store: &'a AlignmentStore,
-    keys: Option<&'a [u64]>,
+/// What one run threads through the worker pool to every document's
+/// [`AlignOpts`] besides its budget and recorder. The default is no
+/// store and no cancellation.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct RunCtx<'a> {
+    /// Align through this store (see [`align_batch_stored`]).
+    pub(crate) store: Option<&'a AlignmentStore>,
+    /// Each document's store key; `None` keys a document by its index.
+    pub(crate) keys: Option<&'a [u64]>,
+    /// Cooperative cancellation of every document; `None` never cancels.
+    pub(crate) cancel: Option<&'a CancelToken>,
 }
 
-impl StoreCtx<'_> {
+impl RunCtx<'_> {
     fn key(&self, index: usize) -> u64 {
-        match self.keys {
-            Some(keys) => keys.get(index).copied().unwrap_or(index as u64),
-            None => index as u64,
-        }
+        self.keys
+            .and_then(|keys| keys.get(index).copied())
+            .unwrap_or(index as u64)
     }
 }
 
-fn align_batch_inner(
+/// Align `docs` under `cfg` and `run` — the engine behind
+/// [`align_batch`], [`align_batch_stored`] and every served page.
+pub(crate) fn align_run(
     briq: &Briq,
     docs: &[Document],
     cfg: &BatchConfig,
-    store: Option<StoreCtx<'_>>,
+    run: RunCtx<'_>,
 ) -> BatchReport {
     let start = Instant::now();
     let jobs = cfg.effective_jobs(docs.len());
@@ -333,7 +350,7 @@ fn align_batch_inner(
             &AtomicUsize::new(0),
             cfg,
             start,
-            store,
+            run,
         )]
     } else {
         let next = AtomicUsize::new(0);
@@ -341,7 +358,7 @@ fn align_batch_inner(
             let handles: Vec<_> = (0..jobs)
                 .map(|w| {
                     let next = &next;
-                    scope.spawn(move || run_worker(w, briq, docs, next, cfg, start, store))
+                    scope.spawn(move || run_worker(w, briq, docs, next, cfg, start, run))
                 })
                 .collect();
             handles
@@ -410,7 +427,7 @@ fn run_worker(
     next: &AtomicUsize,
     cfg: &BatchConfig,
     epoch: Instant,
-    store: Option<StoreCtx<'_>>,
+    run: RunCtx<'_>,
 ) -> WorkerOutput {
     let mut out = Vec::new();
     let mut metrics = MetricsRegistry::new();
@@ -423,7 +440,7 @@ fn run_worker(
         let hi = (lo + CHUNK).min(docs.len());
         for (i, doc) in docs[lo..hi].iter().enumerate() {
             let t0 = Instant::now();
-            let mut report = align_one(briq, lo + i, doc, cfg, epoch, store);
+            let mut report = align_one(briq, lo + i, doc, cfg, epoch, run);
             if let Some(t) = &report.trace {
                 metrics.merge(&t.metrics);
             }
@@ -445,16 +462,17 @@ fn run_worker(
     )
 }
 
-/// Align document `index` into its own recorder; its trace is always
-/// present, a panicked document's included (span guards close while the
-/// panic unwinds).
+/// Align document `index` into its own recorder, with a panic contained:
+/// a panicked document degrades to the [`panicked`] stand-in. Its trace
+/// is always present, a panicked document's included (span guards close
+/// while the panic unwinds).
 fn align_one(
     briq: &Briq,
     index: usize,
     doc: &Document,
     cfg: &BatchConfig,
     epoch: Instant,
-    store: Option<StoreCtx<'_>>,
+    run: RunCtx<'_>,
 ) -> DocReport {
     // The recorder is worker-local (one per document, never shared), so
     // recording needs no locks; `epoch` is the batch start, putting every
@@ -463,16 +481,16 @@ fn align_one(
     let opts = AlignOpts {
         budget: cfg.budget,
         recorder: Some(&rec),
-        cancel: None,
-        store: store.map(|ctx| (ctx.store, ctx.key(index))),
+        cancel: run.cancel,
+        store: run.store.map(|store| (store, run.key(index))),
     };
     let result = {
         let _g = span!(rec, names::SPAN_ALIGN, doc = index);
-        align_isolated(briq, index, doc, &opts)
+        catch_unwind(AssertUnwindSafe(|| briq.align_with(doc, &opts)))
     };
     let (alignments, diagnostics) = match result {
         Ok(out) => (out.alignments, out.diagnostics),
-        Err(diagnostics) => (Vec::new(), diagnostics),
+        Err(_) => (Vec::new(), panicked(index)),
     };
     DocReport {
         index,
@@ -482,20 +500,9 @@ fn align_one(
     }
 }
 
-/// Align document `index` under `opts` with a panic contained — the
-/// per-document isolation the batch engine and the server share. A
-/// panic yields the degraded stand-in's diagnostics instead.
-pub(crate) fn align_isolated(
-    briq: &Briq,
-    index: usize,
-    doc: &Document,
-    opts: &AlignOpts,
-) -> Result<AlignOutput, Diagnostics> {
-    catch_unwind(AssertUnwindSafe(|| briq.align_with(doc, opts))).map_err(|_| panicked(index))
-}
-
 /// The diagnostics of a document whose alignment panicked: one
-/// `Stage::Batch` [`BriqError::WorkerPanicked`] entry.
+/// `Stage::Batch` [`BriqError::WorkerPanicked`] entry, the only
+/// diagnostic a document's report carries at that stage.
 fn panicked(index: usize) -> Diagnostics {
     let mut diagnostics = Diagnostics::default();
     diagnostics.record(

@@ -113,7 +113,8 @@ pub mod names {
     /// Counter: diagnostics whose degraded action was `Truncated` — a
     /// [`Budget`](crate::error::Budget) cap was hit somewhere.
     pub const BUDGET_EXHAUSTIONS: &str = "budget_exhaustions";
-    /// Counter: documents processed (batch level).
+    /// Counter: documents processed (batch level; a served request's
+    /// page is a batch too).
     pub const DOCUMENTS: &str = "documents";
     /// Counter: documents that degraded somewhere (batch level).
     pub const DEGRADED_DOCUMENTS: &str = "degraded_documents";
@@ -160,8 +161,9 @@ pub mod names {
     /// Counter: align requests shed by admission control (queue full or
     /// draining) with a structured `shed` response.
     pub const SERVE_SHED: &str = "serve_shed";
-    /// Counter: requests whose wall-clock deadline passed before or
-    /// during alignment; answered with a `deadline` response.
+    /// Counter: served documents whose request's wall-clock deadline
+    /// passed before or during their alignment: `Cancelled` diagnostics
+    /// outside a drain.
     pub const SERVE_DEADLINE_MISSES: &str = "serve_deadline_misses";
     /// Counter: request lines that were not valid JSON objects.
     pub const SERVE_MALFORMED: &str = "serve_malformed";

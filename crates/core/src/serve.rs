@@ -19,22 +19,27 @@
 //!   request that exceeds its deadline — including time spent waiting
 //!   for a slot — returns a structured `Cancelled` diagnostic, never a
 //!   hung socket.
-//! * **Fault isolation.** Each document aligns through the batch
-//!   engine's own per-document isolation: a panicking document degrades
-//!   to the same `WorkerPanicked` diagnostic the batch path emits and
-//!   the server keeps serving.
+//! * **One alignment path.** A served page's documents align through
+//!   the batch engine ([`crate::batch`]) as a one-worker batch on the
+//!   connection's thread: the same per-document isolation (a panicking
+//!   document degrades to the `WorkerPanicked` diagnostic and the server
+//!   keeps serving), recording and store lookups as `briq-align`.
 //! * **Graceful drain.** Raising the shutdown flag (SIGTERM in the
 //!   binary, or the `shutdown` op) stops the accept loop, sheds new
 //!   work, lets waiting and running requests finish within a grace
 //!   window, then force-cancels stragglers through the same token; every
 //!   admitted request still gets a response.
-//! * **Observability.** Each align request records into its own
-//!   [`Recorder`] — the pipeline's DESIGN.md §11 counters, per-stage
-//!   latency histograms, and the store counters — which is merged into
+//! * **Observability.** What each align request's batch recorded — the
+//!   pipeline's DESIGN.md §11 counters, per-stage latency histograms,
+//!   the store counters and the batch's `documents` — is merged into
 //!   one shared [`MetricsRegistry`] beside the server's own counters and
 //!   histograms (queue depth, shed count, deadline misses). The registry
 //!   is exposed live via the `metrics` op and returned in the final
 //!   [`ServeReport`].
+//! * **The caller's store.** [`Server::run`] aligns through the
+//!   [`AlignmentStore`] it is handed; opening, recovering and
+//!   snapshotting it is the caller's (`briq-serve` does it as
+//!   `briq-align` does).
 //!
 //! ## Wire protocol
 //!
@@ -67,10 +72,10 @@ use std::time::{Duration, Instant};
 
 use briq_json::{ToJson, Value};
 
-use crate::batch::{align_isolated, doc_scoped, ingest_page};
-use crate::error::{CancelCause, CancelToken, DegradedAction};
-use crate::obs::{names, MetricsRegistry, Recorder};
-use crate::pipeline::{AlignOpts, Briq};
+use crate::batch::{align_run, doc_scoped, ingest_page, BatchConfig, RunCtx};
+use crate::error::{CancelCause, CancelToken, DegradedAction, Stage};
+use crate::obs::{names, MetricsRegistry};
+use crate::pipeline::Briq;
 use crate::store::{lock, AlignmentStore};
 
 /// Concurrent connection cap; excess connections get one shed line and
@@ -108,15 +113,6 @@ pub struct ServeConfig {
     /// How long a drain waits for waiting and running requests before
     /// force-cancelling them.
     pub drain_grace_ms: u64,
-    /// Durable alignment-store directory. `None` keeps the store
-    /// in-memory: warm state dies with the process. With a directory
-    /// set, the server recovers the store on boot and persists it on
-    /// graceful drain (DESIGN.md §16, OPERATIONS.md §13).
-    pub store_dir: Option<String>,
-    /// Resident-memory budget for the alignment store in bytes; `0`
-    /// means unbounded. Crossing it evicts entries LRU-first down to 7/8
-    /// of it (see `StoreOptions::max_bytes`).
-    pub store_max_bytes: u64,
 }
 
 impl Default for ServeConfig {
@@ -127,8 +123,6 @@ impl Default for ServeConfig {
             queue_depth: 32,
             default_deadline_ms: 10_000,
             drain_grace_ms: 2_000,
-            store_dir: None,
-            store_max_bytes: 0,
         }
     }
 }
@@ -225,88 +219,81 @@ pub fn error_response(id: Option<&Value>, error: &str) -> Value {
     obj(fields)
 }
 
-/// What serving one align request learned beyond what its recorder
-/// holds — feeds the server's own counters.
-#[derive(Debug, Default, Clone)]
-pub struct AlignOutcome {
-    /// Number of segmented documents served.
-    pub documents: usize,
-    /// Any diagnostic anywhere in the request?
-    pub degraded: bool,
-    /// Documents whose alignment panicked (isolated, not fatal).
-    pub panics: u64,
-    /// Documents cancelled by a deadline.
-    pub deadline_cancelled: u64,
-}
-
-/// Serve one align request: ingest the page ([`ingest_page`]), align
-/// every document under [`crate::Budget::default`] and `cancel` into
-/// `rec`, and build the response value.
+/// Serve one align request: ingest the page ([`ingest_page`]), align its
+/// documents through `store` as a one-worker batch on this thread under
+/// `cancel` and [`crate::Budget::default`], and build the response value.
+/// Returns it with what the request adds to the server's registry: the
+/// batch's merged metrics, plus `serve_panics`, `serve_deadline_misses`
+/// and, when any document degraded, `serve_degraded`.
 ///
 /// Pure with respect to the server — callable from unit tests without a
-/// socket. The per-document treatment is [`crate::batch`]'s own (the
-/// same [`Briq::align_with`] path, isolation and panicked-document
-/// diagnostic, and `doc <i>: <scope>` prefixes), so clean responses are
+/// socket. Each document's alignments and `doc <i>: <scope>`-prefixed
+/// diagnostics are the batch engine's own, so clean responses are
 /// byte-compatible with `briq-align` output.
 ///
-/// With `store: Some(..)` each segmented document runs through the
-/// warm [`AlignmentStore`] instead, under the key [`ingest_page`] gives
-/// it for the page identity: the client `id` in compact JSON when
-/// present, else the page HTML. So a client re-submitting a page under
-/// a stable id is served incrementally. Responses stay bit-identical
-/// either way (the store contract, DESIGN.md §15).
+/// The page is keyed in the store by its identity ([`ingest_page`]): a
+/// string `id`'s text, any other `id` in compact JSON, else the page
+/// HTML. So a client re-submitting a page under a stable id is served
+/// incrementally, and a page sent under its file's basename (as
+/// `briq-serve drive` sends it) finds what `briq-align` stored for it.
+/// Responses stay bit-identical either way (the store contract,
+/// DESIGN.md §15).
 pub fn serve_align(
     briq: &Briq,
     id: Option<&Value>,
     html: &str,
     cancel: &CancelToken,
-    store: Option<&AlignmentStore>,
-    rec: &Recorder,
-) -> (Value, AlignOutcome) {
-    let id_text = id.map(Value::to_string_compact);
-    let (docs, keys) = ingest_page(id_text.as_deref().unwrap_or(html), html, 0);
-    let mut outcome = AlignOutcome {
-        documents: docs.len(),
-        ..AlignOutcome::default()
-    };
-    let mut doc_values = Vec::with_capacity(docs.len());
-    for (i, (doc, &key)) in docs.iter().zip(&keys).enumerate() {
-        let opts = AlignOpts {
-            recorder: Some(rec),
-            cancel: Some(cancel),
-            store: store.map(|st| (st, key)),
-            ..AlignOpts::default()
-        };
-        let (alignments, diagnostics) = match align_isolated(briq, i, doc, &opts) {
-            Ok(out) => (out.alignments, out.diagnostics),
-            Err(diagnostics) => {
-                outcome.panics += 1;
-                (Vec::new(), diagnostics)
-            }
-        };
-        for d in &diagnostics.items {
-            let drained = cancel.cause() == Some(CancelCause::Shutdown);
-            if d.action == DegradedAction::Cancelled && !drained {
-                outcome.deadline_cancelled += 1;
-            }
+    store: &AlignmentStore,
+) -> (Value, MetricsRegistry) {
+    let id_json;
+    let identity = match id {
+        Some(Value::Str(text)) => text.as_str(),
+        Some(id) => {
+            id_json = id.to_string_compact();
+            id_json.as_str()
         }
-        outcome.degraded |= !diagnostics.is_clean();
-        let diag_values: Vec<Value> = diagnostics
-            .items
-            .iter()
-            .map(|item| doc_scoped(i, item).to_json())
-            .collect();
+        None => html,
+    };
+    let (docs, keys) = ingest_page(identity, html, 0);
+    let run = RunCtx {
+        store: Some(store),
+        keys: Some(&keys),
+        cancel: Some(cancel),
+    };
+    let report = align_run(briq, &docs, &BatchConfig::with_jobs(1), run);
+    // A cancellation counts as a deadline miss unless the drain fired it.
+    let drained = cancel.cause() == Some(CancelCause::Shutdown);
+    let (mut panics, mut deadline_misses) = (0, 0);
+    let mut doc_values = Vec::with_capacity(report.documents.len());
+    for d in &report.documents {
+        let items = &d.diagnostics.items;
+        // The batch stage's one diagnostic is a panicked document's.
+        panics += u64::from(items.iter().any(|item| item.stage == Stage::Batch));
+        if !drained {
+            let cancelled = items
+                .iter()
+                .filter(|item| item.action == DegradedAction::Cancelled);
+            deadline_misses += cancelled.count() as u64;
+        }
+        let diag_values = items.iter().map(|item| doc_scoped(d.index, item).to_json());
         doc_values.push(obj(vec![
-            ("doc", Value::Num(i as f64)),
-            ("alignments", alignments.to_json()),
-            ("diagnostics", Value::Array(diag_values)),
+            ("doc", Value::Num(d.index as f64)),
+            ("alignments", d.alignments.to_json()),
+            ("diagnostics", Value::Array(diag_values.collect())),
         ]));
     }
+    let mut metrics = report.merged_metrics();
+    let degraded = !report.is_clean();
+    if degraded {
+        metrics.count(names::SERVE_DEGRADED, 1);
+    }
+    metrics.count(names::SERVE_PANICS, panics);
+    metrics.count(names::SERVE_DEADLINE_MISSES, deadline_misses);
     let mut fields = vec![("status", Value::Str("ok".into()))];
     push_id(&mut fields, id);
-    fields.push(("degraded", Value::Bool(outcome.degraded)));
+    fields.push(("degraded", Value::Bool(degraded)));
     fields.push(("documents", Value::Array(doc_values)));
-    (obj(fields), outcome)
+    (obj(fields), metrics)
 }
 
 /// A point-in-time JSON rendering of the registry: every counter, plus
@@ -436,10 +423,9 @@ struct Shared<'a> {
     /// running and still-waiting requests cooperatively.
     force_cancel: Arc<AtomicBool>,
     connections: AtomicUsize,
-    /// Warm alignment store shared across requests — `None`
-    /// when disabled (`use_store: false`), in which case every request
-    /// takes the plain full-recompute path.
-    store: Option<AlignmentStore>,
+    /// The caller's alignment store, shared across requests; with
+    /// `use_store: false` it is never consulted.
+    store: &'a AlignmentStore,
 }
 
 impl Shared<'_> {
@@ -503,9 +489,11 @@ impl Server {
         Arc::clone(&self.shutdown)
     }
 
-    /// Serve until drained. Blocks; spawns one scoped thread per live
-    /// connection, which also runs that connection's align requests.
-    pub fn run(self, briq: &Briq) -> ServeReport {
+    /// Serve until drained, aligning through `store`. Blocks; spawns one
+    /// scoped thread per live connection, which also runs that
+    /// connection's align requests. The store stays the caller's: it is
+    /// neither opened nor snapshotted here.
+    pub fn run(self, briq: &Briq, store: &AlignmentStore) -> ServeReport {
         let sh = Shared {
             briq,
             cfg: &self.cfg,
@@ -514,30 +502,7 @@ impl Server {
             shutdown: Arc::clone(&self.shutdown),
             force_cancel: Arc::new(AtomicBool::new(false)),
             connections: AtomicUsize::new(0),
-            store: briq.cfg.use_store.then(|| {
-                let opts = crate::store::StoreOptions {
-                    dir: self.cfg.store_dir.as_ref().map(Into::into),
-                    max_bytes: self.cfg.store_max_bytes,
-                    ..crate::store::StoreOptions::default()
-                };
-                match AlignmentStore::with_options(briq, &opts) {
-                    Ok(st) => {
-                        if let Some(line) = st.recovery_report() {
-                            eprintln!("{line}");
-                        }
-                        st
-                    }
-                    Err(e) => {
-                        // Persistence failing to open costs durability,
-                        // never availability: fall back to in-memory.
-                        eprintln!(
-                            "store: cannot open {}: {e}; continuing in-memory",
-                            self.cfg.store_dir.as_deref().unwrap_or("?")
-                        );
-                        AlignmentStore::for_system(briq)
-                    }
-                }
-            }),
+            store,
         };
         std::thread::scope(|s| {
             while !sh.draining() {
@@ -570,15 +535,6 @@ impl Server {
                 .wait_empty(Duration::from_millis(self.cfg.drain_grace_ms));
             sh.force_cancel.store(true, Ordering::SeqCst);
         });
-        // Persist on drain: compact everything resident into a snapshot
-        // so the next boot recovers from one file. Failure is logged,
-        // not fatal — the novelty log already holds every entry.
-        if let Some(st) = sh.store.as_ref().filter(|st| st.persisted()) {
-            match st.snapshot() {
-                Ok(()) => eprintln!("{}", st.persisted_report()),
-                Err(e) => eprintln!("store: persist on drain failed: {e}"),
-            }
-        }
         let metrics = lock(&sh.metrics).clone();
         ServeReport {
             requests: metrics.counter(names::SERVE_REQUESTS),
@@ -705,22 +661,19 @@ fn handle_line(sh: &Shared<'_>, stream: &mut TcpStream, line: &str) -> After {
                 ("workers", Value::Num(sh.cfg.workers as f64)),
                 ("index_enabled", Value::Bool(sh.briq.cfg.use_index)),
                 // Alignment-store state plus its lifetime hit rate — the
-                // fraction of lookups served fully warm.
-                ("store_enabled", Value::Bool(sh.store.is_some())),
+                // fraction of served documents answered whole from it.
+                ("store_enabled", Value::Bool(sh.briq.cfg.use_store)),
                 (
                     "store_hit_rate",
-                    Value::Num(sh.store.as_ref().map_or(0.0, |s| s.hit_rate())),
+                    Value::Num(store_hit_rate(&lock(&sh.metrics))),
                 ),
                 // Durable-store state: whether a --store-dir backs this
                 // server, and how many entries the boot recovered from
                 // it (0 on a cold first boot).
-                (
-                    "store_persisted",
-                    Value::Bool(sh.store.as_ref().is_some_and(|s| s.persisted())),
-                ),
+                ("store_persisted", Value::Bool(sh.store.persisted())),
                 (
                     "store_recovered_entries",
-                    Value::Num(sh.store.as_ref().map_or(0, |s| s.recovered_entries()) as f64),
+                    Value::Num(sh.store.recovered_entries() as f64),
                 ),
             ]);
             ok_or_close(write_line(sh, stream, &resp))
@@ -732,7 +685,8 @@ fn handle_line(sh: &Shared<'_>, stream: &mut TcpStream, line: &str) -> After {
             // persistence totals — is read from the store into a snapshot
             // copy, so the endpoint reports one merged view.
             let mut reg = lock(&sh.metrics).clone();
-            if let Some(st) = &sh.store {
+            if sh.briq.cfg.use_store {
+                let st = sh.store;
                 for name in [
                     names::STORE_HITS,
                     names::STORE_INVALIDATIONS,
@@ -794,17 +748,7 @@ fn handle_line(sh: &Shared<'_>, stream: &mut TcpStream, line: &str) -> After {
             }
             ticket.wait_turn();
             let started = Instant::now();
-            // The request's own recorder: its spans are dropped, what it
-            // counted and observed joins the shared registry.
-            let rec = Recorder::enabled();
-            let (resp, outcome) = serve_align(
-                sh.briq,
-                id.as_ref(),
-                &html,
-                &cancel,
-                sh.store.as_ref(),
-                &rec,
-            );
+            let (resp, recorded) = serve_align(sh.briq, id.as_ref(), &html, &cancel, sh.store);
             drop(ticket);
             {
                 let mut m = lock(&sh.metrics);
@@ -813,17 +757,19 @@ fn handle_line(sh: &Shared<'_>, stream: &mut TcpStream, line: &str) -> After {
                     (started - admitted).as_secs_f64(),
                 );
                 m.observe(names::SERVE_REQUEST_S, started.elapsed().as_secs_f64());
-                if let Some(trace) = rec.finish() {
-                    m.merge(&trace.metrics);
-                }
-                if outcome.degraded {
-                    m.count(names::SERVE_DEGRADED, 1);
-                }
-                m.count(names::SERVE_PANICS, outcome.panics);
-                m.count(names::SERVE_DEADLINE_MISSES, outcome.deadline_cancelled);
+                m.merge(&recorded);
             }
             ok_or_close(write_line(sh, stream, &resp))
         }
+    }
+}
+
+/// Served documents answered whole from the store: `store_hits` over
+/// `documents` in `reg` (0 before the first document).
+fn store_hit_rate(reg: &MetricsRegistry) -> f64 {
+    match reg.counter(names::DOCUMENTS) {
+        0 => 0.0,
+        documents => reg.counter(names::STORE_HITS) as f64 / documents as f64,
     }
 }
 
@@ -838,8 +784,7 @@ fn ok_or_close(wrote: bool) -> After {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchConfig;
-    use crate::pipeline::{Briq, BriqConfig};
+    use crate::pipeline::BriqConfig;
 
     fn test_page() -> String {
         "<html><body>\
@@ -903,19 +848,13 @@ mod tests {
         let briq = briq();
         let html = test_page();
         let store = AlignmentStore::for_system(&briq);
-        let (resp, outcome) = serve_align(
-            &briq,
-            None,
-            &html,
-            &CancelToken::none(),
-            Some(&store),
-            &Recorder::disabled(),
-        );
-        assert!(!outcome.degraded);
-        assert_eq!(outcome.panics, 0);
+        let (resp, recorded) = serve_align(&briq, None, &html, &CancelToken::none(), &store);
+        assert_eq!(resp.get("degraded").and_then(Value::as_bool), Some(false));
+        assert_eq!(recorded.counter(names::SERVE_DEGRADED), 0);
+        assert_eq!(recorded.counter(names::SERVE_PANICS), 0);
 
         let (docs, _) = ingest_page("", &html, 0);
-        assert_eq!(outcome.documents, docs.len());
+        assert_eq!(recorded.counter(names::DOCUMENTS), docs.len() as u64);
         let report = briq.align_batch(&docs, &BatchConfig::with_jobs(1));
 
         let served = resp.get("documents").and_then(Value::as_array).unwrap();
@@ -933,68 +872,81 @@ mod tests {
     }
 
     /// A request's documents land in the store under the keys
-    /// `ingest_page` gives the request's `id`, so a batch over the same
-    /// page under that identity is served from the store in full.
+    /// `ingest_page` gives the request's page identity — a string `id`'s
+    /// text, any other `id` in compact JSON — so a batch over the same
+    /// page under that identity (`briq-align`'s basename for a string
+    /// id) is served from the store in full.
     #[test]
     fn served_documents_are_stored_under_the_ingest_keys() {
         let briq = briq();
         let html = test_page();
-        let store = AlignmentStore::for_system(&briq);
-        let (_, outcome) = serve_align(
-            &briq,
-            Some(&Value::Num(7.0)),
-            &html,
-            &CancelToken::none(),
-            Some(&store),
-            &Recorder::disabled(),
-        );
-        let (docs, keys) = ingest_page("7", &html, 0);
-        assert_eq!(outcome.documents, docs.len());
-        assert!(!docs.is_empty());
-        let report =
-            briq.align_batch_stored(&docs, &BatchConfig::with_jobs(1), &store, Some(&keys));
-        assert_eq!(
-            report.merged_metrics().counter(names::STORE_HITS),
-            docs.len() as u64
-        );
+        let ids = [
+            (
+                Value::Str("page_0000.html".into()),
+                "page_0000.html",
+                0x955f_7f4c_bdfb_3f3f,
+            ),
+            (Value::Num(7.0), "7", 0xccf3_b40b_daa0_619b),
+        ];
+        for (id, identity, first_key) in ids {
+            let store = AlignmentStore::for_system(&briq);
+            let (_, recorded) = serve_align(&briq, Some(&id), &html, &CancelToken::none(), &store);
+            let (docs, keys) = ingest_page(identity, &html, 0);
+            assert_eq!(recorded.counter(names::DOCUMENTS), docs.len() as u64);
+            assert_eq!(keys.first(), Some(&first_key), "{identity}");
+            let report =
+                briq.align_batch_stored(&docs, &BatchConfig::with_jobs(1), &store, Some(&keys));
+            assert_eq!(
+                report.merged_metrics().counter(names::STORE_HITS),
+                docs.len() as u64,
+                "{identity}"
+            );
+        }
     }
 
+    /// A fired drain flag and an already-elapsed deadline each cancel
+    /// every document once, with no partial result; only the deadline
+    /// counts its cancellations as deadline misses.
     #[test]
     fn serve_align_with_fired_token_returns_cancelled_not_partial() {
         let briq = briq();
-        let flag = Arc::new(AtomicBool::new(true));
-        let rec = Recorder::enabled();
-        let (resp, outcome) = serve_align(
-            &briq,
-            None,
-            &test_page(),
-            &CancelToken::with_flag(flag),
-            None,
-            &rec,
-        );
-        assert!(outcome.degraded);
-        assert_eq!(
-            outcome.deadline_cancelled, 0,
-            "a drain is not a deadline miss"
-        );
-        let metrics = rec.finish().expect("trace").metrics;
-        assert!(outcome.documents > 0);
-        assert_eq!(
-            metrics.counter(names::CANCELLATIONS),
-            outcome.documents as u64,
-            "every document is cancelled once"
-        );
-        let served = resp.get("documents").and_then(Value::as_array).unwrap();
-        for sv in served {
+        let store = AlignmentStore::for_system(&briq);
+        let drain = CancelToken::with_flag(Arc::new(AtomicBool::new(true)));
+        let deadline = CancelToken::with_deadline(Instant::now());
+        for (token, cause, deadline_misses) in [
+            (drain, "shutdown drain", false),
+            (deadline, "deadline exceeded", true),
+        ] {
+            let (resp, recorded) = serve_align(&briq, None, &test_page(), &token, &store);
+            assert_eq!(resp.get("degraded").and_then(Value::as_bool), Some(true));
+            assert_eq!(recorded.counter(names::SERVE_DEGRADED), 1);
+            let documents = recorded.counter(names::DOCUMENTS);
+            assert!(documents > 0);
             assert_eq!(
-                sv.get("alignments")
-                    .and_then(Value::as_array)
-                    .unwrap()
-                    .len(),
-                0
+                recorded.counter(names::CANCELLATIONS),
+                documents,
+                "every document is cancelled once ({cause})"
             );
-            let diags = sv.get("diagnostics").and_then(Value::as_array).unwrap();
-            assert_eq!(diags.len(), 1);
+            assert_eq!(
+                recorded.counter(names::SERVE_DEADLINE_MISSES),
+                if deadline_misses { documents } else { 0 },
+                "a drain is not a deadline miss; an elapsed deadline is ({cause})"
+            );
+            let served = resp.get("documents").and_then(Value::as_array).unwrap();
+            assert_eq!(served.len() as u64, documents);
+            for sv in served {
+                assert_eq!(
+                    sv.get("alignments")
+                        .and_then(Value::as_array)
+                        .unwrap()
+                        .len(),
+                    0
+                );
+                let diags = sv.get("diagnostics").and_then(Value::as_array).unwrap();
+                assert_eq!(diags.len(), 1);
+                let error = diags[0].get("error").and_then(Value::as_str).unwrap();
+                assert!(error.contains(cause), "{error}");
+            }
         }
     }
 
@@ -1106,11 +1058,12 @@ mod tests {
     #[test]
     fn end_to_end_align_health_metrics_shutdown() {
         let briq = briq();
+        let store = AlignmentStore::for_system(&briq);
         let server = Server::bind(ServeConfig::default()).unwrap();
         let addr = server.local_addr().unwrap();
         std::thread::scope(|s| {
             let _stop = StopOnDrop(server.shutdown_flag());
-            let handle = s.spawn(|| server.run(&briq));
+            let handle = s.spawn(|| server.run(&briq, &store));
 
             let mut c = Client::connect(addr);
             let req = obj(vec![
@@ -1159,7 +1112,7 @@ mod tests {
 
     /// One align request's metrics carry what the batch engine records
     /// for the same page's documents, and a repeat of it counts each
-    /// store hit once.
+    /// store hit once: half the served documents came from the store.
     #[test]
     fn align_request_records_what_the_batch_engine_records() {
         let briq = briq();
@@ -1172,11 +1125,12 @@ mod tests {
         let batch = briq.align_batch(&docs, &traced).merged_metrics();
         let server = Server::bind(ServeConfig::default()).unwrap();
         let addr = server.local_addr().unwrap();
+        let store = AlignmentStore::for_system(&briq);
         // The request is sent twice under one id, and the server shut
         // down, before anything is asserted.
-        let (statuses, cold, warm) = std::thread::scope(|s| {
+        let (statuses, cold, warm, health) = std::thread::scope(|s| {
             let _stop = StopOnDrop(server.shutdown_flag());
-            let handle = s.spawn(|| server.run(&briq));
+            let handle = s.spawn(|| server.run(&briq, &store));
             let mut c = Client::connect(addr);
             let align = obj(vec![
                 ("op", Value::Str("align".into())),
@@ -1192,10 +1146,12 @@ mod tests {
                 c.recv().get("metrics").cloned()
             };
             let (cold, warm) = (metrics(), metrics());
+            c.send(r#"{"op":"health"}"#);
+            let health = c.recv();
             c.send(r#"{"op":"shutdown"}"#);
             c.recv();
             handle.join().unwrap();
-            (statuses, cold, warm)
+            (statuses, cold, warm, health)
         });
         let ok = Some(Value::Str("ok".into()));
         assert_eq!(statuses, [ok.clone(), ok]);
@@ -1226,7 +1182,13 @@ mod tests {
         );
         assert_eq!(counter(&cold, names::STORE_HITS), Some(0.0));
         // The same id again: every document is a store hit, counted once.
-        assert_eq!(counter(&warm, names::STORE_HITS), Some(docs.len() as f64));
+        let served = docs.len() as f64;
+        assert_eq!(counter(&warm, names::STORE_HITS), Some(served));
+        assert_eq!(counter(&warm, names::DOCUMENTS), Some(2.0 * served));
+        assert_eq!(
+            health.get("store_hit_rate").and_then(Value::as_f64),
+            Some(0.5)
+        );
     }
 
     /// A page slow enough to align that requests behind it wait: a 24×24
@@ -1267,9 +1229,10 @@ mod tests {
         let addr = server.local_addr().unwrap();
         let flag = server.shutdown_flag();
         let html = slow_page();
+        let store = AlignmentStore::for_system(&briq);
         std::thread::scope(|s| {
             let _stop = StopOnDrop(server.shutdown_flag());
-            let handle = s.spawn(|| server.run(&briq));
+            let handle = s.spawn(|| server.run(&briq, &store));
             let mut clients: Vec<Client> = (0..3)
                 .map(|i| {
                     let mut c = Client::connect(addr);

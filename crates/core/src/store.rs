@@ -123,10 +123,11 @@ impl Fingerprint {
 }
 
 /// Store key of a page: the fingerprint of the identity its caller
-/// names it by (`briq-align`: the file's basename; `briq-serve`: the
-/// request's compact JSON `id`, else its HTML). [`doc_key`] derives each
-/// of the page's document keys from it, so a page ingested again under
-/// the same identity finds its documents where it left them.
+/// names it by (`briq-align`: the file's basename; `briq-serve`: a
+/// string `id`'s text, any other `id` in compact JSON, else its HTML).
+/// [`doc_key`] derives each of the page's document keys from it, so a
+/// page ingested again under the same identity finds its documents where
+/// it left them.
 pub fn page_key(identity: &str) -> u64 {
     let mut fp = Fingerprint::new();
     fp.str(identity);
@@ -620,17 +621,6 @@ impl AlignmentStore {
             entries.remove(k);
         }
         evict.len() as u64
-    }
-
-    /// Fraction of lookups served verbatim from cache (0.0 when no
-    /// lookups happened yet).
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.lookups();
-        if lookups == 0 {
-            0.0
-        } else {
-            self.hits() as f64 / lookups as f64
-        }
     }
 
     /// Reset the hit and lookup counters (entries and byte gauges

@@ -180,13 +180,42 @@ fn shutdown_flag_wins_over_expired_deadline() {
     );
 }
 
+/// A page slow enough that a 1 ms deadline always expires while it
+/// aligns (~135 ms in a release build, ~9 ms of it in extraction): a
+/// 24×24 numeric table and a paragraph quoting 40 of its numbers.
+fn slow_page() -> String {
+    let value = |r: usize, c: usize| (r * 37 + c * 11) % 900 + 100;
+    let mut html = String::from("<html><body><p>The survey counted");
+    for i in 0..40 {
+        html.push_str(&format!(" {} units in region {i},", value(i % 24, i / 2)));
+    }
+    html.push_str(" in total.</p><table><tr><th>region</th>");
+    for c in 0..24 {
+        html.push_str(&format!("<th>year {c}</th>"));
+    }
+    html.push_str("</tr>");
+    for r in 0..24 {
+        html.push_str(&format!("<tr><td>region {r}</td>"));
+        for c in 0..24 {
+            html.push_str(&format!("<td>{}</td>", value(r, c)));
+        }
+        html.push_str("</tr>");
+    }
+    html.push_str("</table></body></html>");
+    html
+}
+
 /// The *server* stays serviceable after cancellations: a real
-/// in-process server absorbs a burst of already-expired-deadline
-/// requests and then answers a clean request normally on the same
+/// in-process server absorbs a burst of requests whose 1 ms deadlines
+/// expire mid-alignment, answers each document of each with one
+/// `deadline exceeded` cancellation, counts every one of them as a
+/// deadline miss, and then answers a clean request normally on the same
 /// connection.
 #[test]
 fn server_stays_serviceable_after_cancelled_requests() {
     use briq_core::serve::{ServeConfig, Server};
+    use briq_core::AlignmentStore;
+    use briq_json::Value;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
 
@@ -197,9 +226,11 @@ fn server_stays_serviceable_after_cancelled_requests() {
     };
     let server = Server::bind(cfg).expect("bind");
     let addr = server.local_addr().expect("addr");
-    let handle = std::thread::spawn(move || server.run(&briq));
+    let store = AlignmentStore::for_system(&briq);
+    let handle = std::thread::spawn(move || server.run(&briq, &store));
 
-    let html = briq_json::Value::Str(
+    let slow = Value::Str(slow_page()).to_string_compact();
+    let html = Value::Str(
         "<html><body><p>The report mentions 42 units.</p>\
          <table><tr><th>metric</th><th>value</th></tr>\
          <tr><td>row0</td><td>42</td></tr></table></body></html>"
@@ -211,17 +242,38 @@ fn server_stays_serviceable_after_cancelled_requests() {
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut stream = stream;
 
-    // A burst of requests whose deadlines are effectively pre-expired.
+    // A burst of requests whose deadlines expire while they align. Sent
+    // one at a time on one connection, none waits for a slot or is shed.
+    let mut burst_documents = 0;
     for i in 0..6 {
-        let req = format!("{{\"op\":\"align\",\"id\":{i},\"html\":{html},\"deadline_ms\":0}}\n");
+        let req = format!("{{\"op\":\"align\",\"id\":{i},\"html\":{slow},\"deadline_ms\":1}}\n");
         stream.write_all(req.as_bytes()).expect("write");
         let mut line = String::new();
         reader.read_line(&mut line).expect("read");
         let v = briq_json::parse(&line).expect("parseable response");
-        // Shed or ok-with-cancellation are both acceptable; a hang,
-        // panic, or malformed line is not.
-        let status = v.get("status").and_then(briq_json::Value::as_str);
-        assert!(status == Some("ok") || status == Some("shed"), "{line}");
+        assert_eq!(
+            v.get("status").and_then(Value::as_str),
+            Some("ok"),
+            "{line}"
+        );
+        let docs = v
+            .get("documents")
+            .and_then(Value::as_array)
+            .expect("documents");
+        assert!(!docs.is_empty(), "{line}");
+        for doc in docs {
+            let cancelled: Vec<&str> = doc
+                .get("diagnostics")
+                .and_then(Value::as_array)
+                .expect("diagnostics")
+                .iter()
+                .filter(|d| d.get("action").and_then(Value::as_str) == Some("Cancelled"))
+                .filter_map(|d| d.get("error").and_then(Value::as_str))
+                .collect();
+            assert_eq!(cancelled.len(), 1, "{line}");
+            assert!(cancelled[0].contains("deadline exceeded"), "{line}");
+        }
+        burst_documents += docs.len() as u64;
     }
 
     // The server must still answer a clean, deadline-free request.
@@ -231,7 +283,7 @@ fn server_stays_serviceable_after_cancelled_requests() {
     reader.read_line(&mut line).expect("read clean");
     let v = briq_json::parse(&line).expect("parseable clean response");
     assert_eq!(
-        v.get("status").and_then(briq_json::Value::as_str),
+        v.get("status").and_then(Value::as_str),
         Some("ok"),
         "{line}"
     );
@@ -252,4 +304,8 @@ fn server_stays_serviceable_after_cancelled_requests() {
         .expect("write shutdown");
     let report = handle.join().expect("server thread");
     assert_eq!(report.panics, 0, "a request panicked during the run");
+    assert_eq!(
+        report.deadline_misses, burst_documents,
+        "every cancelled document of the burst is one deadline miss"
+    );
 }
