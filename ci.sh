@@ -65,7 +65,9 @@
 #                test stage runs. Finally the work golden: every counter
 #                line of the untrained and trained --jobs 1 runs, the byte
 #                count and SHA-256 of both runs' alignment stdout and
-#                diagnostics JSONL, the --store-dir run's
+#                diagnostics JSONL, the byte count and SHA-256 of the
+#                --train-demo model file (so an unchanged model is a
+#                gate, not a hand check), the --store-dir run's
 #                "store: persisted" line and snapshot SHA-256, the
 #                heap allocations per document of untrained align_with
 #                over the smoke documents, and the heap allocations per
@@ -356,6 +358,7 @@ stage_determinism() {
         golden_counters trained "$dir/metrics_m1.jsonl"
         golden_digest trained alignments "$dir/out_m1.json"
         golden_digest trained diagnostics "$dir/diag_m1.jsonl"
+        golden_digest trained model "$dir/model.json"
         printf '{"run":"store","stderr":"%s"}\n' "$(grep '^store: persisted ' "$dir/err_stored.txt")"
         golden_digest store snapshot "$dir/store"/snapshot-*.briq
         # Two lines: the "alloc" line, then the "segment" line.

@@ -18,8 +18,9 @@
 //!
 //! `serve` warm-loads one model, opens the alignment store
 //! `--store-dir`/`--store-max-bytes` name as `briq-align` does
-//! ([`cli::open_store`]; a directory that cannot be opened leaves it
-//! in-memory), and serves the TCP/JSONL protocol of
+//! ([`cli::open_store_or_in_memory`]: a directory that cannot be opened
+//! leaves it in-memory, under the same budget), and serves the TCP/JSONL
+//! protocol of
 //! [`briq_core::serve`] until it receives SIGTERM/SIGINT or a
 //! `{"op":"shutdown"}` line, then drains gracefully and snapshots the
 //! store ([`cli::snapshot_store`]). The bound address
@@ -50,7 +51,6 @@
 
 use briq_bench::cli::{self, Args, Command, Flag, EXIT_DEGRADED};
 use briq_core::serve::{ServeConfig, Server};
-use briq_core::store::AlignmentStore;
 use briq_json::Value;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -174,11 +174,7 @@ fn cmd_serve(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Persistence failing to open costs durability, never availability.
-    let store = cli::open_store(&briq, args).unwrap_or_else(|e| {
-        eprintln!("{e}; continuing in-memory");
-        AlignmentStore::for_system(&briq)
-    });
+    let store = cli::open_store_or_in_memory(&briq, args);
 
     let server = match Server::bind(cfg) {
         Ok(s) => s,

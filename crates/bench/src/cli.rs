@@ -328,6 +328,17 @@ pub fn load_model(path: Option<&str>) -> Result<Briq, String> {
         .map_err(|e| format!("cannot load model {path}: {e}"))
 }
 
+/// The [`StoreOptions`] of a store in `dir` (in-memory when `None`)
+/// under the `--store-max-bytes` budget. Every store the binaries open,
+/// durable or the in-memory fallback, reads its budget here.
+fn store_options(args: &Args, dir: Option<&str>) -> StoreOptions {
+    StoreOptions {
+        dir: dir.map(Into::into),
+        max_bytes: args.number("--store-max-bytes").unwrap_or(0),
+        ..StoreOptions::default()
+    }
+}
+
 /// The alignment store `--store-dir` and `--store-max-bytes` name, opened
 /// for `briq` (a durable one recovered), with its `store: recovered …`
 /// line printed to stderr. The directory is ignored when `briq`'s config
@@ -337,20 +348,30 @@ pub fn load_model(path: Option<&str>) -> Result<Briq, String> {
 /// # Errors
 ///
 /// `store: cannot open DIR: …` when the directory cannot be opened.
-/// `briq-align` exits 1 on it; `briq-serve` continues in-memory.
+/// `briq-align` exits 1 on it; `briq-serve` opens through
+/// [`open_store_or_in_memory`] instead.
 pub fn open_store(briq: &Briq, args: &Args) -> Result<AlignmentStore, String> {
     let dir = args.value("--store-dir").filter(|_| briq.cfg.use_store);
-    let opts = StoreOptions {
-        dir: dir.map(Into::into),
-        max_bytes: args.number("--store-max-bytes").unwrap_or(0),
-        ..StoreOptions::default()
-    };
-    let store = AlignmentStore::with_options(briq, &opts)
+    let store = AlignmentStore::with_options(briq, &store_options(args, dir))
         .map_err(|e| format!("store: cannot open {}: {e}", dir.unwrap_or("?")))?;
     if let Some(line) = store.recovery_report() {
         eprintln!("{line}");
     }
     Ok(store)
+}
+
+/// [`open_store`], or, when its directory cannot be opened, an in-memory
+/// store under the same `--store-max-bytes` budget, after printing the
+/// error and `; continuing in-memory` to stderr: for `briq-serve`, where
+/// persistence failing to open costs durability, never availability or
+/// the memory bound.
+pub fn open_store_or_in_memory(briq: &Briq, args: &Args) -> AlignmentStore {
+    open_store(briq, args).unwrap_or_else(|e| {
+        eprintln!("{e}; continuing in-memory");
+        // Infallible: without a directory the store touches no file.
+        AlignmentStore::with_options(briq, &store_options(args, None))
+            .unwrap_or_else(|_| unreachable!("an in-memory store cannot fail to open"))
+    })
 }
 
 /// Snapshot a durable `store` when its process is done with it, so the

@@ -5,12 +5,11 @@
 use briq_core::baselines::{rf_only, rwr_only};
 use briq_core::evaluate::{EvalReport, FilterRecall};
 use briq_core::filtering::FilterStats;
-use briq_core::obs::{names, Recorder};
 use briq_core::pipeline::{Briq, BriqConfig};
 use briq_core::training::{build_training_examples, LabeledDocument, TrainingBreakdown};
 use briq_core::FeatureMask;
 use briq_corpus::annotate::{annotate, AnnotatorConfig};
-use briq_corpus::corpus::{generate_corpus_observed, CorpusConfig};
+use briq_corpus::corpus::{generate_corpus, CorpusConfig};
 use briq_corpus::{perturb_document, Domain, Perturbation};
 use briq_ml::split::{random_split, Split};
 
@@ -78,20 +77,12 @@ impl Default for SetupConfig {
 
 /// Generate, annotate, split, and train.
 pub fn prepare(cfg: &SetupConfig) -> ExperimentSetup {
-    prepare_observed(cfg, &Recorder::disabled())
-}
-
-/// [`prepare`] with observability: the corpus-generation span/counters
-/// and the training spans/counters are recorded into `rec`. The
-/// recorder only observes — the prepared setup is bit-identical with it
-/// enabled or disabled.
-pub fn prepare_observed(cfg: &SetupConfig, rec: &Recorder) -> ExperimentSetup {
     let corpus_cfg = CorpusConfig {
         n_documents: cfg.n_documents,
         seed: cfg.seed,
         ..Default::default()
     };
-    let corpus = generate_corpus_observed(&corpus_cfg, rec);
+    let corpus = generate_corpus(&corpus_cfg);
     let mut documents = corpus.documents;
     let domains = corpus.domains;
     let outcome = annotate(&mut documents, &AnnotatorConfig::default());
@@ -122,7 +113,7 @@ pub fn prepare_observed(cfg: &SetupConfig, rec: &Recorder) -> ExperimentSetup {
         build_training_examples(&train_docs, &briq_cfg.virtual_cells, &briq_cfg.context);
     // Hyper-parameters (α/β mix and ε of Eq. 1) are grid-searched on the
     // validation split, as in §VII-C.
-    let (briq, _) = Briq::train_tuned_observed(briq_cfg, &train_docs, &tagger_docs, rec);
+    let (briq, _) = Briq::train_tuned(briq_cfg, &train_docs, &tagger_docs);
 
     ExperimentSetup {
         documents,
@@ -146,19 +137,6 @@ pub fn test_documents(setup: &ExperimentSetup, p: Perturbation) -> Vec<LabeledDo
 
 /// Evaluate one system over the given labeled documents.
 pub fn evaluate_system(briq: &Briq, system: SystemKind, docs: &[LabeledDocument]) -> EvalReport {
-    evaluate_system_observed(briq, system, docs, &Recorder::disabled())
-}
-
-/// [`evaluate_system`] under an `evaluate` span, counting evaluated
-/// documents into `rec`. Scores are bit-identical either way.
-pub fn evaluate_system_observed(
-    briq: &Briq,
-    system: SystemKind,
-    docs: &[LabeledDocument],
-    rec: &Recorder,
-) -> EvalReport {
-    let _g = briq_core::span!(rec, names::SPAN_EVAL);
-    rec.count(names::EVAL_DOCUMENTS, docs.len() as u64);
     let mut report = EvalReport::default();
     for ld in docs {
         let predictions = match system {

@@ -1,28 +1,23 @@
 //! `briq-eval` — regenerate the paper's evaluation tables.
 //!
-//! Usage: `briq-eval <experiment> [--docs N] [--seed S] [--metrics FILE]`
+//! Usage: `briq-eval <experiment> [--docs N] [--seed S]`
 //! where `<experiment>` is the first argument, one of `EXPERIMENTS`
 //! (`table1` … `table9`, `ablation-extra`, `qkb`, `ilp`, `analysis`,
 //! `extended`) or `all`, which runs every one and is the default. Any
 //! other name prints the usage to stderr and exits 1, and so does a flag
 //! that [`EVAL`]'s table does not hold, a flag without its value, a
 //! `--docs` or `--seed` that is not an unsigned integer, or a flag given
-//! twice ([`briq_bench::cli`] parses the table). With `--metrics FILE`,
-//! corpus-generation, training, and evaluation spans/counters are
-//! recorded and the merged registry is written to `FILE` as JSON Lines
-//! (a summary table goes to stderr); stdout is byte-identical with or
-//! without it. Speed is measured by the `briq-perf` benchmark, not here.
+//! twice ([`briq_bench::cli`] parses the table). Speed is measured by
+//! the `briq-perf` benchmark, not here.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use briq_bench::cli::{self, Command, Flag};
 use briq_bench::experiments::{
-    evaluate_system, evaluate_system_observed, filtering_stats, prepare, prepare_observed,
-    test_documents, SetupConfig, SystemKind,
+    evaluate_system, filtering_stats, prepare, test_documents, SetupConfig, SystemKind,
 };
 use briq_bench::report::{fmt, per_type_table, TextTable, TYPE_ORDER};
 use briq_bench::throughput::{measure, ThroughputSystem};
-use briq_core::obs::Recorder;
 use briq_core::pipeline::{Briq, BriqConfig};
 use briq_core::resolution::ResolutionConfig;
 use briq_core::FeatureMask;
@@ -56,11 +51,7 @@ const EXPERIMENTS: [&str; 14] = [
 const EVAL: Command = Command {
     synopsis: "briq-eval <experiment>",
     positionals: false,
-    flags: &[
-        Flag::number("--docs", "N"),
-        Flag::number("--seed", "S"),
-        Flag::text("--metrics", "FILE"),
-    ],
+    flags: &[Flag::number("--docs", "N"), Flag::number("--seed", "S")],
 };
 
 fn main() -> ExitCode {
@@ -84,26 +75,13 @@ fn main() -> ExitCode {
 
     let run = |name: &str| experiment == "all" || experiment == name;
 
-    // `--metrics FILE` records corpus-generation, training, and
-    // evaluation spans/counters and writes the registry as JSONL; table
-    // output on stdout is byte-identical with or without it.
-    let metrics_out = args.value("--metrics");
-    let rec = if metrics_out.is_some() {
-        Recorder::enabled()
-    } else {
-        Recorder::disabled()
-    };
-
     let mut setup = None;
     let mut ensure_setup = || {
-        prepare_observed(
-            &SetupConfig {
-                n_documents: docs,
-                seed,
-                mask: FeatureMask::all(),
-            },
-            &rec,
-        )
+        prepare(&SetupConfig {
+            n_documents: docs,
+            seed,
+            mask: FeatureMask::all(),
+        })
     };
 
     if run("table1") {
@@ -112,7 +90,7 @@ fn main() -> ExitCode {
     }
     if run("table2") {
         let s = setup.get_or_insert_with(&mut ensure_setup);
-        table2(s, &rec);
+        table2(s);
     }
     if run("table3") || run("table4") || run("table5") {
         let s = setup.get_or_insert_with(&mut ensure_setup);
@@ -150,18 +128,6 @@ fn main() -> ExitCode {
         extended_experiment(docs, seed);
     }
 
-    if let Some(path) = metrics_out {
-        drop(setup);
-        match rec.finish() {
-            Some(trace) => {
-                if let Err(e) = cli::write_metrics(path, &trace.metrics) {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            None => eprintln!("no metrics recorded (nothing ran?)"),
-        }
-    }
     ExitCode::SUCCESS
 }
 
@@ -445,7 +411,7 @@ fn table1(s: &Setup) {
     println!("{}", t.render());
 }
 
-fn table2(s: &Setup, rec: &Recorder) {
+fn table2(s: &Setup) {
     println!("== Table II: results for original, truncated and rounded mentions ==");
     let mut t = TextTable::new(&[
         "", "RF", "RWR", "BriQ", "RF(tr)", "RWR(tr)", "BriQ(tr)", "RF(rd)", "RWR(rd)", "BriQ(rd)",
@@ -458,7 +424,7 @@ fn table2(s: &Setup, rec: &Recorder) {
     for p in Perturbation::ALL {
         let docs = test_documents(s, p);
         for sys in SystemKind::ALL {
-            let r = evaluate_system_observed(&s.briq, sys, &docs, rec);
+            let r = evaluate_system(&s.briq, sys, &docs);
             let o = r.overall();
             rows[0].push(fmt(o.recall));
             rows[1].push(fmt(o.precision));

@@ -5,9 +5,9 @@
 //!
 //! The timed path per page mirrors the production pipeline: the page
 //! ingest every binary runs ([`briq_core::ingest_page`]: HTML parsing and
-//! page segmentation), then [`briq_core::batch::align_batch`] over the
-//! segmented documents (mention/target extraction, classification,
-//! filtering and global resolution on a work-stealing worker pool).
+//! page segmentation), then [`Briq::align_batch`] over the segmented
+//! documents (mention/target extraction, classification, filtering and
+//! global resolution on a work-stealing worker pool).
 
 use briq_core::batch::BatchConfig;
 use briq_core::ingest_page;
@@ -51,8 +51,8 @@ pub enum ThroughputSystem {
 
 /// Run the throughput measurement over `pages` with `workers` threads.
 ///
-/// The full-pipeline system runs on [`briq_core::batch::align_batch`], so
-/// its alignments are bit-identical for every worker count; the timed
+/// The full-pipeline system runs on [`Briq::align_batch`], so its
+/// alignments are bit-identical for every worker count; the timed
 /// region covers the page ingest and the batch run. A page is named by
 /// its index in `pages`; the run keeps no store, so no key is read.
 pub fn measure(

@@ -108,6 +108,7 @@ fn every_binary_refuses_a_bad_flag_by_name() {
         (EVAL, "table9 --docs abc", "--docs", None),
         (EVAL, "table9 --dcos 5", "--dcos", None),
         (EVAL, "table9 --metrics", "--metrics", None),
+        (EVAL, "table9 --seed", "--seed", None),
         (ALIGN, "--gen-corpus DIR --docs abc", "--docs", Some("DIR")),
         (ALIGN, "--gen-corpus DIR --dcos 6", "--dcos", Some("DIR")),
         (ALIGN, "--train-demo M --docs 5", "--docs", Some("M")),

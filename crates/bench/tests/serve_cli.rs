@@ -93,6 +93,15 @@ fn ask(addr: &str, request: &str) -> briq_json::Value {
     briq_json::parse(&line).unwrap()
 }
 
+/// Counter `name` of a `metrics` op's response.
+fn counter(metrics: &briq_json::Value, name: &str) -> Option<f64> {
+    metrics
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get(name))
+        .and_then(briq_json::Value::as_f64)
+}
+
 /// The `store: persisted …` line of a stderr log.
 fn persisted_line(stderr: &str) -> &str {
     stderr
@@ -150,13 +159,7 @@ fn a_store_briq_align_persisted_serves_drive_over_the_same_pages() {
         .expect("run drive");
     assert_eq!(drive.status.code(), Some(0), "{drive:?}");
     let metrics = ask(&server.addr, r#"{"op":"metrics"}"#);
-    let counter = |name: &str| {
-        metrics
-            .get("metrics")
-            .and_then(|m| m.get("counters"))
-            .and_then(|c| c.get(name))
-            .and_then(briq_json::Value::as_f64)
-    };
+    let counter = |name: &str| counter(&metrics, name);
     assert_eq!(counter("documents"), Some(documents), "{metrics:?}");
     assert_eq!(counter("store_hits"), Some(documents), "{metrics:?}");
     assert_eq!(counter("mentions_realigned"), Some(0.0), "{metrics:?}");
@@ -170,6 +173,47 @@ fn a_store_briq_align_persisted_serves_drive_over_the_same_pages() {
     server.stop_and_wait();
     let serve_err = std::fs::read_to_string(&serve_err).unwrap();
     assert_eq!(persisted_line(&serve_err), persisted);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A `--store-dir` that cannot be opened leaves the server on an
+/// in-memory store under the same `--store-max-bytes` budget, so a
+/// 1-byte budget still evicts.
+#[test]
+fn an_unopenable_store_dir_falls_back_to_a_bounded_in_memory_store() {
+    let dir = tmp_dir("fallback");
+    let file = dir.join("file");
+    std::fs::write(&file, "not a directory").unwrap();
+    let store = file.join("x");
+    let mut pages = Vec::new();
+    for i in 0..3 {
+        let path = dir.join(format!("page_{i}.html"));
+        std::fs::write(&path, PAGE).unwrap();
+        pages.push(path);
+    }
+
+    let serve_err = dir.join("serve.err");
+    let log = std::fs::File::create(&serve_err).unwrap();
+    let flags = [
+        "--store-dir",
+        store.to_str().unwrap(),
+        "--store-max-bytes",
+        "1",
+    ];
+    let server = ServerGuard::spawn_with_stderr(&flags, log.into());
+    let drive = Command::new(env!("CARGO_BIN_EXE_briq-serve"))
+        .args(["drive", "--addr", &server.addr])
+        .args(&pages)
+        .output()
+        .expect("run drive");
+    assert_eq!(drive.status.code(), Some(0), "{drive:?}");
+    let metrics = ask(&server.addr, r#"{"op":"metrics"}"#);
+    assert_eq!(counter(&metrics, "documents"), Some(3.0), "{metrics:?}");
+    let evictions = counter(&metrics, "store_evictions").unwrap_or(0.0);
+    assert!(evictions >= 1.0, "{metrics:?}");
+    server.stop_and_wait();
+    let serve_err = std::fs::read_to_string(&serve_err).unwrap();
+    assert!(serve_err.contains("continuing in-memory"), "{serve_err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -2,7 +2,7 @@
 //! the bench-only thread shim, standing in for the paper's 10-executor
 //! Spark deployment (§VI, Table VIII) on a single machine.
 //!
-//! [`align_batch`] runs [`Briq::align_with`] over a batch of
+//! [`Briq::align_batch`] runs [`Briq::align_with`] over a batch of
 //! documents on a chunked, work-stealing pool of scoped threads
 //! (std-only, no external runtime). [`ingest_page`] is the one way every
 //! binary turns a page into the documents and store keys it takes, and
@@ -176,8 +176,8 @@ impl WorkerStats {
     }
 }
 
-/// Everything [`align_batch`] observed: per-document results in input
-/// order plus pool-level accounting.
+/// Everything [`Briq::align_batch`] observed: per-document results in
+/// input order plus pool-level accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
     /// Workers actually used.
@@ -259,41 +259,10 @@ impl BatchReport {
     }
 }
 
-/// Align every document of `docs` with a shared `briq`, using
-/// `cfg.effective_jobs(docs.len())` worker threads. See the module docs
-/// for the determinism and isolation contract.
-pub fn align_batch(briq: &Briq, docs: &[Document], cfg: &BatchConfig) -> BatchReport {
-    align_run(briq, docs, cfg, RunCtx::default())
-}
-
-/// [`align_batch`] against a shared [`AlignmentStore`]: one store serves
-/// every worker (its map is mutex-guarded; its counters are atomics),
-/// and each document is keyed by `keys[i]` — or its batch index when
-/// `keys` is `None`. Output stays input-order deterministic and
-/// bit-identical to [`align_batch`] for every cache state: the store
-/// only ever changes which work is *skipped*, never what a document's
-/// output is (see [`crate::store`]). With `use_store: false` the store is
-/// never consulted or populated.
-pub fn align_batch_stored(
-    briq: &Briq,
-    docs: &[Document],
-    cfg: &BatchConfig,
-    store: &AlignmentStore,
-    keys: Option<&[u64]>,
-) -> BatchReport {
-    debug_assert!(keys.is_none_or(|k| k.len() == docs.len()));
-    let run = RunCtx {
-        store: Some(store),
-        keys,
-        cancel: None,
-    };
-    align_run(briq, docs, cfg, run)
-}
-
-/// Parse and segment one page into the documents [`align_batch_stored`]
-/// takes, numbered from `first_id` as [`segment_page`] numbers them, and
-/// key each one `doc_key(page_key(identity), segment)`
-/// ([`crate::store::doc_key`]).
+/// Parse and segment one page into the documents
+/// [`Briq::align_batch_stored`] takes, numbered from `first_id` as
+/// [`segment_page`] numbers them, and key each one
+/// `doc_key(page_key(identity), segment)` ([`crate::store::doc_key`]).
 ///
 /// `identity` is what the caller names the page by across runs
 /// (`briq-align`: the file's basename; `briq-serve`: the request's `id`,
@@ -314,7 +283,7 @@ pub fn ingest_page(identity: &str, html: &str, first_id: usize) -> (Vec<Document
 /// store and no cancellation.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct RunCtx<'a> {
-    /// Align through this store (see [`align_batch_stored`]).
+    /// Align through this store (see [`Briq::align_batch_stored`]).
     pub(crate) store: Option<&'a AlignmentStore>,
     /// Each document's store key; `None` keys a document by its index.
     pub(crate) keys: Option<&'a [u64]>,
@@ -331,7 +300,8 @@ impl RunCtx<'_> {
 }
 
 /// Align `docs` under `cfg` and `run` — the engine behind
-/// [`align_batch`], [`align_batch_stored`] and every served page.
+/// [`Briq::align_batch`], [`Briq::align_batch_stored`] and every served
+/// page.
 pub(crate) fn align_run(
     briq: &Briq,
     docs: &[Document],
@@ -578,7 +548,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_clean_noop() {
         let briq = Briq::untrained(BriqConfig::default());
-        let r = align_batch(&briq, &[], &BatchConfig::with_jobs(4));
+        let r = briq.align_batch(&[], &BatchConfig::with_jobs(4));
         assert!(r.documents.is_empty());
         assert!(r.workers.is_empty());
         assert!(r.is_clean());
@@ -588,7 +558,7 @@ mod tests {
     fn batch_smaller_than_worker_count() {
         let briq = Briq::untrained(BriqConfig::default());
         let docs = vec![doc(0), doc(1)];
-        let r = align_batch(&briq, &docs, &BatchConfig::with_jobs(8));
+        let r = briq.align_batch(&docs, &BatchConfig::with_jobs(8));
         // Never more workers than documents.
         assert_eq!(r.jobs, 2);
         assert_eq!(r.documents.len(), 2);
@@ -602,8 +572,8 @@ mod tests {
     fn output_order_is_input_order_and_jobs_invariant() {
         let briq = Briq::untrained(BriqConfig::default());
         let docs: Vec<Document> = (0..13).map(doc).collect();
-        let serial = align_batch(&briq, &docs, &BatchConfig::with_jobs(1));
-        let parallel = align_batch(&briq, &docs, &BatchConfig::with_jobs(8));
+        let serial = briq.align_batch(&docs, &BatchConfig::with_jobs(1));
+        let parallel = briq.align_batch(&docs, &BatchConfig::with_jobs(8));
         for (i, d) in serial.documents.iter().enumerate() {
             assert_eq!(d.index, i);
         }
@@ -630,7 +600,7 @@ mod tests {
             budget,
             ..BatchConfig::with_jobs(3)
         };
-        let r = align_batch(&briq, &docs, &cfg);
+        let r = briq.align_batch(&docs, &cfg);
         assert!(
             !r.documents[1].diagnostics.is_clean(),
             "{:?}",
@@ -655,7 +625,7 @@ mod tests {
     fn batch_matches_sequential_align_checked() {
         let briq = Briq::untrained(BriqConfig::default());
         let docs: Vec<Document> = (0..6).map(doc).collect();
-        let r = align_batch(&briq, &docs, &BatchConfig::with_jobs(4));
+        let r = briq.align_batch(&docs, &BatchConfig::with_jobs(4));
         for (i, d) in r.documents.iter().enumerate() {
             let (solo, _) = briq.align_checked(&docs[i]);
             assert_eq!(d.alignments, solo);
@@ -666,7 +636,7 @@ mod tests {
     fn report_accounting_is_consistent() {
         let briq = Briq::untrained(BriqConfig::default());
         let docs: Vec<Document> = (0..5).map(doc).collect();
-        let r = align_batch(&briq, &docs, &BatchConfig::with_jobs(2));
+        let r = briq.align_batch(&docs, &BatchConfig::with_jobs(2));
         assert_eq!(r.jobs, 2);
         assert_eq!(r.workers.len(), 2);
         assert_eq!(
@@ -690,7 +660,7 @@ mod tests {
     fn traced_batch_output_is_identical_and_trace_merge_is_input_order_deterministic() {
         let briq = Briq::untrained(BriqConfig::default());
         let docs: Vec<Document> = (0..9).map(doc).collect();
-        let untraced = align_batch(&briq, &docs, &BatchConfig::with_jobs(2));
+        let untraced = briq.align_batch(&docs, &BatchConfig::with_jobs(2));
 
         let mut runs = Vec::new();
         for jobs in [1usize, 3, 8] {
@@ -698,7 +668,7 @@ mod tests {
                 trace: true,
                 ..BatchConfig::with_jobs(jobs)
             };
-            let r = align_batch(&briq, &docs, &cfg);
+            let r = briq.align_batch(&docs, &cfg);
             // Tracing only observes: alignments and diagnostics match the
             // untraced run bit for bit.
             for (t, u) in r.documents.iter().zip(&untraced.documents) {
@@ -787,7 +757,7 @@ mod tests {
                     trace,
                     ..BatchConfig::with_jobs(jobs)
                 };
-                let r = align_batch(&briq, &docs, &cfg);
+                let r = briq.align_batch(&docs, &cfg);
                 assert!(r.documents.iter().all(|d| d.trace.is_some() == trace));
                 let m = r.merged_metrics();
                 assert_eq!(m.counter(names::DOCUMENTS), docs.len() as u64);
@@ -821,13 +791,13 @@ mod tests {
         let briq = Briq::untrained(BriqConfig::default());
         let store = AlignmentStore::for_system(&briq);
         let cfg = BatchConfig::with_jobs(1);
-        align_batch_stored(&briq, &[doc(0)], &cfg, &store, None);
+        briq.align_batch_stored(&[doc(0)], &cfg, &store, None);
         // A table that claims a row it does not hold: the lookup
         // invalidates the cached version under the same key, then
         // extraction indexes past the cells and panics.
         let mut broken = doc(0);
         broken.tables[0].n_rows += 1;
-        let r = align_batch_stored(&briq, &[broken], &cfg, &store, None);
+        let r = briq.align_batch_stored(&[broken], &cfg, &store, None);
         assert_eq!(r.documents[0].diagnostics, panicked(0));
         assert!(r.documents[0].alignments.is_empty());
         let m = r.merged_metrics();

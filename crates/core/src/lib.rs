@@ -75,10 +75,7 @@ pub mod store;
 pub mod tagger;
 pub mod training;
 
-pub use batch::{
-    align_batch, align_batch_stored, ingest_page, BatchConfig, BatchReport, DocReport,
-    StageTimings, WorkerStats,
-};
+pub use batch::{ingest_page, BatchConfig, BatchReport, DocReport, StageTimings, WorkerStats};
 pub use error::{
     BriqError, Budget, CancelCause, CancelToken, DegradedAction, Diagnostic, Diagnostics, Stage,
 };

@@ -26,9 +26,9 @@
 //! ## The disabled path
 //!
 //! [`Recorder::disabled`] is the default of
-//! [`AlignOpts`](crate::pipeline::AlignOpts), training, and evaluation;
-//! only the two drivers — the batch engine and the server — record every
-//! document into an enabled recorder. A disabled recorder holds no
+//! [`AlignOpts`](crate::pipeline::AlignOpts); only the batch engine and
+//! the server record every document into an enabled recorder. Training
+//! and evaluation record nothing. A disabled recorder holds no
 //! buffer at all (`inner: None`), so every instrumentation call is one
 //! branch and zero allocation. Recording only observes: alignments are
 //! byte-identical with it on or off, and CI's determinism stage
@@ -192,19 +192,6 @@ pub mod names {
     /// alignment to its response.
     pub const SERVE_REQUEST_S: &str = "serve_request_s";
 
-    /// Counter: labeled training examples built (positives + negatives).
-    pub const TRAIN_EXAMPLES_BUILT: &str = "train_examples_built";
-    /// Counter: positive training examples built.
-    pub const TRAIN_POSITIVES: &str = "train_positives";
-    /// Counter: synthetic corpus documents generated.
-    pub const CORPUS_DOCUMENTS: &str = "corpus_documents";
-    /// Counter: tables across the generated corpus.
-    pub const CORPUS_TABLES: &str = "corpus_tables";
-    /// Counter: gold alignments across the generated corpus.
-    pub const CORPUS_GOLD: &str = "corpus_gold_alignments";
-    /// Counter: documents evaluated by `briq-eval`.
-    pub const EVAL_DOCUMENTS: &str = "eval_documents";
-
     /// Span: one whole document through the alignment pipeline.
     pub const SPAN_ALIGN: &str = "align";
     /// Span: mention extraction, context building, virtual cells.
@@ -217,18 +204,6 @@ pub mod names {
     pub const SPAN_GRAPH: &str = "graph";
     /// Span: entropy-ordered random-walk resolution.
     pub const SPAN_RESOLVE: &str = "resolve";
-    /// Span: whole training run (examples + forest + tagger).
-    pub const SPAN_TRAIN: &str = "train";
-    /// Span: training-example construction (§VII-B sampling).
-    pub const SPAN_TRAIN_EXAMPLES: &str = "train_examples";
-    /// Span: pair-classifier forest training.
-    pub const SPAN_TRAIN_FOREST: &str = "train_forest";
-    /// Span: mention-tagger training.
-    pub const SPAN_TRAIN_TAGGER: &str = "train_tagger";
-    /// Span: synthetic corpus generation.
-    pub const SPAN_GEN_CORPUS: &str = "gen_corpus";
-    /// Span: one evaluation pass over a document set.
-    pub const SPAN_EVAL: &str = "evaluate";
 
     /// The latency histogram fed automatically when a span named `name`
     /// closes: `span_<name>_s` (unit: seconds).

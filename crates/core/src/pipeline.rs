@@ -7,7 +7,7 @@ use briq_table::virtual_cells::{
 use briq_table::{Document, TableError, TableMention};
 use briq_text::cues::AggregationKind;
 
-use crate::batch::{align_batch, BatchConfig, BatchReport};
+use crate::batch::{align_run, BatchConfig, BatchReport, RunCtx};
 use crate::classifier::PairClassifier;
 use crate::context::{ContextConfig, DocContext};
 use crate::error::{
@@ -148,9 +148,6 @@ pub struct ScoredDocument {
     /// Per mention, the tagger's predicted aggregation kinds (empty =
     /// single cell).
     pub tags: Vec<Vec<AggregationKind>>,
-    /// The budget this document was scored under (and that downstream
-    /// stages should keep honouring).
-    pub budget: Budget,
 }
 
 /// The BriQ system: trained classifier + tagger + configuration.
@@ -201,40 +198,10 @@ impl Briq {
         train_docs: &[LabeledDocument],
         tagger_docs: &[LabeledDocument],
     ) -> Briq {
-        Self::train_observed(cfg, train_docs, tagger_docs, &Recorder::disabled())
-    }
-
-    /// [`Briq::train`] with observability: spans for example building,
-    /// forest training, and tagger training, plus the `train_*` counters,
-    /// are recorded into `rec`. The recorder only observes — the trained
-    /// model is bit-identical with it enabled or disabled.
-    pub fn train_observed(
-        cfg: BriqConfig,
-        train_docs: &[LabeledDocument],
-        tagger_docs: &[LabeledDocument],
-        rec: &Recorder,
-    ) -> Briq {
-        let _train_guard = span!(rec, names::SPAN_TRAIN);
-        let (examples, data) = {
-            let _g = span!(rec, names::SPAN_TRAIN_EXAMPLES);
-            let (examples, _) =
-                build_training_examples(train_docs, &cfg.virtual_cells, &cfg.context);
-            let data = examples_to_dataset(&examples);
-            (examples, data)
-        };
-        rec.count(names::TRAIN_EXAMPLES_BUILT, examples.len() as u64);
-        rec.count(
-            names::TRAIN_POSITIVES,
-            examples.iter().filter(|e| e.label).count() as u64,
-        );
-        let classifier = {
-            let _g = span!(rec, names::SPAN_TRAIN_FOREST);
-            PairClassifier::train(&data, cfg.forest, cfg.mask)
-        };
-        let tagger = {
-            let _g = span!(rec, names::SPAN_TRAIN_TAGGER);
-            Self::train_tagger(&cfg, tagger_docs)
-        };
+        let (examples, _) = build_training_examples(train_docs, &cfg.virtual_cells, &cfg.context);
+        let classifier =
+            PairClassifier::train(&examples_to_dataset(&examples), cfg.forest, cfg.mask);
+        let tagger = Self::train_tagger(&cfg, tagger_docs);
         Briq {
             cfg,
             classifier: Some(classifier),
@@ -248,19 +215,12 @@ impl Briq {
     /// for the hyper-parameters, for the classifiers as well as for the
     /// graph-based algorithm"). Returns the tuned system and the selected
     /// parameters' validation F1.
-    ///
-    /// The training spans and counters of [`Briq::train_observed`] are
-    /// recorded into `rec`. The validation grid search runs after the
-    /// `train` span closes and is deliberately not traced per point — it
-    /// aligns every validation document dozens of times and would dwarf
-    /// the registry.
-    pub fn train_tuned_observed(
+    pub fn train_tuned(
         cfg: BriqConfig,
         train_docs: &[LabeledDocument],
         validation_docs: &[LabeledDocument],
-        rec: &Recorder,
     ) -> (Briq, f64) {
-        let mut briq = Self::train_observed(cfg, train_docs, validation_docs, rec);
+        let mut briq = Self::train(cfg, train_docs, validation_docs);
 
         let alphas = [0.3, 0.5, 0.7];
         let epsilons = [0.05, 0.12, 0.2];
@@ -380,7 +340,6 @@ impl Briq {
                 targets: x.targets,
                 scored,
                 tags: x.tags,
-                budget: *budget,
             },
             x.diags,
         )
@@ -559,22 +518,36 @@ impl Briq {
         (out.alignments, out.diagnostics)
     }
 
-    /// Align a whole batch of documents on a work-stealing worker pool —
-    /// see [`crate::batch`] for the engine and its determinism contract.
+    /// Align every document of `docs` on
+    /// `cfg.effective_jobs(docs.len())` worker threads of a work-stealing
+    /// pool — see [`crate::batch`] for the engine and its determinism and
+    /// isolation contract.
     pub fn align_batch(&self, docs: &[Document], cfg: &BatchConfig) -> BatchReport {
-        align_batch(self, docs, cfg)
+        align_run(self, docs, cfg, RunCtx::default())
     }
 
-    /// [`Briq::align_batch`] against a shared [`crate::store::AlignmentStore`]
-    /// — see [`crate::batch::align_batch_stored`].
+    /// [`Briq::align_batch`] against a shared [`AlignmentStore`]: one
+    /// store serves every worker (its map is mutex-guarded; its counters
+    /// are atomics), and each document is keyed by `keys[i]` — or its
+    /// batch index when `keys` is `None`. Output stays input-order
+    /// deterministic and bit-identical to [`Briq::align_batch`] for every
+    /// cache state: the store only ever changes which work is *skipped*,
+    /// never what a document's output is (see [`crate::store`]). With
+    /// `use_store: false` the store is never consulted or populated.
     pub fn align_batch_stored(
         &self,
         docs: &[Document],
         cfg: &BatchConfig,
-        store: &crate::store::AlignmentStore,
+        store: &AlignmentStore,
         keys: Option<&[u64]>,
     ) -> BatchReport {
-        crate::batch::align_batch_stored(self, docs, cfg, store, keys)
+        debug_assert!(keys.is_none_or(|k| k.len() == docs.len()));
+        let run = RunCtx {
+            store: Some(store),
+            keys,
+            cancel: None,
+        };
+        align_run(self, docs, cfg, run)
     }
 
     /// Align `doc` under `opts` — the one entry point behind every other
@@ -1159,12 +1132,8 @@ mod tests {
         let mut cfg = BriqConfig::default();
         cfg.forest.n_trees = 16;
         cfg.tagger_forest.n_trees = 8;
-        let (briq, f1) = Briq::train_tuned_observed(
-            cfg,
-            std::slice::from_ref(&ld),
-            std::slice::from_ref(&ld),
-            &Recorder::disabled(),
-        );
+        let (briq, f1) =
+            Briq::train_tuned(cfg, std::slice::from_ref(&ld), std::slice::from_ref(&ld));
         assert!(briq.cfg.resolution.alpha + briq.cfg.resolution.beta > 0.99);
         assert!((0.0..=1.0).contains(&f1));
     }

@@ -1,6 +1,5 @@
 //! Top-level corpus generation.
 
-use briq_core::obs::{names, Recorder};
 use briq_core::training::LabeledDocument;
 use briq_table::Document;
 use rand::prelude::*;
@@ -125,16 +124,6 @@ fn pick_domain(weights: &[(Domain, f64); 6], rng: &mut impl Rng) -> Domain {
 
 /// Generate a full corpus.
 pub fn generate_corpus(cfg: &CorpusConfig) -> GeneratedCorpus {
-    generate_corpus_observed(cfg, &Recorder::disabled())
-}
-
-/// [`generate_corpus`] with observability: one `gen_corpus` span plus
-/// the `corpus_*` counters (documents, tables, gold alignments) land in
-/// `rec`. The recorder only observes — generated documents are
-/// bit-identical with it enabled, disabled, or absent (generation is
-/// seeded and the recorder never touches the RNG).
-pub fn generate_corpus_observed(cfg: &CorpusConfig, rec: &Recorder) -> GeneratedCorpus {
-    let _g = briq_core::span!(rec, names::SPAN_GEN_CORPUS);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut documents = Vec::with_capacity(cfg.n_documents);
     let mut domains = Vec::with_capacity(cfg.n_documents);
@@ -163,18 +152,6 @@ pub fn generate_corpus_observed(cfg: &CorpusConfig, rec: &Recorder) -> Generated
         });
         domains.push(domain);
     }
-    rec.count(names::CORPUS_DOCUMENTS, documents.len() as u64);
-    rec.count(
-        names::CORPUS_TABLES,
-        documents
-            .iter()
-            .map(|d| d.document.tables.len() as u64)
-            .sum(),
-    );
-    rec.count(
-        names::CORPUS_GOLD,
-        documents.iter().map(|d| d.gold.len() as u64).sum(),
-    );
     GeneratedCorpus { documents, domains }
 }
 

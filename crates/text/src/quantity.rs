@@ -11,7 +11,7 @@
 use crate::cues::{detect_approximation, ApproxIndicator};
 use crate::numparse::{self, parse_numeral, parse_suffixed, parse_word_number, starts_word_number};
 use crate::token::{tokenize, Token, TokenKind};
-use crate::units::{currency_from_symbol, unit_from_word, Unit};
+use crate::units::{currency_from_symbol, unit_from_lowercase, Unit};
 
 /// A quantity mention extracted from text or from a table cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -298,7 +298,7 @@ fn finish_mention(
     while let Some(t) = tokens.get(j) {
         let lower = t.lower();
         if !scaled {
-            if let Some(m) = numparse::scale_multiplier(&lower) {
+            if let Some(m) = numparse::scale_of_lowercase(&lower) {
                 value *= m;
                 scaled = true;
                 span_end = t.end;
@@ -326,7 +326,7 @@ fn finish_mention(
             j += 2;
             break;
         }
-        if let Some(u) = unit_from_word(&lower) {
+        if let Some(u) = unit_from_lowercase(&lower) {
             // A unit *word* refines or sets the unit; a specific currency
             // code (CDN, USD) overrides a generic `$` prefix.
             if matches!(u, Unit::Currency(_)) || unit == Unit::None {
@@ -399,7 +399,7 @@ fn extract_word_number(text: &str, tokens: &[Token], i: usize) -> Option<(Quanti
     // one word, or a recognizable unit word right after.
     let next_unit = tokens
         .get(i + toks)
-        .and_then(|t| unit_from_word(&t.lower()));
+        .and_then(|t| unit_from_lowercase(&t.lower()));
     if value < 13.0 && toks == 1 && next_unit.is_none() {
         return None;
     }

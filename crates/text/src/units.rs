@@ -90,14 +90,10 @@ pub fn currency_from_symbol(c: char) -> Option<Currency> {
     })
 }
 
-/// Resolve a unit word or code (`usd`, `eur`, `cdn`, `dollars`, `percent`,
-/// `bps`, `mpge`, `g/km`, …). Case-insensitive.
-pub fn unit_from_word(w: &str) -> Option<Unit> {
-    unit_from_lowercase(&w.to_lowercase())
-}
-
-/// [`unit_from_word`] of a word that is already lowercase.
-fn unit_from_lowercase(w: &str) -> Option<Unit> {
+/// Resolve a unit word or code that is already lowercase (`usd`, `eur`,
+/// `cdn`, `dollars`, `percent`, `bps`, `mpge`, `g/km`, …): the extractor
+/// and [`unit_from_header`] lowercase their text once, before the lookup.
+pub(crate) fn unit_from_lowercase(w: &str) -> Option<Unit> {
     Some(match w {
         "usd" | "dollar" | "dollars" | "us$" => Unit::Currency(Currency::Usd),
         "eur" | "euro" | "euros" => Unit::Currency(Currency::Eur),
@@ -191,12 +187,21 @@ mod tests {
 
     #[test]
     fn words_resolve() {
-        assert_eq!(unit_from_word("EUR"), Some(Unit::Currency(Currency::Eur)));
-        assert_eq!(unit_from_word("CDN"), Some(Unit::Currency(Currency::Cad)));
-        assert_eq!(unit_from_word("percent"), Some(Unit::Percent));
-        assert_eq!(unit_from_word("bps"), Some(Unit::BasisPoints));
-        assert_eq!(unit_from_word("MPGe"), Some(Unit::Measure(Measure::Mpge)));
-        assert_eq!(unit_from_word("frobnitz"), None);
+        assert_eq!(
+            unit_from_lowercase("eur"),
+            Some(Unit::Currency(Currency::Eur))
+        );
+        assert_eq!(
+            unit_from_lowercase("cdn"),
+            Some(Unit::Currency(Currency::Cad))
+        );
+        assert_eq!(unit_from_lowercase("percent"), Some(Unit::Percent));
+        assert_eq!(unit_from_lowercase("bps"), Some(Unit::BasisPoints));
+        assert_eq!(
+            unit_from_lowercase("mpge"),
+            Some(Unit::Measure(Measure::Mpge))
+        );
+        assert_eq!(unit_from_lowercase("frobnitz"), None);
     }
 
     #[test]

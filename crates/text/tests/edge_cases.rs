@@ -5,7 +5,7 @@ use briq_text::cues::{detect_approximation, ApproxIndicator};
 use briq_text::numparse::{parse_numeral, parse_suffixed, parse_word_number};
 use briq_text::quantity::{extract_quantities, parse_cell_quantity};
 use briq_text::token::{light_stem, tokenize, TokenKind};
-use briq_text::units::{unit_from_header, unit_from_word, Currency, Unit};
+use briq_text::units::{unit_from_header, Currency, Unit};
 
 mod numerals {
     use super::*;
@@ -211,8 +211,15 @@ mod units_and_cues {
 
     #[test]
     fn unit_words_case_insensitive() {
-        assert_eq!(unit_from_word("EUR"), unit_from_word("eur"));
-        assert_eq!(unit_from_word("Percent"), Some(Unit::Percent));
+        let unit = |text: &str| {
+            let ms = extract_quantities(text);
+            assert_eq!(ms.len(), 1, "{text}");
+            ms[0].unit
+        };
+        assert_eq!(unit("12 EUR"), Unit::Currency(Currency::Eur));
+        assert_eq!(unit("12 eur"), Unit::Currency(Currency::Eur));
+        assert_eq!(unit("12 Percent"), Unit::Percent);
+        assert_eq!(unit("twenty Dollars"), Unit::Currency(Currency::Usd));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 use briq::substrates::corpus::corpus::{generate_corpus, CorpusConfig};
 use briq::substrates::corpus::perturb::{adversarial_documents, Adversary};
 use briq::{
-    align_batch, AlignOpts, Alignment, BatchConfig, Briq, BriqConfig, Budget, DegradedAction,
-    Diagnostic, Diagnostics, Document, Stage, Table, TableMentionKind,
+    AlignOpts, Alignment, BatchConfig, Briq, BriqConfig, Budget, DegradedAction, Diagnostic,
+    Diagnostics, Document, Stage, Table, TableMentionKind,
 };
 
 /// Align `doc` under `budget`: alignments plus diagnostics.
@@ -151,7 +151,7 @@ fn adversarial_batch_is_deterministic_and_isolated() {
             trace: true,
             ..BatchConfig::with_jobs(jobs)
         };
-        let report = align_batch(&briq, &docs, &cfg);
+        let report = briq.align_batch(&docs, &cfg);
         assert_eq!(report.documents.len(), docs.len());
         for (i, (dr, (alignments, diags))) in report.documents.iter().zip(&sequential).enumerate() {
             assert_eq!(dr.index, i, "jobs {jobs}: out of order");
