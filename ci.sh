@@ -83,28 +83,31 @@
 #                explains every moved line in CHANGES.md.
 #   store        incremental-vs-oracle equivalence of the versioned
 #                alignment store (DESIGN.md §15). Three checks on a seeded
-#                corpus: (a) unchanged corpus — briq-align --repeat 2
-#                against one warm store must byte-match an --oracle
-#                full recompute in stdout and diagnostics JSONL, and the
-#                warm repetition's stderr line must report hit_rate 1.000
-#                (every document served from cache); (b) mutated corpus —
+#                corpus, each reading the store counters from the run's
+#                --metrics file: (a) unchanged corpus — a warm re-run
+#                (--warm-from DIR --batch DIR) must byte-match an
+#                --oracle full recompute in stdout and diagnostics JSONL,
+#                and serve every document from cache (store_hits equal to
+#                documents, mentions_realigned 0); (b) mutated corpus —
 #                warm the store from the pristine corpus (--warm-from),
 #                rewrite digits in a few pages, and the incremental run
 #                over the mutated directory must byte-match the --oracle
-#                recompute while reporting >= 1 store hit AND >= 1
-#                invalidation (both cache service and re-alignment
-#                actually happened); (c) text-only edit — the same bar
-#                as (b) after rewording two phrases that occur only in
-#                paragraph text on five pages (the stage fails if the
-#                edit touched anything outside a <p>), which proves that
-#                a text-only edit recomputes the changed documents
-#                byte-identically while the store serves the rest.
+#                recompute while counting store_hits >= 1 AND
+#                store_invalidations >= 1 (both cache service and
+#                re-alignment actually happened); (c) text-only edit —
+#                the same bar as (b) after rewording two phrases that
+#                occur only in paragraph text on five pages (the stage
+#                fails if the edit touched anything outside a <p>), which
+#                proves that a text-only edit recomputes the changed
+#                documents byte-identically while the store serves the
+#                rest.
 #   persist      durability gate for the on-disk store (DESIGN.md §16).
 #                Byte-compares a cold --oracle run against (1) a
 #                fresh --store-dir run, (2) a restart-warmed run in a new
 #                process over the same directory (which must recover every
-#                entry and report hit_rate 1.000 / mentions_realigned 0,
-#                and whose exit snapshot must hold the first run's
+#                entry and, in its --metrics, count store_hits equal to
+#                documents and mentions_realigned 0, and whose exit
+#                snapshot must hold the first run's
 #                snapshot records byte for byte: compaction re-emits
 #                recovered records verbatim), and (3) a run over a log
 #                whose tail was deliberately torn
@@ -115,13 +118,14 @@
 #                snapshot_gen >= 2), and a new process over that directory
 #                re-aligns the mutated copy; both must byte-match the
 #                --oracle run over the mutated pages, and the second must
-#                report hit_rate 1.000 / mentions_realigned 0. Then a
-#                bounded durable store: a --store-max-bytes budget worth a
-#                few durable entries must evict during a first run
-#                (store_evictions >= 1 in its --metrics), and a restart
-#                over the same directory with the same budget must report
-#                "store: recovered K entries" with 1 <= K < the document
-#                count (the budget binds while recovery streams records
+#                count store_hits equal to documents and
+#                mentions_realigned 0. Then a bounded durable store: a
+#                --store-max-bytes budget worth a few durable entries must
+#                evict during a first run (store_evictions >= 1 in its
+#                --metrics), and a restart over the same directory with
+#                the same budget must report "store: recovered K entries"
+#                with 1 <= K < the first run's documents counter (the
+#                budget binds while recovery streams records
 #                in, and a snapshot persists only what stays resident);
 #                both must byte-match the --oracle run. Then
 #                crash-tests briq-serve: a durable server is driven,
@@ -138,7 +142,8 @@
 #                the first durable run persisted, driven over the same
 #                pages (drive names each page by its basename, as
 #                briq-align does), must serve every document from it
-#                (store_hits equal to the document count), match the
+#                (store_hits equal to the documents counter in the first
+#                durable run's --metrics), match the
 #                oracle on the wire, and drain to the same "store:
 #                persisted" line as that first run (no page stored
 #                twice under a second identity).
@@ -285,6 +290,28 @@ golden_digest() { # run what file
         "$(wc -c < "$3")" "$(sha256sum < "$3" | cut -d' ' -f1)"
 }
 
+# Print the value of counter <name> in the --metrics JSONL <file>, or 0
+# when it has no line there: a counter that never fired is absent.
+counter() { # file name
+    local v
+    v="$(sed -n "s/^{\"type\":\"counter\",\"name\":\"$2\",\"value\":\([0-9]*\)}$/\1/p" "$1")"
+    echo "${v:-0}"
+}
+
+# Fail unless the run that wrote <metrics> served every one of its
+# documents (at least one) from the store: store_hits equals documents
+# and mentions_realigned is 0.
+all_hits() { # stage metrics what
+    local docs hits realigned
+    docs="$(counter "$2" documents)"
+    hits="$(counter "$2" store_hits)"
+    realigned="$(counter "$2" mentions_realigned)"
+    [ "$docs" -ge 1 ] && [ "$hits" -eq "$docs" ] && [ "$realigned" -eq 0 ] || {
+        echo "$1: $3 was not served entirely from the store (store_hits $hits of $docs documents, mentions_realigned $realigned)" >&2
+        return 1
+    }
+}
+
 stage_determinism() {
     cargo build --offline --locked --release -q -p briq-bench || return 1
     cargo build --offline --locked --release -q --example alloc_per_doc || return 1
@@ -380,25 +407,23 @@ stage_store() {
     ./target/release/briq-align --gen-corpus "$dir/corpus" \
         --docs "$SMOKE_DOCS" --seed "$SMOKE_SEED" || return 1
 
-    # (a) Unchanged corpus: two repetitions against one warm store vs the
-    # --oracle full recompute. Stdout and diagnostics must be
-    # byte-identical, and the second repetition must be served entirely
-    # from cache (hit rate exactly 1.000, zero realignments).
-    align_run "$dir" st --batch "$dir/corpus" --jobs 1 --repeat 2
+    # (a) Unchanged corpus: a warm re-run (the store warmed from the
+    # corpus itself) vs the --oracle full recompute. Stdout and
+    # diagnostics must be byte-identical, and the re-run must be served
+    # entirely from cache (every document a hit, zero realignments).
+    align_run "$dir" st --warm-from "$dir/corpus" --batch "$dir/corpus" --jobs 1 \
+        --metrics "$dir/metrics_st.jsonl"
     align_run "$dir" oracle --batch "$dir/corpus" --jobs 1 --oracle
     same_run store "$dir" oracle st || return 1
-    grep -q 'store: repeat 2/2 .* hit_rate 1\.000 .* mentions_realigned 0$' "$dir/err_st.txt" || {
-        echo "store: warm repetition was not served entirely from cache:" >&2
-        grep '^store:' "$dir/err_st.txt" >&2
-        return 1
-    }
+    all_hits store "$dir/metrics_st.jsonl" "the warm re-run" || return 1
 
     # (b) Mutated corpus: warm from the pristine pages, rewrite every
     # digit in the first three pages, then compare the incremental run
     # to the --oracle recompute — and require that the run both served
-    # cached documents (hits >= 1) and invalidated the mutated ones
-    # (invalidations >= 1), so the equivalence really exercised the
-    # incremental path rather than degenerating to all-cold or all-warm.
+    # cached documents (store_hits >= 1) and invalidated the mutated
+    # ones (store_invalidations >= 1), so the equivalence really
+    # exercised the incremental path rather than degenerating to
+    # all-cold or all-warm.
     cp -r "$dir/corpus" "$dir/mutated"
     local n=0 f
     for f in "$dir/mutated"/*.html; do
@@ -406,10 +431,11 @@ stage_store() {
         n=$((n + 1))
         [ "$n" -ge 3 ] && break
     done
-    align_run "$dir" inc --warm-from "$dir/corpus" --batch "$dir/mutated" --jobs 1
+    align_run "$dir" inc --warm-from "$dir/corpus" --batch "$dir/mutated" --jobs 1 \
+        --metrics "$dir/metrics_inc.jsonl"
     align_run "$dir" full --batch "$dir/mutated" --jobs 1 --oracle
     same_run store "$dir" full inc || return 1
-    hit_and_invalidated "$dir/err_inc.txt" mutated || return 1
+    hit_and_invalidated "$dir/metrics_inc.jsonl" mutated || return 1
 
     # (c) Text-only edit: warm from the pristine pages, reword two
     # phrases in the paragraphs of the first five pages, and hold the
@@ -432,27 +458,23 @@ stage_store() {
         n=$((n + 1))
         [ "$n" -ge 5 ] && break
     done
-    align_run "$dir" text --warm-from "$dir/corpus" --batch "$dir/reworded" --jobs 1
+    align_run "$dir" text --warm-from "$dir/corpus" --batch "$dir/reworded" --jobs 1 \
+        --metrics "$dir/metrics_text.jsonl"
     align_run "$dir" textfull --batch "$dir/reworded" --jobs 1 --oracle
     same_run store "$dir" textfull text || return 1
-    hit_and_invalidated "$dir/err_text.txt" reworded || return 1
-    echo "store: warm-unchanged, mutated and reworded incremental runs byte-identical to --oracle ($(grep -c 'store: repeat' "$dir/err_st.txt" "$dir/err_inc.txt" "$dir/err_text.txt" | awk -F: '{s+=$NF} END {print s}') store reports checked)"
+    hit_and_invalidated "$dir/metrics_text.jsonl" reworded || return 1
+    echo "store: warm re-run ($(counter "$dir/metrics_st.jsonl" store_hits) of $(counter "$dir/metrics_st.jsonl" documents) documents from cache), mutated ($(counter "$dir/metrics_inc.jsonl" store_hits) hits, $(counter "$dir/metrics_inc.jsonl" store_invalidations) invalidations) and reworded ($(counter "$dir/metrics_text.jsonl" store_hits) hits, $(counter "$dir/metrics_text.jsonl" store_invalidations) invalidations) incremental runs byte-identical to --oracle"
 }
 
-# Fail unless the one-repetition store report in <err> counts >= 1 hit
-# and >= 1 invalidation, so an incremental run really both served cached
-# documents and re-aligned changed ones.
-hit_and_invalidated() { # err what
-    awk '/^store: repeat 1\/1 / {
-        for (i = 1; i <= NF; i++) {
-            if ($i == "hits") hits = $(i + 1)
-            if ($i == "invalidations") inv = $(i + 1)
-        }
-        ok = (hits >= 1 && inv >= 1)
-    }
-    END { exit !ok }' "$1" || {
-        echo "store: $2 run did not both hit (>=1) and invalidate (>=1):" >&2
-        grep '^store:' "$1" >&2
+# Fail unless the run that wrote <metrics> counts store_hits >= 1 and
+# store_invalidations >= 1, so an incremental run really both served
+# cached documents and re-aligned changed ones.
+hit_and_invalidated() { # metrics what
+    local hits inv
+    hits="$(counter "$1" store_hits)"
+    inv="$(counter "$1" store_invalidations)"
+    [ "$hits" -ge 1 ] && [ "$inv" -ge 1 ] || {
+        echo "store: $2 run did not both hit (>=1) and invalidate (>=1): store_hits $hits, store_invalidations $inv" >&2
         return 1
     }
 }
@@ -482,7 +504,8 @@ stage_persist() {
 
     # (b) First durable run into an empty --store-dir: byte-identical to
     # the oracle, and it must actually persist its entries on exit.
-    align_run "$dir" first --batch "$dir/corpus" --jobs 1 --store-dir "$dir/store"
+    align_run "$dir" first --batch "$dir/corpus" --jobs 1 --store-dir "$dir/store" \
+        --metrics "$dir/metrics_first.jsonl"
     same_run persist "$dir" cold first || return 1
     grep -q '^store: persisted ' "$dir/err_first.txt" || {
         echo "persist: first durable run reported no persisted snapshot:" >&2
@@ -499,18 +522,15 @@ stage_persist() {
     # verbatim: equal to the first run's snapshot after the 24-byte
     # header, which differs only in its generation.
     cp "$dir/store"/snapshot-*.briq "$dir/first.briq"
-    align_run "$dir" warm --batch "$dir/corpus" --jobs 1 --store-dir "$dir/store"
+    align_run "$dir" warm --batch "$dir/corpus" --jobs 1 --store-dir "$dir/store" \
+        --metrics "$dir/metrics_warm.jsonl"
     same_run persist "$dir" cold warm || return 1
     grep -q '^store: recovered ' "$dir/err_warm.txt" || {
         echo "persist: restart-warmed run reported no recovery:" >&2
         grep '^store:' "$dir/err_warm.txt" >&2
         return 1
     }
-    grep -q 'store: repeat 1/1 .* hit_rate 1\.000 .* mentions_realigned 0$' "$dir/err_warm.txt" || {
-        echo "persist: restart-warmed run was not served entirely from the recovered store:" >&2
-        grep '^store:' "$dir/err_warm.txt" >&2
-        return 1
-    }
+    all_hits persist "$dir/metrics_warm.jsonl" "the restart-warmed run" || return 1
     cmp -s -i 24 "$dir/first.briq" "$dir/store"/snapshot-*.briq || {
         echo "persist: the restart-warmed run's snapshot does not hold the first run's records byte for byte" >&2
         return 1
@@ -546,13 +566,10 @@ stage_persist() {
         echo "persist: the re-crawl never compacted before its final snapshot (snapshot_gen ${gen:-none})" >&2
         return 1
     }
-    align_run "$dir" rewarm --batch "$dir/mutated" --jobs 1 --store-dir "$dir/mstore"
+    align_run "$dir" rewarm --batch "$dir/mutated" --jobs 1 --store-dir "$dir/mstore" \
+        --metrics "$dir/metrics_rewarm.jsonl"
     same_run persist "$dir" mcold rewarm || return 1
-    grep -q 'store: repeat 1/1 .* hit_rate 1\.000 .* mentions_realigned 0$' "$dir/err_rewarm.txt" || {
-        echo "persist: the restarted re-crawl was not served entirely from the recovered store:" >&2
-        grep '^store:' "$dir/err_rewarm.txt" >&2
-        return 1
-    }
+    all_hits persist "$dir/metrics_rewarm.jsonl" "the restarted re-crawl" || return 1
 
     # (f) Bounded durable store: a budget worth a few durable entries
     # (~146 KB each on the smoke corpus) evicts during the first run, and
@@ -562,18 +579,18 @@ stage_persist() {
     align_run "$dir" bounded --batch "$dir/corpus" --jobs 1 --store-dir "$dir/bstore" \
         --store-max-bytes 1000000 --metrics "$dir/metrics_bounded.jsonl"
     same_run persist "$dir" cold bounded || return 1
-    evictions="$(sed -n 's/.*"name":"store_evictions","value":\([0-9]*\).*/\1/p' "$dir/metrics_bounded.jsonl")"
-    [ "${evictions:-0}" -ge 1 ] || {
-        echo "persist: the bounded run never evicted (store_evictions ${evictions:-none})" >&2
+    evictions="$(counter "$dir/metrics_bounded.jsonl" store_evictions)"
+    [ "$evictions" -ge 1 ] || {
+        echo "persist: the bounded run never evicted (store_evictions $evictions)" >&2
         return 1
     }
     align_run "$dir" rebounded --batch "$dir/corpus" --jobs 1 --store-dir "$dir/bstore" \
         --store-max-bytes 1000000
     same_run persist "$dir" cold rebounded || return 1
-    docs="$(sed -n 's/^store: repeat 1\/1 lookups \([0-9]*\) .*/\1/p' "$dir/err_bounded.txt")"
+    docs="$(counter "$dir/metrics_bounded.jsonl" documents)"
     recovered="$(sed -n 's/^store: recovered \([0-9]*\) entr.*/\1/p' "$dir/err_rebounded.txt")"
-    [ "${recovered:-0}" -ge 1 ] && [ "$recovered" -lt "${docs:-0}" ] || {
-        echo "persist: the bounded restart recovered ${recovered:-no} entries of ${docs:-?} documents (want 1 <= K < documents):" >&2
+    [ "${recovered:-0}" -ge 1 ] && [ "$recovered" -lt "$docs" ] || {
+        echo "persist: the bounded restart recovered ${recovered:-no} entries of $docs documents (want 1 <= K < documents):" >&2
         grep '^store:' "$dir/err_rebounded.txt" >&2
         return 1
     }
@@ -638,7 +655,7 @@ stage_persist() {
     # it (drive sends each page's basename as its id, the identity
     # briq-align stores it under), and its drain persists exactly what
     # (b) persisted, not a second copy of each document.
-    docs="$(sed -n 's/^store: repeat 1\/1 lookups \([0-9]*\) .*/\1/p' "$dir/err_first.txt")"
+    docs="$(counter "$dir/metrics_first.jsonl" documents)"
     boot_server "$dir/serve3.log" --store-dir "$dir/xstore" || return 1
     ./target/release/briq-serve drive --addr "$SERVE_ADDR" "$dir/corpus"/*.html \
         > "$dir/out_drive3.json" 2> /dev/null
@@ -646,8 +663,8 @@ stage_persist() {
         "wire output of a server over briq-align's store (vs the --oracle batch run)" || return 1
     metrics="$(serve_request "$SERVE_ADDR" '{"op":"metrics"}')"
     hits="$(printf '%s' "$metrics" | grep -o '"store_hits":[0-9][0-9.]*' | cut -d: -f2)"
-    awk -v h="${hits:-0}" -v n="${docs:-0}" 'BEGIN { exit !(n > 0 && h == n) }' || {
-        echo "persist: a server over briq-align's persisted store served ${hits:-0} of ${docs:-?} documents from it" >&2
+    awk -v h="${hits:-0}" -v n="$docs" 'BEGIN { exit !(n > 0 && h == n) }' || {
+        echo "persist: a server over briq-align's persisted store served ${hits:-0} of $docs documents from it" >&2
         return 1
     }
     stop_server "$SERVE_ADDR" "$SERVE_PID" "$dir/serve3.log.err" || return 1

@@ -3,7 +3,7 @@
 //! ```text
 //! briq-align <page.html>... [--batch DIR]... [--jobs N] [--model model.json]
 //!            [--json] [--oracle] [--store-dir DIR] [--store-max-bytes N]
-//!            [--repeat N] [--warm-from DIR] [--diagnostics diag.jsonl]
+//!            [--warm-from DIR] [--diagnostics diag.jsonl]
 //!            [--trace trace.json] [--metrics metrics.jsonl]
 //! briq-align --train-demo <model.json>       # train on a synthetic corpus
 //! briq-align --gen-corpus <dir> [--docs N] [--seed S] [--per-page K]
@@ -25,28 +25,29 @@
 //! prior is used; `--gen-corpus` writes a seeded page corpus for batch
 //! runs.
 //!
-//! Alignment runs through the budgeted, panic-free `align_checked` path.
-//! Every degraded item (skipped table, truncated candidate set,
-//! non-converged walk) becomes one JSON object with its scope prefixed by
-//! the document's batch index; `--diagnostics` writes them as JSON Lines,
-//! otherwise they go to stderr. Timings never appear in the JSONL, so it
-//! is byte-stable across worker counts.
+//! The batch engine aligns each document under its budget and isolates
+//! it: a panicking document degrades to one diagnostic and the rest of
+//! the batch still aligns. Every degraded item (skipped table, truncated
+//! candidate set, non-converged walk) becomes one JSON object with its
+//! scope prefixed by the document's batch index; `--diagnostics` writes
+//! them as JSON Lines, otherwise they go to stderr. Timings never appear
+//! in the JSONL, so it is byte-stable across worker counts.
 //!
 //! The batch runs against a versioned [`briq_core::store::AlignmentStore`]
-//! keyed by page basename + segment index, so repeated runs in one
-//! process are incremental. `--repeat N` re-aligns the whole batch N
-//! times against the warm store and reports per-repetition stage timings
-//! plus store counters on stderr (cold vs warm in one invocation);
-//! `--warm-from <dir>` pre-warms the store from another page directory
-//! (output discarded) before the real batch — CI's store stage warms
-//! from a pristine corpus and aligns a mutated copy to exercise
-//! incremental re-alignment.
+//! (in memory, or durable under `--store-dir`) keyed by page basename +
+//! segment index. `--warm-from <dir>` pre-warms the store from another
+//! page directory (output discarded) before the real batch — CI's store
+//! stage warms from a pristine corpus and aligns a mutated copy to
+//! exercise incremental re-alignment; `--warm-from DIR --batch DIR` is
+//! a warm re-run. What the store did is in `--metrics`: `store_hits`,
+//! `store_invalidations` and `mentions_realigned`.
 //!
 //! `--oracle` runs every stage on its reference path
-//! ([`BriqConfig::reference`]): exhaustive classification, the dense RWR
-//! walk, and no store (`--store-dir` is ignored). It is what CI
-//! byte-compares the production path against; stdout and the
-//! diagnostics JSONL are bit-identical either way (DESIGN.md §13–§15).
+//! ([`BriqConfig::reference`]): exhaustive classification and the dense
+//! RWR walk, with no store (`--store-dir`, `--store-max-bytes` and
+//! `--warm-from` are ignored). It is what CI byte-compares the
+//! production path against; stdout and the diagnostics JSONL are
+//! bit-identical either way (DESIGN.md §13–§15).
 //!
 //! `--trace <file>` writes a Chrome `trace_event` JSON file (open it in
 //! `chrome://tracing` or <https://ui.perfetto.dev>) with one track per
@@ -70,8 +71,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use briq_bench::cli::{self, Arg, Args, Command, Flag, UsageError, EXIT_DEGRADED};
-use briq_core::batch::BatchConfig;
-use briq_core::obs::names;
+use briq_core::batch::{BatchConfig, BatchReport};
 use briq_core::pipeline::{Briq, BriqConfig};
 use briq_core::{ingest_page, DegradedAction, Diagnostic, Diagnostics, Stage};
 use briq_corpus::corpus::CorpusConfig;
@@ -91,7 +91,6 @@ const ALIGN: Command = Command {
         Flag::switch("--oracle"),
         Flag::text("--store-dir", "DIR"),
         Flag::number("--store-max-bytes", "N"),
-        Flag::number("--repeat", "N"),
         Flag::text("--warm-from", "DIR"),
         Flag::text("--diagnostics", "diag.jsonl"),
         Flag::text("--trace", "trace.json"),
@@ -161,61 +160,17 @@ fn align(args: &Args, pages: &[PathBuf]) -> ExitCode {
         ..BatchConfig::with_jobs(args.number("--jobs").unwrap_or(1))
     };
 
-    // One store serves the whole process: the optional warm-from corpus,
-    // then every repetition of the real batch. With `use_store: false`
-    // `align_with` never consults it.
-    let store = match cli::open_store(&briq, args) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(dir) = args.value("--warm-from") {
-        let warm_paths = match html_files_in(dir) {
-            Ok(p) => p,
+    let report = if args.switch("--oracle") {
+        briq.align_batch(&docs, &cfg)
+    } else {
+        match align_stored(&briq, args, &docs, &keys, &cfg) {
+            Ok(r) => r,
             Err(e) => {
                 eprintln!("{e}");
                 return ExitCode::FAILURE;
             }
-        };
-        let (warm_docs, warm_keys, _) = load_documents(&warm_paths);
-        briq.align_batch_stored(&warm_docs, &cfg, &store, Some(&warm_keys));
-        eprintln!(
-            "store: warmed from {dir} ({} documents, {} entries)",
-            warm_docs.len(),
-            store.len()
-        );
-    }
-
-    let repeat = args.number("--repeat").unwrap_or(1);
-    let mut report = briq.align_batch_stored(&docs, &cfg, &store, Some(&keys));
-    for rep in 1..=repeat {
-        if rep > 1 {
-            report = briq.align_batch_stored(&docs, &cfg, &store, Some(&keys));
         }
-        if repeat > 1 {
-            let t = &report.stage_totals;
-            eprintln!(
-                "repeat {rep}/{repeat}: extract {:.4}s classify {:.4}s filter {:.4}s \
-                 resolve {:.4}s wall {:.4}s",
-                t.extract_s, t.classify_s, t.filter_s, t.resolve_s, report.wall_s
-            );
-        }
-        if briq.cfg.use_store {
-            // Every document of the repetition is one store lookup.
-            let m = report.merged_metrics();
-            let (lookups, hits) = (docs.len(), m.counter(names::STORE_HITS));
-            eprintln!(
-                "store: repeat {rep}/{repeat} lookups {lookups} hits {hits} hit_rate {:.3} \
-                 invalidations {} mentions_realigned {}",
-                hits as f64 / lookups as f64,
-                m.counter(names::STORE_INVALIDATIONS),
-                m.counter(names::MENTIONS_REALIGNED)
-            );
-        }
-    }
-    cli::snapshot_store(&store);
+    };
     for (doc, dr) in docs.iter().zip(&report.documents) {
         if args.switch("--json") {
             println!("{}", briq_json::to_string_pretty(&dr.alignments));
@@ -283,6 +238,31 @@ fn align(args: &Args, pages: &[PathBuf]) -> ExitCode {
     }
 }
 
+/// Align `docs` under `keys` through the store `--store-dir` and
+/// `--store-max-bytes` name, after warming it from the pages of
+/// `--warm-from` (their output discarded), then snapshot the store.
+fn align_stored(
+    briq: &Briq,
+    args: &Args,
+    docs: &[Document],
+    keys: &[u64],
+    cfg: &BatchConfig,
+) -> Result<BatchReport, String> {
+    let store = cli::open_store(briq, args)?;
+    if let Some(dir) = args.value("--warm-from") {
+        let (warm_docs, warm_keys, _) = load_documents(&html_files_in(dir)?);
+        briq.align_batch_stored(&warm_docs, cfg, &store, Some(&warm_keys));
+        eprintln!(
+            "store: warmed from {dir} ({} documents, {} entries)",
+            warm_docs.len(),
+            store.len()
+        );
+    }
+    let report = briq.align_batch_stored(docs, cfg, &store, Some(keys));
+    cli::snapshot_store(&store);
+    Ok(report)
+}
+
 /// Read and ingest every page ([`ingest_page`]), producing the batch
 /// documents plus one stable store key per document, derived from the
 /// page's [`cli::page_identity`] (its basename, decoded lossily) and the
@@ -343,9 +323,6 @@ fn parse_align(argv: &[String]) -> Result<(Args, Vec<PathBuf>), UsageError> {
         return Err(UsageError(
             "no input pages (positional paths or --batch dir)".into(),
         ));
-    }
-    if args.number::<usize>("--repeat") == Some(0) {
-        return Err(UsageError("--repeat: count must be >= 1".into()));
     }
     Ok((args, pages))
 }

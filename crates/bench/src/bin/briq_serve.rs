@@ -50,6 +50,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use briq_bench::cli::{self, Args, Command, Flag, EXIT_DEGRADED};
+use briq_core::obs::names;
 use briq_core::serve::{ServeConfig, Server};
 use briq_json::Value;
 use std::io::{Read, Write};
@@ -204,11 +205,14 @@ fn cmd_serve(args: &Args) -> ExitCode {
     // Scripts parse the line above; make sure it is visible before the
     // accept loop blocks.
     let _ = std::io::stdout().flush();
-    let report = server.run(&briq, &store);
+    let metrics = server.run(&briq, &store);
     cli::snapshot_store(&store);
     eprintln!(
         "drained: {} request(s), {} shed, {} deadline miss(es), {} panic(s)",
-        report.requests, report.shed, report.deadline_misses, report.panics
+        metrics.counter(names::SERVE_REQUESTS),
+        metrics.counter(names::SERVE_SHED),
+        metrics.counter(names::SERVE_DEADLINE_MISSES),
+        metrics.counter(names::SERVE_PANICS)
     );
     ExitCode::SUCCESS
 }

@@ -341,9 +341,7 @@ fn store_options(args: &Args, dir: Option<&str>) -> StoreOptions {
 
 /// The alignment store `--store-dir` and `--store-max-bytes` name, opened
 /// for `briq` (a durable one recovered), with its `store: recovered …`
-/// line printed to stderr. The directory is ignored when `briq`'s config
-/// turns the store off (`--oracle`), so such a run never reads, writes
-/// or is warmed by on-disk state.
+/// line printed to stderr.
 ///
 /// # Errors
 ///
@@ -351,7 +349,7 @@ fn store_options(args: &Args, dir: Option<&str>) -> StoreOptions {
 /// `briq-align` exits 1 on it; `briq-serve` opens through
 /// [`open_store_or_in_memory`] instead.
 pub fn open_store(briq: &Briq, args: &Args) -> Result<AlignmentStore, String> {
-    let dir = args.value("--store-dir").filter(|_| briq.cfg.use_store);
+    let dir = args.value("--store-dir");
     let store = AlignmentStore::with_options(briq, &store_options(args, dir))
         .map_err(|e| format!("store: cannot open {}: {e}", dir.unwrap_or("?")))?;
     if let Some(line) = store.recovery_report() {

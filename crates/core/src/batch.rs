@@ -508,6 +508,7 @@ fn panicked_report(index: usize) -> DocReport {
 mod tests {
     use super::*;
     use crate::pipeline::BriqConfig;
+    use crate::store::StoreOptions;
     use briq_table::Table;
 
     fn doc(id: usize) -> Document {
@@ -789,7 +790,7 @@ mod tests {
     #[test]
     fn a_panicked_document_keeps_what_it_recorded() {
         let briq = Briq::untrained(BriqConfig::default());
-        let store = AlignmentStore::for_system(&briq);
+        let store = AlignmentStore::with_options(&briq, &StoreOptions::default()).unwrap();
         let cfg = BatchConfig::with_jobs(1);
         briq.align_batch_stored(&[doc(0)], &cfg, &store, None);
         // A table that claims a row it does not hold: the lookup

@@ -63,12 +63,6 @@ pub struct BriqConfig {
     /// [`crate::filtering::filter_mention`] — no retrieval, no pruning.
     /// Output is bit-identical either way.
     pub use_index: bool,
-    /// Serve repeated alignments of unchanged (or partially changed)
-    /// documents from the versioned [`crate::store::AlignmentStore`]
-    /// passed in [`AlignOpts::store`] (DESIGN.md §15). `false` is the
-    /// store's reference path: no store is read or written. Output is
-    /// bit-identical either way.
-    pub use_store: bool,
 }
 
 impl Default for BriqConfig {
@@ -87,20 +81,18 @@ impl Default for BriqConfig {
             tagger_threshold: 0.6,
             mask: FeatureMask::all(),
             use_index: true,
-            use_store: true,
         }
     }
 }
 
 impl BriqConfig {
     /// This configuration with every stage on its reference path:
-    /// exhaustive classification (`use_index`), the dense RWR walk
-    /// (`resolution.use_csr`), and no alignment store (`use_store`) —
-    /// the oracle the production path is byte-compared against
-    /// (`briq-align --oracle`).
+    /// exhaustive classification (`use_index`) and the dense RWR walk
+    /// (`resolution.use_csr`) — the oracle the production path is
+    /// byte-compared against (`briq-align --oracle`, which also aligns
+    /// with no store).
     pub fn reference(mut self) -> BriqConfig {
         self.use_index = false;
-        self.use_store = false;
         self.resolution.use_csr = false;
         self
     }
@@ -116,8 +108,9 @@ pub struct AlignOpts<'a> {
     pub recorder: Option<&'a Recorder>,
     /// Cooperative cancellation; `None` never cancels.
     pub cancel: Option<&'a CancelToken>,
-    /// Align through this store under this document key (DESIGN.md §15).
-    /// Ignored when `cfg.use_store` is false.
+    /// Align through this store under this document key (DESIGN.md §15);
+    /// `None` is the store's reference path, which reads and writes no
+    /// store. Output is bit-identical either way.
     pub store: Option<(&'a AlignmentStore, u64)>,
 }
 
@@ -532,8 +525,7 @@ impl Briq {
     /// batch index when `keys` is `None`. Output stays input-order
     /// deterministic and bit-identical to [`Briq::align_batch`] for every
     /// cache state: the store only ever changes which work is *skipped*,
-    /// never what a document's output is (see [`crate::store`]). With
-    /// `use_store: false` the store is never consulted or populated.
+    /// never what a document's output is (see [`crate::store`]).
     pub fn align_batch_stored(
         &self,
         docs: &[Document],
@@ -566,7 +558,7 @@ impl Briq {
     ///   diagnostic naming the stage that observed it (diagnostics
     ///   recorded before the cut are kept: they describe work that really
     ///   happened). Cancelled runs are never cached.
-    /// * **Store** — with `cfg.use_store`, the store is a lookup and an
+    /// * **Store** — when one is passed, the store is a lookup and an
     ///   insert around the one stage sequence: extraction asks
     ///   `AlignmentStore::lookup` first, which serves an unchanged
     ///   document whole; any other document runs every stage in full
@@ -583,9 +575,8 @@ impl Briq {
         let never = CancelToken::none();
         let rec = opts.recorder.unwrap_or(&off);
         let cancel = opts.cancel.unwrap_or(&never);
-        let store = opts.store.filter(|_| self.cfg.use_store);
         let (ControlFlow::Continue(out) | ControlFlow::Break(out)) =
-            self.run_stages(doc, &opts.budget, store, rec, cancel);
+            self.run_stages(doc, &opts.budget, opts.store, rec, cancel);
         out
     }
 
@@ -1176,8 +1167,7 @@ briq_json::json_struct!(BriqConfig {
     tagger_forest,
     tagger_threshold,
     mask,
-    use_index,
-    use_store
+    use_index
 });
 briq_json::json_struct!(Briq {
     cfg,

@@ -34,8 +34,8 @@
 //!   the store counters and the batch's `documents` — is merged into
 //!   one shared [`MetricsRegistry`] beside the server's own counters and
 //!   histograms (queue depth, shed count, deadline misses). The registry
-//!   is exposed live via the `metrics` op and returned in the final
-//!   [`ServeReport`].
+//!   is exposed live via the `metrics` op and returned by
+//!   [`Server::run`].
 //! * **The caller's store.** [`Server::run`] aligns through the
 //!   [`AlignmentStore`] it is handed; opening, recovering and
 //!   snapshotting it is the caller's (`briq-serve` does it as
@@ -423,8 +423,7 @@ struct Shared<'a> {
     /// running and still-waiting requests cooperatively.
     force_cancel: Arc<AtomicBool>,
     connections: AtomicUsize,
-    /// The caller's alignment store, shared across requests; with
-    /// `use_store: false` it is never consulted.
+    /// The caller's alignment store, shared across requests.
     store: &'a AlignmentStore,
 }
 
@@ -438,21 +437,6 @@ impl Shared<'_> {
             lock(&self.metrics).count(name, n);
         }
     }
-}
-
-/// Final tallies of one server lifetime, for logs and tests.
-#[derive(Debug, Clone)]
-pub struct ServeReport {
-    /// Align requests admitted or shed (not health/metrics probes).
-    pub requests: u64,
-    /// Requests shed by the admission gate or connection cap.
-    pub shed: u64,
-    /// Documents cancelled because their deadline passed.
-    pub deadline_misses: u64,
-    /// Documents whose alignment panicked (isolated).
-    pub panics: u64,
-    /// The full metrics registry at shutdown.
-    pub metrics: MetricsRegistry,
 }
 
 /// A bound-but-not-yet-running server. Binding is separate from running
@@ -492,8 +476,9 @@ impl Server {
     /// Serve until drained, aligning through `store`. Blocks; spawns one
     /// scoped thread per live connection, which also runs that
     /// connection's align requests. The store stays the caller's: it is
-    /// neither opened nor snapshotted here.
-    pub fn run(self, briq: &Briq, store: &AlignmentStore) -> ServeReport {
+    /// neither opened nor snapshotted here. Returns the server's metrics
+    /// registry at shutdown, whose `serve_*` counters tally its lifetime.
+    pub fn run(self, briq: &Briq, store: &AlignmentStore) -> MetricsRegistry {
         let sh = Shared {
             briq,
             cfg: &self.cfg,
@@ -535,14 +520,7 @@ impl Server {
                 .wait_empty(Duration::from_millis(self.cfg.drain_grace_ms));
             sh.force_cancel.store(true, Ordering::SeqCst);
         });
-        let metrics = lock(&sh.metrics).clone();
-        ServeReport {
-            requests: metrics.counter(names::SERVE_REQUESTS),
-            shed: metrics.counter(names::SERVE_SHED),
-            deadline_misses: metrics.counter(names::SERVE_DEADLINE_MISSES),
-            panics: metrics.counter(names::SERVE_PANICS),
-            metrics,
-        }
+        sh.metrics.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -660,9 +638,8 @@ fn handle_line(sh: &Shared<'_>, stream: &mut TcpStream, line: &str) -> After {
                 ),
                 ("workers", Value::Num(sh.cfg.workers as f64)),
                 ("index_enabled", Value::Bool(sh.briq.cfg.use_index)),
-                // Alignment-store state plus its lifetime hit rate — the
-                // fraction of served documents answered whole from it.
-                ("store_enabled", Value::Bool(sh.briq.cfg.use_store)),
+                // The store's lifetime hit rate: the fraction of served
+                // documents answered whole from it.
                 (
                     "store_hit_rate",
                     Value::Num(store_hit_rate(&lock(&sh.metrics))),
@@ -685,22 +662,20 @@ fn handle_line(sh: &Shared<'_>, stream: &mut TcpStream, line: &str) -> After {
             // persistence totals — is read from the store into a snapshot
             // copy, so the endpoint reports one merged view.
             let mut reg = lock(&sh.metrics).clone();
-            if sh.briq.cfg.use_store {
-                let st = sh.store;
-                for name in [
-                    names::STORE_HITS,
-                    names::STORE_INVALIDATIONS,
-                    names::MENTIONS_REALIGNED,
-                    names::STORE_EVICTIONS,
-                ] {
-                    reg.count(name, 0);
-                }
-                if st.persisted() {
-                    reg.count(names::STORE_RECOVERED_ENTRIES, st.recovered_entries());
-                    reg.count(names::STORE_COMPACTIONS, st.compactions());
-                    reg.count(names::STORE_PERSIST_ERRORS, st.persist_errors());
-                    reg.observe(names::STORE_SNAPSHOT_BYTES, st.snapshot_bytes() as f64);
-                }
+            let st = sh.store;
+            for name in [
+                names::STORE_HITS,
+                names::STORE_INVALIDATIONS,
+                names::MENTIONS_REALIGNED,
+                names::STORE_EVICTIONS,
+            ] {
+                reg.count(name, 0);
+            }
+            if st.persisted() {
+                reg.count(names::STORE_RECOVERED_ENTRIES, st.recovered_entries());
+                reg.count(names::STORE_COMPACTIONS, st.compactions());
+                reg.count(names::STORE_PERSIST_ERRORS, st.persist_errors());
+                reg.observe(names::STORE_SNAPSHOT_BYTES, st.snapshot_bytes() as f64);
             }
             let snapshot = metrics_snapshot(&reg);
             let resp = obj(vec![
@@ -785,6 +760,7 @@ fn ok_or_close(wrote: bool) -> After {
 mod tests {
     use super::*;
     use crate::pipeline::BriqConfig;
+    use crate::store::StoreOptions;
 
     fn test_page() -> String {
         "<html><body>\
@@ -847,7 +823,7 @@ mod tests {
     fn serve_align_matches_batch_path_bit_for_bit() {
         let briq = briq();
         let html = test_page();
-        let store = AlignmentStore::for_system(&briq);
+        let store = AlignmentStore::with_options(&briq, &StoreOptions::default()).unwrap();
         let (resp, recorded) = serve_align(&briq, None, &html, &CancelToken::none(), &store);
         assert_eq!(resp.get("degraded").and_then(Value::as_bool), Some(false));
         assert_eq!(recorded.counter(names::SERVE_DEGRADED), 0);
@@ -889,7 +865,7 @@ mod tests {
             (Value::Num(7.0), "7", 0xccf3_b40b_daa0_619b),
         ];
         for (id, identity, first_key) in ids {
-            let store = AlignmentStore::for_system(&briq);
+            let store = AlignmentStore::with_options(&briq, &StoreOptions::default()).unwrap();
             let (_, recorded) = serve_align(&briq, Some(&id), &html, &CancelToken::none(), &store);
             let (docs, keys) = ingest_page(identity, &html, 0);
             assert_eq!(recorded.counter(names::DOCUMENTS), docs.len() as u64);
@@ -910,7 +886,7 @@ mod tests {
     #[test]
     fn serve_align_with_fired_token_returns_cancelled_not_partial() {
         let briq = briq();
-        let store = AlignmentStore::for_system(&briq);
+        let store = AlignmentStore::with_options(&briq, &StoreOptions::default()).unwrap();
         let drain = CancelToken::with_flag(Arc::new(AtomicBool::new(true)));
         let deadline = CancelToken::with_deadline(Instant::now());
         for (token, cause, deadline_misses) in [
@@ -1058,7 +1034,7 @@ mod tests {
     #[test]
     fn end_to_end_align_health_metrics_shutdown() {
         let briq = briq();
-        let store = AlignmentStore::for_system(&briq);
+        let store = AlignmentStore::with_options(&briq, &StoreOptions::default()).unwrap();
         let server = Server::bind(ServeConfig::default()).unwrap();
         let addr = server.local_addr().unwrap();
         std::thread::scope(|s| {
@@ -1103,10 +1079,10 @@ mod tests {
             let bye = c.recv();
             assert_eq!(bye.get("op").and_then(Value::as_str), Some("shutdown"));
 
-            let report = handle.join().unwrap();
-            assert_eq!(report.requests, 1);
-            assert_eq!(report.panics, 0);
-            assert_eq!(report.metrics.counter(names::SERVE_MALFORMED), 1);
+            let metrics = handle.join().unwrap();
+            assert_eq!(metrics.counter(names::SERVE_REQUESTS), 1);
+            assert_eq!(metrics.counter(names::SERVE_PANICS), 0);
+            assert_eq!(metrics.counter(names::SERVE_MALFORMED), 1);
         });
     }
 
@@ -1125,7 +1101,7 @@ mod tests {
         let batch = briq.align_batch(&docs, &traced).merged_metrics();
         let server = Server::bind(ServeConfig::default()).unwrap();
         let addr = server.local_addr().unwrap();
-        let store = AlignmentStore::for_system(&briq);
+        let store = AlignmentStore::with_options(&briq, &StoreOptions::default()).unwrap();
         // The request is sent twice under one id, and the server shut
         // down, before anything is asserted.
         let (statuses, cold, warm, health) = std::thread::scope(|s| {
@@ -1229,7 +1205,7 @@ mod tests {
         let addr = server.local_addr().unwrap();
         let flag = server.shutdown_flag();
         let html = slow_page();
-        let store = AlignmentStore::for_system(&briq);
+        let store = AlignmentStore::with_options(&briq, &StoreOptions::default()).unwrap();
         std::thread::scope(|s| {
             let _stop = StopOnDrop(server.shutdown_flag());
             let handle = s.spawn(|| server.run(&briq, &store));
@@ -1268,8 +1244,8 @@ mod tests {
                 assert_eq!(resp.get("status").and_then(Value::as_str), Some("ok"));
                 assert_eq!(resp.get("id").and_then(Value::as_f64), Some(i as f64));
             }
-            let report = handle.join().unwrap();
-            assert_eq!(report.requests, 3);
+            let metrics = handle.join().unwrap();
+            assert_eq!(metrics.counter(names::SERVE_REQUESTS), 3);
         });
     }
 }

@@ -31,8 +31,8 @@
 //! full recompute produced for inputs with the same fingerprints, which
 //! is the bit-identity argument. Both paths record the same spans and
 //! pipeline counters; only the store counters are the store's own.
-//! `use_store: false` (part of `briq-align --oracle`) is the reference CI
-//! byte-compares the two paths against on real corpora every run.
+//! Passing no store (`briq-align --oracle` passes none) is the reference
+//! CI byte-compares the two paths against on real corpora every run.
 //!
 //! With [`StoreOptions::dir`] set, the store is additionally backed by
 //! the [`persist`] layer (DESIGN.md §16): every cached entry is appended
@@ -388,27 +388,20 @@ pub struct AlignmentStore {
 }
 
 impl AlignmentStore {
-    /// Create an empty in-memory store bound to `briq`'s identity. The
-    /// model fingerprint is computed once here; aligning through the
-    /// store with a *different* (retrained/reconfigured) system
-    /// invalidates entries on contact rather than serving stale
-    /// artifacts.
-    pub fn for_system(briq: &Briq) -> AlignmentStore {
-        // Infallible: `with_options` touches the filesystem only when a
-        // persistence directory is set, and the defaults set none.
-        AlignmentStore::with_options(briq, &StoreOptions::default())
-            .unwrap_or_else(|_| unreachable!("in-memory store construction cannot fail"))
-    }
-
-    /// Create a store with explicit [`StoreOptions`]. With a `dir` set,
-    /// opens (or creates) the durable backing and recovers what it holds
-    /// — streaming the snapshot's records, then the novelty log's, into
-    /// the store one at a time through the insert path a live miss takes,
-    /// so a later record replaces an earlier one for the same key and the
-    /// memory budget binds as records arrive — before the store serves
-    /// its first lookup. Fails only on real I/O errors; corrupt or
-    /// incompatible on-disk state recovers to a smaller (possibly empty)
-    /// store instead of failing (see [`persist`]).
+    /// Create a store bound to `briq`'s identity under `opts`. The model
+    /// fingerprint is computed once here; aligning through the store
+    /// with a *different* (retrained/reconfigured) system invalidates
+    /// entries on contact rather than serving stale artifacts.
+    ///
+    /// Without a `dir` the store is in-memory and opening cannot fail.
+    /// With one, it opens (or creates) the durable backing and recovers
+    /// what it holds — streaming the snapshot's records, then the novelty
+    /// log's, into the store one at a time through the insert path a live
+    /// miss takes, so a later record replaces an earlier one for the same
+    /// key and the memory budget binds as records arrive — before the
+    /// store serves its first lookup. Fails only on real I/O errors;
+    /// corrupt or incompatible on-disk state recovers to a smaller
+    /// (possibly empty) store instead of failing (see [`persist`]).
     pub fn with_options(briq: &Briq, opts: &StoreOptions) -> std::io::Result<AlignmentStore> {
         let mut store = AlignmentStore {
             model_fp: model_fingerprint(briq),
@@ -846,7 +839,7 @@ mod tests {
     #[test]
     fn full_hit_serves_verbatim_and_skips_stages() {
         let briq = Briq::untrained(BriqConfig::default());
-        let store = AlignmentStore::for_system(&briq);
+        let store = AlignmentStore::with_options(&briq, &StoreOptions::default()).unwrap();
         let d = sample();
         let budget = Budget::default();
         let cold = stored(&briq, &store, 7, &d, budget);
@@ -881,7 +874,7 @@ mod tests {
     #[test]
     fn stored_and_storeless_documents_record_the_same_spans() {
         let briq = Briq::untrained(BriqConfig::default());
-        let store = AlignmentStore::for_system(&briq);
+        let store = AlignmentStore::with_options(&briq, &StoreOptions::default()).unwrap();
         let trace = |d: &Document, store: Option<(&AlignmentStore, u64)>| {
             let rec = Recorder::enabled();
             let opts = AlignOpts {
@@ -934,7 +927,7 @@ mod tests {
     #[test]
     fn store_matches_full_recompute_after_cell_edit() {
         let briq = Briq::untrained(BriqConfig::default());
-        let store = AlignmentStore::for_system(&briq);
+        let store = AlignmentStore::with_options(&briq, &StoreOptions::default()).unwrap();
         let budget = Budget::unlimited();
         let d = sample();
         stored(&briq, &store, 1, &d, budget);
@@ -1027,7 +1020,7 @@ mod tests {
             },
         )
         .expect("in-memory store");
-        let oracle = AlignmentStore::for_system(&briq);
+        let oracle = AlignmentStore::with_options(&briq, &StoreOptions::default()).unwrap();
         let budget = Budget::default();
         let rec = Recorder::enabled();
         let d1 = sample();

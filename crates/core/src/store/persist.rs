@@ -1143,7 +1143,12 @@ mod tests {
     #[test]
     fn report_lines_count_entries_and_name_the_directory() {
         let briq = briq();
-        assert_eq!(AlignmentStore::for_system(&briq).recovery_report(), None);
+        assert_eq!(
+            AlignmentStore::with_options(&briq, &StoreOptions::default())
+                .unwrap()
+                .recovery_report(),
+            None
+        );
         let dir = TempDir::new("report");
         let shown = dir.path().display().to_string();
         {
@@ -1269,7 +1274,7 @@ mod tests {
         // to a fresh run, and the log accepts new appends after the tear.
         let briq2 = briq;
         let warm = align_all(&briq2, &store, &docs);
-        let oracle_store = AlignmentStore::for_system(&briq2);
+        let oracle_store = AlignmentStore::with_options(&briq2, &StoreOptions::default()).unwrap();
         let oracle = align_all(&briq2, &oracle_store, &docs);
         assert_eq!(warm, oracle);
         let store2 = persistent(&briq2, dir.path());
@@ -1300,7 +1305,7 @@ mod tests {
         let store = persistent(&briq, dir.path());
         assert_eq!(store.recovered_entries(), 1);
         let warm = align_all(&briq, &store, &docs);
-        let oracle_store = AlignmentStore::for_system(&briq);
+        let oracle_store = AlignmentStore::with_options(&briq, &StoreOptions::default()).unwrap();
         assert_eq!(warm, align_all(&briq, &oracle_store, &docs));
     }
 
@@ -1650,7 +1655,8 @@ mod tests {
     /// or field order does (which must also bump `FORMAT_VERSION`), or
     /// when what the pipeline extracts or outputs for these documents
     /// does: the target slot holds the targets the production path
-    /// builds, the tagged kinds' only.
+    /// builds, the tagged kinds' only. The aligned records' digests also
+    /// move with the model's JSON, which their `config_fp` slot hashes.
     #[test]
     fn record_bytes_are_pinned() {
         let mut fixed = docs();
@@ -1675,7 +1681,7 @@ mod tests {
             .collect();
         assert_eq!(
             digests,
-            [0xcac24b3501308928, 0x6812d46edb7ce919, 0x8f03d3e61c0e49b3],
+            [0xd54cf78e02436485, 0xbd57c95fa2977912, 0x747975982f31c9c4],
             "{digests:#018x?}"
         );
         let e = every_tag_entry();

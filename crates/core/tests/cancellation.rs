@@ -213,7 +213,9 @@ fn slow_page() -> String {
 /// connection.
 #[test]
 fn server_stays_serviceable_after_cancelled_requests() {
+    use briq_core::obs::names;
     use briq_core::serve::{ServeConfig, Server};
+    use briq_core::store::StoreOptions;
     use briq_core::AlignmentStore;
     use briq_json::Value;
     use std::io::{BufRead, BufReader, Write};
@@ -226,7 +228,7 @@ fn server_stays_serviceable_after_cancelled_requests() {
     };
     let server = Server::bind(cfg).expect("bind");
     let addr = server.local_addr().expect("addr");
-    let store = AlignmentStore::for_system(&briq);
+    let store = AlignmentStore::with_options(&briq, &StoreOptions::default()).unwrap();
     let handle = std::thread::spawn(move || server.run(&briq, &store));
 
     let slow = Value::Str(slow_page()).to_string_compact();
@@ -302,10 +304,15 @@ fn server_stays_serviceable_after_cancelled_requests() {
     stream
         .write_all(b"{\"op\":\"shutdown\"}\n")
         .expect("write shutdown");
-    let report = handle.join().expect("server thread");
-    assert_eq!(report.panics, 0, "a request panicked during the run");
+    let metrics = handle.join().expect("server thread");
     assert_eq!(
-        report.deadline_misses, burst_documents,
+        metrics.counter(names::SERVE_PANICS),
+        0,
+        "a request panicked during the run"
+    );
+    assert_eq!(
+        metrics.counter(names::SERVE_DEADLINE_MISSES),
+        burst_documents,
         "every cancelled document of the burst is one deadline miss"
     );
 }

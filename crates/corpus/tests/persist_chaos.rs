@@ -88,17 +88,16 @@ fn briq() -> Briq {
     Briq::untrained(BriqConfig::default())
 }
 
-/// A full-recompute oracle: same model, store disabled, so `stored`
-/// ignores the store and runs the plain pipeline while returning the
-/// same output surface as the store path.
-fn oracle() -> (Briq, AlignmentStore) {
-    let cfg = BriqConfig {
-        use_store: false,
-        ..BriqConfig::default()
-    };
-    let briq = Briq::untrained(cfg);
-    let store = AlignmentStore::for_system(&briq);
-    (briq, store)
+/// The full-recompute oracle: `doc` aligned with no store, through the
+/// plain pipeline, returning the same output surface as the store path.
+fn storeless(briq: &Briq, doc: &Document, budget: Budget) -> AlignOutput {
+    briq.align_with(
+        doc,
+        &AlignOpts {
+            budget,
+            ..AlignOpts::default()
+        },
+    )
 }
 
 fn open(briq: &Briq, dir: &Path) -> AlignmentStore {
@@ -120,7 +119,6 @@ fn open(briq: &Briq, dir: &Path) -> AlignmentStore {
 #[test]
 fn restart_recovery_matches_full_recompute_across_all_families() {
     let briq = briq();
-    let (oracle, ostore) = oracle();
     let budget = Budget::default();
     for kind in Adversary::ALL {
         let seed = 17u64;
@@ -145,7 +143,7 @@ fn restart_recovery_matches_full_recompute_across_all_families() {
         assert!(!store.recover_truncated(), "{}: clean log", kind.name());
         for (i, doc) in docs.iter().enumerate() {
             let warm = stored(&briq, &store, i as u64, doc, budget);
-            let full = stored(&oracle, &ostore, i as u64, doc, budget);
+            let full = storeless(&briq, doc, budget);
             assert_same(&warm, &full, &format!("{}: recovered doc {i}", kind.name()));
         }
         if !docs.is_empty() {
@@ -166,7 +164,6 @@ fn restart_recovery_matches_full_recompute_across_all_families() {
 #[test]
 fn torn_log_recovers_prefix_and_recomputes_rest() {
     let briq = briq();
-    let (oracle, ostore) = oracle();
     let budget = Budget::default();
     let docs = adversarial_documents(Adversary::NonFiniteNumerics, 23);
     assert!(docs.len() >= 2, "family must yield several documents");
@@ -197,7 +194,7 @@ fn torn_log_recovers_prefix_and_recomputes_rest() {
         );
         for (i, doc) in docs.iter().enumerate() {
             let got = stored(&briq, &store, i as u64, doc, budget);
-            let full = stored(&oracle, &ostore, i as u64, doc, budget);
+            let full = storeless(&briq, doc, budget);
             assert_same(&got, &full, &format!("cut {cut}: doc {i}"));
         }
         // After the re-drive repaired the tail, a second restart must
@@ -219,7 +216,6 @@ fn torn_log_recovers_prefix_and_recomputes_rest() {
 #[test]
 fn corrupted_log_bytes_never_poison_output() {
     let briq = briq();
-    let (oracle, ostore) = oracle();
     let budget = Budget::default();
     let docs = adversarial_documents(Adversary::RegexHostile, 31);
     let (pristine, manifest) = {
@@ -245,7 +241,7 @@ fn corrupted_log_bytes_never_poison_output() {
         let store = open(&briq, dir.path());
         for (i, doc) in docs.iter().enumerate() {
             let got = stored(&briq, &store, i as u64, doc, budget);
-            let full = stored(&oracle, &ostore, i as u64, doc, budget);
+            let full = storeless(&briq, doc, budget);
             assert_same(&got, &full, &format!("flip@{at}: doc {i}"));
         }
     }
@@ -256,7 +252,6 @@ fn corrupted_log_bytes_never_poison_output() {
 /// empty and cold output still matches the oracle.
 #[test]
 fn model_mismatch_rebuilds_and_stays_correct() {
-    let (oracle, ostore) = oracle();
     let budget = Budget::default();
     let docs = adversarial_documents(Adversary::MixedLocale, 41);
     let dir = TempDir::new("skew");
@@ -278,24 +273,11 @@ fn model_mismatch_rebuilds_and_stays_correct() {
         "a reconfigured model must not trust old artifacts"
     );
     assert!(store.recover_rebuilt());
-    let (oracle_skewed, ostore_skewed) = {
-        let mut cfg = BriqConfig {
-            use_store: false,
-            ..BriqConfig::default()
-        };
-        cfg.filter.k_exact += 1;
-        let b = Briq::untrained(cfg);
-        let s = AlignmentStore::for_system(&b);
-        (b, s)
-    };
     for (i, doc) in docs.iter().enumerate() {
         let got = stored(&skewed, &store, i as u64, doc, budget);
-        let full = stored(&oracle_skewed, &ostore_skewed, i as u64, doc, budget);
+        let full = storeless(&skewed, doc, budget);
         assert_same(&got, &full, &format!("skew: doc {i}"));
     }
-    // Unused in this test but keeps the shared oracle honest: the
-    // *original* model's outputs are a different function entirely.
-    let _ = (oracle, ostore, budget);
 }
 
 /// Eviction under persistence: a byte-bounded persistent store still
@@ -304,7 +286,6 @@ fn model_mismatch_rebuilds_and_stays_correct() {
 #[test]
 fn bounded_persistent_store_matches_oracle_after_restart() {
     let briq = briq();
-    let (oracle, ostore) = oracle();
     let budget = Budget::default();
     let docs = adversarial_documents(Adversary::ColspanBomb, 53);
     let dir = TempDir::new("bounded");
@@ -341,7 +322,7 @@ fn bounded_persistent_store_matches_oracle_after_restart() {
     );
     for (i, doc) in docs.iter().enumerate() {
         let got = stored(&briq, &store, i as u64, doc, budget);
-        let full = stored(&oracle, &ostore, i as u64, doc, budget);
+        let full = storeless(&briq, doc, budget);
         assert_same(&got, &full, &format!("bounded: doc {i}"));
     }
 }

@@ -10,7 +10,7 @@
 
 use briq_core::obs::{names, Recorder};
 use briq_core::pipeline::{AlignOpts, AlignOutput, Briq, BriqConfig};
-use briq_core::store::{text_fingerprint, AlignmentStore};
+use briq_core::store::{text_fingerprint, AlignmentStore, StoreOptions};
 use briq_core::Budget;
 use briq_corpus::corpus::{generate_corpus, CorpusConfig};
 use briq_corpus::perturb::{adversarial_documents, perturb_document, Adversary, Perturbation};
@@ -50,18 +50,16 @@ fn briq() -> Briq {
     Briq::untrained(BriqConfig::default())
 }
 
-/// A full-recompute oracle: same model, store disabled, so `stored`
-/// ignores the store and runs the plain pipeline while returning the
-/// same output surface (alignments, stats, candidates, diagnostics) as
-/// the store path.
-fn oracle() -> (Briq, AlignmentStore) {
-    let cfg = BriqConfig {
-        use_store: false,
-        ..BriqConfig::default()
-    };
-    let briq = Briq::untrained(cfg);
-    let store = AlignmentStore::for_system(&briq);
-    (briq, store)
+/// The full-recompute oracle: `doc` aligned with no store, through the
+/// plain pipeline, returning the same output surface as the store path.
+fn storeless(briq: &Briq, doc: &Document, budget: Budget) -> AlignOutput {
+    briq.align_with(
+        doc,
+        &AlignOpts {
+            budget,
+            ..AlignOpts::default()
+        },
+    )
 }
 
 /// Warm-unchanged: every chaos family's documents, aligned cold through
@@ -72,19 +70,18 @@ fn oracle() -> (Briq, AlignmentStore) {
 #[test]
 fn warm_unchanged_matches_full_recompute_across_all_families() {
     let briq = briq();
-    let (oracle, ostore) = oracle();
     let budget = Budget::default();
     for kind in Adversary::ALL {
         for seed in [11u64, 29] {
             let docs = adversarial_documents(kind, seed);
-            let store = AlignmentStore::for_system(&briq);
+            let store = AlignmentStore::with_options(&briq, &StoreOptions::default()).unwrap();
             for (i, doc) in docs.iter().enumerate() {
                 // Cold pass populates the cache.
                 stored(&briq, &store, i as u64, doc, budget);
             }
             for (i, doc) in docs.iter().enumerate() {
                 let warm = stored(&briq, &store, i as u64, doc, budget);
-                let full = stored(&oracle, &ostore, i as u64, doc, budget);
+                let full = storeless(&briq, doc, budget);
                 assert_same(
                     &warm,
                     &full,
@@ -133,18 +130,17 @@ fn warm_unchanged_matches_full_recompute_across_all_families() {
 #[test]
 fn mutated_documents_match_full_recompute_across_all_families() {
     let briq = briq();
-    let (oracle, ostore) = oracle();
     let budget = Budget::default();
     for kind in Adversary::ALL {
         let seed = 43u64;
-        let store = AlignmentStore::for_system(&briq);
+        let store = AlignmentStore::with_options(&briq, &StoreOptions::default()).unwrap();
         for (i, doc) in adversarial_documents(kind, seed).iter().enumerate() {
             stored(&briq, &store, i as u64, doc, budget);
         }
         let mutated = adversarial_documents(kind, seed + 1);
         for (i, doc) in mutated.iter().enumerate() {
             let inc = stored(&briq, &store, i as u64, doc, budget);
-            let full = stored(&oracle, &ostore, i as u64, doc, budget);
+            let full = storeless(&briq, doc, budget);
             assert_same(&inc, &full, &format!("{}: mutated doc {i}", kind.name()));
         }
     }

@@ -390,8 +390,8 @@ fn extract_word_number(text: &str, tokens: &[Token], i: usize) -> Option<(Quanti
     let mut toks = 0;
     let mut covered = 0;
     while covered < consumed_words {
-        let lw = tokens[i + toks].lower();
-        covered += if lw.contains('-') { 2 } else { 1 };
+        let hyphenated = tokens[i + toks].text.contains('-');
+        covered += if hyphenated { 2 } else { 1 };
         toks += 1;
     }
 

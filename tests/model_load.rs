@@ -3,7 +3,8 @@
 //! or a leaf probability outside [0, 1] makes `Briq::from_json` return
 //! an error naming the tree and node, before anything walks a tree or
 //! scores a row. A config missing a field is refused and the error names
-//! it.
+//! it; a field the config no longer has is ignored, so older model files
+//! still load.
 
 use std::sync::OnceLock;
 
@@ -114,6 +115,22 @@ fn config_without_use_index_is_refused() {
         _ => panic!("cfg is not an object"),
     });
     assert_names(&err, &["use_index"]);
+}
+
+/// Every model file written while the config had a `use_store` switch
+/// carries it; such a file loads, and writes back without it.
+#[test]
+fn model_with_the_retired_use_store_field_loads() {
+    let mut model = briq_json::parse(model_json()).expect("the model parses");
+    match field(&mut model, "cfg") {
+        Value::Object(entries) => {
+            entries.retain(|(k, _)| k != "use_store");
+            entries.push(("use_store".into(), Value::Bool(false)));
+        }
+        _ => panic!("cfg is not an object"),
+    }
+    let briq = Briq::from_json(&briq_json::to_string(&model)).expect("the old model loads");
+    assert_eq!(briq.to_json().expect("serializes"), model_json());
 }
 
 #[test]
