@@ -108,19 +108,25 @@
 #                entry and, in its --metrics, count store_hits equal to
 #                documents and mentions_realigned 0, and whose exit
 #                snapshot must hold the first run's
-#                snapshot records byte for byte: compaction re-emits
-#                recovered records verbatim), and (3) a run over a log
+#                snapshot records byte for byte: a recovered entry
+#                encodes back to the record it was decoded from), and
+#                (3) a run over a log
 #                whose tail was deliberately torn
 #                with garbage bytes (which must truncate and recompute,
 #                never fail). Then a durable re-crawl: a fresh directory
 #                warmed from the corpus aligns a copy with every digit of
 #                every page rotated, compacting mid-run (MANIFEST
-#                snapshot_gen >= 2), and a new process over that directory
+#                snapshot_gen >= 2: the 96 KiB default compaction floor
+#                holds ~50 of the smoke corpus's ~2 KB records, so the
+#                118-document warm-up and re-crawl outgrow it twice
+#                before the final snapshot), and a new process over
+#                that directory
 #                re-aligns the mutated copy; both must byte-match the
 #                --oracle run over the mutated pages, and the second must
 #                count store_hits equal to documents and
 #                mentions_realigned 0. Then a bounded durable store: a
-#                --store-max-bytes budget worth a few durable entries must
+#                --store-max-bytes budget worth a few entries (10000
+#                bytes; an entry is estimated at ~2–3 KB) must
 #                evict during a first run (store_evictions >= 1 in its
 #                --metrics), and a restart over the same directory with
 #                the same budget must report "store: recovered K entries"
@@ -518,9 +524,10 @@ stage_persist() {
     # (c) Restart-warmed run in a NEW process over the same directory:
     # must recover every entry, serve the unchanged corpus entirely from
     # cache, and still byte-match the cold oracle. It inserts nothing, so
-    # the snapshot it writes at exit must re-emit the recovered records
-    # verbatim: equal to the first run's snapshot after the 24-byte
-    # header, which differs only in its generation.
+    # the snapshot it writes at exit, which encodes every recovered entry
+    # again, must equal the first run's snapshot after the 24-byte header,
+    # which differs only in its generation: a record decodes and encodes
+    # back to the same bytes.
     cp "$dir/store"/snapshot-*.briq "$dir/first.briq"
     align_run "$dir" warm --batch "$dir/corpus" --jobs 1 --store-dir "$dir/store" \
         --metrics "$dir/metrics_warm.jsonl"
@@ -551,9 +558,9 @@ stage_persist() {
     # (e) Durable re-crawl: warm a fresh directory from the pristine
     # corpus, then align a copy with every digit of every page rotated
     # (as stage_store does for three pages). That pass replaces every
-    # entry, so its log outgrows the snapshot and compacts mid-run; a
-    # new process then recovers the directory and must serve the whole
-    # mutated corpus from it. Both runs must match the --oracle
+    # entry, so its log outgrows the snapshot and the 96 KiB compaction
+    # floor and compacts mid-run; a new process then recovers the
+    # directory and must serve the whole mutated corpus from it. Both runs must match the --oracle
     # recompute of the mutated pages byte for byte.
     cp -r "$dir/corpus" "$dir/mutated"
     sed -i 'y/0123456789/1234567890/' "$dir/mutated"/*.html
@@ -571,13 +578,13 @@ stage_persist() {
     same_run persist "$dir" mcold rewarm || return 1
     all_hits persist "$dir/metrics_rewarm.jsonl" "the restarted re-crawl" || return 1
 
-    # (f) Bounded durable store: a budget worth a few durable entries
-    # (~146 KB each on the smoke corpus) evicts during the first run, and
-    # a restart over the same directory with the same budget recovers
-    # only what fits it. Hits are not required on the restart: at --jobs 1
+    # (f) Bounded durable store: a budget worth a few entries (each
+    # estimated at ~2–3 KB on the smoke corpus, durable or not) evicts
+    # during the first run, and a restart over the same directory with
+    # the same budget recovers only what fits it. Hits are not required on the restart: at --jobs 1
     # the misses that come first evict the recovered entries.
     align_run "$dir" bounded --batch "$dir/corpus" --jobs 1 --store-dir "$dir/bstore" \
-        --store-max-bytes 1000000 --metrics "$dir/metrics_bounded.jsonl"
+        --store-max-bytes 10000 --metrics "$dir/metrics_bounded.jsonl"
     same_run persist "$dir" cold bounded || return 1
     evictions="$(counter "$dir/metrics_bounded.jsonl" store_evictions)"
     [ "$evictions" -ge 1 ] || {
@@ -585,7 +592,7 @@ stage_persist() {
         return 1
     }
     align_run "$dir" rebounded --batch "$dir/corpus" --jobs 1 --store-dir "$dir/bstore" \
-        --store-max-bytes 1000000
+        --store-max-bytes 10000
     same_run persist "$dir" cold rebounded || return 1
     docs="$(counter "$dir/metrics_bounded.jsonl" documents)"
     recovered="$(sed -n 's/^store: recovered \([0-9]*\) entr.*/\1/p' "$dir/err_rebounded.txt")"
@@ -594,7 +601,7 @@ stage_persist() {
         grep '^store:' "$dir/err_rebounded.txt" >&2
         return 1
     }
-    echo "persist: bounded store (--store-max-bytes 1000000) evicted $evictions entr$( [ "$evictions" = "1" ] && echo y || echo ies ) and its restart recovered $recovered of $docs documents, both byte-identical to --oracle"
+    echo "persist: bounded store (--store-max-bytes 10000) evicted $evictions entr$( [ "$evictions" = "1" ] && echo y || echo ies ) and its restart recovered $recovered of $docs documents, both byte-identical to --oracle"
 
     # (g) Serve crash-recovery: drive a durable server, SIGKILL it with
     # no drain (only the incrementally-appended log survives), reboot it
@@ -674,7 +681,7 @@ stage_persist() {
         grep '^store: persisted ' "$dir/err_first.txt" "$dir/serve3.log.err" >&2
         return 1
     }
-    echo "persist: cold, fresh-durable, restart-warmed, and torn-log runs byte-identical; restart snapshot re-emits the recovered records verbatim; mutated re-crawl and its restart (snapshot_gen $gen) byte-identical; SIGKILLed server recovered $recovered entr$( [ "$recovered" = "1" ] && echo y || echo ies ) and served all $pages re-driven documents from cache; a server over briq-align's store served $hits/$docs documents from it"
+    echo "persist: cold, fresh-durable, restart-warmed, and torn-log runs byte-identical; restart snapshot re-encodes the recovered records byte for byte; mutated re-crawl and its restart (snapshot_gen $gen) byte-identical; SIGKILLed server recovered $recovered entr$( [ "$recovered" = "1" ] && echo y || echo ies ) and served all $pages re-driven documents from cache; a server over briq-align's store served $hits/$docs documents from it"
 }
 
 # Boot a briq-serve child, leaving its loopback address in SERVE_ADDR

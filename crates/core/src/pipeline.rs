@@ -563,9 +563,9 @@ impl Briq {
     ///   `AlignmentStore::lookup` first, which serves an unchanged
     ///   document whole; any other document runs every stage in full
     ///   and is cached by `AlignmentStore::insert`, which keeps only its
-    ///   fingerprints and outputs (plus, in a durable store, its encoded
-    ///   record, which compaction writes verbatim and recovery reads back
-    ///   record by record). Alignments, diagnostics, filter totals, and
+    ///   fingerprints, counts and outputs (a durable store writes exactly
+    ///   those as its record, and recovery reads them back record by
+    ///   record). Alignments, diagnostics, filter totals, and
     ///   candidates are bit-identical to the storeless run for every
     ///   cache state — a hit serves only outputs whose inputs
     ///   fingerprint-match — and so are the recorded spans of every
@@ -595,7 +595,8 @@ impl Briq {
         let (miss, x) = self.extract_stage(doc, budget, store, rec, cancel)?;
         let out = self.classify_resolve_stage(&x, budget, rec, cancel)?;
         if let (Some((store, key)), Some(miss)) = (store, miss) {
-            store.insert(key, miss, x, &out, rec);
+            let (mentions, targets) = (x.mentions.len() as u64, x.targets.len() as u64);
+            store.insert(key, miss, mentions, targets, &out, rec);
         }
         ControlFlow::Continue(out)
     }

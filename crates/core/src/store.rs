@@ -36,11 +36,12 @@
 //!
 //! With [`StoreOptions::dir`] set, the store is additionally backed by
 //! the [`persist`] layer (DESIGN.md §16): every cached entry is appended
-//! to an on-disk novelty log as its v1 record, periodically compacted
+//! to an on-disk novelty log as its v2 record, periodically compacted
 //! into snapshots, and recovered on the next open — so warm starts
-//! survive process restarts. A durable entry keeps its encoded record:
-//! compaction writes it verbatim, and recovery streams the records in
-//! and decodes only their fingerprints and outputs.
+//! survive process restarts. A record holds exactly what an entry holds
+//! (fingerprints, counts and outputs), so a durable entry is the same
+//! size in memory as an in-memory one: the log append and every
+//! snapshot encode it from the entry, and recovery decodes it back.
 //! [`StoreOptions::max_bytes`] bounds resident memory with LRU eviction.
 //! Every entry enters the map through one insert path, a live miss's and
 //! each recovered record alike, so the budget also binds while recovery
@@ -65,7 +66,7 @@ use crate::error::Budget;
 use crate::filtering::Candidate;
 use crate::mention::Alignment;
 use crate::obs::{names, Recorder};
-use crate::pipeline::{AlignOutput, Briq, Extracted};
+use crate::pipeline::{AlignOutput, Briq};
 
 /// Incremental FNV-1a hasher used for every content fingerprint. FNV is
 /// fully deterministic — no per-process seed — so fingerprints are
@@ -216,10 +217,6 @@ pub(crate) struct DocEntry {
     targets: u64,
     /// The document's outputs, served verbatim on a full hit.
     out: AlignOutput,
-    /// In a durable store, the entry's encoded v1 record (store key
-    /// first), which compaction writes verbatim; empty in an in-memory
-    /// store.
-    record: Box<[u8]>,
     /// Estimated resident size, set by `AlignmentStore::put`.
     approx_bytes: u64,
     /// LRU clock value of the last put or hit that touched this entry
@@ -229,10 +226,10 @@ pub(crate) struct DocEntry {
 
 impl DocEntry {
     /// Coarse resident-size estimate for the `store_bytes_peak` gauge and
-    /// the eviction budget: the kept record, the string payloads, and
-    /// shallow container sizes.
+    /// the eviction budget: the string payloads and shallow container
+    /// sizes.
     fn estimate_bytes(&self) -> u64 {
-        let mut n = std::mem::size_of::<DocEntry>() + self.table_fps.len() * 8 + self.record.len();
+        let mut n = std::mem::size_of::<DocEntry>() + self.table_fps.len() * 8;
         for c in &self.out.candidates {
             n += c.len() * std::mem::size_of::<Candidate>() + 64;
         }
@@ -256,13 +253,12 @@ pub struct StoreOptions {
     /// manifest). `None` (the default) keeps the store in-memory only.
     pub dir: Option<PathBuf>,
     /// Resident-memory budget in (estimated) bytes; `0` means unbounded.
-    /// An entry is estimated at the size of its outputs, a few KB per
-    /// document, plus, in a durable store, the v1 record it keeps for
-    /// compaction to write verbatim (~150 KB per generated document).
-    /// Every entry, a live miss's and each recovered record alike, enters
-    /// through one insert path; one that takes the store over the budget
-    /// evicts least-recently-used entries down to 7/8 of it, so eviction
-    /// runs once per ~1/8 of the budget inserted rather than after every
+    /// An entry is estimated at the size of its fingerprints and outputs,
+    /// durable or not: ~2–3 KB per generated document. Every entry, a
+    /// live miss's and each recovered record alike, enters through one
+    /// insert path; one that takes the store over the budget evicts
+    /// least-recently-used entries down to 7/8 of it, so eviction runs
+    /// once per ~1/8 of the budget inserted rather than after every
     /// insert. Recovery streams records in one at a time, so the budget
     /// binds while they are read, not after.
     ///
@@ -274,9 +270,11 @@ pub struct StoreOptions {
     /// Floor of the novelty-log size that triggers a compacting
     /// snapshot: the log compacts once it exceeds both this and the
     /// current snapshot's size, so a store with no snapshot yet compacts
-    /// at this size. Only meaningful with `dir` set. The `briq-perf`
-    /// benchmark sets it to `u64::MAX` to build its warm store with one
-    /// snapshot at the end.
+    /// at this size. The default, 96 KiB, holds ~50 records of generated
+    /// documents (~1.7–2 KB each), as many as the 4 MiB it replaced held
+    /// when records carried each document's extraction intermediates.
+    /// Only meaningful with `dir` set. The `briq-perf` benchmark sets it
+    /// to `u64::MAX` to build its warm store with one snapshot at the end.
     pub compact_log_bytes: u64,
 }
 
@@ -285,7 +283,7 @@ impl Default for StoreOptions {
         StoreOptions {
             dir: None,
             max_bytes: 0,
-            compact_log_bytes: 4 << 20,
+            compact_log_bytes: 96 << 10,
         }
     }
 }
@@ -517,9 +515,8 @@ impl AlignmentStore {
     /// novelty log. No-op without persistence. Called on graceful drain
     /// and after warm-up passes; also triggered automatically once the
     /// log outgrows both the current snapshot and the
-    /// [`StoreOptions::compact_log_bytes`] floor. Each entry's kept
-    /// record is written verbatim, in key order, so a snapshot encodes
-    /// nothing and copies nothing of the live set.
+    /// [`StoreOptions::compact_log_bytes`] floor. Each entry is encoded
+    /// as its record, in key order, straight into the snapshot file.
     pub fn snapshot(&self) -> std::io::Result<()> {
         let Some(p) = &self.persist else {
             return Ok(());
@@ -529,11 +526,7 @@ impl AlignmentStore {
         // and log locks *inside* this — the lock order entries → snap →
         // log is the only one used anywhere (appends take log alone).
         let entries = lock(&self.entries);
-        let records: Vec<&[u8]> = key_ordered(&entries.map)
-            .into_iter()
-            .map(|(_, e)| &*e.record)
-            .collect();
-        p.write_snapshot(&records)
+        p.write_snapshot(&key_ordered(&entries.map))
     }
 
     /// The line reporting what opening a durable store recovered —
@@ -569,17 +562,6 @@ impl AlignmentStore {
             entries(self.len() as u64),
             self.snapshot_bytes()
         )
-    }
-
-    /// The kept records of every resident entry, key-ordered (empty
-    /// records in an in-memory store). Test surface for the persistence
-    /// layer.
-    #[cfg(test)]
-    pub(crate) fn encoded_entries(&self) -> Vec<Vec<u8>> {
-        key_ordered(&lock(&self.entries).map)
-            .into_iter()
-            .map(|(_, e)| e.record.to_vec())
-            .collect()
     }
 
     /// The one way into the entry map, for a live miss and a recovered
@@ -625,25 +607,19 @@ impl AlignmentStore {
 
     /// Cache the new version of a document the lookup missed: its
     /// fingerprints, its mention and target counts, and its finished
-    /// outputs. A durable store also encodes the document's v1 record,
-    /// which the entry keeps and the novelty log appends; the extraction
-    /// intermediates are dropped once that record is written. Every
-    /// mention of the document was aligned again, so all of them count
-    /// as `mentions_realigned`.
+    /// outputs. A durable store also appends the entry's record to the
+    /// novelty log. Every mention of the document was aligned again, so
+    /// all of them count as `mentions_realigned`.
     pub(crate) fn insert(
         &self,
         key: u64,
         miss: Miss,
-        x: Extracted,
+        mentions: u64,
+        targets: u64,
         out: &AlignOutput,
         rec: &Recorder,
     ) {
-        let (mentions, targets) = (x.mentions.len() as u64, x.targets.len() as u64);
         rec.count(names::MENTIONS_REALIGNED, mentions);
-        let payload = self
-            .persist
-            .as_ref()
-            .map(|_| persist::encode_record(key, &miss, x, out));
         let entry = DocEntry {
             config_fp: miss.config_fp,
             text_fp: miss.text_fp,
@@ -651,10 +627,13 @@ impl AlignmentStore {
             mentions,
             targets,
             out: out.clone(),
-            record: payload.as_deref().map_or_else(Box::default, Box::from),
             approx_bytes: 0,
             last_used: 0,
         };
+        let payload = self
+            .persist
+            .as_ref()
+            .map(|_| persist::encode_record(key, &entry));
         let evicted = self.put(key, entry);
         if evicted > 0 {
             rec.count(names::STORE_EVICTIONS, evicted);

@@ -5,49 +5,47 @@
 //! The layer is std-only and deliberately small:
 //!
 //! - **Novelty log** (`novelty.log`) — every entry the store caches is
-//!   appended as one length-prefixed frame whose payload, the document's
-//!   v1 record (store key, fingerprints, extraction intermediates and
-//!   outputs), is checksummed with the same FNV-1a the content
+//!   appended as one length-prefixed frame whose payload, the entry's v2
+//!   record (store key, fingerprints, counts and outputs: exactly what the
+//!   entry holds), is checksummed with the same FNV-1a the content
 //!   fingerprints use. Appends are the only write on the hot path.
 //! - **Snapshot** (`snapshot-<gen>.briq`) — a compaction of the resident
-//!   entries into one file: each entry keeps its record, and the records
-//!   are written verbatim, in key order, through a buffered writer into a
-//!   temp file, which is fsynced and renamed into place; the log is then
-//!   reset. Snapshots happen on graceful drain/exit and when the log
-//!   outgrows both the current snapshot and the `compact_log_bytes`
-//!   floor. The live set is thus rewritten only after at least as many
-//!   bytes of new records (write amplification of ~2× at most), and
-//!   recovery reads at most the snapshot plus a log no larger than it.
+//!   entries into one file: each entry is encoded again, in key order,
+//!   through a buffered writer into a temp file, which is fsynced and
+//!   renamed into place; the log is then reset. Snapshots happen on
+//!   graceful drain/exit and when the log outgrows both the current
+//!   snapshot and the `compact_log_bytes` floor. The live set is thus
+//!   rewritten only after at least as many bytes of new records (write
+//!   amplification of ~2× at most), and recovery reads at most the
+//!   snapshot plus a log no larger than it.
 //! - **Manifest** (`MANIFEST`) — a tiny text file naming the format
 //!   version, the model/config fingerprint, and the current snapshot
 //!   generation. Any mismatch (foreign file, version bump, retrained
 //!   model) marks the directory incompatible: its store files are
-//!   rebuilt from scratch rather than trusted.
+//!   rebuilt from scratch rather than trusted. A store written by an
+//!   older format version is rebuilt this way on its first open.
 //! - **Recovery** — stream the snapshot's frames, then the log's, one
-//!   record at a time: each payload is read into the buffer its entry
-//!   keeps, checksummed, and decoded for its fingerprints and outputs
-//!   only (the intermediates are stepped over, not built), and handed to
-//!   the store, which takes it in through the insert path a live miss
-//!   takes: a later record for a key replaces the earlier one at once,
-//!   and a bounded store evicts as records arrive. A torn tail frame
-//!   (short header, short payload, or checksum mismatch) truncates the
-//!   file at the last valid frame boundary instead of failing:
-//!   everything before the tear is served warm, everything after is
-//!   recomputed cold.
+//!   record at a time: each payload is read into one reused buffer,
+//!   checksummed, decoded into its entry, and handed to the store, which
+//!   takes it in through the insert path a live miss takes: a later
+//!   record for a key replaces the earlier one at once, and a bounded
+//!   store evicts as records arrive. A torn tail frame (short header,
+//!   short payload, or checksum mismatch) truncates the file at the last
+//!   valid frame boundary instead of failing: everything before the tear
+//!   is served warm, everything after is recomputed cold.
 //!
 //! The codec is a bespoke binary encoding, not JSON: the store's
 //! contract is *bit* identity, and `briq_json` degrades non-finite
 //! floats to `null`. Every `f64` round-trips through `to_bits()`, every
 //! string is length-prefixed UTF-8, every enum is a fixed `u8` tag, and
-//! every map/set is a `BTree*` whose iteration order is deterministic —
-//! so the outputs decode bit-identical to what was encoded, including
-//! NaN/∞ values from the non-finite chaos family. Each on-disk type
-//! declares its layout once — a `wire_struct!` field list, a
-//! `wire_enum!` tag table, or a hand-written `Wire` impl where the layout
-//! is not a plain list — and that one declaration drives encoding,
-//! decoding and skipping.
+//! every map is a `BTreeMap` whose iteration order is deterministic — so
+//! the outputs decode bit-identical to what was encoded, including NaN/∞
+//! values from the non-finite chaos family. Each on-disk type declares
+//! its layout once — a `wire_struct!` field list, a `wire_enum!` tag
+//! table, or a hand-written `Wire` impl where the layout is not a plain
+//! list — and that one declaration drives both encoding and decoding.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufReader, BufWriter, IntoInnerError, Read, Seek, Write};
 use std::path::{Path, PathBuf};
@@ -55,22 +53,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use briq_table::{Orientation, TableMention, TableMentionKind};
-use briq_text::cues::{AggregationKind, ApproxIndicator};
-use briq_text::quantity::QuantityMention;
-use briq_text::token::{Token, TokenKind};
+use briq_text::cues::AggregationKind;
 use briq_text::units::{Currency, Measure, Unit};
 
-use super::{lock, DocEntry, Fingerprint, Miss};
-use crate::context::{DocContext, MentionContext, TableContext};
+use super::{lock, DocEntry, Fingerprint};
 use crate::error::{DegradedAction, Diagnostic, Diagnostics, Stage};
 use crate::filtering::{Candidate, FilterStats};
-use crate::mention::{Alignment, TextMention};
-use crate::pipeline::{AlignOutput, Extracted};
+use crate::mention::Alignment;
+use crate::pipeline::AlignOutput;
 
 /// On-disk format version. Bumped on any incompatible codec or layout
 /// change; a manifest naming a different version marks the whole
-/// directory incompatible and it is rebuilt from scratch.
-pub const FORMAT_VERSION: u32 = 1;
+/// directory incompatible and it is rebuilt from scratch. Version 1
+/// records also carried each document's extraction intermediates;
+/// version 2 records hold only what an entry serves.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// File name of the append-only novelty log inside the store directory.
 pub const LOG_FILE: &str = "novelty.log";
@@ -151,35 +148,12 @@ fn put_len(n: usize, out: &mut Vec<u8>) {
     out.extend_from_slice(&(n as u32).to_le_bytes());
 }
 
-/// One on-disk type: `put` appends its encoding, `get` reads one value
-/// back, and `skip` steps over one without building it. Integers are
-/// little-endian, lengths `u32`, `usize` widens to `u64`, and floats
-/// travel as their IEEE-754 bit patterns.
+/// One on-disk type: `put` appends its encoding and `get` reads one value
+/// back. Integers are little-endian, lengths `u32`, `usize` widens to
+/// `u64`, and floats travel as their IEEE-754 bit patterns.
 trait Wire: Sized {
     fn put(&self, out: &mut Vec<u8>);
     fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError>;
-    /// Step over one encoded value, refusing exactly what `get` refuses,
-    /// without allocating. The default decodes and drops the value, which
-    /// allocates nothing for the types that use it: integers, floats,
-    /// and tags. Strings, containers and structs step over their parts.
-    fn skip(d: &mut Dec<'_>) -> Result<(), DecodeError> {
-        Self::get(d).map(drop)
-    }
-}
-
-/// Step over an encoded `Vec<T>`, returning its length.
-fn skip_counted<T: Wire>(d: &mut Dec<'_>) -> Result<usize, DecodeError> {
-    let n = d.len()?;
-    for _ in 0..n {
-        T::skip(d)?;
-    }
-    Ok(n)
-}
-
-/// Step over one field of a struct `S`; the projection only names the
-/// field's type.
-fn skip_field<S, T: Wire>(_field: impl Fn(&S) -> &T, d: &mut Dec<'_>) -> Result<(), DecodeError> {
-    T::skip(d)
 }
 
 impl Wire for u8 {
@@ -228,12 +202,6 @@ impl Wire for String {
         let s = std::str::from_utf8(d.take(n)?).map_err(|_| DecodeError("invalid utf-8"))?;
         Ok(s.to_string())
     }
-    fn skip(d: &mut Dec<'_>) -> Result<(), DecodeError> {
-        let n = d.len()?;
-        std::str::from_utf8(d.take(n)?)
-            .map(drop)
-            .map_err(|_| DecodeError("invalid utf-8"))
-    }
 }
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
@@ -243,10 +211,6 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     }
     fn get(d: &mut Dec<'_>) -> Result<(A, B), DecodeError> {
         Ok((A::get(d)?, B::get(d)?))
-    }
-    fn skip(d: &mut Dec<'_>) -> Result<(), DecodeError> {
-        A::skip(d)?;
-        B::skip(d)
     }
 }
 
@@ -265,25 +229,6 @@ impl<T: Wire> Wire for Vec<T> {
         }
         Ok(v)
     }
-    fn skip(d: &mut Dec<'_>) -> Result<(), DecodeError> {
-        skip_counted::<T>(d).map(drop)
-    }
-}
-
-impl<T: Wire + Ord> Wire for BTreeSet<T> {
-    fn put(&self, out: &mut Vec<u8>) {
-        put_len(self.len(), out);
-        for x in self {
-            x.put(out);
-        }
-    }
-    fn get(d: &mut Dec<'_>) -> Result<BTreeSet<T>, DecodeError> {
-        let n = d.len()?;
-        (0..n).map(|_| T::get(d)).collect()
-    }
-    fn skip(d: &mut Dec<'_>) -> Result<(), DecodeError> {
-        skip_counted::<T>(d).map(drop)
-    }
 }
 
 impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
@@ -298,9 +243,6 @@ impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
         let n = d.len()?;
         (0..n).map(|_| <(K, V)>::get(d)).collect()
     }
-    fn skip(d: &mut Dec<'_>) -> Result<(), DecodeError> {
-        skip_counted::<(K, V)>(d).map(drop)
-    }
 }
 
 /// `Wire` for a struct: its fields in the listed order.
@@ -314,10 +256,6 @@ macro_rules! wire_struct {
                 Ok($name {
                     $( $field: Wire::get(d)?, )+
                 })
-            }
-            fn skip(d: &mut Dec<'_>) -> Result<(), DecodeError> {
-                $( skip_field(|s: &$name| &s.$field, d)?; )+
-                Ok(())
             }
         }
     };
@@ -342,12 +280,8 @@ macro_rules! wire_enum {
     };
 }
 
-wire_enum! { TokenKind { Word = 0, Number = 1, Alphanumeric = 2, Punct = 3, Symbol = 4 } }
 wire_enum! { Currency { Usd = 0, Eur = 1, Gbp = 2, Cad = 3, Inr = 4, Jpy = 5, Other = 6 } }
 wire_enum! { Measure { Mpge = 0, GramsPerKm = 1, KWh = 2, Mg = 3, Km = 4, Count = 5 } }
-wire_enum! { ApproxIndicator {
-    Exact = 0, Approximate = 1, UpperBound = 2, LowerBound = 3, None = 4,
-} }
 wire_enum! { AggregationKind {
     Sum = 0, Difference = 1, Percentage = 2, ChangeRatio = 3, Average = 4, Max = 5, Min = 6,
 } }
@@ -404,25 +338,6 @@ impl Wire for TableMentionKind {
     }
 }
 
-impl Wire for Option<AggregationKind> {
-    fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            None => out.push(0),
-            Some(a) => {
-                out.push(1);
-                a.put(out);
-            }
-        }
-    }
-    fn get(d: &mut Dec<'_>) -> Result<Option<AggregationKind>, DecodeError> {
-        match u8::get(d)? {
-            0 => Ok(None),
-            1 => Ok(Some(AggregationKind::get(d)?)),
-            _ => Err(DecodeError("bad option tag")),
-        }
-    }
-}
-
 /// One tag for all three forms: `None`, row, column.
 impl Wire for Option<Orientation> {
     fn put(&self, out: &mut Vec<u8>) {
@@ -448,19 +363,6 @@ impl Wire for Option<Orientation> {
     }
 }
 
-wire_struct! { QuantityMention { raw, value, unnormalized, unit, precision, approx, start, end } }
-wire_struct! { TextMention { id, quantity } }
-wire_struct! { Token { text, start, end, kind } }
-wire_struct! { MentionContext {
-    local_weights, sentence_phrases, immediate_words, sentence_words, inferred_aggregation,
-    token_index,
-} }
-wire_struct! { TableContext {
-    row_words, col_words, table_words, row_phrases, col_phrases, table_phrases,
-} }
-wire_struct! { DocContext {
-    tokens, paragraph_words, paragraph_word_list, paragraph_phrases, tables, mentions,
-} }
 wire_struct! { TableMention {
     table, kind, cells, value, unnormalized, raw, unit, precision, orientation,
 } }
@@ -469,93 +371,56 @@ wire_struct! { FilterStats { total, kept } }
 wire_struct! { Alignment { mention_start, mention_end, mention_raw, target, score } }
 wire_struct! { Diagnostic { stage, scope, error, action } }
 wire_struct! { Diagnostics { items } }
+wire_struct! { AlignOutput { candidates, alignments, diagnostics, stats } }
 
-/// Encode the v1 record of a document the store missed: the store key,
-/// the fingerprints `config_fp`, `text_fp` and `aggregate_fp`, then
-/// `table_fps`, the text mentions, the text context (its table slot
-/// empty), the table contexts, the targets, the extraction diagnostics,
-/// one slot per mention (`fp`, kept candidates, filter delta), and the
-/// alignments, diagnostics and filter totals. The slots only a retired
-/// per-mention replay read — `aggregate_fp`, and each mention's `fp` and
-/// filter delta — are written as `0` and empty.
-pub(crate) fn encode_record(key: u64, miss: &Miss, mut x: Extracted, out: &AlignOutput) -> Vec<u8> {
-    let tables = std::mem::take(&mut x.ctx.tables);
+/// An entry's persisted part: its fingerprints, its mention and target
+/// counts, and its outputs. The LRU stamp and the size estimate are the
+/// store's own and are set when the store takes the entry in.
+impl Wire for DocEntry {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.config_fp.put(out);
+        self.text_fp.put(out);
+        self.table_fps.put(out);
+        self.mentions.put(out);
+        self.targets.put(out);
+        self.out.put(out);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<DocEntry, DecodeError> {
+        Ok(DocEntry {
+            config_fp: u64::get(d)?,
+            text_fp: u64::get(d)?,
+            table_fps: Vec::get(d)?,
+            mentions: u64::get(d)?,
+            targets: u64::get(d)?,
+            out: AlignOutput::get(d)?,
+            approx_bytes: 0,
+            last_used: 0,
+        })
+    }
+}
+
+/// Encode `entry`'s v2 record under store key `key`: the key, then
+/// `config_fp`, `text_fp` and `table_fps`, the mention and target counts,
+/// and the kept candidates, alignments, diagnostics and filter totals.
+/// [`decode_record`] is its exact inverse.
+pub(crate) fn encode_record(key: u64, entry: &DocEntry) -> Vec<u8> {
     let mut b = Vec::new();
-    for fp in [key, miss.config_fp, miss.text_fp, 0] {
-        fp.put(&mut b);
-    }
-    miss.table_fps.put(&mut b);
-    x.mentions.put(&mut b);
-    x.ctx.put(&mut b);
-    tables.put(&mut b);
-    x.targets.put(&mut b);
-    x.diags.put(&mut b);
-    put_len(out.candidates.len(), &mut b);
-    for c in &out.candidates {
-        0u64.put(&mut b);
-        c.put(&mut b);
-        FilterStats::default().put(&mut b);
-    }
-    out.alignments.put(&mut b);
-    out.diagnostics.put(&mut b);
-    out.stats.put(&mut b);
+    key.put(&mut b);
+    entry.put(&mut b);
     b
 }
 
 /// Recover one record payload (the [`encode_record`] layout) as `(key,
-/// entry)`. The fingerprints and outputs are decoded; the extraction
-/// intermediates and the retired slots are stepped over by
-/// [`Wire::skip`], which refuses exactly what decoding them refuses, and
-/// only the mention and target counts are kept. The payload itself
-/// becomes the entry's record; the store sizes the entry when it takes it
-/// in. Strict: the payload must be consumed exactly; any slack or
-/// structural error is a decode failure (treated as corruption by
-/// recovery).
-pub(crate) fn decode_record(payload: Vec<u8>) -> Result<(u64, DocEntry), DecodeError> {
-    let mut d = Dec {
-        b: &payload,
-        pos: 0,
-    };
-    let key = u64::get(&mut d)?;
-    let config_fp = u64::get(&mut d)?;
-    let text_fp = u64::get(&mut d)?;
-    u64::skip(&mut d)?;
-    let table_fps = Vec::get(&mut d)?;
-    let mentions = skip_counted::<TextMention>(&mut d)?;
-    DocContext::skip(&mut d)?;
-    Vec::<TableContext>::skip(&mut d)?;
-    let targets = skip_counted::<TableMention>(&mut d)?;
-    Diagnostics::skip(&mut d)?;
-    let n = d.len()?;
-    let mut candidates = Vec::with_capacity(n);
-    for _ in 0..n {
-        u64::skip(&mut d)?;
-        candidates.push(Vec::get(&mut d)?);
-        FilterStats::skip(&mut d)?;
-    }
-    let alignments = Vec::get(&mut d)?;
-    let diagnostics = Diagnostics::get(&mut d)?;
-    let stats = FilterStats::get(&mut d)?;
+/// entry)`; the store sizes the entry when it takes it in. Strict: the
+/// payload must be consumed exactly; any slack or structural error is a
+/// decode failure (treated as corruption by recovery).
+pub(crate) fn decode_record(payload: &[u8]) -> Result<(u64, DocEntry), DecodeError> {
+    let mut d = Dec { b: payload, pos: 0 };
+    let record = <(u64, DocEntry)>::get(&mut d)?;
     if d.pos != payload.len() {
         return Err(DecodeError("trailing garbage"));
     }
-    let entry = DocEntry {
-        config_fp,
-        text_fp,
-        table_fps,
-        mentions: mentions as u64,
-        targets: targets as u64,
-        out: AlignOutput {
-            alignments,
-            diagnostics,
-            stats,
-            candidates,
-        },
-        record: payload.into_boxed_slice(),
-        approx_bytes: 0,
-        last_used: 0,
-    };
-    Ok((key, entry))
+    Ok(record)
 }
 
 // ---------------------------------------------------------------------------
@@ -624,14 +489,14 @@ fn open_file(path: &Path, model_fp: u64) -> Option<(BufReader<File>, u64, u64)> 
 
 /// Stream the frames that follow a file's header from `r` into `sink`,
 /// one record at a time, until the first invalid frame. Each payload is
-/// read into a buffer of its own, checksummed, and handed to
-/// [`decode_record`], whose entry keeps that buffer as its record. `len`
-/// is the file's length, which bounds a frame's claimed size before any
-/// buffer is allocated for it. Returns the byte offset of the end of the
-/// last valid frame (= where a writer may safely resume appending), and
-/// whether a tear was found.
+/// read into one reused buffer, checksummed, and decoded by
+/// [`decode_record`]. `len` is the file's length, which bounds a frame's
+/// claimed size before the buffer grows for it. Returns the byte offset
+/// of the end of the last valid frame (= where a writer may safely resume
+/// appending), and whether a tear was found.
 fn replay_frames(r: &mut impl Read, len: u64, sink: &mut impl FnMut(u64, DocEntry)) -> (u64, bool) {
     let mut pos = HEADER_LEN;
+    let mut payload = Vec::new();
     loop {
         if pos == len {
             return (pos, false);
@@ -646,11 +511,11 @@ fn replay_frames(r: &mut impl Read, len: u64, sink: &mut impl FnMut(u64, DocEntr
         if size > MAX_FRAME_BYTES || end > len {
             return (pos, true);
         }
-        let mut payload = vec![0u8; size as usize];
+        payload.resize(size as usize, 0);
         if r.read_exact(&mut payload).is_err() || checksum(&payload) != sum {
             return (pos, true);
         }
-        match decode_record(payload) {
+        match decode_record(&payload) {
             Ok((key, entry)) => sink(key, entry),
             Err(_) => return (pos, true),
         }
@@ -938,13 +803,12 @@ impl Persistence {
         self.log_bytes() > self.compact_log_bytes.max(self.snapshot_bytes())
     }
 
-    /// Write a compacted snapshot of `records` (the resident entries'
-    /// kept records, key-ordered), atomically advance the manifest, and
-    /// reset the log. Each record is framed verbatim through a buffered
-    /// writer into the temp file, so no image of the snapshot is held in
-    /// memory and nothing is re-encoded. The caller holds the entry-map
-    /// lock, so `records` is a consistent view.
-    pub(crate) fn write_snapshot(&self, records: &[&[u8]]) -> std::io::Result<()> {
+    /// Write a compacted snapshot of `entries` (the resident entries,
+    /// key-ordered), atomically advance the manifest, and reset the log.
+    /// Each entry is encoded and framed through a buffered writer into the
+    /// temp file, so no image of the snapshot is held in memory. The
+    /// caller holds the entry-map lock, so `entries` is a consistent view.
+    pub(crate) fn write_snapshot(&self, entries: &[(u64, &DocEntry)]) -> std::io::Result<()> {
         let _guard = lock(&self.snap);
         let old_gen = self.gen.load(Ordering::Relaxed);
         let next = old_gen + 1;
@@ -953,8 +817,8 @@ impl Persistence {
         let snap_path = self.dir.join(snapshot_file(next));
         let snapshot_bytes = write_atomic(&self.dir, &snap_path, |w| {
             w.write_all(&file_header(self.model_fp, next))?;
-            for record in records {
-                write_frame(w, record)?;
+            for &(key, entry) in entries {
+                write_frame(w, &encode_record(key, entry))?;
             }
             Ok(())
         })?;
@@ -1311,8 +1175,8 @@ mod tests {
 
     /// Align the fixture documents, snapshot, apply `fault` to the
     /// directory, and reopen: nothing on disk is trusted, the directory
-    /// is rebuilt, output matches a storeless run, and the rebuilt
-    /// directory recovers normally again.
+    /// is rebuilt (and the recovery report says so), output matches a
+    /// storeless run, and the rebuilt directory recovers normally again.
     fn reopen_rebuilds_after(tag: &str, fault: impl FnOnce(&Path)) {
         let briq = briq();
         let dir = TempDir::new(tag);
@@ -1324,7 +1188,11 @@ mod tests {
         }
         fault(dir.path());
         let store = persistent(&briq, dir.path());
-        assert!(store.recover_rebuilt());
+        let report = store.recovery_report().expect("a durable store reports");
+        assert!(
+            report.ends_with(" (incompatible state rebuilt)"),
+            "{report}"
+        );
         assert_eq!(store.recovered_entries(), 0, "incompatible data is rebuilt");
         assert!(
             !dir.path().join(snapshot_file(1)).exists(),
@@ -1358,15 +1226,28 @@ mod tests {
         });
     }
 
+    /// A directory of another format version is rebuilt, never trusted:
+    /// version 1, the format of every store written before records held
+    /// outputs only, and a future version. The fault stamps the version
+    /// into the manifest and into the header of every store file.
     #[test]
     fn version_mismatch_rebuilds_instead_of_trusting() {
-        reopen_rebuilds_after("version", |dir| {
-            // Rewrite the manifest to a future format version.
-            let manifest = dir.join(MANIFEST_FILE);
-            let text = fs::read_to_string(&manifest).expect("read manifest");
-            let text = text.replace("format_version 1", "format_version 999");
-            fs::write(&manifest, text).expect("rewrite manifest");
-        });
+        for version in [1, FORMAT_VERSION + 1] {
+            reopen_rebuilds_after(&format!("version-{version}"), |dir| {
+                let manifest = dir.join(MANIFEST_FILE);
+                let text = fs::read_to_string(&manifest).expect("read manifest");
+                let ours = format!("format_version {FORMAT_VERSION}\n");
+                assert!(text.contains(&ours), "{text}");
+                let text = text.replace(&ours, &format!("format_version {version}\n"));
+                fs::write(&manifest, text).expect("rewrite manifest");
+                for name in [LOG_FILE.to_string(), snapshot_file(1)] {
+                    let path = dir.join(name);
+                    let mut bytes = fs::read(&path).expect("read store file");
+                    bytes[4..8].copy_from_slice(&version.to_le_bytes());
+                    fs::write(&path, bytes).expect("restamp store file");
+                }
+            });
+        }
     }
 
     /// Every `Unit`: each `Currency`, the three plain units, each `Measure`.
@@ -1381,78 +1262,120 @@ mod tests {
         units
     }
 
-    /// The v1 record layout in full, every slot decoded: the oracle that
-    /// [`encode_record`] and [`decode_record`] are held to.
-    struct V1Entry {
-        config_fp: u64,
-        text_fp: u64,
-        aggregate_fp: u64,
-        table_fps: Vec<u64>,
-        text_mentions: Vec<TextMention>,
-        text_ctx: DocContext,
-        table_contexts: Vec<TableContext>,
-        targets: Vec<TableMention>,
-        extract_diags: Diagnostics,
-        artifacts: Vec<V1Artifact>,
-        alignments: Vec<Alignment>,
-        diagnostics: Diagnostics,
-        stats: FilterStats,
+    /// Both `TableMentionKind`s, with every `AggregationKind`.
+    const KINDS: [TableMentionKind; 8] = {
+        use AggregationKind::*;
+        use TableMentionKind::Aggregate;
+        [
+            TableMentionKind::SingleCell,
+            Aggregate(Sum),
+            Aggregate(Difference),
+            Aggregate(Percentage),
+            Aggregate(ChangeRatio),
+            Aggregate(Average),
+            Aggregate(Max),
+            Aggregate(Min),
+        ]
+    };
+
+    const STAGES: [Stage; 6] = [
+        Stage::Extraction,
+        Stage::VirtualCells,
+        Stage::Classification,
+        Stage::GraphConstruction,
+        Stage::Resolution,
+        Stage::Batch,
+    ];
+
+    const ACTIONS: [DegradedAction; 4] = [
+        DegradedAction::Skipped,
+        DegradedAction::Truncated,
+        DegradedAction::Fallback,
+        DegradedAction::Cancelled,
+    ];
+
+    /// The three `Option<Orientation>` forms, indexed `0..3`.
+    fn orientation(form: usize, i: usize) -> Option<Orientation> {
+        [
+            None,
+            Some(Orientation::Row(i)),
+            Some(Orientation::Column(i)),
+        ][form]
     }
 
-    /// One mention's slot of a v1 record.
-    #[derive(Clone)]
-    struct V1Artifact {
-        fp: u64,
-        candidates: Vec<Candidate>,
-        stats: FilterStats,
+    /// An entry that writes every tag the codec knows — each `Unit`,
+    /// `AggregationKind` (through `TableMentionKind`), `Stage` and
+    /// `DegradedAction` variant, and all three `Option<Orientation>`
+    /// forms — plus NaN, −0.0 and ±∞.
+    fn every_tag_entry() -> DocEntry {
+        let floats = [f64::NAN, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5];
+        let alignments = all_units()
+            .into_iter()
+            .enumerate()
+            .map(|(i, unit)| Alignment {
+                mention_start: i,
+                mention_end: i + 2,
+                mention_raw: format!("m{i}"),
+                target: TableMention {
+                    table: i % 2,
+                    kind: KINDS[i % KINDS.len()],
+                    cells: vec![(i, 0), (i, 1)],
+                    value: floats[i % 5],
+                    unnormalized: floats[(i + 2) % 5],
+                    raw: format!("c{i}"),
+                    unit,
+                    precision: 2,
+                    orientation: orientation(i % 3, i),
+                },
+                score: floats[(i + 1) % 5],
+            })
+            .collect();
+        let items = STAGES.iter().enumerate().map(|(i, &stage)| Diagnostic {
+            stage,
+            scope: format!("table {i}"),
+            error: "\"quoted\" é∞\\ \u{0}".into(),
+            action: ACTIONS[i % ACTIONS.len()],
+        });
+        let candidates = (0..3)
+            .map(|i| {
+                let score = floats[i];
+                vec![Candidate { target: i, score }]
+            })
+            .collect();
+        DocEntry {
+            config_fp: 1,
+            text_fp: 2,
+            table_fps: vec![4, u64::MAX],
+            mentions: 16,
+            targets: 40,
+            out: AlignOutput {
+                alignments,
+                diagnostics: Diagnostics {
+                    items: items.collect(),
+                },
+                stats: FilterStats {
+                    total: [("single".into(), 3), ("sum".into(), 1)].into(),
+                    kept: [("single".into(), 1)].into(),
+                },
+                candidates,
+            },
+            approx_bytes: 0,
+            last_used: 0,
+        }
     }
 
-    wire_struct! { V1Artifact { fp, candidates, stats } }
-    wire_struct! { V1Entry {
-        config_fp, text_fp, aggregate_fp, table_fps, text_mentions, text_ctx, table_contexts,
-        targets, extract_diags, artifacts, alignments, diagnostics, stats,
-    } }
-
-    /// `e`'s v1 record under store key `key`.
-    fn v1_record(key: u64, e: &V1Entry) -> Vec<u8> {
-        let mut out = Vec::new();
-        key.put(&mut out);
-        e.put(&mut out);
-        out
-    }
-
-    /// True if a full decode of the v1 layout accepts `payload`.
-    fn v1_accepts(payload: &[u8]) -> bool {
-        let mut d = Dec { b: payload, pos: 0 };
-        <(u64, V1Entry)>::get(&mut d).is_ok() && d.pos == payload.len()
-    }
-
-    /// What `e` was made of when the store missed it: its fingerprints,
-    /// its extraction (the table contexts back inside the text context)
-    /// and its outputs.
-    fn parts(e: &V1Entry) -> (Miss, Extracted, AlignOutput) {
-        let mut ctx = e.text_ctx.clone();
-        ctx.tables = e.table_contexts.clone();
-        let miss = Miss {
-            config_fp: e.config_fp,
-            text_fp: e.text_fp,
-            table_fps: e.table_fps.clone(),
-        };
-        let x = Extracted {
-            mentions: e.text_mentions.clone(),
-            ctx,
-            tags: Vec::new(),
-            targets: e.targets.clone(),
-            ungenerated: Default::default(),
-            diags: e.extract_diags.clone(),
-        };
-        let out = AlignOutput {
-            alignments: e.alignments.clone(),
-            diagnostics: e.diagnostics.clone(),
-            stats: e.stats.clone(),
-            candidates: e.artifacts.iter().map(|a| a.candidates.clone()).collect(),
-        };
-        (miss, x, out)
+    /// The entries of `docs` aligned through a fresh durable store,
+    /// key-ordered.
+    fn aligned_entries(docs: &[Document]) -> Vec<(u64, DocEntry)> {
+        let briq = briq();
+        let dir = TempDir::new("records");
+        let store = persistent(&briq, dir.path());
+        align_all(&briq, &store, docs);
+        let mut entries: Vec<(u64, DocEntry)> = std::mem::take(&mut lock(&store.entries).map)
+            .into_iter()
+            .collect();
+        entries.sort_unstable_by_key(|&(key, _)| key);
+        entries
     }
 
     /// `v`'s encoding: compares values bit for bit, NaN payloads included.
@@ -1462,201 +1385,14 @@ mod tests {
         out
     }
 
-    /// Fail unless `entry`, recovered from `payload`, holds `e`'s
-    /// fingerprints, counts and outputs, and keeps `payload` itself.
-    fn assert_recovers(entry: &DocEntry, e: &V1Entry, payload: &[u8]) {
-        assert_eq!(
-            (entry.config_fp, entry.text_fp, &entry.table_fps),
-            (e.config_fp, e.text_fp, &e.table_fps)
-        );
-        assert_eq!(entry.mentions, e.text_mentions.len() as u64);
-        assert_eq!(entry.targets, e.targets.len() as u64);
-        let candidates: Vec<Vec<Candidate>> =
-            e.artifacts.iter().map(|a| a.candidates.clone()).collect();
-        assert_eq!(bytes(&entry.out.candidates), bytes(&candidates));
-        assert_eq!(bytes(&entry.out.alignments), bytes(&e.alignments));
-        assert_eq!(bytes(&entry.out.diagnostics), bytes(&e.diagnostics));
-        assert_eq!(bytes(&entry.out.stats), bytes(&e.stats));
-        assert_eq!(&*entry.record, payload);
-    }
-
-    /// An entry that writes every tag the codec knows — each `Unit`,
-    /// `TokenKind`, `ApproxIndicator`, `AggregationKind`, `Stage` and
-    /// `DegradedAction` variant, both `TableMentionKind`s, all three
-    /// `Option<Orientation>` forms — plus NaN, −0.0 and ±∞.
-    fn every_tag_entry() -> V1Entry {
-        use AggregationKind::*;
-        use ApproxIndicator as A;
-        use DegradedAction::*;
-        use TokenKind::*;
-        let set = |words: &[&str]| -> std::collections::BTreeSet<String> {
-            words.iter().map(|w| w.to_string()).collect()
-        };
-        let floats = [f64::NAN, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5];
-        let units = all_units();
-        let approx = [
-            A::Exact,
-            A::Approximate,
-            A::UpperBound,
-            A::LowerBound,
-            A::None,
-        ];
-        let aggs = [Sum, Difference, Percentage, ChangeRatio, Average, Max, Min];
-        let stages = [
-            Stage::Extraction,
-            Stage::VirtualCells,
-            Stage::Classification,
-            Stage::GraphConstruction,
-            Stage::Resolution,
-            Stage::Batch,
-        ];
-        let orientations = [
-            None,
-            Some(Orientation::Row(2)),
-            Some(Orientation::Column(3)),
-        ];
-
-        let text_mentions = units
-            .iter()
-            .enumerate()
-            .map(|(i, &unit)| TextMention {
-                id: i,
-                quantity: QuantityMention {
-                    raw: format!("q{i}"),
-                    value: floats[i % 5],
-                    unnormalized: floats[(i + 1) % 5],
-                    unit,
-                    precision: i as u8,
-                    approx: approx[i % 5],
-                    start: 10 * i,
-                    end: 10 * i + 3,
-                },
-            })
-            .collect();
-        let tokens = [Word, Number, Alphanumeric, Punct, Symbol]
-            .into_iter()
-            .enumerate()
-            .map(|(i, kind)| Token {
-                text: format!("t{i}"),
-                start: i,
-                end: i + 1,
-                kind,
-            })
-            .collect();
-        let mentions = std::iter::once(None)
-            .chain(aggs.map(Some))
-            .enumerate()
-            .map(|(i, inferred_aggregation)| MentionContext {
-                local_weights: [(format!("w{i}"), floats[i % 5])].into_iter().collect(),
-                sentence_phrases: set(&["phrase", "é∞\\"]),
-                immediate_words: vec![format!("i{i}")],
-                sentence_words: vec!["s".into(), format!("s{i}")],
-                inferred_aggregation,
-                token_index: i,
-            })
-            .collect();
-        let table_ctx = TableContext {
-            row_words: vec![set(&["r"]), set(&[])],
-            col_words: vec![set(&["c", "d"])],
-            table_words: set(&["t"]),
-            row_phrases: Vec::new(),
-            col_phrases: vec![set(&[])],
-            table_phrases: set(&["tp"]),
-        };
-        let targets: Vec<TableMention> = std::iter::once(TableMentionKind::SingleCell)
-            .chain(aggs.map(TableMentionKind::Aggregate))
-            .enumerate()
-            .map(|(i, kind)| TableMention {
-                table: i % 2,
-                kind,
-                cells: vec![(i, 0), (i, 1)],
-                value: floats[i % 5],
-                unnormalized: floats[(i + 2) % 5],
-                raw: format!("c{i}"),
-                unit: units[i],
-                precision: 2,
-                orientation: orientations[i % 3],
-            })
-            .collect();
-        let actions = [Skipped, Truncated, Fallback, Cancelled];
-        let items = stages.iter().enumerate().map(|(i, &stage)| Diagnostic {
-            stage,
-            scope: format!("table {i}"),
-            error: "\"quoted\" \u{0}".into(),
-            action: actions[i % 4],
-        });
-        let diagnostics = Diagnostics {
-            items: items.collect(),
-        };
-        let stats = FilterStats {
-            total: [("single".into(), 3), ("sum".into(), 1)]
-                .into_iter()
-                .collect(),
-            kept: [("single".into(), 1)].into_iter().collect(),
-        };
-        let artifacts = (0..3)
-            .map(|i| V1Artifact {
-                fp: 0x1234_5678_9abc_def0 ^ i as u64,
-                candidates: vec![Candidate {
-                    target: i,
-                    score: floats[i],
-                }],
-                stats: stats.clone(),
-            })
-            .collect();
-        let alignments = targets
-            .iter()
-            .enumerate()
-            .map(|(i, target)| Alignment {
-                mention_start: i,
-                mention_end: i + 2,
-                mention_raw: format!("m{i}"),
-                target: target.clone(),
-                score: floats[i % 5],
-            })
-            .collect();
-        V1Entry {
-            config_fp: 1,
-            text_fp: 2,
-            aggregate_fp: 3,
-            table_fps: vec![4, u64::MAX],
-            text_mentions,
-            text_ctx: DocContext {
-                tokens,
-                paragraph_words: set(&["a", "b"]),
-                paragraph_word_list: vec!["b".into(), "a".into()],
-                paragraph_phrases: set(&[]),
-                tables: vec![table_ctx.clone()],
-                mentions,
-            },
-            table_contexts: vec![table_ctx],
-            targets,
-            extract_diags: diagnostics.clone(),
-            artifacts,
-            alignments,
-            diagnostics,
-            stats,
-        }
-    }
-
-    /// The kept records of `docs` aligned through a fresh durable store,
-    /// key-ordered.
-    fn aligned_records(docs: &[Document]) -> Vec<Vec<u8>> {
-        let briq = briq();
-        let dir = TempDir::new("records");
-        let store = persistent(&briq, dir.path());
-        align_all(&briq, &store, docs);
-        store.encoded_entries()
-    }
-
     /// The on-disk format, pinned: FNV-1a digests of the records that
     /// aligning fixed documents through a durable store writes, and of
     /// [`every_tag_entry`]'s record. A digest moves when any layout, tag,
     /// or field order does (which must also bump `FORMAT_VERSION`), or
-    /// when what the pipeline extracts or outputs for these documents
-    /// does: the target slot holds the targets the production path
-    /// builds, the tagged kinds' only. The aligned records' digests also
-    /// move with the model's JSON, which their `config_fp` slot hashes.
+    /// when what the pipeline outputs for these documents does. Each
+    /// aligned record is hashed with its `config_fp` slot set to 0: that
+    /// slot hashes the model's JSON, so a config change would otherwise
+    /// move the pin although the format did not.
     #[test]
     fn record_bytes_are_pinned() {
         let mut fixed = docs();
@@ -1675,28 +1411,28 @@ mod tests {
                 ),
             ],
         ));
-        let digests: Vec<u64> = aligned_records(&fixed)
-            .iter()
-            .map(|p| checksum(p))
+        let digests: Vec<u64> = aligned_entries(&fixed)
+            .into_iter()
+            .map(|(key, mut entry)| {
+                entry.config_fp = 0;
+                checksum(&encode_record(key, &entry))
+            })
             .collect();
         assert_eq!(
             digests,
-            [0xd54cf78e02436485, 0xbd57c95fa2977912, 0x747975982f31c9c4],
+            [0x74f2f4ad4c982dba, 0xca9a1de3feda24fe, 0xd64522c1df44015a],
             "{digests:#018x?}"
         );
-        let e = every_tag_entry();
-        let payload = v1_record(0xFEED, &e);
+        let payload = encode_record(0xFEED, &every_tag_entry());
         assert_eq!(
             checksum(&payload),
-            0x06fcbf21d23de07e,
+            0xa6f591abeea3953c,
             "{:#018x}",
             checksum(&payload)
         );
-        // A record whose retired slots hold values, as stores written
-        // before they were retired do, recovers like any other.
-        let (key, entry) = decode_record(payload.clone()).expect("recover");
+        let (key, entry) = decode_record(&payload).expect("recover");
         assert_eq!(key, 0xFEED);
-        assert_recovers(&entry, &e, &payload);
+        assert_eq!(encode_record(key, &entry), payload);
     }
 
     #[test]
@@ -1865,69 +1601,151 @@ mod tests {
         (0..units.len()).prop_map(move |i| units[i])
     }
 
-    fn any_artifact() -> impl Strategy<Value = V1Artifact> {
+    fn any_target() -> impl Strategy<Value = TableMention> {
         (
-            (0u64..=u64::MAX),
-            proptest::collection::vec((0usize..4096, any_f64()), 0..8),
-            proptest::collection::vec((any_string(), 0usize..1000), 0..4),
+            (0usize..4, 0..KINDS.len(), 0usize..3, 0usize..64),
+            proptest::collection::vec((0usize..64, 0usize..64), 0..4),
+            (
+                any_f64(),
+                any_f64(),
+                any_string(),
+                any_unit(),
+                0u8..=u8::MAX,
+            ),
         )
-            .prop_map(|(fp, cands, counts)| V1Artifact {
-                fp,
-                candidates: cands
-                    .into_iter()
-                    .map(|(target, score)| Candidate { target, score })
-                    .collect(),
-                stats: FilterStats {
-                    total: counts.iter().cloned().collect(),
-                    kept: counts.into_iter().map(|(k, v)| (k, v / 2)).collect(),
+            .prop_map(
+                |(
+                    (table, kind, form, line),
+                    cells,
+                    (value, unnormalized, raw, unit, precision),
+                )| {
+                    TableMention {
+                        table,
+                        kind: KINDS[kind],
+                        cells,
+                        value,
+                        unnormalized,
+                        raw,
+                        unit,
+                        precision,
+                        orientation: orientation(form, line),
+                    }
                 },
+            )
+    }
+
+    fn any_alignment() -> impl Strategy<Value = Alignment> {
+        (
+            0usize..4096,
+            0usize..4096,
+            any_string(),
+            any_target(),
+            any_f64(),
+        )
+            .prop_map(|(mention_start, mention_end, mention_raw, target, score)| {
+                Alignment {
+                    mention_start,
+                    mention_end,
+                    mention_raw,
+                    target,
+                    score,
+                }
             })
+    }
+
+    fn any_diagnostic() -> impl Strategy<Value = Diagnostic> {
+        (
+            0..STAGES.len(),
+            any_string(),
+            any_string(),
+            0..ACTIONS.len(),
+        )
+            .prop_map(|(stage, scope, error, action)| Diagnostic {
+                stage: STAGES[stage],
+                scope,
+                error,
+                action: ACTIONS[action],
+            })
+    }
+
+    fn any_counts() -> impl Strategy<Value = BTreeMap<String, usize>> {
+        proptest::collection::vec((any_string(), 0usize..1000), 0..4)
+            .prop_map(|counts| counts.into_iter().collect())
+    }
+
+    /// Any entry: any fingerprints and counts, and 0–6 mentions' kept
+    /// candidates beside any alignments, diagnostics and filter totals.
+    fn any_entry() -> impl Strategy<Value = DocEntry> {
+        let candidate =
+            (0usize..4096, any_f64()).prop_map(|(target, score)| Candidate { target, score });
+        (
+            (
+                0u64..=u64::MAX,
+                0u64..=u64::MAX,
+                proptest::collection::vec(0u64..=u64::MAX, 0..4),
+            ),
+            (0u64..=u64::MAX, 0u64..=u64::MAX),
+            proptest::collection::vec(proptest::collection::vec(candidate, 0..8), 0..=6),
+            proptest::collection::vec(any_alignment(), 0..6),
+            proptest::collection::vec(any_diagnostic(), 0..4),
+            (any_counts(), any_counts()),
+        )
+            .prop_map(
+                |(
+                    (config_fp, text_fp, table_fps),
+                    (mentions, targets),
+                    candidates,
+                    alignments,
+                    items,
+                    (total, kept),
+                )| DocEntry {
+                    config_fp,
+                    text_fp,
+                    table_fps,
+                    mentions,
+                    targets,
+                    out: AlignOutput {
+                        alignments,
+                        diagnostics: Diagnostics { items },
+                        stats: FilterStats { total, kept },
+                        candidates,
+                    },
+                    approx_bytes: 0,
+                    last_used: 0,
+                },
+            )
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Encode a missed document's record, then recover it: the
-        /// record is the v1 layout with the retired slots written as `0`
-        /// and empty, and the recovered entry holds the document's
-        /// fingerprints, counts and outputs (bit for bit, NaN payloads
-        /// included) and keeps the encoded record byte for byte.
+        /// Encode an entry's record, then decode it: the key and every
+        /// fingerprint, count and output come back bit for bit (NaN
+        /// payloads included), and re-encode to the same bytes. Every
+        /// strict prefix of the record is refused, and so is the record
+        /// with one byte more.
         #[test]
         fn record_roundtrip_is_identity(
-            key in (0u64..=u64::MAX),
-            fps in proptest::collection::vec(0u64..=u64::MAX, 0..4),
-            artifacts in proptest::collection::vec(any_artifact(), 0..6),
-            raw in any_string(),
-            value in any_f64(),
-            unit in any_unit(),
-            scope in any_string(),
+            key in 0u64..=u64::MAX,
+            entry in any_entry(),
+            extra in 0u8..=u8::MAX,
         ) {
-            let mut entry = every_tag_entry();
-            entry.table_fps = fps;
-            entry.artifacts = artifacts;
-            let q = &mut entry.text_mentions[0].quantity;
-            (q.raw, q.value, q.unnormalized, q.unit) = (raw.clone(), value, value, unit);
-            let t = &mut entry.targets[1];
-            (t.raw, t.value, t.unit) = (raw.clone(), value, unit);
-            entry.text_ctx.tokens[0].text = raw.clone();
-            entry.text_ctx.paragraph_phrases.insert(scope.clone());
-            entry.text_ctx.mentions[0].local_weights.insert(raw.clone(), value);
-            entry.table_contexts[0].table_words.insert(raw);
-            entry.extract_diags.items[0].scope = scope;
-            entry.alignments[0].score = value;
-            // The text context's table slot is written empty.
-            entry.text_ctx.tables.clear();
-
-            let (miss, x, out) = parts(&entry);
-            let payload = encode_record(key, &miss, x, &out);
-            entry.aggregate_fp = 0;
-            for a in &mut entry.artifacts {
-                (a.fp, a.stats) = (0, FilterStats::default());
-            }
-            prop_assert_eq!(&payload, &v1_record(key, &entry));
-            let (key2, recovered) = decode_record(payload.clone()).expect("recover");
+            let payload = encode_record(key, &entry);
+            let (key2, back) = decode_record(&payload).expect("a record decodes");
             prop_assert_eq!(key2, key);
-            assert_recovers(&recovered, &entry, &payload);
+            prop_assert_eq!(
+                (back.config_fp, back.text_fp, &back.table_fps),
+                (entry.config_fp, entry.text_fp, &entry.table_fps)
+            );
+            prop_assert_eq!((back.mentions, back.targets), (entry.mentions, entry.targets));
+            prop_assert_eq!(bytes(&back.out), bytes(&entry.out));
+            prop_assert_eq!(&encode_record(key2, &back), &payload);
+            for cut in 0..payload.len() {
+                prop_assert!(decode_record(&payload[..cut]).is_err(), "prefix of {} bytes accepted", cut);
+            }
+            let mut longer = payload;
+            longer.push(extra);
+            prop_assert!(decode_record(&longer).is_err(), "a trailing byte was accepted");
         }
 
         /// Truncating a valid record stream at ANY byte offset recovers
@@ -1935,9 +1753,9 @@ mod tests {
         #[test]
         fn any_truncation_point_recovers_prefix(cut_frac in 0.0f64..1.0) {
             let mut stream = file_header(1234, 0);
-            let payloads = aligned_records(&docs());
-            for p in &payloads {
-                write_frame(&mut stream, p).expect("frame into a Vec");
+            let records = aligned_entries(&docs());
+            for (key, entry) in &records {
+                write_frame(&mut stream, &encode_record(*key, entry)).expect("frame into a Vec");
             }
             let cut = HEADER_LEN as usize
                 + ((stream.len() - HEADER_LEN as usize) as f64 * cut_frac) as usize;
@@ -1948,33 +1766,15 @@ mod tests {
                 &mut |k, e| entries.push((k, e)),
             );
             prop_assert!(valid_len as usize <= cut);
-            prop_assert!(entries.len() <= payloads.len());
+            prop_assert!(entries.len() <= records.len());
             prop_assert_eq!(torn, valid_len as usize != cut);
-            // The recovered prefix re-frames to the stream prefix.
+            // The recovered prefix, encoded again, re-frames to the
+            // stream prefix.
             let mut replay = Vec::new();
-            for (_, e) in &entries {
-                write_frame(&mut replay, &e.record).expect("frame into a Vec");
+            for (key, entry) in &entries {
+                write_frame(&mut replay, &encode_record(*key, entry)).expect("frame into a Vec");
             }
             prop_assert_eq!(&stream[HEADER_LEN as usize..valid_len as usize], &replay[..]);
-        }
-    }
-
-    proptest! {
-        // A case costs two decodes of a ~4 KB record, so sample widely.
-        #![proptest_config(ProptestConfig::with_cases(512))]
-
-        /// Under any single-byte corruption of a record, recovery's
-        /// skipping decoder accepts exactly the payloads that a full
-        /// decode of the v1 layout accepts.
-        #[test]
-        fn skipping_decoder_accepts_what_the_full_decoder_accepts(
-            at in 0.0f64..1.0,
-            byte in 0u8..=u8::MAX,
-        ) {
-            let mut payload = v1_record(0xFEED, &every_tag_entry());
-            let i = ((payload.len() as f64 * at) as usize).min(payload.len() - 1);
-            payload[i] = byte;
-            prop_assert_eq!(decode_record(payload.clone()).is_ok(), v1_accepts(&payload));
         }
     }
 }

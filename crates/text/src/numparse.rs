@@ -71,94 +71,120 @@ pub fn parse_numeral(s: &str) -> Option<ParsedNumber> {
     })
 }
 
-/// Decide which of `,` / `.` are grouping marks vs. the decimal point and
-/// compute the value.
-fn interpret_marks(s: &str) -> Option<(f64, u8, bool)> {
-    let commas: Vec<usize> = s.match_indices(',').map(|(i, _)| i).collect();
-    let dots: Vec<usize> = s.match_indices('.').map(|(i, _)| i).collect();
-
-    // Both marks present: the right-most one is the decimal separator.
-    if let (Some(&last_comma), Some(&last_dot)) = (commas.last(), dots.last()) {
-        let (dec_pos, group) = if last_comma > last_dot {
-            (last_comma, '.')
-        } else {
-            (last_dot, ',')
-        };
-        let int_part: String = s[..dec_pos]
-            .chars()
-            .filter(|c| c.is_ascii_digit())
-            .collect();
-        let frac_part = &s[dec_pos + 1..];
-        if frac_part.contains(group) || frac_part.contains(if group == '.' { ',' } else { '.' }) {
-            return None; // e.g. "1.2,3.4" nonsense
-        }
-        let v: f64 = format!("{int_part}.{frac_part}").parse().ok()?;
-        return Some((v, frac_part.len() as u8, true));
-    }
-
-    // Only dots.
-    if commas.is_empty() && !dots.is_empty() {
-        if dots.len() > 1 {
-            // "1.234.567" — European grouping; every group after the
-            // first must have exactly three digits ("1..2" is not a
-            // numeral).
-            let groups: Vec<&str> = s.split('.').collect();
-            let ok = !groups[0].is_empty()
-                && groups[0].len() <= 3
-                && groups[1..].iter().all(|g| g.len() == 3);
-            if !ok {
-                return None;
-            }
-            let digits: String = s.chars().filter(|c| c.is_ascii_digit()).collect();
-            return Some((digits.parse().ok()?, 0, true));
-        }
-        let frac = &s[dots[0] + 1..];
-        if frac.is_empty() {
-            return None; // trailing "5." is not a numeral
-        }
-        // A single dot is a decimal point. ("1.234" could be grouping but
-        // the dominant reading in English web text is decimal.)
-        let v: f64 = s.parse().ok()?;
-        return Some((v, frac.len() as u8, false));
-    }
-
-    // Only commas.
-    if let Some(&last) = commas.last() {
-        let tail = &s[last + 1..];
-        let all_groups_of_three = tail.len() == 3 && group_sizes_ok(s);
-        if all_groups_of_three {
-            let digits: String = s.chars().filter(|c| c.is_ascii_digit()).collect();
-            return Some((digits.parse().ok()?, 0, true));
-        }
-        if commas.len() == 1 {
-            if tail.is_empty() {
-                return None; // trailing "5," is not a numeral
-            }
-            // European decimal comma: "0,877", "2,67".
-            let v: f64 = s.replace(',', ".").parse().ok()?;
-            return Some((v, tail.len() as u8, false));
-        }
-        // Indian grouping "2,29,866": last group 3, earlier groups 1-2.
-        if tail.len() == 3 {
-            let digits: String = s.chars().filter(|c| c.is_ascii_digit()).collect();
-            return Some((digits.parse().ok()?, 0, true));
-        }
-        return None;
-    }
-
-    // Plain digits.
-    Some((s.parse().ok()?, 0, false))
+/// Where one kind of mark (`,` or `.`) occurs in a numeral.
+#[derive(Default)]
+struct Marks {
+    count: usize,
+    /// Byte index of the first and of the last occurrence.
+    first: usize,
+    last: usize,
+    /// True when every two consecutive occurrences enclose three digits.
+    threes: bool,
 }
 
-/// Check Western grouping: first group 1–3 digits, all later groups 3.
-/// A leading lone `0` (as in `0,877`) is never grouping — it reads as a
-/// European decimal comma (Fig. 1c of the paper writes `0,877` for 0.877).
-fn group_sizes_ok(s: &str) -> bool {
-    let groups: Vec<&str> = s.split(',').collect();
-    if groups.is_empty() || groups[0].is_empty() || groups[0].len() > 3 || groups[0] == "0" {
-        return false;
+impl Marks {
+    fn see(&mut self, i: usize) {
+        if self.count == 0 {
+            (self.first, self.threes) = (i, true);
+        } else {
+            self.threes &= i - self.last == 4;
+        }
+        self.last = i;
+        self.count += 1;
     }
-    groups[1..].iter().all(|g| g.len() == 3 && !g.contains('.'))
+}
+
+/// Numerals up to this many bytes are parsed from a stack buffer.
+const STACK_NUMERAL: usize = 40;
+
+/// Decide which of `,` / `.` are grouping marks vs. the decimal point and
+/// compute the value. `s` holds only ASCII digits and marks and starts
+/// with a digit. One scan copies its digits into a buffer and notes where
+/// each mark occurs; the value is parsed from those digits, with a `.`
+/// put back where the decimal mark stood.
+fn interpret_marks(s: &str) -> Option<(f64, u8, bool)> {
+    let b = s.as_bytes();
+    let mut stack = [0u8; STACK_NUMERAL];
+    let mut heap = Vec::new();
+    let digits: &mut [u8] = if b.len() <= STACK_NUMERAL {
+        &mut stack[..b.len()]
+    } else {
+        heap.resize(b.len(), 0);
+        &mut heap
+    };
+    let (mut commas, mut dots) = (Marks::default(), Marks::default());
+    let mut n = 0;
+    for (i, &c) in b.iter().enumerate() {
+        match c {
+            b',' => commas.see(i),
+            b'.' => dots.see(i),
+            _ => {
+                digits[n] = c;
+                n += 1;
+            }
+        }
+    }
+    // The length of the last group, after the last mark of a kind.
+    let tail = |m: &Marks| b.len() - m.last - 1;
+    let grouped = |digits: &mut [u8]| Some((parse_digits(digits, n, None)?, 0, true));
+    // A leading lone `0` (as in `0,877`) is never grouping — it reads as
+    // a European decimal comma (Fig. 1c of the paper writes `0,877` for
+    // 0.877).
+    let lone_zero = commas.first == 1 && b[0] == b'0';
+
+    match (commas.count, dots.count) {
+        // Plain digits.
+        (0, 0) => Some((s.parse().ok()?, 0, false)),
+        // Only commas, in Western grouping: first group 1–3 digits, all
+        // later groups 3.
+        (_, 0) if tail(&commas) == 3 && commas.first <= 3 && !lone_zero && commas.threes => {
+            grouped(digits)
+        }
+        // One mark that does not group is the decimal point: a European
+        // decimal comma ("0,877", "2,67") or a dot ("1.234" could be
+        // grouping but the dominant reading in English web text is
+        // decimal). A trailing "5," or "5." is not a numeral.
+        (1, 0) | (0, 1) => {
+            let mark = if commas.count == 1 { &commas } else { &dots };
+            match tail(mark) {
+                0 => None,
+                frac => Some((parse_digits(digits, n, Some(mark.last))?, frac as u8, false)),
+            }
+        }
+        // Several commas, otherwise: Indian grouping "2,29,866", last
+        // group 3, earlier groups 1-2.
+        (_, 0) => (tail(&commas) == 3).then(|| grouped(digits))?,
+        // Several dots: "1.234.567" — European grouping; every group
+        // after the first must have exactly three digits ("1..2" is not
+        // a numeral).
+        (0, _) => (dots.first <= 3 && dots.threes && tail(&dots) == 3).then(|| grouped(digits))?,
+        // Both marks present: the right-most one is the decimal separator,
+        // every earlier mark groups.
+        (c, d) => {
+            let dec = commas.last.max(dots.last);
+            let int = dec + 1 - (c + d);
+            Some((
+                parse_digits(digits, n, Some(int))?,
+                (b.len() - dec - 1) as u8,
+                true,
+            ))
+        }
+    }
+}
+
+/// Parse the digits `buf[..n]` as an `f64`, with a decimal point put back
+/// after the first `int` of them when there is one (`buf` has room for
+/// it: the point replaces a mark).
+fn parse_digits(buf: &mut [u8], n: usize, int: Option<usize>) -> Option<f64> {
+    let len = match int {
+        Some(k) => {
+            buf.copy_within(k..n, k + 1);
+            buf[k] = b'.';
+            n + 1
+        }
+        None => n,
+    };
+    std::str::from_utf8(&buf[..len]).ok()?.parse().ok()
 }
 
 /// Multiplier for a scale word / suffix. Case-insensitive.
@@ -329,6 +355,201 @@ pub fn order_of_magnitude(v: f64) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The two-pass parse `interpret_marks` replaced, kept as its
+    /// reference: mark indices and group splits as vectors, digits
+    /// filtered into a `String`.
+    fn interpret_marks_reference(s: &str) -> Option<(f64, u8, bool)> {
+        let commas: Vec<usize> = s.match_indices(',').map(|(i, _)| i).collect();
+        let dots: Vec<usize> = s.match_indices('.').map(|(i, _)| i).collect();
+
+        // Both marks present: the right-most one is the decimal separator.
+        if let (Some(&last_comma), Some(&last_dot)) = (commas.last(), dots.last()) {
+            let (dec_pos, group) = if last_comma > last_dot {
+                (last_comma, '.')
+            } else {
+                (last_dot, ',')
+            };
+            let int_part: String = s[..dec_pos]
+                .chars()
+                .filter(|c| c.is_ascii_digit())
+                .collect();
+            let frac_part = &s[dec_pos + 1..];
+            if frac_part.contains(group) || frac_part.contains(if group == '.' { ',' } else { '.' })
+            {
+                return None;
+            }
+            let v: f64 = format!("{int_part}.{frac_part}").parse().ok()?;
+            return Some((v, frac_part.len() as u8, true));
+        }
+
+        // Only dots.
+        if commas.is_empty() && !dots.is_empty() {
+            if dots.len() > 1 {
+                let groups: Vec<&str> = s.split('.').collect();
+                let ok = !groups[0].is_empty()
+                    && groups[0].len() <= 3
+                    && groups[1..].iter().all(|g| g.len() == 3);
+                if !ok {
+                    return None;
+                }
+                let digits: String = s.chars().filter(|c| c.is_ascii_digit()).collect();
+                return Some((digits.parse().ok()?, 0, true));
+            }
+            let frac = &s[dots[0] + 1..];
+            if frac.is_empty() {
+                return None;
+            }
+            let v: f64 = s.parse().ok()?;
+            return Some((v, frac.len() as u8, false));
+        }
+
+        // Only commas.
+        if let Some(&last) = commas.last() {
+            let tail = &s[last + 1..];
+            let all_groups_of_three = tail.len() == 3 && group_sizes_ok_reference(s);
+            if all_groups_of_three {
+                let digits: String = s.chars().filter(|c| c.is_ascii_digit()).collect();
+                return Some((digits.parse().ok()?, 0, true));
+            }
+            if commas.len() == 1 {
+                if tail.is_empty() {
+                    return None;
+                }
+                let v: f64 = s.replace(',', ".").parse().ok()?;
+                return Some((v, tail.len() as u8, false));
+            }
+            if tail.len() == 3 {
+                let digits: String = s.chars().filter(|c| c.is_ascii_digit()).collect();
+                return Some((digits.parse().ok()?, 0, true));
+            }
+            return None;
+        }
+
+        // Plain digits.
+        Some((s.parse().ok()?, 0, false))
+    }
+
+    fn group_sizes_ok_reference(s: &str) -> bool {
+        let groups: Vec<&str> = s.split(',').collect();
+        if groups.is_empty() || groups[0].is_empty() || groups[0].len() > 3 || groups[0] == "0" {
+            return false;
+        }
+        groups[1..].iter().all(|g| g.len() == 3 && !g.contains('.'))
+    }
+
+    /// `interpret_marks`' result with the value as its bit pattern.
+    fn bits(r: Option<(f64, u8, bool)>) -> Option<(u64, u8, bool)> {
+        r.map(|(v, p, g)| (v.to_bits(), p, g))
+    }
+
+    /// `digits` as numeral text.
+    fn text(digits: &[u8]) -> String {
+        digits.iter().map(|&d| char::from(b'0' + d)).collect()
+    }
+
+    /// Digit groups joined by marks: a lead group of 1–4 digits (a lone
+    /// `0` one time in five), then up to 14 groups of three digits
+    /// (one time in nine of 0, 1, 2 or 4), joined by commas only
+    /// (`mode` 0), dots only (1) or either (2). Well-formed groupings,
+    /// malformed groups and trailing marks all occur, and the longest
+    /// run past the stack buffer.
+    fn grouped_numeral() -> impl Strategy<Value = String> {
+        let four = || proptest::collection::vec(0u8..10, 4..=4);
+        let lead = (0u8..5, four()).prop_map(|(k, d)| match k {
+            0 => "0".to_string(),
+            _ => text(&d[..usize::from(k)]),
+        });
+        let group = (0u8..9, four()).prop_map(|(k, d)| match k {
+            0..=4 => text(&d[..3]),
+            _ => text(&d[..[0, 1, 2, 4][usize::from(k - 5)]]),
+        });
+        (
+            lead,
+            0u8..3,
+            proptest::collection::vec((0u8..2, group), 0..15),
+        )
+            .prop_map(|(mut s, mode, rest)| {
+                for (m, group) in rest {
+                    s.push(match (mode, m) {
+                        (0, _) | (2, 0) => ',',
+                        _ => '.',
+                    });
+                    s.push_str(&group);
+                }
+                s
+            })
+    }
+
+    /// A leading digit, then any run of digits and marks.
+    fn mark_soup() -> impl Strategy<Value = String> {
+        (0u8..10, proptest::collection::vec(0u8..12, 0..50)).prop_map(|(lead, rest)| {
+            std::iter::once(lead)
+                .chain(rest)
+                .map(|c| match c {
+                    10 => ',',
+                    11 => '.',
+                    d => char::from(b'0' + d),
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The one-pass parse agrees with the reference on every grouped
+        /// numeral, bit for bit.
+        #[test]
+        fn one_pass_marks_match_the_reference_on_grouped_numerals(s in grouped_numeral()) {
+            prop_assert_eq!(bits(interpret_marks(&s)), bits(interpret_marks_reference(&s)), "{}", s);
+        }
+
+        /// ... and on any run of digits and marks.
+        #[test]
+        fn one_pass_marks_match_the_reference_on_any_marks(s in mark_soup()) {
+            prop_assert_eq!(bits(interpret_marks(&s)), bits(interpret_marks_reference(&s)), "{}", s);
+        }
+    }
+
+    #[test]
+    fn one_pass_marks_match_the_reference_on_the_documented_forms() {
+        for s in [
+            "3,263",
+            "246,725",
+            "1,144,716",
+            "2,29,866",
+            "0,877",
+            "2,67",
+            "25.27",
+            "1,234.56",
+            "1.234,56",
+            "1.234.567",
+            "1,23",
+            "12,34,56",
+            "1,234.",
+            "5.",
+            "5,",
+            "1..2",
+            "0,000",
+            "34,900",
+            "1,,234",
+            "12345,678",
+            "1.2,3.4",
+        ] {
+            assert_eq!(
+                bits(interpret_marks(s)),
+                bits(interpret_marks_reference(s)),
+                "{s}"
+            );
+        }
+        let long = "1,234".repeat(20);
+        assert_eq!(
+            bits(interpret_marks(&long)),
+            bits(interpret_marks_reference(&long))
+        );
+    }
 
     fn val(s: &str) -> f64 {
         parse_numeral(s).unwrap().value
