@@ -28,8 +28,10 @@
 #                harness in tests/chaos.rs, the batch-engine unit tests,
 #                and the kernel-equivalence suites (CSR-vs-dense RWR
 #                proptests in crates/graph/tests/csr_equivalence.rs,
-#                flat-vs-recursive forest proptests in briq-ml, and the
-#                per-document allocation test); then builds and
+#                flat-vs-recursive forest proptests in briq-ml, which
+#                also hold every layout built under known feature
+#                constraints to the plain layout's votes, scores and
+#                pruning, and the per-document allocation test); then builds and
 #                tests the briq-perf benchmark package (outside the
 #                workspace) with --locked, so a library change that
 #                breaks the benchmark fails here and its Cargo.lock is
@@ -60,6 +62,11 @@
 #                exhaustive reference are byte- and recall-compared too
 #                (every other run uses the untrained heuristic prior), and
 #                one untrained --store-dir run, byte-compared the same way.
+#                The trained leg is the end-to-end gate of the engine's
+#                per-class forest layouts: the production runs score each
+#                retrieved row through its class layout, --oracle through
+#                the plain layout, and the golden holds the trained run's
+#                pairs_pruned and rows_scored_* counters.
 #                Per-kernel equivalence (CSR vs dense walk, flat vs
 #                recursive forest) is proven by the proptest suites the
 #                test stage runs. Finally the work golden: every counter

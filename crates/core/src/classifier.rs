@@ -1,9 +1,30 @@
 //! The mention-pair classifier (§IV): a class-weighted Random Forest over
 //! the 12-feature vectors, with an ablation mask.
+//!
+//! Scoring runs on flat layouts of the forest (DESIGN.md §9): the plain
+//! one, with the mask baked in, and — built on the first call to
+//! `PairClassifier::row_layouts`, which the alignment engine makes on
+//! its first trained mention — one layout per row class the engine can
+//! read off a filled row before walking it (`RowLayouts`, DESIGN.md §10).
 
-use briq_ml::{Dataset, FlatForest, RandomForest, RandomForestConfig};
+use std::sync::OnceLock;
+
+use briq_ml::{Dataset, FlatForest, Known, RandomForest, RandomForestConfig};
 
 use crate::features::{FeatureMask, FEATURE_COUNT};
+
+/// Row index of f6, the relative value difference the filter's near/far
+/// split compares against `value_diff_threshold`.
+const F6: usize = 5;
+/// Row index of f8, the unit match code.
+const F8: usize = 7;
+/// Row index of f12, the aggregate-function match code.
+const F12: usize = 11;
+/// f8 codes a retrieved row can carry: `StrongMatch`, `WeakMatch`,
+/// `WeakMismatch`. Retrieval never hands over `StrongMismatch` (3).
+const UNIT_CODES: usize = 3;
+/// f12 codes: all four match degrees.
+const AGG_CODES: usize = 4;
 
 /// A trained mention-pair classifier.
 ///
@@ -17,6 +38,71 @@ pub struct PairClassifier {
     forest: RandomForest,
     mask: FeatureMask,
     flat: FlatForest,
+    /// Built on first use, never serialized.
+    row_layouts: OnceLock<RowLayouts>,
+}
+
+/// Flat layouts of one classifier's forest, one per class of feature row:
+/// the near or far side of the f6 split (`f6 <= split` or `f6 > split`)
+/// × the f8 unit-match code (0–2) × the f12 aggregate-match code (0–3),
+/// each with the mask baked in as well ([`FlatForest::from_forest_known`]).
+/// A row's class is read off the row itself, so scoring a row through
+/// [`RowLayouts::pick`]'s layout is exact for any row: every tree votes as
+/// it does in the plain layout, and a row no layout was built for takes
+/// the plain one.
+#[derive(Debug, Clone)]
+pub(crate) struct RowLayouts {
+    /// The f6 value the near/far sides were split at.
+    split: f64,
+    /// Indexed by `(far * UNIT_CODES + f8) * AGG_CODES + f12`.
+    layouts: Vec<FlatForest>,
+}
+
+impl RowLayouts {
+    fn build(forest: &RandomForest, mask: FeatureMask, split: f64) -> RowLayouts {
+        let mut layouts = Vec::with_capacity(2 * UNIT_CODES * AGG_CODES);
+        for far in [false, true] {
+            for unit in 0..UNIT_CODES {
+                for agg in 0..AGG_CODES {
+                    layouts.push(FlatForest::from_forest_known(forest, |f| match f {
+                        // A masked feature reads 0.0 whatever the row holds.
+                        _ if !mask.keeps(f) => Some(Known::Equals(0.0)),
+                        F6 if far => Some(Known::Above(split)),
+                        F6 => Some(Known::AtMost(split)),
+                        F8 => Some(Known::Equals(unit as f64)),
+                        F12 => Some(Known::Equals(agg as f64)),
+                        _ => None,
+                    }));
+                }
+            }
+        }
+        RowLayouts { split, layouts }
+    }
+
+    /// The layout built for `row`'s class, or `None` — score through the
+    /// plain layout — when its f6 is NaN or its f8 or f12 is not a code a
+    /// layout was built for.
+    pub(crate) fn pick(&self, row: &[f64]) -> Option<&FlatForest> {
+        let far = if row[F6] <= self.split {
+            0
+        } else if row[F6] > self.split {
+            1
+        } else {
+            return None;
+        };
+        let unit = code(row[F8], UNIT_CODES)?;
+        let agg = code(row[F12], AGG_CODES)?;
+        self.layouts
+            .get((far * UNIT_CODES + unit) * AGG_CODES + agg)
+    }
+}
+
+/// `v` as a code below `n`, when it is exactly one.
+fn code(v: f64, n: usize) -> Option<usize> {
+    // `as` saturates (NaN reads 0), so the round trip rejects everything
+    // but the exact codes.
+    let c = v as usize;
+    (c < n && c as f64 == v).then_some(c)
 }
 
 impl PairClassifier {
@@ -33,7 +119,12 @@ impl PairClassifier {
     /// mask-baked flat scoring layout.
     fn from_parts(forest: RandomForest, mask: FeatureMask) -> PairClassifier {
         let flat = FlatForest::from_forest_masked(&forest, |f| mask.keeps(f));
-        PairClassifier { forest, mask, flat }
+        PairClassifier {
+            forest,
+            mask,
+            flat,
+            row_layouts: OnceLock::new(),
+        }
     }
 
     /// Confidence that the pair is related, in `[0, 1]`. Allocation-free:
@@ -47,12 +138,22 @@ impl PairClassifier {
         self.mask
     }
 
-    /// The mask-baked flat scoring layout — the batched entry point for
-    /// [`FlatForest::score_block`] and [`FlatForest::score_block_bounded`]
-    /// (see [`crate::scoring`]). Scoring through it is bit-identical to
-    /// [`PairClassifier::score`] row by row.
+    /// The mask-baked flat scoring layout — the entry point for
+    /// [`FlatForest::score_block`] on the reference paths, and the bound
+    /// [`FlatForest::score_bounded`] reads in [`crate::scoring`]. Scoring
+    /// through it is bit-identical to [`PairClassifier::score`] row by row.
     pub fn flat(&self) -> &FlatForest {
         &self.flat
+    }
+
+    /// The per-class layouts. The first call builds them with the near/far
+    /// sides split at `split` (a few ms and ~1.5 MB for a 128-tree model);
+    /// later calls return those, whatever `split` they pass — a row is
+    /// classed against the split its layouts were built at, so a moved
+    /// `value_diff_threshold` costs speed, never exactness.
+    pub(crate) fn row_layouts(&self, split: f64) -> &RowLayouts {
+        self.row_layouts
+            .get_or_init(|| RowLayouts::build(&self.forest, self.mask, split))
     }
 
     /// The underlying recursive forest (reference scoring path for the
@@ -201,6 +302,86 @@ mod tests {
         assert_eq!(back.score(&probe), clf.score(&probe));
         // Round-tripping again yields identical bytes.
         assert_eq!(briq_json::to_string(&back), s);
+    }
+
+    /// A row with the given f6, f8 and f12, every other feature `fill`.
+    fn class_row(f6: f64, f8: f64, f12: f64, fill: f64) -> Vec<f64> {
+        let mut row = vec![fill; FEATURE_COUNT];
+        (row[F6], row[F8], row[F12]) = (f6, f8, f12);
+        row
+    }
+
+    #[test]
+    fn pick_takes_the_plain_layout_off_the_codes() {
+        let clf = PairClassifier::train(
+            &synth(300, 7),
+            RandomForestConfig::default(),
+            FeatureMask::all(),
+        );
+        let layouts = clf.row_layouts(0.35);
+        assert!(layouts.pick(&class_row(0.1, 2.0, 3.0, 0.5)).is_some());
+        assert!(layouts.pick(&class_row(0.35, -0.0, 0.0, 0.5)).is_some());
+        for row in [
+            class_row(f64::NAN, 0.0, 0.0, 0.5),
+            class_row(0.1, 3.0, 0.0, 0.5),
+            class_row(0.1, 1.5, 0.0, 0.5),
+            class_row(0.1, 0.0, 2.5, 0.5),
+            class_row(0.1, -1.0, 0.0, 0.5),
+            class_row(0.1, 0.0, 4.0, 0.5),
+            class_row(0.1, f64::NAN, 0.0, 0.5),
+            class_row(0.1, 0.0, f64::INFINITY, 0.5),
+        ] {
+            assert!(layouts.pick(&row).is_none(), "{row:?}");
+        }
+    }
+
+    #[test]
+    fn row_layouts_are_built_once_and_cloned() {
+        let clf = PairClassifier::train(
+            &synth(300, 8),
+            RandomForestConfig::default(),
+            FeatureMask::all(),
+        );
+        let first = clf.row_layouts(0.35);
+        assert!(std::ptr::eq(first, clf.row_layouts(0.9)));
+        assert_eq!(clf.clone().row_layouts(0.9).split, 0.35);
+        // 0.5 is on the far side of the split the layouts were built at.
+        let picked = first.pick(&class_row(0.5, 0.0, 1.0, 0.5));
+        assert!(picked.is_some_and(|l| std::ptr::eq(l, &first.layouts[UNIT_CODES * AGG_CODES + 1])));
+    }
+
+    #[test]
+    fn picked_layouts_vote_as_the_plain_one() {
+        use rand::prelude::*;
+        let train = synth(500, 9);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(10);
+        for mask in [
+            FeatureMask::all(),
+            FeatureMask {
+                context: false,
+                ..FeatureMask::all()
+            },
+            FeatureMask {
+                quantity: false,
+                ..FeatureMask::all()
+            },
+        ] {
+            let clf = PairClassifier::train(&train, RandomForestConfig::default(), mask);
+            let layouts = clf.row_layouts(0.05);
+            for i in 0..600 {
+                let mut row: Vec<f64> = (0..FEATURE_COUNT)
+                    .map(|_| rng.random_range(0.0..1.0))
+                    .collect();
+                row[F6] = if i % 7 == 0 { 0.05 } else { row[F6] * 0.2 };
+                row[F8] = rng.random_range(0..UNIT_CODES) as f64;
+                row[F12] = rng.random_range(0..AGG_CODES) as f64;
+                let layout = layouts.pick(&row).expect("every code has a layout");
+                for t in 0..clf.n_trees() {
+                    assert_eq!(layout.tree_vote(t, &row), clf.flat().tree_vote(t, &row));
+                }
+                assert_eq!(layout.predict_proba_slice(&row), clf.score(&row));
+            }
+        }
     }
 
     #[test]

@@ -783,7 +783,7 @@ struct ClassifyPass<'a> {
 #[allow(clippy::large_enum_variant)]
 enum Scorer {
     /// Production: retrieve the viable candidates, then score them in the
-    /// batched engine (block scoring, exact bound pruning).
+    /// engine (per-class forest layouts, exact bound pruning).
     Indexed {
         index: CandidateIndex,
         engine: ScoringEngine,

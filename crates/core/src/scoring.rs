@@ -1,12 +1,13 @@
-//! Batched candidate-scoring engine: block-wise flat-forest traversal and
-//! exact bound-based pruning (DESIGN.md §10).
+//! Candidate-scoring engine: per-row-class forest layouts and exact
+//! bound-based pruning (DESIGN.md §10).
 //!
 //! [`ScoringEngine`] scores the candidate rows the retrieval index
 //! selects on the alignment hot path. Every retrieved row is either
-//! scored exactly once — through [`briq_ml::FlatForest::score_block`]
-//! (trees in the outer loop, rows in the inner loop), through
-//! [`briq_ml::FlatForest::score_block_bounded`], or by the heuristic
-//! prior — or pruned.
+//! scored exactly once — through the forest layout specialized to its
+//! own f6 side, f8 and f12 codes (`classifier::RowLayouts`),
+//! exhaustively for a near row and through
+//! [`briq_ml::FlatForest::score_bounded`] for a far one, or by the
+//! heuristic prior — or pruned.
 //!
 //! Pruning is *exact*, never approximate: a row's scoring is abandoned
 //! only when the forest's remaining-vote upper bound proves its score is
@@ -114,9 +115,9 @@ fn fifth_highest(scores: impl Iterator<Item = f64>) -> f64 {
     min
 }
 
-/// Per-document batched scorer. Construct once per document, then for
-/// each mention: [`ScoringEngine::fill_rows_selected`] with the
-/// retrieved candidates, then one of the scoring entry points, then read
+/// Per-document scorer. Construct once per document, then for each
+/// mention: [`ScoringEngine::fill_rows_selected`] with the retrieved
+/// candidates, then one of the scoring entry points, then read
 /// [`ScoringEngine::computed`] / [`ScoringEngine::pruned_targets`] and
 /// hand both to [`crate::filtering::filter_mention_pruned`].
 ///
@@ -130,12 +131,6 @@ pub struct ScoringEngine {
     /// The current mention's row matrix (`sel.len() × FEATURE_COUNT`):
     /// the near rows, then the far rows.
     rows: Vec<f64>,
-    /// Per-row pruning cuts for the bounded kernel (far rows only).
-    cuts: Vec<f64>,
-    /// Block-scoring output buffer, one slot per row.
-    out: Vec<f64>,
-    /// Per-row pruned flags from the bounded kernel (far rows only).
-    pruned_flags: Vec<bool>,
     /// Exactly scored `(target index, score)` pairs of the current
     /// mention, in no particular order (filtering sorts under a total
     /// order, so ordering cannot leak into results).
@@ -215,11 +210,16 @@ impl ScoringEngine {
 
     /// Score the retrieved candidate rows (filled by
     /// [`ScoringEngine::fill_rows_selected`]) through the trained forest
-    /// in two phases.
+    /// in two phases, each row through the layout
+    /// `classifier::RowLayouts::pick` chooses for it (built on
+    /// the first call, with the near/far sides split at
+    /// `cfg.value_diff_threshold`). Every tree votes there as it does in
+    /// the plain layout, so every score and pruning decision is the plain
+    /// layout's.
     ///
     /// Phase A scores the near rows — whose keep cut is at or below the
-    /// score floor, so they must be computed — exactly, through
-    /// [`briq_ml::FlatForest::score_block`]. Every retrieved row is viable
+    /// score floor, so they must be computed — exactly, row by row.
+    /// Every retrieved row is viable
     /// by the retrieval recall contract (unit-compatible single cells and
     /// tagged, unit-compatible aggregates — exactly the pairs the
     /// mention-type vote polls), so the fifth-highest phase-A score bounds
@@ -231,6 +231,9 @@ impl ScoringEngine {
     /// approximation modifier decides the vote without looking at scores.
     /// Far rows' static cuts follow from their kind alone — asserted
     /// against `static_cut` over the actual feature row in debug builds.
+    /// Phase B reads the remaining-vote bound from the plain layout
+    /// ([`briq_ml::FlatForest::score_bounded`]), so a far row prunes at
+    /// the tree it would there.
     pub fn score_trained_selected(
         &mut self,
         x: &TextMention,
@@ -240,13 +243,11 @@ impl ScoringEngine {
         cfg: &FilterConfig,
     ) {
         let flat = clf.flat();
+        let layouts = clf.row_layouts(cfg.value_diff_threshold);
         let n_near = self.n_near;
         self.computed.clear();
         self.pruned.clear();
-        self.out.clear();
-        self.out.resize(self.sel.len(), 0.0);
         let (near_rows, far_rows) = self.rows.split_at(n_near * FEATURE_COUNT);
-        let (near_out, far_out) = self.out.split_at_mut(n_near);
         let (near_tis, far_tis) = self.sel.split_at(n_near);
 
         let checked = self.sel.iter().zip(self.rows.chunks_exact(FEATURE_COUNT));
@@ -259,10 +260,11 @@ impl ScoringEngine {
             );
         }
 
-        flat.score_block(near_rows, FEATURE_COUNT, near_out);
+        for (&ti, row) in near_tis.iter().zip(near_rows.chunks_exact(FEATURE_COUNT)) {
+            let layout = layouts.pick(row).unwrap_or(flat);
+            self.computed.push((ti, layout.predict_proba_slice(row)));
+        }
         self.rows_scored_exhaustive += n_near as u64;
-        self.computed
-            .extend(near_tis.iter().copied().zip(near_out.iter().copied()));
 
         if far_tis.is_empty() {
             return;
@@ -277,7 +279,6 @@ impl ScoringEngine {
             f64::INFINITY
         };
 
-        self.cuts.clear();
         for (&ti, row) in far_tis.iter().zip(far_rows.chunks_exact(FEATURE_COUNT)) {
             // A far single cell survives only at/above the score
             // threshold (and never below the floor); a far tagged
@@ -291,24 +292,16 @@ impl ScoringEngine {
                 static_cut(row, &targets[ti], tags, cfg),
                 "kind-derived far cut must match the row's static cut"
             );
-            self.cuts.push(cut.min(fifth));
-        }
-        self.pruned_flags.clear();
-        self.pruned_flags.resize(far_tis.len(), false);
-        flat.score_block_bounded(
-            far_rows,
-            FEATURE_COUNT,
-            &self.cuts,
-            far_out,
-            &mut self.pruned_flags,
-        );
-        for ((&ti, &s), &pruned) in far_tis.iter().zip(far_out.iter()).zip(&self.pruned_flags) {
-            if pruned {
-                self.pairs_pruned += 1;
-                self.pruned.push(ti);
-            } else {
-                self.rows_scored_bounded += 1;
-                self.computed.push((ti, s));
+            let layout = layouts.pick(row).unwrap_or(flat);
+            match layout.score_bounded(row, cut.min(fifth), flat) {
+                Some(s) => {
+                    self.rows_scored_bounded += 1;
+                    self.computed.push((ti, s));
+                }
+                None => {
+                    self.pairs_pruned += 1;
+                    self.pruned.push(ti);
+                }
             }
         }
     }

@@ -637,7 +637,6 @@ fn handle_line(sh: &Shared<'_>, stream: &mut TcpStream, line: &str) -> After {
                     Value::Num(sh.connections.load(Ordering::SeqCst) as f64),
                 ),
                 ("workers", Value::Num(sh.cfg.workers as f64)),
-                ("index_enabled", Value::Bool(sh.briq.cfg.use_index)),
                 // The store's lifetime hit rate: the fraction of served
                 // documents answered whole from it.
                 (

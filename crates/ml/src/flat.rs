@@ -14,14 +14,17 @@
 //! single leaf. A walk therefore stops at the first node whose vote is
 //! decided, and a tree that can never vote "related" is one no-leaf.
 //!
-//! The flattening can also *bake in* a feature mask: a split on a dropped
-//! feature is resolved at build time by splicing in whichever child the
-//! zeroed feature value would select (`0.0 <= threshold` goes left). This
-//! is bit-identical to zeroing the masked columns of the input row before
-//! a recursive traversal, for any forest, which is exactly what
-//! `FeatureMask::apply` used to do per call on an owned copy.
+//! The flattening can also *bake in* what the caller already knows about
+//! a feature of every row it will score ([`Known`]: `x == c`, `x <= v`
+//! or `x > v`): a split the knowledge decides is resolved at build time
+//! by splicing in the child every such row would reach. A feature mask
+//! is the special case `x == 0.0` on each dropped feature, bit-identical
+//! to zeroing those columns before a recursive traversal, which is what
+//! `FeatureMask::apply` used to do per call on an owned copy. A layout
+//! built under constraints votes exactly as the unconstrained one, tree
+//! by tree, on every row that satisfies them, and walks fewer splits.
 //!
-//! Three scoring entry points share the layout:
+//! Scoring entry points:
 //!
 //! * [`FlatForest::predict_proba_slice`] — one row, trees in index
 //!   order;
@@ -29,17 +32,19 @@
 //!   loop outermost**, so each tree's nodes stay hot across the block;
 //!   summation order per row matches `predict_proba_slice` exactly, so
 //!   block scores are bit-identical to row-at-a-time scores;
-//! * [`FlatForest::score_block_bounded`] — rows outermost, plus exact
-//!   early abandonment: per-tree `suffix_possible` vote bounds let a row
-//!   stop as soon as its final score *provably* falls below a
-//!   caller-supplied cut. Rows at or above the cut come out
-//!   bit-identical; rows below it are reported as pruned, never
-//!   mis-scored.
+//! * [`FlatForest::score_bounded`] — one row, plus exact early
+//!   abandonment: per-tree `suffix_possible` vote bounds let a row stop
+//!   as soon as its final score *provably* falls below a caller-supplied
+//!   cut. The bound may come from the layout a constrained one was built
+//!   beside, so a row prunes at exactly the tree it would there. Rows at
+//!   or above the cut come out bit-identical; rows below it are reported
+//!   as pruned, never mis-scored.
 //!
-//! `briq_core`'s scoring engine drives the block kernels on the
-//! alignment hot path and reports their effect through the
-//! observability counters `pairs_pruned` / `rows_scored_exhaustive` /
-//! `rows_scored_bounded` (DESIGN.md §11).
+//! `briq_core`'s scoring engine drives `predict_proba_slice` and
+//! `score_bounded` through per-row-class layouts on the alignment hot
+//! path and reports their effect through the observability counters
+//! `pairs_pruned` / `rows_scored_exhaustive` / `rows_scored_bounded`
+//! (DESIGN.md §10, §11).
 
 use crate::forest::RandomForest;
 use crate::tree::{DecisionTree, Node};
@@ -65,6 +70,31 @@ struct FlatNode {
 }
 
 const _: () = assert!(std::mem::size_of::<FlatNode>() == 16);
+
+/// What every row a layout will score is known to hold for one feature.
+/// A feature the ablation mask drops reads `Equals(0.0)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Known {
+    /// `x == c` (so a NaN `c` is a NaN feature).
+    Equals(f64),
+    /// `x <= v` (so `x` is not NaN).
+    AtMost(f64),
+    /// `x > v` (so `x` is not NaN).
+    Above(f64),
+}
+
+impl Known {
+    /// Whether every value that satisfies `self` goes left at a split on
+    /// `threshold` (`x <= threshold`): `Some(true)`, `Some(false)` when
+    /// every such value goes right, `None` when values on both sides do.
+    fn goes_left(self, threshold: f64) -> Option<bool> {
+        match self {
+            Known::Equals(c) => Some(c <= threshold),
+            Known::AtMost(v) => (v <= threshold).then_some(true),
+            Known::Above(v) => (v >= threshold).then_some(false),
+        }
+    }
+}
 
 impl FlatNode {
     fn leaf(vote: bool) -> FlatNode {
@@ -95,25 +125,39 @@ pub struct FlatForest {
 impl FlatForest {
     /// Flatten `forest` keeping every feature.
     pub fn from_forest(forest: &RandomForest) -> FlatForest {
-        Self::from_forest_masked(forest, |_| true)
+        Self::from_forest_known(forest, |_| None)
     }
 
     /// Flatten `forest`, baking the feature mask `keep` into the layout:
     /// splits on features with `keep(feature) == false` are replaced by
-    /// the subtree a zeroed feature value would reach.
+    /// the subtree a zeroed feature value would reach. The same as
+    /// [`FlatForest::from_forest_known`] with `Known::Equals(0.0)` on
+    /// every dropped feature.
     pub fn from_forest_masked(forest: &RandomForest, keep: impl Fn(usize) -> bool) -> FlatForest {
-        Self::from_trees(forest.trees(), &keep)
+        Self::from_forest_known(forest, |f| (!keep(f)).then_some(Known::Equals(0.0)))
+    }
+
+    /// Flatten `forest` for rows that satisfy `known(feature)` on every
+    /// feature it returns `Some` for: each split the knowledge decides is
+    /// replaced by the subtree every such row reaches. On those rows each
+    /// tree votes as it does in [`FlatForest::from_forest`]'s layout;
+    /// other rows get no guarantee.
+    pub fn from_forest_known(
+        forest: &RandomForest,
+        known: impl Fn(usize) -> Option<Known>,
+    ) -> FlatForest {
+        Self::from_trees(forest.trees(), &known)
     }
 
     /// Flatten a single tree (one root), keeping every feature.
     pub fn from_tree(tree: &DecisionTree) -> FlatForest {
-        Self::from_trees(std::slice::from_ref(tree), &|_| true)
+        Self::from_trees(std::slice::from_ref(tree), &|_| None)
     }
 
-    fn from_trees(trees: &[DecisionTree], keep: &impl Fn(usize) -> bool) -> FlatForest {
+    fn from_trees(trees: &[DecisionTree], known: &impl Fn(usize) -> Option<Known>) -> FlatForest {
         let mut flat = FlatForest::default();
         for tree in trees {
-            flat.push_tree(tree.nodes(), keep);
+            flat.push_tree(tree.nodes(), known);
         }
         flat.suffix_possible = vec![0; flat.roots.len() + 1];
         for t in (0..flat.roots.len()).rev() {
@@ -127,24 +171,25 @@ impl FlatForest {
     /// [`DecisionTree`] has (grown in preorder, or checked when read from
     /// JSON): a root at 0 and each child after its parent. The walk uses
     /// an explicit stack, so tree depth never becomes recursion depth.
-    fn push_tree(&mut self, nodes: &[Node], keep: &impl Fn(usize) -> bool) {
-        // A masked feature reads as 0.0, so its split always takes the
-        // same branch.
-        let masked_branch = |node: &Node| match node {
+    fn push_tree(&mut self, nodes: &[Node], known: &impl Fn(usize) -> Option<Known>) {
+        // The child every row takes at a split its known feature decides.
+        let known_branch = |node: &Node| match node {
             Node::Split {
                 feature,
                 threshold,
                 left,
                 right,
-            } if !keep(*feature) => Some(if 0.0 <= *threshold { *left } else { *right }),
-            _ => None,
+            } => known(*feature)?
+                .goes_left(*threshold)
+                .map(|l| if l { *left } else { *right }),
+            Node::Leaf { .. } => None,
         };
         // `uniform[id]`: the vote every leaf reachable from `id` casts, or
         // `None` when they disagree. Children come after their parent, so
         // one reverse pass sees each child before its parent.
         let mut uniform: Vec<Option<bool>> = vec![None; nodes.len()];
         for id in (0..nodes.len()).rev() {
-            uniform[id] = match (&nodes[id], masked_branch(&nodes[id])) {
+            uniform[id] = match (&nodes[id], known_branch(&nodes[id])) {
                 (_, Some(next)) => uniform[next],
                 (Node::Leaf { prob }, None) => Some(*prob >= 0.5),
                 (Node::Split { left, right, .. }, None) if uniform[*left] == uniform[*right] => {
@@ -158,7 +203,7 @@ impl FlatForest {
         // (source node, flat split whose right child it becomes)
         let mut stack: Vec<(usize, Option<usize>)> = vec![(0, None)];
         while let Some((mut id, parent)) = stack.pop() {
-            while let Some(next) = masked_branch(&nodes[id]) {
+            while let Some(next) = known_branch(&nodes[id]) {
                 id = next;
             }
             let at = self.next_offset();
@@ -268,56 +313,39 @@ impl FlatForest {
         }
     }
 
-    /// Score a block of rows with per-row pruning cuts: row `i` is
-    /// abandoned (`pruned[i] = true`, `out[i]` unspecified) as soon as
-    /// `(votes_so_far + suffix_possible) / n_trees` falls strictly below
-    /// `cuts[i]`, which proves the exact score would also be `< cuts[i]`.
-    /// Rows that survive receive their exact score, bit-identical to
-    /// [`FlatForest::predict_proba_slice`]. Returns the number of rows
-    /// pruned. A cut of `f64::NEG_INFINITY` disables pruning for a row;
-    /// `f64::INFINITY` prunes it before any tree is evaluated.
-    pub fn score_block_bounded(
-        &self,
-        rows: &[f64],
-        stride: usize,
-        cuts: &[f64],
-        out: &mut [f64],
-        pruned: &mut [bool],
-    ) -> usize {
-        assert!(stride > 0, "stride must be positive");
-        assert_eq!(rows.len(), out.len() * stride, "rows/out shape mismatch");
-        assert_eq!(cuts.len(), out.len(), "cuts/out shape mismatch");
-        assert_eq!(pruned.len(), out.len(), "pruned/out shape mismatch");
+    /// Score one row with a pruning cut: the row is abandoned (`None`)
+    /// as soon as `(votes_so_far + suffix_possible) / n_trees` falls
+    /// strictly below `cut`, which proves the exact score would also be
+    /// `< cut`. A row that survives receives its exact score,
+    /// bit-identical to [`FlatForest::predict_proba_slice`]. A cut of
+    /// `f64::NEG_INFINITY` disables pruning; `f64::INFINITY` prunes before
+    /// any tree is walked. An empty forest scores 0.5 and never prunes.
+    ///
+    /// The trees are walked in `self`, the remaining-vote bound is read
+    /// from `bound`: `self` itself, or the layout of the same forest that
+    /// `self` was built beside under [`Known`] constraints `x` satisfies.
+    /// There every tree votes as in `bound`, so the row prunes at exactly
+    /// the tree, and survives with exactly the score, it would in `bound`.
+    pub fn score_bounded(&self, x: &[f64], cut: f64, bound: &FlatForest) -> Option<f64> {
+        assert_eq!(
+            self.roots.len(),
+            bound.roots.len(),
+            "a layout is bounded by a layout of the same forest"
+        );
         if self.roots.is_empty() {
-            out.fill(0.5);
-            pruned.fill(false);
-            return 0;
+            return Some(0.5);
         }
         let n_trees = self.roots.len() as f64;
-        let mut n_pruned = 0usize;
-        let rows_iter = rows.chunks_exact(stride).zip(cuts.iter());
-        for ((row, &cut), (o, p)) in rows_iter.zip(out.iter_mut().zip(pruned.iter_mut())) {
-            let mut votes = 0u32;
-            let mut cut_hit = false;
-            for (&root, &possible) in self.roots.iter().zip(self.suffix_possible.iter()) {
-                // Upper bound on the final score before evaluating this
-                // tree: every not-yet-scored tree that *can* vote does.
-                if ((votes + possible) as f64) / n_trees < cut {
-                    cut_hit = true;
-                    break;
-                }
-                if self.vote_from(root, row) {
-                    votes += 1;
-                }
+        let mut votes = 0u32;
+        for (&root, &possible) in self.roots.iter().zip(&bound.suffix_possible) {
+            // Upper bound on the final score before walking this tree:
+            // every not-yet-walked tree that *can* vote does.
+            if ((votes + possible) as f64) / n_trees < cut {
+                return None;
             }
-            *p = cut_hit;
-            if cut_hit {
-                n_pruned += 1;
-            } else {
-                *o = votes as f64 / n_trees;
-            }
+            votes += u32::from(self.vote_from(root, x));
         }
-        n_pruned
+        Some(votes as f64 / n_trees)
     }
 
     /// Number of flattened trees.
@@ -501,30 +529,105 @@ mod tests {
                 _ => rng.random_range(0.0..1.0),
             })
             .collect();
-        let mut out = vec![f64::NAN; n_rows];
-        let mut pruned = vec![false; n_rows];
-        let n_pruned = flat.score_block_bounded(&rows, 3, &cuts, &mut out, &mut pruned);
-        assert_eq!(n_pruned, pruned.iter().filter(|&&p| p).count());
-        assert!(n_pruned > 0, "infinite cuts must prune");
         let mut saw_survivor_above_cut = false;
-        for i in 0..n_rows {
-            let exact = flat.predict_proba_slice(&rows[i * 3..(i + 1) * 3]);
-            if pruned[i] {
-                assert!(exact < cuts[i], "pruned row {i} had score {exact} >= cut");
-            } else {
-                assert_eq!(out[i].to_bits(), exact.to_bits(), "row {i}");
-                if exact >= cuts[i] {
-                    saw_survivor_above_cut = true;
+        for (row, &cut) in rows.chunks_exact(3).zip(&cuts) {
+            let exact = flat.predict_proba_slice(row);
+            match flat.score_bounded(row, cut, &flat) {
+                None => assert!(exact < cut, "pruned row had score {exact} >= cut {cut}"),
+                Some(s) => {
+                    assert_eq!(s.to_bits(), exact.to_bits(), "{row:?}");
+                    saw_survivor_above_cut |= exact >= cut;
                 }
             }
-            if cuts[i] == f64::NEG_INFINITY {
-                assert!(!pruned[i], "NEG_INFINITY cut must never prune");
+            if cut == f64::NEG_INFINITY {
+                assert!(flat.score_bounded(row, cut, &flat).is_some());
             }
-            if cuts[i] == f64::INFINITY {
-                assert!(pruned[i], "INFINITY cut must always prune");
+            if cut == f64::INFINITY {
+                assert!(flat.score_bounded(row, cut, &flat).is_none());
             }
         }
         assert!(saw_survivor_above_cut);
+    }
+
+    /// The row-outermost block kernel `score_bounded` replaced, kept as
+    /// its reference.
+    fn score_block_bounded_reference(
+        flat: &FlatForest,
+        rows: &[f64],
+        stride: usize,
+        cuts: &[f64],
+        out: &mut [f64],
+        pruned: &mut [bool],
+    ) -> usize {
+        if flat.roots.is_empty() {
+            out.fill(0.5);
+            pruned.fill(false);
+            return 0;
+        }
+        let n_trees = flat.roots.len() as f64;
+        let mut n_pruned = 0usize;
+        let rows_iter = rows.chunks_exact(stride).zip(cuts.iter());
+        for ((row, &cut), (o, p)) in rows_iter.zip(out.iter_mut().zip(pruned.iter_mut())) {
+            let mut votes = 0u32;
+            let mut cut_hit = false;
+            for (&root, &possible) in flat.roots.iter().zip(flat.suffix_possible.iter()) {
+                if ((votes + possible) as f64) / n_trees < cut {
+                    cut_hit = true;
+                    break;
+                }
+                if flat.vote_from(root, row) {
+                    votes += 1;
+                }
+            }
+            *p = cut_hit;
+            if cut_hit {
+                n_pruned += 1;
+            } else {
+                *o = votes as f64 / n_trees;
+            }
+        }
+        n_pruned
+    }
+
+    #[test]
+    fn score_bounded_reproduces_the_block_kernel() {
+        for (seed, n_trees) in [(31u64, 1usize), (32, 9), (33, 40)] {
+            let rf = RandomForest::fit(
+                &noisy(300, seed),
+                RandomForestConfig {
+                    n_trees,
+                    seed,
+                    ..Default::default()
+                },
+            );
+            let flat = FlatForest::from_forest(&rf);
+            let n_rows = 400;
+            let mut rows = random_block(n_rows, 3, seed + 100);
+            rows[..6].copy_from_slice(&[f64::NAN, -0.0, 0.0, f64::INFINITY, 0.5, -1.0]);
+            let mut rng = StdRng::seed_from_u64(seed + 200);
+            let cuts: Vec<f64> = (0..n_rows)
+                .map(|i| match i % 5 {
+                    0 => f64::NEG_INFINITY,
+                    1 => f64::INFINITY,
+                    2 => (rng.random_range(0..=n_trees) as f64) / n_trees as f64,
+                    _ => rng.random_range(-0.1..1.1),
+                })
+                .collect();
+            let mut out = vec![f64::NAN; n_rows];
+            let mut pruned = vec![false; n_rows];
+            let n_pruned =
+                score_block_bounded_reference(&flat, &rows, 3, &cuts, &mut out, &mut pruned);
+            let mut n = 0;
+            for (i, (row, &cut)) in rows.chunks_exact(3).zip(&cuts).enumerate() {
+                let got = flat.score_bounded(row, cut, &flat);
+                assert_eq!(got.is_none(), pruned[i], "row {i}");
+                if let Some(s) = got {
+                    assert_eq!(s.to_bits(), out[i].to_bits(), "row {i}");
+                }
+                n += usize::from(got.is_none());
+            }
+            assert_eq!(n, n_pruned);
+        }
     }
 
     #[test]
@@ -534,10 +637,42 @@ mod tests {
         let mut out = [f64::NAN; 2];
         flat.score_block(&rows, 1, &mut out);
         assert_eq!(out, [0.5, 0.5]);
-        let mut pruned = [true; 2];
-        let n = flat.score_block_bounded(&rows, 1, &[0.9, 0.1], &mut out, &mut pruned);
-        assert_eq!(n, 0);
-        assert_eq!(out, [0.5, 0.5]);
-        assert_eq!(pruned, [false, false]);
+        for cut in [f64::NEG_INFINITY, 0.1, 0.9, f64::INFINITY] {
+            assert_eq!(flat.score_bounded(&rows, cut, &flat), Some(0.5));
+        }
+    }
+
+    #[test]
+    fn known_features_splice_like_the_mask() {
+        let data = noisy(300, 27);
+        let rf = RandomForest::fit(
+            &data,
+            RandomForestConfig {
+                n_trees: 24,
+                ..Default::default()
+            },
+        );
+        let plain = FlatForest::from_forest(&rf);
+        // Feature 0 known on each side of 0.5, feature 2 known exactly.
+        let mut rng = StdRng::seed_from_u64(28);
+        for (f0, f2) in [(Known::AtMost(0.5), 0.25), (Known::Above(0.5), 0.75)] {
+            let known = |f| match f {
+                0 => Some(f0),
+                2 => Some(Known::Equals(f2)),
+                _ => None,
+            };
+            let layout = FlatForest::from_forest_known(&rf, known);
+            assert!(layout.n_nodes() < plain.n_nodes());
+            for _ in 0..500 {
+                let x0 = rng.random_range(-0.2..1.2);
+                if (x0 <= 0.5) != (f0 == Known::AtMost(0.5)) {
+                    continue;
+                }
+                let x = [x0, rng.random_range(-0.2..1.2), f2];
+                for t in 0..rf.n_trees() {
+                    assert_eq!(layout.tree_vote(t, &x), plain.tree_vote(t, &x), "{x:?}");
+                }
+            }
+        }
     }
 }

@@ -33,7 +33,7 @@ pub mod tree;
 pub use analysis::{calibration_curve, expected_calibration_error, permutation_importance};
 pub use dataset::Dataset;
 pub use entropy::shannon_entropy;
-pub use flat::FlatForest;
+pub use flat::{FlatForest, Known};
 pub use forest::{RandomForest, RandomForestConfig};
 pub use kappa::fleiss_kappa;
 pub use metrics::{precision_recall_f1, roc_auc, Prf};

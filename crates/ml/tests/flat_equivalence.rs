@@ -3,9 +3,13 @@
 //! for arbitrary fitted forests, arbitrary probes, and arbitrary feature
 //! masks baked at flatten time — and so is every scoring entry point on
 //! hand-built forests whose subtrees vote as a whole, on probes that are
-//! NaN or sit exactly on a threshold.
+//! NaN or sit exactly on a threshold. A layout built under [`Known`]
+//! constraints votes tree by tree as the plain layout on every probe
+//! that satisfies them, and the bounded kernel walking it under the
+//! plain layout's bound prunes and scores exactly as the plain one.
 
-use briq_ml::flat::FlatForest;
+use briq_json::{ToJson, Value};
+use briq_ml::flat::{FlatForest, Known};
 use briq_ml::tree::{DecisionTree, TreeConfig};
 use briq_ml::{Dataset, RandomForest, RandomForestConfig};
 use proptest::prelude::*;
@@ -24,6 +28,72 @@ fn random_dataset(n: usize, nf: usize, seed: u64) -> Dataset {
         d.push(row, label);
     }
     d
+}
+
+/// Every split threshold of `rf`, in tree and node order.
+fn thresholds(rf: &RandomForest) -> Vec<f64> {
+    fn walk(v: &Value, out: &mut Vec<f64>) {
+        match v {
+            Value::Object(fields) => {
+                for (k, v) in fields {
+                    match (k.as_str(), v) {
+                        ("threshold", Value::Num(t)) => out.push(*t),
+                        _ => walk(v, out),
+                    }
+                }
+            }
+            Value::Array(items) => items.iter().for_each(|v| walk(v, out)),
+            _ => {}
+        }
+    }
+    let mut out = Vec::new();
+    walk(&rf.to_json(), &mut out);
+    out
+}
+
+/// A value to know a feature at, or to probe it with: one of the forest's
+/// split thresholds, ±0.0, or a random value.
+fn edge_value(rng: &mut StdRng, thresholds: &[f64]) -> f64 {
+    match rng.random_range(0..4) {
+        0 if !thresholds.is_empty() => thresholds[rng.random_range(0..thresholds.len())],
+        1 => 0.0,
+        2 => -0.0,
+        _ => rng.random_range(-2.0..2.0),
+    }
+}
+
+/// A random constraint on one feature: none, `==` (a NaN now and then),
+/// `<=` or `>`, each at an edge value.
+fn random_known(rng: &mut StdRng, thresholds: &[f64]) -> Option<Known> {
+    let v = edge_value(rng, thresholds);
+    match rng.random_range(0..7) {
+        0 | 1 => None,
+        2 => Some(Known::Equals(f64::NAN)),
+        3 => Some(Known::Equals(v)),
+        4 => Some(Known::AtMost(v)),
+        _ => Some(Known::Above(v)),
+    }
+}
+
+/// A probe value that satisfies `known`: the constraint's own value where
+/// it satisfies it, else an edge value on the right side, else a random
+/// one.
+fn satisfying(rng: &mut StdRng, known: Option<Known>, thresholds: &[f64]) -> f64 {
+    let edge = edge_value(rng, thresholds);
+    match known {
+        None => edge,
+        Some(Known::Equals(c)) => c,
+        Some(Known::AtMost(v)) => match rng.random_range(0..3) {
+            0 => v,
+            1 if edge <= v => edge,
+            _ => v - rng.random_range(0.0..1.0),
+        },
+        Some(Known::Above(v)) => match rng.random_range(0..3) {
+            0 => v.next_up(),
+            1 if edge > v => edge,
+            _ => v + rng.random_range(1e-9..1.0),
+        },
+    }
 }
 
 proptest! {
@@ -98,10 +168,10 @@ proptest! {
         }
     }
 
-    /// Bounded block scoring either returns the exact per-row score or
-    /// prunes a row whose exact score is provably below its cut.
+    /// Bounded scoring either returns the exact per-row score or prunes
+    /// a row whose exact score is provably below its cut.
     #[test]
-    fn bounded_block_prunes_only_below_cut(
+    fn bounded_scoring_prunes_only_below_cut(
         seed in 0u64..400,
         n in 12usize..80,
         nf in 1usize..6,
@@ -124,16 +194,81 @@ proptest! {
                 _ => cut_rng.random_range(-0.1..1.1),
             })
             .collect();
-        let mut out = vec![f64::NAN; n_rows];
-        let mut pruned = vec![false; n_rows];
-        let n_pruned = flat.score_block_bounded(&rows, nf, &cuts, &mut out, &mut pruned);
-        prop_assert_eq!(n_pruned, pruned.iter().filter(|&&p| p).count());
-        for i in 0..n_rows {
-            let exact = flat.predict_proba_slice(&rows[i * nf..(i + 1) * nf]);
-            if pruned[i] {
-                prop_assert!(exact < cuts[i], "row {} score {} >= cut {}", i, exact, cuts[i]);
-            } else {
-                prop_assert_eq!(out[i].to_bits(), exact.to_bits());
+        for (i, (row, &cut)) in rows.chunks_exact(nf).zip(&cuts).enumerate() {
+            let exact = flat.predict_proba_slice(row);
+            match flat.score_bounded(row, cut, &flat) {
+                None => prop_assert!(exact < cut, "row {} score {} >= cut {}", i, exact, cut),
+                Some(s) => prop_assert_eq!(s.to_bits(), exact.to_bits()),
+            }
+        }
+    }
+
+    /// A layout built under arbitrary per-feature constraints votes tree
+    /// by tree as the plain layout on every probe that satisfies them —
+    /// probes on the constraint's own value, on split thresholds, at ±0.0
+    /// or NaN included — and the bounded kernel walking it under the
+    /// plain layout's bound prunes the same probes, with the same scores.
+    #[test]
+    fn known_layout_votes_as_plain(
+        seed in 0u64..400,
+        n in 12usize..80,
+        nf in 1usize..6,
+        n_trees in 1usize..12,
+        known_seed in 0u64..1000,
+    ) {
+        let data = random_dataset(n, nf, seed);
+        let rf = RandomForest::fit(
+            &data,
+            RandomForestConfig { n_trees, seed, ..Default::default() },
+        );
+        let splits = thresholds(&rf);
+        let mut rng = StdRng::seed_from_u64(known_seed);
+        let known: Vec<Option<Known>> = (0..nf).map(|_| random_known(&mut rng, &splits)).collect();
+        let plain = FlatForest::from_forest(&rf);
+        let layout = FlatForest::from_forest_known(&rf, |f| known[f]);
+        prop_assert_eq!(layout.n_trees(), plain.n_trees());
+        prop_assert!(layout.n_nodes() <= plain.n_nodes());
+        for _ in 0..40 {
+            let x: Vec<f64> = known.iter().map(|&k| satisfying(&mut rng, k, &splits)).collect();
+            for t in 0..plain.n_trees() {
+                prop_assert_eq!(layout.tree_vote(t, &x), plain.tree_vote(t, &x), "tree {} {:?} {:?}", t, known, x);
+            }
+            prop_assert_eq!(
+                layout.predict_proba_slice(&x).to_bits(),
+                rf.predict_proba(&x).to_bits()
+            );
+            for cut in [f64::NEG_INFINITY, rng.random_range(-0.1..1.1), 0.5, f64::INFINITY] {
+                prop_assert_eq!(
+                    layout.score_bounded(&x, cut, &plain).map(f64::to_bits),
+                    plain.score_bounded(&x, cut, &plain).map(f64::to_bits)
+                );
+            }
+        }
+    }
+
+    /// Mask baking is the `== 0.0` constraint on every dropped feature:
+    /// the same layout, node for node.
+    #[test]
+    fn mask_baking_is_known_zero(
+        seed in 0u64..300,
+        n in 12usize..60,
+        nf in 2usize..6,
+        mask_bits in 0usize..63,
+    ) {
+        let data = random_dataset(n, nf, seed);
+        let rf = RandomForest::fit(
+            &data,
+            RandomForestConfig { n_trees: 6, seed, ..Default::default() },
+        );
+        let keep = |f: usize| mask_bits & (1 << f) != 0;
+        let masked = FlatForest::from_forest_masked(&rf, keep);
+        let known = FlatForest::from_forest_known(&rf, |f| (!keep(f)).then_some(Known::Equals(0.0)));
+        prop_assert_eq!(masked.n_nodes(), known.n_nodes());
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0E0E);
+        for _ in 0..25 {
+            let x: Vec<f64> = (0..nf).map(|_| rng.random_range(-2.0..2.0)).collect();
+            for t in 0..rf.n_trees() {
+                prop_assert_eq!(masked.tree_vote(t, &x), known.tree_vote(t, &x));
             }
         }
     }
@@ -307,19 +442,56 @@ fn every_entry_point_matches_recursive_on_edge_probes() {
             assert_eq!(o.to_bits(), reference(x).to_bits(), "{x:?}");
         }
         for cut in [f64::NEG_INFINITY, 0.0, 0.25, 0.5, 0.75, 1.0, f64::INFINITY] {
-            let cuts = vec![cut; probes.len()];
-            let mut pruned = vec![false; probes.len()];
-            flat.score_block_bounded(&rows, 3, &cuts, &mut out, &mut pruned);
-            for ((o, &p), x) in out.iter().zip(&pruned).zip(&probes) {
+            for x in &probes {
                 let exact = reference(x);
-                if p {
-                    assert!(exact < cut, "{x:?} pruned at cut {cut} with score {exact}");
-                } else {
-                    assert_eq!(o.to_bits(), exact.to_bits(), "{x:?} at cut {cut}");
+                match flat.score_bounded(x, cut, &flat) {
+                    None => assert!(exact < cut, "{x:?} pruned at cut {cut} with score {exact}"),
+                    Some(s) => assert_eq!(s.to_bits(), exact.to_bits(), "{x:?} at cut {cut}"),
                 }
             }
         }
     }
+}
+
+#[test]
+fn known_layouts_match_plain_on_edge_probes() {
+    let rf = whole_vote_forest();
+    let plain = FlatForest::from_forest(&rf);
+    let probes = edge_probes();
+    // Each constraint at each threshold of the hand-built trees (and
+    // ±0.0), on each feature.
+    for f in 0..3 {
+        for v in [-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0] {
+            for known in [Known::Equals(v), Known::AtMost(v), Known::Above(v)] {
+                let layout = FlatForest::from_forest_known(&rf, |g| (g == f).then_some(known));
+                let holds = |x: f64| match known {
+                    Known::Equals(c) => x == c,
+                    Known::AtMost(c) => x <= c,
+                    Known::Above(c) => x > c,
+                };
+                for x in probes.iter().filter(|x| holds(x[f])) {
+                    for t in 0..plain.n_trees() {
+                        assert_eq!(
+                            layout.tree_vote(t, x),
+                            plain.tree_vote(t, x),
+                            "tree {t} {known:?} on feature {f} at {x:?}"
+                        );
+                    }
+                    for cut in [f64::NEG_INFINITY, 0.25, 0.5, 0.75, f64::INFINITY] {
+                        assert_eq!(
+                            layout.score_bounded(x, cut, &plain).map(f64::to_bits),
+                            plain.score_bounded(x, cut, &plain).map(f64::to_bits),
+                            "{known:?} on feature {f} at {x:?}, cut {cut}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    // Knowing feature 2 > 0.0 sends tree 3's root right, into its
+    // whole-no subtree: its 3 flat nodes become one no-leaf.
+    let layout = FlatForest::from_forest_known(&rf, |f| (f == 2).then_some(Known::Above(0.0)));
+    assert_eq!(layout.n_nodes(), 5 + 1 + 1 + 1);
 }
 
 #[test]
@@ -333,10 +505,6 @@ fn bounded_pruning_sees_trees_that_cannot_vote() {
     let flat = FlatForest::from_forest(&forest_from_nodes(&[TREE0, TREE2, TREE1]));
     let rows = [0.6, 0.0, 0.0];
     assert_eq!(flat.predict_proba_slice(&rows), 1.0 / 3.0);
-    let mut out = [f64::NAN];
-    let mut pruned = [false];
-    let n = flat.score_block_bounded(&rows, 3, &[0.5], &mut out, &mut pruned);
-    assert_eq!((n, pruned[0]), (1, true));
-    let n = flat.score_block_bounded(&rows, 3, &[1.0 / 3.0], &mut out, &mut pruned);
-    assert_eq!((n, pruned[0], out[0]), (0, false, 1.0 / 3.0));
+    assert_eq!(flat.score_bounded(&rows, 0.5, &flat), None);
+    assert_eq!(flat.score_bounded(&rows, 1.0 / 3.0, &flat), Some(1.0 / 3.0));
 }

@@ -3,6 +3,9 @@
 //! pass (which sizes the reused row matrix and scratch buffers) a full
 //! scoring sweep over every mention/target pair must allocate nothing —
 //! for both the untrained heuristic prior and a trained flat forest.
+//! The same holds for the engine's trained path: once its per-class
+//! forest layouts are built and one sweep has grown its buffers, a
+//! second sweep of retrieval plus engine scoring allocates nothing.
 //!
 //! One `#[test]` only: the counter is process-global, and a second
 //! concurrently-running test would pollute it.
@@ -10,6 +13,8 @@
 use briq_core::classifier::PairClassifier;
 use briq_core::features::{FeatureMask, PairFeaturizer, FEATURE_COUNT};
 use briq_core::pipeline::{heuristic_prior_masked, Briq, BriqConfig};
+use briq_core::retrieval::{CandidateIndex, RetrievalScratch};
+use briq_core::scoring::ScoringEngine;
 use briq_corpus::corpus::{generate_corpus, CorpusConfig};
 use briq_ml::{Dataset, RandomForestConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -114,5 +119,41 @@ fn scoring_sweep_is_allocation_free_after_warmup() {
         warm.to_bits(),
         hot.to_bits(),
         "sweeps must be deterministic"
+    );
+
+    // The engine's trained path: retrieval, then scoring through the
+    // per-class layouts, which the first sweep builds.
+    let cfg = &briq.cfg.filter;
+    let index = CandidateIndex::build(&sd.targets, cfg.value_diff_threshold);
+    let mut scratch = RetrievalScratch::default();
+    let mut engine = ScoringEngine::new();
+    let mut engine_sweep = |fz: &mut PairFeaturizer| {
+        let (mut acc, mut scored) = (0.0f64, 0usize);
+        for (mi, m) in sd.mentions.iter().enumerate() {
+            let tags = &sd.tags[mi];
+            index.retrieve(m.quantity.value, m.quantity.unit, tags, &mut scratch);
+            engine.fill_rows_selected(fz, mi, &scratch.near, &scratch.far);
+            engine.score_trained_selected(m, &sd.targets, tags, &clf, cfg);
+            acc += engine.computed().iter().map(|&(_, s)| s).sum::<f64>();
+            scored += engine.computed().len() + engine.pruned_targets().len();
+        }
+        (acc, scored)
+    };
+    let warm = engine_sweep(&mut fz);
+    assert!(warm.1 > 100, "need a real workload, got {} rows", warm.1);
+    let before = allocations();
+    let hot = engine_sweep(&mut fz);
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "hot engine sweep allocated {} times over {} rows",
+        after - before,
+        hot.1
+    );
+    assert_eq!(
+        (warm.0.to_bits(), warm.1),
+        (hot.0.to_bits(), hot.1),
+        "engine sweeps must be deterministic"
     );
 }

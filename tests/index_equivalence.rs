@@ -23,7 +23,7 @@ mod common;
 
 use briq_core::obs::{names, MetricsRegistry, Recorder};
 use briq_core::pipeline::{AlignOpts, AlignOutput, Briq, BriqConfig};
-use briq_core::{Budget, Stage};
+use briq_core::{Budget, FeatureMask, Stage};
 use briq_corpus::corpus::{generate_corpus, CorpusConfig};
 use briq_corpus::perturb::{adversarial_documents, Adversary};
 use briq_table::{Document, Table};
@@ -223,6 +223,71 @@ fn trained_indexed_path_matches_oracle() {
             assert_identical(&briq, &oracle, &doc, budget, &format!("trained {kind:?}"));
         }
     }
+}
+
+/// The engine scores each row through a forest layout specialized to
+/// the row's f6 side, f8 and f12 codes, built on the first trained
+/// classify with the f6 split at the `value_diff_threshold` then in force
+/// (0.35). A threshold moved afterwards changes which rows retrieval
+/// calls near, not the split the layouts were built at: each row is
+/// classed by its own f6 against that split, so output stays exact.
+#[test]
+fn trained_path_matches_oracle_after_the_split_moves() {
+    let docs = generate_corpus(&CorpusConfig::small(59)).documents;
+    let (train, rest) = docs.split_at(docs.len() * 2 / 3);
+    let briq = Briq::train(BriqConfig::default(), train, rest);
+    assert_eq!(briq.cfg.filter.value_diff_threshold, 0.35);
+    // Builds the layouts; a clone carries them.
+    assert_identical(
+        &briq,
+        &reference(&briq),
+        &docs[0].document,
+        Budget::unlimited(),
+        "trained at 0.35",
+    );
+    for threshold in [0.2, 0.6] {
+        let mut moved = briq.clone();
+        moved.cfg.filter.value_diff_threshold = threshold;
+        let oracle = reference(&moved);
+        let mut retrieved = 0;
+        for ld in &docs {
+            let label = format!("trained, split moved to {threshold}");
+            retrieved +=
+                assert_identical(&moved, &oracle, &ld.document, Budget::unlimited(), &label)
+                    .counter(names::RETRIEVAL_CANDIDATES);
+        }
+        assert!(retrieved > 0, "index never retrieved a candidate");
+    }
+}
+
+/// With the context group masked, f12 (and f11) read 0.0 in every
+/// layout whatever the row holds, so the pick's f12 code only chooses
+/// among equal layouts.
+#[test]
+fn trained_path_matches_oracle_with_the_context_group_masked() {
+    let docs = generate_corpus(&CorpusConfig::small(61)).documents;
+    let (train, rest) = docs.split_at(docs.len() * 2 / 3);
+    let cfg = BriqConfig {
+        mask: FeatureMask {
+            context: false,
+            ..FeatureMask::all()
+        },
+        ..BriqConfig::default()
+    };
+    let briq = Briq::train(cfg, train, rest);
+    let oracle = reference(&briq);
+    let mut pruned = 0;
+    for ld in &docs {
+        pruned += assert_identical(
+            &briq,
+            &oracle,
+            &ld.document,
+            Budget::unlimited(),
+            "trained, context masked",
+        )
+        .counter(names::PAIRS_PRUNED);
+    }
+    assert!(pruned > 0, "bound pruning never engaged");
 }
 
 /// Production builds the reference's targets minus the aggregates of
